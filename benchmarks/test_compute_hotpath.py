@@ -1,6 +1,7 @@
 """Local-step compute hot path: eager vs compiled tape (ISSUE 10).
 
-The round loop is compute-bound (see ``BENCH_round_latency.json``):
+The round loop is compute-bound (see the round ledger's
+``nn.forward_s`` / ``nn.backward_s`` under ``benchmarks/ledger/``):
 nearly all of the serial s/round is one forward/backward per
 participant.  The compiled engine (``repro.nn.tape``) captures the step
 for a given (mask, shapes, dtype) key once and replays it with

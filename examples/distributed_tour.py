@@ -73,8 +73,7 @@ def main() -> None:
         retrain_epochs=1,
         backend="socket",
         socket_workers=addresses,
-        measure_wire_bytes=True,  # exact npz sizes alongside Fig. 7 estimate
-        delta_dispatch=True,  # ship only changed params after round 1
+        measure_wire_bytes=True,  # exact blob sizes alongside Fig. 7 estimate
         tracing_enabled=True,  # cross-process spans on every task
         trace_ops=True,  # per-op forward profile on the workers
         telemetry_log_path=str(log_path),
@@ -108,7 +107,7 @@ def main() -> None:
     if wire.get("count"):
         print(
             f"  measured sub-model payload: mean {wire['mean'] / 1e3:.1f} kB "
-            f"(exact npz size; analytic estimate "
+            f"(exact blob size; analytic estimate "
             f"{report.mean_submodel_bytes / 1e3:.1f} kB)"
         )
 

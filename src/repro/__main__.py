@@ -148,21 +148,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentPars
         "lossless and preserves bit-identical results (default: float64)",
     )
     parser.add_argument(
-        "--delta-dispatch", action="store_true",
-        help="versioned delta dispatch for --backend process|socket: "
-        "workers cache parameters by version and only changes ship "
-        "(default: $REPRO_DELTA_DISPATCH; results are bit-identical "
-        "either way)",
-    )
-    parser.add_argument(
-        "--param-arena", action="store_true",
-        help="flat parameter arena: supernet parameters/buffers live in "
-        "one contiguous buffer and aggregation/snapshots/serialization "
-        "run over ranges (default: $REPRO_PARAM_ARENA; results are "
-        "bit-identical either way; with --resume, resumes the "
-        "checkpoint into arena mode)",
-    )
-    parser.add_argument(
         "--tape", action="store_true",
         help="compiled compute engine: capture each (mask, shape) "
         "forward once and replay it with preallocated buffers "
@@ -281,12 +266,6 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentPa
         "(default: run until shut down)",
     )
     parser.add_argument(
-        "--no-tracing", action="store_true",
-        help="do not advertise the tracing capability (behave like a "
-        "pre-tracing worker; servers then strip trace contexts for "
-        "this daemon)",
-    )
-    parser.add_argument(
         "--network-faults", default=None, metavar="PLAN.JSON",
         help="misbehave on the wire per a repro.faults.NetworkFaultPlan "
         "JSON file (worker-side chaos; see repro run --network-faults)",
@@ -394,10 +373,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         overrides["socket_compression"] = args.wire_compression
     if getattr(args, "wire_dtype", None) is not None:
         overrides["socket_wire_dtype"] = args.wire_dtype
-    if getattr(args, "delta_dispatch", False):
-        overrides["delta_dispatch"] = True
-    if getattr(args, "param_arena", False):
-        overrides["param_arena"] = True
     if getattr(args, "tape", False):
         overrides["tape_compile"] = True
     if getattr(args, "compute_dtype", None) is not None:
@@ -451,14 +426,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def run_main(args: argparse.Namespace) -> int:
     resume_from = getattr(args, "resume", None)
     if resume_from:
-        # Result-neutral switches: a dict-mode checkpoint may be resumed
-        # straight into arena mode, and the compiled engine may be
-        # toggled on resume (tape caches are derived state — never
-        # checkpointed, rebuilt on first use); all other flags are
-        # ignored on resume.
+        # Result-neutral switches: the compiled engine may be toggled on
+        # resume (tape caches are derived state — never checkpointed,
+        # rebuilt on first use); all other flags are ignored on resume.
         overrides = {}
-        if getattr(args, "param_arena", False):
-            overrides["param_arena"] = True
         if getattr(args, "tape", False):
             overrides["tape_compile"] = True
         if getattr(args, "compute_dtype", None) is not None:
@@ -577,7 +548,6 @@ def serve_main(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             idle_timeout_s=args.idle_timeout,
-            tracing=not getattr(args, "no_tracing", False),
             network_fault_plan=plan,
         )
     except KeyboardInterrupt:

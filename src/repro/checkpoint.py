@@ -318,9 +318,7 @@ def restore_search_state(
             else None
         )
 
-    # In-place application keeps any attached ParameterArena views bound
-    # — a dict-mode checkpoint restores into an arena-mode server (and
-    # vice versa) through the same call.
+    # In-place application keeps the server's ParameterArena views bound.
     server.supernet.apply_state(theta, strict=True)
     server.policy.load(alpha)
     for i in range(len(server.theta_optimizer._velocity)):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import warnings
 from typing import Dict, Optional, Tuple
 
 from repro.network import MOBILITY_MODES, STRATEGIES
@@ -35,6 +36,11 @@ _SOCKET_WIRE_DTYPES = ("float16", "float32", "float64")
 #: ``repro.population.SAMPLER_STRATEGIES``; literal for import-lightness).
 _COHORT_STRATEGIES = ("uniform", "weighted")
 
+#: Switches that selected paths which no longer exist.  Config files and
+#: checkpoint-embedded configs written before their removal still carry
+#: them; :meth:`ExperimentConfig.from_dict` drops them with a warning.
+_RETIRED_KEYS = ("delta_dispatch", "param_arena")
+
 
 def _default_backend() -> str:
     """Backend default: ``$REPRO_BACKEND`` when set, else ``serial``.
@@ -46,35 +52,10 @@ def _default_backend() -> str:
     return os.environ.get("REPRO_BACKEND", "serial")
 
 
-def _default_delta_dispatch() -> bool:
-    """Delta-dispatch default: ``$REPRO_DELTA_DISPATCH`` when set.
-
-    Same contract as :func:`_default_backend` — the environment hook
-    flips a whole test/CI run to delta dispatch without touching call
-    sites; an explicit ``delta_dispatch=`` argument always wins.
-    """
-    return os.environ.get("REPRO_DELTA_DISPATCH", "").lower() in (
-        "1", "true", "yes", "on"
-    )
-
-
-def _default_param_arena() -> bool:
-    """Parameter-arena default: ``$REPRO_PARAM_ARENA`` when set.
-
-    Same contract as :func:`_default_backend` — the environment hook
-    flips a whole test/CI run onto the flat parameter arena without
-    touching call sites; an explicit ``param_arena=`` argument always
-    wins.
-    """
-    return os.environ.get("REPRO_PARAM_ARENA", "").lower() in (
-        "1", "true", "yes", "on"
-    )
-
-
 def _default_tape_compile() -> bool:
     """Compiled-engine default: ``$REPRO_TAPE`` when set.
 
-    Same contract as :func:`_default_param_arena` — the environment hook
+    Same contract as :func:`_default_backend` — the environment hook
     flips a whole test/CI run onto the capture/replay engine without
     touching call sites; an explicit ``tape_compile=`` argument wins.
     """
@@ -268,20 +249,6 @@ class ExperimentConfig:
     #: failed and its participant goes offline for the round (the socket
     #: backend retries on a different replica when one is live)
     task_retries: int = 1
-    #: versioned-parameter delta dispatch (process/socket backends):
-    #: workers cache parameters by ``(name, version)`` and the server
-    #: ships only what changed since the worker's last acknowledgement.
-    #: Seeded results are bit-identical with this on or off — a cold or
-    #: lost cache always falls back to a full send.
-    delta_dispatch: bool = dataclasses.field(
-        default_factory=_default_delta_dispatch
-    )
-    #: flat parameter arena (:class:`repro.nn.ParameterArena`): the
-    #: supernet's parameters/buffers live in one contiguous float64
-    #: buffer — aggregation, CoW Θ snapshots, and serialization become
-    #: range operations, and ``state_dict()`` serves read-only views.
-    #: Seeded results are bit-identical with this on or off.
-    param_arena: bool = dataclasses.field(default_factory=_default_param_arena)
     #: compiled compute engine (:mod:`repro.nn.tape`): workers capture
     #: the forward once per (mask, input shape, dtype) key and replay it
     #: with preallocated buffers.  Float64 replay is bit-identical to
@@ -305,7 +272,7 @@ class ExperimentConfig:
     #: wire precision negotiated at hello; "float64" is lossless
     #: (bit-identical runs), "float32"/"float16" trade precision for bytes
     socket_wire_dtype: str = "float64"
-    #: also measure exact on-wire payload sizes (npz container +
+    #: also measure exact on-wire payload sizes (packed blob +
     #: compression, ``repro.nn.payload_size_bytes``) each round and emit
     #: them through telemetry next to the analytic Fig. 7 estimates
     measure_wire_bytes: bool = False
@@ -603,12 +570,22 @@ class ExperimentConfig:
         Unknown keys and wrongly-typed values raise :class:`ValueError`
         naming the offending key, so a typo in a config file fails at
         load time with a clear message instead of deep inside the
-        pipeline.
+        pipeline.  Retired keys are dropped with a
+        :class:`DeprecationWarning`.
         """
         if not isinstance(data, dict):
             raise ValueError(
                 f"config data must be a dict, got {type(data).__name__}"
             )
+        retired = [key for key in _RETIRED_KEYS if key in data]
+        if retired:
+            warnings.warn(
+                f"config key(s) {', '.join(retired)} are retired and ignored: "
+                "the path they selected is now the only one",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            data = {k: v for k, v in data.items() if k not in retired}
         fields = {f.name: f for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - set(fields))
         if unknown:

@@ -203,7 +203,6 @@ def _retrain_federated_inner(
             weight_decay=config.fl_weight_decay,
             grad_clip=config.theta_grad_clip,
             batch_size=config.batch_size,
-            param_arena=config.param_arena,
         ),
         transform=standard_augmentation(config.image_size),
         test_dataset=test_set,

@@ -143,7 +143,6 @@ class FederatedModelSearch:
             socket_workers=config.socket_workers,
             socket_compression=config.socket_compression,
             socket_wire_dtype=config.socket_wire_dtype,
-            delta_dispatch=config.delta_dispatch,
             resilience=config.resilience_config(),
             network_fault_plan=self._network_fault_plan(),
             rng_seed=config.seed,
@@ -239,7 +238,6 @@ class FederatedModelSearch:
             strike_limit=c.strike_limit,
             quarantine_rounds=c.quarantine_rounds,
             quarantine_backoff=c.quarantine_backoff,
-            param_arena=c.param_arena,
         )
 
     def _network_fault_plan(self):
@@ -306,10 +304,8 @@ class FederatedModelSearch:
         marked as already fired so the resumed run doesn't crash again.
 
         ``config_overrides`` replaces fields of the embedded config
-        before the pipeline is rebuilt — only result-neutral switches
-        (memory layout, backend, telemetry) are safe to override; the
-        canonical use is resuming a dict-mode checkpoint into arena mode
-        (``{"param_arena": True}``) or vice versa.
+        before the pipeline is rebuilt — only result-neutral settings
+        (backend, workers, telemetry) are safe to override.
         """
         meta = read_checkpoint_meta(path)
         extra = meta.get("extra") or {}

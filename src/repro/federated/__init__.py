@@ -25,6 +25,7 @@ from .server import FederatedSearchServer, RoundResult, SearchServerConfig
 from .validation import QuarantineTracker, UpdateValidator
 from .versioning import (
     DeltaCacheMiss,
+    DeltaLedger,
     ParameterVersions,
     resolve_task,
     split_delta,
@@ -62,6 +63,7 @@ __all__ = [
     "QuarantineTracker",
     "UpdateValidator",
     "DeltaCacheMiss",
+    "DeltaLedger",
     "ParameterVersions",
     "resolve_task",
     "split_delta",

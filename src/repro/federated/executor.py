@@ -52,7 +52,7 @@ from .participant import (
     ParticipantUpdate,
     run_local_step,
 )
-from .versioning import DeltaCacheMiss, resolve_task, split_delta
+from .versioning import DeltaCacheMiss, DeltaLedger, resolve_task
 
 __all__ = [
     "BACKENDS",
@@ -295,16 +295,15 @@ def _run_task(task: LocalStepTask):
         recorder = SpanRecorder(profile_ops=task.trace.profile_ops)
     span = recorder.span if recorder is not None else null_span
     try:
-        if task.state_versions is not None or task.state_refs:
-            try:
-                with span("deserialize"):
-                    task = resolve_task(
-                        task, _WORKER_STATE.setdefault("param_cache", {})
-                    )
-            except DeltaCacheMiss as miss:
-                if recorder is not None:
-                    recorder.abort()
-                return _CACHE_MISS, miss.missing, pid
+        try:
+            with span("deserialize"):
+                task = resolve_task(
+                    task, _WORKER_STATE.setdefault("param_cache", {})
+                )
+        except DeltaCacheMiss as miss:
+            if recorder is not None:
+                recorder.abort()
+            return _CACHE_MISS, miss.missing, pid
         hook = _WORKER_STATE.get("fault_hook")
         if hook is not None:
             hook(task)
@@ -355,16 +354,16 @@ class ProcessPoolBackend:
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (cheap, inherits the parent's loaded modules) else
         ``spawn``.
-    delta_dispatch:
-        Ship only parameters some worker has not acknowledged at their
-        current version; workers keep a persistent ``(name, version)``
-        cache (see :mod:`repro.federated.versioning`).  Because a pool
-        cannot target a specific worker, a parameter is referenced
-        instead of shipped only once **every** known worker pid has
-        acknowledged its exact current version; anything less travels in
-        full.  A cache miss (e.g. a replaced worker) triggers a full
-        re-send that does not consume the retry budget.  Off by default;
-        results are bit-identical either way.
+
+    Dispatch is delta-encoded: workers keep a persistent
+    ``(name, version)`` parameter cache (see
+    :mod:`repro.federated.versioning`) and only parameters some worker
+    has not acknowledged at their current version travel.  Because a
+    pool cannot target a specific worker, a parameter is referenced
+    instead of shipped only once **every** known worker pid has
+    acknowledged its exact current version.  A cache miss (e.g. a
+    replaced worker) triggers a full re-send that does not consume the
+    retry budget.
 
     The pool is created lazily on first use and torn down by
     :meth:`close`; a closed backend transparently re-creates its pool if
@@ -385,7 +384,6 @@ class ProcessPoolBackend:
         telemetry: Optional[Telemetry] = None,
         fault_hook: Optional[Callable[[LocalStepTask], None]] = None,
         start_method: Optional[str] = None,
-        delta_dispatch: bool = False,
         population: Optional[object] = None,
     ):
         if task_timeout_s <= 0:
@@ -422,12 +420,9 @@ class ProcessPoolBackend:
             )
         self._ctx = mp.get_context(start_method)
         self._pool: Optional[mp.pool.Pool] = None
-        self.delta_dispatch = bool(delta_dispatch)
-        #: worker pid → name → last acknowledged version
-        self._acked: Dict[int, Dict[str, int]] = {}
-        #: worker pid → last dispatch round it replied in (for pruning)
-        self._pid_last_seen: Dict[int, int] = {}
-        self._dispatch_round = 0
+        #: worker pid → acknowledged parameter versions; pids silent
+        #: for 3 rounds (replaced pool workers) are forgotten
+        self.ledger = DeltaLedger(self.name, prune_after=3)
 
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> "mp.pool.Pool":
@@ -447,13 +442,16 @@ class ProcessPoolBackend:
     def run_tasks(self, tasks: Sequence[LocalStepTask]) -> List[TaskResult]:
         pool = self._ensure_pool()
         telemetry = self.telemetry
-        stats = {"sent": 0, "cached": 0, "full_syncs": 0, "cache_misses": 0}
-        if self.delta_dispatch:
-            self._dispatch_round += 1
-            self._prune_acks()
+        ledger = self.ledger
+        ledger.begin_round()
+        # The pool cannot target a worker, so a parameter may only be
+        # referenced when every pid acknowledged its exact current
+        # version.  Acks only change during collection, after every
+        # submission, so the intersection is taken once per call.
+        shared = ledger.acked_by_all(self.num_workers)
         submissions = []
         for task in tasks:
-            wire_task = self._encode_for_dispatch(task, stats)
+            wire_task = ledger.delta_task(task, shared)
             if telemetry.enabled:
                 telemetry.emit(
                     "executor.dispatch",
@@ -476,77 +474,13 @@ class ProcessPoolBackend:
         for position, task in enumerate(tasks):
             wire_task, handle, submitted_at, dispatch_ts = submissions[position]
             results.append(
-                self._collect(task, wire_task, handle, submitted_at, dispatch_ts, stats)
+                self._collect(task, wire_task, handle, submitted_at, dispatch_ts)
             )
             if telemetry.enabled:
                 telemetry.gauge("executor.inflight", len(tasks) - position - 1)
-        if self.delta_dispatch and telemetry.enabled and tasks:
-            total = stats["sent"] + stats["cached"]
-            telemetry.count("dispatch.delta_params", stats["sent"])
-            telemetry.count("dispatch.cached_params", stats["cached"])
-            telemetry.count("dispatch.full_syncs", stats["full_syncs"])
-            telemetry.count("dispatch.cache_misses", stats["cache_misses"])
-            telemetry.emit(
-                "dispatch.round",
-                backend=self.name,
-                round=tasks[0].round_index,
-                tasks=len(tasks),
-                params_sent=stats["sent"],
-                params_cached=stats["cached"],
-                full_syncs=stats["full_syncs"],
-                cache_misses=stats["cache_misses"],
-                cache_hit=stats["cached"] / total if total else 0.0,
-            )
+        if tasks:
+            ledger.end_round(telemetry, tasks[0].round_index, len(tasks))
         return results
-
-    def _encode_for_dispatch(
-        self, task: LocalStepTask, stats: Dict[str, int]
-    ) -> LocalStepTask:
-        """Delta-encode ``task`` against the workers' acknowledged versions.
-
-        The pool cannot target a worker, so a parameter may only be
-        referenced when *every* known pid acknowledged its exact current
-        version (and at least ``num_workers`` pids are known at all).
-        """
-        if not self.delta_dispatch or task.state_versions is None:
-            if task.state_versions is None and not task.state_refs:
-                return task
-            # Delta off: strip the version metadata so workers skip cache
-            # bookkeeping entirely and wire pickles stay minimal.
-            return dataclasses.replace(task, state_versions=None, state_refs=None)
-        acked_maps = list(self._acked.values())
-        if len(acked_maps) < self.num_workers:
-            shared: Dict[str, int] = {}
-        else:
-            shared = dict(acked_maps[0])
-            for other in acked_maps[1:]:
-                shared = {
-                    name: version
-                    for name, version in shared.items()
-                    if other.get(name) == version
-                }
-        delta, refs = split_delta(task.state, task.state_versions, shared)
-        stats["sent"] += len(delta)
-        stats["cached"] += len(refs)
-        if not refs:
-            stats["full_syncs"] += 1
-            return task
-        return dataclasses.replace(task, state=delta, state_refs=refs)
-
-    def _prune_acks(self) -> None:
-        """Forget pids that stopped replying (replaced pool workers)."""
-        horizon = self._dispatch_round - 3
-        for pid in [p for p, seen in self._pid_last_seen.items() if seen <= horizon]:
-            self._acked.pop(pid, None)
-            self._pid_last_seen.pop(pid, None)
-
-    def _record_ack(self, pid: int, task: LocalStepTask) -> None:
-        if self.delta_dispatch and task.state_versions is not None:
-            # After a successful step the worker's cache holds *every*
-            # name in the task at its dispatched version (shipped entries
-            # were cached, referenced entries were verified present).
-            self._acked.setdefault(pid, {}).update(task.state_versions)
-            self._pid_last_seen[pid] = self._dispatch_round
 
     def _collect(
         self,
@@ -555,7 +489,6 @@ class ProcessPoolBackend:
         handle,
         submitted_at: float,
         dispatch_ts: float,
-        stats: Dict[str, int],
     ) -> TaskResult:
         telemetry = self.telemetry
         attempts = 1
@@ -570,9 +503,7 @@ class ProcessPoolBackend:
                     # does not consume the retry budget, and a full task
                     # can never miss again.
                     _, missing, pid = reply
-                    stats["cache_misses"] += 1
-                    self._acked[pid] = {}
-                    self._pid_last_seen[pid] = self._dispatch_round
+                    self.ledger.forget(pid, cache_miss=True)
                     if telemetry.enabled:
                         telemetry.emit(
                             "executor.delta_resync",
@@ -588,7 +519,8 @@ class ProcessPoolBackend:
                     dispatch_ts = telemetry.now()
                     continue
                 update, compute_wall, pid = reply
-                self._record_ack(pid, wire_task)
+                if wire_task.state_versions is not None:
+                    self.ledger.record(pid, wire_task.state_versions)
                 turnaround = time.perf_counter() - submitted_at
                 queue_s = max(0.0, turnaround - compute_wall)
                 emit_task_trace(
@@ -652,8 +584,7 @@ class ProcessPoolBackend:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
-        self._acked.clear()
-        self._pid_last_seen.clear()
+        self.ledger.clear()
 
 
 def build_backend(
@@ -667,7 +598,6 @@ def build_backend(
     socket_workers: Optional[Sequence[str]] = None,
     socket_compression: str = "none",
     socket_wire_dtype: str = "float64",
-    delta_dispatch: bool = False,
     resilience: Optional[object] = None,
     network_fault_plan: Optional[object] = None,
     rng_seed: int = 0,
@@ -679,9 +609,6 @@ def build_backend(
     policy for every distributed backend (they come straight from
     ``ExperimentConfig``); the ``socket_*`` arguments only apply to the
     socket backend (``socket_workers=None`` auto-spawns local daemons).
-    ``delta_dispatch`` enables versioned parameter caching on the
-    distributed backends (the serial backend runs in-process and has
-    nothing to cache); results are bit-identical either way.
 
     ``resilience`` (a :class:`repro.transport.ResilienceConfig`) and
     ``network_fault_plan`` (a :class:`repro.faults.NetworkFaultPlan`)
@@ -707,7 +634,6 @@ def build_backend(
             task_timeout_s=task_timeout_s,
             max_retries=task_retries,
             telemetry=telemetry,
-            delta_dispatch=delta_dispatch,
             population=population,
         )
     if name == "socket":
@@ -725,7 +651,6 @@ def build_backend(
             compression=socket_compression,
             wire_dtype=socket_wire_dtype,
             telemetry=telemetry,
-            delta_dispatch=delta_dispatch,
             resilience=resilience,
             network_fault_plan=network_fault_plan,
             rng_seed=rng_seed,

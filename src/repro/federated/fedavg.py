@@ -37,12 +37,6 @@ class FedAvgConfig:
     batch_size: int = 16
     local_steps: int = 2
     participation_fraction: float = 1.0
-    #: flatten the model into a :class:`repro.nn.ParameterArena` and run
-    #: the round loop over flat snapshots: the global state is one
-    #: ``data.copy()``, restoring a participant is one range copy, and
-    #: the weighted average is a single accumulation over the flat
-    #: buffer.  Bit-identical to the dict path.
-    param_arena: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.participation_fraction <= 1.0:
@@ -76,11 +70,13 @@ class FedAvgTrainer:
         self.rng = rng or np.random.default_rng()
         self.recorder = CurveRecorder()
         self.round = 0
-        #: optional flat arena over the model (config.param_arena); an
-        #: arena already attached by the caller is reused as-is.
-        self.arena: Optional[nn.ParameterArena] = getattr(model, "_arena", None)
-        if self.arena is None and self.config.param_arena:
-            self.arena = nn.ParameterArena.from_module(model)
+        #: flat arena over the model (one already attached by the caller
+        #: is reused): the global state is one ``data.copy()``, restoring
+        #: a participant is one range copy, and the weighted average is a
+        #: single accumulation over the flat buffer.
+        self.arena: nn.ParameterArena = getattr(
+            model, "_arena", None
+        ) or nn.ParameterArena.from_module(model)
         self._loaders = [
             DataLoader(
                 shard,
@@ -100,30 +96,17 @@ class FedAvgTrainer:
 
         train_accuracies: List[float] = []
         weights: List[float] = []
-        if self.arena is not None:
-            # Flat path: state_dict() views alias the live arena, so
-            # snapshots must be flat copies — which is exactly the win:
-            # one range copy per movement instead of a dict of arrays.
-            global_flat = self.arena.data.copy()
-            flats: List[np.ndarray] = []
-            for idx in selected:
-                self.arena.load_flat(global_flat)
-                accuracy = self._local_train(int(idx))
-                flats.append(self.arena.data.copy())
-                weights.append(len(self.shards[idx]))
-                train_accuracies.append(accuracy)
-            self.arena.load_flat(self._weighted_average_flat(flats, weights))
-        else:
-            global_state = self.model.state_dict()
-            collected: List[Dict[str, np.ndarray]] = []
-            for idx in selected:
-                self.model.load_state_dict(global_state)
-                accuracy = self._local_train(int(idx))
-                collected.append(self.model.state_dict())
-                weights.append(len(self.shards[idx]))
-                train_accuracies.append(accuracy)
-            averaged = self._weighted_average(collected, weights)
-            self.model.load_state_dict(averaged)
+        # state_dict() views alias the live arena, so snapshots are flat
+        # copies: one range copy per movement instead of a dict of arrays.
+        global_flat = self.arena.data.copy()
+        flats: List[np.ndarray] = []
+        for idx in selected:
+            self.arena.load_flat(global_flat)
+            accuracy = self._local_train(int(idx))
+            flats.append(self.arena.data.copy())
+            weights.append(len(self.shards[idx]))
+            train_accuracies.append(accuracy)
+        self.arena.load_flat(self._weighted_average(flats, weights))
 
         metrics = {"train_accuracy": float(np.mean(train_accuracies))}
         self.recorder.record("train_accuracy", metrics["train_accuracy"])
@@ -163,28 +146,10 @@ class FedAvgTrainer:
 
     @staticmethod
     def _weighted_average(
-        states: List[Dict[str, np.ndarray]], weights: List[float]
-    ) -> Dict[str, np.ndarray]:
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("aggregation weights must sum to a positive value")
-        averaged: Dict[str, np.ndarray] = {}
-        for name in states[0]:
-            averaged[name] = sum(
-                (w / total) * state[name] for state, w in zip(states, weights)
-            )
-        return averaged
-
-    @staticmethod
-    def _weighted_average_flat(
         flats: List[np.ndarray], weights: List[float]
     ) -> np.ndarray:
-        """Flat-arena weighted average: one accumulation over the buffer.
-
-        Element-wise with the identical addend order as the per-name
-        ``sum((w/total) * state[name])``, so results are bit-identical
-        to :meth:`_weighted_average` — just over one array.
-        """
+        """Sample-weighted average of flat arena snapshots: one
+        accumulation over the buffer, addends in participant order."""
         total = float(sum(weights))
         if total <= 0:
             raise ValueError("aggregation weights must sum to a positive value")

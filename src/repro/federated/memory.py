@@ -11,11 +11,11 @@ away anyway.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.nn import clone_state, cow_clone_state
+from repro.nn import clone_state
 from repro.search_space import ArchitectureMask
 
 __all__ = ["MemoryPools"]
@@ -24,12 +24,12 @@ __all__ = ["MemoryPools"]
 class MemoryPools:
     """Bounded per-round snapshots of ``θ``, ``α``, and masks ``g``.
 
-    θ snapshots are copy-on-write when the caller supplies per-parameter
-    versions: consecutive rounds share the frozen copies of parameters
-    that did not change between them (only the ~1/N sampled slice
-    receives gradient each round), so pool memory scales with *changed*
-    parameters × window instead of full θ × window.  Without versions
-    (e.g. during checkpoint restore) every save is a plain deep copy.
+    Live-round θ snapshots are copy-on-write over the server's
+    parameter arena: consecutive rounds share the frozen copies of
+    parameters whose version did not change between them (only the ~1/N
+    sampled slice receives gradient each round), so pool memory scales
+    with *changed* parameters × window instead of full θ × window.
+    Checkpoint restore re-inserts plain dicts as deep copies.
     """
 
     def __init__(self, staleness_threshold: int):
@@ -41,8 +41,6 @@ class MemoryPools:
         self._theta: Dict[int, Dict[str, np.ndarray]] = {}
         self._alpha: Dict[int, np.ndarray] = {}
         self._masks: Dict[int, Dict[int, ArchitectureMask]] = {}
-        #: name → (version, frozen copy) shared across rounds (CoW).
-        self._cow_cache: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # Saving (Alg. 1 lines 4, 7)
@@ -50,23 +48,23 @@ class MemoryPools:
     def save_round(
         self,
         round_t: int,
-        theta: Dict[str, np.ndarray],
+        theta,
         alpha: np.ndarray,
         versions=None,
-        arena=None,
     ) -> None:
+        """Snapshot ``θ`` and ``α`` for ``round_t``.
+
+        A live round passes the server's :class:`~repro.nn.ParameterArena`
+        as ``theta`` with its ``versions``: entries changed since the
+        previous snapshot are copied as merged contiguous ranges of the
+        flat buffer, the rest share the previously frozen windows.
+        Without ``versions`` (checkpoint restore) ``theta`` is a plain
+        name → array dict and is deep-copied.
+        """
         if versions is None:
             self._theta[round_t] = clone_state(theta)
-        elif arena is not None:
-            # Flat-arena CoW: changed entries are copied as merged
-            # contiguous ranges of the flat buffer instead of one
-            # ndarray.copy per name; unchanged entries share the
-            # previously frozen windows exactly like cow_clone_state.
-            self._theta[round_t] = arena.cow_snapshot(versions)
         else:
-            self._theta[round_t] = cow_clone_state(
-                theta, versions, self._cow_cache
-            )
+            self._theta[round_t] = theta.cow_snapshot(versions)
         self._alpha[round_t] = np.array(alpha, copy=True)
         self._masks.setdefault(round_t, {})
 

@@ -93,18 +93,15 @@ class LocalStepTask:
     mask: ArchitectureMask
     state: Dict[str, np.ndarray]
     batch_seed: int
-    #: Server-side version of each entry in ``state`` (delta dispatch).
-    #: ``None`` when versioning is off; backends strip it before
-    #: serializing so delta-off wire bytes stay byte-identical.
+    #: Server-side version of each entry in ``state`` (delta dispatch);
+    #: ``None`` only on hand-built tasks, which always travel in full.
     state_versions: Optional[Dict[str, int]] = None
     #: Parameters *not* shipped: name → version the worker must already
     #: hold in its cache (see :mod:`repro.federated.versioning`).  Always
     #: ``None`` by the time the task reaches ``run_local_step``.
     state_refs: Optional[Dict[str, int]] = None
     #: Distributed-tracing context (:mod:`repro.telemetry.tracing`);
-    #: ``None`` when tracing is off.  Backends strip it for workers that
-    #: did not advertise the ``tracing`` capability, so tracing-off wire
-    #: bytes stay byte-identical to the historical format.
+    #: ``None`` when tracing is off.
     trace: Optional[TraceContext] = None
 
 

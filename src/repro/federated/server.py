@@ -70,8 +70,8 @@ class SearchServerConfig:
     compensation_lambda: float = 0.5
     transmission_strategy: str = "adaptive"
     #: also compute the *exact* on-wire size of every dispatched
-    #: sub-model (npz container + compression — what the socket
-    #: transport actually ships) and report measured transmission
+    #: sub-model (packed blob + compression — what the socket
+    #: transport ships on a full send) and report measured transmission
     #: latencies through telemetry, next to the analytic Fig. 7 numbers.
     #: Purely observational: assignment, delays, and results are
     #: unchanged.
@@ -91,12 +91,6 @@ class SearchServerConfig:
     validate_updates: bool = True
     #: reject updates whose global gradient L2 norm exceeds this (0 = off)
     update_norm_limit: float = 1e4
-    #: flatten the supernet's parameters/buffers into a contiguous
-    #: :class:`repro.nn.ParameterArena`: aggregation accumulates into one
-    #: gradient buffer, Θ snapshots become range copies, and
-    #: ``state_dict()`` serves read-only views.  Bit-identical to the
-    #: dict path — purely a memory-layout/performance switch.
-    param_arena: bool = False
     #: rejections before a participant is quarantined
     strike_limit: int = 3
     #: base quarantine length in rounds (doubles per repeat offence)
@@ -164,11 +158,9 @@ class _RoundAccumulator:
     Holds everything the end-of-round θ/α/BN steps need — the REINFORCE
     estimator, the sparse gradient sum, incrementally folded BN buffer
     sums, rewards, and outcome counters — so updates can be ingested one
-    at a time (see :meth:`FederatedSearchServer._ingest_arrival`).  In
-    population mode fresh updates fold in as they arrive, without
-    staging through the pending queue; the legacy path feeds it the
-    round's matured arrivals in queue order, which keeps every
-    accumulation in the historical arithmetic order.
+    at a time (see :meth:`FederatedSearchServer._ingest_arrival`):
+    first the stragglers that matured this round, in queue order, then
+    each fresh update as its delay becomes known.
     """
 
     def __init__(self, policy: ArchitecturePolicy):
@@ -284,28 +276,23 @@ class FederatedSearchServer:
         #: the live arrays (optimizer steps, BN aggregation).  They drive
         #: the copy-on-write memory pools and the backends' delta-encoded
         #: dispatch; both degrade to full copies / full sends without
-        #: affecting results, so versioning is always on.
+        #: affecting results.
         self.versions = ParameterVersions(
             [name for name, _ in supernet.named_parameters()]
             + [name for name, _ in supernet.named_buffers()]
         )
-        #: optional flat parameter arena (config.param_arena): rebinds
-        #: every supernet parameter/buffer onto one contiguous float64
-        #: buffer, so aggregation, CoW snapshots, and serialization work
-        #: over ranges instead of per-name dicts.  Values are copied in
-        #: unchanged and all arithmetic stays element-wise in the same
-        #: order, so seeded results are bit-identical arena on/off.
-        self.arena: Optional[nn.ParameterArena] = (
-            nn.ParameterArena.from_module(supernet)
-            if self.config.param_arena
-            else None
-        )
-        if self.arena is not None and hasattr(self.backend, "bind_arena"):
-            # Backends that pack wire blobs can gather them straight from
-            # the arena's contiguous buffer (byte-identical payloads).
+        #: flat parameter arena: every supernet parameter/buffer is a
+        #: view into one contiguous float64 buffer, so aggregation, CoW
+        #: snapshots, and wire packing work over ranges instead of
+        #: per-name dicts.  Values are copied in unchanged and all
+        #: arithmetic stays element-wise in per-array order.
+        self.arena = nn.ParameterArena.from_module(supernet)
+        if hasattr(self.backend, "bind_arena"):
+            # Backends that pack wire blobs slice them straight from the
+            # arena's contiguous buffer (byte-identical payloads).
             self.backend.bind_arena(self.arena)
-        #: preallocated per-name accumulation buffers for the sparse
-        #: gradient aggregation (reused across rounds; see _add_gradients)
+        #: detached per-name accumulation buffers for gradients the
+        #: arena cannot hold (see _add_gradients)
         self._grad_buffers: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -325,11 +312,7 @@ class FederatedSearchServer:
         telemetry = self.telemetry
         telemetry.emit("round_start", round=t, phase=self.phase_label)
         self.pools.save_round(
-            t,
-            self._theta_state(),
-            self.policy.alpha,
-            versions=self.versions,
-            arena=self.arena,
+            t, self.arena, self.policy.alpha, versions=self.versions
         )
 
         if self.population is not None:
@@ -341,6 +324,7 @@ class FederatedSearchServer:
         mean_size = 0.0
         round_duration = 0.0
         num_failed = 0
+        new_items: List[_PendingUpdate] = []
         if online:
             masks, states, sizes, wire_sizes = self._sample_submodels(len(online))
             assignment, max_latency, latencies = self._assign(
@@ -387,7 +371,6 @@ class FederatedSearchServer:
             delivered_sizes: List[float] = []
             delivered_indices: List[int] = []
             compute_times: List[float] = []
-            new_items: List[_PendingUpdate] = []
             for slot, result in enumerate(task_results):
                 if not result.ok:
                     # Worker crash / timeout: the participant is offline
@@ -434,21 +417,20 @@ class FederatedSearchServer:
                 for item, tau in zip(new_items, delays.taus):
                     item.delivery_round = t + int(tau)
                 round_duration = delays.round_duration_s
-            if self.population is not None:
-                # Streaming aggregation: a fresh (τ=0) update folds into
-                # the round accumulator the moment its delay is known —
-                # the cohort's updates never pile up in the pending
-                # queue, so per-round transients stay O(cohort) however
-                # large the population grows.  Only genuinely delayed
-                # updates stage through ``_pending``.
-                for item in new_items:
-                    if item.delivery_round == t:
-                        self._ingest_arrival(t, accumulator, item)
-                    else:
-                        self._pending.append(item)
-            else:
-                self._pending.extend(new_items)
             mean_size = float(np.mean(sizes))
+
+        # Streaming aggregation, one order in every mode: stragglers
+        # that matured this round first (queue order), then each fresh
+        # (τ=0) update.  Fresh updates never pile up in the pending
+        # queue, so per-round transients stay O(cohort) however large
+        # the population grows; only genuinely delayed ones are staged.
+        matured = [p for p in self._pending if p.delivery_round == t]
+        self._pending = [p for p in self._pending if p.delivery_round > t]
+        for item in matured + new_items:
+            if item.delivery_round == t:
+                self._ingest_arrival(t, accumulator, item)
+            else:
+                self._pending.append(item)
 
         expected = (
             self._cohort_target
@@ -456,7 +438,7 @@ class FederatedSearchServer:
             else len(self.participants)
         )
         num_offline = expected - len(online) + num_failed
-        result = self._apply_arrivals(
+        result = self._close_round(
             t, accumulator, max_latency, mean_size, round_duration, num_offline
         )
         self.pools.evict_older_than(t)
@@ -631,7 +613,7 @@ class FederatedSearchServer:
     def _theta_state(self) -> Dict[str, np.ndarray]:
         return {name: p.data for name, p in self.supernet.named_parameters()}
 
-    def _apply_arrivals(
+    def _close_round(
         self,
         t: int,
         accumulator: _RoundAccumulator,
@@ -640,19 +622,7 @@ class FederatedSearchServer:
         round_duration: float,
         num_offline: int = 0,
     ) -> RoundResult:
-        """Fold the round's matured pending arrivals and close the round.
-
-        The accumulator may already hold this round's fresh updates
-        (population mode streams them in at collection time); the legacy
-        path arrives here with an empty accumulator, so ingesting the
-        matured queue entries in order reproduces the historical
-        arithmetic exactly.
-        """
-        arrivals = [p for p in self._pending if p.delivery_round == t]
-        self._pending = [p for p in self._pending if p.delivery_round > t]
-        for item in arrivals:
-            self._ingest_arrival(t, accumulator, item)
-
+        """Apply the accumulated round: θ step, BN fold, α step, records."""
         acc = accumulator
         telemetry = self.telemetry
         if acc.num_arrivals and acc.used == 0:
@@ -864,34 +834,25 @@ class FederatedSearchServer:
 
         Updates only carry gradients for sampled parameters, so the sum
         stays name-sparse — no dense zero-filled dicts are ever built.
-        The first arrival for a name lands in a preallocated per-name
-        buffer (reused across rounds) via ``np.copyto``; later arrivals
-        add in place.  Float64 addition order is unchanged, so results
-        are bit-identical to the previous copy-then-add accumulation.
-
-        With the parameter arena on, that first-arrival buffer *is* the
-        arena's contiguous gradient window for the name, so the round's
-        accumulated gradient materialises directly in the flat buffer
-        (averaged later with merged-range vector ops in _step_theta).
-        Names the arena doesn't own — or whose shape disagrees, e.g. a
-        corrupt update with validation off — keep the detached per-name
-        fallback buffers.
+        The first arrival for a name is copied (``np.copyto``) into the
+        arena's contiguous gradient window for that name; later arrivals
+        add in place, in arrival order, so the round's accumulated
+        gradient materialises directly in the flat buffer (averaged
+        later with merged-range vector ops in _step_theta).  Names the
+        arena doesn't own — or whose shape disagrees, e.g. a corrupt
+        update with validation off — land in detached per-name buffers
+        (reused across rounds) instead.
         """
         buffers = self._grad_buffers
-        arena = self.arena
         for name, grad in gradients.items():
             if name in grad_sum:
                 grad_sum[name] += grad
             else:
-                buf = None
-                if arena is not None:
-                    view = arena.grad_view(name)
-                    if (
-                        view is not None
-                        and view.shape == grad.shape
-                        and view.dtype == grad.dtype
-                    ):
-                        buf = view
+                buf = self.arena.grad_view(name)
+                if buf is not None and (
+                    buf.shape != grad.shape or buf.dtype != grad.dtype
+                ):
+                    buf = None
                 if buf is None:
                     buf = buffers.get(name)
                     if buf is None or buf.shape != grad.shape or buf.dtype != grad.dtype:
@@ -931,11 +892,7 @@ class FederatedSearchServer:
         for name, total in sums.items():
             if name in owners:
                 value = total / counts[name]
-                if (
-                    arena is not None
-                    and arena.has(name)
-                    and arena.view(name).shape == value.shape
-                ):
+                if arena.view(name).shape == value.shape:
                     # In-place write keeps the buffer bound to the arena
                     # (replacing the array would detach the view).
                     arena.write(name, value)
@@ -973,14 +930,9 @@ class FederatedSearchServer:
             return
         self.theta_optimizer.zero_grad()
         # Arena-owned sums are averaged in place over merged contiguous
-        # ranges of the flat gradient buffer (``/=`` is the same
-        # element-wise ufunc as ``/``, so bit-identical); anything else
-        # keeps the per-name divide-into-a-copy path.
-        owned = (
-            self.arena.average_grads(grad_sum, count)
-            if self.arena is not None
-            else frozenset()
-        )
+        # ranges of the flat gradient buffer; the detached fallback
+        # buffers of _add_gradients are divided into a copy.
+        owned = self.arena.average_grads(grad_sum, count)
         for name, param in self.supernet.named_parameters():
             if name in grad_sum:
                 grad = grad_sum[name]

@@ -16,19 +16,23 @@ protocol:
   shipped entries plus the worker's persistent ``(name, version)`` cache,
   raising :class:`DeltaCacheMiss` when a referenced version is absent —
   the signal for the server to fall back to a full re-send.
+* :class:`DeltaLedger` (server side) is the one record of which versions
+  each worker acknowledged; the process and socket backends both drive
+  it, and it emits the per-round ``dispatch.round`` statistics.
 
 Correctness never depends on cache warmth: a miss, a respawned worker, a
 reconnect, or a ``--resume`` all degrade to a full send (and, on resume,
 :func:`ParameterVersions.bump_all` invalidates every previously
-acknowledged version).  Seeded runs are bit-identical with the protocol
-on or off because the reassembled state is array-for-array the same
-bytes the server would have shipped in full.
+acknowledged version).  The reassembled state is array-for-array the
+same bytes a full send carries, so seeded runs do not depend on what was
+cached.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Mapping, Tuple
+import threading
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .participant import LocalStepTask
 __all__ = [
     "ParameterVersions",
     "DeltaCacheMiss",
+    "DeltaLedger",
     "split_delta",
     "resolve_task",
 ]
@@ -54,10 +59,10 @@ class ParameterVersions:
     different timeline.
 
     Counters live in one contiguous ``int64`` array with a name →
-    position index, so whole-model operations (``bump_all``, the
-    vectorized :func:`split_delta` gather, arena CoW change detection)
-    are single numpy ops instead of per-name dict traffic.  All lookups
-    return plain Python ints (wire codecs JSON-encode them directly).
+    position index, so whole-model operations (``bump_all``, arena CoW
+    change detection) are single numpy ops instead of per-name dict
+    traffic.  All lookups return plain Python ints (wire codecs
+    JSON-encode them directly).
     """
 
     def __init__(self, names: Iterable[str]):
@@ -117,10 +122,6 @@ class ParameterVersions:
         """Current counters at precomputed positions (int64 gather)."""
         return self._array[positions]
 
-    def values_for(self, names: Iterable[str]) -> np.ndarray:
-        """Current counters for ``names`` in order (int64 array)."""
-        return self._array[self.positions(names)]
-
     def __len__(self) -> int:
         return len(self._names)
 
@@ -148,35 +149,136 @@ def split_delta(
     last acknowledged *exactly* the current version — anything older (or
     never acknowledged) travels in full.  Returns ``(delta, refs)``
     where ``refs`` maps name → the version the receiver must look up.
-
-    When ``versions`` is a :class:`ParameterVersions`, both the current
-    counters and the ack comparison are gathered as single int64 vector
-    ops over the task's names instead of one dict probe per name.
     """
-    names = list(state)
-    if isinstance(versions, ParameterVersions):
-        current = versions.values_for(names)
-    else:
-        current = np.fromiter(
-            (versions[name] for name in names), dtype=np.int64, count=len(names)
-        )
-    # Sentinel far outside any real version so "never acknowledged"
-    # can't collide with a genuine counter value.
-    never = -(2**62)
-    acked_arr = np.fromiter(
-        (acked.get(name, never) for name in names),
-        dtype=np.int64,
-        count=len(names),
-    )
-    hit = acked_arr == current
     delta: Dict[str, np.ndarray] = {}
     refs: Dict[str, int] = {}
-    for i, (name, value) in enumerate(state.items()):
-        if hit[i]:
-            refs[name] = int(current[i])
+    for name, value in state.items():
+        version = versions[name]
+        if acked.get(name) == version:
+            refs[name] = version
         else:
             delta[name] = value
     return delta, refs
+
+
+class DeltaLedger:
+    """Which parameter versions each worker holds, plus dispatch stats.
+
+    One ledger per distributed backend.  Workers are any hashable key
+    (pool pids, socket endpoints).  :meth:`record` after a successful
+    reply, :meth:`forget` when a worker's cache is known to be void
+    (cache miss, re-registration); :meth:`acked` is what one worker may
+    be sent as references, :meth:`acked_by_all` what *any* of ``n``
+    workers may be (a pool cannot target a worker).  Thread-safe: the
+    socket backend's per-worker threads share one ledger.
+    """
+
+    def __init__(self, backend: str, prune_after: Optional[int] = None):
+        self.backend = backend
+        #: forget workers silent for this many rounds (replaced pool pids)
+        self.prune_after = prune_after
+        self._acked: Dict[Hashable, Dict[str, int]] = {}
+        self._last_seen: Dict[Hashable, int] = {}
+        self._round = 0
+        self._lock = threading.Lock()
+        self.stats = dict.fromkeys(
+            ("sent", "cached", "full_syncs", "cache_misses"), 0
+        )
+
+    def begin_round(self) -> None:
+        """Zero the round's statistics and prune long-silent workers."""
+        with self._lock:
+            self._round += 1
+            self.stats = dict.fromkeys(self.stats, 0)
+            if self.prune_after is not None:
+                horizon = self._round - self.prune_after
+                for worker in [
+                    w for w, seen in self._last_seen.items() if seen <= horizon
+                ]:
+                    del self._acked[worker], self._last_seen[worker]
+
+    def record(self, worker: Hashable, versions: Mapping[str, int]) -> None:
+        """``worker`` replied: its cache now holds ``versions`` (shipped
+        entries were cached, referenced entries were verified present)."""
+        with self._lock:
+            self._acked.setdefault(worker, {}).update(versions)
+            self._last_seen[worker] = self._round
+
+    def forget(self, worker: Hashable, cache_miss: bool = False) -> None:
+        """Void everything ``worker`` acknowledged (it stays known)."""
+        with self._lock:
+            self._acked[worker] = {}
+            self._last_seen[worker] = self._round
+            self.stats["cache_misses"] += cache_miss
+
+    def clear(self) -> None:
+        with self._lock:
+            self._acked.clear()
+            self._last_seen.clear()
+
+    def acked(self, worker: Hashable) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._acked.get(worker, ()))
+
+    def acked_by_all(self, n: int) -> Dict[str, int]:
+        """Name → version every known worker acknowledged; empty until
+        at least ``n`` workers are known."""
+        with self._lock:
+            maps = list(self._acked.values())
+            if len(maps) < n:
+                return {}
+            shared = dict(maps[0])
+            for other in maps[1:]:
+                shared = {
+                    name: version
+                    for name, version in shared.items()
+                    if other.get(name) == version
+                }
+            return shared
+
+    def delta_task(
+        self, task: LocalStepTask, acked: Mapping[str, int]
+    ) -> LocalStepTask:
+        """``task`` with everything in ``acked`` turned into references.
+
+        A task without version metadata (hand-built, not from the
+        server) travels as is; a task with nothing to reference is a
+        full sync and also travels as is — its versions still warm the
+        receiver's cache.
+        """
+        if task.state_versions is None:
+            return task
+        delta, refs = split_delta(task.state, task.state_versions, acked)
+        with self._lock:
+            self.stats["sent"] += len(delta)
+            self.stats["cached"] += len(refs)
+            self.stats["full_syncs"] += not refs
+        if not refs:
+            return task
+        return dataclasses.replace(task, state=delta, state_refs=refs)
+
+    def end_round(self, telemetry, round_index: int, num_tasks: int) -> None:
+        """Emit the round's counters and its ``dispatch.round`` event."""
+        if not (telemetry.enabled and num_tasks):
+            return
+        with self._lock:
+            stats = dict(self.stats)
+        total = stats["sent"] + stats["cached"]
+        telemetry.count("dispatch.delta_params", stats["sent"])
+        telemetry.count("dispatch.cached_params", stats["cached"])
+        telemetry.count("dispatch.full_syncs", stats["full_syncs"])
+        telemetry.count("dispatch.cache_misses", stats["cache_misses"])
+        telemetry.emit(
+            "dispatch.round",
+            backend=self.backend,
+            round=round_index,
+            tasks=num_tasks,
+            params_sent=stats["sent"],
+            params_cached=stats["cached"],
+            full_syncs=stats["full_syncs"],
+            cache_misses=stats["cache_misses"],
+            cache_hit=stats["cached"] / total if total else 0.0,
+        )
 
 
 def resolve_task(
@@ -191,8 +293,12 @@ def resolve_task(
     the referenced version *exactly*, else :class:`DeltaCacheMiss` is
     raised — the worker never trains on a guessed parameter.  Returns a
     task whose ``state`` is complete (refs folded in, ``state_refs``
-    cleared) and is safe to hand to ``run_local_step`` unchanged.
+    cleared) and is safe to hand to ``run_local_step`` unchanged.  A task
+    with no version metadata at all (hand-built) passes through without
+    touching the cache.
     """
+    if task.state_versions is None and not task.state_refs:
+        return task
     versions = task.state_versions or {}
     for name, value in task.state.items():
         cache[name] = (versions.get(name, 0), value)

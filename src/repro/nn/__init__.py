@@ -32,18 +32,12 @@ from .modules import (
 from .optim import SGD, Adam, CosineAnnealingLR, StepLR, clip_grad_norm
 from .serialize import (
     WIRE_DTYPES,
-    arena_from_bytes,
-    arena_to_bytes,
-    bytes_to_state,
     payload_size_bytes,
     clone_state,
-    cow_clone_state,
     model_size_megabytes,
     pack_state,
-    pack_state_via_arena,
     state_num_parameters,
     state_size_bytes,
-    state_to_bytes,
     unpack_state,
 )
 from .tensor import Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, stack
@@ -85,15 +79,9 @@ __all__ = [
     "kaiming_normal",
     "kaiming_uniform",
     "xavier_uniform",
-    "state_to_bytes",
-    "arena_to_bytes",
-    "arena_from_bytes",
     "pack_state",
-    "pack_state_via_arena",
     "unpack_state",
-    "bytes_to_state",
     "clone_state",
-    "cow_clone_state",
     "state_num_parameters",
     "state_size_bytes",
     "payload_size_bytes",

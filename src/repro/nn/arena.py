@@ -6,8 +6,9 @@ gradient buffer) with a ``name → (offset, size, shape, kind, dtype)``
 index.  After :meth:`attach`, each ``Parameter.data`` and registered
 buffer *is* a reshaped view into the arena, so
 
-* whole-model movement (snapshot, restore, serialize) is O(1) slice
-  arithmetic over one array instead of O(params) dict traffic,
+* whole-model movement (snapshot, restore) is O(1) slice arithmetic
+  over one array instead of O(params) dict traffic, and
+  :func:`repro.nn.pack_state` slices wire blobs straight out of it,
 * server-side gradient aggregation lands in one contiguous gradient
   buffer and is averaged with a handful of merged-range vector ops,
 * copy-on-write Θ snapshots copy contiguous *ranges* of changed entries
@@ -30,8 +31,6 @@ historical per-array order.
 
 from __future__ import annotations
 
-import json
-import zlib
 from collections import OrderedDict
 from typing import (
     Dict,
@@ -50,10 +49,6 @@ import numpy as np
 __all__ = ["ArenaEntry", "ArenaStateView", "ParameterArena"]
 
 _ARENA_DTYPE = np.dtype(np.float64)
-
-#: ``ParameterArena.to_bytes`` blob: magic | u8 compressed | u32 BE
-#: header length | JSON header | raw (optionally zlib) buffer bytes.
-_BLOB_MAGIC = b"RPA1"
 
 
 class ArenaEntry(NamedTuple):
@@ -172,7 +167,6 @@ class ParameterArena:
             for name, e in index.items()
         }
         self._ro_views: Dict[str, np.ndarray] = {}
-        self._full_header: Optional[bytes] = None
         self.attached = False
         # CoW snapshot state (see cow_snapshot): last-snapshotted version
         # per *param* entry plus the frozen per-name windows.
@@ -256,9 +250,6 @@ class ParameterArena:
         """Dict-compatible read-only façade (all entries by default)."""
         return ArenaStateView(self, names)
 
-    def has(self, name: str) -> bool:
-        return name in self.index
-
     def write(self, name: str, value: np.ndarray) -> None:
         """In-place write of one entry (keeps module attributes bound)."""
         self._views[name][...] = value
@@ -338,8 +329,7 @@ class ParameterArena:
         version is unchanged since the previous snapshot share the
         previously frozen window; changed entries are copied as merged
         contiguous ranges (one ``ndarray.copy`` per range) and sliced
-        into per-name windows.  Same sharing semantics — and the same
-        values — as :func:`repro.nn.cow_clone_state` over live views.
+        into per-name windows.
         """
         names = self.param_names
         if self._ver_src is not versions or self._ver_idx is None:
@@ -370,95 +360,6 @@ class ParameterArena:
                 run_start = run_stop
             self._snap_versions[changed] = current[changed]
         return {name: self._snap_arrays[name] for name in names}
-
-    # ------------------------------------------------------------------
-    # Serialization: one buffer write + index metadata
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _header(selected) -> bytes:
-        return json.dumps(
-            {
-                "dtype": _ARENA_DTYPE.str,
-                "entries": [[n, list(e.shape)] for n, e in selected],
-            }
-        ).encode("utf-8")
-
-    def to_bytes(
-        self, names: Optional[Iterable[str]] = None, *, compress: bool = False
-    ) -> bytes:
-        """Serialize entries as one buffer write plus index metadata.
-
-        Unlike the per-array npz/packed formats, the payload is the raw
-        arena buffer (whole arena: a single ``tobytes``; a subset: one
-        write per merged contiguous range) prefixed by a JSON index of
-        ``[name, shape]`` pairs in offset order.  Inverse:
-        :meth:`state_from_bytes` / :func:`repro.nn.arena_from_bytes`.
-        """
-        if names is None:
-            # the full-arena header only depends on the (immutable) index,
-            # so it is built once and reused across calls
-            header = self._full_header
-            if header is None:
-                header = self._full_header = self._header(self.index.items())
-        else:
-            selected = sorted(
-                ((n, self.index[n]) for n in names),
-                key=lambda item: item[1].offset,
-            )
-            header = self._header(selected)
-        if names is None:
-            body = self.data.tobytes()
-        else:
-            body = b"".join(
-                self.data[start:stop].tobytes()
-                for start, stop in self.merged_runs(n for n, _ in selected)
-            )
-        if compress:
-            body = zlib.compress(body)
-        return (
-            _BLOB_MAGIC
-            + bytes([1 if compress else 0])
-            + len(header).to_bytes(4, "big")
-            + header
-            + body
-        )
-
-    @staticmethod
-    def state_from_bytes(payload: bytes) -> Dict[str, np.ndarray]:
-        """Inverse of :meth:`to_bytes`: one buffer read → state dict."""
-        if payload[:4] != _BLOB_MAGIC:
-            raise ValueError("not an arena blob (bad magic)")
-        compressed = payload[4]
-        header_len = int.from_bytes(payload[5:9], "big")
-        header_end = 9 + header_len
-        if header_end > len(payload):
-            raise ValueError("truncated arena blob header")
-        header = json.loads(payload[9:header_end].decode("utf-8"))
-        body = payload[header_end:]
-        if compressed:
-            try:
-                body = zlib.decompress(body)
-            except zlib.error as exc:
-                raise ValueError(f"corrupt arena blob body: {exc}") from exc
-        flat = np.frombuffer(body, dtype=np.dtype(header["dtype"])).astype(
-            np.float64
-        )
-        expected = sum(
-            int(np.prod(shape, dtype=np.int64)) if shape else 1
-            for _, shape in header["entries"]
-        )
-        if flat.size != expected:
-            raise ValueError(
-                f"arena blob body holds {flat.size} scalars, index expects "
-                f"{expected}"
-            )
-        state: Dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape in header["entries"]:
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            state[name] = flat[offset : offset + size].reshape(tuple(shape))
-            offset += size
-        return state
 
     def __repr__(self) -> str:
         return (

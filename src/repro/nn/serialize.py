@@ -10,17 +10,16 @@ Two size accountings coexist deliberately:
 
 * :func:`state_size_bytes` — the *analytic* estimate (4 bytes/scalar,
   float32), matching the paper's Fig. 7 cost model; and
-* :func:`payload_size_bytes` — the *exact* on-wire size of the npz
-  container :func:`state_to_bytes` produces (including zip overhead and
+* :func:`payload_size_bytes` — the *exact* size of the packed blob
+  :func:`pack_state` produces (per-entry headers, chosen wire precision,
   optional zlib compression), which is what the transport layer actually
   sends.
 """
 
 from __future__ import annotations
 
-import io
 import zlib
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -29,19 +28,13 @@ from .modules import Module
 
 __all__ = [
     "WIRE_DTYPES",
-    "state_to_bytes",
-    "bytes_to_state",
-    "arena_to_bytes",
-    "arena_from_bytes",
     "pack_state",
-    "pack_state_via_arena",
     "unpack_state",
     "state_num_parameters",
     "state_size_bytes",
     "payload_size_bytes",
     "model_size_megabytes",
     "clone_state",
-    "cow_clone_state",
 ]
 
 _WIRE_BYTES_PER_SCALAR = 4  # the analytic model assumes float32 scalars
@@ -58,72 +51,59 @@ WIRE_DTYPES = {
 }
 
 
-def state_to_bytes(
-    state: Dict[str, np.ndarray], *, dtype: str = "float32", compress: bool = False
-) -> bytes:
-    """Serialize a state dict to bytes (npz container).
-
-    ``dtype`` selects the wire precision (see :data:`WIRE_DTYPES`);
-    ``compress=True`` additionally zlib-compresses the container.  The
-    defaults (float32, uncompressed) match the historical wire format.
-    The output is deterministic: the same state always produces the same
-    bytes.
-    """
-    if dtype not in WIRE_DTYPES:
-        raise ValueError(
-            f"dtype must be one of {sorted(WIRE_DTYPES)}, got {dtype!r}"
-        )
-    buffer = io.BytesIO()
-    compact = {k: np.asarray(v, dtype=WIRE_DTYPES[dtype]) for k, v in state.items()}
-    np.savez(buffer, **compact)
-    payload = buffer.getvalue()
-    if compress:
-        payload = zlib.compress(payload)
-    return payload
-
-
-def bytes_to_state(payload: bytes, *, compressed: bool = False) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`state_to_bytes` (arrays come back as float64)."""
-    if compressed:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise ValueError(f"corrupt compressed state payload: {exc}") from exc
-    buffer = io.BytesIO(payload)
-    with np.load(buffer) as archive:
-        return {k: archive[k].astype(np.float64) for k in archive.files}
-
-
 def pack_state(
-    state: Dict[str, np.ndarray], *, dtype: str = "float32", compress: bool = False
+    state: Dict[str, np.ndarray],
+    *,
+    dtype: str = "float32",
+    compress: bool = False,
+    arena: Optional[ParameterArena] = None,
 ) -> bytes:
-    """Serialize a state dict to a *compact* binary blob.
+    """Serialize a state dict to the packed binary blob.
 
-    The npz container :func:`state_to_bytes` produces costs ~300 bytes
-    of zip/npy headers **per array** — more than the array data itself at
-    simulator scale.  This packed format spends ~40 bytes per entry::
+    The one state encoding on the wire (tasks and updates, both
+    directions); ~40 bytes of overhead per entry::
 
         name_len (u16 BE) | name utf-8 | dtype_len (u8) | dtype.str |
         ndim (u8) | dims (u32 BE each) | raw C-order bytes
 
     Entries keep dict order; the stored ``dtype.str`` carries the byte
-    order, so the blob is self-describing and platform-portable.  Used
-    by the delta-dispatch wire path (negotiated at hello); the default
-    npz path and its byte-exact historical format are untouched.
+    order, so the blob is self-describing and platform-portable.
+    ``dtype`` selects the wire precision (see :data:`WIRE_DTYPES`),
+    ``compress=True`` zlib-compresses the whole blob.  The output is
+    deterministic: the same state always produces the same bytes.
+
+    ``arena`` is a fast path, never a different format: an entry that
+    *is* one of the arena's live float64 views, shipped at float64, has
+    its data bytes sliced straight out of the arena's contiguous buffer
+    (a zero-copy memoryview range) instead of going through
+    ``ascontiguousarray``/``tobytes``.  Any other entry — not an arena
+    view, or a narrowing wire dtype that needs a real conversion — is
+    packed the ordinary way, so the bytes are identical with or without
+    the arena (asserted in tests).
     """
     if dtype not in WIRE_DTYPES:
         raise ValueError(
             f"dtype must be one of {sorted(WIRE_DTYPES)}, got {dtype!r}"
         )
     wire = WIRE_DTYPES[dtype]
+    raw = None
+    if arena is not None and wire == arena.data.dtype:
+        raw = memoryview(arena.data).cast("B")
+        itemsize = arena.data.itemsize
     parts = []
     for name, value in state.items():
-        array = np.ascontiguousarray(np.asarray(value, dtype=wire))
+        entry = arena.index.get(name) if raw is not None else None
+        if entry is not None and arena.view(name) is value:
+            array = value
+            data = raw[entry.offset * itemsize : (entry.offset + entry.size) * itemsize]
+        else:
+            array = np.ascontiguousarray(np.asarray(value, dtype=wire))
+            data = array.tobytes()
         name_bytes = name.encode("utf-8")
         dtype_bytes = array.dtype.str.encode("ascii")
         if len(name_bytes) > 0xFFFF or len(dtype_bytes) > 0xFF or array.ndim > 0xFF:
             raise ValueError(f"state entry {name!r} does not fit the packed format")
-        header = (
+        parts.append(
             len(name_bytes).to_bytes(2, "big")
             + name_bytes
             + bytes([len(dtype_bytes)])
@@ -131,66 +111,7 @@ def pack_state(
             + bytes([array.ndim])
             + b"".join(dim.to_bytes(4, "big") for dim in array.shape)
         )
-        parts.append(header)
-        parts.append(array.tobytes())
-    payload = b"".join(parts)
-    if compress:
-        payload = zlib.compress(payload)
-    return payload
-
-
-def pack_state_via_arena(
-    state: Dict[str, np.ndarray],
-    arena: ParameterArena,
-    *,
-    dtype: str = "float32",
-    compress: bool = False,
-) -> bytes:
-    """Arena-accelerated :func:`pack_state`: identical bytes, fewer copies.
-
-    When every entry of ``state`` is a live float64 view into ``arena``
-    (the delta-dispatch case: changed-parameter dicts drawn from
-    ``Supernet.submodel_state`` with the arena attached), the data bytes
-    are gathered straight out of the arena's contiguous buffer as
-    zero-copy memoryview ranges — no per-name ``ascontiguousarray`` /
-    ``tobytes`` round trip.  Per-entry headers interleave with the data
-    in the packed format, so the gather is one range per entry rather
-    than one per :meth:`~repro.nn.arena.ParameterArena.merged_runs` run;
-    the ranges are still raw arena slices, and the resulting blob is
-    byte-for-byte what :func:`pack_state` produces (asserted in tests).
-    Anything that disqualifies the fast path — a non-arena entry, or a
-    narrowing wire dtype, which needs a real conversion — falls back to
-    :func:`pack_state` transparently.
-    """
-    if dtype not in WIRE_DTYPES:
-        raise ValueError(
-            f"dtype must be one of {sorted(WIRE_DTYPES)}, got {dtype!r}"
-        )
-    if arena is None or WIRE_DTYPES[dtype] != np.float64:
-        return pack_state(state, dtype=dtype, compress=compress)
-    for name, value in state.items():
-        if not arena.has(name) or arena.view(name) is not value:
-            return pack_state(state, dtype=dtype, compress=compress)
-    raw = memoryview(arena.data).cast("B")
-    itemsize = arena.data.itemsize
-    parts = []
-    for name, value in state.items():
-        entry = arena.index[name]
-        name_bytes = name.encode("utf-8")
-        dtype_bytes = value.dtype.str.encode("ascii")
-        if len(name_bytes) > 0xFFFF or len(dtype_bytes) > 0xFF or value.ndim > 0xFF:
-            raise ValueError(f"state entry {name!r} does not fit the packed format")
-        parts.append(
-            len(name_bytes).to_bytes(2, "big")
-            + name_bytes
-            + bytes([len(dtype_bytes)])
-            + dtype_bytes
-            + bytes([value.ndim])
-            + b"".join(dim.to_bytes(4, "big") for dim in value.shape)
-        )
-        parts.append(
-            raw[entry.offset * itemsize : (entry.offset + entry.size) * itemsize]
-        )
+        parts.append(data)
     payload = b"".join(parts)
     if compress:
         payload = zlib.compress(payload)
@@ -237,25 +158,6 @@ def unpack_state(payload: bytes, *, compressed: bool = False) -> Dict[str, np.nd
     return state
 
 
-def arena_to_bytes(
-    arena: ParameterArena, names=None, *, compress: bool = False
-) -> bytes:
-    """Serialize (a subset of) a :class:`ParameterArena` as one buffer write.
-
-    Where :func:`state_to_bytes` / :func:`pack_state` loop over per-name
-    arrays, this emits the arena's contiguous buffer directly — a single
-    ``tobytes`` for the whole model (or one write per merged range for a
-    subset) plus a JSON ``name → shape`` index.  Inverse:
-    :func:`arena_from_bytes`.
-    """
-    return arena.to_bytes(names, compress=compress)
-
-
-def arena_from_bytes(payload: bytes) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`arena_to_bytes`: one buffer read → state dict."""
-    return ParameterArena.state_from_bytes(payload)
-
-
 def state_num_parameters(state: Dict[str, np.ndarray]) -> int:
     return int(sum(v.size for v in state.values()))
 
@@ -276,11 +178,11 @@ def payload_size_bytes(
 ) -> int:
     """*Exact* on-wire size of ``state`` as the transport would send it.
 
-    Unlike :func:`state_size_bytes` this includes the npz container (zip
-    headers, per-array npy preambles) and reflects the chosen wire
-    precision and optional zlib compression.
+    Unlike :func:`state_size_bytes` this includes the packed blob's
+    per-entry headers and reflects the chosen wire precision and
+    optional zlib compression.
     """
-    return len(state_to_bytes(state, dtype=dtype, compress=compressed))
+    return len(pack_state(state, dtype=dtype, compress=compressed))
 
 
 def model_size_megabytes(model: Module) -> float:
@@ -291,30 +193,3 @@ def model_size_megabytes(model: Module) -> float:
 def clone_state(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Deep-copy a state dict."""
     return {k: np.array(v, copy=True) for k, v in state.items()}
-
-
-def cow_clone_state(
-    state: Dict[str, np.ndarray],
-    versions,
-    cache: Dict[str, tuple],
-) -> Dict[str, np.ndarray]:
-    """Copy-on-write snapshot of a state dict.
-
-    ``versions`` maps (or indexes, via ``versions[name]``) each name to a
-    monotonically increasing counter that changes whenever the live array
-    is mutated; ``cache`` persists between calls and maps name →
-    ``(version, frozen_copy)``.  Entries whose version is unchanged since
-    the previous snapshot *share* the previously frozen copy — only
-    mutated entries are physically copied.  Each returned snapshot is
-    therefore safe to keep after the live arrays change, at a cost of
-    O(changed entries) rather than O(full state) per call.
-    """
-    snapshot: Dict[str, np.ndarray] = {}
-    for name, value in state.items():
-        version = versions[name]
-        cached = cache.get(name)
-        if cached is None or cached[0] != version:
-            cached = (version, np.array(value, copy=True))
-            cache[name] = cached
-        snapshot[name] = cached[1]
-    return snapshot

@@ -16,8 +16,9 @@ Layers, bottom up:
   accounting.  Malformed input raises :class:`ProtocolError`; it never
   hangs a read loop.
 * :mod:`repro.transport.codec` — message payload codecs: tensor payloads
-  (tasks/updates) ride :func:`repro.nn.state_to_bytes` with optional
-  zlib compression and reduced wire precision, both negotiated at hello.
+  (tasks/updates) ride the :func:`repro.nn.pack_state` blob with
+  optional zlib compression and reduced wire precision, both negotiated
+  at hello.
 * :mod:`repro.transport.worker` — the participant daemon: accept loop,
   hello/init registration, task execution, heartbeats, reconnects.
 * :mod:`repro.transport.resilience` — circuit breakers, worker health

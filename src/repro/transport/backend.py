@@ -38,7 +38,7 @@ Resilient dispatch (:mod:`repro.transport.resilience`):
 * a task pending past its hedge threshold is speculatively re-sent to
   an idle live replica; the first valid result wins, the loser's reply
   is discarded (safe: ``run_local_step`` is deterministic per
-  ``batch_seed``) but still updates the loser's delta-dispatch ack map;
+  ``batch_seed``) but still updates the loser's entry in the delta ledger;
 * every task has a *total* wall budget across all passes
   (``task_budget_s``, default ``(task_retries + 1) × task_timeout_s``),
   so retries can never multiply the worst-case round wall-clock beyond
@@ -71,7 +71,6 @@ RTTs, worker lifecycle events, and one ``transport.round`` event per
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import socket
 import subprocess
@@ -84,7 +83,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.faults.network import ChaosEngine, NetworkFaultPlan
 from repro.federated.executor import ParticipantSpec, TaskResult
 from repro.federated.participant import LocalStepTask
-from repro.federated.versioning import split_delta
+from repro.federated.versioning import DeltaLedger
 from repro.nn.serialize import WIRE_DTYPES
 from repro.search_space import SupernetConfig
 from repro.telemetry import Telemetry
@@ -198,17 +197,6 @@ class WorkerEndpoint:
         self.conn: Optional[FrameConnection] = None
         self.registered = False
         self.rounds_failed = 0
-        #: daemon advertised delta-dispatch support in its hello ack
-        self.delta_ok = False
-        #: daemon advertised trace-context support in its hello ack; the
-        #: backend strips trace contexts for daemons that did not (old
-        #: workers), so mixed fleets interoperate — their spans are
-        #: simply absent from the trace.
-        self.tracing_ok = False
-        #: name → version this worker last acknowledged (delta dispatch);
-        #: reset on every (re-)registration, since MSG_INIT clears the
-        #: daemon's parameter cache.
-        self.acked: Dict[str, int] = {}
         #: failure history + RTT statistics (resilient dispatch)
         self.health = WorkerHealth()
         #: per-worker circuit breaker; the backend swaps in one built
@@ -248,7 +236,6 @@ class SocketBackend:
         wire_dtype: str = "float64",
         telemetry: Optional[Telemetry] = None,
         spawn_idle_timeout_s: float = 300.0,
-        delta_dispatch: bool = False,
         resilience: Optional[ResilienceConfig] = None,
         network_fault_plan: Optional[NetworkFaultPlan] = None,
         rng_seed: int = 0,
@@ -291,7 +278,9 @@ class SocketBackend:
         self.wire_dtype = wire_dtype
         self.telemetry = telemetry or Telemetry.disabled()
         self._spawn_idle_timeout_s = float(spawn_idle_timeout_s)
-        self.delta_dispatch = bool(delta_dispatch)
+        #: endpoint → acknowledged parameter versions, voided on every
+        #: (re-)registration since MSG_INIT clears the daemon's cache
+        self.ledger = DeltaLedger(self.name)
         self.resilience = resilience or ResilienceConfig()
         #: total per-task wall budget across every retry pass;
         #: 0 = auto = the historical worst case, now an explicit bound
@@ -311,11 +300,6 @@ class SocketBackend:
         self._seq = 0
         self._round_counter = 0
         self._lock = threading.Lock()
-        #: per-round delta-dispatch stats (guarded by _lock; worker
-        #: threads update it during the dispatch pass)
-        self._dispatch_stats = {
-            "sent": 0, "cached": 0, "full_syncs": 0, "cache_misses": 0
-        }
         #: per-round hedge stats (guarded by the pass condition variable)
         self._hedge_stats = {"dispatched": 0, "wins": 0, "duplicates": 0}
 
@@ -341,14 +325,12 @@ class SocketBackend:
             self._endpoints = []
 
     def bind_arena(self, arena) -> None:
-        """Let packed dispatch gather blobs straight from ``arena``.
+        """Let dispatch slice task blobs straight from ``arena``.
 
         The server calls this once after construction with its
-        :class:`~repro.nn.arena.ParameterArena`.  Dispatch then routes
-        delta-packed payloads through
-        :func:`~repro.nn.serialize.pack_state_via_arena` — byte-identical
-        blobs, assembled from contiguous arena ranges instead of per-name
-        array packing.  A no-op for the unpacked (npz) wire path.
+        :class:`~repro.nn.arena.ParameterArena`; :func:`codec.encode_task`
+        then assembles byte-identical blobs from contiguous arena ranges
+        instead of per-name array packing.
         """
         self._arena = arena
 
@@ -411,17 +393,10 @@ class SocketBackend:
         if self._chaos is not None:
             conn = self._chaos.wrap(conn, endpoint.address)
         try:
-            # Capabilities travel as *extra* hello keys only when
-            # enabled, so capability-off hello bytes are unchanged.
-            hello_extra = {"delta": True} if self.delta_dispatch else {}
-            if self.telemetry.enabled and self.telemetry.tracing:
-                hello_extra["tracing"] = True
-            msg_type, payload = conn.request(
+            msg_type, _ = conn.request(
                 MSG_HELLO,
                 codec.encode_hello(
-                    compression=self.compression,
-                    wire_dtype=self.wire_dtype,
-                    **hello_extra,
+                    compression=self.compression, wire_dtype=self.wire_dtype
                 ),
                 timeout=self.connect_timeout_s,
             )
@@ -429,7 +404,6 @@ class SocketBackend:
                 raise ProtocolError(
                     f"expected hello_ack, got message type {msg_type:#x}"
                 )
-            hello_ack = codec.decode_json(payload)
             msg_type, payload = conn.request(
                 MSG_INIT,
                 codec.encode_init(
@@ -458,9 +432,7 @@ class SocketBackend:
         endpoint.breaker.record_success()
         # Registration sent MSG_INIT, which cleared the daemon's delta
         # cache: every previously acknowledged version is void.
-        endpoint.acked = {}
-        endpoint.delta_ok = bool(hello_ack.get("delta", False))
-        endpoint.tracing_ok = bool(hello_ack.get("tracing", False))
+        self.ledger.forget(endpoint)
         if self.telemetry.enabled:
             self.telemetry.count("transport.worker_registered")
             self.telemetry.emit(
@@ -568,39 +540,6 @@ class SocketBackend:
         self._seq += 1
         return self._seq
 
-    def _encode_for_endpoint(
-        self, endpoint: WorkerEndpoint, task: LocalStepTask
-    ) -> LocalStepTask:
-        """Delta-encode ``task`` against what ``endpoint`` acknowledged.
-
-        Deltas are computed per endpoint at send time, so the second task
-        a worker receives in a round already references what the first
-        one shipped (versions cannot change mid-round).  With delta off
-        (or a non-delta daemon) the version metadata is stripped, keeping
-        the wire bytes identical to the historical format.
-        """
-        if not (
-            self.delta_dispatch
-            and endpoint.delta_ok
-            and task.state_versions is not None
-        ):
-            if task.state_versions is None and not task.state_refs:
-                return task
-            return dataclasses.replace(
-                task, state_versions=None, state_refs=None
-            )
-        with self._lock:
-            acked = dict(endpoint.acked)
-        delta, refs = split_delta(task.state, task.state_versions, acked)
-        with self._lock:
-            self._dispatch_stats["sent"] += len(delta)
-            self._dispatch_stats["cached"] += len(refs)
-            if not refs:
-                self._dispatch_stats["full_syncs"] += 1
-        if not refs:
-            return task  # full sync; versions still travel to warm the cache
-        return dataclasses.replace(task, state=delta, state_refs=refs)
-
     def _execute_on(
         self,
         endpoint: WorkerEndpoint,
@@ -618,18 +557,10 @@ class SocketBackend:
         feed the worker's health history and circuit breaker.
         """
         timeout_s = self.task_timeout_s if timeout_s is None else timeout_s
-        if task.trace is not None and not endpoint.tracing_ok:
-            # Old worker (no tracing capability): send the historical
-            # wire format; its spans are simply absent from the trace.
-            task = dataclasses.replace(task, trace=None)
-        wire_task = self._encode_for_endpoint(endpoint, task)
-        # Delta-capable daemons also get the compact packed blob (the
-        # npz container's per-array headers dominate at small scales).
-        packed = (
-            self.delta_dispatch
-            and endpoint.delta_ok
-            and task.state_versions is not None
-        )
+        # Deltas are computed per endpoint at send time, so the second
+        # task a worker receives in a round already references what the
+        # first one shipped (versions cannot change mid-round).
+        wire_task = self.ledger.delta_task(task, self.ledger.acked(endpoint))
         resyncing = False
         while True:
             seq = self._next_seq()
@@ -638,8 +569,7 @@ class SocketBackend:
                 seq,
                 compression=self.compression,
                 wire_dtype=self.wire_dtype,
-                packed=packed,
-                arena=self._arena if packed else None,
+                arena=self._arena,
             )
             start = time.perf_counter()
             dispatch_ts = self.telemetry.now()
@@ -653,9 +583,7 @@ class SocketBackend:
                         # The daemon restarted (or was swapped) since we
                         # last acknowledged: forget its cache and ship
                         # the full state once, outside the retry budget.
-                        with self._lock:
-                            endpoint.acked = {}
-                            self._dispatch_stats["cache_misses"] += 1
+                        self.ledger.forget(endpoint, cache_miss=True)
                         if self.telemetry.enabled:
                             with self._lock:
                                 self.telemetry.emit(
@@ -709,11 +637,8 @@ class SocketBackend:
                     receive_ts=receive_ts,
                     worker=endpoint.address,
                 )
-        if self.delta_dispatch and task.state_versions is not None:
-            # The daemon now holds every name in the task at its current
-            # version (shipped entries were cached, refs were verified).
-            with self._lock:
-                endpoint.acked.update(task.state_versions)
+        if task.state_versions is not None:
+            self.ledger.record(endpoint, task.state_versions)
         if self.telemetry.enabled:
             with self._lock:
                 self.telemetry.observe("transport.task_rtt_s", rtt)
@@ -736,10 +661,8 @@ class SocketBackend:
         round_index = tasks[0].round_index if tasks else self._round_counter
         self._round_counter += 1
         live = self._ensure_workers()
+        self.ledger.begin_round()
         with self._lock:
-            self._dispatch_stats = {
-                "sent": 0, "cached": 0, "full_syncs": 0, "cache_misses": 0
-            }
             self._hedge_stats = {"dispatched": 0, "wins": 0, "duplicates": 0}
         results: List[Optional[TaskResult]] = [None] * len(tasks)
         attempts = [0] * len(tasks)
@@ -841,25 +764,7 @@ class SocketBackend:
                 bytes_sent=sent - bytes_before[0],
                 bytes_received=received - bytes_before[1],
             )
-            if self.delta_dispatch:
-                with self._lock:
-                    stats = dict(self._dispatch_stats)
-                total = stats["sent"] + stats["cached"]
-                telemetry.count("dispatch.delta_params", stats["sent"])
-                telemetry.count("dispatch.cached_params", stats["cached"])
-                telemetry.count("dispatch.full_syncs", stats["full_syncs"])
-                telemetry.count("dispatch.cache_misses", stats["cache_misses"])
-                telemetry.emit(
-                    "dispatch.round",
-                    backend=self.name,
-                    round=round_index,
-                    tasks=len(tasks),
-                    params_sent=stats["sent"],
-                    params_cached=stats["cached"],
-                    full_syncs=stats["full_syncs"],
-                    cache_misses=stats["cache_misses"],
-                    cache_hit=(stats["cached"] / total) if total else 0.0,
-                )
+            self.ledger.end_round(telemetry, round_index, len(tasks))
             with self._lock:
                 hedge = dict(self._hedge_stats)
             if hedge["dispatched"]:
@@ -928,7 +833,7 @@ class SocketBackend:
         queue speculatively re-dispatches (hedges) a task that has been
         in flight elsewhere past its hedge threshold; the first valid
         result wins and a loser's late reply is discarded — but still
-        runs through ``_execute_on``'s ack-map update, keeping the
+        runs through ``_execute_on``'s ledger update, keeping the
         delta-dispatch bookkeeping truthful on both replicas.  Returns
         the task indices that still need a retry pass.
         """
@@ -1093,3 +998,4 @@ class SocketBackend:
                     endpoint.proc.wait()
         if self._auto_spawn:
             self._endpoints = []
+        self.ledger.clear()

@@ -4,9 +4,10 @@ Frame payloads come in three shapes:
 
 * **JSON control payloads** (hello, acks, errors): UTF-8 JSON objects.
 * **Tensor payloads** (tasks, updates): a small JSON meta header plus an
-  array blob built on :func:`repro.nn.state_to_bytes`::
+  array blob in the :func:`repro.nn.pack_state` format, in both
+  directions::
 
-      flags (u8) | meta_len (u32 BE) | meta_json | state blob
+      flags (u8) | meta_len (u32 BE) | meta_json | packed state blob
 
   ``flags`` bit 0 marks a zlib-compressed blob.  The wire precision
   (``float64``/``float32``/``float16``) travels in the meta, so a
@@ -39,14 +40,7 @@ import numpy as np
 
 from repro.federated.executor import ParticipantSpec
 from repro.federated.participant import LocalStepTask, ParticipantUpdate
-from repro.nn.serialize import (
-    WIRE_DTYPES,
-    bytes_to_state,
-    pack_state,
-    pack_state_via_arena,
-    state_to_bytes,
-    unpack_state,
-)
+from repro.nn.serialize import WIRE_DTYPES, pack_state, unpack_state
 from repro.search_space import ArchitectureMask, SupernetConfig
 from repro.telemetry.tracing import TraceContext
 
@@ -73,13 +67,6 @@ __all__ = [
 COMPRESSIONS = ("none", "zlib")
 
 _FLAG_ZLIB = 0x01
-#: blob is the compact ``pack_state`` format instead of npz; used by the
-#: delta-dispatch path (the npz container's ~300 bytes of headers *per
-#: array* dominate at simulator scale).  Negotiated with the ``delta``
-#: hello capability — payloads without the flag are byte-identical to
-#: the historical format.
-_FLAG_PACKED = 0x02
-_KNOWN_FLAGS = _FLAG_ZLIB | _FLAG_PACKED
 _META_LEN = struct.Struct(">I")
 
 
@@ -102,9 +89,7 @@ def decode_json(payload: bytes) -> Dict:
     return obj
 
 
-def encode_hello(
-    compression: str = "none", wire_dtype: str = "float64", **extra
-) -> bytes:
+def encode_hello(compression: str = "none", wire_dtype: str = "float64") -> bytes:
     """The client's opening message: protocol version + wire options."""
     if compression not in COMPRESSIONS:
         raise ValueError(
@@ -119,7 +104,6 @@ def encode_hello(
             "version": PROTOCOL_VERSION,
             "compression": compression,
             "wire_dtype": wire_dtype,
-            **extra,
         }
     )
 
@@ -205,7 +189,6 @@ def _pack_tensor_payload(
     *,
     compression: str,
     wire_dtype: str,
-    packed: bool = False,
     arena=None,
 ) -> bytes:
     if compression not in COMPRESSIONS:
@@ -216,18 +199,8 @@ def _pack_tensor_payload(
     meta["wire_dtype"] = wire_dtype
     meta_bytes = encode_json(meta)
     compress = compression == "zlib"
-    if packed and arena is not None:
-        # Arena slice gather: byte-identical to pack_state, fewer copies.
-        blob = pack_state_via_arena(
-            arrays, arena, dtype=wire_dtype, compress=compress
-        )
-    elif packed:
-        blob = pack_state(arrays, dtype=wire_dtype, compress=compress)
-    else:
-        blob = state_to_bytes(arrays, dtype=wire_dtype, compress=compress)
-    flags = _FLAG_ZLIB if compression == "zlib" else 0
-    if packed:
-        flags |= _FLAG_PACKED
+    blob = pack_state(arrays, dtype=wire_dtype, compress=compress, arena=arena)
+    flags = _FLAG_ZLIB if compress else 0
     return (
         bytes([flags]) + _META_LEN.pack(len(meta_bytes)) + meta_bytes + blob
     )
@@ -240,7 +213,7 @@ def _unpack_tensor_payload(payload: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]
             "fixed preamble"
         )
     flags = payload[0]
-    if flags & ~_KNOWN_FLAGS:
+    if flags & ~_FLAG_ZLIB:
         raise ProtocolError(f"tensor payload sets unknown flags {flags:#04x}")
     (meta_len,) = _META_LEN.unpack_from(payload, 1)
     blob_start = 1 + _META_LEN.size + meta_len
@@ -250,12 +223,11 @@ def _unpack_tensor_payload(payload: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]
             f"only {len(payload) - 1 - _META_LEN.size} bytes follow"
         )
     meta = decode_json(payload[1 + _META_LEN.size : blob_start])
-    deserialize = unpack_state if flags & _FLAG_PACKED else bytes_to_state
     try:
-        arrays = deserialize(
+        arrays = unpack_state(
             payload[blob_start:], compressed=bool(flags & _FLAG_ZLIB)
         )
-    except Exception as exc:  # corrupt zlib/npz/packed container
+    except Exception as exc:  # corrupt zlib stream or packed blob
         raise ProtocolError(f"corrupt tensor blob: {exc}") from exc
     return meta, arrays
 
@@ -274,16 +246,12 @@ def encode_task(
     *,
     compression: str = "none",
     wire_dtype: str = "float64",
-    packed: bool = False,
     arena=None,
 ) -> bytes:
     """A :class:`LocalStepTask` as a tensor payload (``seq`` matches the
     reply to the request on a pipelined connection).
 
-    ``packed=True`` ships the state blob in the compact
-    :func:`~repro.nn.serialize.pack_state` format — only for receivers
-    that advertised the ``delta`` hello capability.  ``arena`` (optional,
-    packed mode only) lets the blob be gathered straight from the
+    ``arena`` (optional) lets the blob be sliced straight from the
     server's :class:`~repro.nn.arena.ParameterArena` buffer — identical
     bytes, without per-name array packing."""
     meta = {
@@ -294,8 +262,7 @@ def encode_task(
         "mask_normal": list(task.mask.normal),
         "mask_reduce": list(task.mask.reduce),
     }
-    # Delta-dispatch metadata is emitted only when present, so payloads
-    # of version-free tasks are byte-for-byte the historical format.
+    # Delta-dispatch metadata; absent only on hand-built tasks.
     if task.state_versions is not None:
         meta["state_versions"] = {
             name: int(task.state_versions[name]) for name in task.state
@@ -304,9 +271,7 @@ def encode_task(
         meta["state_refs"] = {
             name: int(version) for name, version in task.state_refs.items()
         }
-    # Trace context likewise rides only when present (tracing on *and*
-    # the receiver advertised the ``tracing`` capability) — tracing-off
-    # payloads stay byte-for-byte the historical format.
+    # The trace context rides only when the run is traced.
     if task.trace is not None:
         meta["trace"] = task.trace.to_wire()
     return _pack_tensor_payload(
@@ -314,7 +279,6 @@ def encode_task(
         task.state,
         compression=compression,
         wire_dtype=wire_dtype,
-        packed=packed,
         arena=arena,
     )
 
@@ -388,7 +352,7 @@ def encode_update(
         "compute_time_s": update.compute_time_s,
     }
     # Worker span payload piggybacks in the JSON meta only when the task
-    # carried a trace context; untraced replies keep the historical bytes.
+    # carried a trace context.
     if update.spans is not None:
         meta["spans"] = update.spans
     return _pack_tensor_payload(

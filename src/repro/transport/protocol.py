@@ -49,7 +49,10 @@ __all__ = [
 ]
 
 MAGIC = b"FM"  # "federated model-search"
-PROTOCOL_VERSION = 1
+#: 2: tensor payloads are always the packed blob (tasks *and* updates),
+#: every daemon resolves delta references and honours trace contexts —
+#: nothing is negotiated at hello beyond compression and wire dtype.
+PROTOCOL_VERSION = 2
 
 #: header layout: magic, version, msg_type, payload length, payload crc32
 _HEADER = struct.Struct(">2sBBII")

@@ -31,7 +31,7 @@ from repro.federated.executor import ParticipantSpec
 from repro.federated.participant import run_local_step
 from repro.federated.versioning import DeltaCacheMiss, resolve_task
 from repro.search_space import SupernetConfig
-from repro.telemetry.tracing import SpanRecorder
+from repro.telemetry.tracing import SpanRecorder, null_span
 
 from . import codec
 from .protocol import (
@@ -73,12 +73,6 @@ class WorkerServer:
         Exit the accept loop after this many seconds without a
         connection (None = wait forever).  Auto-spawned workers use it
         as a leak guard: a worker whose server died stops itself.
-    tracing:
-        Advertise the ``tracing`` hello capability and record local-step
-        spans for tasks that carry a trace context.  ``False`` makes the
-        daemon behave like a pre-tracing worker (interop testing /
-        ``repro serve --no-tracing``): the server then strips trace
-        contexts before dispatching to it.
     network_fault_plan:
         Optional :class:`repro.faults.network.NetworkFaultPlan`
         (``repro serve --network-faults PLAN.json``): every accepted
@@ -93,11 +87,9 @@ class WorkerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         idle_timeout_s: Optional[float] = None,
-        tracing: bool = True,
         network_fault_plan=None,
     ):
         self.idle_timeout_s = idle_timeout_s
-        self.tracing = bool(tracing)
         self._chaos = None
         if network_fault_plan is not None and network_fault_plan.faults:
             # Imported lazily: repro.faults.network is a sibling of the
@@ -206,13 +198,6 @@ class WorkerServer:
                         "compression": self._compression,
                         "wire_dtype": self._wire_dtype,
                         "num_specs": len(self._specs),
-                        # capability flag: this daemon resolves
-                        # delta-encoded tasks (state_refs) against its
-                        # persistent parameter cache
-                        "delta": True,
-                        # capability flag: this daemon understands task
-                        # trace contexts and returns span payloads
-                        **({"tracing": True} if self.tracing else {}),
                     }
                 ),
             )
@@ -268,32 +253,26 @@ class WorkerServer:
         recorder: Optional[SpanRecorder] = None
         try:
             task, seq = codec.decode_task(payload)
-            # Tasks from a pre-tracing server (or with tracing off) carry
-            # no context; `--no-tracing` daemons ignore one if present.
-            if task.trace is not None and self.tracing:
+            if task.trace is not None:
                 recorder = SpanRecorder(profile_ops=task.trace.profile_ops)
-            span = recorder.span if recorder is not None else None
-            if task.state_versions is not None or task.state_refs:
-                try:
-                    if span is not None:
-                        with span("deserialize"):
-                            task = resolve_task(task, self._param_cache)
-                    else:
-                        task = resolve_task(task, self._param_cache)
-                except DeltaCacheMiss as miss:
-                    if recorder is not None:
-                        recorder.abort()
-                        recorder = None
-                    conn.send_frame(
-                        MSG_ERROR,
-                        codec.encode_error(
-                            seq,
-                            f"delta cache miss: {miss}",
-                            code="cache_miss",
-                            missing=len(miss.missing),
-                        ),
-                    )
-                    return
+            span = recorder.span if recorder is not None else null_span
+            try:
+                with span("deserialize"):
+                    task = resolve_task(task, self._param_cache)
+            except DeltaCacheMiss as miss:
+                if recorder is not None:
+                    recorder.abort()
+                    recorder = None
+                conn.send_frame(
+                    MSG_ERROR,
+                    codec.encode_error(
+                        seq,
+                        f"delta cache miss: {miss}",
+                        code="cache_miss",
+                        missing=len(miss.missing),
+                    ),
+                )
+                return
             spec = self._spec_for(task.participant_id)
             if spec is None or self._supernet_config is None:
                 raise RuntimeError(
@@ -344,7 +323,6 @@ def serve(
     port: int = 0,
     idle_timeout_s: Optional[float] = None,
     announce: bool = True,
-    tracing: bool = True,
     network_fault_plan=None,
 ) -> int:
     """Run a worker daemon until shutdown; the ``repro serve`` body.
@@ -356,7 +334,6 @@ def serve(
         host,
         port,
         idle_timeout_s=idle_timeout_s,
-        tracing=tracing,
         network_fault_plan=network_fault_plan,
     )
     if announce:

@@ -4,18 +4,18 @@ Covers the four contracts the arena redesign makes:
 
 * layout/façade — ``ParameterArena`` flattens parameters + buffers in
   ``state_dict()`` order, ``ArenaStateView`` is a read-only
-  dict-compatible Mapping over the live buffer, and the blob format
-  round-trips bit-exactly;
+  dict-compatible Mapping over the live buffer, and wire blobs sliced
+  from the arena round-trip bit-exactly;
 * state API — ``apply_state``/``LoadResult`` report (never silently
   drop) missing/unexpected/shape-mismatched keys, and the legacy
   ``load_state_dict`` path warns on arena-attached modules;
 * one ``Stateful`` protocol for every checkpointed component
   (``Module``, ``FaultInjector``, ``QuarantineTracker``) with a shared
   round-trip;
-* bit-identity — seeded results are identical arena on/off at the
-  optimizer, FedAvg, server (with stragglers), and full-pipeline level
-  (× backends × delta dispatch), including resuming a dict-mode
-  checkpoint into arena mode.
+* bit-identity — the arena paths (optimizer steps over views, the flat
+  FedAvg round, the server's in-buffer gradient fold, range-copy CoW
+  snapshots) equal small per-name dict oracles that live in this file,
+  and seeded ``SearchReport``s agree across backends × tracing.
 """
 
 import warnings
@@ -47,7 +47,6 @@ from repro.federated import (
     build_backend,
     split_delta,
 )
-from repro.federated.server import SearchServerConfig
 from repro.federated.validation import QuarantineTracker
 from repro.search_space import Supernet, SupernetConfig
 
@@ -65,7 +64,7 @@ def make_model(seed=0):
     )
 
 
-def make_server(seed=0, param_arena=False, backend_name="serial"):
+def make_server(seed=0, backend_name="serial", server_cls=FederatedSearchServer):
     train, _ = synth_cifar10(seed=1, train_per_class=10, test_per_class=2, image_size=8)
     shards = iid_partition(train, 3, rng=np.random.default_rng(0))
     supernet = Supernet(TINY, rng=np.random.default_rng(seed + 1))
@@ -75,13 +74,14 @@ def make_server(seed=0, param_arena=False, backend_name="serial"):
         for k, s in enumerate(shards)
     ]
     backend = build_backend(backend_name, participants, TINY, num_workers=2)
-    return FederatedSearchServer(
+    return server_cls(
         supernet,
         policy,
         participants,
-        config=SearchServerConfig(param_arena=param_arena),
         delay_model=DistributionDelay(
-            [0.6, 0.4], staleness_threshold=2, rng=np.random.default_rng(seed + 3)
+            [0.5, 0.3, 0.1, 0.1],  # τ = 0, 1, 2, and past the threshold (dropped)
+            staleness_threshold=2,
+            rng=np.random.default_rng(seed + 3),
         ),
         rng=np.random.default_rng(seed + 4),
         backend=backend,
@@ -341,9 +341,10 @@ class TestArrayVersions:
     def test_vector_helpers(self):
         versions = ParameterVersions(["a", "b", "c"])
         versions.bump(["b"])
-        np.testing.assert_array_equal(versions.values_for(["c", "b"]), [1, 2])
-        pos = versions.positions(["a", "c"])
-        np.testing.assert_array_equal(versions.values_at(pos), [1, 1])
+        pos = versions.positions(["c", "b"])
+        np.testing.assert_array_equal(versions.values_at(pos), [1, 2])
+        versions.bump_all()
+        np.testing.assert_array_equal(versions.values_at(pos), [2, 3])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -359,7 +360,7 @@ class TestArrayVersions:
             for name in names
             if rng.random() < 0.6
         }
-        delta, refs = split_delta(state, versions, acked)
+        delta, refs = split_delta(state, versions.subset(state), acked)
         # scalar reference implementation (the pre-vectorization loop)
         expect_refs = {
             n: versions[n] for n in state if acked.get(n) == versions[n]
@@ -375,44 +376,61 @@ class TestArrayVersions:
 
 
 # ----------------------------------------------------------------------
-# Blob serialization: one buffer write + index metadata
+# Wire blobs sliced straight from the arena buffer
 # ----------------------------------------------------------------------
 class TestArenaBlob:
     def test_full_roundtrip_bit_exact(self):
         model = make_model(seed=5)
         arena = nn.ParameterArena.from_module(model)
-        restored = nn.arena_from_bytes(nn.arena_to_bytes(arena))
-        assert_states_equal(restored, dict(model.state_dict()))
+        live = {name: arena.view(name) for name in arena.index}
+        blob = nn.pack_state(live, dtype="float64", arena=arena)
+        assert blob == nn.pack_state(dict(model.state_dict()), dtype="float64")
+        assert_states_equal(nn.unpack_state(blob), dict(model.state_dict()))
 
     def test_subset_and_compression(self):
         arena = nn.ParameterArena.from_module(make_model(seed=5))
-        names = ["4.weight", "0.weight"]  # out of order on purpose
-        blob = nn.arena_to_bytes(arena, names, compress=True)
-        restored = nn.arena_from_bytes(blob)
-        assert set(restored) == set(names)
+        names = ["4.weight", "0.weight"]  # out of layout order on purpose
+        live = {name: arena.view(name) for name in names}
+        blob = nn.pack_state(live, dtype="float64", compress=True, arena=arena)
+        restored = nn.unpack_state(blob, compressed=True)
+        assert list(restored) == names
         for name in names:
             np.testing.assert_array_equal(restored[name], arena.view(name))
 
     def test_restored_arrays_are_writable(self):
         arena = nn.ParameterArena.from_module(make_model())
-        restored = nn.arena_from_bytes(nn.arena_to_bytes(arena))
+        live = {name: arena.view(name) for name in arena.index}
+        restored = nn.unpack_state(nn.pack_state(live, dtype="float64", arena=arena))
         restored["0.weight"][...] = 1.0  # must not raise
+        assert not np.shares_memory(restored["0.weight"], arena.data)
 
     def test_corrupt_blobs_rejected(self):
         arena = nn.ParameterArena.from_module(make_model())
-        blob = nn.arena_to_bytes(arena)
-        with pytest.raises(ValueError, match="magic"):
-            nn.arena_from_bytes(b"XXXX" + blob[4:])
-        with pytest.raises(ValueError):
-            nn.arena_from_bytes(blob[:-16])  # truncated body
-        bad = nn.arena_to_bytes(arena, compress=True)
-        with pytest.raises(ValueError):
-            nn.arena_from_bytes(bad[:9] + bad[9:][:-5])
+        live = {name: arena.view(name) for name in arena.index}
+        blob = nn.pack_state(live, dtype="float64", arena=arena)
+        with pytest.raises(ValueError, match="truncated"):
+            nn.unpack_state(blob[:-16])  # truncated body
+        with pytest.raises(ValueError, match="dtype"):
+            nn.unpack_state(blob.replace(b"<f8", b"\xff\xfe8", 1))
+        bad = nn.pack_state(live, dtype="float64", compress=True, arena=arena)
+        with pytest.raises(ValueError, match="corrupt"):
+            nn.unpack_state(bad[:-5], compressed=True)
 
 
 # ----------------------------------------------------------------------
 # CoW snapshots over the flat buffer
 # ----------------------------------------------------------------------
+def cow_clone_state(state, versions, cache):
+    """Dict oracle: per-name CoW (copy iff the version moved)."""
+    snapshot = {}
+    for name, value in state.items():
+        cached = cache.get(name)
+        if cached is None or cached[0] != versions[name]:
+            cached = cache[name] = (versions[name], np.array(value, copy=True))
+        snapshot[name] = cached[1]
+    return snapshot
+
+
 class TestCowSnapshot:
     def test_matches_cow_clone_state_and_shares_unchanged(self):
         model = make_model()
@@ -423,7 +441,7 @@ class TestCowSnapshot:
         live = {name: arena.view(name) for name in names}
 
         first = arena.cow_snapshot(versions)
-        ref = nn.cow_clone_state(live, versions, dict_cache)
+        ref = cow_clone_state(live, versions, dict_cache)
         assert_states_equal(first, ref)
 
         # mutate two entries, bump their versions
@@ -432,7 +450,7 @@ class TestCowSnapshot:
             arena.view(name)[...] += 1.0
         versions.bump(changed)
         second = arena.cow_snapshot(versions)
-        assert_states_equal(second, nn.cow_clone_state(live, versions, dict_cache))
+        assert_states_equal(second, cow_clone_state(live, versions, dict_cache))
         for name in names:
             if name in changed:
                 assert second[name] is not first[name]
@@ -483,11 +501,30 @@ class TestBitIdentity:
         train, _ = synth_cifar10(seed=2, train_per_class=8, test_per_class=2, image_size=8)
         shards = iid_partition(train, 3, rng=np.random.default_rng(0))
 
-        def run(arena_mode):
-            trainer = FedAvgTrainer(
+        class DictFedAvg(FedAvgTrainer):
+            """Dict oracle: the round over per-name state dicts."""
+
+            def run_round(self):
+                self.arena.detach()
+                selected = self.rng.choice(len(self.shards), len(self.shards), False)
+                start = self.model.state_dict()
+                states, sizes, accuracies = [], [], []
+                for idx in selected:
+                    self.model.load_state_dict(start)
+                    accuracies.append(self._local_train(int(idx)))
+                    states.append(self.model.state_dict())
+                    sizes.append(len(self.shards[idx]))
+                self.model.load_state_dict({
+                    name: sum((n / sum(sizes)) * s[name] for s, n in zip(states, sizes))
+                    for name in start
+                })
+                self.recorder.record("train_accuracy", float(np.mean(accuracies)))
+
+        def run(trainer_cls):
+            trainer = trainer_cls(
                 make_model(seed=11),
                 shards,
-                FedAvgConfig(batch_size=8, local_steps=2, param_arena=arena_mode),
+                FedAvgConfig(batch_size=8, local_steps=2),
                 rng=np.random.default_rng(5),
             )
             for _ in range(3):
@@ -497,57 +534,75 @@ class TestBitIdentity:
                 trainer.recorder.series,
             )
 
-        state_a, curves_a = run(False)
-        state_b, curves_b = run(True)
+        state_a, curves_a = run(DictFedAvg)
+        state_b, curves_b = run(FedAvgTrainer)
         assert_states_equal(state_a, state_b)
         assert curves_a == curves_b
 
     def test_server_rounds_with_stragglers(self):
         """Aggregation, staleness compensation, BN folding, and CoW pools
-        all run under DistributionDelay — results must match exactly."""
+        all run under DistributionDelay — the in-arena gradient fold must
+        match a per-name copy-then-add fold exactly."""
+
+        class DictFoldServer(FederatedSearchServer):
+            """Dict oracle: detached per-name sums, never the arena's
+            gradient buffer (so _step_theta divides into copies too)."""
+
+            def _add_gradients(self, grad_sum, gradients):
+                for name, grad in gradients.items():
+                    if name in grad_sum:
+                        grad_sum[name] = grad_sum[name] + grad
+                    else:
+                        grad_sum[name] = np.array(grad, copy=True)
+
         results = {}
-        for arena_mode in (False, True):
-            server = make_server(param_arena=arena_mode)
+        for server_cls in (DictFoldServer, FederatedSearchServer):
+            server = make_server(server_cls=server_cls)
             try:
                 rounds = server.run(6)
             finally:
                 server.backend.close()
-            results[arena_mode] = (
+            results[server_cls] = (
                 rounds,
                 {k: np.array(v) for k, v in server.supernet.state_dict().items()},
                 np.array(server.policy.alpha),
                 server.versions.snapshot(),
             )
-        assert repr(results[False][0]) == repr(results[True][0])
-        assert_states_equal(results[False][1], results[True][1])
-        np.testing.assert_array_equal(results[False][2], results[True][2])
-        assert results[False][3] == results[True][3]
+        oracle, arena = results[DictFoldServer], results[FederatedSearchServer]
+        assert sum(r.num_stale_used for r in arena[0]) > 0  # stragglers happened
+        assert repr(oracle[0]) == repr(arena[0])
+        assert_states_equal(oracle[1], arena[1])
+        np.testing.assert_array_equal(oracle[2], arena[2])
+        assert oracle[3] == arena[3]
 
     def test_dict_checkpoint_resumes_into_arena_server(self, tmp_path):
-        reference = make_server(param_arena=False)
+        """The checkpoint's θ is a per-name npz dict; restoring it writes
+        through the arena views in place and the run continues exactly."""
+        reference = make_server()
         try:
             all_rounds = reference.run(6)
         finally:
             reference.backend.close()
 
-        dict_half = make_server(param_arena=False)
+        first_half = make_server()
         try:
-            head = dict_half.run(3)
-            path = tmp_path / "dict-mode.ckpt"
-            save_search_state(dict_half, path)
+            head = first_half.run(3)
+            path = tmp_path / "mid.ckpt"
+            save_search_state(first_half, path)
         finally:
-            dict_half.backend.close()
+            first_half.backend.close()
 
-        arena_half = make_server(param_arena=True)
+        second_half = make_server()
         try:
-            restore_search_state(arena_half, path)
-            assert arena_half.arena is not None
-            tail = arena_half.run(3)
+            restore_search_state(second_half, path)
+            for name, param in second_half.supernet.named_parameters():
+                assert np.shares_memory(param.data, second_half.arena.data), name
+            tail = second_half.run(3)
             final = {
-                k: np.array(v) for k, v in arena_half.supernet.state_dict().items()
+                k: np.array(v) for k, v in second_half.supernet.state_dict().items()
             }
         finally:
-            arena_half.backend.close()
+            second_half.backend.close()
 
         assert repr(head + tail) == repr(all_rounds)
         assert_states_equal(
@@ -592,10 +647,22 @@ def assert_reports_equal(a, b):
 
 
 class TestPipelineBitIdentity:
-    """SearchReport equality arena on/off × backend × delta dispatch."""
+    """SearchReport equality × backend × tracing, against the serial
+    untraced run (wire v2: every daemon honours trace contexts, so a
+    traced run may not differ from an untraced one anywhere)."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        pipeline = FederatedModelSearch(
+            tiny_config(backend="serial", tracing_enabled=False)
+        )
+        try:
+            return pipeline.run(retrain_mode="federated")
+        finally:
+            pipeline.close()
 
     @pytest.mark.parametrize(
-        "backend_name,delta",
+        "backend_name,tracing",
         [
             ("serial", False),
             ("serial", True),
@@ -605,46 +672,40 @@ class TestPipelineBitIdentity:
             ("socket", True),
         ],
     )
-    def test_search_report_matches(self, backend_name, delta):
-        reports = {}
-        for arena_mode in (False, True):
-            pipeline = FederatedModelSearch(
-                tiny_config(
-                    backend=backend_name,
-                    num_workers=2,
-                    delta_dispatch=delta,
-                    param_arena=arena_mode,
-                )
+    def test_search_report_matches(self, reference, backend_name, tracing):
+        pipeline = FederatedModelSearch(
+            tiny_config(
+                backend=backend_name, num_workers=2, tracing_enabled=tracing
             )
-            try:
-                reports[arena_mode] = pipeline.run(retrain_mode="federated")
-            finally:
-                pipeline.close()
-        assert_reports_equal(reports[False], reports[True])
+        )
+        try:
+            report = pipeline.run(retrain_mode="federated")
+        finally:
+            pipeline.close()
+        assert_reports_equal(reference, report)
 
     def test_dict_checkpoint_resumes_into_arena_pipeline(self, tmp_path):
-        reference = FederatedModelSearch(tiny_config(param_arena=True))
+        """A pipeline killed after warm-up resumes from its checkpoint
+        (per-name npz θ, applied through the arena views) to the report
+        of the run that never stopped."""
+        reference = FederatedModelSearch(tiny_config())
         try:
             expected = reference.run(retrain_mode="federated")
         finally:
             reference.close()
 
-        ckpt = tmp_path / "dict.ckpt"
-        dict_pipeline = FederatedModelSearch(
+        ckpt = tmp_path / "run.ckpt"
+        killed = FederatedModelSearch(
             tiny_config(checkpoint_every=1, checkpoint_path=str(ckpt))
         )
         try:
-            dict_pipeline.warm_up()  # killed after warm-up, mid-run
+            killed.warm_up()  # killed after warm-up, mid-run
         finally:
-            dict_pipeline.close()
+            killed.close()
         assert ckpt.exists()
 
-        resumed = FederatedModelSearch.resume(
-            str(ckpt), config_overrides={"param_arena": True}
-        )
+        resumed = FederatedModelSearch.resume(str(ckpt))
         try:
-            assert resumed.config.param_arena is True
-            assert resumed.server.arena is not None
             report = resumed.run(retrain_mode="federated")
         finally:
             resumed.close()

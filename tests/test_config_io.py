@@ -78,6 +78,46 @@ class TestFromDictErrors:
         assert isinstance(config.theta_grad_clip, float)
 
 
+class TestRetiredKeys:
+    """Configs written before the dict / full-send paths were deleted
+    still carry their two switches; that is outside input, not a knob."""
+
+    def test_retired_switches_load_with_a_deprecation_warning(self):
+        with pytest.warns(DeprecationWarning, match="delta_dispatch, param_arena"):
+            config = ExperimentConfig.from_dict(
+                {"seed": 7, "delta_dispatch": True, "param_arena": False}
+            )
+        assert config == ExperimentConfig(seed=7)
+        assert "delta_dispatch" not in config.to_dict()
+        assert "param_arena" not in config.to_dict()
+
+    def test_current_configs_load_silently(self, recwarn):
+        ExperimentConfig.from_dict(ExperimentConfig.small().to_dict())
+        assert not [w for w in recwarn if w.category is DeprecationWarning]
+
+    def test_cli_config_file_with_retired_switches_still_runs(self, tmp_path):
+        from repro.__main__ import build_parser, config_from_args
+
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"seed": 5, "param_arena": True}))
+        args = build_parser().parse_args(["--config", str(path)])
+        with pytest.warns(DeprecationWarning, match="param_arena"):
+            assert config_from_args(args).seed == 5
+
+    def test_parent_commit_checkpoint_carries_both(self):
+        """The fixture test_golden_digests resumes bit-identically is a
+        real pre-removal checkpoint: its embedded config has both keys."""
+        import pathlib
+
+        from repro.checkpoint import read_checkpoint_meta
+
+        fixture = pathlib.Path(__file__).with_name("golden_checkpoint.ckpt")
+        embedded = read_checkpoint_meta(fixture)["extra"]["config"]
+        assert {"delta_dispatch", "param_arena"} <= set(embedded)
+        with pytest.warns(DeprecationWarning):
+            ExperimentConfig.from_dict(embedded)
+
+
 class TestValidation:
     def test_bad_staleness_policy(self):
         with pytest.raises(ValueError, match="staleness_policy"):

@@ -1,13 +1,17 @@
 """Delta-encoded dispatch, sparse aggregation, and CoW pools (ISSUE 5).
 
 The contract under test: the versioned-parameter layer is a pure wire
-optimisation.  Seeded results are bit-identical with delta dispatch on
-or off, across backends, across a worker kill -9 (full re-sync), and
-across checkpoint/resume (cold caches) — correctness never depends on
-cache warmth.  Alongside: the server's in-place sparse gradient
-aggregation equals a naive dense sum, and the copy-on-write memory
-pools share unchanged arrays between rounds.
+optimisation.  Seeded results on the distributed backends (which always
+dispatch deltas) are bit-identical to the serial backend (which ships
+nothing), across a worker kill -9 (full re-sync), and across
+checkpoint/resume (cold caches) — correctness never depends on cache
+warmth.  Alongside: the one ``DeltaLedger`` both backends drive, the
+server's in-place sparse gradient aggregation equals a naive dense sum,
+and the copy-on-write memory pools share unchanged arrays between
+rounds.
 """
+
+import io
 
 import os
 import signal
@@ -20,8 +24,10 @@ from repro.checkpoint import restore_search_state, save_search_state
 from repro.controller import ArchitecturePolicy
 from repro.core import ExperimentConfig, FederatedModelSearch
 from repro.data import iid_partition, synth_cifar10
+import repro.nn as nn
 from repro.federated import (
     DeltaCacheMiss,
+    DeltaLedger,
     DistributionDelay,
     FederatedSearchServer,
     LocalStepTask,
@@ -39,7 +45,7 @@ from repro.transport import SocketBackend, WorkerServer
 TINY = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1)
 
 
-def make_server(backend_name="serial", seed=0, delta=False, telemetry=None):
+def make_server(backend_name="serial", seed=0, telemetry=None):
     train, _ = synth_cifar10(seed=1, train_per_class=10, test_per_class=2, image_size=8)
     shards = iid_partition(train, 3, rng=np.random.default_rng(0))
     supernet = Supernet(TINY, rng=np.random.default_rng(seed + 1))
@@ -54,7 +60,6 @@ def make_server(backend_name="serial", seed=0, delta=False, telemetry=None):
         TINY,
         num_workers=2,
         telemetry=telemetry,
-        delta_dispatch=delta,
     )
     return FederatedSearchServer(
         supernet,
@@ -183,12 +188,13 @@ class TestPackedState:
             unpack_state(pack_state(state, dtype="float64")[:-3])
 
     def test_much_smaller_than_npz_for_many_small_arrays(self):
-        from repro.nn import pack_state, state_to_bytes
+        from repro.nn import pack_state
 
         state = {f"p{i}": np.zeros(8) for i in range(40)}
         packed = len(pack_state(state, dtype="float64"))
-        npz = len(state_to_bytes(state, dtype="float64"))
-        assert packed < npz / 3
+        container = io.BytesIO()
+        np.savez(container, **state)  # the wire format this one replaced
+        assert packed < len(container.getvalue()) / 3
 
     def test_packed_task_payload_round_trips(self):
         from repro.transport import codec
@@ -205,9 +211,7 @@ class TestPackedState:
             batch_seed=9,
             state_versions={name: 1 for name in supernet.submodel_state(mask)},
         )
-        payload = codec.encode_task(task, 5, packed=True)
-        plain = codec.encode_task(task, 5, packed=False)
-        assert len(payload) < len(plain)
+        payload = codec.encode_task(task, 5)
         decoded, seq = codec.decode_task(payload)
         assert seq == 5
         assert decoded.state_versions == task.state_versions
@@ -215,6 +219,183 @@ class TestPackedState:
             np.testing.assert_array_equal(
                 decoded.state[name], task.state[name], err_msg=name
             )
+
+    def test_packed_update_payload_round_trips_and_rejects_damage(self):
+        """Updates ride the same packed blob as tasks: lossless at
+        float64; truncation raises or yields intact leading entries,
+        and a bit flip raises or (inside array data) still decodes to a
+        well-formed update the validator gets to judge."""
+        from repro.federated import ParticipantUpdate
+        from repro.transport import codec
+        from repro.transport.protocol import ProtocolError
+
+        state = self.state()
+        update = ParticipantUpdate(
+            participant_id=3,
+            gradients={"w": state["w"], "scalar": state["scalar"]},
+            reward=0.625,
+            num_samples=8,
+            compute_time_s=0.25,
+            buffers={"b": state["b"]},
+        )
+        for compression in ("none", "zlib"):
+            payload = codec.encode_update(
+                update, 11, compression=compression, wire_dtype="float64"
+            )
+            decoded, seq = codec.decode_update(payload)
+            assert seq == 11
+            assert (decoded.participant_id, decoded.reward) == (3, 0.625)
+            assert list(decoded.gradients) == ["w", "scalar"]
+            for name, grad in update.gradients.items():
+                np.testing.assert_array_equal(decoded.gradients[name], grad)
+            np.testing.assert_array_equal(decoded.buffers["b"], state["b"])
+            originals = {**update.gradients, **update.buffers}
+            for cut in range(0, len(payload) - 1, 7):
+                try:
+                    short, _ = codec.decode_update(payload[:cut])
+                except ProtocolError:
+                    continue
+                # the blob has no trailer (the frame layer's length + CRC
+                # catch truncation): a cut on an entry boundary decodes,
+                # but only ever to intact leading entries
+                assert compression == "none"
+                arrays = {**short.gradients, **short.buffers}
+                assert list(arrays) == list(originals)[: len(arrays)]
+                for name, value in arrays.items():
+                    np.testing.assert_array_equal(value, originals[name])
+            rng = np.random.default_rng(5)
+            for position in rng.integers(0, len(payload), size=60):
+                damaged = bytearray(payload)
+                damaged[position] ^= 1 << int(rng.integers(8))
+                try:
+                    mangled, _ = codec.decode_update(bytes(damaged))
+                except ProtocolError:
+                    continue
+                assert isinstance(mangled, ParticipantUpdate)
+
+
+# ----------------------------------------------------------------------
+# The delta ledger both distributed backends drive
+# ----------------------------------------------------------------------
+class TestDeltaLedger:
+    def task(self, versions):
+        return LocalStepTask(
+            participant_id=0,
+            round_index=0,
+            mask=None,
+            state={name: np.zeros(2) for name in versions},
+            batch_seed=0,
+            state_versions=dict(versions),
+        )
+
+    def test_per_worker_view_vs_all_workers_view(self):
+        ledger = DeltaLedger("test")
+        ledger.begin_round()
+        ledger.record("w1", {"a": 1, "b": 2})
+        assert ledger.acked("w1") == {"a": 1, "b": 2}
+        assert ledger.acked("w2") == {}
+        # a pool of 2 may reference nothing until both pids are known...
+        assert ledger.acked_by_all(2) == {}
+        ledger.record("w2", {"a": 1, "b": 1, "c": 4})
+        # ...and then only what every one of them holds at the same version
+        assert ledger.acked_by_all(2) == {"a": 1}
+        assert ledger.acked_by_all(3) == {}
+
+    def test_delta_task_references_only_acked_versions_and_counts(self):
+        ledger = DeltaLedger("test")
+        ledger.begin_round()
+        task = self.task({"a": 1, "b": 2})
+        assert ledger.delta_task(task, {}) is task  # full sync travels as is
+        wire = ledger.delta_task(task, {"a": 1, "b": 1})
+        assert list(wire.state) == ["b"] and wire.state_refs == {"a": 1}
+        assert ledger.stats == {
+            "sent": 3, "cached": 1, "full_syncs": 1, "cache_misses": 0
+        }
+        bare = LocalStepTask(0, 0, None, {"a": np.zeros(2)}, 0)
+        assert ledger.delta_task(bare, {"a": 1}) is bare  # no versions, no delta
+        ledger.begin_round()
+        assert not any(ledger.stats.values())
+
+    def test_forget_on_cache_miss_keeps_the_worker_known(self):
+        ledger = DeltaLedger("test")
+        ledger.begin_round()
+        ledger.record("w1", {"a": 1})
+        ledger.record("w2", {"a": 1})
+        ledger.forget("w1", cache_miss=True)
+        assert ledger.acked("w1") == {}
+        assert ledger.stats["cache_misses"] == 1
+        # still one of the two known workers: the shared view is empty,
+        # not "unknown pool"
+        assert ledger.acked_by_all(2) == {}
+        ledger.record("w1", {"a": 1})
+        assert ledger.acked_by_all(2) == {"a": 1}
+
+    def test_silent_pids_are_pruned(self):
+        ledger = DeltaLedger("test", prune_after=3)
+        ledger.begin_round()
+        ledger.record(101, {"a": 1})
+        ledger.record(102, {"a": 1})
+        for _ in range(3):
+            ledger.begin_round()
+            ledger.record(102, {"a": 1})  # 101 was replaced, never replies
+        assert ledger.acked(101) == {}
+        assert ledger.acked_by_all(2) == {}  # only one live pid is known
+        ledger.record(103, {"a": 1})
+        assert ledger.acked_by_all(2) == {"a": 1}
+
+    def test_concurrent_workers_lose_no_update(self):
+        """The socket backend's per-worker threads share one ledger:
+        more threads than cores, a short switch interval, and counters
+        a lost read-modify-write would break."""
+        import sys
+
+        ledger = DeltaLedger("test")
+        ledger.begin_round()
+        task = self.task({f"p{i}": 1 for i in range(8)})
+        rounds, workers = 200, 8
+        failures = []
+
+        def drive(worker):
+            try:
+                for _ in range(rounds):
+                    ledger.delta_task(task, ledger.acked(worker))
+                    ledger.record(worker, task.state_versions)
+                    ledger.forget(worker, cache_miss=True)
+            except Exception as exc:  # surfaced below; a thread must not die silently
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=drive, args=(w,), daemon=True)
+                for w in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures and not any(t.is_alive() for t in threads)
+        # every dispatch saw a just-voided worker: all full syncs
+        assert ledger.stats == {
+            "sent": rounds * workers * 8,
+            "cached": 0,
+            "full_syncs": rounds * workers,
+            "cache_misses": rounds * workers,
+        }
+
+    def test_round_event_carries_the_stats(self):
+        telemetry = Telemetry()
+        ledger = DeltaLedger("test")
+        ledger.begin_round()
+        ledger.delta_task(self.task({"a": 1, "b": 2}), {"a": 1})
+        ledger.end_round(telemetry, round_index=7, num_tasks=1)
+        (event,) = [e for e in telemetry.events() if e["event"] == "dispatch.round"]
+        assert (event["backend"], event["round"], event["tasks"]) == ("test", 7, 1)
+        assert (event["params_sent"], event["params_cached"]) == (1, 1)
+        assert event["cache_hit"] == 0.5
 
 
 # ----------------------------------------------------------------------
@@ -267,40 +448,45 @@ class TestSparseAggregation:
 # Copy-on-write memory pools
 # ----------------------------------------------------------------------
 class TestCowPools:
+    def arena(self, layers=2):
+        rng = np.random.default_rng(0)
+        model = nn.Sequential(*[nn.Linear(3, 3, rng=rng) for _ in range(layers)])
+        arena = nn.ParameterArena.from_module(model)
+        return arena, ParameterVersions(list(arena.index))
+
     def test_unchanged_params_share_arrays_between_rounds(self):
         pools = MemoryPools(staleness_threshold=2)
-        theta = {"a": np.ones(3), "b": np.zeros(3)}
-        versions = ParameterVersions(["a", "b"])
+        arena, versions = self.arena()
         alpha = np.zeros(2)
-        pools.save_round(0, theta, alpha, versions=versions)
-        versions.bump(["a"])
-        theta["a"] = theta["a"] + 1.0
-        pools.save_round(1, theta, alpha, versions=versions)
-        assert pools.theta(0)["b"] is pools.theta(1)["b"]  # shared frozen copy
-        assert pools.theta(0)["a"] is not pools.theta(1)["a"]
-        np.testing.assert_array_equal(pools.theta(0)["a"], np.ones(3))
-        np.testing.assert_array_equal(pools.theta(1)["a"], np.full(3, 2.0))
+        before = arena.view("0.weight").copy()
+        pools.save_round(0, arena, alpha, versions=versions)
+        versions.bump(["0.weight"])
+        arena.view("0.weight")[...] += 1.0
+        pools.save_round(1, arena, alpha, versions=versions)
+        assert pools.theta(0)["1.weight"] is pools.theta(1)["1.weight"]  # shared
+        assert pools.theta(0)["0.weight"] is not pools.theta(1)["0.weight"]
+        np.testing.assert_array_equal(pools.theta(0)["0.weight"], before)
+        np.testing.assert_array_equal(pools.theta(1)["0.weight"], before + 1.0)
 
     def test_snapshots_immune_to_later_mutation(self):
         pools = MemoryPools(staleness_threshold=2)
-        theta = {"a": np.ones(3)}
-        versions = ParameterVersions(["a"])
-        pools.save_round(0, theta, np.zeros(1), versions=versions)
-        theta["a"][...] = 99.0  # in-place optimizer-style mutation
-        np.testing.assert_array_equal(pools.theta(0)["a"], np.ones(3))
+        arena, versions = self.arena()
+        before = arena.view("0.bias").copy()
+        pools.save_round(0, arena, np.zeros(1), versions=versions)
+        arena.view("0.bias")[...] = 99.0  # in-place optimizer-style mutation
+        np.testing.assert_array_equal(pools.theta(0)["0.bias"], before)
 
     def test_pool_memory_scales_with_changed_params(self):
         """Regression for the old deep-copy: distinct arrays across the
         window must be O(full θ + changed × window), not O(full θ × window)."""
         pools = MemoryPools(staleness_threshold=8)
-        names = [f"p{i}" for i in range(20)]
-        theta = {name: np.zeros(4) for name in names}
-        versions = ParameterVersions(names)
+        arena, versions = self.arena(layers=10)
+        names = arena.param_names  # 20 entries
         window = 9
         for t in range(window):
-            pools.save_round(t, theta, np.zeros(1), versions=versions)
-            versions.bump([f"p{t % 20}"])  # one parameter changes per round
-            theta[f"p{t % 20}"] = theta[f"p{t % 20}"] + 1.0
+            pools.save_round(t, arena, np.zeros(1), versions=versions)
+            versions.bump([names[t]])  # one parameter changes per round
+            arena.view(names[t])[...] += 1.0
         distinct = {
             id(arr) for t in range(window) for arr in pools.theta(t).values()
         }
@@ -317,14 +503,14 @@ class TestCowPools:
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: delta on vs off, across backends
+# Bit-identity: delta-dispatching backends vs the serial reference
 # ----------------------------------------------------------------------
 class TestDeltaBitIdentity:
     @pytest.mark.parametrize("backend_name", ["process", "socket"])
     def test_server_rounds_match_serial(self, backend_name):
         reference = make_server("serial", seed=0)
         reference.run(5)
-        delta = make_server(backend_name, seed=0, delta=True)
+        delta = make_server(backend_name, seed=0)
         try:
             delta.run(5)
         finally:
@@ -332,23 +518,23 @@ class TestDeltaBitIdentity:
         assert_servers_equal(reference, delta)
 
     def test_small_profile_search_report_matches(self):
-        """ISSUE 5 acceptance: seeded ``SearchReport`` bit-identical with
-        delta dispatch on vs off."""
+        """ISSUE 5 acceptance: seeded ``SearchReport`` bit-identical
+        between the delta-dispatching pool and the serial backend, which
+        hands every task its full state in-process."""
         reports = {}
-        for delta in (False, True):
+        for backend_name in ("serial", "process"):
             config = ExperimentConfig.small(
                 seed=1,
-                backend="process",
+                backend=backend_name,
                 num_workers=2,
                 telemetry_enabled=False,
-                delta_dispatch=delta,
             )
             pipeline = FederatedModelSearch(config)
             try:
-                reports[delta] = pipeline.run()
+                reports[backend_name] = pipeline.run()
             finally:
                 pipeline.close()
-        off, on = reports[False], reports[True]
+        off, on = reports["serial"], reports["process"]
         assert off.genotype == on.genotype
         assert off.test_accuracy == on.test_accuracy
         assert off.model_parameters == on.model_parameters
@@ -364,7 +550,7 @@ class TestDeltaBitIdentity:
         reference.run(6)
 
         telemetry = Telemetry()
-        delta = make_server("socket", seed=0, delta=True, telemetry=telemetry)
+        delta = make_server("socket", seed=0, telemetry=telemetry)
         try:
             delta.run(3)
             victim = next(
@@ -383,13 +569,13 @@ class TestDeltaBitIdentity:
     def test_resume_from_cold_caches_matches_uninterrupted(self, tmp_path):
         """--resume path: restore bumps every version, so the first
         dispatch after resume ships full state to every (cold) worker."""
-        uninterrupted = make_server("socket", seed=0, delta=True)
+        uninterrupted = make_server("socket", seed=0)
         try:
             reference = uninterrupted.run(6)
         finally:
             uninterrupted.backend.close()
 
-        first = make_server("socket", seed=0, delta=True)
+        first = make_server("socket", seed=0)
         try:
             head = first.run(3)
             path = tmp_path / "mid.ckpt"
@@ -397,7 +583,7 @@ class TestDeltaBitIdentity:
         finally:
             first.backend.close()
 
-        second = make_server("socket", seed=0, delta=True)
+        second = make_server("socket", seed=0)
         try:
             restore_search_state(second, path)
             # Every version was bumped: nothing a worker acked before the
@@ -418,7 +604,7 @@ class TestDeltaBitIdentity:
 # Wire behaviour of the socket backend
 # ----------------------------------------------------------------------
 class TestDeltaWire:
-    def build_backend_with_worker(self, telemetry=None, delta=True):
+    def build_backend_with_worker(self, telemetry=None):
         """External in-thread daemon so the test can reach its cache."""
         train, _ = synth_cifar10(
             seed=1, train_per_class=10, test_per_class=2, image_size=8
@@ -437,7 +623,6 @@ class TestDeltaWire:
             workers=[f"{daemon.host}:{daemon.port}"],
             task_timeout_s=60.0,
             telemetry=telemetry,
-            delta_dispatch=delta,
         )
         return backend, daemon, thread, participants
 
@@ -526,21 +711,3 @@ class TestDeltaWire:
             e for e in telemetry.events() if e["event"] == "dispatch.round"
         ]
         assert dispatch[1]["cache_misses"] >= 1
-
-    def test_delta_off_strips_version_metadata(self):
-        backend, daemon, thread, _ = self.build_backend_with_worker(delta=False)
-        try:
-            rng = np.random.default_rng(0)
-            supernet = Supernet(TINY, rng=rng)
-            names = [n for n, _ in supernet.named_parameters()] + [
-                n for n, _ in supernet.named_buffers()
-            ]
-            versions = ParameterVersions(names)
-            results = backend.run_tasks(self.make_round_tasks(versions, seed=0))
-            assert all(r.ok for r in results)
-            # The daemon never saw version metadata → nothing was cached.
-            assert daemon._param_cache == {}
-        finally:
-            backend.close()
-            daemon.stop()
-            thread.join(timeout=5)

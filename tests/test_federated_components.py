@@ -357,13 +357,13 @@ class TestFedAvg:
         trainer.run_round()  # selects 2 of 4; just exercises the path
 
     def test_weighted_average(self):
-        states = [{"w": np.array([0.0])}, {"w": np.array([3.0])}]
-        out = FedAvgTrainer._weighted_average(states, [1.0, 2.0])
-        np.testing.assert_allclose(out["w"], [2.0])
+        flats = [np.array([0.0]), np.array([3.0])]
+        out = FedAvgTrainer._weighted_average(flats, [1.0, 2.0])
+        np.testing.assert_allclose(out, [2.0])
 
     def test_weighted_average_rejects_zero_weights(self):
         with pytest.raises(ValueError):
-            FedAvgTrainer._weighted_average([{"w": np.zeros(1)}], [0.0])
+            FedAvgTrainer._weighted_average([np.zeros(1)], [0.0])
 
     def test_val_accuracy_recorded_with_test_set(self):
         rng = np.random.default_rng(2)

@@ -66,7 +66,9 @@ class TestServerBasics:
 
     def test_theta_updates_each_round(self):
         server = build_server()
-        before = server.supernet.state_dict()
+        # the server's supernet lives in its arena: state_dict() is a
+        # live view, so a before/after comparison needs a real copy
+        before = {k: np.array(v) for k, v in server.supernet.state_dict().items()}
         server.run_round()
         after = server.supernet.state_dict()
         changed = [k for k in before if not np.allclose(before[k], after[k])]
@@ -88,7 +90,9 @@ class TestServerBasics:
     def test_alpha_only_mode_freezes_theta(self):
         config = SearchServerConfig(update_theta=False)
         server = build_server(config=config)
-        before = server.supernet.state_dict()
+        # the server's supernet lives in its arena: state_dict() is a
+        # live view, so a before/after comparison needs a real copy
+        before = {k: np.array(v) for k, v in server.supernet.state_dict().items()}
         server.run_round()
         after = server.supernet.state_dict()
         for k in before:

@@ -24,34 +24,31 @@ class TestFedAvgAlgebra:
         copies=st.integers(1, 5),
     )
     def test_average_of_identical_states_is_identity(self, seed, copies):
-        rng = np.random.default_rng(seed)
-        state = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+        # the trainer averages flat arena snapshots (one array per model)
+        flat = np.random.default_rng(seed).normal(size=8)
         averaged = FedAvgTrainer._weighted_average(
-            [dict(state) for _ in range(copies)], [1.0] * copies
+            [flat.copy() for _ in range(copies)], [1.0] * copies
         )
-        for name in state:
-            np.testing.assert_allclose(averaged[name], state[name])
+        np.testing.assert_allclose(averaged, flat)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000))
     def test_weighted_average_is_convex_combination(self, seed):
         rng = np.random.default_rng(seed)
-        a = {"w": rng.normal(size=4)}
-        b = {"w": rng.normal(size=4)}
+        a = rng.normal(size=4)
+        b = rng.normal(size=4)
         averaged = FedAvgTrainer._weighted_average([a, b], [3.0, 1.0])
-        np.testing.assert_allclose(averaged["w"], 0.75 * a["w"] + 0.25 * b["w"])
+        np.testing.assert_allclose(averaged, 0.75 * a + 0.25 * b)
         # Bounded by the extremes elementwise.
-        lower = np.minimum(a["w"], b["w"])
-        upper = np.maximum(a["w"], b["w"])
-        assert (averaged["w"] >= lower - 1e-12).all()
-        assert (averaged["w"] <= upper + 1e-12).all()
+        assert (averaged >= np.minimum(a, b) - 1e-12).all()
+        assert (averaged <= np.maximum(a, b) + 1e-12).all()
 
     def test_weights_scale_invariance(self):
-        a = {"w": np.array([1.0])}
-        b = {"w": np.array([3.0])}
+        a = np.array([1.0])
+        b = np.array([3.0])
         x = FedAvgTrainer._weighted_average([a, b], [1.0, 2.0])
         y = FedAvgTrainer._weighted_average([a, b], [10.0, 20.0])
-        np.testing.assert_allclose(x["w"], y["w"])
+        np.testing.assert_allclose(x, y)
 
 
 class TestPolicyInvariances:

@@ -178,10 +178,10 @@ class TestSchedules:
 
 class TestSerialize:
     def test_state_roundtrip_bytes(self):
-        from repro.nn import bytes_to_state, state_to_bytes
+        from repro.nn import pack_state, unpack_state
 
         state = {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3)}
-        restored = bytes_to_state(state_to_bytes(state))
+        restored = unpack_state(pack_state(state))
         assert set(restored) == {"w", "b"}
         np.testing.assert_allclose(restored["w"], state["w"])
 

@@ -14,8 +14,8 @@ Covers the contracts the population subsystem makes:
   are captured);
 * churn plans — JSON round-trip, validation errors, deterministic
   execution;
-* the arena wire path — ``pack_state_via_arena`` is byte-identical to
-  ``pack_state`` and falls back safely;
+* the arena wire path — ``pack_state(..., arena=)`` is byte-identical to
+  plain ``pack_state`` and falls back safely;
 * population checkpointing — resumed runs are bit-identical, and a
   population/legacy checkpoint mismatch is a hard error.
 """
@@ -35,7 +35,7 @@ from repro.data import (
     synth_cifar10,
 )
 from repro.federated import FederatedSearchServer, Participant, build_backend
-from repro.nn.serialize import pack_state, pack_state_via_arena, unpack_state
+from repro.nn.serialize import pack_state, unpack_state
 from repro.population import (
     ChurnModel,
     ChurnPlan,
@@ -417,42 +417,42 @@ def make_model(seed=0):
 class TestArenaPackByteCompat:
     def test_byte_identical_to_pack_state(self):
         model = make_model()
-        arena = nn.ParameterArena(model)
+        arena = nn.ParameterArena.from_module(model)
         state = {name: arena.view(name) for name in arena.index}
-        assert pack_state_via_arena(state, arena, dtype="float64") == pack_state(
+        assert pack_state(state, dtype="float64", arena=arena) == pack_state(
             state, dtype="float64"
         )
 
     def test_byte_identical_compressed(self):
         model = make_model()
-        arena = nn.ParameterArena(model)
+        arena = nn.ParameterArena.from_module(model)
         state = {name: arena.view(name) for name in arena.index}
-        assert pack_state_via_arena(
-            state, arena, dtype="float64", compress=True
+        assert pack_state(
+            state, dtype="float64", compress=True, arena=arena
         ) == pack_state(state, dtype="float64", compress=True)
 
     def test_round_trips_through_unpack(self):
         model = make_model()
-        arena = nn.ParameterArena(model)
+        arena = nn.ParameterArena.from_module(model)
         state = {name: arena.view(name) for name in arena.index}
-        unpacked = unpack_state(pack_state_via_arena(state, arena, dtype="float64"))
+        unpacked = unpack_state(pack_state(state, dtype="float64", arena=arena))
         assert list(unpacked) == list(state)
         for name in state:
             np.testing.assert_array_equal(unpacked[name], state[name])
 
     def test_falls_back_for_non_arena_views(self):
         model = make_model()
-        arena = nn.ParameterArena(model)
+        arena = nn.ParameterArena.from_module(model)
         state = {name: np.array(arena.view(name), copy=True) for name in arena.index}
-        assert pack_state_via_arena(state, arena, dtype="float64") == pack_state(
+        assert pack_state(state, dtype="float64", arena=arena) == pack_state(
             state, dtype="float64"
         )
 
     def test_falls_back_for_lossy_dtypes(self):
         model = make_model()
-        arena = nn.ParameterArena(model)
+        arena = nn.ParameterArena.from_module(model)
         state = {name: arena.view(name) for name in arena.index}
-        assert pack_state_via_arena(state, arena, dtype="float32") == pack_state(
+        assert pack_state(state, dtype="float32", arena=arena) == pack_state(
             state, dtype="float32"
         )
 

@@ -1,6 +1,6 @@
 """Tests for :mod:`repro.telemetry.tracing`: trace-context propagation,
 worker span recording, per-op profiling, clock-offset merging, the
-critical-path analyzer, Chrome export, and old-worker wire interop."""
+critical-path analyzer, Chrome export, and spans over the socket wire."""
 
 import json
 import threading
@@ -280,11 +280,11 @@ class TestSerialTracing:
 
 
 # ----------------------------------------------------------------------
-# Socket interop: old workers without the tracing capability
+# Socket: every daemon honours trace contexts
 # ----------------------------------------------------------------------
 class TestSocketInterop:
-    def _run_round(self, tracing_worker: bool):
-        server = WorkerServer(port=0, tracing=tracing_worker)
+    def _run_round(self):
+        server = WorkerServer(port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         telemetry = Telemetry()
@@ -316,19 +316,10 @@ class TestSocketInterop:
         return results, traced
 
     def test_tracing_worker_returns_spans(self):
-        results, traced = self._run_round(tracing_worker=True)
+        results, traced = self._run_round()
         assert all(r.ok for r in results)
         assert len(traced) == 3
         assert all(e["spans"] for e in traced)
-
-    def test_old_worker_completes_without_spans(self):
-        """A worker that never advertised the tracing capability still
-        completes traced rounds — the server strips the context and the
-        wire stays the historical format (no protocol error)."""
-        results, traced = self._run_round(tracing_worker=False)
-        assert all(r.ok for r in results)
-        assert traced == []
-        assert all(r.update.spans is None for r in results)
 
 
 # ----------------------------------------------------------------------

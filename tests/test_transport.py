@@ -34,7 +34,7 @@ from repro.federated import (
     run_local_step,
 )
 from repro.nn import payload_size_bytes, state_size_bytes
-from repro.nn.serialize import bytes_to_state, state_to_bytes
+from repro.nn.serialize import pack_state, unpack_state
 from repro.search_space import Supernet, SupernetConfig
 from repro.telemetry import Telemetry
 from repro.transport import (
@@ -112,7 +112,7 @@ class TestFrameCodec:
         frame = encode_frame(MSG_HEARTBEAT, b"ping")
         golden = (
             b"FM"  # magic
-            + bytes([1])  # protocol version
+            + bytes([2])  # protocol version
             + bytes([0x07])  # MSG_HEARTBEAT
             + (4).to_bytes(4, "big")  # payload length
             + zlib.crc32(b"ping").to_bytes(4, "big")
@@ -120,7 +120,7 @@ class TestFrameCodec:
         )
         assert frame == golden
         assert len(frame) == HEADER_BYTES + 4
-        assert MAGIC == b"FM" and PROTOCOL_VERSION == 1
+        assert MAGIC == b"FM" and PROTOCOL_VERSION == 2
 
     def test_round_trip(self):
         for payload in (b"", b"x", os.urandom(1000)):
@@ -291,8 +291,8 @@ class TestMessageCodecs:
 
 class TestPayloadSizes:
     def test_exact_vs_analytic(self):
-        """Satellite 1: the npz container costs real bytes beyond the
-        4-bytes/scalar analytic model, and compression shrinks it."""
+        """The packed blob costs real bytes beyond the 4-bytes/scalar
+        analytic model, and compression shrinks it."""
         rng = np.random.default_rng(3)
         supernet = Supernet(TINY, rng=rng)
         policy = ArchitecturePolicy(TINY.num_edges, rng=rng)
@@ -307,10 +307,8 @@ class TestPayloadSizes:
         assert exact64 > exact32  # double precision, double array bytes
         assert exact_z < exact64  # zlib helps
         # and the number is *exact*: it equals the bytes actually built
-        assert exact64 == len(state_to_bytes(state, dtype="float64"))
-        assert exact_z == len(
-            state_to_bytes(state, dtype="float64", compress=True)
-        )
+        assert exact64 == len(pack_state(state, dtype="float64"))
+        assert exact_z == len(pack_state(state, dtype="float64", compress=True))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -322,11 +320,11 @@ class TestPayloadSizes:
 
     def test_round_trip_through_bytes(self):
         state = {"w": np.arange(6, dtype=np.float64).reshape(2, 3)}
-        blob = state_to_bytes(state, dtype="float64", compress=True)
-        back = bytes_to_state(blob, compressed=True)
+        blob = pack_state(state, dtype="float64", compress=True)
+        back = unpack_state(blob, compressed=True)
         np.testing.assert_array_equal(back["w"], state["w"])
         with pytest.raises(ValueError):
-            bytes_to_state(b"garbage", compressed=True)
+            unpack_state(b"garbage", compressed=True)
 
 
 # ----------------------------------------------------------------------
