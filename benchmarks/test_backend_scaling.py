@@ -16,10 +16,7 @@ Shape claims:
 * ProcessPoolBackend with 4 workers beats SerialBackend wall-clock on
   the 8-participant round loop (ISSUE 2 acceptance criterion),
 * both backends produce bit-identical search trajectories (α must match
-  element-for-element after the timed rounds),
-* the compiled tape engine (ISSUE 10) gives ≥2x serial s/round on the
-  converged-policy round loop — no emulated latency, pure compute —
-  with a bit-identical α trajectory.
+  element-for-element after the timed rounds).
 """
 
 import os
@@ -36,8 +33,6 @@ from repro.federated import (
     ProcessPoolBackend,
     SerialBackend,
 )
-from repro.federated import compiled
-from repro.nn import tape
 from repro.search_space import Supernet
 
 PARTICIPANTS = 8
@@ -115,113 +110,3 @@ def test_backend_scaling(benchmark):
     # Parallelism must not change the search: trajectories bit-identical.
     np.testing.assert_array_equal(serial_alpha, process_alpha)
 
-
-# ----------------------------------------------------------------------
-# Compiled tape engine: serial s/round, tape on vs off (ISSUE 10)
-# ----------------------------------------------------------------------
-
-TAPE_WARMUP_ROUNDS = 2
-TAPE_TIMED_ROUNDS = 8
-TAPE_ATTEMPTS = 3
-
-
-def _build_converged_server():
-    """A serial server whose controller has already converged.
-
-    The tape engine pays off when masks repeat — the late-search
-    steady state.  Sharpening α onto one operation makes every round
-    after the first replay the same captured graph, so the comparison
-    measures the replay regime rather than the cold capture path.
-    """
-    rng = np.random.default_rng(0)
-    train, _ = bench_dataset(train_per_class=20)
-    shards = bench_shards(train, PARTICIPANTS, seed=0)
-    participants = [
-        Participant(k, shard, batch_size=16, rng=np.random.default_rng(100 + k))
-        for k, shard in enumerate(shards)
-    ]
-    backend = SerialBackend(participants, BENCH_NET)
-    server = FederatedSearchServer(
-        Supernet(BENCH_NET, rng=rng),
-        ArchitecturePolicy(BENCH_NET.num_edges, rng=rng),
-        participants,
-        rng=rng,
-        backend=backend,
-    )
-    server.policy.alpha[:] = 0.0
-    server.policy.alpha[..., 2] = 25.0
-    return server
-
-
-def _round_with(server, tape_on):
-    tape.configure(enabled=tape_on, compute_dtype="float64", fusion=False)
-    start = time.perf_counter()
-    server.run(1)
-    return time.perf_counter() - start
-
-
-def _timed_tape_comparison():
-    """Interleaved per-round timing, min over rounds.
-
-    The two engines alternate round by round so machine-load spikes hit
-    both; the per-engine min over the timed rounds is the noise-robust
-    estimate of true round cost (no emulated latency here — this is the
-    pure-compute hot path).
-    """
-    eager_server = _build_converged_server()
-    tape_server = _build_converged_server()
-    compiled.reset_cache()
-    try:
-        for _ in range(TAPE_WARMUP_ROUNDS):
-            _round_with(eager_server, False)
-        for _ in range(TAPE_WARMUP_ROUNDS):
-            _round_with(tape_server, True)  # captures happen here
-        eager_walls, tape_walls = [], []
-        for _ in range(TAPE_TIMED_ROUNDS):
-            eager_walls.append(_round_with(eager_server, False))
-            tape_walls.append(_round_with(tape_server, True))
-    finally:
-        tape.configure(enabled=False, compute_dtype="float64", fusion=False)
-        eager_server.backend.close()
-        tape_server.backend.close()
-    return (
-        min(eager_walls),
-        min(tape_walls),
-        eager_server.policy.alpha.copy(),
-        tape_server.policy.alpha.copy(),
-    )
-
-
-def test_tape_round_speedup(benchmark):
-    def reproduce():
-        # Noise spikes can swallow a full timed block on a loaded host;
-        # a real regression fails every attempt.
-        best = None
-        for _ in range(TAPE_ATTEMPTS):
-            eager_s, tape_s, eager_alpha, tape_alpha = _timed_tape_comparison()
-            np.testing.assert_array_equal(eager_alpha, tape_alpha)
-            if best is None or eager_s / tape_s > best[0] / best[1]:
-                best = (eager_s, tape_s)
-            if best[0] / best[1] >= 2.0:
-                break
-        return best
-
-    eager_s, tape_s = run_once(benchmark, reproduce)
-    speedup = eager_s / tape_s
-    lines = [
-        f"Compiled tape engine: {PARTICIPANTS} participants, serial "
-        f"backend, converged policy, min over {TAPE_TIMED_ROUNDS} "
-        "interleaved rounds",
-        f"(host cpu_count={os.cpu_count()})",
-        f"{'engine':<22} {'s/round':>10}",
-        f"{'eager':<22} {eager_s:10.4f}",
-        f"{'tape (float64)':<22} {tape_s:10.4f}",
-        f"speedup: {speedup:.2f}x",
-    ]
-    save_result("backend_scaling_tape", lines)
-
-    # ISSUE 10 acceptance criterion: >=2x serial s/round with tape on.
-    assert speedup >= 2.0, (
-        f"tape engine must halve serial round time; got {speedup:.2f}x "
-        f"(eager {eager_s:.4f}s vs tape {tape_s:.4f}s per round)"
-    )

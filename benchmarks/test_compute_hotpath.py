@@ -1,4 +1,4 @@
-"""Local-step compute hot path: eager vs compiled tape (ISSUE 10).
+"""Local-step compute hot path: the eager oracle vs compiled tape replay.
 
 The round loop is compute-bound (see the round ledger's
 ``nn.forward_s`` / ``nn.backward_s`` under ``benchmarks/ledger/``):
@@ -11,7 +11,8 @@ engine mode on a repeated mask set, the regime the engine targets
 
 Modes under measurement, identical seeded task stream for each:
 
-* ``eager``        — the reference autograd path,
+* ``eager``        — the private eager oracle (``_run_eager_step``: the
+  ``TapeUnsupported`` fallback; no production step takes it otherwise),
 * ``tape``         — float64 capture/replay (bit-identical contract),
 * ``tape+f32``     — float32 compute buffers, float64 master params,
 * ``tape+fusion``  — fused conv→BN→ReLU replay primitive.
@@ -32,24 +33,28 @@ from conftest import run_once, save_result
 from harness import BENCH_NET, bench_dataset
 from repro.controller import ArchitecturePolicy
 from repro.federated import compiled
-from repro.federated.participant import LocalStepTask, run_local_step
+from repro.federated.participant import (
+    LocalStepTask,
+    _run_eager_step,
+    run_local_step,
+)
 from repro.nn import tape
 from repro.search_space import Supernet
 from repro.telemetry.tracing import SpanRecorder
 
 BATCH = 16
 NUM_MASKS = 4
-WARMUP_STEPS = 8  # one capture per (mask, participant) key
+WARMUP_STEPS = 8  # two sightings per mask: the second retains its graph
 TIMED_STEPS = 32
 REPEATS = 3  # best-of, to shave scheduler noise
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_compute.json"
 
 MODES = [
-    ("eager", dict(enabled=False)),
-    ("tape", dict(enabled=True)),
-    ("tape+f32", dict(enabled=True, compute_dtype="float32")),
-    ("tape+fusion", dict(enabled=True, fusion=True)),
+    ("eager", dict(step=_run_eager_step)),
+    ("tape", dict()),
+    ("tape+f32", dict(compute_dtype="float32")),
+    ("tape+fusion", dict(fusion=True)),
 ]
 
 
@@ -70,33 +75,31 @@ def build_tasks():
     ]
 
 
-def run_mode(tasks, train, enabled, compute_dtype="float64", fusion=False):
+def run_mode(tasks, train, step=run_local_step, compute_dtype="float64", fusion=False):
     """Time TIMED_STEPS steps in one engine mode; returns s/step, the
     gradient dicts of the timed steps, and the per-op profile rows."""
-    tape.configure(enabled=enabled, compute_dtype=compute_dtype, fusion=fusion)
+    tape.configure(compute_dtype=compute_dtype, fusion=fusion)
     compiled.reset_cache()
     try:
         for task in tasks[:WARMUP_STEPS]:
-            run_local_step(task, train, BATCH, BENCH_NET)
+            step(task, train, BATCH, BENCH_NET)
         best = float("inf")
         updates = []
         for _ in range(REPEATS):
             start = time.perf_counter()
             updates = [
-                run_local_step(task, train, BATCH, BENCH_NET)
+                step(task, train, BATCH, BENCH_NET)
                 for task in tasks[WARMUP_STEPS:]
             ]
             best = min(best, time.perf_counter() - start)
         # Per-op breakdown from one extra profiled step (outside the
         # timed window: the profiler hook itself costs time).
         recorder = SpanRecorder(profile_ops=True)
-        run_local_step(
-            tasks[WARMUP_STEPS], train, BATCH, BENCH_NET, recorder=recorder
-        )
+        step(tasks[WARMUP_STEPS], train, BATCH, BENCH_NET, recorder=recorder)
         ops = recorder.payload().get("ops", [])
         return best / TIMED_STEPS, updates, ops
     finally:
-        tape.configure(enabled=False, compute_dtype="float64", fusion=False)
+        tape.configure(compute_dtype="float64", fusion=False)
         compiled.reset_cache()
 
 

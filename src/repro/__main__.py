@@ -148,21 +148,14 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentPars
         "lossless and preserves bit-identical results (default: float64)",
     )
     parser.add_argument(
-        "--tape", action="store_true",
-        help="compiled compute engine: capture each (mask, shape) "
-        "forward once and replay it with preallocated buffers "
-        "(default: $REPRO_TAPE; float64 results are bit-identical "
-        "either way)",
-    )
-    parser.add_argument(
         "--compute-dtype", choices=("float64", "float32"), default=None,
-        help="replay dtype for --tape: float64 (reference, "
-        "bit-identical) or float32 (opt-in, tolerance-verified; "
+        help="replay dtype of the compiled compute engine: float64 "
+        "(reference) or float32 (opt-in, tolerance-verified; "
         "default: $REPRO_COMPUTE_DTYPE or float64)",
     )
     parser.add_argument(
         "--tape-fusion", action="store_true",
-        help="fused conv-BN-ReLU tape primitive for --tape (analytic "
+        help="fused conv-BN-ReLU tape primitive (analytic "
         "fused backward; tolerance-equal to the unfused composition; "
         "default: $REPRO_TAPE_FUSION)",
     )
@@ -373,8 +366,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         overrides["socket_compression"] = args.wire_compression
     if getattr(args, "wire_dtype", None) is not None:
         overrides["socket_wire_dtype"] = args.wire_dtype
-    if getattr(args, "tape", False):
-        overrides["tape_compile"] = True
     if getattr(args, "compute_dtype", None) is not None:
         overrides["compute_dtype"] = args.compute_dtype
     if getattr(args, "tape_fusion", False):
@@ -426,12 +417,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def run_main(args: argparse.Namespace) -> int:
     resume_from = getattr(args, "resume", None)
     if resume_from:
-        # Result-neutral switches: the compiled engine may be toggled on
+        # The compiled engine's two numeric options may change on
         # resume (tape caches are derived state — never checkpointed,
         # rebuilt on first use); all other flags are ignored on resume.
         overrides = {}
-        if getattr(args, "tape", False):
-            overrides["tape_compile"] = True
         if getattr(args, "compute_dtype", None) is not None:
             overrides["compute_dtype"] = args.compute_dtype
         if getattr(args, "tape_fusion", False):

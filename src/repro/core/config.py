@@ -39,7 +39,7 @@ _COHORT_STRATEGIES = ("uniform", "weighted")
 #: Switches that selected paths which no longer exist.  Config files and
 #: checkpoint-embedded configs written before their removal still carry
 #: them; :meth:`ExperimentConfig.from_dict` drops them with a warning.
-_RETIRED_KEYS = ("delta_dispatch", "param_arena")
+_RETIRED_KEYS = ("delta_dispatch", "param_arena", "tape_compile")
 
 
 def _default_backend() -> str:
@@ -50,18 +50,6 @@ def _default_backend() -> str:
     argument always wins.
     """
     return os.environ.get("REPRO_BACKEND", "serial")
-
-
-def _default_tape_compile() -> bool:
-    """Compiled-engine default: ``$REPRO_TAPE`` when set.
-
-    Same contract as :func:`_default_backend` — the environment hook
-    flips a whole test/CI run onto the capture/replay engine without
-    touching call sites; an explicit ``tape_compile=`` argument wins.
-    """
-    return os.environ.get("REPRO_TAPE", "").lower() in (
-        "1", "true", "yes", "on"
-    )
 
 
 def _default_compute_dtype() -> str:
@@ -249,18 +237,12 @@ class ExperimentConfig:
     #: failed and its participant goes offline for the round (the socket
     #: backend retries on a different replica when one is live)
     task_retries: int = 1
-    #: compiled compute engine (:mod:`repro.nn.tape`): workers capture
-    #: the forward once per (mask, input shape, dtype) key and replay it
-    #: with preallocated buffers.  Float64 replay is bit-identical to
-    #: eager, so seeded results are unchanged with this on or off.
-    tape_compile: bool = dataclasses.field(default_factory=_default_tape_compile)
-    #: replay dtype for the compiled engine: "float64" (reference,
-    #: bit-identical) or "float32" (opt-in, tolerance-verified, ~2x).
-    #: Requires ``tape_compile``.
+    #: replay dtype of the compiled compute engine
+    #: (:mod:`repro.nn.tape`): "float64" (reference, bit-identical to
+    #: the eager step) or "float32" (opt-in, tolerance-verified, ~2x).
     compute_dtype: str = dataclasses.field(default_factory=_default_compute_dtype)
     #: fused conv→BN→ReLU tape primitive (analytic fused backward);
     #: tolerance-equal, not bit-equal, to the unfused composition.
-    #: Requires ``tape_compile``.
     tape_fusion: bool = dataclasses.field(default_factory=_default_tape_fusion)
 
     # Socket-backend wire options (ignored by other backends).
@@ -431,13 +413,6 @@ class ExperimentConfig:
                 f"compute_dtype must be 'float64' or 'float32', "
                 f"got {self.compute_dtype!r}"
             )
-        if self.compute_dtype == "float32" and not self.tape_compile:
-            raise ValueError(
-                "compute_dtype='float32' requires tape_compile=True "
-                "(the eager path is the float64 reference)"
-            )
-        if self.tape_fusion and not self.tape_compile:
-            raise ValueError("tape_fusion requires tape_compile=True")
         if self.task_timeout_s <= 0:
             raise ValueError(
                 f"task_timeout_s must be positive, got {self.task_timeout_s}"

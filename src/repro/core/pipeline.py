@@ -97,15 +97,9 @@ class FederatedModelSearch:
     ):
         self.config = config
         self.telemetry = telemetry or build_telemetry(config)
-        # Compiled compute engine: configure before any worker backends
-        # spawn so forked/spawned processes inherit the settings via the
-        # mirrored environment variables.  Float64 replay is
-        # bit-identical to eager, so this never changes seeded results.
-        nn.tape.configure(
-            enabled=config.tape_compile,
-            compute_dtype=config.compute_dtype,
-            fusion=config.tape_fusion,
-        )
+        # The two numeric options of the compiled engine; backends hand
+        # this process's settings to their workers at (re-)initialisation.
+        nn.tape.configure(config.compute_dtype, config.tape_fusion)
         self.rng = np.random.default_rng(config.seed)
         self.train_set, self.test_set = self._build_dataset()
         #: population-scale mode (``config.population > 0``): no eager

@@ -1,10 +1,9 @@
 """Compiled local steps: per-mask tape capture & replay for workers.
 
-Eager :func:`~repro.federated.participant.run_local_step` pays two big
-Python costs every step: it *builds* a fresh sub-model (module tree +
-parameter copies) and it *re-derives* the autograd graph node by node.
-Both are pure overhead — the computation for a given (mask, input
-shape, dtype) is identical every time.  This module removes both:
+Every :func:`~repro.federated.participant.run_local_step` runs here.
+Rebuilding a sub-model (module tree + parameter copies) and re-deriving
+the autograd graph node by node are pure overhead — the computation for
+a given (mask, input shape, dtype) is identical every time — so:
 
 * **One model per process.**  A single full :class:`Supernet` is built
   once per (supernet config, compute dtype) and reused for every task;
@@ -14,28 +13,34 @@ shape, dtype) is identical every time.  This module removes both:
   computes the same floats as the pruned sub-model would.  In float64
   mode the model is backed by a flat :class:`~repro.nn.ParameterArena`,
   so parameter gradient buffers alias contiguous windows of one array.
-* **One graph per key.**  The first step for a (mask, input shape,
-  fusion) key runs eagerly under :func:`repro.nn.tape.capturing` and
-  retains the graph as a :class:`~repro.nn.tape.CompiledStep`; later
-  steps replay it — forward into the retained activations, backward
-  into preallocated gradient buffers — with zero graph construction.
+* **A graph is admitted on the second sighting of its key.**  A step
+  whose (mask, input shape, fusion) key has no retained graph runs on
+  the shared model under :func:`repro.nn.tape.capturing`.  The first
+  sighting drops its graph and remembers only the key — a live policy
+  almost never repeats a mask, and one default-config graph is
+  110-190 MB.  The second sighting retains the graph as a
+  :class:`~repro.nn.tape.CompiledStep`; later ones replay it with zero
+  graph construction.
+* **The cache is bounded by bytes.**  Retained graphs are LRU within
+  :data:`_MAX_RETAINED_BYTES` (the newest is always kept); an evicted
+  key starts over at its first sighting.  Keys without a graph — seen
+  once, or uncapturable (:class:`~repro.nn.tape.TapeUnsupported`, e.g.
+  active dropout; those run the eager step) — are FIFO within
+  :data:`_MAX_KEYS`.
 
-Equality contract: in float64 (the default) a compiled step returns a
-:class:`ParticipantUpdate` **bit-identical** to the eager one — same
-gradient bytes, same buffers, same reward, same simulated compute time.
-Float32 mode (opt-in) trades that for speed and is tolerance-verified.
-
-Everything here is *derived state*: caches live per worker process,
-are never serialized or checkpointed, and are rebuilt on first use
-after a resume or a worker restart.  Keys that cannot be captured
-(:class:`~repro.nn.tape.TapeUnsupported`, e.g. active dropout) are
-remembered and permanently fall back to the eager path.
+Equality contract: in float64 (the default) every step — first
+sighting, admission or replay — returns a :class:`ParticipantUpdate`
+**bit-identical** to the eager oracle's.  Float32 mode (opt-in) trades
+that for speed and is tolerance-verified.  Everything here is *derived
+state*: per worker process, never serialized or checkpointed, rebuilt
+on first use after a resume or a worker restart.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,10 +61,11 @@ from .participant import (
 
 __all__ = ["run_compiled_step", "reset_cache"]
 
-#: Retained tapes per model (LRU).  Each entry holds one graph's worth of
-#: activation + gradient buffers; the searcher revisits few (mask, shape)
-#: keys per participant, so a small cache captures the working set.
-_MAX_STEPS = 64
+#: Bytes one model's retained graphs may hold (three at the default config).
+_MAX_RETAINED_BYTES = 512 * 2**20
+
+#: Keys remembered per model without a graph; a live policy adds one a task.
+_MAX_KEYS = 4096
 
 
 class _CompiledModel:
@@ -71,10 +77,9 @@ class _CompiledModel:
         "named",
         "named_buffers",
         "targets",
-        "param_sizes",
         "steps",
-        "uncapturable",
-        "mask_params",
+        "retained_bytes",
+        "seen",
     )
 
     def __init__(self, config: SupernetConfig, dtype: np.dtype):
@@ -108,21 +113,42 @@ class _CompiledModel:
             name: param.data for name, param in self.named
         }
         self.targets.update(self.named_buffers)
-        self.param_sizes: Dict[str, int] = {
-            name: param.data.size for name, param in self.named
-        }
         # The model is train-mode for its whole life: local steps are
         # the only consumers, and flipping the flag per step would walk
         # the module tree.
         model.train()
-        self.steps: "OrderedDict[Tuple, CompiledStep]" = OrderedDict()
-        self.uncapturable: Set[Tuple] = set()
-        #: mask key -> sub-model trainable parameter count (drives the
-        #: simulated compute time; must match ``submodel.num_parameters()``).
-        self.mask_params: Dict[Tuple, int] = {}
+        #: key -> (retained graph, its byte estimate, the sub-model's
+        #: trainable parameter count), least recently used first.
+        self.steps: "OrderedDict[Tuple, Tuple[CompiledStep, int, int]]" = OrderedDict()
+        self.retained_bytes = 0
+        #: key -> capturable?  True: seen once, the next sighting is
+        #: admitted.  False: raised ``TapeUnsupported``, runs eagerly.
+        self.seen: "OrderedDict[Tuple, bool]" = OrderedDict()
+
+    def remember(self, key: Tuple, capturable: bool) -> None:
+        self.seen[key] = capturable
+        while len(self.seen) > _MAX_KEYS:
+            self.seen.popitem(last=False)
+
+    def admit(self, key: Tuple, step: CompiledStep, num_params: int) -> int:
+        """Retain ``step``; returns how many older graphs that evicted."""
+        nbytes = step.retained_bytes()
+        self.steps[key] = (step, nbytes, num_params)
+        self.retained_bytes += nbytes
+        evicted = 0
+        while self.retained_bytes > _MAX_RETAINED_BYTES and len(self.steps) > 1:
+            _, (_, freed, _) = self.steps.popitem(last=False)
+            self.retained_bytes -= freed
+            evicted += 1
+        return evicted
 
 
 _MODELS: Dict[Tuple, _CompiledModel] = {}
+
+#: One step at a time per process: the shared model and the capture tape
+#: (``repro.nn.tensor._TAPE``) are process-global, and in-process worker
+#: daemons (tests, examples) serve tasks from threads.
+_STEP_LOCK = threading.Lock()
 
 
 def reset_cache() -> None:
@@ -130,12 +156,10 @@ def reset_cache() -> None:
     _MODELS.clear()
 
 
-def _model_for(config: SupernetConfig, dtype: np.dtype) -> _CompiledModel:
-    key = (config, dtype.str)
-    cached = _MODELS.get(key)
+def _model_for(config: SupernetConfig, dtype: str) -> _CompiledModel:
+    cached = _MODELS.get((config, dtype))
     if cached is None:
-        cached = _CompiledModel(config, dtype)
-        _MODELS[key] = cached
+        cached = _MODELS[config, dtype] = _CompiledModel(config, np.dtype(dtype))
     return cached
 
 
@@ -152,124 +176,118 @@ def run_compiled_step(
 
     Returns ``None`` when the step's key is uncapturable — the caller
     (:func:`~repro.federated.participant.run_local_step`) then runs the
-    eager path, which is always correct.
+    eager step, which is always correct.
     """
-    dtype = tape.compute_dtype()
-    fusion = tape.fusion_enabled()
     span = recorder.span if recorder is not None else null_span
-    stats = tape.stats()
-    cm = _model_for(supernet_config, dtype)
+    with _STEP_LOCK:
+        dtype, fusion = tape.settings()
+        stats = tape.stats()
+        cm = _model_for(supernet_config, dtype)
 
-    with span("build"):
-        # Equivalent to ``cm.model.apply_state(task.state)`` without the
-        # per-step module-tree walk: every target array is stable and
-        # written in place.
-        targets = cm.targets
-        for name, value in task.state.items():
-            targets[name][...] = value
-        loader = DataLoader(
-            dataset,
-            batch_size=min(batch_size, len(dataset)),
-            transform=transform,
-            rng=np.random.default_rng(task.batch_seed),
-        )
-        x, y = loader.sample_batch()
-
-    mask_key = (task.mask.normal, task.mask.reduce)
-    x_arr = np.asarray(x, dtype=dtype)
-    key = (mask_key, x_arr.shape, fusion)
-    if key in cm.uncapturable:
-        stats.fallbacks += 1
-        if recorder is not None:
-            recorder.meta["tape"] = {"fallback": 1}
-        return None
-
-    step = cm.steps.get(key)
-    try:
-        if step is None:
-            # Capture: run eagerly with recording on.  The capture step's
-            # own update is already bit-identical to eager — the tape only
-            # observes.
-            x_t = nn.Tensor(x_arr)
-            entries: List = []
-            with span("forward"):
-                try:
-                    with tape.capturing(entries):
-                        logits = cm.model(x_t, task.mask)
-                except TapeUnsupported:
-                    cm.uncapturable.add(key)
-                    stats.fallbacks += 1
-                    if recorder is not None:
-                        recorder.meta["tape"] = {"fallback": 1}
-                    return None
-                loss = nn.functional.cross_entropy(logits, y)
-            named_ids = {id(param): (name, param) for name, param in cm.named}
-            grad_view = cm.arena.grad_view if cm.arena is not None else None
-            step = CompiledStep(
-                x_t, logits, entries, named_params=named_ids, grad_view=grad_view
-            )
-            cm.steps[key] = step
-            while len(cm.steps) > _MAX_STEPS:
-                cm.steps.popitem(last=False)
-            stats.captures += 1
-            with span("backward"):
-                loss.backward()
-            replayed = False
-        else:
-            cm.steps.move_to_end(key)
-            profile = None
-            if recorder is not None and recorder.profiler is not None:
-                profile = recorder.profiler.stats
-            with span("forward"):
-                logits = step.replay_forward(x_arr, profile=profile)
-                loss = nn.functional.cross_entropy(logits, y)
-            with span("backward"):
-                step.replay_backward(loss)
-            stats.replays += 1
-            replayed = True
-
-        with span("pack"):
+        with span("build"):
+            # Equivalent to ``cm.model.apply_state(task.state)`` without the
+            # per-step module-tree walk: every target array is stable and
+            # written in place.
+            targets = cm.targets
             state = task.state
-            gradients: Dict[str, np.ndarray] = {}
-            # A step only ever populates its own parameter leaves (a
-            # strict subset of the full supernet), so packing walks
-            # exactly those.
-            for name, param in step.param_leaves:
-                if name in state and param.grad is not None:
-                    grad = param.grad
-                    if grad.dtype != np.float64:
-                        gradients[name] = grad.astype(np.float64)
-                    else:
-                        gradients[name] = grad.copy()
-            buffers: Dict[str, np.ndarray] = {}
-            for name, value in cm.named_buffers:
-                if name in state:
-                    buffers[name] = np.array(value, dtype=np.float64, copy=True)
-            reward = batch_accuracy(logits, y)
-    finally:
-        if step is not None:
-            for _, param in step.param_leaves:
-                param.grad = None
+            for name, value in state.items():
+                targets[name][...] = value
+            loader = DataLoader(
+                dataset,
+                batch_size=min(batch_size, len(dataset)),
+                transform=transform,
+                rng=np.random.default_rng(task.batch_seed),
+            )
+            x, y = loader.sample_batch()
 
-    num_params = cm.mask_params.get(mask_key)
-    if num_params is None:
-        num_params = sum(
-            cm.param_sizes[name] for name in state if name in cm.param_sizes
+        x_arr = np.asarray(x, dtype=dtype)
+        key = ((task.mask.normal, task.mask.reduce), x_arr.shape, fusion)
+        retained = cm.steps.get(key)
+        if retained is None and cm.seen.get(key) is False:
+            stats.fallbacks += 1
+            if recorder is not None:
+                recorder.meta["tape"] = {"outcome": "fallback"}
+            return None
+
+        step = None
+        try:
+            if retained is not None:
+                step, _, num_params = retained
+                cm.steps.move_to_end(key)
+                profile = None
+                if recorder is not None and recorder.profiler is not None:
+                    profile = recorder.profiler.stats
+                with span("forward"):
+                    logits = step.replay_forward(x_arr, profile=profile)
+                    loss = nn.functional.cross_entropy(logits, y)
+                with span("backward"):
+                    step.replay_backward(loss)
+                stats.replays += 1
+                meta = {"outcome": "replayed"}
+            else:
+                # Capture: run eagerly with recording on.  The capture step's
+                # own update is already bit-identical to eager — the tape only
+                # observes.
+                x_t = nn.Tensor(x_arr)
+                entries: List = []
+                with span("forward"):
+                    try:
+                        with tape.capturing(entries):
+                            logits = cm.model(x_t, task.mask)
+                    except TapeUnsupported:
+                        cm.remember(key, False)
+                        stats.fallbacks += 1
+                        if recorder is not None:
+                            recorder.meta["tape"] = {"outcome": "fallback"}
+                        return None
+                    loss = nn.functional.cross_entropy(logits, y)
+                named_ids = {id(param): (name, param) for name, param in cm.named}
+                grad_view = cm.arena.grad_view if cm.arena is not None else None
+                step = CompiledStep(
+                    x_t, logits, entries, named_params=named_ids, grad_view=grad_view
+                )
+                with span("backward"):
+                    loss.backward()
+                # Drives the simulated compute time; must match
+                # ``submodel.num_parameters()``.
+                num_params = sum(p.data.size for name, p in cm.named if name in state)
+                if cm.seen.pop(key, False):
+                    evicted = cm.admit(key, step, num_params)
+                    stats.captures += 1
+                    meta = {"outcome": "admitted", "evicted": evicted}
+                else:
+                    # First sighting: the graph dies with this call.
+                    cm.remember(key, True)
+                    stats.first_sightings += 1
+                    meta = {"outcome": "first_sighting"}
+
+            with span("pack"):
+                gradients: Dict[str, np.ndarray] = {}
+                # A step only ever populates its own parameter leaves (a
+                # strict subset of the full supernet), so packing walks
+                # exactly those.
+                for name, param in step.param_leaves:
+                    if name in state and param.grad is not None:
+                        gradients[name] = np.array(param.grad, dtype=np.float64)
+                buffers: Dict[str, np.ndarray] = {}
+                for name, value in cm.named_buffers:
+                    if name in state:
+                        buffers[name] = np.array(value, dtype=np.float64, copy=True)
+                reward = batch_accuracy(logits, y)
+        finally:
+            if step is not None:
+                for _, param in step.param_leaves:
+                    param.grad = None
+
+        if recorder is not None:
+            meta["retained_graphs"] = len(cm.steps)
+            meta["retained_mb"] = round(cm.retained_bytes / 2**20, 1)
+            recorder.meta["tape"] = meta
+        return ParticipantUpdate(
+            participant_id=task.participant_id,
+            gradients=gradients,
+            reward=reward,
+            num_samples=len(y),
+            compute_time_s=device.train_time(num_params, len(y)),
+            buffers=buffers,
         )
-        cm.mask_params[mask_key] = num_params
-    compute_time = device.train_time(num_params, len(y))
-
-    if recorder is not None:
-        recorder.meta["tape"] = {
-            "captured": int(not replayed),
-            "replayed": int(replayed),
-            "cached_steps": len(cm.steps),
-        }
-    return ParticipantUpdate(
-        participant_id=task.participant_id,
-        gradients=gradients,
-        reward=reward,
-        num_samples=len(y),
-        compute_time_s=compute_time,
-        buffers=buffers,
-    )

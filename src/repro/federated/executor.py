@@ -40,6 +40,7 @@ import time
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.data import ArrayDataset, Compose
+from repro.nn import tape
 from repro.search_space import SupernetConfig
 from repro.telemetry import Telemetry
 from repro.telemetry.tracing import SpanRecorder, emit_task_trace, null_span
@@ -241,7 +242,10 @@ def _init_worker(
     supernet_config: SupernetConfig,
     fault_hook: Optional[Callable[[LocalStepTask], None]],
     population: Optional[object] = None,
+    tape_settings: Tuple[str, bool] = ("float64", False),
 ) -> None:
+    # As data: a spawned worker does not inherit module globals.
+    tape.configure(*tape_settings)
     _WORKER_STATE["specs"] = {spec.participant_id: spec for spec in specs}
     _WORKER_STATE["supernet_config"] = supernet_config
     _WORKER_STATE["fault_hook"] = fault_hook
@@ -435,6 +439,7 @@ class ProcessPoolBackend:
                     self._supernet_config,
                     self._fault_hook,
                     self._population,
+                    tape.settings(),
                 ),
             )
         return self._pool

@@ -183,34 +183,37 @@ def run_local_step(
 ) -> ParticipantUpdate:
     """Execute one :class:`LocalStepTask` — the pure server↔participant step.
 
-    Rebuilds the sub-model from ``task.mask`` + ``task.state``, draws the
-    local mini-batch from ``task.batch_seed``, and runs one
-    forward/backward pass.  Every source of randomness is in the task, so
-    the same task always yields the same :class:`ParticipantUpdate`, in
-    any process, under any scheduling order.  When a ``recorder`` is
-    given the phases are bracketed with worker-side spans ("build",
-    "forward", "backward", "pack") — timing only, never numerics.
+    Applies ``task.state`` under ``task.mask``, draws the local
+    mini-batch from ``task.batch_seed``, and runs one forward/backward
+    pass.  Every source of randomness is in the task, so the same task
+    always yields the same :class:`ParticipantUpdate`, in any process,
+    under any scheduling order.  When a ``recorder`` is given the phases
+    are bracketed with worker-side spans ("build", "forward",
+    "backward", "pack") — timing only, never numerics.
 
-    When the compiled compute engine is on (:func:`repro.nn.tape.enabled`)
-    the step is served by :func:`repro.federated.compiled.run_compiled_step`
-    — bit-identical in float64, tolerance-equal in float32 — with this
-    eager path as the universal fallback.
+    Served by :func:`repro.federated.compiled.run_compiled_step` —
+    bit-identical to :func:`_run_eager_step` in float64 — and by the
+    eager step itself for a key the tape cannot capture.
     """
-    if nn.tape.enabled():
-        from .compiled import run_compiled_step
+    from .compiled import run_compiled_step
 
-        update = run_compiled_step(
-            task,
-            dataset,
-            batch_size,
-            supernet_config,
-            transform=transform,
-            device=device,
-            recorder=recorder,
-        )
-        if update is not None:
-            return update
-        # Uncapturable key: fall through to the eager path below.
+    args = (task, dataset, batch_size, supernet_config, transform, device, recorder)
+    update = run_compiled_step(*args)
+    return update if update is not None else _run_eager_step(*args)
+
+
+def _run_eager_step(
+    task: LocalStepTask,
+    dataset: ArrayDataset,
+    batch_size: int,
+    supernet_config: SupernetConfig,
+    transform: Optional[Compose] = None,
+    device: DeviceProfile = GTX_1080TI,
+    recorder: Optional[SpanRecorder] = None,
+) -> ParticipantUpdate:
+    """The reference local step: rebuild the pruned sub-model from
+    ``task.mask`` + ``task.state`` and run it with no tape.  The
+    ``TapeUnsupported`` fallback and the tests' oracle."""
     span = recorder.span if recorder is not None else null_span
     with span("build"):
         submodel = Supernet(

@@ -26,17 +26,16 @@ closures compute the same backward products, and the first-accumulate
 opt-in float32 mode (``compute_dtype="float32"``) replays the tape in
 single precision and is tolerance-verified instead.
 
-Configuration is process-global (``configure()``) and mirrored into
-``$REPRO_TAPE`` / ``$REPRO_COMPUTE_DTYPE`` / ``$REPRO_TAPE_FUSION`` so
-forked/spawned worker processes inherit it.  Compiled tapes are *derived
-state*: never serialized, never checkpointed, rebuilt on first use after
-a resume.
+Configuration (replay dtype, fusion) is process-global and set by
+``configure()``; worker processes receive it as pool-initializer args or
+``MSG_INIT`` fields, never through the environment.  Compiled tapes are
+*derived state*: never serialized, never checkpointed, rebuilt on first
+use after a resume.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -48,11 +47,10 @@ from .tensor import Tensor
 __all__ = [
     "TapeUnsupported",
     "configure",
+    "settings",
     "enabled",
-    "compute_dtype",
     "fusion_enabled",
     "capturing",
-    "is_capturing",
     "record_effect",
     "CompiledStep",
     "TapeStats",
@@ -66,52 +64,35 @@ class TapeUnsupported(RuntimeError):
     dropout).  The caller falls back to eager execution for that key."""
 
 
-def _env_bool(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_ENABLED: bool = _env_bool("REPRO_TAPE")
-_COMPUTE_DTYPE: str = os.environ.get("REPRO_COMPUTE_DTYPE", "float64") or "float64"
-_FUSION: bool = _env_bool("REPRO_TAPE_FUSION")
+_COMPUTE_DTYPE: str = "float64"
+_FUSION: bool = False
 
 
 def configure(
-    enabled: Optional[bool] = None,
-    compute_dtype: Optional[str] = None,
-    fusion: Optional[bool] = None,
+    compute_dtype: Optional[str] = None, fusion: Optional[bool] = None
 ) -> None:
-    """Set the process-global tape configuration.
-
-    Every given field is also mirrored into the environment
-    (``$REPRO_TAPE``, ``$REPRO_COMPUTE_DTYPE``, ``$REPRO_TAPE_FUSION``)
-    so worker processes forked or spawned afterwards inherit it.  A
-    worker that misses the update only loses the speedup — float64
-    replay is bit-identical to eager, so results are unchanged.
-    """
-    global _ENABLED, _COMPUTE_DTYPE, _FUSION
-    if enabled is not None:
-        _ENABLED = bool(enabled)
-        os.environ["REPRO_TAPE"] = "1" if _ENABLED else "0"
+    """Set this process's replay dtype and/or conv→BN→ReLU fusion."""
+    global _COMPUTE_DTYPE, _FUSION
     if compute_dtype is not None:
         if compute_dtype not in ("float64", "float32"):
             raise ValueError(
                 f"compute_dtype must be 'float64' or 'float32', got {compute_dtype!r}"
             )
         _COMPUTE_DTYPE = compute_dtype
-        os.environ["REPRO_COMPUTE_DTYPE"] = compute_dtype
     if fusion is not None:
         _FUSION = bool(fusion)
-        os.environ["REPRO_TAPE_FUSION"] = "1" if _FUSION else "0"
+
+
+def settings() -> Tuple[str, bool]:
+    """``(compute_dtype, fusion)`` as plain data — what a backend ships
+    to its workers, which apply it with ``configure(*settings)``."""
+    return _COMPUTE_DTYPE, _FUSION
 
 
 def enabled() -> bool:
-    """Whether the compiled compute engine is on for this process."""
-    return _ENABLED
-
-
-def compute_dtype() -> np.dtype:
-    """The replay dtype (float64 reference / opt-in float32)."""
-    return np.dtype(_COMPUTE_DTYPE)
+    """Always true (the engine is the one local-step path); kept because
+    measurement harnesses report it."""
+    return True
 
 
 def fusion_enabled() -> bool:
@@ -132,10 +113,6 @@ def capturing(entries: List[Tuple[str, Callable[[], None]]]):
         _tensor._set_tape(previous)
 
 
-def is_capturing() -> bool:
-    return _tensor._TAPE is not None
-
-
 def record_effect(name: str, effect: Callable[[], None]) -> None:
     """Record a non-differentiable side effect (e.g. batch-norm running
     statistics) at the current tape position.  No-op unless capturing —
@@ -147,21 +124,20 @@ def record_effect(name: str, effect: Callable[[], None]) -> None:
 
 
 class TapeStats:
-    """Process-global capture/replay counters (telemetry + tests)."""
+    """Process-global step counters (telemetry + tests).
 
-    __slots__ = ("captures", "replays", "fallbacks")
+    A partition: every local step is counted under exactly one name —
+    ``first_sightings`` (captured, graph dropped), ``captures`` (second
+    sighting, graph retained), ``replays`` or ``fallbacks`` (eager).
+    """
+
+    __slots__ = ("first_sightings", "captures", "replays", "fallbacks")
 
     def __init__(self) -> None:
-        self.captures = 0
-        self.replays = 0
-        self.fallbacks = 0
+        self.first_sightings = self.captures = self.replays = self.fallbacks = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "captures": self.captures,
-            "replays": self.replays,
-            "fallbacks": self.fallbacks,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 _STATS = TapeStats()
@@ -172,9 +148,7 @@ def stats() -> TapeStats:
 
 
 def reset_stats() -> None:
-    _STATS.captures = 0
-    _STATS.replays = 0
-    _STATS.fallbacks = 0
+    _STATS.__init__()
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +252,30 @@ class CompiledStep:
             if buf is None or buf.shape != node.data.shape:
                 buf = np.empty(node.data.shape, dtype=node.data.dtype)
             node._grad_buf = buf
+
+    def retained_bytes(self) -> int:
+        """Bytes this graph keeps alive: the distinct ndarray buffers
+        behind every node's ``.data`` and ``_grad_buf`` and whatever its
+        backward closure holds (saved activations, scratch dicts).  Call
+        after the capture step's backward, which fills the scratch."""
+        owners: Dict[int, int] = {}
+
+        def visit(obj) -> None:
+            if isinstance(obj, np.ndarray):
+                owner = obj.base if isinstance(obj.base, np.ndarray) else obj
+                owners[id(owner)] = owner.nbytes
+            elif isinstance(obj, (dict, list, tuple)):
+                for item in obj.values() if isinstance(obj, dict) else obj:
+                    visit(item)
+
+        for node in self._nodes:
+            visit((node.data, node._grad_buf))
+            for cell in getattr(node._backward, "__closure__", None) or ():
+                try:
+                    visit(cell.cell_contents)
+                except ValueError:  # a nonlocal not bound yet
+                    pass
+        return sum(owners.values())
 
     def replay_forward(
         self, x: np.ndarray, profile: Optional[Dict] = None

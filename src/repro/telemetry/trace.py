@@ -96,7 +96,8 @@ def summarize_trace(events: Sequence[Dict]) -> Dict:
     hedge_totals = {"hedges": 0, "wins": 0, "duplicates": 0}
     population_rounds: List[Dict] = []
     churn_totals = {"joined": 0, "departed": 0, "dropped_out": 0, "reactivated": 0}
-    tape_totals = {"captured": 0, "replayed": 0, "fallbacks": 0, "cached_steps": 0}
+    #: per-task outcome counts, evictions, peak of what was retained
+    tape_totals = collections.Counter()
 
     for event in events:
         name = event.get("event", "?")
@@ -149,13 +150,12 @@ def summarize_trace(events: Sequence[Dict]) -> Dict:
                 entry[1] += float(total)
             tape_meta = event.get("tape")
             if isinstance(tape_meta, dict):
-                tape_totals["captured"] += int(tape_meta.get("captured", 0))
-                tape_totals["replayed"] += int(tape_meta.get("replayed", 0))
-                tape_totals["fallbacks"] += int(tape_meta.get("fallback", 0))
-                tape_totals["cached_steps"] = max(
-                    tape_totals["cached_steps"],
-                    int(tape_meta.get("cached_steps", 0)),
-                )
+                tape_totals[tape_meta.get("outcome")] += 1
+                tape_totals["evicted"] += int(tape_meta.get("evicted", 0))
+                for peak in ("retained_graphs", "retained_mb"):
+                    tape_totals[peak] = max(
+                        tape_totals[peak], tape_meta.get(peak, 0)
+                    )
         elif name == "round_end":
             if (
                 open_round
@@ -364,13 +364,13 @@ def summarize_trace(events: Sequence[Dict]) -> Dict:
         }
 
     tape = None
-    tape_tasks = (
-        tape_totals["captured"]
-        + tape_totals["replayed"]
-        + tape_totals["fallbacks"]
-    )
+    step_kinds = ("first_sighting", "admitted", "replayed", "fallback")
+    tape_tasks = sum(tape_totals[k] for k in step_kinds)
     if tape_tasks:
-        tape = dict(tape_totals)
+        tape = {
+            k: tape_totals[k]
+            for k in step_kinds + ("evicted", "retained_graphs", "retained_mb")
+        }
         tape["tasks"] = tape_tasks
         tape["hit_rate"] = tape_totals["replayed"] / tape_tasks
 
@@ -747,13 +747,18 @@ def render_trace(summary: Dict, top: int = 5, max_round_rows: int = 20) -> str:
         lines.append("")
         lines.append("## Tape (compiled compute engine)")
         lines.append(
-            f"compiled tasks: {tape['tasks']}  "
-            f"captures: {tape['captured']}  "
+            f"local steps: {tape['tasks']}  "
+            f"first sightings (new key, graph dropped): {tape['first_sighting']}  "
+            f"admitted (graph retained): {tape['admitted']}  "
             f"replays: {tape['replayed']}  "
-            f"fallbacks: {tape['fallbacks']}  "
-            f"cached steps (max): {tape['cached_steps']}"
+            f"eager fallbacks: {tape['fallback']}"
         )
-        lines.append(f"tape hit-rate: {tape['hit_rate']:.1%}")
+        lines.append(
+            f"tape hit-rate: {tape['hit_rate']:.1%}  "
+            f"retained graphs (max): {tape['retained_graphs']}  "
+            f"retained MB (max): {tape['retained_mb']:.1f}  "
+            f"evictions: {tape['evicted']}"
+        )
         replay_ops = [o for o in ops if str(o["op"]).startswith("tape:")]
         if replay_ops:
             lines.append("")

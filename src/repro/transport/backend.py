@@ -84,6 +84,7 @@ from repro.faults.network import ChaosEngine, NetworkFaultPlan
 from repro.federated.executor import ParticipantSpec, TaskResult
 from repro.federated.participant import LocalStepTask
 from repro.federated.versioning import DeltaLedger
+from repro.nn import tape
 from repro.nn.serialize import WIRE_DTYPES
 from repro.search_space import SupernetConfig
 from repro.telemetry import Telemetry
@@ -409,7 +410,8 @@ class SocketBackend:
                 codec.encode_init(
                     self._specs,
                     self._supernet_config,
-                    population=self._population,
+                    self._population,
+                    tape.settings(),
                 ),
                 timeout=max(self.connect_timeout_s, self.task_timeout_s),
             )

@@ -152,12 +152,14 @@ def encode_init(
     specs: Sequence[ParticipantSpec],
     supernet_config: SupernetConfig,
     population: object = None,
+    tape_settings: Tuple[str, bool] = ("float64", False),
 ) -> bytes:
-    """Registration payload: specs + geometry, plus (population mode) the
-    :class:`~repro.population.PopulationContext` workers derive on-demand
-    specs from.  The ``population`` key is omitted when absent, so
-    population-off init payloads keep the historical bytes."""
+    """Registration payload: specs + geometry + the server's
+    compiled-engine numeric options (``repro.nn.tape.settings()``), plus
+    (population mode) the :class:`~repro.population.PopulationContext`
+    workers derive on-demand specs from."""
     obj = {"specs": list(specs), "supernet_config": supernet_config}
+    obj["compute_dtype"], obj["tape_fusion"] = tape_settings
     if population is not None:
         obj["population"] = population
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -165,19 +167,24 @@ def encode_init(
 
 def decode_init(
     payload: bytes,
-) -> Tuple[List[ParticipantSpec], SupernetConfig, object]:
+) -> Tuple[List[ParticipantSpec], SupernetConfig, object, Tuple[str, bool]]:
+    """Inverse of :func:`encode_init`; an absent optional key reads as
+    its default (population off, float64, no fusion)."""
     try:
         obj = pickle.loads(payload)
         specs = list(obj["specs"])
         config = obj["supernet_config"]
         population = obj.get("population")
+        settings = obj.get("compute_dtype", "float64"), bool(obj.get("tape_fusion"))
     except Exception as exc:  # truncated/corrupt pickle, wrong shape
         raise ProtocolError(f"malformed init payload: {exc}") from exc
-    if not all(isinstance(s, ParticipantSpec) for s in specs) or not isinstance(
-        config, SupernetConfig
+    if (
+        not all(isinstance(s, ParticipantSpec) for s in specs)
+        or not isinstance(config, SupernetConfig)
+        or settings[0] not in ("float64", "float32")
     ):
         raise ProtocolError("init payload carries unexpected object types")
-    return specs, config, population
+    return specs, config, population, settings
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional
 from repro.federated.executor import ParticipantSpec
 from repro.federated.participant import run_local_step
 from repro.federated.versioning import DeltaCacheMiss, resolve_task
+from repro.nn import tape
 from repro.search_space import SupernetConfig
 from repro.telemetry.tracing import SpanRecorder, null_span
 
@@ -204,10 +205,13 @@ class WorkerServer:
             return True
         if msg_type == MSG_INIT:
             try:
-                specs, supernet_config, population = codec.decode_init(payload)
+                specs, supernet_config, population, settings = codec.decode_init(
+                    payload
+                )
             except ProtocolError as exc:
                 conn.send_frame(MSG_ERROR, codec.encode_error(-1, str(exc)))
                 return False
+            tape.configure(*settings)  # the server's, not this daemon's env
             self._specs = {spec.participant_id: spec for spec in specs}
             self._supernet_config = supernet_config
             self._population = population

@@ -79,17 +79,35 @@ class TestFromDictErrors:
 
 
 class TestRetiredKeys:
-    """Configs written before the dict / full-send paths were deleted
-    still carry their two switches; that is outside input, not a knob."""
+    """Configs written before the dict / full-send / eager paths were
+    deleted still carry their switches; that is outside input, not a
+    knob."""
 
     def test_retired_switches_load_with_a_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="delta_dispatch, param_arena"):
+        with pytest.warns(
+            DeprecationWarning, match="delta_dispatch, param_arena, tape_compile"
+        ):
             config = ExperimentConfig.from_dict(
-                {"seed": 7, "delta_dispatch": True, "param_arena": False}
+                {"seed": 7, "delta_dispatch": True, "param_arena": False,
+                 "tape_compile": False}
             )
         assert config == ExperimentConfig(seed=7)
-        assert "delta_dispatch" not in config.to_dict()
-        assert "param_arena" not in config.to_dict()
+        assert not {"delta_dispatch", "param_arena", "tape_compile"} & set(
+            config.to_dict()
+        )
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_retired_tape_switch_alone(self, value):
+        """Either value loads: off can no longer be honoured, and the
+        engine it selected is bit-identical in float64."""
+        with pytest.warns(DeprecationWarning, match="tape_compile"):
+            config = ExperimentConfig.from_dict(
+                {"tape_compile": value, "compute_dtype": "float32",
+                 "tape_fusion": True}
+            )
+        assert (config.compute_dtype, config.tape_fusion) == ("float32", True)
+        with pytest.raises(TypeError):
+            ExperimentConfig(tape_compile=True)
 
     def test_current_configs_load_silently(self, recwarn):
         ExperimentConfig.from_dict(ExperimentConfig.small().to_dict())
@@ -113,7 +131,7 @@ class TestRetiredKeys:
 
         fixture = pathlib.Path(__file__).with_name("golden_checkpoint.ckpt")
         embedded = read_checkpoint_meta(fixture)["extra"]["config"]
-        assert {"delta_dispatch", "param_arena"} <= set(embedded)
+        assert {"delta_dispatch", "param_arena", "tape_compile"} <= set(embedded)
         with pytest.warns(DeprecationWarning):
             ExperimentConfig.from_dict(embedded)
 

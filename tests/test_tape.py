@@ -1,4 +1,4 @@
-"""Compiled compute engine (ISSUE 10): tape capture/replay parity.
+"""Compiled compute engine: tape capture/replay parity and admission.
 
 The contract under test, in order of appearance:
 
@@ -8,14 +8,27 @@ The contract under test, in order of appearance:
 * the conv2d backward contraction fast paths — ``_conv_dx`` and the
   cached dW executor — agree with the window-algebra reference
   implementations across the kernel/stride/dilation/groups grid;
-* float64 tape replay is **bit-identical** to the eager path for a
-  sweep of sampled controller masks (gradients, buffers, reward,
-  simulated compute time), float32 and conv→BN→ReLU fusion are
-  tolerance-equal;
-* a mid-sequence input-shape change forces a re-capture (never a stale
+* every float64 step of the engine — first sighting, admission, replay
+  — is **bit-identical** to the eager oracle for a sweep of sampled
+  controller masks (gradients, buffers, reward, simulated compute
+  time), float32 and conv→BN→ReLU fusion are tolerance-equal;
+* a graph is retained on the second sighting of its key, the retained
+  bytes stay under the budget, remembered keys stay under their bound,
+  and a live policy retains nothing;
+* a mid-sequence input-shape change is a new key (never a stale
   replay), and a checkpoint→resume rebuilds the tape caches from
-  scratch — they are derived state and never serialized.
+  scratch — they are derived state and never serialized;
+* a worker applies the numeric options its server sent at init, not
+  its own environment.
 """
+
+import contextlib
+import gc
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +39,11 @@ from repro.controller import ArchitecturePolicy
 from repro.data import iid_partition, synth_cifar10
 from repro.federated import FederatedSearchServer, Participant, build_backend
 from repro.federated import compiled
-from repro.federated.participant import LocalStepTask, run_local_step
+from repro.federated.participant import (
+    LocalStepTask,
+    _run_eager_step,
+    run_local_step,
+)
 from repro.nn import Tensor, tape
 from repro.nn.functional import (
     _conv_dx,
@@ -40,9 +57,9 @@ TINY = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1)
 
 
 @pytest.fixture(autouse=True)
-def _tape_off_between_tests():
+def _tape_defaults_between_tests():
     yield
-    tape.configure(enabled=False, compute_dtype="float64", fusion=False)
+    tape.configure(compute_dtype="float64", fusion=False)
     compiled.reset_cache()
     tape.reset_stats()
 
@@ -239,9 +256,10 @@ class TestConvBackwardGrid:
 # ----------------------------------------------------------------------
 
 
-def _make_tasks(num_masks=5, repeats=2, batch_seed0=500):
+def _make_tasks(num_masks=5, repeats=3, batch_seed0=500):
     """Tasks cycling over ``num_masks`` seeded masks, each seen
-    ``repeats`` times — first visit captures, later visits replay."""
+    ``repeats`` times — first visit drops its graph, the second retains
+    it, later visits replay."""
     net = Supernet(TINY, rng=np.random.default_rng(0))
     policy = ArchitecturePolicy(TINY.num_edges, rng=np.random.default_rng(7))
     masks = [policy.sample_mask() for _ in range(num_masks)]
@@ -257,11 +275,32 @@ def _make_tasks(num_masks=5, repeats=2, batch_seed0=500):
     ]
 
 
-def _run_all(tasks, dataset, enabled, compute_dtype="float64", fusion=False):
-    tape.configure(enabled=enabled, compute_dtype=compute_dtype, fusion=fusion)
+def _run_all(tasks, dataset, step=run_local_step, compute_dtype="float64", fusion=False):
+    tape.configure(compute_dtype=compute_dtype, fusion=fusion)
     compiled.reset_cache()
     tape.reset_stats()
-    return [run_local_step(t, dataset, 8, TINY) for t in tasks]
+    return [step(t, dataset, 8, TINY) for t in tasks]
+
+
+def _assert_bit_equal(ref, got):
+    assert set(ref.gradients) == set(got.gradients)
+    for name in ref.gradients:
+        np.testing.assert_array_equal(
+            ref.gradients[name], got.gradients[name], err_msg=name
+        )
+    assert set(ref.buffers) == set(got.buffers)
+    for name in ref.buffers:
+        np.testing.assert_array_equal(
+            ref.buffers[name], got.buffers[name], err_msg=name
+        )
+    assert ref.reward == got.reward
+    assert ref.compute_time_s == got.compute_time_s
+    assert ref.num_samples == got.num_samples
+
+
+def _only_model():
+    (cm,) = compiled._MODELS.values()
+    return cm
 
 
 @pytest.fixture(scope="module")
@@ -275,25 +314,16 @@ def tiny_dataset():
 class TestTapeParity:
     def test_float64_replay_bit_identical_to_eager(self, tiny_dataset):
         tasks = _make_tasks()
-        eager = _run_all(tasks, tiny_dataset, enabled=False)
-        taped = _run_all(tasks, tiny_dataset, enabled=True)
-        stats = tape.stats().snapshot()
-        assert stats["captures"] == 5
-        assert stats["replays"] == 5
+        eager = _run_all(tasks, tiny_dataset, step=_run_eager_step)
+        taped = _run_all(tasks, tiny_dataset)
+        assert tape.stats().snapshot() == {
+            "first_sightings": 5,
+            "captures": 5,
+            "replays": 5,
+            "fallbacks": 0,
+        }
         for ref, got in zip(eager, taped):
-            assert set(ref.gradients) == set(got.gradients)
-            for name in ref.gradients:
-                np.testing.assert_array_equal(
-                    ref.gradients[name], got.gradients[name], err_msg=name
-                )
-            assert set(ref.buffers) == set(got.buffers)
-            for name in ref.buffers:
-                np.testing.assert_array_equal(
-                    ref.buffers[name], got.buffers[name], err_msg=name
-                )
-            assert ref.reward == got.reward
-            assert ref.compute_time_s == got.compute_time_s
-            assert ref.num_samples == got.num_samples
+            _assert_bit_equal(ref, got)
 
     @pytest.mark.parametrize(
         "mode_kwargs,rtol,atol",
@@ -305,8 +335,9 @@ class TestTapeParity:
     )
     def test_lossy_modes_tolerance_equal(self, tiny_dataset, mode_kwargs, rtol, atol):
         tasks = _make_tasks()
-        eager = _run_all(tasks, tiny_dataset, enabled=False)
-        got_all = _run_all(tasks, tiny_dataset, enabled=True, **mode_kwargs)
+        eager = _run_all(tasks, tiny_dataset, step=_run_eager_step)
+        got_all = _run_all(tasks, tiny_dataset, **mode_kwargs)
+        assert tape.stats().replays == 5
         for ref, got in zip(eager, got_all):
             for name in ref.gradients:
                 np.testing.assert_allclose(
@@ -322,8 +353,8 @@ class TestTapeParity:
                 )
 
     def test_float32_returns_float64_wire_dtypes(self, tiny_dataset):
-        tasks = _make_tasks(num_masks=1, repeats=2)
-        got = _run_all(tasks, tiny_dataset, enabled=True, compute_dtype="float32")
+        tasks = _make_tasks(num_masks=1, repeats=3)
+        got = _run_all(tasks, tiny_dataset, compute_dtype="float32")
         for update in got:
             for g in update.gradients.values():
                 assert g.dtype == np.float64
@@ -331,34 +362,194 @@ class TestTapeParity:
                 assert b.dtype == np.float64
 
     def test_shape_change_forces_recapture(self, tiny_dataset):
-        tape.configure(enabled=True)
-        compiled.reset_cache()
-        tape.reset_stats()
-        tasks = _make_tasks(num_masks=1, repeats=2)
-        for t in tasks:
-            run_local_step(t, tiny_dataset, 8, TINY)
+        tasks = _make_tasks(num_masks=1, repeats=3)
+        _run_all(tasks, tiny_dataset)
         assert tape.stats().snapshot() == {
+            "first_sightings": 1,
             "captures": 1,
             "replays": 1,
             "fallbacks": 0,
         }
-        # Same mask, different batch size -> different input shape ->
-        # a fresh capture keyed separately, never a stale replay.
-        small = run_local_step(tasks[0], tiny_dataset, 4, TINY)
-        assert tape.stats().snapshot()["captures"] == 2
-        assert small.num_samples == 4
-        tape.configure(enabled=False)
-        eager_small = run_local_step(tasks[0], tiny_dataset, 4, TINY)
-        for name in eager_small.gradients:
-            np.testing.assert_array_equal(
-                small.gradients[name], eager_small.gradients[name]
-            )
+        # Same mask, different batch size -> different input shape -> a
+        # separate key that starts at its own first sighting, never a
+        # stale replay.
+        for sighting in ("first_sightings", "captures", "replays"):
+            small = run_local_step(tasks[0], tiny_dataset, 4, TINY)
+            assert getattr(tape.stats(), sighting) == 2
+            assert small.num_samples == 4
+            _assert_bit_equal(_run_eager_step(tasks[0], tiny_dataset, 4, TINY), small)
 
-    def test_off_by_default(self):
-        assert not tape.enabled()
-        assert tape.compute_dtype() == np.float64
+    def test_always_on_with_float64_default(self):
+        assert tape.enabled()
+        assert tape.settings() == ("float64", False)
+        with pytest.raises(TypeError):
+            tape.configure(enabled=False)
 
 
+# ----------------------------------------------------------------------
+# Admission on the second sighting; byte-bounded retention
+# ----------------------------------------------------------------------
+
+
+class TestAdmission:
+    def test_sightings_one_two_three(self, tiny_dataset):
+        tasks = _make_tasks(num_masks=1, repeats=3)
+        eager = _run_all(tasks, tiny_dataset, step=_run_eager_step)
+        compiled.reset_cache()
+        tape.reset_stats()
+        expected = [
+            dict(first_sightings=1, captures=0, replays=0, graphs=0),
+            dict(first_sightings=1, captures=1, replays=0, graphs=1),
+            dict(first_sightings=1, captures=1, replays=1, graphs=1),
+        ]
+        for task, ref, want in zip(tasks, eager, expected):
+            _assert_bit_equal(ref, run_local_step(task, tiny_dataset, 8, TINY))
+            cm = _only_model()
+            graphs = want.pop("graphs")
+            assert tape.stats().snapshot() == dict(want, fallbacks=0)
+            assert len(cm.steps) == graphs
+            assert (cm.retained_bytes > 0) == bool(graphs)
+
+    def test_byte_estimate_tracks_what_retention_allocates(self, tiny_dataset):
+        first, second = _make_tasks(num_masks=1, repeats=2)
+        run_local_step(first, tiny_dataset, 8, TINY)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_local_step(second, tiny_dataset, 8, TINY)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        estimate = _only_model().retained_bytes
+        assert retained / 2 <= estimate <= retained * 2
+
+    def test_eviction_holds_the_budget_and_readmits(self, tiny_dataset, monkeypatch):
+        tasks = _make_tasks(num_masks=3, repeats=2)
+        eager = _run_all(tasks, tiny_dataset, step=_run_eager_step)
+        compiled.reset_cache()
+        tape.reset_stats()
+        run_local_step(tasks[0], tiny_dataset, 8, TINY)
+        run_local_step(tasks[3], tiny_dataset, 8, TINY)
+        cm = _only_model()
+        one_graph = cm.retained_bytes
+        # Room for two graphs of this size, not three.
+        monkeypatch.setattr(compiled, "_MAX_RETAINED_BYTES", int(2.5 * one_graph))
+        for task in tasks[1:3] + tasks[4:6]:
+            run_local_step(task, tiny_dataset, 8, TINY)
+        assert len(cm.steps) == 2
+        assert cm.retained_bytes <= compiled._MAX_RETAINED_BYTES
+        assert cm.retained_bytes == sum(nbytes for _, nbytes, _ in cm.steps.values())
+        evicted_key = (
+            (tasks[0].mask.normal, tasks[0].mask.reduce), (8, 3, 8, 8), False
+        )
+        assert evicted_key not in cm.steps and evicted_key not in cm.seen
+        # The evicted key starts over: dropped, then retained, then
+        # replayed — each bit-equal to the oracle.
+        for sighting in ("first_sightings", "captures", "replays"):
+            count = getattr(tape.stats(), sighting)
+            _assert_bit_equal(eager[0], run_local_step(tasks[0], tiny_dataset, 8, TINY))
+            assert getattr(tape.stats(), sighting) == count + 1
+        assert cm.retained_bytes <= compiled._MAX_RETAINED_BYTES
+
+    def test_newest_graph_is_kept_even_over_budget(self, tiny_dataset, monkeypatch):
+        monkeypatch.setattr(compiled, "_MAX_RETAINED_BYTES", 1)
+        tasks = _make_tasks(num_masks=2, repeats=3)
+        _run_all(tasks, tiny_dataset)
+        assert len(_only_model().steps) == 1
+        # A B | A+ B+(evicts A) | A(starts over) B(replays)
+        assert tape.stats().snapshot() == {
+            "first_sightings": 3,
+            "captures": 2,
+            "replays": 1,
+            "fallbacks": 0,
+        }
+
+    def test_5000_distinct_keys_leave_bounded_bookkeeping(self):
+        """A live policy adds one key per task forever; nothing may grow
+        with it.  (Synthetic keys: 5000 real captures would take minutes.)"""
+        cm = compiled._CompiledModel(TINY, np.dtype("float64"))
+        for i in range(5000):
+            cm.remember((("mask", i), (8, 3, 8, 8), False), i % 7 != 0)
+        assert len(cm.seen) == compiled._MAX_KEYS < 5000
+        assert len(cm.steps) == 0 and cm.retained_bytes == 0
+        assert not hasattr(cm, "mask_params") and not hasattr(cm, "uncapturable")
+
+    def test_uncapturable_key_is_remembered_and_runs_eagerly(
+        self, tiny_dataset, monkeypatch
+    ):
+        @contextlib.contextmanager
+        def refuse(entries):
+            raise tape.TapeUnsupported("refused")
+            yield
+
+        tasks = _make_tasks(num_masks=1, repeats=2)
+        eager = _run_all(tasks, tiny_dataset, step=_run_eager_step)
+        compiled.reset_cache()
+        tape.reset_stats()
+        monkeypatch.setattr(tape, "capturing", refuse)
+        for ref, task in zip(eager, tasks):
+            _assert_bit_equal(ref, run_local_step(task, tiny_dataset, 8, TINY))
+        cm = _only_model()
+        assert list(cm.seen.values()) == [False] and not cm.steps
+        assert tape.stats().snapshot() == {
+            "first_sightings": 0,
+            "captures": 0,
+            "replays": 0,
+            "fallbacks": 2,
+        }
+
+    def test_concurrent_threads_share_one_engine_safely(self, tiny_dataset):
+        """In-process worker daemons serve tasks from threads; the shared
+        model and the capture tape are process-global, so steps must not
+        interleave.  Four threads on two cores, 1e-5 s switch interval:
+        unguarded, updates lose gradient names within a few steps."""
+        tasks = _make_tasks(num_masks=3, repeats=12)
+        eager = _run_all(tasks, tiny_dataset, step=_run_eager_step)
+        compiled.reset_cache()
+        got = [None] * len(tasks)
+
+        def work(indices):
+            for i in indices:
+                got[i] = run_local_step(tasks[i], tiny_dataset, 8, TINY)
+
+        threads = [
+            threading.Thread(target=work, args=(range(k, len(tasks), 4),))
+            for k in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for ref, update in zip(eager, got):
+            _assert_bit_equal(ref, update)
+
+    def test_live_policy_default_config_retains_nothing(self):
+        from repro import ExperimentConfig, FederatedModelSearch
+
+        compiled.reset_cache()
+        tape.reset_stats()
+        pipeline = FederatedModelSearch(ExperimentConfig(seed=0, backend="serial"))
+        try:
+            for _ in range(3):
+                pipeline.server.run_round()
+        finally:
+            pipeline.close()
+        cm = _only_model()
+        assert len(cm.steps) == 0 and cm.retained_bytes == 0
+        assert tape.stats().snapshot() == {
+            "first_sightings": 30,
+            "captures": 0,
+            "replays": 0,
+            "fallbacks": 0,
+        }
 # ----------------------------------------------------------------------
 # Checkpoint -> resume: caches are derived state, rebuilt from scratch
 # ----------------------------------------------------------------------
@@ -384,8 +575,6 @@ def _make_server(seed=0):
 
 class TestTapeCheckpointResume:
     def test_resume_rebuilds_cache_and_matches_uninterrupted(self, tmp_path):
-        tape.configure(enabled=True)
-
         compiled.reset_cache()
         uninterrupted = _make_server()
         try:
@@ -412,9 +601,9 @@ class TestTapeCheckpointResume:
         finally:
             second.backend.close()
 
-        # The resumed half re-captured from scratch (caches were never
-        # serialized) yet the trajectory is bit-identical.
-        assert tape.stats().snapshot()["captures"] > 0
+        # The resumed half started from first sightings again (caches
+        # were never serialized) yet the trajectory is bit-identical.
+        assert tape.stats().first_sightings > 0
         np.testing.assert_array_equal(
             second.policy.alpha, uninterrupted.policy.alpha
         )
@@ -424,22 +613,25 @@ class TestTapeCheckpointResume:
         ):
             np.testing.assert_array_equal(p_a.data, p_b.data, err_msg=name)
 
-    def test_tape_on_off_search_bit_identical(self):
+    def test_tape_on_off_search_bit_identical(self, monkeypatch):
+        from repro.federated import participant
+
         eager_server = _make_server()
-        tape.configure(enabled=False)
-        compiled.reset_cache()
-        try:
-            eager_server.run(4)
-        finally:
-            eager_server.backend.close()
+        with monkeypatch.context() as patch:
+            patch.setattr(participant, "run_local_step", _run_eager_step)
+            try:
+                eager_server.run(4)
+            finally:
+                eager_server.backend.close()
 
         taped_server = _make_server()
-        tape.configure(enabled=True)
         compiled.reset_cache()
+        tape.reset_stats()
         try:
             taped_server.run(4)
         finally:
             taped_server.backend.close()
+        assert sum(tape.stats().snapshot().values()) == 12
 
         np.testing.assert_array_equal(
             eager_server.policy.alpha, taped_server.policy.alpha
@@ -449,3 +641,70 @@ class TestTapeCheckpointResume:
             taped_server.supernet.named_parameters(),
         ):
             np.testing.assert_array_equal(p_a.data, p_b.data, err_msg=name)
+
+
+# ----------------------------------------------------------------------
+# Numeric options travel as worker-init data, not through the environment
+# ----------------------------------------------------------------------
+
+
+class TestWorkerInitSettings:
+    def test_init_payload_carries_settings_and_tolerates_their_absence(self):
+        import pickle
+
+        from repro.transport import codec
+
+        payload = codec.encode_init([], TINY, tape_settings=("float32", True))
+        assert codec.decode_init(payload)[3] == ("float32", True)
+        # a server from before the keys existed
+        old = pickle.dumps({"specs": [], "supernet_config": TINY})
+        assert codec.decode_init(old)[3] == ("float64", False)
+        with pytest.raises(codec.ProtocolError):
+            codec.decode_init(codec.encode_init([], TINY, tape_settings=("float16", False)))
+
+    def test_process_worker_applies_initargs(self):
+        from repro.federated import executor
+
+        try:
+            executor._init_worker([], TINY, None, None, ("float32", True))
+            assert tape.settings() == ("float32", True)
+        finally:
+            executor._WORKER_STATE.clear()
+
+    def test_env_free_socket_worker_computes_in_the_servers_dtype(self, tiny_dataset):
+        from repro.transport import SocketBackend
+
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--idle-timeout", "60"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+        )
+        try:
+            _, host, port = worker.stdout.readline().split()
+            participants = [
+                Participant(0, tiny_dataset, batch_size=8, rng=np.random.default_rng(0)),
+                Participant(1, tiny_dataset, batch_size=8, rng=np.random.default_rng(1)),
+            ]
+            tasks = _make_tasks(num_masks=1, repeats=2)
+            tape.configure(compute_dtype="float32")
+            backend = SocketBackend(participants, TINY, workers=[f"{host}:{port}"])
+            try:
+                remote = [r.update for r in backend.run_tasks(tasks)]
+            finally:
+                backend.close()
+            local = _run_all(tasks, tiny_dataset, compute_dtype="float32")
+            for ref, got in zip(local, remote):
+                _assert_bit_equal(ref, got)
+            # ...and float32 is visibly not the float64 reference.
+            reference = _run_all(tasks[:1], tiny_dataset, step=_run_eager_step)[0]
+            assert any(
+                not np.array_equal(reference.gradients[n], remote[0].gradients[n])
+                for n in reference.gradients
+            )
+        finally:
+            worker.kill()
+            worker.wait(timeout=10)
+            worker.stdout.close()
