@@ -18,7 +18,9 @@ a given (mask, input shape, dtype) is identical every time — so:
   the shared model under :func:`repro.nn.tape.capturing`.  The first
   sighting drops its graph and remembers only the key — a live policy
   almost never repeats a mask, and one default-config graph is
-  110-190 MB.  The second sighting retains the graph as a
+  75-120 MiB (activations and the forward windows convs keep for dW;
+  backward's scratch is the thread's workspace, not the graph's).  The
+  second sighting retains the graph as a
   :class:`~repro.nn.tape.CompiledStep`; later ones replay it with zero
   graph construction.
 * **The cache is bounded by bytes.**  Retained graphs are LRU within
@@ -61,7 +63,8 @@ from .participant import (
 
 __all__ = ["run_compiled_step", "reset_cache"]
 
-#: Bytes one model's retained graphs may hold (three at the default config).
+#: Bytes one model's retained graphs may hold (four to six at the default
+#: config, 75-120 MiB each).
 _MAX_RETAINED_BYTES = 512 * 2**20
 
 #: Keys remembered per model without a graph; a live policy adds one a task.
@@ -147,7 +150,10 @@ _MODELS: Dict[Tuple, _CompiledModel] = {}
 
 #: One step at a time per process: the shared model and the capture tape
 #: (``repro.nn.tensor._TAPE``) are process-global, and in-process worker
-#: daemons (tests, examples) serve tasks from threads.
+#: daemons (tests, examples) serve tasks from threads.  Held by
+#: :func:`~repro.federated.participant.run_local_step` across the compiled
+#: step *and* its eager fallback — an eager op run while another thread
+#: captures would append its thunks to that thread's tape.
 _STEP_LOCK = threading.Lock()
 
 
@@ -175,119 +181,119 @@ def run_compiled_step(
     """Run one :class:`LocalStepTask` through the compiled engine.
 
     Returns ``None`` when the step's key is uncapturable — the caller
-    (:func:`~repro.federated.participant.run_local_step`) then runs the
-    eager step, which is always correct.
+    (:func:`~repro.federated.participant.run_local_step`, which holds
+    :data:`_STEP_LOCK` around this call) then runs the eager step, which
+    is always correct.
     """
     span = recorder.span if recorder is not None else null_span
-    with _STEP_LOCK:
-        dtype, fusion = tape.settings()
-        stats = tape.stats()
-        cm = _model_for(supernet_config, dtype)
+    dtype, fusion = tape.settings()
+    stats = tape.stats()
+    cm = _model_for(supernet_config, dtype)
 
-        with span("build"):
-            # Equivalent to ``cm.model.apply_state(task.state)`` without the
-            # per-step module-tree walk: every target array is stable and
-            # written in place.
-            targets = cm.targets
-            state = task.state
-            for name, value in state.items():
-                targets[name][...] = value
-            loader = DataLoader(
-                dataset,
-                batch_size=min(batch_size, len(dataset)),
-                transform=transform,
-                rng=np.random.default_rng(task.batch_seed),
-            )
-            x, y = loader.sample_batch()
-
-        x_arr = np.asarray(x, dtype=dtype)
-        key = ((task.mask.normal, task.mask.reduce), x_arr.shape, fusion)
-        retained = cm.steps.get(key)
-        if retained is None and cm.seen.get(key) is False:
-            stats.fallbacks += 1
-            if recorder is not None:
-                recorder.meta["tape"] = {"outcome": "fallback"}
-            return None
-
-        step = None
-        try:
-            if retained is not None:
-                step, _, num_params = retained
-                cm.steps.move_to_end(key)
-                profile = None
-                if recorder is not None and recorder.profiler is not None:
-                    profile = recorder.profiler.stats
-                with span("forward"):
-                    logits = step.replay_forward(x_arr, profile=profile)
-                    loss = nn.functional.cross_entropy(logits, y)
-                with span("backward"):
-                    step.replay_backward(loss)
-                stats.replays += 1
-                meta = {"outcome": "replayed"}
-            else:
-                # Capture: run eagerly with recording on.  The capture step's
-                # own update is already bit-identical to eager — the tape only
-                # observes.
-                x_t = nn.Tensor(x_arr)
-                entries: List = []
-                with span("forward"):
-                    try:
-                        with tape.capturing(entries):
-                            logits = cm.model(x_t, task.mask)
-                    except TapeUnsupported:
-                        cm.remember(key, False)
-                        stats.fallbacks += 1
-                        if recorder is not None:
-                            recorder.meta["tape"] = {"outcome": "fallback"}
-                        return None
-                    loss = nn.functional.cross_entropy(logits, y)
-                named_ids = {id(param): (name, param) for name, param in cm.named}
-                grad_view = cm.arena.grad_view if cm.arena is not None else None
-                step = CompiledStep(
-                    x_t, logits, entries, named_params=named_ids, grad_view=grad_view
-                )
-                with span("backward"):
-                    loss.backward()
-                # Drives the simulated compute time; must match
-                # ``submodel.num_parameters()``.
-                num_params = sum(p.data.size for name, p in cm.named if name in state)
-                if cm.seen.pop(key, False):
-                    evicted = cm.admit(key, step, num_params)
-                    stats.captures += 1
-                    meta = {"outcome": "admitted", "evicted": evicted}
-                else:
-                    # First sighting: the graph dies with this call.
-                    cm.remember(key, True)
-                    stats.first_sightings += 1
-                    meta = {"outcome": "first_sighting"}
-
-            with span("pack"):
-                gradients: Dict[str, np.ndarray] = {}
-                # A step only ever populates its own parameter leaves (a
-                # strict subset of the full supernet), so packing walks
-                # exactly those.
-                for name, param in step.param_leaves:
-                    if name in state and param.grad is not None:
-                        gradients[name] = np.array(param.grad, dtype=np.float64)
-                buffers: Dict[str, np.ndarray] = {}
-                for name, value in cm.named_buffers:
-                    if name in state:
-                        buffers[name] = np.array(value, dtype=np.float64, copy=True)
-                reward = batch_accuracy(logits, y)
-        finally:
-            if step is not None:
-                for _, param in step.param_leaves:
-                    param.grad = None
-
-        if recorder is not None:
-            meta["retained_graphs"] = len(cm.steps)
-            meta["retained_mb"] = round(cm.retained_bytes / 2**20, 1)
-            recorder.meta["tape"] = meta
-        return ParticipantUpdate(
-            participant_id=task.participant_id,
-            gradients=gradients,
-            reward=reward,
-            num_samples=len(y),
-            compute_time_s=device.train_time(num_params, len(y)),
-            buffers=buffers,
+    with span("build"):
+        # Equivalent to ``cm.model.apply_state(task.state)`` without the
+        # per-step module-tree walk: every target array is stable and
+        # written in place.
+        targets = cm.targets
+        state = task.state
+        for name, value in state.items():
+            targets[name][...] = value
+        loader = DataLoader(
+            dataset,
+            batch_size=min(batch_size, len(dataset)),
+            transform=transform,
+            rng=np.random.default_rng(task.batch_seed),
         )
+        x, y = loader.sample_batch()
+
+    x_arr = np.asarray(x, dtype=dtype)
+    key = ((task.mask.normal, task.mask.reduce), x_arr.shape, fusion)
+    retained = cm.steps.get(key)
+    if retained is None and cm.seen.get(key) is False:
+        stats.fallbacks += 1
+        if recorder is not None:
+            recorder.meta["tape"] = {"outcome": "fallback"}
+        return None
+
+    step = None
+    try:
+        if retained is not None:
+            step, _, num_params = retained
+            cm.steps.move_to_end(key)
+            profile = None
+            if recorder is not None and recorder.profiler is not None:
+                profile = recorder.profiler.stats
+            with span("forward"):
+                logits = step.replay_forward(x_arr, profile=profile)
+                loss = nn.functional.cross_entropy(logits, y)
+            with span("backward"):
+                step.replay_backward(loss)
+            stats.replays += 1
+            meta = {"outcome": "replayed"}
+        else:
+            # Capture: run eagerly with recording on.  The capture step's
+            # own update is already bit-identical to eager — the tape only
+            # observes.
+            x_t = nn.Tensor(x_arr)
+            entries: List = []
+            with span("forward"):
+                try:
+                    with tape.capturing(entries):
+                        logits = cm.model(x_t, task.mask)
+                except TapeUnsupported:
+                    cm.remember(key, False)
+                    stats.fallbacks += 1
+                    if recorder is not None:
+                        recorder.meta["tape"] = {"outcome": "fallback"}
+                    return None
+                loss = nn.functional.cross_entropy(logits, y)
+            named_ids = {id(param): (name, param) for name, param in cm.named}
+            grad_view = cm.arena.grad_view if cm.arena is not None else None
+            step = CompiledStep(
+                x_t, logits, entries, named_params=named_ids, grad_view=grad_view
+            )
+            with span("backward"):
+                loss.backward()
+            # Drives the simulated compute time; must match
+            # ``submodel.num_parameters()``.
+            num_params = sum(p.data.size for name, p in cm.named if name in state)
+            if cm.seen.pop(key, False):
+                evicted = cm.admit(key, step, num_params)
+                stats.captures += 1
+                meta = {"outcome": "admitted", "evicted": evicted}
+            else:
+                # First sighting: the graph dies with this call.
+                cm.remember(key, True)
+                stats.first_sightings += 1
+                meta = {"outcome": "first_sighting"}
+
+        with span("pack"):
+            gradients: Dict[str, np.ndarray] = {}
+            # A step only ever populates its own parameter leaves (a
+            # strict subset of the full supernet), so packing walks
+            # exactly those.
+            for name, param in step.param_leaves:
+                if name in state and param.grad is not None:
+                    gradients[name] = np.array(param.grad, dtype=np.float64)
+            buffers: Dict[str, np.ndarray] = {}
+            for name, value in cm.named_buffers:
+                if name in state:
+                    buffers[name] = np.array(value, dtype=np.float64, copy=True)
+            reward = batch_accuracy(logits, y)
+    finally:
+        if step is not None:
+            for _, param in step.param_leaves:
+                param.grad = None
+
+    if recorder is not None:
+        meta["retained_graphs"] = len(cm.steps)
+        meta["retained_mb"] = round(cm.retained_bytes / 2**20, 1)
+        recorder.meta["tape"] = meta
+    return ParticipantUpdate(
+        participant_id=task.participant_id,
+        gradients=gradients,
+        reward=reward,
+        num_samples=len(y),
+        compute_time_s=device.train_time(num_params, len(y)),
+        buffers=buffers,
+    )

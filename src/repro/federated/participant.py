@@ -195,11 +195,12 @@ def run_local_step(
     bit-identical to :func:`_run_eager_step` in float64 — and by the
     eager step itself for a key the tape cannot capture.
     """
-    from .compiled import run_compiled_step
+    from .compiled import _STEP_LOCK, run_compiled_step
 
     args = (task, dataset, batch_size, supernet_config, transform, device, recorder)
-    update = run_compiled_step(*args)
-    return update if update is not None else _run_eager_step(*args)
+    with _STEP_LOCK:
+        update = run_compiled_step(*args)
+        return update if update is not None else _run_eager_step(*args)
 
 
 def _run_eager_step(

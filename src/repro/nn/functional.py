@@ -11,6 +11,8 @@ implementation: ``(batch, channels, height, width)``.
 
 from __future__ import annotations
 
+import math
+import threading
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -132,6 +134,37 @@ def _plan_einsum2(equation: str, a: np.ndarray, b: np.ndarray):
     return ("path", path, False)
 
 
+#: Per-thread scratch, one attribute per slot: ``[flat uint8 buffer,
+#: (shape, dtype, zeros) of its last user]``.
+_WORKSPACE = threading.local()
+
+
+def _scratch(slot: str, shape: Tuple[int, ...], dtype, zeros: Optional[tuple] = None) -> np.ndarray:
+    """A ``shape``/``dtype`` view of this thread's buffer ``slot``, for
+    arrays that are dead when the requesting forward or backward call
+    returns.  A slot is one flat buffer grown to its largest request — a
+    pool keyed by shape would keep the union of all shapes resident.
+
+    Contents are arbitrary unless ``zeros`` names the positions the
+    caller is about to overwrite: every other position then reads zero,
+    cleared only when the slot's last user differed in shape, dtype or
+    ``zeros``.  A view must never reach ``Tensor._accumulate``, which
+    borrows by reference; per thread because in-process worker daemons
+    run ops from several threads.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    slots = vars(_WORKSPACE)
+    entry = slots.get(slot)
+    if entry is None or entry[0].nbytes < nbytes:
+        entry = slots[slot] = [np.empty(nbytes, dtype=np.uint8), None]
+    view = entry[0][:nbytes].view(dtype).reshape(shape)
+    user = None if zeros is None else (shape, dtype, zeros)
+    if user is not None and entry[1] != user:
+        view[...] = 0
+    entry[1] = user
+    return view
+
+
 def _extract_windows(
     x: np.ndarray,
     kernel: Tuple[int, int],
@@ -146,8 +179,8 @@ def _extract_windows(
     from KH*KW strided slice copies into a preallocated array — faster
     (and bit-identical to) the 6-D ``sliding_window_view`` transpose
     copy (:func:`_extract_windows_view`, kept for equivalence testing).
-    ``out``, when given, is reused as the destination (tape replays
-    recycle one scratch array instead of allocating per step).
+    ``out``, when given, is reused as the destination (a retained
+    array or a :func:`_scratch` view instead of an allocation per step).
     """
     n, c = x.shape[:2]
     kh, kw = kernel
@@ -248,13 +281,14 @@ def _conv_dx(
     Equivalent to ``_scatter_windows(<dX cols>)`` (the reference kept
     above for equivalence testing) up to floating-point reduction order.
 
-    ``bufs``, when given, is a per-call-site scratch dict: the stuffed /
-    cols / GEMM arrays are allocated into it on first use and reused on
-    later calls (tape replays invoke the same retained closure every
-    step).  Values are fully rewritten each call — only positions that
-    are zero on *every* call are skipped — so reuse never changes bits.
-    The returned array aliases the scratch; callers must consume it
-    before the next call (the backward walk does).
+    The zero-stuffed gradient and its im2col (9-25x the activation) are
+    dead once the GEMM has run and live in :func:`_scratch`.  ``bufs``,
+    when given, is a per-call-site dict for the result arrays only
+    (``gx``/``out``, 1x the activation): allocated on first use, reused
+    on later calls (tape replays invoke the same retained closure every
+    step) and rewritten wherever any call is non-zero, so reuse never
+    changes bits.  ``Tensor._accumulate`` may borrow the returned array;
+    callers must consume it before the next call (the backward walk does).
     """
     n, oc, oh, ow = grad.shape
     _, c, hp, wp = x_pad_shape
@@ -266,23 +300,22 @@ def _conv_dx(
     if bufs is None:
         bufs = {}
     # Zero-stuffed gradient, padded by the dilated kernel extent.  The
-    # zeros between strided taps never change across calls.
+    # zeros between strided taps survive calls with the same geometry.
     gh = sh * (oh - 1) + 1
     gw_ = sw * (ow - 1) + 1
-    stuffed = bufs.get("stuffed")
-    if stuffed is None:
-        stuffed = bufs["stuffed"] = np.zeros(
-            (n, oc, gh + 2 * (eh - 1), gw_ + 2 * (ew - 1)), dtype=grad.dtype
-        )
+    stuffed = _scratch(
+        "stuffed", (n, oc, gh + 2 * (eh - 1), gw_ + 2 * (ew - 1)), grad.dtype,
+        zeros=(eh, ew, sh, sw),
+    )
     stuffed[:, :, eh - 1 : eh - 1 + gh : sh, ew - 1 : ew - 1 + gw_ : sw] = grad
     # Rows/cols of the padded input beyond the last window tap receive
     # no gradient; compute the covered region and zero-fill the rest.
     ch = gh + eh - 1
     cw = gw_ + ew - 1
     cols = _extract_windows(
-        stuffed, (kh, kw), (1, 1), dilation, (ch, cw), out=bufs.get("cols")
+        stuffed, (kh, kw), (1, 1), dilation, (ch, cw),
+        out=_scratch("cols", (n, oc, kh, kw, ch, cw), grad.dtype),
     )
-    bufs["cols"] = cols
     cols_r = cols.reshape(n, groups, ocg * kh * kw, ch * cw)
     # (G, C/G, OC/G * KH * KW): weights flipped along both spatial axes,
     # grouped with input channels as the output of the transposed conv.
@@ -345,7 +378,7 @@ def conv2d(
         out = out + bias.data.reshape(1, oc, 1, 1)
 
     parents = (x_pad, weight) if bias is None else (x_pad, weight, bias)
-    # Scratch buffers reused across calls of the retained closures (tape
+    # dX result buffers reused across calls of the retained closure (tape
     # replays); eager closures run once, so this is a no-op for them.
     _bw: dict = {}
 
@@ -412,22 +445,29 @@ def max_pool2d(
     ph, pw = padding
     pads = [(0, 0), (0, 0), (ph, ph), (pw, pw)]
     x_pad = np.pad(x.data, pads, constant_values=-np.inf)
-    cols = _extract_windows(x_pad, kernel, stride, (1, 1), (oh, ow))
-    flat = cols.reshape(n, c, kernel[0] * kernel[1], oh, ow)
-    arg = flat.argmax(axis=2)
-    out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+    taps = kernel[0] * kernel[1]
+    arg = None
 
+    def forward() -> np.ndarray:
+        # Backward reads only each window's winning tap: windows are scratch.
+        nonlocal arg
+        cols = _extract_windows(
+            x_pad, kernel, stride, (1, 1), (oh, ow),
+            out=_scratch("cols", (n, c) + kernel + (oh, ow), x_pad.dtype),
+        )
+        flat = cols.reshape(n, c, taps, oh, ow)
+        arg = flat.argmax(axis=2)
+        return np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+
+    out = forward()
     _bw: dict = {}
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        gflat = _bw.get("gflat")
-        if gflat is None:
-            gflat = _bw["gflat"] = np.zeros_like(flat)
-        else:
-            # Winning positions change between replays: reset the scatter.
-            gflat[...] = 0.0
+        # Winning positions change between replays: reset the scatter.
+        gflat = _scratch("gflat", (n, c, taps, oh, ow), grad.dtype)
+        gflat[...] = 0.0
         np.put_along_axis(gflat, arg[:, :, None], grad[:, :, None], axis=2)
         gcols = gflat.reshape(n, c, kernel[0], kernel[1], oh, ow)
         gx_pad = _scatter_windows(
@@ -439,21 +479,11 @@ def max_pool2d(
 
     out_t = Tensor._make(out, (x,), backward)
     if _ag._TAPE is not None:
-        # The -inf border of the padded array never changes: replays
-        # reuse the captured pad buffer and rewrite only the interior.
-        _rp: dict = {"x_pad": x_pad}
 
         def replay() -> None:
-            nonlocal x_pad, flat, arg
-            x_pad = _rp["x_pad"]
+            # The -inf border of the captured pad buffer never changes.
             x_pad[:, :, ph : ph + h, pw : pw + w] = x.data
-            cols2 = _extract_windows(
-                x_pad, kernel, stride, (1, 1), (oh, ow), out=_rp.get("cols")
-            )
-            _rp["cols"] = cols2
-            flat = cols2.reshape(n, c, kernel[0] * kernel[1], oh, ow)
-            arg = flat.argmax(axis=2)
-            out_t.data = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+            out_t.data = forward()
 
         _ag._TAPE.append(("max_pool2d", replay))
     return out_t
@@ -709,7 +739,7 @@ def conv_bn_relu(x: Tensor, conv, bn, with_relu: bool = True) -> Tensor:
     # Saved forward state, refreshed in place on every replay so the
     # retained backward closure always reads current values.
     sv: dict = {}
-    # Scratch reused across calls of the retained closures (replays).
+    # dX result buffers reused across calls of the retained closure.
     _bw: dict = {}
 
     def _fwd() -> np.ndarray:

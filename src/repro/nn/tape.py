@@ -256,8 +256,11 @@ class CompiledStep:
     def retained_bytes(self) -> int:
         """Bytes this graph keeps alive: the distinct ndarray buffers
         behind every node's ``.data`` and ``_grad_buf`` and whatever its
-        backward closure holds (saved activations, scratch dicts).  Call
-        after the capture step's backward, which fills the scratch."""
+        backward closure holds (saved activations, forward windows, dX
+        result buffers).  Backward's large scratch is the thread's
+        workspace (:func:`repro.nn.functional._scratch`), not the
+        graph's; only the 1x-activation result buffers (~15 % of a
+        default-config graph) are allocated by the first backward."""
         owners: Dict[int, int] = {}
 
         def visit(obj) -> None:

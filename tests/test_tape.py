@@ -8,6 +8,11 @@ The contract under test, in order of appearance:
 * the conv2d backward contraction fast paths — ``_conv_dx`` and the
   cached dW executor — agree with the window-algebra reference
   implementations across the kernel/stride/dilation/groups grid;
+* conv/pool scratch lives in one per-thread workspace: interleaved
+  geometries never see each other's stale values, threads never see
+  each other's buffers, no view of it reaches ``Tensor._accumulate``,
+  and no retained closure holds more than its own activations — which
+  bounds a default-config first sighting's peak memory;
 * every float64 step of the engine — first sighting, admission, replay
   — is **bit-identical** to the eager oracle for a sweep of sampled
   controller masks (gradients, buffers, reward, simulated compute
@@ -50,6 +55,7 @@ from repro.nn.functional import (
     _extract_windows,
     _extract_windows_view,
     _scatter_windows,
+    _scratch,
 )
 from repro.search_space import Supernet, SupernetConfig
 
@@ -199,6 +205,10 @@ class TestConvBackwardGrid:
     def test_conv_dx_buffer_reuse_is_stable(
         self, kernel, stride, padding, dilation, groups
     ):
+        """The stale-zero hazard: ``_conv_dx`` writes only the strided
+        taps of its zero-stuffed gradient, so a different geometry run
+        through the shared workspace in between must not leave values
+        where this one expects zeros."""
         _, x_pad, weight, grad, _ = self._setup(
             kernel, stride, padding, dilation, groups
         )
@@ -206,13 +216,14 @@ class TestConvBackwardGrid:
         first = np.array(
             _conv_dx(grad, weight, x_pad.shape, stride, dilation, groups, bufs=bufs)
         )
-        # Second call with different data through the same scratch dict.
-        _, x_pad2, weight2, grad2, _ = self._setup(
-            kernel, stride, padding, dilation, groups, seed=1
-        )
-        _conv_dx(grad2, weight2, x_pad2.shape, stride, dilation, groups, bufs=bufs)
-        # Third call back with the original data must reproduce call one
-        # bit for bit — scratch reuse may never leak state.
+        # A different (kernel, stride, dilation) pattern and different
+        # data through the same workspace ...
+        here = GRID.index((kernel, stride, padding, dilation, groups))
+        other = GRID[(here + 1) % len(GRID)]
+        _, x_pad2, weight2, grad2, _ = self._setup(*other, seed=1)
+        _conv_dx(grad2, weight2, x_pad2.shape, other[1], other[3], other[4])
+        # ... then the original call again, into the same result buffers,
+        # must reproduce call one bit for bit.
         again = np.asarray(
             _conv_dx(grad, weight, x_pad.shape, stride, dilation, groups, bufs=bufs)
         )
@@ -249,6 +260,187 @@ class TestConvBackwardGrid:
         h, w = x.shape[2:]
         dx_ref = dx_pad_ref[:, :, ph : ph + h, pw : pw + w]
         np.testing.assert_allclose(xt.grad, dx_ref, rtol=1e-12, atol=1e-12)
+
+
+def _race(threads):
+    """Start and join ``threads`` under a 1e-5 s switch interval, so
+    unguarded shared state is hit within a few steps."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def _conv_roundtrip(shape, kernel, stride, seed):
+    """conv2d -> max_pool2d forward + backward; returns (out, dx, dw)."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    w = Tensor(rng.standard_normal((6, shape[1]) + kernel), requires_grad=True)
+    y = nn.functional.conv2d(x, w, stride=stride, padding=kernel[0] // 2)
+    out = nn.functional.max_pool2d(y, 3, stride=1, padding=1)
+    out.backward(rng.standard_normal(out.shape))
+    return out.data, x.grad, w.grad
+
+
+class TestConvWorkspace:
+    def test_threads_with_different_shapes_equal_serial(self):
+        """The workspace is per thread: two threads pushing different
+        geometries through conv2d/max_pool2d forward + backward at once
+        compute what each computes alone."""
+        jobs = [((4, 3, 12, 12), (3, 3), 1), ((2, 5, 9, 9), (5, 5), 2)]
+        rounds = 25
+        serial = [
+            [_conv_roundtrip(*job, seed=r) for r in range(rounds)] for job in jobs
+        ]
+        got = [None] * len(jobs)
+
+        def work(k):
+            got[k] = [_conv_roundtrip(*jobs[k], seed=r) for r in range(rounds)]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        _race(threads)
+        for want_rounds, got_rounds in zip(serial, got):
+            for want, have in zip(want_rounds, got_rounds):
+                for a, b in zip(want, have):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_slot_is_one_flat_buffer_viewed_at_each_shape(self):
+        big = _scratch("test-slot", (4, 6), np.float64, zeros=("a",))
+        assert not big.any()
+        big[...] = 1.0
+        small = _scratch("test-slot", (3, 2), np.float32)
+        assert np.shares_memory(small, big) and small.dtype == np.float32
+        # Same user as the first call, but the slot was scribbled on since.
+        assert not _scratch("test-slot", (4, 6), np.float64, zeros=("a",)).any()
+        grown = _scratch("test-slot", (5, 6), np.float64)
+        assert not np.shares_memory(grown, big)
+
+
+@pytest.fixture(scope="module")
+def default_step():
+    """``run()`` executes one fixed-seed default-config local step (the
+    paper's K = 10 setting: 16x16 images, batch 16, 6 channels)."""
+    from repro import ExperimentConfig, FederatedModelSearch
+
+    pipeline = FederatedModelSearch(ExperimentConfig(seed=0, backend="serial"))
+    try:
+        config = pipeline.config.supernet_config()
+        member = pipeline.participants[0]
+        mask = pipeline.policy.sample_mask()
+        state = {
+            name: np.array(value)
+            for name, value in pipeline.supernet.submodel_state(mask).items()
+        }
+    finally:
+        pipeline.close()
+    task = LocalStepTask(
+        participant_id=0, round_index=0, mask=mask, state=state, batch_seed=123
+    )
+
+    def run():
+        return run_local_step(
+            task, member.dataset, member.loader.batch_size, config,
+            transform=member.loader.transform, device=member.device,
+        )
+
+    return run
+
+
+def _closure_arrays(fn):
+    """name -> ndarrays ``fn``'s closure cells hold, directly or in a
+    container (tensors are graph nodes of their own; only the padded
+    input's array counts here)."""
+    found = {}
+
+    def visit(name, obj):
+        if isinstance(obj, Tensor) and name == "x_pad":
+            obj = obj.data
+        if isinstance(obj, np.ndarray):
+            found.setdefault(name, []).append(obj)
+        elif isinstance(obj, (dict, list, tuple)):
+            for item in obj.values() if isinstance(obj, dict) else obj:
+                visit(name, item)
+
+    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+        try:
+            visit(name, cell.cell_contents)
+        except ValueError:  # a nonlocal not bound yet
+            pass
+    return found
+
+
+def _owner_nbytes(array):
+    return (array.base if isinstance(array.base, np.ndarray) else array).nbytes
+
+
+class TestDefaultConfigStepMemory:
+    def test_first_sighting_peak_and_retained_estimate(self, default_step):
+        """Fails at the parent of PR 17 (traced peak 235 MiB): backward's
+        stuffed/im2col scratch was parked in every conv closure."""
+        compiled.reset_cache()
+        vars(nn.functional._WORKSPACE).clear()  # cold workspace: worst case
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            default_step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            default_step()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert tape.stats().snapshot() == {
+            "first_sightings": 1, "captures": 1, "replays": 0, "fallbacks": 0,
+        }
+        assert peak <= 160 * 2**20, f"first-sighting peak {peak / 2**20:.1f} MiB"
+        estimate = _only_model().retained_bytes
+        assert retained / 2 <= estimate <= retained * 2
+
+    def test_no_closure_retains_scratch(self, default_step, monkeypatch):
+        """No conv/pool backward closure of a retained graph holds an
+        array larger than its own padded input — bar the forward
+        windows a conv keeps for dW — and nothing a closure holds, or
+        ``_accumulate`` is handed, is a view of the workspace."""
+        accumulate = Tensor._accumulate
+        workspace = vars(nn.functional._WORKSPACE)
+
+        def in_workspace(array):
+            return any(np.may_share_memory(array, buf) for buf, _ in workspace.values())
+
+        def checked(self, grad):
+            assert not in_workspace(grad)
+            accumulate(self, grad)
+
+        monkeypatch.setattr(Tensor, "_accumulate", checked)
+        compiled.reset_cache()
+        default_step()
+        default_step()
+        ((step, _, _),) = _only_model().steps.values()
+        assert set(workspace) == {"stuffed", "cols", "gflat"}
+        seen = set()
+        for node in step._nodes:
+            op = getattr(node._backward, "__qualname__", "").split(".")[0]
+            if op not in ("conv2d", "max_pool2d", "avg_pool2d"):
+                continue
+            seen.add(op)
+            held = _closure_arrays(node._backward)
+            limit = max(_owner_nbytes(a) for a in held["x_pad"])
+            for name, arrays in held.items():
+                for array in arrays:
+                    assert not in_workspace(array), (op, name)
+                    if name != "cols_r":
+                        assert _owner_nbytes(array) <= limit, (op, name, array.shape)
+        assert seen == {"conv2d", "max_pool2d", "avg_pool2d"}
 
 
 # ----------------------------------------------------------------------
@@ -518,17 +710,46 @@ class TestAdmission:
             threading.Thread(target=work, args=(range(k, len(tasks), 4),))
             for k in range(4)
         ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        _race(threads)
         for ref, update in zip(eager, got):
+            _assert_bit_equal(ref, update)
+
+    def test_eager_fallback_does_not_leak_into_another_threads_capture(
+        self, tiny_dataset, monkeypatch
+    ):
+        """The capture tape is process-global: an uncapturable key's eager
+        step on one thread must not run while another thread captures, or
+        its ops land on that tape and its own loss raises
+        ``TapeUnsupported``.  One thread of first sightings (every step
+        under capture), one of fallbacks, 1e-5 s switch interval."""
+        @contextlib.contextmanager
+        def refuse(entries):
+            raise tape.TapeUnsupported("refused")
+            yield
+
+        fallback, *captured = _make_tasks(num_masks=13, repeats=1)
+        eager = _run_all([fallback] + captured, tiny_dataset, step=_run_eager_step)
+        compiled.reset_cache()
+        tape.reset_stats()
+        with monkeypatch.context() as patch:
+            patch.setattr(tape, "capturing", refuse)
+            run_local_step(fallback, tiny_dataset, 8, TINY)  # remembered
+        jobs = [[fallback] * len(captured), captured]
+        got = [[], []]
+
+        def work(k):
+            for task in jobs[k]:
+                got[k].append(run_local_step(task, tiny_dataset, 8, TINY))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        _race(threads)
+        assert tape.stats().snapshot() == {
+            "first_sightings": 12, "captures": 0, "replays": 0, "fallbacks": 13,
+        }
+        assert len(got[0]) == len(got[1]) == 12
+        for update in got[0]:
+            _assert_bit_equal(eager[0], update)
+        for ref, update in zip(eager[1:], got[1]):
             _assert_bit_equal(ref, update)
 
     def test_live_policy_default_config_retains_nothing(self):
