@@ -16,13 +16,15 @@ a given (mask, input shape, dtype) is identical every time — so:
 * **A graph is admitted on the second sighting of its key.**  A step
   whose (mask, input shape, fusion) key has no retained graph runs on
   the shared model under :func:`repro.nn.tape.capturing`.  The first
-  sighting drops its graph and remembers only the key — a live policy
-  almost never repeats a mask, and one default-config graph is
-  75-120 MiB (activations and the forward windows convs keep for dW;
-  backward's scratch is the thread's workspace, not the graph's).  The
-  second sighting retains the graph as a
-  :class:`~repro.nn.tape.CompiledStep`; later ones replay it with zero
-  graph construction.
+  sighting keeps nothing but the key — a live policy almost never
+  repeats a mask, and one default-config graph is 55-75 MiB
+  (activations and each conv's padded input; im2col windows live in the
+  thread's workspace, one sub-batch at a time, never in a graph).  It
+  builds no :class:`~repro.nn.tape.CompiledStep`, drops its tape
+  entries before backward, and backward releases each node as it walks,
+  so its peak is 25-40 MiB, not the graph.  The second sighting retains
+  the graph as a ``CompiledStep``; later ones replay it with zero graph
+  construction.
 * **The cache is bounded by bytes.**  Retained graphs are LRU within
   :data:`_MAX_RETAINED_BYTES` (the newest is always kept); an evicted
   key starts over at its first sighting.  Keys without a graph — seen
@@ -63,8 +65,8 @@ from .participant import (
 
 __all__ = ["run_compiled_step", "reset_cache"]
 
-#: Bytes one model's retained graphs may hold (four to six at the default
-#: config, 75-120 MiB each).
+#: Bytes one model's retained graphs may hold (seven to nine at the
+#: default config, 55-75 MiB each).
 _MAX_RETAINED_BYTES = 512 * 2**20
 
 #: Keys remembered per model without a graph; a live policy adds one a task.
@@ -215,10 +217,14 @@ def run_compiled_step(
             recorder.meta["tape"] = {"outcome": "fallback"}
         return None
 
-    step = None
+    # The parameters this step may leave a gradient on: a retained graph
+    # knows its own; a first sighting builds no graph record, so every
+    # named parameter is a candidate.
+    leaves = cm.named
     try:
         if retained is not None:
             step, _, num_params = retained
+            leaves = step.param_leaves
             cm.steps.move_to_end(key)
             profile = None
             if recorder is not None and recorder.profiler is not None:
@@ -247,32 +253,35 @@ def run_compiled_step(
                         recorder.meta["tape"] = {"outcome": "fallback"}
                     return None
                 loss = nn.functional.cross_entropy(logits, y)
-            named_ids = {id(param): (name, param) for name, param in cm.named}
-            grad_view = cm.arena.grad_view if cm.arena is not None else None
-            step = CompiledStep(
-                x_t, logits, entries, named_params=named_ids, grad_view=grad_view
-            )
-            with span("backward"):
-                loss.backward()
             # Drives the simulated compute time; must match
             # ``submodel.num_parameters()``.
             num_params = sum(p.data.size for name, p in cm.named if name in state)
             if cm.seen.pop(key, False):
+                named_ids = {id(param): (name, param) for name, param in cm.named}
+                grad_view = cm.arena.grad_view if cm.arena is not None else None
+                step = CompiledStep(
+                    x_t, logits, entries, named_params=named_ids, grad_view=grad_view
+                )
+                leaves = step.param_leaves
+                with span("backward"):
+                    loss.backward(retain_graph=True)
                 evicted = cm.admit(key, step, num_params)
                 stats.captures += 1
                 meta = {"outcome": "admitted", "evicted": evicted}
             else:
-                # First sighting: the graph dies with this call.
+                # First sighting: nobody will replay this graph.  Its
+                # thunks (which hold every node) go now, and backward
+                # releases each node as it walks.
+                entries.clear()
+                with span("backward"):
+                    loss.backward()
                 cm.remember(key, True)
                 stats.first_sightings += 1
                 meta = {"outcome": "first_sighting"}
 
         with span("pack"):
             gradients: Dict[str, np.ndarray] = {}
-            # A step only ever populates its own parameter leaves (a
-            # strict subset of the full supernet), so packing walks
-            # exactly those.
-            for name, param in step.param_leaves:
+            for name, param in leaves:
                 if name in state and param.grad is not None:
                     gradients[name] = np.array(param.grad, dtype=np.float64)
             buffers: Dict[str, np.ndarray] = {}
@@ -281,9 +290,8 @@ def run_compiled_step(
                     buffers[name] = np.array(value, dtype=np.float64, copy=True)
             reward = batch_accuracy(logits, y)
     finally:
-        if step is not None:
-            for _, param in step.param_leaves:
-                param.grad = None
+        for _, param in leaves:
+            param.grad = None
 
     if recorder is not None:
         meta["retained_graphs"] = len(cm.steps)

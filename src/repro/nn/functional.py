@@ -57,83 +57,6 @@ def _conv_output_size(size: int, kernel: int, stride: int, pad: int, dilation: i
     return out
 
 
-#: cached contraction executors, keyed by ``(equation, lhs.shape,
-#: rhs.shape)``.  ``np.einsum(..., optimize=path)`` re-parses the path on
-#: *every* call — at this repo's tensor sizes that parse dwarfs the
-#: contraction itself.  The supernet calls conv2d with a handful of
-#: distinct shapes thousands of times per search, so the contraction is
-#: planned once per shape and the resolved executor is replayed.
-_EINSUM_EXEC: dict = {}
-
-try:  # numpy >= 2.x executes optimized pairwise einsums via bmm_einsum
-    from numpy._core.einsumfunc import bmm_einsum as _bmm_einsum
-except ImportError:  # pragma: no cover - older numpy
-    _bmm_einsum = None
-
-
-#: fast executors per equation: a direct (batched) ``matmul``
-#: formulation of the contraction.  These are exact contractions (same
-#: sum, possibly different floating-point reduction order than
-#: ``np.einsum``'s plan) and unconditionally deterministic — every
-#: process, eager or replayed, runs the identical executor for a given
-#: equation, which is what the bit-identity contract needs.
-_EINSUM_FAST = {
-    # conv2d forward: (G,OC/G,K) x (N,G,K,P) -> (N,G,OC/G,P)
-    "gok,ngkp->ngop": lambda a, b: np.matmul(a, b),
-    # conv2d dX: (G,OC/G,K) x (N,G,OC/G,P) -> (N,G,K,P)
-    "gok,ngop->ngkp": lambda a, b: np.matmul(a.transpose(0, 2, 1), b),
-    # conv2d dW: (N,G,OC/G,P) x (N,G,K,P) -> (G,OC/G,K); batched GEMM
-    # over (N,G), then reduce the batch axis.
-    "ngop,ngkp->gok": lambda a, b: np.matmul(
-        a, b.transpose(0, 1, 3, 2)
-    ).sum(axis=0),
-    # linear layers
-    "ij,jk->ik": lambda a, b: np.matmul(a, b),
-}
-
-
-def _einsum2(equation: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.einsum`` over two operands with a cached executor.
-
-    Known equations (the conv/linear hot path) run a direct ``matmul``
-    formulation; anything else pre-resolves ``np.einsum``'s optimized
-    contraction once per (equation, shapes) key and dispatches straight
-    to its executor, skipping the per-call path re-parse.  Either way
-    the executor for a key is a pure function of the key, so eager and
-    replayed steps — in any process — compute identical floats.
-    """
-    fast = _EINSUM_FAST.get(equation)
-    if fast is not None:
-        return fast(a, b)
-    key = (equation, a.shape, b.shape)
-    exec_ = _EINSUM_EXEC.get(key)
-    if exec_ is None:
-        exec_ = _plan_einsum2(equation, a, b)
-        _EINSUM_EXEC[key] = exec_
-    kind, plan, swap = exec_
-    if kind == "bmm":
-        if swap:
-            return _bmm_einsum(plan, b, a)
-        return _bmm_einsum(plan, a, b)
-    return np.einsum(equation, a, b, optimize=plan)
-
-
-def _plan_einsum2(equation: str, a: np.ndarray, b: np.ndarray):
-    """Resolve the executor for one contraction key (first call only)."""
-    if _bmm_einsum is not None:
-        _, contractions = np.einsum_path(
-            equation, a, b, optimize=True, einsum_call=True
-        )
-        if len(contractions) == 1 and tuple(contractions[0][0]) in (
-            (0, 1),
-            (1, 0),
-        ):
-            inds, einsum_str, _ = contractions[0]
-            return ("bmm", einsum_str, tuple(inds) == (1, 0))
-    path = np.einsum_path(equation, a, b, optimize=True)[0]
-    return ("path", path, False)
-
-
 #: Per-thread scratch, one attribute per slot: ``[flat uint8 buffer,
 #: (shape, dtype, zeros) of its last user]``.
 _WORKSPACE = threading.local()
@@ -171,16 +94,16 @@ def _extract_windows(
     stride: Tuple[int, int],
     dilation: Tuple[int, int],
     out_hw: Tuple[int, int],
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gather sliding windows from a padded NCHW array.
 
     Returns a contiguous array of shape ``(N, C, KH, KW, OH, OW)`` built
-    from KH*KW strided slice copies into a preallocated array — faster
-    (and bit-identical to) the 6-D ``sliding_window_view`` transpose
-    copy (:func:`_extract_windows_view`, kept for equivalence testing).
-    ``out``, when given, is reused as the destination (a retained
-    array or a :func:`_scratch` view instead of an allocation per step).
+    from KH*KW strided slice copies — faster (and bit-identical to) the
+    6-D ``sliding_window_view`` transpose copy
+    (:func:`_extract_windows_view`, kept for equivalence testing).  The
+    result is a view of this thread's ``cols`` slot (:func:`_scratch`)
+    or, for a 1x1 kernel, of ``x``: the caller consumes the windows
+    before it, or anyone else, asks for the next ones.
     """
     n, c = x.shape[:2]
     kh, kw = kernel
@@ -197,14 +120,7 @@ def _extract_windows(
         win = x[:, :, : (oh - 1) * sh + 1 : sh, : (ow - 1) * sw + 1 : sw]
         if win.flags["C_CONTIGUOUS"]:
             return win.reshape(n, c, 1, 1, oh, ow)
-        if out is not None:
-            np.copyto(out.reshape(n, c, oh, ow), win)
-            return out
-        return np.ascontiguousarray(win).reshape(n, c, 1, 1, oh, ow)
-    if out is not None:
-        cols = out
-    else:
-        cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    cols = _scratch("cols", (n, c, kh, kw, oh, ow), x.dtype)
     for i in range(kh):
         hi = i * dh
         for j in range(kw):
@@ -264,78 +180,167 @@ def _scatter_windows(
     return out
 
 
+#: Bytes of im2col windows per sub-batch.  Forward, dW and dX walk the
+#: batch in blocks this size, so a block's windows are still in L2 when
+#: its GEMM reads them and the ``cols`` slot never holds a full batch.
+_BLOCK_BYTES = 1 << 20
+
+
+def _sub_batches(n: int, sample_bytes: int):
+    """``(lo, hi)`` batch ranges holding ~``_BLOCK_BYTES`` of windows each."""
+    step = max(1, _BLOCK_BYTES // max(1, sample_bytes))
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
+
+
+def _padded(x: np.ndarray, padding: Tuple[int, int], fill: float = 0.0) -> np.ndarray:
+    """A new array: ``x`` with a ``fill`` border on its last two axes
+    (``np.pad``'s bytes without its generic per-axis machinery)."""
+    ph, pw = padding
+    n, c, h, w = x.shape
+    shape = (n, c, h + 2 * ph, w + 2 * pw)
+    out = np.zeros(shape, x.dtype) if fill == 0.0 else np.full(shape, fill, x.dtype)
+    out[:, :, ph : ph + h, pw : pw + w] = x
+    return out
+
+
+def _conv_input(
+    x: np.ndarray, padding: Tuple[int, int], x_pad: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """All a conv keeps of its input for backward (dW re-extracts its
+    windows from it): ``x`` zero-padded, or ``x`` itself when there is no
+    padding.  ``x_pad`` is a previous result to rewrite in place (tape
+    replays: the zero border never changes)."""
+    ph, pw = padding
+    if ph == 0 and pw == 0:
+        return x
+    if x_pad is None:
+        return _padded(x, padding)
+    x_pad[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]] = x
+    return x_pad
+
+
+def _conv_forward(
+    x_pad: np.ndarray,
+    w_r: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    dilation: Tuple[int, int],
+    out_hw: Tuple[int, int],
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``w_r (G, OC/G, K) @ im2col(x_pad) (N, G, K, P)`` as ``(N, G, OC/G,
+    P)``, into ``out`` when given.  The windows exist one sub-batch at a
+    time, in the ``cols`` slot.  ``matmul`` runs one GEMM per (sample,
+    group) whatever the batch, so neither the block size nor who calls
+    (eager or replayed, any process) changes a bit."""
+    n, c = x_pad.shape[:2]
+    groups, ocg, k = w_r.shape
+    p = out_hw[0] * out_hw[1]
+    if out is None:
+        out = np.empty((n, groups, ocg, p), dtype=np.result_type(x_pad, w_r))
+    for lo, hi in _sub_batches(n, c * kernel[0] * kernel[1] * p * x_pad.itemsize):
+        cols = _extract_windows(x_pad[lo:hi], kernel, stride, dilation, out_hw)
+        np.matmul(w_r, cols.reshape(hi - lo, groups, k, p), out=out[lo:hi])
+    return out
+
+
+def _conv_dw(
+    grad: np.ndarray,
+    x_pad: np.ndarray,
+    weight_shape: Tuple[int, ...],
+    stride: Tuple[int, int],
+    dilation: Tuple[int, int],
+    groups: int,
+) -> np.ndarray:
+    """Weight gradient of conv2d.  Nothing kept the forward's windows:
+    each sub-batch is re-extracted into the ``cols`` slot and contracted
+    with its slice of ``grad``; the per-sample products land in one
+    ``(N, G, OC/G, K)`` array that is reduced over the batch at the end."""
+    n, oc, oh, ow = grad.shape
+    c = x_pad.shape[1]
+    _, cg, kh, kw = weight_shape
+    k, p = cg * kh * kw, oh * ow
+    grad_r = grad.reshape(n, groups, oc // groups, p)
+    prod = np.empty((n, groups, oc // groups, k), dtype=grad.dtype)
+    for lo, hi in _sub_batches(n, c * kh * kw * p * grad.itemsize):
+        cols = _extract_windows(x_pad[lo:hi], (kh, kw), stride, dilation, (oh, ow))
+        cols_t = cols.reshape(hi - lo, groups, k, p).transpose(0, 1, 3, 2)
+        np.matmul(grad_r[lo:hi], cols_t, out=prod[lo:hi])
+    return prod.sum(axis=0).reshape(weight_shape)
+
+
 def _conv_dx(
     grad: np.ndarray,
     weight: np.ndarray,
-    x_pad_shape: Tuple[int, ...],
+    x_shape: Tuple[int, ...],
     stride: Tuple[int, int],
+    padding: Tuple[int, int],
     dilation: Tuple[int, int],
     groups: int,
     bufs: Optional[dict] = None,
 ) -> np.ndarray:
-    """Input gradient of conv2d w.r.t. the *padded* input, as a
-    transposed convolution: zero-stuff ``grad`` by the stride, pad by
-    the dilated kernel extent, and contract with the spatially flipped
-    weights in a single grouped GEMM — no Python loop over kernel taps.
+    """Input gradient of conv2d as a transposed convolution: zero-stuff
+    ``grad`` by the stride, pad by the dilated kernel extent, and
+    contract with the spatially flipped weights in a grouped GEMM — no
+    Python loop over kernel taps.
 
-    Equivalent to ``_scatter_windows(<dX cols>)`` (the reference kept
-    above for equivalence testing) up to floating-point reduction order.
+    Window origin ``r`` of the stuffed gradient is row ``r`` of the
+    *padded* input, so only the origins ``padding .. padding + (H, W)``
+    are extracted: the gradient of the padding is never computed, and
+    the result is ``x``'s own contiguous gradient.  Equivalent to
+    ``_scatter_windows(<dX cols>)`` (the reference kept above for
+    equivalence testing) up to floating-point reduction order.
 
-    The zero-stuffed gradient and its im2col (9-25x the activation) are
-    dead once the GEMM has run and live in :func:`_scratch`.  ``bufs``,
-    when given, is a per-call-site dict for the result arrays only
-    (``gx``/``out``, 1x the activation): allocated on first use, reused
-    on later calls (tape replays invoke the same retained closure every
-    step) and rewritten wherever any call is non-zero, so reuse never
-    changes bits.  ``Tensor._accumulate`` may borrow the returned array;
-    callers must consume it before the next call (the backward walk does).
+    The stuffed gradient and each sub-batch's windows are dead once the
+    GEMM has run and live in :func:`_scratch`.  ``bufs``, when given, is
+    a per-call-site dict for the result (``gx``, 1x the activation):
+    allocated on first use, fully rewritten on later calls (tape replays
+    invoke the same retained closure every step).  ``Tensor._accumulate``
+    may borrow the returned array; callers must consume it before the
+    next call (the backward walk does).
     """
     n, oc, oh, ow = grad.shape
-    _, c, hp, wp = x_pad_shape
+    _, c, h, w = x_shape
     ocg, cg, kh, kw = weight.shape[0] // groups, weight.shape[1], weight.shape[2], weight.shape[3]
     sh, sw = stride
+    ph, pw = padding
     dh, dw = dilation
     eh = dh * (kh - 1) + 1
     ew = dw * (kw - 1) + 1
     if bufs is None:
         bufs = {}
-    # Zero-stuffed gradient, padded by the dilated kernel extent.  The
-    # zeros between strided taps survive calls with the same geometry.
+    # Zero-stuffed gradient, padded by the dilated kernel extent — and
+    # out to x's last row/column where the stride left a tail no window
+    # covers (those origins read zeros only).  The zeros between strided
+    # taps survive calls with the same geometry.
     gh = sh * (oh - 1) + 1
     gw_ = sw * (ow - 1) + 1
-    stuffed = _scratch(
-        "stuffed", (n, oc, gh + 2 * (eh - 1), gw_ + 2 * (ew - 1)), grad.dtype,
-        zeros=(eh, ew, sh, sw),
-    )
-    stuffed[:, :, eh - 1 : eh - 1 + gh : sh, ew - 1 : ew - 1 + gw_ : sw] = grad
-    # Rows/cols of the padded input beyond the last window tap receive
-    # no gradient; compute the covered region and zero-fill the rest.
-    ch = gh + eh - 1
-    cw = gw_ + ew - 1
-    cols = _extract_windows(
-        stuffed, (kh, kw), (1, 1), dilation, (ch, cw),
-        out=_scratch("cols", (n, oc, kh, kw, ch, cw), grad.dtype),
-    )
-    cols_r = cols.reshape(n, groups, ocg * kh * kw, ch * cw)
+    if kh == kw == sh == sw == 1:
+        stuffed = grad  # a pointwise conv at stride 1: nothing to stuff
+    else:
+        stuffed = _scratch(
+            "stuffed",
+            (n, oc, max(gh + eh - 1, ph + h) + eh - 1, max(gw_ + ew - 1, pw + w) + ew - 1),
+            grad.dtype,
+            zeros=(eh, ew, sh, sw, oh, ow),
+        )
+        stuffed[:, :, eh - 1 : eh - 1 + gh : sh, ew - 1 : ew - 1 + gw_ : sw] = grad
+    interior = stuffed[:, :, ph:, pw:]
     # (G, C/G, OC/G * KH * KW): weights flipped along both spatial axes,
     # grouped with input channels as the output of the transposed conv.
     w_flip = weight[:, :, ::-1, ::-1].reshape(groups, ocg, cg, kh, kw)
     w_t = np.ascontiguousarray(w_flip.transpose(0, 2, 1, 3, 4)).reshape(
         groups, cg, ocg * kh * kw
     )
-    gxb = bufs.get("gx")
-    if gxb is None:
-        gxb = bufs["gx"] = np.empty((n, groups, cg, ch * cw), dtype=grad.dtype)
-    # Same kernel as _einsum2("gok,ngkp->ngop", ...), with a destination.
-    np.matmul(w_t, cols_r, out=gxb)
-    gx = gxb.reshape(n, c, ch, cw)
-    if ch == hp and cw == wp:
-        return gx
-    out = bufs.get("out")
-    if out is None:
-        out = bufs["out"] = np.zeros(x_pad_shape, dtype=grad.dtype)
-    out[:, :, :ch, :cw] = gx
-    return out
+    gx = bufs.get("gx")
+    if gx is None:
+        gx = bufs["gx"] = np.empty((n, c, h, w), dtype=grad.dtype)
+    gx_r = gx.reshape(n, groups, cg, h * w)
+    for lo, hi in _sub_batches(n, oc * kh * kw * h * w * grad.itemsize):
+        cols = _extract_windows(interior[lo:hi], (kh, kw), (1, 1), dilation, (h, w))
+        np.matmul(w_t, cols.reshape(hi - lo, groups, ocg * kh * kw, h * w), out=gx_r[lo:hi])
+    return gx
 
 
 def conv2d(
@@ -365,67 +370,47 @@ def conv2d(
         raise ValueError(f"out_channels {oc} not divisible by groups {groups}")
     oh = _conv_output_size(h, kh, stride[0], padding[0], dilation[0])
     ow = _conv_output_size(w, kw, stride[1], padding[1], dilation[1])
-
-    x_pad = x.pad2d(padding)
-    cols = _extract_windows(x_pad.data, (kh, kw), stride, dilation, (oh, ow))
-    # (N, G, C/G * KH * KW, OH * OW)
-    cols_r = cols.reshape(n, groups, cg * kh * kw, oh * ow)
-    # (G, OC/G, C/G * KH * KW)
-    w_r = weight.data.reshape(groups, oc // groups, cg * kh * kw)
-    out = _einsum2("gok,ngkp->ngop", w_r, cols_r)
-    out = out.reshape(n, oc, oh, ow)
-    if bias is not None:
-        out = out + bias.data.reshape(1, oc, 1, 1)
-
-    parents = (x_pad, weight) if bias is None else (x_pad, weight, bias)
-    # dX result buffers reused across calls of the retained closure (tape
-    # replays); eager closures run once, so this is a no-op for them.
+    x_pad = _conv_input(x.data, padding)
+    # Forward output and dX result buffers, reused by tape replays.
+    _rp: dict = {}
     _bw: dict = {}
 
+    def forward() -> np.ndarray:
+        w_r = weight.data.reshape(groups, oc // groups, cg * kh * kw)
+        o = _rp["o"] = _conv_forward(
+            x_pad, w_r, (kh, kw), stride, dilation, (oh, ow), out=_rp.get("o")
+        )
+        o = o.reshape(n, oc, oh, ow)
+        if bias is not None:
+            bb = _rp.get("b")
+            if bb is None:
+                bb = _rp["b"] = np.empty(o.shape, dtype=o.dtype)
+            o = np.add(o, bias.data.reshape(1, oc, 1, 1), out=bb)
+        return o
+
     def backward(grad: np.ndarray) -> None:
-        grad_r = grad.reshape(n, groups, oc // groups, oh * ow)
         if weight.requires_grad:
-            gw = _einsum2("ngop,ngkp->gok", grad_r, cols_r)
-            weight._accumulate(gw.reshape(weight.shape))
+            weight._accumulate(
+                _conv_dw(grad, x_pad, weight.shape, stride, dilation, groups)
+            )
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        if x_pad.requires_grad:
-            x_pad._accumulate(
+        if x.requires_grad:
+            x._accumulate(
                 _conv_dx(
-                    grad, weight.data, x_pad.shape, stride, dilation, groups,
+                    grad, weight.data, x.shape, stride, padding, dilation, groups,
                     bufs=_bw,
                 )
             )
 
-    out_t = Tensor._make(out, parents, backward)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out_t = Tensor._make(forward(), parents, backward)
     if _ag._TAPE is not None:
-        _rp: dict = {}
 
         def replay() -> None:
-            nonlocal cols_r, w_r
-            cols = _extract_windows(
-                x_pad.data, (kh, kw), stride, dilation, (oh, ow),
-                out=_rp.get("cols"),
-            )
-            _rp["cols"] = cols
-            cols_r = cols.reshape(n, groups, cg * kh * kw, oh * ow)
-            w_r = weight.data.reshape(groups, oc // groups, cg * kh * kw)
-            ob = _rp.get("o")
-            if ob is None:
-                ob = _rp["o"] = np.empty(
-                    (n, groups, oc // groups, oh * ow), dtype=cols.dtype
-                )
-            # Same kernel as _einsum2("gok,ngkp->ngop", ...), reusing the
-            # destination across replays.
-            np.matmul(w_r, cols_r, out=ob)
-            o = ob.reshape(n, oc, oh, ow)
-            if bias is not None:
-                bb = _rp.get("b")
-                if bb is None:
-                    bb = _rp["b"] = np.empty((n, oc, oh, ow), dtype=cols.dtype)
-                np.add(o, bias.data.reshape(1, oc, 1, 1), out=bb)
-                o = bb
-            out_t.data = o
+            nonlocal x_pad
+            x_pad = _conv_input(x.data, padding, x_pad)
+            out_t.data = forward()
 
         _ag._TAPE.append(("conv2d", replay))
     return out_t
@@ -443,21 +428,23 @@ def max_pool2d(
     ow = _conv_output_size(w, kernel[1], stride[1], padding[1], 1)
 
     ph, pw = padding
-    pads = [(0, 0), (0, 0), (ph, ph), (pw, pw)]
-    x_pad = np.pad(x.data, pads, constant_values=-np.inf)
+    x_pad = _padded(x.data, padding, fill=-np.inf)
     taps = kernel[0] * kernel[1]
+    sample_bytes = c * taps * oh * ow * x_pad.itemsize
     arg = None
 
     def forward() -> np.ndarray:
-        # Backward reads only each window's winning tap: windows are scratch.
+        # Backward reads only each window's winning tap: windows are
+        # scratch, one sub-batch at a time.
         nonlocal arg
-        cols = _extract_windows(
-            x_pad, kernel, stride, (1, 1), (oh, ow),
-            out=_scratch("cols", (n, c) + kernel + (oh, ow), x_pad.dtype),
-        )
-        flat = cols.reshape(n, c, taps, oh, ow)
-        arg = flat.argmax(axis=2)
-        return np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+        arg = np.empty((n, c, oh, ow), dtype=np.intp)
+        out = np.empty((n, c, oh, ow), dtype=x_pad.dtype)
+        for lo, hi in _sub_batches(n, sample_bytes):
+            cols = _extract_windows(x_pad[lo:hi], kernel, stride, (1, 1), (oh, ow))
+            flat = cols.reshape(hi - lo, c, taps, oh, ow)
+            flat.argmax(axis=2, out=arg[lo:hi])
+            out[lo:hi] = np.take_along_axis(flat, arg[lo:hi, :, None], axis=2)[:, :, 0]
+        return out
 
     out = forward()
     _bw: dict = {}
@@ -465,17 +452,18 @@ def max_pool2d(
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        # Winning positions change between replays: reset the scatter.
-        gflat = _scratch("gflat", (n, c, taps, oh, ow), grad.dtype)
-        gflat[...] = 0.0
-        np.put_along_axis(gflat, arg[:, :, None], grad[:, :, None], axis=2)
-        gcols = gflat.reshape(n, c, kernel[0], kernel[1], oh, ow)
-        gx_pad = _scatter_windows(
-            gcols, x_pad.shape, kernel, stride, (1, 1), out=_bw.get("gx_pad")
-        )
-        _bw["gx_pad"] = gx_pad
-        gx = gx_pad[:, :, ph : ph + h, pw : pw + w]
-        x._accumulate(gx)
+        gx_pad = _bw.get("gx_pad")
+        if gx_pad is None:
+            gx_pad = _bw["gx_pad"] = np.empty(x_pad.shape, dtype=grad.dtype)
+        for lo, hi in _sub_batches(n, sample_bytes):
+            # Winning positions change between replays: reset the scatter.
+            gflat = _scratch("gflat", (hi - lo, c, taps, oh, ow), grad.dtype)
+            gflat[...] = 0.0
+            np.put_along_axis(gflat, arg[lo:hi, :, None], grad[lo:hi, :, None], axis=2)
+            gcols = gflat.reshape(hi - lo, c, kernel[0], kernel[1], oh, ow)
+            dst = gx_pad[lo:hi]
+            _scatter_windows(gcols, dst.shape, kernel, stride, (1, 1), out=dst)
+        x._accumulate(gx_pad[:, :, ph : ph + h, pw : pw + w])
 
     out_t = Tensor._make(out, (x,), backward)
     if _ag._TAPE is not None:
@@ -553,12 +541,11 @@ def avg_pool2d(
     ow = _conv_output_size(w, kernel[1], stride[1], padding[1], 1)
 
     ph, pw = padding
-    pads = [(0, 0), (0, 0), (ph, ph), (pw, pw)]
-    x_pad = np.pad(x.data, pads)
+    x_pad = _padded(x.data, padding)
     if count_include_pad or (ph == 0 and pw == 0):
         divisor = np.full((oh, ow), kernel[0] * kernel[1], dtype=x.data.dtype)
     else:
-        ones = np.pad(np.ones((1, 1, h, w), dtype=x.data.dtype), pads)
+        ones = _padded(np.ones((1, 1, h, w), dtype=x.data.dtype), padding)
         divisor = _box_sum(ones, kernel, stride, (oh, ow))[0, 0]
     out = _box_sum(x_pad, kernel, stride, (oh, ow)) / divisor
 
@@ -734,25 +721,24 @@ def conv_bn_relu(x: Tensor, conv, bn, with_relu: bool = True) -> Tensor:
     oc, cg, kh, kw = weight.shape
     oh = _conv_output_size(h, kh, stride[0], padding[0], dilation[0])
     ow = _conv_output_size(w, kw, stride[1], padding[1], dilation[1])
-    x_pad = x.pad2d(padding)
+    x_pad = _conv_input(x.data, padding)
     affine = bn.affine
     # Saved forward state, refreshed in place on every replay so the
     # retained backward closure always reads current values.
     sv: dict = {}
-    # dX result buffers reused across calls of the retained closure.
+    # dX result buffer reused across calls of the retained closure.
     _bw: dict = {}
 
+    def _conv(w_r: np.ndarray) -> np.ndarray:
+        return _conv_forward(
+            x_pad, w_r, (kh, kw), stride, dilation, (oh, ow)
+        ).reshape(n, oc, oh, ow)
+
     def _fwd() -> np.ndarray:
-        cols = _extract_windows(
-            x_pad.data, (kh, kw), stride, dilation, (oh, ow),
-            out=sv.get("cols"),
-        )
-        sv["cols"] = cols
-        cols_r = cols.reshape(n, groups, cg * kh * kw, oh * ow)
         w_r = weight.data.reshape(groups, oc // groups, cg * kh * kw)
         training = bn.training
         if training:
-            y = _einsum2("gok,ngkp->ngop", w_r, cols_r).reshape(n, oc, oh, ow)
+            y = _conv(w_r)
             mean = y.mean(axis=(0, 2, 3))
             var = y.var(axis=(0, 2, 3))
             bn.running_mean[...] = (
@@ -776,7 +762,7 @@ def conv_bn_relu(x: Tensor, conv, bn, with_relu: bool = True) -> Tensor:
             if affine:
                 shift = shift + bn.bias.data
             w_fold = w_r * scale.reshape(groups, oc // groups, 1)
-            out = _einsum2("gok,ngkp->ngop", w_fold, cols_r).reshape(n, oc, oh, ow)
+            out = _conv(w_fold)
             out += shift.reshape(1, -1, 1, 1)
             xhat = None
             sv["scale"] = scale
@@ -784,9 +770,7 @@ def conv_bn_relu(x: Tensor, conv, bn, with_relu: bool = True) -> Tensor:
             mask = out > 0
             out = np.where(mask, out, 0.0)
             sv["mask"] = mask
-        sv.update(
-            cols_r=cols_r, w_r=w_r, inv_std=inv_std, xhat=xhat, training=training
-        )
+        sv.update(inv_std=inv_std, xhat=xhat, training=training)
         return out
 
     def backward(grad: np.ndarray) -> None:
@@ -816,25 +800,27 @@ def conv_bn_relu(x: Tensor, conv, bn, with_relu: bool = True) -> Tensor:
                         "affine gradient accumulation"
                     )
             dy = g * sv["scale"].reshape(1, -1, 1, 1)
-        grad_r = dy.reshape(n, groups, oc // groups, oh * ow)
         if weight.requires_grad:
-            gw = _einsum2("ngop,ngkp->gok", grad_r, sv["cols_r"])
-            weight._accumulate(gw.reshape(weight.shape))
-        if x_pad.requires_grad:
-            x_pad._accumulate(
+            weight._accumulate(
+                _conv_dw(dy, x_pad, weight.shape, stride, dilation, groups)
+            )
+        if x.requires_grad:
+            x._accumulate(
                 _conv_dx(
-                    dy, weight.data, x_pad.shape, stride, dilation, groups,
+                    dy, weight.data, x.shape, stride, padding, dilation, groups,
                     bufs=_bw,
                 )
             )
 
-    parents = [x_pad, weight]
+    parents = [x, weight]
     if affine:
         parents += [bn.weight, bn.bias]
     out_t = Tensor._make(_fwd(), tuple(parents), backward)
     if _ag._TAPE is not None:
 
         def replay() -> None:
+            nonlocal x_pad
+            x_pad = _conv_input(x.data, padding, x_pad)
             out_t.data = _fwd()
 
         _ag._TAPE.append(("conv_bn_relu", replay))

@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import tensor as _tensor
-from .tensor import Tensor
+from .tensor import Tensor, _topo_order
 
 __all__ = [
     "TapeUnsupported",
@@ -154,26 +154,6 @@ def reset_stats() -> None:
 # ----------------------------------------------------------------------
 # Compiled step
 # ----------------------------------------------------------------------
-def _topo_from(root: Tensor) -> List[Tensor]:
-    """Topological order of ``root``'s subgraph — the same stack-DFS as
-    :meth:`Tensor.backward`, so a replayed walk visits nodes in exactly
-    the order eager backward would."""
-    ordered: List[Tensor] = []
-    visited: set = set()
-    stack: List[Tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            ordered.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
-    return ordered
 
 
 class CompiledStep:
@@ -213,7 +193,7 @@ class CompiledStep:
         self.x_in = x_in
         self.output = output
         self.entries = entries
-        ordered = _topo_from(output)
+        ordered = _topo_order(output)
         self._nodes = ordered
         self._reversed = [
             n for n in reversed(ordered) if n._backward is not None
@@ -256,11 +236,12 @@ class CompiledStep:
     def retained_bytes(self) -> int:
         """Bytes this graph keeps alive: the distinct ndarray buffers
         behind every node's ``.data`` and ``_grad_buf`` and whatever its
-        backward closure holds (saved activations, forward windows, dX
-        result buffers).  Backward's large scratch is the thread's
-        workspace (:func:`repro.nn.functional._scratch`), not the
-        graph's; only the 1x-activation result buffers (~15 % of a
-        default-config graph) are allocated by the first backward."""
+        backward closure holds (saved activations, a conv's padded
+        input, dX result buffers).  im2col windows and backward's other
+        large scratch are the thread's workspace
+        (:func:`repro.nn.functional._scratch`), not the graph's; only
+        the 1x-activation result buffers are allocated by the first
+        backward."""
         owners: Dict[int, int] = {}
 
         def visit(obj) -> None:

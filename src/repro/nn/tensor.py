@@ -98,6 +98,37 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _topo_order(root: "Tensor") -> "list[Tensor]":
+    """Topological order of ``root``'s subgraph (parents before children).
+    :meth:`Tensor.backward` and tape replay both walk it in reverse, so a
+    replayed walk visits nodes in exactly the order eager backward does."""
+    ordered: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            ordered.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    return ordered
+
+
+def _released(grad: np.ndarray) -> None:
+    """Stands in for the backward closure of a node whose graph a
+    ``backward()`` released."""
+    raise RuntimeError(
+        "backward through a graph that an earlier backward() already "
+        "released; pass retain_graph=True to the first walk"
+    )
+
+
 def as_tensor(value: ArrayLike, dtype=np.float64) -> "Tensor":
     """Coerce ``value`` to a :class:`Tensor` without copying when possible."""
     if isinstance(value, Tensor):
@@ -276,7 +307,9 @@ class Tensor:
             self._grad_owned = True
         return self._grad
 
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
+    def backward(
+        self, grad: Optional[np.ndarray] = None, retain_graph: bool = False
+    ) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
         Parameters
@@ -284,6 +317,13 @@ class Tensor:
         grad:
             Gradient of the final objective w.r.t. this tensor.  Defaults
             to 1 for scalar tensors.
+        retain_graph:
+            By default the graph is released as the walk consumes it
+            (PyTorch's semantics): each node's backward closure and
+            parent links are cleared once it has run, so activations and
+            gradient buffers die node by node, and a second walk through
+            any of those nodes raises.  Pass True to walk it again (tape
+            admission keeps the graph for replay).
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
@@ -297,29 +337,24 @@ class Tensor:
                 f"gradient shape {grad.shape} does not match tensor shape {self.data.shape}"
             )
 
-        ordered: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                ordered.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-
+        ordered = _topo_order(self)
         self._accumulate(grad)
-        for node in reversed(ordered):
-            if node._backward is not None and node.grad is not None:
+        while ordered:
+            # Popped, so the walk itself keeps no node alive behind it.
+            node = ordered.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
                 # Free intermediate gradient buffers: only leaves keep grads.
                 if node._parents:
                     node.grad = None
+            if not retain_graph:
+                # Nothing walks this node again: its closure (saved
+                # activations, result buffers) and its hold on its parents
+                # go now, not when the whole graph dies.
+                node._backward = _released
+                node._parents = ()
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -744,10 +779,21 @@ class Tensor:
     def __getitem__(self, key) -> "Tensor":
         out_data = self.data[key]
 
+        keys = key if isinstance(key, tuple) else (key,)
+        basic = all(
+            k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
+            for k in keys
+        )
+
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, key, grad)
+                if basic:
+                    # No index repeats: one strided add, not add.at's
+                    # element-wise scatter (the same 0.0 + g per cell).
+                    full[key] += grad
+                else:
+                    np.add.at(full, key, grad)
                 self._accumulate(full)
 
         out = Tensor._make(out_data, (self,), backward)
@@ -759,42 +805,31 @@ class Tensor:
             _TAPE.append(("getitem", replay))
         return out
 
-    def pad2d(self, padding: Tuple[int, int]) -> "Tensor":
-        """Zero-pad the last two (spatial) axes of an NCHW tensor."""
-        ph, pw = padding
-        return self.pad2d_asymmetric(ph, ph, pw, pw)
-
     def pad2d_asymmetric(self, top: int, bottom: int, left: int, right: int) -> "Tensor":
         """Zero-pad the last two axes with independent per-side amounts."""
         if top == bottom == left == right == 0:
             return self
-        pads = [(0, 0)] * (self.ndim - 2) + [(top, bottom), (left, right)]
-        out_data = np.pad(self.data, pads)
+        interior = (
+            ...,
+            slice(top, top + self.shape[-2]),
+            slice(left, left + self.shape[-1]),
+        )
+        out_data = np.zeros(
+            self.shape[:-2]
+            + (top + self.shape[-2] + bottom, left + self.shape[-1] + right),
+            dtype=self.data.dtype,
+        )
+        out_data[interior] = self.data
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                sl = tuple(
-                    [slice(None)] * (self.ndim - 2)
-                    + [
-                        slice(top, grad.shape[-2] - bottom),
-                        slice(left, grad.shape[-1] - right),
-                    ]
-                )
-                self._accumulate(grad[sl])
+                self._accumulate(grad[interior])
 
         out = Tensor._make(out_data, (self,), backward)
         if _TAPE is not None:
             # Replays reuse the captured output array: the zero border
-            # never changes, so rewriting the interior reproduces
-            # np.pad's bytes without allocating or re-zeroing.
-            interior = tuple(
-                [slice(None)] * (self.ndim - 2)
-                + [
-                    slice(top, top + self.shape[-2]),
-                    slice(left, left + self.shape[-1]),
-                ]
-            )
-
+            # never changes, so rewriting the interior reproduces the
+            # same bytes without allocating or re-zeroing.
             def replay(a=self, o=out, buf=out_data, sl=interior):
                 buf[sl] = a.data
                 o.data = buf

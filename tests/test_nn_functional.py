@@ -98,6 +98,16 @@ class TestConv2d:
             rtol=1e-3,
         )
 
+    @pytest.mark.parametrize("kernel,size", [(1, 2), (3, 4)])
+    def test_gradcheck_single_output_under_stride(self, kernel, size):
+        # One output position: the stride leaves x's last row and column
+        # uncovered, and their gradient must read zero, not be missing.
+        x = leaf((2, 2, size, size), scale=0.5)
+        w = leaf((3, 2, kernel, kernel), scale=0.3)
+        out = F.conv2d(x, w, stride=2)
+        assert out.shape == (2, 3, 1, 1)
+        assert_gradients_close(lambda: (F.conv2d(x, w, stride=2) ** 2).sum(), [x, w], rtol=1e-3)
+
     def test_gradcheck_groups_depthwise(self):
         x = leaf((1, 4, 5, 5), scale=0.5)
         w = leaf((4, 1, 3, 3), scale=0.3)  # depthwise: groups == channels
@@ -147,6 +157,30 @@ class TestPooling:
         x = Tensor(-np.ones((1, 1, 2, 2)))
         out = F.max_pool2d(x, 3, stride=1, padding=1)
         assert (out.data == -1).all()
+
+    @pytest.mark.parametrize("padding", [(0, 0), (1, 1), (2, 0), (1, 3)])
+    @pytest.mark.parametrize("fill", [0.0, -np.inf])
+    def test_padded_input_is_np_pad(self, padding, fill):
+        x = RNG.normal(size=(2, 3, 4, 5)).astype(np.float32)
+        ph, pw = padding
+        want = np.pad(x, [(0, 0), (0, 0), (ph, ph), (pw, pw)], constant_values=fill)
+        got = F._padded(x, padding, fill)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, x)  # pools rewrite it on replay
+
+    @pytest.mark.parametrize("block", [1, 2**30])
+    def test_max_pool_block_size_never_changes_a_bit(self, block, monkeypatch):
+        def run():
+            x = Tensor(np.random.default_rng(2).normal(size=(5, 3, 8, 8)), requires_grad=True)
+            out = F.max_pool2d(x, 3, stride=2, padding=1)
+            out.backward(np.random.default_rng(3).normal(size=out.shape))
+            return out.data, x.grad
+
+        want = run()
+        monkeypatch.setattr(F, "_BLOCK_BYTES", block)
+        for a, b in zip(want, run()):
+            assert a.tobytes() == b.tobytes()
 
     def test_avg_pool_values_excluding_pad(self):
         x = Tensor(np.ones((1, 1, 2, 2)))

@@ -66,6 +66,36 @@ class TestBasics:
         assert not y.requires_grad
         assert y.is_leaf
 
+    def test_backward_releases_the_graph_as_it_walks(self):
+        import weakref
+
+        x = leaf((4, 4))
+        hidden = (x * 2).relu()
+        activation = weakref.ref(hidden.data)
+        y = (hidden * hidden).sum()
+        del hidden
+        y.backward()
+        assert activation() is None  # died with its node, mid-walk
+        np.testing.assert_allclose(x.grad, 8 * np.maximum(x.data, 0))
+        with pytest.raises(RuntimeError, match="retain_graph"):
+            y.backward()
+
+    def test_shared_trunk_cannot_be_walked_after_release(self):
+        x = leaf((3,))
+        trunk = x * 2
+        first, second = trunk.sum(), (trunk * trunk).sum()
+        first.backward()
+        with pytest.raises(RuntimeError, match="retain_graph"):
+            second.backward()
+
+    def test_retain_graph_allows_a_second_walk(self):
+        x = leaf((3,))
+        y = (x * x).sum()
+        y.backward(retain_graph=True)
+        once = x.grad.copy()
+        y.backward()
+        np.testing.assert_array_equal(x.grad, 2 * once)
+
     def test_diamond_graph_backward_once_per_node(self):
         # x -> a, b -> c uses both; gradient must flow exactly once per path.
         x = Tensor(np.array(2.0), requires_grad=True)
@@ -222,13 +252,47 @@ class TestShapes:
         y.backward()
         np.testing.assert_allclose(a.grad, [[0, 0], [2, 2], [0, 0]])
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (slice(None), slice(None), slice(1, None), slice(1, None)),
+            (Ellipsis, slice(None, None, 2)),
+            (1, None, slice(0, 2)),
+            slice(1, 3),
+            np.array([0, 2, 2]),
+            (np.array([1, 1, 0]), slice(None), np.array([0, 0, 3])),
+        ],
+        ids=["factorized_reduce", "ellipsis_step", "int_newaxis", "bare_slice",
+             "repeated_rows", "repeated_pairs"],
+    )
+    def test_getitem_backward_is_add_at_bit_for_bit(self, key):
+        """Basic keys take one strided add, array keys (indices may
+        repeat) keep ``np.add.at``; both are ``add.at``'s bytes, signed
+        zeros included."""
+        a = leaf((3, 2, 4, 4))
+        out = a[key]
+        grad = RNG.normal(size=out.shape)
+        grad.flat[0] = -0.0
+        grad.flat[-1] = 0.0
+        out.backward(grad)
+        want = np.zeros_like(a.data)
+        np.add.at(want, key, grad)
+        assert a.grad.tobytes() == want.tobytes()
+
+    def test_pad2d_asymmetric_is_np_pad(self):
+        a = leaf((2, 3, 4, 5))
+        out = a.pad2d_asymmetric(0, 1, 2, 0)
+        want = np.pad(a.data, [(0, 0), (0, 0), (0, 1), (2, 0)])
+        assert out.data.tobytes() == want.tobytes() and out.shape == want.shape
+        assert_gradients_close(lambda: (a.pad2d_asymmetric(0, 1, 2, 0) ** 2).sum(), [a])
+
     def test_pad2d(self):
         a = leaf((1, 2, 3, 3))
-        assert_gradients_close(lambda: (a.pad2d((1, 2)) ** 2).sum(), [a])
+        assert_gradients_close(lambda: (a.pad2d_asymmetric(1, 1, 2, 2) ** 2).sum(), [a])
 
     def test_pad2d_zero_is_noop(self):
         a = leaf((1, 1, 2, 2))
-        assert a.pad2d((0, 0)) is a
+        assert a.pad2d_asymmetric(0, 0, 0, 0) is a
 
 
 class TestMatmul:

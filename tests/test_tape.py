@@ -5,14 +5,18 @@ The contract under test, in order of appearance:
 * ``Tensor._accumulate`` copy-on-write gradient borrowing — single-
   consumer nodes borrow the incoming array without a copy, and every
   mutation path materialises first (the aliasing regression);
-* the conv2d backward contraction fast paths — ``_conv_dx`` and the
-  cached dW executor — agree with the window-algebra reference
-  implementations across the kernel/stride/dilation/groups grid;
+* the conv2d backward contractions — the interior-only ``_conv_dx``
+  and the re-extracting dW — agree with the window-algebra reference
+  implementations across the kernel/stride/dilation/groups grid, with
+  the deleted padded-dX formulation bit for bit, and with themselves at
+  every sub-batch size;
 * conv/pool scratch lives in one per-thread workspace: interleaved
   geometries never see each other's stale values, threads never see
   each other's buffers, no view of it reaches ``Tensor._accumulate``,
-  and no retained closure holds more than its own activations — which
-  bounds a default-config first sighting's peak memory;
+  and no retained closure holds more than its own padded input;
+* a first sighting builds no graph record and its backward releases
+  the graph as it walks, which bounds a default-config step's peak
+  memory;
 * every float64 step of the engine — first sighting, admission, replay
   — is **bit-identical** to the eager oracle for a sweep of sampled
   controller masks (gradients, buffers, reward, simulated compute
@@ -152,6 +156,9 @@ GRID = [
     ((3, 3), (1, 1), (1, 1), (1, 1), 2),
     ((3, 3), (2, 2), (1, 1), (1, 1), 4),
     ((3, 1), (1, 2), (1, 0), (1, 1), 1),
+    ((1, 1), (1, 1), (1, 2), (1, 1), 2),
+    ((1, 1), (3, 3), (0, 0), (1, 1), 1),
+    ((5, 5), (2, 2), (4, 4), (2, 2), 4),
 ]
 
 
@@ -183,7 +190,7 @@ class TestConvBackwardGrid:
     def test_conv_dx_matches_scatter_reference(
         self, kernel, stride, padding, dilation, groups
     ):
-        _, x_pad, weight, grad, out_hw = self._setup(
+        x, x_pad, weight, grad, out_hw = self._setup(
             kernel, stride, padding, dilation, groups
         )
         n, oc = grad.shape[:2]
@@ -192,15 +199,36 @@ class TestConvBackwardGrid:
         cg = weight.shape[1]
         # Reference: per-window dX columns via the adjoint einsum, then
         # window scatter-add — the formulation _conv_dx replaces with a
-        # single transposed-convolution GEMM.
+        # transposed-convolution GEMM over x's own positions.
         w_r = weight.reshape(groups, oc // groups, cg * kh * kw)
         grad_r = grad.reshape(n, groups, oc // groups, oh * ow)
         gcols = np.einsum("gok,ngop->ngkp", w_r, grad_r)
         gcols = gcols.reshape(n, groups * cg, kh, kw, oh, ow)
         ref = _scatter_windows(gcols, x_pad.shape, kernel, stride, dilation)
 
-        got = _conv_dx(grad, weight, x_pad.shape, stride, dilation, groups)
-        np.testing.assert_allclose(np.asarray(got), ref, rtol=1e-12, atol=1e-12)
+        got = _conv_dx(grad, weight, x.shape, stride, padding, dilation, groups)
+        assert got.shape == x.shape and got.flags["C_CONTIGUOUS"]
+        np.testing.assert_allclose(
+            got, _interior(ref, x.shape, padding), rtol=1e-12, atol=1e-12
+        )
+
+    def test_interior_dx_equals_padded_formulation_cropped(
+        self, kernel, stride, padding, dilation, groups
+    ):
+        """The gradient of the padding was computed and sliced away; not
+        computing it leaves the interior where it was — including the
+        rows a stride leaves uncovered (kernel 1, stride 2, no padding).
+        Each output column is its own dot product, so only the GEMM's
+        column count changed: equal to the last ulp on any geometry."""
+        x, x_pad, weight, grad, _ = self._setup(
+            kernel, stride, padding, dilation, groups
+        )
+        want = _interior(
+            _conv_dx_padded(grad, weight, x_pad.shape, stride, dilation, groups),
+            x.shape, padding,
+        )
+        got = _conv_dx(grad, weight, x.shape, stride, padding, dilation, groups)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
     def test_conv_dx_buffer_reuse_is_stable(
         self, kernel, stride, padding, dilation, groups
@@ -209,25 +237,55 @@ class TestConvBackwardGrid:
         taps of its zero-stuffed gradient, so a different geometry run
         through the shared workspace in between must not leave values
         where this one expects zeros."""
-        _, x_pad, weight, grad, _ = self._setup(
+        x, _, weight, grad, _ = self._setup(
             kernel, stride, padding, dilation, groups
         )
         bufs: dict = {}
-        first = np.array(
-            _conv_dx(grad, weight, x_pad.shape, stride, dilation, groups, bufs=bufs)
-        )
+        args = (grad, weight, x.shape, stride, padding, dilation, groups)
+        first = np.array(_conv_dx(*args, bufs=bufs))
         # A different (kernel, stride, dilation) pattern and different
         # data through the same workspace ...
         here = GRID.index((kernel, stride, padding, dilation, groups))
         other = GRID[(here + 1) % len(GRID)]
-        _, x_pad2, weight2, grad2, _ = self._setup(*other, seed=1)
-        _conv_dx(grad2, weight2, x_pad2.shape, other[1], other[3], other[4])
-        # ... then the original call again, into the same result buffers,
+        x2, _, weight2, grad2, _ = self._setup(*other, seed=1)
+        _conv_dx(grad2, weight2, x2.shape, other[1], other[2], other[3], other[4])
+        # ... then the original call again, into the same result buffer,
         # must reproduce call one bit for bit.
-        again = np.asarray(
-            _conv_dx(grad, weight, x_pad.shape, stride, dilation, groups, bufs=bufs)
-        )
+        again = _conv_dx(*args, bufs=bufs)
         np.testing.assert_array_equal(first, again)
+
+    def test_block_size_never_changes_a_bit(
+        self, kernel, stride, padding, dilation, groups, monkeypatch
+    ):
+        """Forward, dW, dX and the bias gradient at one sample per block,
+        two (n = 5 leaves a short last block), the default and one block
+        for the whole batch — grouped as in the grid and depthwise."""
+        rng = np.random.default_rng(11)
+        n, c, oc = 5, 4, 8
+        for g in {groups, c}:
+            x = rng.standard_normal((n, c, 9, 9))
+            weight = rng.standard_normal((oc, c // g) + kernel)
+            bias = rng.standard_normal(oc)
+            seed_grad = None
+            runs = []
+            for block in (1, 6_000, 50_000, None, 2**30):
+                with monkeypatch.context() as patch:
+                    if block is not None:
+                        patch.setattr(nn.functional, "_BLOCK_BYTES", block)
+                    xt, wt, bt = (
+                        Tensor(a.copy(), requires_grad=True) for a in (x, weight, bias)
+                    )
+                    out = nn.functional.conv2d(
+                        xt, wt, bt, stride=stride, padding=padding,
+                        dilation=dilation, groups=g,
+                    )
+                    if seed_grad is None:
+                        seed_grad = rng.standard_normal(out.shape)
+                    out.backward(seed_grad)
+                runs.append((out.data, wt.grad, xt.grad, bt.grad))
+            for run in runs[1:]:
+                for want, got in zip(runs[0], run):
+                    assert want.tobytes() == got.tobytes()
 
     def test_conv2d_gradients_match_unfused_reference(
         self, kernel, stride, padding, dilation, groups
@@ -260,6 +318,91 @@ class TestConvBackwardGrid:
         h, w = x.shape[2:]
         dx_ref = dx_pad_ref[:, :, ph : ph + h, pw : pw + w]
         np.testing.assert_allclose(xt.grad, dx_ref, rtol=1e-12, atol=1e-12)
+
+
+def _interior(padded, x_shape, padding):
+    (ph, pw), (h, w) = padding, x_shape[2:]
+    return padded[:, :, ph : ph + h, pw : pw + w]
+
+
+def _conv_dx_padded(grad, weight, x_pad_shape, stride, dilation, groups):
+    """Oracle: the dX formulation ``_conv_dx`` had before it stopped
+    computing the gradient of the padding — one GEMM over every covered
+    position of the *padded* input, zeros beyond the last window tap."""
+    n, oc, oh, ow = grad.shape
+    _, c, hp, wp = x_pad_shape
+    ocg, cg, kh, kw = oc // groups, *weight.shape[1:]
+    (sh, sw), (dh, dw) = stride, dilation
+    eh, ew = dh * (kh - 1) + 1, dw * (kw - 1) + 1
+    gh, gw = sh * (oh - 1) + 1, sw * (ow - 1) + 1
+    stuffed = np.zeros((n, oc, gh + 2 * (eh - 1), gw + 2 * (ew - 1)))
+    stuffed[:, :, eh - 1 : eh - 1 + gh : sh, ew - 1 : ew - 1 + gw : sw] = grad
+    ch, cw = gh + eh - 1, gw + ew - 1
+    cols = _extract_windows(stuffed, (kh, kw), (1, 1), dilation, (ch, cw))
+    w_flip = weight[:, :, ::-1, ::-1].reshape(groups, ocg, cg, kh, kw)
+    w_t = np.ascontiguousarray(w_flip.transpose(0, 2, 1, 3, 4)).reshape(
+        groups, cg, ocg * kh * kw
+    )
+    gx = np.matmul(w_t, cols.reshape(n, groups, ocg * kh * kw, ch * cw))
+    out = np.zeros(x_pad_shape)
+    out[:, :, :ch, :cw] = gx.reshape(n, c, ch, cw)
+    return out
+
+
+#: (kernel, stride, padding, dilation, depthwise) of every conv the search
+#: space builds that needs a dX: separable and dilated depthwise 3x3/5x5
+#: at stride 1 and 2, their pointwise 1x1, FactorizedReduce's 1x1 stride 2.
+SEARCH_SPACE_CONVS = [
+    (k, s, d * (k // 2), d, True) for k in (3, 5) for s in (1, 2) for d in (1, 2)
+] + [(1, 1, 0, 1, False), (1, 2, 0, 1, False)]
+
+
+@pytest.mark.parametrize("size,channels", [(16, 6), (8, 12), (4, 24), (8, 4)])
+@pytest.mark.parametrize("k,s,p,d,depthwise", SEARCH_SPACE_CONVS)
+def test_interior_dx_is_the_padded_formulation_bit_for_bit(
+    size, channels, k, s, p, d, depthwise
+):
+    """What the golden digests rest on: at the shapes the default and
+    test configs produce (even maps; depthwise or 1x1 kernels) dropping
+    the padding's columns from the GEMM moves no bit of the rest."""
+    if size + 2 * p < d * (k - 1) + 1:
+        pytest.skip("kernel larger than the padded map")
+    rng = np.random.default_rng(5)
+    groups = channels if depthwise else 1
+    oc = channels if s == 1 else channels // 2 * (2 if depthwise else 1)
+    x_shape = (8, channels, size, size)
+    weight = rng.standard_normal((oc, channels // groups, k, k))
+    o = (size + 2 * p - d * (k - 1) - 1) // s + 1
+    grad = rng.standard_normal((8, oc, o, o))
+    x_pad_shape = (8, channels, size + 2 * p, size + 2 * p)
+    want = _interior(
+        _conv_dx_padded(grad, weight, x_pad_shape, (s, s), (d, d), groups),
+        x_shape, (p, p),
+    )
+    got = _conv_dx(grad, weight, x_shape, (s, s), (p, p), (d, d), groups)
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_interior_dx_at_16_output_channels_may_move_one_position_by_an_ulp():
+    """Where that bit identity stops, pinned so it is not silent:
+    ``FactorizedReduce``'s 1x1 stride-2 conv at 16 output channels (the
+    reduction cell of an ``init_channels=16`` config).  The padded
+    formulation's GEMM had 15 x 15 columns and OpenBLAS rounds an odd
+    last column — position (14, 14) — through its tail kernel once the
+    contraction is 16 long; over x's own 16 x 16 columns there is no
+    tail.  Seeded runs at such widths differ from the parent commit in
+    the last ulp there; every other position is the same bytes."""
+    rng = np.random.default_rng(5)
+    x_shape, oc = (8, 32, 16, 16), 16
+    weight = rng.standard_normal((oc, 32, 1, 1))
+    grad = rng.standard_normal((8, oc, 8, 8))
+    want = _conv_dx_padded(grad, weight, x_shape, (2, 2), (1, 1), 1)
+    got = _conv_dx(grad, weight, x_shape, (2, 2), (0, 0), (1, 1), 1)
+    tail = np.zeros(x_shape, dtype=bool)
+    tail[:, :, 14, 14] = True
+    assert got[~tail].tobytes() == want[~tail].tobytes()
+    ulp = np.finfo(np.float64).eps * np.abs(want).max()
+    np.testing.assert_allclose(got[tail], want[tail], rtol=0, atol=2 * ulp)
 
 
 def _race(threads):
@@ -354,13 +497,10 @@ def default_step():
 
 def _closure_arrays(fn):
     """name -> ndarrays ``fn``'s closure cells hold, directly or in a
-    container (tensors are graph nodes of their own; only the padded
-    input's array counts here)."""
+    container (tensors are graph nodes of their own)."""
     found = {}
 
     def visit(name, obj):
-        if isinstance(obj, Tensor) and name == "x_pad":
-            obj = obj.data
         if isinstance(obj, np.ndarray):
             found.setdefault(name, []).append(obj)
         elif isinstance(obj, (dict, list, tuple)):
@@ -381,8 +521,9 @@ def _owner_nbytes(array):
 
 class TestDefaultConfigStepMemory:
     def test_first_sighting_peak_and_retained_estimate(self, default_step):
-        """Fails at the parent of PR 17 (traced peak 235 MiB): backward's
-        stuffed/im2col scratch was parked in every conv closure."""
+        """Fails at the parent of PR 19 (traced peak 132 MiB on this
+        step): the graph lived to the end of backward, every conv kept
+        its forward windows, and dX was computed for the padding too."""
         compiled.reset_cache()
         vars(nn.functional._WORKSPACE).clear()  # cold workspace: worst case
         gc.collect()
@@ -402,15 +543,41 @@ class TestDefaultConfigStepMemory:
         assert tape.stats().snapshot() == {
             "first_sightings": 1, "captures": 1, "replays": 0, "fallbacks": 0,
         }
-        assert peak <= 160 * 2**20, f"first-sighting peak {peak / 2**20:.1f} MiB"
+        assert peak <= 56 * 2**20, f"first-sighting peak {peak / 2**20:.1f} MiB"
         estimate = _only_model().retained_bytes
         assert retained / 2 <= estimate <= retained * 2
 
+    def test_released_walk_leaves_the_retaining_walks_gradients(self):
+        """``backward()`` drops each node once it has run; the leaves see
+        the same accumulations in the same order either way."""
+        from repro import ExperimentConfig
+
+        config = ExperimentConfig(seed=0).supernet_config()
+        net = Supernet(config, rng=np.random.default_rng(0))
+        mask = ArchitecturePolicy(
+            config.num_edges, rng=np.random.default_rng(4)
+        ).sample_mask()
+        rng = np.random.default_rng(1)
+        x, y = rng.standard_normal((16, 3, 16, 16)), rng.integers(0, 10, 16)
+        grads = []
+        for retain in (True, False):
+            net.zero_grad()
+            loss = nn.functional.cross_entropy(net(Tensor(x), mask), y)
+            loss.backward(retain_graph=retain)
+            grads.append(
+                {n: p.grad.copy() for n, p in net.named_parameters() if p.grad is not None}
+            )
+        kept, released = grads
+        assert kept and set(kept) == set(released)
+        for name in kept:
+            assert kept[name].tobytes() == released[name].tobytes(), name
+
     def test_no_closure_retains_scratch(self, default_step, monkeypatch):
-        """No conv/pool backward closure of a retained graph holds an
-        array larger than its own padded input — bar the forward
-        windows a conv keeps for dW — and nothing a closure holds, or
-        ``_accumulate`` is handed, is a view of the workspace."""
+        """No conv/pool backward closure of a retained graph — plain or
+        fused conv→BN→ReLU — holds an array larger than its own padded
+        input or its output: no windows, forward's or backward's.
+        Nothing a closure holds, or ``_accumulate`` is handed, is a view
+        of the workspace, whose window slots stay a few blocks small."""
         accumulate = Tensor._accumulate
         workspace = vars(nn.functional._WORKSPACE)
 
@@ -422,25 +589,31 @@ class TestDefaultConfigStepMemory:
             accumulate(self, grad)
 
         monkeypatch.setattr(Tensor, "_accumulate", checked)
-        compiled.reset_cache()
-        default_step()
-        default_step()
-        ((step, _, _),) = _only_model().steps.values()
-        assert set(workspace) == {"stuffed", "cols", "gflat"}
-        seen = set()
-        for node in step._nodes:
-            op = getattr(node._backward, "__qualname__", "").split(".")[0]
-            if op not in ("conv2d", "max_pool2d", "avg_pool2d"):
-                continue
-            seen.add(op)
-            held = _closure_arrays(node._backward)
-            limit = max(_owner_nbytes(a) for a in held["x_pad"])
-            for name, arrays in held.items():
-                for array in arrays:
-                    assert not in_workspace(array), (op, name)
-                    if name != "cols_r":
+        for fusion in (False, True):
+            tape.configure(fusion=fusion)
+            compiled.reset_cache()
+            default_step()
+            default_step()
+            ((step, _, _),) = _only_model().steps.values()
+            assert set(workspace) == {"stuffed", "cols", "gflat"}
+            for slot in ("cols", "gflat"):
+                assert workspace[slot][0].nbytes <= 4 * nn.functional._BLOCK_BYTES
+            seen = set()
+            for node in step._nodes:
+                op = getattr(node._backward, "__qualname__", "").split(".")[0]
+                if op not in ("conv2d", "conv_bn_relu", "max_pool2d", "avg_pool2d"):
+                    continue
+                seen.add(op)
+                held = _closure_arrays(node._backward)
+                limit = max(
+                    [node.data.nbytes] + [_owner_nbytes(a) for a in held["x_pad"]]
+                )
+                for name, arrays in held.items():
+                    for array in arrays:
+                        assert not in_workspace(array), (op, name)
                         assert _owner_nbytes(array) <= limit, (op, name, array.shape)
-        assert seen == {"conv2d", "max_pool2d", "avg_pool2d"}
+            assert seen >= {"conv2d", "max_pool2d", "avg_pool2d"}
+            assert ("conv_bn_relu" in seen) == fusion
 
 
 # ----------------------------------------------------------------------
@@ -601,6 +774,34 @@ class TestAdmission:
             assert tape.stats().snapshot() == dict(want, fallbacks=0)
             assert len(cm.steps) == graphs
             assert (cm.retained_bytes > 0) == bool(graphs)
+
+    def test_first_sighting_builds_no_graph_record(self, tiny_dataset, monkeypatch):
+        """Only the sighting that admits a graph pays for a
+        ``CompiledStep`` (topological order, gradient buffers) and asks
+        ``backward`` to keep the graph; the first one counts as a first
+        sighting and nothing else."""
+        built, kept = [], []
+        real_backward = Tensor.backward
+
+        class Counting(compiled.CompiledStep):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        def backward(self, grad=None, retain_graph=False):
+            kept.append(retain_graph)
+            real_backward(self, grad, retain_graph=retain_graph)
+
+        monkeypatch.setattr(compiled, "CompiledStep", Counting)
+        monkeypatch.setattr(Tensor, "backward", backward)
+        first, second = _make_tasks(num_masks=1, repeats=2)
+        run_local_step(first, tiny_dataset, 8, TINY)
+        assert (built, kept) == ([], [False])
+        assert tape.stats().snapshot() == {
+            "first_sightings": 1, "captures": 0, "replays": 0, "fallbacks": 0,
+        }
+        run_local_step(second, tiny_dataset, 8, TINY)
+        assert (built, kept) == ([1], [False, True])
 
     def test_byte_estimate_tracks_what_retention_allocates(self, tiny_dataset):
         first, second = _make_tasks(num_masks=1, repeats=2)
