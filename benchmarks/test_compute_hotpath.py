@@ -14,8 +14,7 @@ Modes under measurement, identical seeded task stream for each:
 * ``eager``        — the private eager oracle (``_run_eager_step``: the
   ``TapeUnsupported`` fallback; no production step takes it otherwise),
 * ``tape``         — float64 capture/replay (bit-identical contract),
-* ``tape+f32``     — float32 compute buffers, float64 master params,
-* ``tape+fusion``  — fused conv→BN→ReLU replay primitive.
+* ``tape+f32``     — float32 compute buffers, float64 master params.
 
 Results go to ``benchmarks/results/compute_hotpath.txt`` and, machine
 readable (including the per-op replay breakdown), ``BENCH_compute.json``
@@ -54,7 +53,6 @@ MODES = [
     ("eager", dict(step=_run_eager_step)),
     ("tape", dict()),
     ("tape+f32", dict(compute_dtype="float32")),
-    ("tape+fusion", dict(fusion=True)),
 ]
 
 
@@ -75,10 +73,10 @@ def build_tasks():
     ]
 
 
-def run_mode(tasks, train, step=run_local_step, compute_dtype="float64", fusion=False):
+def run_mode(tasks, train, step=run_local_step, compute_dtype="float64"):
     """Time TIMED_STEPS steps in one engine mode; returns s/step, the
     gradient dicts of the timed steps, and the per-op profile rows."""
-    tape.configure(compute_dtype=compute_dtype, fusion=fusion)
+    tape.configure(compute_dtype)
     compiled.reset_cache()
     try:
         for task in tasks[:WARMUP_STEPS]:
@@ -99,7 +97,7 @@ def run_mode(tasks, train, step=run_local_step, compute_dtype="float64", fusion=
         ops = recorder.payload().get("ops", [])
         return best / TIMED_STEPS, updates, ops
     finally:
-        tape.configure(compute_dtype="float64", fusion=False)
+        tape.configure("float64")
         compiled.reset_cache()
 
 
@@ -172,7 +170,6 @@ def test_compute_hotpath(benchmark):
     eager_updates = results["eager"][1]
     for name, rtol, atol, bit in [
         ("tape", 0, 0, True),
-        ("tape+fusion", 1e-6, 1e-9, False),
         ("tape+f32", 1e-4, 1e-6, False),
     ]:
         for ref, got in zip(eager_updates, results[name][1]):

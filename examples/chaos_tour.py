@@ -48,10 +48,6 @@ def run_search(network_faults=None, backend="socket"):
         fl_retrain_rounds=1,
         seed=7,
         network_faults=network_faults,
-        # fast-recovery knobs so the short demo shows breaker activity
-        breaker_cooldown_s=0.5,
-        retry_backoff_base_s=0.02,
-        hedge_threshold_s=0.25,
     )
     pipeline = FederatedModelSearch(config)
     try:

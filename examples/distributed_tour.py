@@ -180,7 +180,7 @@ def main() -> None:
 
 
 def tape_demo() -> None:
-    """Compiled compute engine: tape + fusion, with per-op replay timings.
+    """Compiled compute engine: tape replay, with per-op timings.
 
     The tape pays off when masks repeat — the late-search steady state —
     so this demo sharpens the controller onto one operation first: the
@@ -198,11 +198,10 @@ def tape_demo() -> None:
     from repro.data import iid_partition, synth_cifar10
     from repro.federated import FederatedSearchServer, Participant, SerialBackend
     from repro.federated import compiled
-    from repro.nn import tape
     from repro.search_space import Supernet, SupernetConfig
     from repro.telemetry import build_telemetry
 
-    print("\ncompiled compute engine (tape + fusion) demo:")
+    print("\ncompiled compute engine (tape replay) demo:")
     net = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1)
     log_path = Path(tempfile.mkdtemp(prefix="repro-tape-")) / "tape.jsonl"
     telemetry = build_telemetry(types.SimpleNamespace(
@@ -210,10 +209,9 @@ def tape_demo() -> None:
         telemetry_log_path=str(log_path),
         tracing_enabled=True,
         trace_ops=True,
-        telemetry_buffer_size=65536,
     ))
 
-    def converged_server(with_telemetry):
+    def converged_server():
         rng = np.random.default_rng(0)
         train, _ = synth_cifar10(
             seed=1, train_per_class=20, test_per_class=2, image_size=8
@@ -223,15 +221,14 @@ def tape_demo() -> None:
             Participant(k, s, batch_size=16, rng=np.random.default_rng(100 + k))
             for k, s in enumerate(shards)
         ]
-        tel = telemetry if with_telemetry else None
-        backend = SerialBackend(parts, net, telemetry=tel)
+        backend = SerialBackend(parts, net, telemetry=telemetry)
         server = FederatedSearchServer(
             Supernet(net, rng=rng),
             ArchitecturePolicy(net.num_edges, rng=rng),
             parts,
             rng=rng,
             backend=backend,
-            telemetry=tel,
+            telemetry=telemetry,
         )
         # Late-search stand-in: one op dominates, so masks repeat.
         server.policy.alpha[:] = 0.0
@@ -241,31 +238,20 @@ def tape_demo() -> None:
     rounds = 3
     compiled.reset_cache()
     try:
-        plain = converged_server(with_telemetry=False)
+        server = converged_server()
         start = time.perf_counter()
-        plain.run(1)  # first sighting, admission, then replays
+        server.run(1)  # first sighting, admission, then replays
         first_s = time.perf_counter() - start
         start = time.perf_counter()
-        plain.run(rounds)
-        plain_s = (time.perf_counter() - start) / rounds
-        plain.backend.close()
-
-        tape.configure(fusion=True)
-        fused = converged_server(with_telemetry=True)
-        fused.run(1)  # fusion is part of the key: captured afresh
-        start = time.perf_counter()
-        fused.run(rounds)
-        fused_s = (time.perf_counter() - start) / rounds
-        fused.backend.close()
+        server.run(rounds)
+        replay_s = (time.perf_counter() - start) / rounds
+        server.backend.close()
     finally:
-        tape.configure(fusion=False)
         telemetry.close()
 
     print(f"  capture round: {first_s * 1e3:8.1f} ms")
-    print(f"  replay rounds: {plain_s * 1e3:8.1f} ms/round "
-          f"({first_s / plain_s:.2f}x)")
-    print(f"  with fusion:   {fused_s * 1e3:8.1f} ms/round "
-          f"({first_s / fused_s:.2f}x)")
+    print(f"  replay rounds: {replay_s * 1e3:8.1f} ms/round "
+          f"({first_s / replay_s:.2f}x)")
 
     summary = summarize_trace(load_events(log_path))
     tape_stats = summary.get("tape") or {}

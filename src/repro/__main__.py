@@ -49,11 +49,27 @@ works as an alias for ``repro run`` but is deprecated.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .core import ExperimentConfig, FederatedModelSearch
 from .faults import InjectedServerCrash
+
+
+#: ``--staleness`` names for the Sec. VI-C mixes.
+_STALENESS_MIXES = {
+    "none": None,
+    "severe": (0.3, 0.4, 0.2, 0.1),
+    "slight": (0.9, 0.09, 0.009, 0.001),
+}
+
+_ARG_TYPES = {"int": int, "float": float}
+
+
+def _flag_fields():
+    """The config fields that declare a CLI flag in their metadata."""
+    return [f for f in dataclasses.fields(ExperimentConfig) if "flag" in f.metadata]
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -66,118 +82,30 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentPars
         help="load ExperimentConfig fields from a JSON file; explicit CLI "
         "flags override file values, which override the profile defaults",
     )
-    parser.add_argument(
-        "--dataset", choices=("cifar10", "svhn", "cifar100"), default=None
-    )
-    parser.add_argument("--non-iid", action="store_true", help="Dirichlet(0.5) shards")
-    parser.add_argument("--participants", type=int, default=None, metavar="K")
-    parser.add_argument(
-        "--population", type=int, default=None, metavar="N",
-        help="population mode: register N lightweight participant records "
-        "and sample a per-round cohort instead of running every "
-        "participant every round; server memory stays O(cohort), not "
-        "O(population)",
-    )
-    parser.add_argument(
-        "--cohort-size", type=int, default=None, metavar="C",
-        help="participants sampled per round in population mode "
-        "(default: 50)",
-    )
-    parser.add_argument(
-        "--cohort-strategy", choices=("uniform", "weighted"), default=None,
-        help="cohort sampling: uniform over active participants, or "
-        "weighted by device compute speed (default: uniform)",
-    )
-    parser.add_argument(
-        "--churn-plan", default=None, metavar="PLAN.JSON",
-        help="evolve the population from a repro.population.ChurnPlan "
-        "JSON file (joins, permanent departures, temporary dropout "
-        "flaps); seeded and deterministic",
-    )
-    parser.add_argument("--warmup-rounds", type=int, default=None)
-    parser.add_argument("--search-rounds", type=int, default=None)
+    # One argument per config field that declares a flag; everything
+    # defaults to "not given" so the profile / --config value stands.
+    for f in _flag_fields():
+        meta = f.metadata
+        options = {"help": meta.get("help")}
+        if f.type == "bool":
+            options["action"] = "store_true"
+        else:
+            options.update(metavar=meta.get("metavar"), choices=meta.get("choices"))
+            if f.type in _ARG_TYPES:
+                options["type"] = _ARG_TYPES[f.type]
+            elif "Tuple" in f.type:
+                options["nargs"] = "+"
+        parser.add_argument(meta["flag"], **options)
     parser.add_argument(
         "--retrain", choices=("federated", "centralized"), default="federated"
     )
     parser.add_argument(
-        "--staleness", choices=("none", "severe", "slight"), default=None,
+        "--staleness", choices=tuple(_STALENESS_MIXES), default=None,
         help="staleness mix during the search (Sec. VI-C)",
-    )
-    parser.add_argument(
-        "--staleness-policy", choices=("compensate", "use", "throw"),
-        default=None,
     )
     parser.add_argument(
         "--mobility", nargs="*", default=None, metavar="MODE",
         help="mobility modes for bandwidth traces (e.g. --mobility bus car)",
-    )
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--backend", choices=("serial", "process", "socket"), default=None,
-        help="execution engine for participant local steps "
-        "(default: $REPRO_BACKEND or serial); seeded results are "
-        "bit-identical across backends",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes/daemons for --backend process|socket "
-        "(default: min(participants, cpu count))",
-    )
-    parser.add_argument(
-        "--socket-workers", nargs="+", default=None, metavar="HOST:PORT",
-        help="connect --backend socket to these already-running "
-        "'repro serve' daemons instead of spawning local ones",
-    )
-    parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task deadline before retry / offline fallback",
-    )
-    parser.add_argument(
-        "--task-retries", type=int, default=None, metavar="N",
-        help="retries per failed task, each on a different worker "
-        "when possible (default: 1)",
-    )
-    parser.add_argument(
-        "--wire-compression", choices=("none", "zlib"), default=None,
-        help="payload compression for --backend socket (default: none)",
-    )
-    parser.add_argument(
-        "--wire-dtype", choices=("float16", "float32", "float64"),
-        default=None,
-        help="wire precision for --backend socket tensors; float64 is "
-        "lossless and preserves bit-identical results (default: float64)",
-    )
-    parser.add_argument(
-        "--compute-dtype", choices=("float64", "float32"), default=None,
-        help="replay dtype of the compiled compute engine: float64 "
-        "(reference) or float32 (opt-in, tolerance-verified; "
-        "default: $REPRO_COMPUTE_DTYPE or float64)",
-    )
-    parser.add_argument(
-        "--tape-fusion", action="store_true",
-        help="fused conv-BN-ReLU tape primitive (analytic "
-        "fused backward; tolerance-equal to the unfused composition; "
-        "default: $REPRO_TAPE_FUSION)",
-    )
-    parser.add_argument(
-        "--measure-wire", action="store_true",
-        help="measure exact on-wire payload sizes each round and report "
-        "them through telemetry (alongside the analytic Fig. 7 estimate)",
-    )
-    parser.add_argument(
-        "--telemetry-log", default=None, metavar="PATH",
-        help="also stream telemetry events to a JSONL run log at PATH",
-    )
-    parser.add_argument(
-        "--no-telemetry", action="store_true",
-        help="disable telemetry entirely (null sink, near-zero overhead)",
-    )
-    parser.add_argument(
-        "--tracing", action="store_true",
-        help="distributed tracing: tasks carry a trace context, workers "
-        "time local-step phases, and span trees merge into the round "
-        "timeline (default: $REPRO_TRACING; seeded results are "
-        "bit-identical with tracing off or on)",
     )
     parser.add_argument(
         "--trace-ops", action="store_true",
@@ -187,31 +115,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentPars
     parser.add_argument(
         "--metrics", action="store_true",
         help="print the final metrics snapshot as Markdown tables",
-    )
-    parser.add_argument(
-        "--faults", default=None, metavar="PLAN.JSON",
-        help="inject faults from a repro.faults.FaultPlan JSON file "
-        "(corrupted updates, drops, flaps, forced crashes); seeded and "
-        "deterministic",
-    )
-    parser.add_argument(
-        "--network-faults", default=None, metavar="PLAN.JSON",
-        help="inject wire-level chaos from a repro.faults.NetworkFaultPlan "
-        "JSON file (latency, drops, refused dials, partitions, throttling, "
-        "frame corruption); socket backend only, seeded and deterministic",
-    )
-    parser.add_argument(
-        "--no-validation", action="store_true",
-        help="disable the server-side update validation/quarantine boundary",
-    )
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="write a crash-consistent search checkpoint to PATH "
-        "(with --checkpoint-every)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
-        help="checkpoint every N warm-up/search rounds (requires --checkpoint)",
     )
     parser.add_argument(
         "--resume", default=None, metavar="CKPT",
@@ -276,15 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
 
-def build_trace_parser() -> argparse.ArgumentParser:
-    return _add_trace_arguments(
-        argparse.ArgumentParser(
-            prog="repro trace",
-            description="Summarize a JSONL telemetry run log",
-        )
-    )
-
-
 def build_main_parser() -> argparse.ArgumentParser:
     """Top-level parser with the ``run`` and ``trace`` subcommands."""
     parser = argparse.ArgumentParser(
@@ -320,77 +214,22 @@ def build_main_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Resolve profile defaults < ``--config`` file < explicit CLI flags."""
-    mixes = {
-        "none": None,
-        "severe": (0.3, 0.4, 0.2, 0.1),
-        "slight": (0.9, 0.09, 0.009, 0.001),
-    }
     overrides = {}
-    if args.dataset is not None:
-        overrides["dataset"] = args.dataset
-    if args.non_iid:
-        overrides["non_iid"] = True
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    for f in _flag_fields():
+        dest = f.metadata["flag"].lstrip("-").replace("-", "_")  # argparse's rule
+        value = getattr(args, dest, None)
+        if f.type == "bool":
+            if value:
+                overrides[f.name] = not f.default
+        elif value is not None:
+            overrides[f.name] = tuple(value) if "Tuple" in f.type else value
     if args.staleness is not None:
-        overrides["staleness_mix"] = mixes[args.staleness]
-    if args.staleness_policy is not None:
-        overrides["staleness_policy"] = args.staleness_policy
+        overrides["staleness_mix"] = _STALENESS_MIXES[args.staleness]
     if args.mobility:
         overrides["mobility_modes"] = tuple(args.mobility)
-    if args.participants is not None:
-        overrides["num_participants"] = args.participants
-    if getattr(args, "population", None) is not None:
-        overrides["population"] = args.population
-    if getattr(args, "cohort_size", None) is not None:
-        overrides["cohort_size"] = args.cohort_size
-    if getattr(args, "cohort_strategy", None) is not None:
-        overrides["cohort_strategy"] = args.cohort_strategy
-    if getattr(args, "churn_plan", None):
-        overrides["churn_plan"] = args.churn_plan
-    if args.warmup_rounds is not None:
-        overrides["warmup_rounds"] = args.warmup_rounds
-    if args.search_rounds is not None:
-        overrides["search_rounds"] = args.search_rounds
-    if getattr(args, "backend", None) is not None:
-        overrides["backend"] = args.backend
-    if getattr(args, "workers", None) is not None:
-        overrides["num_workers"] = args.workers
-    if getattr(args, "task_timeout", None) is not None:
-        overrides["task_timeout_s"] = args.task_timeout
-    if getattr(args, "task_retries", None) is not None:
-        overrides["task_retries"] = args.task_retries
-    if getattr(args, "socket_workers", None):
-        overrides["socket_workers"] = tuple(args.socket_workers)
-    if getattr(args, "wire_compression", None) is not None:
-        overrides["socket_compression"] = args.wire_compression
-    if getattr(args, "wire_dtype", None) is not None:
-        overrides["socket_wire_dtype"] = args.wire_dtype
-    if getattr(args, "compute_dtype", None) is not None:
-        overrides["compute_dtype"] = args.compute_dtype
-    if getattr(args, "tape_fusion", False):
-        overrides["tape_fusion"] = True
-    if getattr(args, "measure_wire", False):
-        overrides["measure_wire_bytes"] = True
-    if getattr(args, "telemetry_log", None):
-        overrides["telemetry_log_path"] = args.telemetry_log
-    if getattr(args, "no_telemetry", False):
-        overrides["telemetry_enabled"] = False
-    if getattr(args, "tracing", False):
-        overrides["tracing_enabled"] = True
     if getattr(args, "trace_ops", False):
         overrides["tracing_enabled"] = True
         overrides["trace_ops"] = True
-    if getattr(args, "faults", None):
-        overrides["fault_plan_path"] = args.faults
-    if getattr(args, "network_faults", None):
-        overrides["network_faults"] = args.network_faults
-    if getattr(args, "no_validation", False):
-        overrides["validate_updates"] = False
-    if getattr(args, "checkpoint", None):
-        overrides["checkpoint_path"] = args.checkpoint
-    if getattr(args, "checkpoint_every", None) is not None:
-        overrides["checkpoint_every"] = args.checkpoint_every
 
     profile = ExperimentConfig.paper if args.profile == "paper" else ExperimentConfig.small
     if getattr(args, "config", None):
@@ -417,15 +256,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def run_main(args: argparse.Namespace) -> int:
     resume_from = getattr(args, "resume", None)
     if resume_from:
-        # The compiled engine's two numeric options may change on
-        # resume (tape caches are derived state — never checkpointed,
-        # rebuilt on first use); all other flags are ignored on resume.
-        overrides = {}
+        # The compiled engine's replay dtype may change on resume (tape
+        # caches are derived state — never checkpointed, rebuilt on
+        # first use); all other flags are ignored on resume.
+        overrides = None
         if getattr(args, "compute_dtype", None) is not None:
-            overrides["compute_dtype"] = args.compute_dtype
-        if getattr(args, "tape_fusion", False):
-            overrides["tape_fusion"] = True
-        overrides = overrides or None
+            overrides = {"compute_dtype": args.compute_dtype}
         try:
             pipeline = FederatedModelSearch.resume(
                 resume_from, config_overrides=overrides
@@ -476,12 +312,6 @@ def run_main(args: argparse.Namespace) -> int:
         print()
         print(metrics_markdown(report.metrics))
     return 0
-
-
-def trace_main(argv=None) -> int:
-    """Entry point for ``repro trace`` (accepts raw argv for back-compat)."""
-    args = build_trace_parser().parse_args(argv)
-    return _trace_main(args)
 
 
 def _trace_main(args: argparse.Namespace) -> int:

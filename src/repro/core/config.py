@@ -15,31 +15,51 @@ import os
 import warnings
 from typing import Dict, Optional, Tuple
 
+from repro.federated.executor import BACKENDS
+from repro.federated.server import STALENESS_POLICIES, SearchServerConfig
 from repro.network import MOBILITY_MODES, STRATEGIES
 from repro.search_space import SupernetConfig
 
 __all__ = ["ExperimentConfig", "TABLE1_DEFAULTS"]
 
-#: Staleness fallback policies (mirrors ``repro.federated.server``).
-_STALENESS_POLICIES = ("compensate", "use", "throw")
+#: Keys that config files and checkpoint-embedded configs written
+#: before their removal still carry: name -> (former default, where the
+#: value lives now).  :meth:`ExperimentConfig.from_dict` drops a key at
+#: its former default (what those checkpoints embed) with a warning; any
+#: other value raises, so a resumed run cannot silently change
+#: behaviour.  The three path switches are dropped at ``_ANY`` value:
+#: the path they selected is the only one, and bit-identical.
+_ANY = object()
+_RESILIENCE = "it is a transport.ResilienceConfig field: build_backend(resilience=...)"
+_SERVER = "it is a repro.federated.SearchServerConfig default"
+_RETIRED_KEYS = {
+    "delta_dispatch": (_ANY, ""),
+    "param_arena": (_ANY, ""),
+    "tape_compile": (_ANY, ""),
+    "breaker_failure_threshold": (3, _RESILIENCE),
+    "breaker_cooldown_s": (2.0, _RESILIENCE),
+    "breaker_cooldown_max_s": (30.0, _RESILIENCE),
+    "retry_backoff_base_s": (0.05, _RESILIENCE),
+    "retry_backoff_cap_s": (2.0, _RESILIENCE),
+    "adaptive_deadlines": (True, _RESILIENCE),
+    "deadline_floor_s": (5.0, _RESILIENCE),
+    "hedge_dispatch": (True, _RESILIENCE),
+    "hedge_threshold_s": (0.0, _RESILIENCE),
+    "task_budget_s": (0.0, _RESILIENCE),
+    "update_norm_limit": (1e4, _SERVER),
+    "strike_limit": (3, _SERVER),
+    "quarantine_rounds": (4, _SERVER),
+    "quarantine_backoff": (2.0, _SERVER),
+    "telemetry_buffer_size": (65536, "it is the repro.telemetry.MemorySink default"),
+    "population_shard_size": (0, "repro.population.build_population sizes shards"),
+    "tape_fusion": (False, "the fused primitive it selected is deleted"),
+}
 
-#: Execution backends (mirrors ``repro.federated.executor.BACKENDS``;
-#: kept literal here so the config layer stays import-light).
-_EXECUTION_BACKENDS = ("serial", "process", "socket")
 
-#: Wire options for the socket backend (mirrors
-#: ``repro.transport.codec.COMPRESSIONS`` / ``repro.nn.WIRE_DTYPES``).
-_SOCKET_COMPRESSIONS = ("none", "zlib")
-_SOCKET_WIRE_DTYPES = ("float16", "float32", "float64")
-
-#: Cohort sampling strategies (mirrors
-#: ``repro.population.SAMPLER_STRATEGIES``; literal for import-lightness).
-_COHORT_STRATEGIES = ("uniform", "weighted")
-
-#: Switches that selected paths which no longer exist.  Config files and
-#: checkpoint-embedded configs written before their removal still carry
-#: them; :meth:`ExperimentConfig.from_dict` drops them with a warning.
-_RETIRED_KEYS = ("delta_dispatch", "param_arena", "tape_compile")
+def _option(default, **metadata):
+    """A field declared once: its default plus the ``metadata`` (range
+    and CLI surface) described on :class:`ExperimentConfig`."""
+    return dataclasses.field(default=default, metadata=metadata)
 
 
 def _default_backend() -> str:
@@ -51,39 +71,6 @@ def _default_backend() -> str:
     """
     return os.environ.get("REPRO_BACKEND", "serial")
 
-
-def _default_compute_dtype() -> str:
-    """Replay-dtype default: ``$REPRO_COMPUTE_DTYPE`` when set."""
-    return os.environ.get("REPRO_COMPUTE_DTYPE", "") or "float64"
-
-
-def _default_tape_fusion() -> bool:
-    """Fused conv→BN→ReLU default: ``$REPRO_TAPE_FUSION`` when set."""
-    return os.environ.get("REPRO_TAPE_FUSION", "").lower() in (
-        "1", "true", "yes", "on"
-    )
-
-
-def _default_network_faults() -> Optional[str]:
-    """Network-chaos default: ``$REPRO_NETWORK_FAULTS`` when set.
-
-    Same contract as :func:`_default_backend` — the environment hook
-    lets CI run the whole suite under a wire fault plan without
-    touching call sites.  An empty string means None.
-    """
-    return os.environ.get("REPRO_NETWORK_FAULTS") or None
-
-
-def _default_tracing() -> bool:
-    """Distributed-tracing default: ``$REPRO_TRACING`` when set.
-
-    Same contract as :func:`_default_backend` — the environment hook
-    flips a whole test/CI run to traced execution without touching call
-    sites; an explicit ``tracing_enabled=`` argument always wins.
-    """
-    return os.environ.get("REPRO_TRACING", "").lower() in (
-        "1", "true", "yes", "on"
-    )
 
 #: Verbatim Table I values (name -> value), kept as a reference artefact
 #: that the Table I bench prints and the paper() profile is built from.
@@ -173,17 +160,29 @@ def _coerce_value(name: str, type_str: str, value: object) -> object:
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    """Everything needed to run the four-phase pipeline once."""
+    """Everything needed to run the four-phase pipeline once.
+
+    An option is declared once, on its field.  ``metadata`` carries its
+    range — ``ge`` / ``gt`` (inclusive / exclusive lower bound) or
+    ``choices`` — which :meth:`__post_init__` enforces, and its CLI
+    surface — ``flag``, ``metavar``, ``help`` — from which
+    :mod:`repro.__main__` generates ``repro run``'s arguments.  A bool
+    field's flag flips it away from its default.
+    """
 
     # Data
-    dataset: str = "cifar10"
-    non_iid: bool = False
+    dataset: str = _option(
+        "cifar10",
+        choices=("cifar10", "svhn", "cifar100"),
+        flag="--dataset",
+    )
+    non_iid: bool = _option(False, flag="--non-iid", help="Dirichlet(0.5) shards")
     dirichlet_alpha: float = 0.5
-    num_participants: int = 10
+    num_participants: int = _option(10, ge=1, flag="--participants", metavar="K")
     train_per_class: int = 40
     test_per_class: int = 10
-    image_size: int = 16
-    seed: int = 0
+    image_size: int = _option(16, ge=1)
+    seed: int = _option(0, flag="--seed")
 
     # Search space
     init_channels: int = 6
@@ -191,13 +190,13 @@ class ExperimentConfig:
     steps: int = 2
 
     # Phase lengths
-    warmup_rounds: int = 20
-    search_rounds: int = 60
-    retrain_epochs: int = 10
-    fl_retrain_rounds: int = 30
+    warmup_rounds: int = _option(20, ge=0, flag="--warmup-rounds")
+    search_rounds: int = _option(60, ge=0, flag="--search-rounds")
+    retrain_epochs: int = _option(10, ge=0)
+    fl_retrain_rounds: int = _option(30, ge=0)
 
     # Optimisation (Table I ratios)
-    batch_size: int = 16
+    batch_size: int = _option(16, ge=1)
     theta_lr: float = 0.025
     theta_momentum: float = 0.9
     theta_weight_decay: float = 3e-4
@@ -211,13 +210,17 @@ class ExperimentConfig:
     fl_weight_decay: float = 0.005
 
     # Synchronisation
-    staleness_threshold: int = 2
-    staleness_policy: str = "compensate"
+    staleness_threshold: int = _option(2, ge=0)
+    staleness_policy: str = _option(
+        "compensate",
+        choices=STALENESS_POLICIES,
+        flag="--staleness-policy",
+    )
     compensation_lambda: float = 0.5
     staleness_mix: Optional[Tuple[float, ...]] = None
 
     # Transmission
-    transmission_strategy: str = "adaptive"
+    transmission_strategy: str = _option("adaptive", choices=STRATEGIES)
     mobility_modes: Optional[Tuple[str, ...]] = None
 
     # Execution engine (see :mod:`repro.federated.executor`): which
@@ -226,158 +229,224 @@ class ExperimentConfig:
     # ``socket`` dispatches over TCP to worker daemons
     # (:mod:`repro.transport`).  Seeded results are bit-identical across
     # backends (socket: at the default lossless wire precision).
-    backend: str = dataclasses.field(default_factory=_default_backend)
-    #: worker processes/daemons for the ``process``/``socket`` backends;
+    backend: str = dataclasses.field(
+        default_factory=_default_backend,
+        metadata=dict(
+            choices=BACKENDS,
+            flag="--backend",
+            help="execution engine for participant local steps "
+            "(default: $REPRO_BACKEND or serial); seeded results are "
+            "bit-identical across backends",
+        ),
+    )
     #: 0 = auto (``min(num_participants, cpu_count)``)
-    num_workers: int = 0
-    #: per-task deadline (queueing + compute) before a retry / offline
-    #: fallback — shared policy for every distributed backend
-    task_timeout_s: float = 60.0
-    #: re-dispatches after a timeout/crash before a task is declared
-    #: failed and its participant goes offline for the round (the socket
-    #: backend retries on a different replica when one is live)
-    task_retries: int = 1
-    #: replay dtype of the compiled compute engine
-    #: (:mod:`repro.nn.tape`): "float64" (reference, bit-identical to
-    #: the eager step) or "float32" (opt-in, tolerance-verified, ~2x).
-    compute_dtype: str = dataclasses.field(default_factory=_default_compute_dtype)
-    #: fused conv→BN→ReLU tape primitive (analytic fused backward);
-    #: tolerance-equal, not bit-equal, to the unfused composition.
-    tape_fusion: bool = dataclasses.field(default_factory=_default_tape_fusion)
+    num_workers: int = _option(
+        0,
+        ge=0,
+        flag="--workers",
+        metavar="N",
+        help="worker processes/daemons for --backend process|socket "
+        "(default: min(participants, cpu count))",
+    )
+    #: queueing + compute — shared policy for every distributed backend
+    task_timeout_s: float = _option(
+        60.0,
+        gt=0,
+        flag="--task-timeout",
+        metavar="SECONDS",
+        help="per-task deadline before retry / offline fallback",
+    )
+    #: a task out of retries is declared failed and its participant goes
+    #: offline for the round
+    task_retries: int = _option(
+        1,
+        ge=0,
+        flag="--task-retries",
+        metavar="N",
+        help="retries per failed task, each on a different worker "
+        "when possible (default: 1)",
+    )
+    #: see :mod:`repro.nn.tape`; float64 is bit-identical to the eager
+    #: step, float32 is ~2x
+    compute_dtype: str = _option(
+        "float64",
+        choices=("float64", "float32"),
+        flag="--compute-dtype",
+        help="replay dtype of the compiled compute engine: float64 "
+        "(reference) or float32 (opt-in, tolerance-verified; "
+        "default: float64)",
+    )
 
     # Socket-backend wire options (ignored by other backends).
-    #: worker daemon addresses ("host:port"); None auto-spawns
-    #: ``num_workers`` local daemons
-    socket_workers: Optional[Tuple[str, ...]] = None
-    #: wire compression negotiated at hello: "none" or "zlib"
-    socket_compression: str = "none"
-    #: wire precision negotiated at hello; "float64" is lossless
-    #: (bit-identical runs), "float32"/"float16" trade precision for bytes
-    socket_wire_dtype: str = "float64"
-    #: also measure exact on-wire payload sizes (packed blob +
-    #: compression, ``repro.nn.payload_size_bytes``) each round and emit
-    #: them through telemetry next to the analytic Fig. 7 estimates
-    measure_wire_bytes: bool = False
+    #: None auto-spawns ``num_workers`` local daemons
+    socket_workers: Optional[Tuple[str, ...]] = _option(
+        None,
+        flag="--socket-workers",
+        metavar="HOST:PORT",
+        help="connect --backend socket to these already-running "
+        "'repro serve' daemons instead of spawning local ones",
+    )
+    #: negotiated at hello (``repro.transport.codec.COMPRESSIONS``,
+    #: literal here because the transport is imported only when used)
+    socket_compression: str = _option(
+        "none",
+        choices=("none", "zlib"),
+        flag="--wire-compression",
+        help="payload compression for --backend socket (default: none)",
+    )
+    #: negotiated at hello (``repro.nn.WIRE_DTYPES``)
+    socket_wire_dtype: str = _option(
+        "float64",
+        choices=("float16", "float32", "float64"),
+        flag="--wire-dtype",
+        help="wire precision for --backend socket tensors; float64 is "
+        "lossless and preserves bit-identical results (default: float64)",
+    )
+    #: packed blob + compression (``repro.nn.payload_size_bytes``)
+    measure_wire_bytes: bool = _option(
+        False,
+        flag="--measure-wire",
+        help="measure exact on-wire payload sizes each round and report "
+        "them through telemetry (alongside the analytic Fig. 7 estimate)",
+    )
 
     # Telemetry (see :mod:`repro.telemetry`): enabled in-memory by
-    # default; set ``telemetry_log_path`` to also stream JSONL events to
-    # a run-log file, or ``telemetry_enabled=False`` for the no-op
-    # handle (null sink, near-zero overhead).
-    telemetry_enabled: bool = True
-    telemetry_log_path: Optional[str] = None
-    telemetry_buffer_size: int = 65536
-    #: distributed tracing (:mod:`repro.telemetry.tracing`): every
-    #: dispatched task carries a trace context, workers time the local
-    #: step's phases, and the spans ride back on the update for the
-    #: round timeline / ``repro trace --chrome`` export.  Requires
-    #: telemetry; RNG-neutral — seeded results are bit-identical with
-    #: tracing off or on.
-    tracing_enabled: bool = dataclasses.field(default_factory=_default_tracing)
-    #: opt-in per-op ``repro.nn`` forward profiling inside traced local
-    #: steps (keyed by op name and input shape); implies ``tracing_enabled``
-    #: semantics only when tracing is on.
+    # default; ``telemetry_enabled=False`` gives the no-op handle.
+    telemetry_enabled: bool = _option(
+        True,
+        flag="--no-telemetry",
+        help="disable telemetry entirely (null sink, near-zero overhead)",
+    )
+    telemetry_log_path: Optional[str] = _option(
+        None,
+        flag="--telemetry-log",
+        metavar="PATH",
+        help="also stream telemetry events to a JSONL run log at PATH",
+    )
+    #: see :mod:`repro.telemetry.tracing`; the spans ride back on the
+    #: update for the round timeline / ``repro trace --chrome`` export.
+    #: Requires telemetry; RNG-neutral.
+    tracing_enabled: bool = _option(
+        False,
+        flag="--tracing",
+        help="distributed tracing: tasks carry a trace context, workers "
+        "time local-step phases, and span trees merge into the round "
+        "timeline (seeded results are bit-identical with tracing off "
+        "or on)",
+    )
+    #: per-op ``repro.nn`` forward profiling inside traced local steps
+    #: (keyed by op name and input shape); only when tracing is on
+    #: (``--trace-ops`` turns both on)
     trace_ops: bool = False
 
     # Robustness (see :mod:`repro.federated.validation` and
-    # :mod:`repro.faults`): the server-side update trust boundary and
-    # deterministic fault injection.
-    validate_updates: bool = True
-    update_norm_limit: float = 1e4
-    strike_limit: int = 3
-    quarantine_rounds: int = 4
-    quarantine_backoff: float = 2.0
-    #: JSON fault plan (``repro.faults.FaultPlan``) to inject during the
-    #: warm-up/search rounds; None = fault-free run
-    fault_plan_path: Optional[str] = None
-
-    # Network chaos + resilient dispatch (socket backend; see
-    # :mod:`repro.faults.network` and :mod:`repro.transport.resilience`).
-    #: JSON network fault plan (``repro.faults.NetworkFaultPlan``)
-    #: injected at the wire layer of the socket backend; None (or an
-    #: empty plan) leaves the transport untouched — seeded results are
-    #: bit-identical to a run without the knob.
-    network_faults: Optional[str] = dataclasses.field(
-        default_factory=_default_network_faults
+    # :mod:`repro.faults`): the server-side update trust boundary (its
+    # thresholds are ``SearchServerConfig`` defaults) and deterministic
+    # fault injection.
+    validate_updates: bool = _option(
+        True,
+        flag="--no-validation",
+        help="disable the server-side update validation/quarantine "
+        "boundary",
     )
-    #: consecutive failures that trip a worker's circuit breaker open
-    breaker_failure_threshold: int = 3
-    #: seconds an open breaker blocks dispatch/redial/respawn before one
-    #: half-open probe; doubles on each failed probe (capped at
-    #: ``breaker_cooldown_max_s``)
-    breaker_cooldown_s: float = 2.0
-    breaker_cooldown_max_s: float = 30.0
-    #: full-jitter exponential backoff between retry passes:
-    #: ``U(0, min(cap, base·2^(attempt−1)))`` from a dedicated RNG
-    #: stream; base 0 disables inter-pass delays
-    retry_backoff_base_s: float = 0.05
-    retry_backoff_cap_s: float = 2.0
-    #: derive per-worker task deadlines from observed RTTs (EWMA/p95),
-    #: clamped to ``[deadline_floor_s, task_timeout_s]`` — the static
-    #: timeout stays the ceiling, adaptation can only tighten it
-    adaptive_deadlines: bool = True
-    deadline_floor_s: float = 5.0
-    #: speculatively re-send a task stuck past its hedge threshold to a
-    #: second live replica (first valid result wins; duplicates are
-    #: discarded — deterministic because the local step is a pure
-    #: function of the task)
-    hedge_dispatch: bool = True
-    #: seconds before hedging; 0 = adaptive (3×p95 of the primary
-    #: worker's task RTTs, once enough samples exist)
-    hedge_threshold_s: float = 0.0
-    #: total per-task wall budget across every retry pass; 0 = auto
-    #: (``(task_retries + 1) × task_timeout_s``, the documented bound)
-    task_budget_s: float = 0.0
+    #: injected during the warm-up/search rounds; None = fault-free run
+    fault_plan_path: Optional[str] = _option(
+        None,
+        flag="--faults",
+        metavar="PLAN.JSON",
+        help="inject faults from a repro.faults.FaultPlan JSON file "
+        "(corrupted updates, drops, flaps, forced crashes); seeded and "
+        "deterministic",
+    )
+    #: injected at the wire layer of the socket backend (see
+    #: :mod:`repro.faults.network`); None (or an empty plan) leaves the
+    #: transport untouched — seeded results are bit-identical to a run
+    #: without the knob.  The breaker/backoff/deadline/hedge knobs that
+    #: ride it out are :class:`repro.transport.ResilienceConfig` fields.
+    network_faults: Optional[str] = _option(
+        None,
+        flag="--network-faults",
+        metavar="PLAN.JSON",
+        help="inject wire-level chaos from a "
+        "repro.faults.NetworkFaultPlan JSON file (latency, drops, "
+        "refused dials, partitions, throttling, frame corruption); "
+        "socket backend only, seeded and deterministic",
+    )
 
     # Population-scale rounds (see :mod:`repro.population`): decouple the
     # registered population from the per-round working set.
-    #: registered participants (0 = off — the classic fixed
-    #: ``num_participants`` regime).  When > 0, ``num_participants`` is
-    #: ignored: the server keeps lightweight records for the whole
-    #: population and materialises only each round's sampled cohort.
-    population: int = 0
-    #: participants sampled per round in population mode (clamped to the
-    #: eligible population; the paper regime is 10–1000)
-    cohort_size: int = 50
-    #: cohort selection strategy: "uniform" or "weighted" (selection
-    #: probability proportional to device compute speed)
-    cohort_strategy: str = "uniform"
-    #: JSON churn plan (``repro.population.ChurnPlan``) evolving the
-    #: population across rounds — joins, departures, dropout flaps;
+    #: 0 = off — the classic fixed ``num_participants`` regime.  When
+    #: > 0, ``num_participants`` is ignored: the server keeps
+    #: lightweight records for the whole population and materialises
+    #: only each round's sampled cohort.
+    population: int = _option(
+        0,
+        ge=0,
+        flag="--population",
+        metavar="N",
+        help="population mode: register N lightweight participant "
+        "records and sample a per-round cohort instead of running every "
+        "participant every round; server memory stays O(cohort), not "
+        "O(population)",
+    )
+    #: clamped to the eligible population; the paper regime is 10–1000
+    cohort_size: int = _option(
+        50,
+        ge=1,
+        flag="--cohort-size",
+        metavar="C",
+        help="participants sampled per round in population mode "
+        "(default: 50)",
+    )
+    cohort_strategy: str = _option(
+        "uniform",
+        choices=("uniform", "weighted"),  # population.SAMPLER_STRATEGIES
+        flag="--cohort-strategy",
+        help="cohort sampling: uniform over active participants, or "
+        "weighted by device compute speed (default: uniform)",
+    )
     #: None = static population
-    churn_plan: Optional[str] = None
-    #: samples per on-demand participant shard; 0 = auto
-    #: (``min(len(train_set), max(2·batch_size, 32))``)
-    population_shard_size: int = 0
+    churn_plan: Optional[str] = _option(
+        None,
+        flag="--churn-plan",
+        metavar="PLAN.JSON",
+        help="evolve the population from a repro.population.ChurnPlan "
+        "JSON file (joins, permanent departures, temporary dropout "
+        "flaps); seeded and deterministic",
+    )
 
-    # Checkpointing (see :mod:`repro.checkpoint`): write a
-    # crash-consistent search checkpoint every N warm-up/search rounds
-    # (0 = off).  ``checkpoint_path`` is required when enabled.
-    checkpoint_every: int = 0
-    checkpoint_path: Optional[str] = None
+    # Checkpointing (see :mod:`repro.checkpoint`): crash-consistent
+    # search checkpoints (0 = off).
+    checkpoint_every: int = _option(
+        0,
+        ge=0,
+        flag="--checkpoint-every",
+        metavar="N",
+        help="checkpoint every N warm-up/search rounds (requires "
+        "--checkpoint)",
+    )
+    checkpoint_path: Optional[str] = _option(
+        None,
+        flag="--checkpoint",
+        metavar="PATH",
+        help="write a crash-consistent search checkpoint to PATH "
+        "(with --checkpoint-every)",
+    )
 
     def __post_init__(self) -> None:
-        if self.dataset not in ("cifar10", "svhn", "cifar100"):
-            raise ValueError(
-                f"dataset must be cifar10/svhn/cifar100, got {self.dataset!r}"
-            )
-        if self.num_participants < 1:
-            raise ValueError(
-                f"num_participants must be >= 1, got {self.num_participants}"
-            )
-        if self.telemetry_buffer_size < 1:
-            raise ValueError(
-                f"telemetry_buffer_size must be >= 1, got {self.telemetry_buffer_size}"
-            )
-        if self.staleness_policy not in _STALENESS_POLICIES:
-            raise ValueError(
-                f"staleness_policy must be one of {_STALENESS_POLICIES}, "
-                f"got {self.staleness_policy!r}"
-            )
-        if self.transmission_strategy not in STRATEGIES:
-            raise ValueError(
-                f"transmission_strategy must be one of {STRATEGIES}, "
-                f"got {self.transmission_strategy!r}"
-            )
+        for f in dataclasses.fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            if "ge" in meta and value < meta["ge"]:
+                raise ValueError(f"{f.name} must be >= {meta['ge']}, got {value}")
+            if "gt" in meta and value <= meta["gt"]:
+                raise ValueError(f"{f.name} must be > {meta['gt']}, got {value}")
+            if "choices" in meta and value not in meta["choices"]:
+                raise ValueError(
+                    f"{f.name} must be one of {meta['choices']}, got {value!r}"
+                )
+        # The server's own checks (e.g. compensation_lambda) run here,
+        # at config-load time, not when the pipeline is assembled.
+        self.server_config()
         if self.staleness_mix is not None:
             mix = self.staleness_mix
             if len(mix) == 0:
@@ -395,42 +464,12 @@ class ExperimentConfig:
                     f"{self.staleness_threshold} admits at most {limit} "
                     f"(τ = 0..{self.staleness_threshold} plus one overflow bucket)"
                 )
-        if self.mobility_modes is not None:
-            for mode in self.mobility_modes:
-                if mode not in MOBILITY_MODES:
-                    raise ValueError(
-                        f"unknown mobility mode {mode!r}; choose from "
-                        f"{sorted(MOBILITY_MODES)}"
-                    )
-        if self.backend not in _EXECUTION_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_EXECUTION_BACKENDS}, got {self.backend!r}"
-            )
-        if self.num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
-        if self.compute_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"compute_dtype must be 'float64' or 'float32', "
-                f"got {self.compute_dtype!r}"
-            )
-        if self.task_timeout_s <= 0:
-            raise ValueError(
-                f"task_timeout_s must be positive, got {self.task_timeout_s}"
-            )
-        if self.task_retries < 0:
-            raise ValueError(
-                f"task_retries must be >= 0, got {self.task_retries}"
-            )
-        if self.socket_compression not in _SOCKET_COMPRESSIONS:
-            raise ValueError(
-                f"socket_compression must be one of {_SOCKET_COMPRESSIONS}, "
-                f"got {self.socket_compression!r}"
-            )
-        if self.socket_wire_dtype not in _SOCKET_WIRE_DTYPES:
-            raise ValueError(
-                f"socket_wire_dtype must be one of {_SOCKET_WIRE_DTYPES}, "
-                f"got {self.socket_wire_dtype!r}"
-            )
+        for mode in self.mobility_modes or ():
+            if mode not in MOBILITY_MODES:
+                raise ValueError(
+                    f"unknown mobility mode {mode!r}; choose from "
+                    f"{sorted(MOBILITY_MODES)}"
+                )
         if self.socket_workers is not None:
             if len(self.socket_workers) == 0:
                 raise ValueError(
@@ -443,76 +482,10 @@ class ExperimentConfig:
                         f"socket_workers entry {address!r} must look like "
                         "'host:port'"
                     )
-        if self.update_norm_limit < 0:
-            raise ValueError(
-                f"update_norm_limit must be >= 0, got {self.update_norm_limit}"
-            )
-        if self.strike_limit < 1:
-            raise ValueError(f"strike_limit must be >= 1, got {self.strike_limit}")
-        if self.quarantine_rounds < 1:
-            raise ValueError(
-                f"quarantine_rounds must be >= 1, got {self.quarantine_rounds}"
-            )
-        if self.quarantine_backoff < 1.0:
-            raise ValueError(
-                f"quarantine_backoff must be >= 1, got {self.quarantine_backoff}"
-            )
-        if self.breaker_failure_threshold < 1:
-            raise ValueError(
-                f"breaker_failure_threshold must be >= 1, "
-                f"got {self.breaker_failure_threshold}"
-            )
-        if self.breaker_cooldown_s <= 0:
-            raise ValueError(
-                f"breaker_cooldown_s must be positive, got {self.breaker_cooldown_s}"
-            )
-        if self.breaker_cooldown_max_s < self.breaker_cooldown_s:
-            raise ValueError(
-                f"breaker_cooldown_max_s ({self.breaker_cooldown_max_s}) must be "
-                f">= breaker_cooldown_s ({self.breaker_cooldown_s})"
-            )
-        if self.retry_backoff_base_s < 0:
-            raise ValueError(
-                f"retry_backoff_base_s must be >= 0, got {self.retry_backoff_base_s}"
-            )
-        if self.retry_backoff_cap_s < 0:
-            raise ValueError(
-                f"retry_backoff_cap_s must be >= 0, got {self.retry_backoff_cap_s}"
-            )
-        if self.deadline_floor_s <= 0:
-            raise ValueError(
-                f"deadline_floor_s must be positive, got {self.deadline_floor_s}"
-            )
-        if self.hedge_threshold_s < 0:
-            raise ValueError(
-                f"hedge_threshold_s must be >= 0, got {self.hedge_threshold_s}"
-            )
-        if self.task_budget_s < 0:
-            raise ValueError(
-                f"task_budget_s must be >= 0, got {self.task_budget_s}"
-            )
-        if self.population < 0:
-            raise ValueError(f"population must be >= 0, got {self.population}")
-        if self.cohort_size < 1:
-            raise ValueError(f"cohort_size must be >= 1, got {self.cohort_size}")
-        if self.cohort_strategy not in _COHORT_STRATEGIES:
-            raise ValueError(
-                f"cohort_strategy must be one of {_COHORT_STRATEGIES}, "
-                f"got {self.cohort_strategy!r}"
-            )
         if self.churn_plan is not None and self.population == 0:
             raise ValueError(
                 "churn_plan requires population > 0 (churn evolves the "
                 "registered population)"
-            )
-        if self.population_shard_size < 0:
-            raise ValueError(
-                f"population_shard_size must be >= 0, "
-                f"got {self.population_shard_size}"
-            )
-        if self.checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
         if self.checkpoint_every > 0 and not self.checkpoint_path:
             raise ValueError(
@@ -546,17 +519,25 @@ class ExperimentConfig:
         naming the offending key, so a typo in a config file fails at
         load time with a clear message instead of deep inside the
         pipeline.  Retired keys are dropped with a
-        :class:`DeprecationWarning`.
+        :class:`DeprecationWarning` — a retired field only at its former
+        default, any other value raises.
         """
         if not isinstance(data, dict):
             raise ValueError(
                 f"config data must be a dict, got {type(data).__name__}"
             )
         retired = [key for key in _RETIRED_KEYS if key in data]
+        for key in retired:
+            former, home = _RETIRED_KEYS[key]
+            if former is not _ANY and data[key] != former:
+                raise ValueError(
+                    f"config key {key!r} is retired and loads only at its "
+                    f"former default {former!r}, not {data[key]!r}: {home}"
+                )
         if retired:
             warnings.warn(
                 f"config key(s) {', '.join(retired)} are retired and ignored: "
-                "the path they selected is now the only one",
+                "the path or default each held is now the only one",
                 DeprecationWarning,
                 stacklevel=2,
             )
@@ -582,22 +563,17 @@ class ExperimentConfig:
             steps=self.steps,
         )
 
-    def resilience_config(self):
-        """Bundle the breaker/backoff/deadline/hedge knobs for the
-        socket backend (:class:`repro.transport.ResilienceConfig`)."""
-        from repro.transport.resilience import ResilienceConfig
-
-        return ResilienceConfig(
-            breaker_failure_threshold=self.breaker_failure_threshold,
-            breaker_cooldown_s=self.breaker_cooldown_s,
-            breaker_cooldown_max_s=self.breaker_cooldown_max_s,
-            retry_backoff_base_s=self.retry_backoff_base_s,
-            retry_backoff_cap_s=self.retry_backoff_cap_s,
-            adaptive_deadlines=self.adaptive_deadlines,
-            deadline_floor_s=self.deadline_floor_s,
-            hedge_dispatch=self.hedge_dispatch,
-            hedge_threshold_s=self.hedge_threshold_s,
-            task_budget_s=self.task_budget_s,
+    def server_config(self) -> SearchServerConfig:
+        """The server's hyperparameters: every ``SearchServerConfig``
+        field this config also declares, by name, plus the two wire
+        options it spells ``socket_*``."""
+        shared = {f.name for f in dataclasses.fields(SearchServerConfig)} & {
+            f.name for f in dataclasses.fields(self)
+        }
+        return SearchServerConfig(
+            wire_dtype=self.socket_wire_dtype,
+            wire_compression=self.socket_compression,
+            **{name: getattr(self, name) for name in shared},
         )
 
     # ------------------------------------------------------------------

@@ -44,7 +44,6 @@ from repro.federated import (
     HardSync,
     Participant,
     RoundResult,
-    SearchServerConfig,
     build_backend,
 )
 from repro.faults import FaultInjector, FaultPlan
@@ -97,9 +96,9 @@ class FederatedModelSearch:
     ):
         self.config = config
         self.telemetry = telemetry or build_telemetry(config)
-        # The two numeric options of the compiled engine; backends hand
-        # this process's settings to their workers at (re-)initialisation.
-        nn.tape.configure(config.compute_dtype, config.tape_fusion)
+        # Backends hand this process's replay dtype to their workers at
+        # (re-)initialisation.
+        nn.tape.configure(config.compute_dtype)
         self.rng = np.random.default_rng(config.seed)
         self.train_set, self.test_set = self._build_dataset()
         #: population-scale mode (``config.population > 0``): no eager
@@ -137,7 +136,6 @@ class FederatedModelSearch:
             socket_workers=config.socket_workers,
             socket_compression=config.socket_compression,
             socket_wire_dtype=config.socket_wire_dtype,
-            resilience=config.resilience_config(),
             network_fault_plan=self._network_fault_plan(),
             rng_seed=config.seed,
         )
@@ -150,7 +148,7 @@ class FederatedModelSearch:
             self.supernet,
             self.policy,
             self.participants,
-            config=self._server_config(),
+            config=config.server_config(),
             delay_model=self._delay_model(),
             rng=self.rng,
             telemetry=self.telemetry,
@@ -208,31 +206,6 @@ class FederatedModelSearch:
                 )
             )
         return participants
-
-    def _server_config(self) -> SearchServerConfig:
-        c = self.config
-        return SearchServerConfig(
-            theta_lr=c.theta_lr,
-            theta_momentum=c.theta_momentum,
-            theta_weight_decay=c.theta_weight_decay,
-            theta_grad_clip=c.theta_grad_clip,
-            alpha_lr=c.alpha_lr,
-            alpha_weight_decay=c.alpha_weight_decay,
-            alpha_grad_clip=c.alpha_grad_clip,
-            baseline_decay=c.baseline_decay,
-            staleness_threshold=c.staleness_threshold,
-            staleness_policy=c.staleness_policy,
-            compensation_lambda=c.compensation_lambda,
-            transmission_strategy=c.transmission_strategy,
-            measure_wire_bytes=c.measure_wire_bytes,
-            wire_dtype=c.socket_wire_dtype,
-            wire_compression=c.socket_compression,
-            validate_updates=c.validate_updates,
-            update_norm_limit=c.update_norm_limit,
-            strike_limit=c.strike_limit,
-            quarantine_rounds=c.quarantine_rounds,
-            quarantine_backoff=c.quarantine_backoff,
-        )
 
     def _network_fault_plan(self):
         """Load the wire-chaos plan named by ``config.network_faults``.

@@ -16,8 +16,7 @@ seeded :class:`NetworkFaultPlan` specs (latency, mid-frame drops,
 connect refusals, blackhole partitions, throttling, frame corruption)
 applied through :class:`ChaosConnection` on both sides of the socket
 transport — ``ExperimentConfig(network_faults="plan.json")`` /
-``$REPRO_NETWORK_FAULTS`` / ``repro run --network-faults plan.json``;
-see ``examples/chaos_tour.py``.
+``repro run --network-faults plan.json``; see ``examples/chaos_tour.py``.
 """
 
 from .injector import FaultInjector

@@ -245,9 +245,10 @@ class ChaosEngine:
 
     One engine lives per transport side (the backend, or one worker
     daemon).  It hands each new connection a private RNG stream keyed on
-    ``(plan seed, peer address, per-peer connection ordinal)`` — so a
-    reconnect to the same peer gets a fresh but still deterministic
-    stream — and funnels every injected fault into telemetry as a
+    ``(plan seed, side, slot, per-slot connection ordinal)`` — so a
+    reconnect in the same slot gets a fresh but still deterministic
+    stream, and nothing an OS assigns (an ephemeral port) reaches the
+    key — and funnels every injected fault into telemetry as a
     ``fault.network`` event plus ``faults.network[.<kind>]`` counters.
     """
 
@@ -256,7 +257,7 @@ class ChaosEngine:
         self.side = side
         self._telemetry = telemetry
         self._lock = threading.Lock()
-        self._dials: Dict[str, int] = {}
+        self._dials: Dict[int, int] = {}
         self._fired: Dict[int, int] = {}
         #: RNG for connect-time ``refuse`` rolls (one stream per engine;
         #: dials happen sequentially on the registration path)
@@ -320,12 +321,18 @@ class ChaosEngine:
                 return True
         return False
 
-    def wrap(self, conn, peer: str) -> "ChaosConnection":
-        """Wrap a freshly established ``FrameConnection`` for ``peer``."""
+    def wrap(self, conn, peer: str, slot: int = 0) -> "ChaosConnection":
+        """Wrap a freshly established ``FrameConnection``.
+
+        ``slot`` is the connection's stable place in the transport — the
+        endpoint index on the server side; a worker daemon has one
+        accept loop, so its ordinal in slot 0 is the accept ordinal.
+        ``peer`` (``host:port``) only selects specs and labels telemetry.
+        """
         with self._lock:
-            ordinal = self._dials.get(peer, 0)
-            self._dials[peer] = ordinal + 1
-        return ChaosConnection(conn, self, peer, f"{peer}#{ordinal}")
+            ordinal = self._dials.get(slot, 0)
+            self._dials[slot] = ordinal + 1
+        return ChaosConnection(conn, self, peer, f"{self.side}:{slot}#{ordinal}")
 
 
 class ChaosConnection:

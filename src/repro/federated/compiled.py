@@ -14,7 +14,7 @@ a given (mask, input shape, dtype) is identical every time — so:
   mode the model is backed by a flat :class:`~repro.nn.ParameterArena`,
   so parameter gradient buffers alias contiguous windows of one array.
 * **A graph is admitted on the second sighting of its key.**  A step
-  whose (mask, input shape, fusion) key has no retained graph runs on
+  whose (mask, input shape) key has no retained graph runs on
   the shared model under :func:`repro.nn.tape.capturing`.  The first
   sighting keeps nothing but the key — a live policy almost never
   repeats a mask, and one default-config graph is 55-75 MiB
@@ -188,7 +188,7 @@ def run_compiled_step(
     is always correct.
     """
     span = recorder.span if recorder is not None else null_span
-    dtype, fusion = tape.settings()
+    dtype = tape.settings()
     stats = tape.stats()
     cm = _model_for(supernet_config, dtype)
 
@@ -209,7 +209,7 @@ def run_compiled_step(
         x, y = loader.sample_batch()
 
     x_arr = np.asarray(x, dtype=dtype)
-    key = ((task.mask.normal, task.mask.reduce), x_arr.shape, fusion)
+    key = ((task.mask.normal, task.mask.reduce), x_arr.shape)
     retained = cm.steps.get(key)
     if retained is None and cm.seen.get(key) is False:
         stats.fallbacks += 1

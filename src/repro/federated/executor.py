@@ -37,7 +37,7 @@ import dataclasses
 import multiprocessing as mp
 import os
 import time
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 from repro.data import ArrayDataset, Compose
 from repro.nn import tape
@@ -242,10 +242,10 @@ def _init_worker(
     supernet_config: SupernetConfig,
     fault_hook: Optional[Callable[[LocalStepTask], None]],
     population: Optional[object] = None,
-    tape_settings: Tuple[str, bool] = ("float64", False),
+    compute_dtype: str = "float64",
 ) -> None:
     # As data: a spawned worker does not inherit module globals.
-    tape.configure(*tape_settings)
+    tape.configure(compute_dtype)
     _WORKER_STATE["specs"] = {spec.participant_id: spec for spec in specs}
     _WORKER_STATE["supernet_config"] = supernet_config
     _WORKER_STATE["fault_hook"] = fault_hook
@@ -264,16 +264,19 @@ def _init_worker(
 _SPEC_CACHE_LIMIT = 1024
 
 
-def _worker_spec(participant_id: int) -> ParticipantSpec:
-    """Resolve a task's spec: installed map first, else derive from the
-    population context (cached FIFO, bounded)."""
-    specs: Dict[int, ParticipantSpec] = _WORKER_STATE["specs"]  # type: ignore[assignment]
+def resolve_spec(
+    specs: Dict[int, ParticipantSpec], population: Optional[object], participant_id: int
+) -> ParticipantSpec:
+    """A task's spec on a worker: the installed map first, else derived
+    from the population context shipped at init (any cohort member can
+    land on any worker) and cached in ``specs``, FIFO and bounded."""
     spec = specs.get(participant_id)
     if spec is not None:
         return spec
-    population = _WORKER_STATE.get("population")
     if population is None:
-        raise KeyError(f"no spec for participant {participant_id}")
+        raise KeyError(
+            f"no spec for participant {participant_id} (init not received?)"
+        )
     spec = population.spec(participant_id)  # type: ignore[attr-defined]
     if len(specs) >= _SPEC_CACHE_LIMIT:
         specs.pop(next(iter(specs)))
@@ -311,7 +314,11 @@ def _run_task(task: LocalStepTask):
         hook = _WORKER_STATE.get("fault_hook")
         if hook is not None:
             hook(task)
-        spec = _worker_spec(task.participant_id)
+        spec = resolve_spec(
+            _WORKER_STATE["specs"],  # type: ignore[arg-type]
+            _WORKER_STATE.get("population"),
+            task.participant_id,
+        )
         start = time.perf_counter()
         update = run_local_step(
             task,

@@ -100,10 +100,6 @@ class DistributionDelay:
         duration = float(np.max(compute_times_s)) if n else 0.0
         return RoundDelays(taus.astype(int), duration)
 
-    @property
-    def fresh_fraction(self) -> float:
-        return float(self.probabilities[0])
-
 
 class LatencyDrivenDelay:
     """Staleness emerging from simulated transmission + compute times.

@@ -23,7 +23,6 @@ from .tensor import Tensor, _unbroadcast, as_tensor, is_grad_enabled
 
 __all__ = [
     "conv2d",
-    "conv_bn_relu",
     "max_pool2d",
     "avg_pool2d",
     "linear",
@@ -695,133 +694,3 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
     rng = rng or np.random.default_rng()
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
     return x * Tensor(mask.astype(x.data.dtype))
-
-
-def conv_bn_relu(x: Tensor, conv, bn, with_relu: bool = True) -> Tensor:
-    """Fused conv → batch-norm [→ ReLU] primitive (one graph node).
-
-    ``conv`` is a bias-free :class:`repro.nn.Conv2d`, ``bn`` a
-    :class:`repro.nn.BatchNorm2d` over ``conv.out_channels``.  Training
-    mode normalises with batch statistics, updates the running estimates
-    (a side effect re-run on every tape replay), and backpropagates with
-    the analytic fused batch-norm backward.  Eval mode folds the BN
-    scale into the convolution weights and the shift into the epilogue —
-    one einsum instead of conv-then-normalise.
-
-    Opt-in (``tape_fusion``): the fused backward associates the
-    reductions differently from the unfused composition, so results are
-    tolerance-equal, not bit-equal, to the eager reference.
-    """
-    weight = conv.weight
-    stride = _pair(conv.stride)
-    padding = _pair(conv.padding)
-    dilation = _pair(conv.dilation)
-    groups = conv.groups
-    n, c, h, w = x.shape
-    oc, cg, kh, kw = weight.shape
-    oh = _conv_output_size(h, kh, stride[0], padding[0], dilation[0])
-    ow = _conv_output_size(w, kw, stride[1], padding[1], dilation[1])
-    x_pad = _conv_input(x.data, padding)
-    affine = bn.affine
-    # Saved forward state, refreshed in place on every replay so the
-    # retained backward closure always reads current values.
-    sv: dict = {}
-    # dX result buffer reused across calls of the retained closure.
-    _bw: dict = {}
-
-    def _conv(w_r: np.ndarray) -> np.ndarray:
-        return _conv_forward(
-            x_pad, w_r, (kh, kw), stride, dilation, (oh, ow)
-        ).reshape(n, oc, oh, ow)
-
-    def _fwd() -> np.ndarray:
-        w_r = weight.data.reshape(groups, oc // groups, cg * kh * kw)
-        training = bn.training
-        if training:
-            y = _conv(w_r)
-            mean = y.mean(axis=(0, 2, 3))
-            var = y.var(axis=(0, 2, 3))
-            bn.running_mean[...] = (
-                (1 - bn.momentum) * bn.running_mean + bn.momentum * mean
-            )
-            bn.running_var[...] = (
-                (1 - bn.momentum) * bn.running_var + bn.momentum * var
-            )
-            inv_std = 1.0 / np.sqrt(var + bn.eps)
-            xhat = (y - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-            if affine:
-                out = xhat * bn.weight.data.reshape(1, -1, 1, 1)
-                out += bn.bias.data.reshape(1, -1, 1, 1)
-            else:
-                out = xhat.copy()
-        else:
-            # Eval: fold scale into the weights, shift into the epilogue.
-            inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
-            scale = inv_std * (bn.weight.data if affine else 1.0)
-            shift = -bn.running_mean * scale
-            if affine:
-                shift = shift + bn.bias.data
-            w_fold = w_r * scale.reshape(groups, oc // groups, 1)
-            out = _conv(w_fold)
-            out += shift.reshape(1, -1, 1, 1)
-            xhat = None
-            sv["scale"] = scale
-        if with_relu:
-            mask = out > 0
-            out = np.where(mask, out, 0.0)
-            sv["mask"] = mask
-        sv.update(inv_std=inv_std, xhat=xhat, training=training)
-        return out
-
-    def backward(grad: np.ndarray) -> None:
-        g = grad * sv["mask"] if with_relu else grad
-        if sv["training"]:
-            xhat = sv["xhat"]
-            if affine:
-                if bn.weight.requires_grad:
-                    bn.weight._accumulate((g * xhat).sum(axis=(0, 2, 3)))
-                if bn.bias.requires_grad:
-                    bn.bias._accumulate(g.sum(axis=(0, 2, 3)))
-                dxhat = g * bn.weight.data.reshape(1, -1, 1, 1)
-            else:
-                dxhat = g
-            m = float(n * oh * ow)
-            s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            dy = (sv["inv_std"].reshape(1, -1, 1, 1) / m) * (
-                m * dxhat - s1 - xhat * s2
-            )
-        else:
-            if affine:
-                # Eval-mode dgamma/dbeta via the unfolded normalised input.
-                if bn.weight.requires_grad or bn.bias.requires_grad:
-                    raise NotImplementedError(
-                        "eval-mode fused conv_bn_relu does not support "
-                        "affine gradient accumulation"
-                    )
-            dy = g * sv["scale"].reshape(1, -1, 1, 1)
-        if weight.requires_grad:
-            weight._accumulate(
-                _conv_dw(dy, x_pad, weight.shape, stride, dilation, groups)
-            )
-        if x.requires_grad:
-            x._accumulate(
-                _conv_dx(
-                    dy, weight.data, x.shape, stride, padding, dilation, groups,
-                    bufs=_bw,
-                )
-            )
-
-    parents = [x, weight]
-    if affine:
-        parents += [bn.weight, bn.bias]
-    out_t = Tensor._make(_fwd(), tuple(parents), backward)
-    if _ag._TAPE is not None:
-
-        def replay() -> None:
-            nonlocal x_pad
-            x_pad = _conv_input(x.data, padding, x_pad)
-            out_t.data = _fwd()
-
-        _ag._TAPE.append(("conv_bn_relu", replay))
-    return out_t

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from . import tape as _tape
 from . import tensor as _ag
 from .tensor import Tensor, as_tensor
 
@@ -309,38 +308,8 @@ class Sequential(Module):
 
     def forward(self, x) -> Tensor:
         x = as_tensor(x)
-        if _ag._TAPE is not None and _tape.fusion_enabled():
-            return self._forward_fused(x)
         for layer in self.layers:
             x = layer(x)
-        return x
-
-    def _forward_fused(self, x: Tensor) -> Tensor:
-        """Capture-time forward that emits fused conv→BN[→ReLU] nodes.
-
-        Adjacent bias-free ``Conv2d`` → ``BatchNorm2d`` (→ ``ReLU``)
-        runs become one :func:`repro.nn.functional.conv_bn_relu` tape
-        primitive; everything else executes layer by layer as usual.
-        """
-        layers = self.layers
-        i = 0
-        while i < len(layers):
-            layer = layers[i]
-            nxt = layers[i + 1] if i + 1 < len(layers) else None
-            if (
-                isinstance(layer, Conv2d)
-                and layer.bias is None
-                and isinstance(nxt, BatchNorm2d)
-                and nxt.num_features == layer.out_channels
-            ):
-                with_relu = i + 2 < len(layers) and isinstance(
-                    layers[i + 2], ReLU
-                )
-                x = F.conv_bn_relu(x, layer, nxt, with_relu=with_relu)
-                i += 3 if with_relu else 2
-            else:
-                x = layer(x)
-                i += 1
         return x
 
     def __iter__(self) -> Iterator[Module]:

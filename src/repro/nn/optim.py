@@ -146,10 +146,6 @@ class CosineAnnealingLR:
         cos = (1 + math.cos(math.pi * self._step / self.t_max)) / 2
         self.optimizer.lr = self.eta_min + (self.base_lr - self.eta_min) * cos
 
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr
-
 
 class StepLR:
     """Multiply the learning rate by ``gamma`` every ``step_size`` steps."""

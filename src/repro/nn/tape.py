@@ -26,9 +26,9 @@ closures compute the same backward products, and the first-accumulate
 opt-in float32 mode (``compute_dtype="float32"``) replays the tape in
 single precision and is tolerance-verified instead.
 
-Configuration (replay dtype, fusion) is process-global and set by
-``configure()``; worker processes receive it as pool-initializer args or
-``MSG_INIT`` fields, never through the environment.  Compiled tapes are
+The replay dtype is process-global and set by ``configure()``; worker
+processes receive it as a pool-initializer arg or ``MSG_INIT`` field,
+never through the environment.  Compiled tapes are
 *derived state*: never serialized, never checkpointed, rebuilt on first
 use after a resume.
 """
@@ -49,9 +49,7 @@ __all__ = [
     "configure",
     "settings",
     "enabled",
-    "fusion_enabled",
     "capturing",
-    "record_effect",
     "CompiledStep",
     "TapeStats",
     "stats",
@@ -65,39 +63,28 @@ class TapeUnsupported(RuntimeError):
 
 
 _COMPUTE_DTYPE: str = "float64"
-_FUSION: bool = False
 
 
-def configure(
-    compute_dtype: Optional[str] = None, fusion: Optional[bool] = None
-) -> None:
-    """Set this process's replay dtype and/or conv→BN→ReLU fusion."""
-    global _COMPUTE_DTYPE, _FUSION
-    if compute_dtype is not None:
-        if compute_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"compute_dtype must be 'float64' or 'float32', got {compute_dtype!r}"
-            )
-        _COMPUTE_DTYPE = compute_dtype
-    if fusion is not None:
-        _FUSION = bool(fusion)
+def configure(compute_dtype: str) -> None:
+    """Set this process's replay dtype."""
+    global _COMPUTE_DTYPE
+    if compute_dtype not in ("float64", "float32"):
+        raise ValueError(
+            f"compute_dtype must be 'float64' or 'float32', got {compute_dtype!r}"
+        )
+    _COMPUTE_DTYPE = compute_dtype
 
 
-def settings() -> Tuple[str, bool]:
-    """``(compute_dtype, fusion)`` as plain data — what a backend ships
-    to its workers, which apply it with ``configure(*settings)``."""
-    return _COMPUTE_DTYPE, _FUSION
+def settings() -> str:
+    """The replay dtype — what a backend ships to its workers, which
+    apply it with ``configure(settings)``."""
+    return _COMPUTE_DTYPE
 
 
 def enabled() -> bool:
     """Always true (the engine is the one local-step path); kept because
     measurement harnesses report it."""
     return True
-
-
-def fusion_enabled() -> bool:
-    """Whether the fused conv→BN→ReLU tape primitive is on."""
-    return _FUSION
 
 
 # ----------------------------------------------------------------------
@@ -111,16 +98,6 @@ def capturing(entries: List[Tuple[str, Callable[[], None]]]):
         yield entries
     finally:
         _tensor._set_tape(previous)
-
-
-def record_effect(name: str, effect: Callable[[], None]) -> None:
-    """Record a non-differentiable side effect (e.g. batch-norm running
-    statistics) at the current tape position.  No-op unless capturing —
-    the *eager* code performs the effect itself during the capture step;
-    only replays invoke ``effect``."""
-    tape = _tensor._TAPE
-    if tape is not None:
-        tape.append((name, effect))
 
 
 class TapeStats:

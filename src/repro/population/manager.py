@@ -105,13 +105,11 @@ def build_population(
 ) -> PopulationManager:
     """Assemble the population subsystem from an ``ExperimentConfig``.
 
-    The shard size defaults to ``min(len(train_set), max(2·batch_size,
-    32))`` — enough local data for distinct mini-batches without scaling
-    with the population (``population_shard_size`` overrides it).
+    The shard size is ``min(len(train_set), max(2·batch_size, 32))`` —
+    enough local data for distinct mini-batches without scaling with
+    the population.
     """
-    shard_size = config.population_shard_size or min(
-        len(train_set), max(2 * config.batch_size, 32)
-    )
+    shard_size = min(len(train_set), max(2 * config.batch_size, 32))
     context = PopulationContext(
         train_set=train_set,
         base_seed=config.seed,

@@ -181,9 +181,7 @@ def build_telemetry(config) -> Telemetry:
     """
     if not getattr(config, "telemetry_enabled", True):
         return Telemetry.disabled()
-    sinks: List[EventSink] = [
-        MemorySink(capacity=getattr(config, "telemetry_buffer_size", 65536))
-    ]
+    sinks: List[EventSink] = [MemorySink()]
     log_path = getattr(config, "telemetry_log_path", None)
     if log_path:
         open(log_path, "w", encoding="utf-8").close()

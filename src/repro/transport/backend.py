@@ -392,7 +392,9 @@ class SocketBackend:
             return False
         conn = FrameConnection(sock, on_traffic=self._on_traffic)
         if self._chaos is not None:
-            conn = self._chaos.wrap(conn, endpoint.address)
+            conn = self._chaos.wrap(
+                conn, endpoint.address, self._endpoints.index(endpoint)
+            )
         try:
             msg_type, _ = conn.request(
                 MSG_HELLO,

@@ -152,14 +152,17 @@ def encode_init(
     specs: Sequence[ParticipantSpec],
     supernet_config: SupernetConfig,
     population: object = None,
-    tape_settings: Tuple[str, bool] = ("float64", False),
+    compute_dtype: str = "float64",
 ) -> bytes:
-    """Registration payload: specs + geometry + the server's
-    compiled-engine numeric options (``repro.nn.tape.settings()``), plus
-    (population mode) the :class:`~repro.population.PopulationContext`
-    workers derive on-demand specs from."""
-    obj = {"specs": list(specs), "supernet_config": supernet_config}
-    obj["compute_dtype"], obj["tape_fusion"] = tape_settings
+    """Registration payload: specs + geometry + the server's replay
+    dtype (``repro.nn.tape.settings()``), plus (population mode) the
+    :class:`~repro.population.PopulationContext` workers derive
+    on-demand specs from."""
+    obj = {
+        "specs": list(specs),
+        "supernet_config": supernet_config,
+        "compute_dtype": compute_dtype,
+    }
     if population is not None:
         obj["population"] = population
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -167,24 +170,24 @@ def encode_init(
 
 def decode_init(
     payload: bytes,
-) -> Tuple[List[ParticipantSpec], SupernetConfig, object, Tuple[str, bool]]:
+) -> Tuple[List[ParticipantSpec], SupernetConfig, object, str]:
     """Inverse of :func:`encode_init`; an absent optional key reads as
-    its default (population off, float64, no fusion)."""
+    its default (population off, float64)."""
     try:
         obj = pickle.loads(payload)
         specs = list(obj["specs"])
         config = obj["supernet_config"]
         population = obj.get("population")
-        settings = obj.get("compute_dtype", "float64"), bool(obj.get("tape_fusion"))
+        compute_dtype = obj.get("compute_dtype", "float64")
     except Exception as exc:  # truncated/corrupt pickle, wrong shape
         raise ProtocolError(f"malformed init payload: {exc}") from exc
     if (
         not all(isinstance(s, ParticipantSpec) for s in specs)
         or not isinstance(config, SupernetConfig)
-        or settings[0] not in ("float64", "float32")
+        or compute_dtype not in ("float64", "float32")
     ):
         raise ProtocolError("init payload carries unexpected object types")
-    return specs, config, population, settings
+    return specs, config, population, compute_dtype
 
 
 # ----------------------------------------------------------------------

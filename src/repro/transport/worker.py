@@ -27,7 +27,7 @@ import sys
 import traceback
 from typing import Dict, List, Optional
 
-from repro.federated.executor import ParticipantSpec
+from repro.federated.executor import ParticipantSpec, resolve_spec
 from repro.federated.participant import run_local_step
 from repro.federated.versioning import DeltaCacheMiss, resolve_task
 from repro.nn import tape
@@ -56,10 +56,6 @@ __all__ = ["WorkerServer", "serve", "READY_PREFIX"]
 #: Line a worker prints on stdout once its listening socket is bound;
 #: spawners parse it to learn the OS-assigned port (``--port 0``).
 READY_PREFIX = "REPRO-WORKER-READY"
-
-#: Population mode: max derived specs kept resident (FIFO eviction) —
-#: bounds worker memory no matter how large the registered population.
-_SPEC_CACHE_LIMIT = 1024
 
 
 class WorkerServer:
@@ -205,13 +201,13 @@ class WorkerServer:
             return True
         if msg_type == MSG_INIT:
             try:
-                specs, supernet_config, population, settings = codec.decode_init(
-                    payload
+                specs, supernet_config, population, compute_dtype = (
+                    codec.decode_init(payload)
                 )
             except ProtocolError as exc:
                 conn.send_frame(MSG_ERROR, codec.encode_error(-1, str(exc)))
                 return False
-            tape.configure(*settings)  # the server's, not this daemon's env
+            tape.configure(compute_dtype)  # the server's, not this daemon's
             self._specs = {spec.participant_id: spec for spec in specs}
             self._supernet_config = supernet_config
             self._population = population
@@ -234,23 +230,6 @@ class WorkerServer:
             return False
         # Unexpected-but-valid type (e.g. a stray ack): ignore it.
         return True
-
-    def _spec_for(self, participant_id: int) -> Optional[ParticipantSpec]:
-        """Registered spec, or a population-derived one (FIFO-cached).
-
-        In population mode any cohort member can land here, so the spec
-        (shard included) is derived from the :class:`PopulationContext`
-        shipped at init; the cache bound keeps worker memory O(cache),
-        not O(participants ever seen).
-        """
-        spec = self._specs.get(participant_id)
-        if spec is not None or self._population is None:
-            return spec
-        spec = self._population.spec(participant_id)
-        if len(self._specs) >= _SPEC_CACHE_LIMIT:
-            self._specs.pop(next(iter(self._specs)))
-        self._specs[participant_id] = spec
-        return spec
 
     def _handle_task(self, conn: FrameConnection, payload: bytes) -> None:
         seq = -1
@@ -277,12 +256,9 @@ class WorkerServer:
                     ),
                 )
                 return
-            spec = self._spec_for(task.participant_id)
-            if spec is None or self._supernet_config is None:
-                raise RuntimeError(
-                    f"worker holds no spec for participant {task.participant_id} "
-                    "(init not received?)"
-                )
+            spec = resolve_spec(
+                self._specs, self._population, task.participant_id
+            )
             update = run_local_step(
                 task,
                 spec.dataset,

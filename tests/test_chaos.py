@@ -189,6 +189,37 @@ class TestNetworkFaultPlan:
         other = ChaosEngine(NetworkFaultPlan(seed=4, faults=plan.faults))
         assert rolls(other) != first
 
+    def test_stream_is_keyed_by_slot_not_by_port(self):
+        """Two engines under one plan, wrapping connections to
+        *different* (ephemeral) ports at the same slot, corrupt the same
+        frames at the same bits; a reconnect in the slot, another slot
+        and the worker side each draw their own stream."""
+        plan = NetworkFaultPlan(
+            seed=3, faults=(NetworkFaultSpec(kind="corrupt", probability=0.5),)
+        )
+
+        class Recorder:
+            def __init__(self):
+                self.frames = []
+
+            def send_bytes(self, frame, timeout=None):
+                self.frames.append(frame)
+                return len(frame)
+
+        def sent(engine, port, slot):
+            inner = Recorder()
+            conn = engine.wrap(inner, f"127.0.0.1:{port}", slot)
+            for i in range(32):
+                conn.send_frame(MSG_HEARTBEAT, bytes([i]) * 16)
+            return inner.frames
+
+        first = sent(ChaosEngine(plan), 40123, slot=1)
+        engine = ChaosEngine(plan)
+        assert sent(engine, 51999, slot=1) == first
+        assert sent(engine, 51999, slot=1) != first  # the slot's redial
+        assert sent(ChaosEngine(plan), 40123, slot=0) != first
+        assert sent(ChaosEngine(plan, side="worker"), 40123, slot=1) != first
+
     def test_max_events_budget(self):
         plan = NetworkFaultPlan(
             seed=0,
@@ -653,16 +684,17 @@ def assert_reports_equal(a, b):
 
 
 class TestChaosOffBitIdentity:
-    def test_empty_plan_reports_bit_identical(self, tmp_path, monkeypatch):
-        """ISSUE 8 acceptance: with chaos *disabled* (an empty plan via
-        $REPRO_NETWORK_FAULTS) the SearchReport is bit-identical across
-        serial/process/socket."""
+    def test_empty_plan_reports_bit_identical(self, tmp_path):
+        """ISSUE 8 acceptance: with chaos *disabled* (an empty plan as
+        ``network_faults``) the SearchReport is bit-identical across
+        serial/process/socket, and to a run without the knob."""
         empty = tmp_path / "empty.json"
         NetworkFaultPlan(seed=9).save(empty)
-        monkeypatch.setenv("REPRO_NETWORK_FAULTS", str(empty))
         reference = run_report(backend="serial")
-        for backend in ("socket", "process"):
-            report = run_report(backend=backend, num_workers=2)
+        for backend in ("serial", "socket", "process"):
+            report = run_report(
+                backend=backend, num_workers=2, network_faults=str(empty)
+            )
             assert_reports_equal(reference, report)
 
 

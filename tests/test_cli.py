@@ -128,6 +128,63 @@ class TestArgumentParsing:
         assert config.checkpoint_every == 0
 
 
+#: ``repro run``'s options, frozen: option -> (type, choices, default,
+#: nargs).  Generated from the config fields' metadata since PR 20; the
+#: list is PR 19's hand-written one minus ``--tape-fusion``.
+RUN_OPTIONS = {
+    "--backend": (None, ("serial", "process", "socket"), None, None),
+    "--checkpoint": (None, None, None, None),
+    "--checkpoint-every": (int, None, None, None),
+    "--churn-plan": (None, None, None, None),
+    "--cohort-size": (int, None, None, None),
+    "--cohort-strategy": (None, ("uniform", "weighted"), None, None),
+    "--compute-dtype": (None, ("float64", "float32"), None, None),
+    "--config": (None, None, None, None),
+    "--dataset": (None, ("cifar10", "svhn", "cifar100"), None, None),
+    "--faults": (None, None, None, None),
+    "--measure-wire": (None, None, False, 0),
+    "--metrics": (None, None, False, 0),
+    "--mobility": (None, None, None, "*"),
+    "--network-faults": (None, None, None, None),
+    "--no-telemetry": (None, None, False, 0),
+    "--no-validation": (None, None, False, 0),
+    "--non-iid": (None, None, False, 0),
+    "--participants": (int, None, None, None),
+    "--population": (int, None, None, None),
+    "--profile": (None, ("small", "paper"), "small", None),
+    "--resume": (None, None, None, None),
+    "--retrain": (None, ("federated", "centralized"), "federated", None),
+    "--search-rounds": (int, None, None, None),
+    "--seed": (int, None, None, None),
+    "--socket-workers": (None, None, None, "+"),
+    "--staleness": (None, ("none", "severe", "slight"), None, None),
+    "--staleness-policy": (None, ("compensate", "use", "throw"), None, None),
+    "--task-retries": (int, None, None, None),
+    "--task-timeout": (float, None, None, None),
+    "--telemetry-log": (None, None, None, None),
+    "--trace-ops": (None, None, False, 0),
+    "--tracing": (None, None, False, 0),
+    "--warmup-rounds": (int, None, None, None),
+    "--wire-compression": (None, ("none", "zlib"), None, None),
+    "--wire-dtype": (None, ("float16", "float32", "float64"), None, None),
+    "--workers": (int, None, None, None),
+}
+
+
+def test_run_options_are_frozen():
+    actual = {
+        action.option_strings[0]: (
+            action.type,
+            tuple(action.choices) if action.choices else None,
+            action.default,
+            action.nargs,
+        )
+        for action in build_parser()._actions
+        if action.dest != "help"
+    }
+    assert actual == RUN_OPTIONS
+
+
 class TestSubcommands:
     def test_run_subcommand_parses(self):
         args = build_main_parser().parse_args(["run", "--participants", "5"])
@@ -228,10 +285,22 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="invalid JSON"):
             self.parse(["--config", str(path)])
 
-    def test_config_error_exits_2(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, {"backend": "quantum"})
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("backend", "quantum"),
+            # checked by a sub-config, not by ExperimentConfig's own bounds
+            ("compensation_lambda", -1),
+            # used to surface one layer deeper, as a traceback
+            ("batch_size", 0),
+            ("staleness_threshold", -1),
+        ],
+    )
+    def test_config_error_exits_2(self, tmp_path, capsys, key, value):
+        path = self.write_config(tmp_path, {key: value})
         assert main(["run", "--config", path]) == 2
-        assert "backend" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
 
 
 class TestEndToEnd:

@@ -1,10 +1,26 @@
 """``ExperimentConfig`` serialization, validation, and backend plumbing."""
 
+import dataclasses
 import json
+import pathlib
+import re
 
 import pytest
 
 from repro.core import ExperimentConfig
+
+#: The 17 fields that became constants or sub-config defaults, with the
+#: defaults every checkpoint written before their removal embeds.
+RETIRED_FIELDS = {
+    "breaker_failure_threshold": 3, "breaker_cooldown_s": 2.0,
+    "breaker_cooldown_max_s": 30.0, "retry_backoff_base_s": 0.05,
+    "retry_backoff_cap_s": 2.0, "adaptive_deadlines": True,
+    "deadline_floor_s": 5.0, "hedge_dispatch": True,
+    "hedge_threshold_s": 0.0, "task_budget_s": 0.0,
+    "update_norm_limit": 1e4, "strike_limit": 3, "quarantine_rounds": 4,
+    "quarantine_backoff": 2.0, "telemetry_buffer_size": 65536,
+    "population_shard_size": 0, "tape_fusion": False,
+}
 
 
 class TestRoundTrip:
@@ -102,10 +118,9 @@ class TestRetiredKeys:
         engine it selected is bit-identical in float64."""
         with pytest.warns(DeprecationWarning, match="tape_compile"):
             config = ExperimentConfig.from_dict(
-                {"tape_compile": value, "compute_dtype": "float32",
-                 "tape_fusion": True}
+                {"tape_compile": value, "compute_dtype": "float32"}
             )
-        assert (config.compute_dtype, config.tape_fusion) == ("float32", True)
+        assert config.compute_dtype == "float32"
         with pytest.raises(TypeError):
             ExperimentConfig(tape_compile=True)
 
@@ -124,19 +139,90 @@ class TestRetiredKeys:
 
     def test_parent_commit_checkpoint_carries_both(self):
         """The fixture test_golden_digests resumes bit-identically is a
-        real pre-removal checkpoint: its embedded config has both keys."""
-        import pathlib
-
+        real pre-removal checkpoint: its embedded config has the three
+        switches and all 17 retired fields, at their defaults, and loads
+        with one warning naming every one of them."""
         from repro.checkpoint import read_checkpoint_meta
 
         fixture = pathlib.Path(__file__).with_name("golden_checkpoint.ckpt")
         embedded = read_checkpoint_meta(fixture)["extra"]["config"]
         assert {"delta_dispatch", "param_arena", "tape_compile"} <= set(embedded)
-        with pytest.warns(DeprecationWarning):
+        assert {k: embedded[k] for k in RETIRED_FIELDS} == RETIRED_FIELDS
+        with pytest.warns(DeprecationWarning) as caught:
             ExperimentConfig.from_dict(embedded)
+        (warning,) = caught
+        assert all(name in str(warning.message) for name in RETIRED_FIELDS)
+
+    @pytest.mark.parametrize(
+        "key,value,home",
+        [
+            ("breaker_cooldown_s", 0.5, "ResilienceConfig"),
+            ("strike_limit", 1, "SearchServerConfig"),
+            ("tape_fusion", True, "deleted"),
+        ],
+    )
+    def test_retired_field_off_its_default_is_refused(self, key, value, home):
+        """A value that can no longer be honoured must not vanish
+        silently: the error says where it lives now."""
+        with pytest.raises(ValueError, match=f"{key}.*{home}"):
+            ExperimentConfig.from_dict({key: value})
+        with pytest.raises(TypeError):
+            ExperimentConfig(**{key: value})
+
+
+class TestOptionBudget:
+    def test_at_most_55_fields(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert len(names) <= 55
+        assert not names & set(RETIRED_FIELDS)
+
+    def test_backend_is_the_only_environment_hook(self):
+        src = pathlib.Path(__file__).parent.parent / "src"
+        found = {
+            name
+            for path in src.rglob("*.py")
+            for name in re.findall(r"REPRO_[A-Z_]+", path.read_text("utf-8"))
+        }
+        assert found == {"REPRO_BACKEND"}
+
+    def test_no_environment_default_but_backend(self, monkeypatch):
+        monkeypatch.setenv("REPRO_COMPUTE_DTYPE", "float32")
+        monkeypatch.setenv("REPRO_TRACING", "1")
+        monkeypatch.setenv("REPRO_NETWORK_FAULTS", "plan.json")
+        config = ExperimentConfig()
+        assert config.compute_dtype == "float64"
+        assert config.tracing_enabled is False
+        assert config.network_faults is None
+
+
+def _just_outside():
+    """``(field, value)`` one step outside every declared bound and
+    choice set."""
+    for f in dataclasses.fields(ExperimentConfig):
+        if "ge" in f.metadata:
+            yield f.name, f.metadata["ge"] - 1
+        if "gt" in f.metadata:
+            yield f.name, f.metadata["gt"]
+        if "choices" in f.metadata:
+            yield f.name, "no-such-choice"
 
 
 class TestValidation:
+    @pytest.mark.parametrize("name,value", list(_just_outside()))
+    def test_declared_bound_rejects_the_value_just_outside(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: value})
+
+    def test_declared_bounds_cover_what_the_sub_configs_check(self):
+        bounded = {name for name, _ in _just_outside()}
+        assert {
+            "batch_size", "staleness_threshold", "image_size", "warmup_rounds",
+            "search_rounds", "retrain_epochs", "fl_retrain_rounds",
+            "num_participants", "cohort_size", "checkpoint_every",
+        } <= bounded
+        with pytest.raises(ValueError, match="compensation_lambda"):
+            ExperimentConfig(compensation_lambda=-1.0)
+
     def test_bad_staleness_policy(self):
         with pytest.raises(ValueError, match="staleness_policy"):
             ExperimentConfig(staleness_policy="hope")

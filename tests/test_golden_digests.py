@@ -65,10 +65,6 @@ def build_config(mode: str, seed: int, backend: str) -> ExperimentConfig:
         search_rounds=6,
         backend=backend,
         num_workers=2,
-        # float32 replay / fused kernels are tolerance-equal only, so
-        # these two must not follow $REPRO_COMPUTE_DTYPE / $REPRO_TAPE_FUSION
-        compute_dtype="float64",
-        tape_fusion=False,
         **MODES[mode],
     )
 

@@ -257,6 +257,23 @@ class TestShardDerivation:
         assert a.device.name == b.device.name
         assert a.batch_size == b.batch_size
 
+    def test_worker_spec_cache_is_bounded_fifo(self, monkeypatch):
+        """The one rule both worker kinds (pool process, socket daemon)
+        resolve a task's spec by: installed first, else derived and
+        cached, oldest evicted at the limit."""
+        from repro.federated import executor
+
+        monkeypatch.setattr(executor, "_SPEC_CACHE_LIMIT", 3)
+        _, context = counting_context()
+        specs = {}
+        with pytest.raises(KeyError, match="no spec for participant 7"):
+            executor.resolve_spec(specs, None, 7)
+        for k in (1, 2, 3):
+            executor.resolve_spec(specs, context, k)
+        assert executor.resolve_spec(specs, None, 2) is specs[2]  # installed
+        executor.resolve_spec(specs, context, 4)
+        assert list(specs) == [2, 3, 4]
+
 
 # ----------------------------------------------------------------------
 # Cohort determinism

@@ -20,7 +20,7 @@ The contract under test, in order of appearance:
 * every float64 step of the engine — first sighting, admission, replay
   — is **bit-identical** to the eager oracle for a sweep of sampled
   controller masks (gradients, buffers, reward, simulated compute
-  time), float32 and conv→BN→ReLU fusion are tolerance-equal;
+  time), float32 is tolerance-equal;
 * a graph is retained on the second sighting of its key, the retained
   bytes stay under the budget, remembered keys stay under their bound,
   and a live policy retains nothing;
@@ -69,7 +69,7 @@ TINY = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1)
 @pytest.fixture(autouse=True)
 def _tape_defaults_between_tests():
     yield
-    tape.configure(compute_dtype="float64", fusion=False)
+    tape.configure("float64")
     compiled.reset_cache()
     tape.reset_stats()
 
@@ -573,9 +573,9 @@ class TestDefaultConfigStepMemory:
             assert kept[name].tobytes() == released[name].tobytes(), name
 
     def test_no_closure_retains_scratch(self, default_step, monkeypatch):
-        """No conv/pool backward closure of a retained graph — plain or
-        fused conv→BN→ReLU — holds an array larger than its own padded
-        input or its output: no windows, forward's or backward's.
+        """No conv/pool backward closure of a retained graph holds an
+        array larger than its own padded input or its output: no
+        windows, forward's or backward's.
         Nothing a closure holds, or ``_accumulate`` is handed, is a view
         of the workspace, whose window slots stay a few blocks small."""
         accumulate = Tensor._accumulate
@@ -589,31 +589,27 @@ class TestDefaultConfigStepMemory:
             accumulate(self, grad)
 
         monkeypatch.setattr(Tensor, "_accumulate", checked)
-        for fusion in (False, True):
-            tape.configure(fusion=fusion)
-            compiled.reset_cache()
-            default_step()
-            default_step()
-            ((step, _, _),) = _only_model().steps.values()
-            assert set(workspace) == {"stuffed", "cols", "gflat"}
-            for slot in ("cols", "gflat"):
-                assert workspace[slot][0].nbytes <= 4 * nn.functional._BLOCK_BYTES
-            seen = set()
-            for node in step._nodes:
-                op = getattr(node._backward, "__qualname__", "").split(".")[0]
-                if op not in ("conv2d", "conv_bn_relu", "max_pool2d", "avg_pool2d"):
-                    continue
-                seen.add(op)
-                held = _closure_arrays(node._backward)
-                limit = max(
-                    [node.data.nbytes] + [_owner_nbytes(a) for a in held["x_pad"]]
-                )
-                for name, arrays in held.items():
-                    for array in arrays:
-                        assert not in_workspace(array), (op, name)
-                        assert _owner_nbytes(array) <= limit, (op, name, array.shape)
-            assert seen >= {"conv2d", "max_pool2d", "avg_pool2d"}
-            assert ("conv_bn_relu" in seen) == fusion
+        default_step()
+        default_step()
+        ((step, _, _),) = _only_model().steps.values()
+        assert set(workspace) == {"stuffed", "cols", "gflat"}
+        for slot in ("cols", "gflat"):
+            assert workspace[slot][0].nbytes <= 4 * nn.functional._BLOCK_BYTES
+        seen = set()
+        for node in step._nodes:
+            op = getattr(node._backward, "__qualname__", "").split(".")[0]
+            if op not in ("conv2d", "max_pool2d", "avg_pool2d"):
+                continue
+            seen.add(op)
+            held = _closure_arrays(node._backward)
+            limit = max(
+                [node.data.nbytes] + [_owner_nbytes(a) for a in held["x_pad"]]
+            )
+            for name, arrays in held.items():
+                for array in arrays:
+                    assert not in_workspace(array), (op, name)
+                    assert _owner_nbytes(array) <= limit, (op, name, array.shape)
+        assert seen == {"conv2d", "max_pool2d", "avg_pool2d"}
 
 
 # ----------------------------------------------------------------------
@@ -640,8 +636,8 @@ def _make_tasks(num_masks=5, repeats=3, batch_seed0=500):
     ]
 
 
-def _run_all(tasks, dataset, step=run_local_step, compute_dtype="float64", fusion=False):
-    tape.configure(compute_dtype=compute_dtype, fusion=fusion)
+def _run_all(tasks, dataset, step=run_local_step, compute_dtype="float64"):
+    tape.configure(compute_dtype)
     compiled.reset_cache()
     tape.reset_stats()
     return [step(t, dataset, 8, TINY) for t in tasks]
@@ -692,11 +688,8 @@ class TestTapeParity:
 
     @pytest.mark.parametrize(
         "mode_kwargs,rtol,atol",
-        [
-            (dict(compute_dtype="float32"), 1e-4, 1e-6),
-            (dict(fusion=True), 1e-9, 1e-12),
-        ],
-        ids=["float32", "fusion"],
+        [(dict(compute_dtype="float32"), 1e-4, 1e-6)],
+        ids=["float32"],
     )
     def test_lossy_modes_tolerance_equal(self, tiny_dataset, mode_kwargs, rtol, atol):
         tasks = _make_tasks()
@@ -746,7 +739,7 @@ class TestTapeParity:
 
     def test_always_on_with_float64_default(self):
         assert tape.enabled()
-        assert tape.settings() == ("float64", False)
+        assert tape.settings() == "float64"
         with pytest.raises(TypeError):
             tape.configure(enabled=False)
 
@@ -1076,20 +1069,20 @@ class TestWorkerInitSettings:
 
         from repro.transport import codec
 
-        payload = codec.encode_init([], TINY, tape_settings=("float32", True))
-        assert codec.decode_init(payload)[3] == ("float32", True)
-        # a server from before the keys existed
+        payload = codec.encode_init([], TINY, compute_dtype="float32")
+        assert codec.decode_init(payload)[3] == "float32"
+        # a server from before the key existed
         old = pickle.dumps({"specs": [], "supernet_config": TINY})
-        assert codec.decode_init(old)[3] == ("float64", False)
+        assert codec.decode_init(old)[3] == "float64"
         with pytest.raises(codec.ProtocolError):
-            codec.decode_init(codec.encode_init([], TINY, tape_settings=("float16", False)))
+            codec.decode_init(codec.encode_init([], TINY, compute_dtype="float16"))
 
     def test_process_worker_applies_initargs(self):
         from repro.federated import executor
 
         try:
-            executor._init_worker([], TINY, None, None, ("float32", True))
-            assert tape.settings() == ("float32", True)
+            executor._init_worker([], TINY, None, None, "float32")
+            assert tape.settings() == "float32"
         finally:
             executor._WORKER_STATE.clear()
 
@@ -1111,7 +1104,7 @@ class TestWorkerInitSettings:
                 Participant(1, tiny_dataset, batch_size=8, rng=np.random.default_rng(1)),
             ]
             tasks = _make_tasks(num_masks=1, repeats=2)
-            tape.configure(compute_dtype="float32")
+            tape.configure("float32")
             backend = SocketBackend(participants, TINY, workers=[f"{host}:{port}"])
             try:
                 remote = [r.update for r in backend.run_tasks(tasks)]

@@ -273,13 +273,13 @@ class TestMessageCodecs:
         specs = [
             ParticipantSpec.from_participant(p) for p in build_participants()
         ]
-        decoded_specs, config, population, tape_settings = codec.decode_init(
+        decoded_specs, config, population, compute_dtype = codec.decode_init(
             codec.encode_init(specs, TINY)
         )
         assert [s.participant_id for s in decoded_specs] == [0, 1, 2]
         assert config == TINY
         assert population is None
-        assert tape_settings == ("float64", False)
+        assert compute_dtype == "float64"
         with pytest.raises(ProtocolError):
             codec.decode_init(b"not a pickle")
         import pickle
