@@ -13,28 +13,22 @@ Search checkpoints (format version 2) are **crash-consistent and
 complete**: the write goes to a temporary file that is fsynced and then
 atomically renamed over the target, so a crash mid-save can never leave
 a truncated zip at the checkpoint path — the previous checkpoint (if
-any) stays intact.  The capture covers everything a bit-identical
-resume needs:
+any) stays intact.  What is captured is ``_TABLE``, one row per owner of
+round-loop state, each moved through the owner's ``state_dict()`` /
+``load_state_dict()`` (:class:`repro.core.Stateful`).  Together the rows
+are everything a bit-identical resume needs:
 
 * supernet parameters and buffers, ``α``, SGD momentum, the REINFORCE
-  baseline, round counter, virtual clock, recorder series;
-* every RNG stream the round loop consumes — the server's, the
-  policy's, each participant's, and the delay model's (when it has
-  one) — so a restored run draws the exact random sequence an
-  uninterrupted run would;
-* the staleness memory pools (Θ/𝔸/𝔾 snapshots) so in-flight stale
-  updates can still be delay-compensated after a restart;
-* pending in-flight straggler updates, **in full** (gradients, buffers,
-  reward, mask, origin and delivery rounds).  They are re-queued on
-  restore and delivered at their original delivery round — nothing is
-  re-dispatched and no participant work is lost;
-* quarantine state (strikes, sentences, offence counts) and, when a
-  fault injector is attached, its RNG state and fired-crash set;
-* in population mode, the whole population subsystem — registry record
-  arrays (lifecycle state, batch-seed draw counters, dormancy deadlines,
-  join rounds) in a ``population.npz`` member plus the cohort-sampler
-  and churn RNG states in the metadata — so a resumed run draws the
-  exact cohort and churn trajectory an uninterrupted run would.
+  baseline, recorder series, and the staleness memory pools (Θ/𝔸/𝔾) so
+  in-flight stale updates can still be delay-compensated after a restart;
+* the server's own state: round counter, virtual clock, every RNG stream
+  the round loop consumes (server, policy, each participant, the delay
+  model's when it has one) and the pending straggler updates **in
+  full** — re-queued on restore for their original delivery round, so
+  nothing is re-dispatched and no participant work is lost;
+* quarantine state, the fault injector's RNG state and fired-crash set
+  when one is attached, and in population mode the registry record
+  arrays and the cohort-sampler and churn RNG states.
 
 Formats: ``.npz`` for arrays, ``.json`` for metadata; no pickling, so
 checkpoints are portable and safe to load.
@@ -46,16 +40,15 @@ import io
 import json
 import os
 import zipfile
+import zlib
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
 from repro.federated import FederatedSearchServer
-from repro.federated.server import _PendingUpdate
-from repro.federated.participant import ParticipantUpdate
 from repro.nn import Module
-from repro.search_space import ArchitectureMask, Genotype
+from repro.search_space import Genotype
 
 __all__ = [
     "save_model",
@@ -80,9 +73,7 @@ def save_model(model: Module, path: PathLike) -> None:
 
 def load_model(model: Module, path: PathLike) -> None:
     """Load a state dict saved by :func:`save_model` into ``model``."""
-    with np.load(str(path)) as archive:
-        state = {name: archive[name] for name in archive.files}
-    model.apply_state(state, strict=True)
+    model.apply_state(_load_arrays(str(path)), strict=True)
 
 
 def save_genotype(genotype: Genotype, path: PathLike) -> None:
@@ -99,8 +90,9 @@ def _arrays_to_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
     return buffer.getvalue()
 
 
-def _bytes_to_arrays(payload: bytes) -> Dict[str, np.ndarray]:
-    with np.load(io.BytesIO(payload)) as archive:
+def _load_arrays(source) -> Dict[str, np.ndarray]:
+    """Every array of an ``.npz`` (a path or an open binary file)."""
+    with np.load(source) as archive:
         return {name: archive[name] for name in archive.files}
 
 
@@ -122,12 +114,89 @@ def _atomic_write(path: PathLike, writer: Callable[[zipfile.ZipFile], None]) -> 
             tmp.unlink()
 
 
-def _rng_state(rng: Optional[np.random.Generator]):
-    return None if rng is None else rng.bit_generator.state
+class _Row(NamedTuple):
+    """One owner of checkpointed state.  ``pack`` maps its ``state_dict()``
+    to file entries (a ``*.npz`` key is a zip member of arrays, any other
+    a ``meta.json`` entry); ``unpack`` maps the file's entries back."""
+
+    name: str
+    owner: Callable[[FederatedSearchServer], object]
+    pack: Callable[[Optional[Mapping]], Dict[str, object]]
+    unpack: Callable[[Mapping], Optional[Mapping]]
 
 
-def _load_rng_state(rng: np.random.Generator, state) -> None:
-    rng.bit_generator.state = state
+def _as_is(key: str, owner: Callable[[FederatedSearchServer], object]) -> _Row:
+    """An owner whose whole state is the one file entry ``key``."""
+    return _Row(key, owner, lambda state: {key: state}, lambda saved: saved[key])
+
+
+_SERVER_META = ("round", "clock_s", "rng", "pending")
+
+
+def _pack_server(state: Mapping) -> Dict[str, object]:
+    packed = {key: state[key] for key in _SERVER_META}
+    for i, arrays in enumerate(state["pending_arrays"]):
+        packed[f"pending_{i}.npz"] = arrays
+    return packed
+
+
+def _unpack_server(saved: Mapping) -> Dict[str, object]:
+    state = {key: saved[key] for key in _SERVER_META}
+    state["pending_arrays"] = [
+        saved[f"pending_{i}.npz"] for i in range(len(saved["pending"]))
+    ]
+    return state
+
+
+def _pack_population(state: Optional[Mapping]) -> Dict[str, object]:
+    if state is None:
+        return {"population": None}
+    registry = dict(state["registry"])
+    meta = {"registered": int(registry.pop("population"))}
+    meta.update(sampler=state["sampler"], churn=state["churn"])
+    return {"population.npz": registry, "population": meta}
+
+
+def _unpack_population(saved: Mapping) -> Optional[Dict[str, object]]:
+    meta = saved.get("population")  # absent before population mode existed
+    if meta is None:
+        return None
+    registry = {**saved["population.npz"], "population": int(meta["registered"])}
+    return {"registry": registry, "sampler": meta["sampler"], "churn": meta["churn"]}
+
+
+#: Save and restore both walk this table and nothing else; row order is
+#: the order of the zip members and of the restore.
+_TABLE = (
+    _as_is("theta.npz", lambda server: server.arena),
+    _as_is("alpha.npz", lambda server: server.policy),
+    _as_is("velocity.npz", lambda server: server.theta_optimizer),
+    _Row(
+        "baseline",
+        lambda server: server.baseline,
+        lambda state: {f"baseline_{key}": value for key, value in state.items()},
+        lambda saved: {key: saved[f"baseline_{key}"] for key in ("value", "decay")},
+    ),
+    _as_is("recorder", lambda server: server.recorder),
+    _Row(
+        "pools",
+        lambda server: server.pools,
+        lambda state: {
+            "pools.npz": state["arrays"],
+            "pools": {"rounds": state["rounds"], "masks": state["masks"]},
+        },
+        lambda saved: {**saved["pools"], "arrays": saved["pools.npz"]},
+    ),
+    _Row("server", lambda server: server, _pack_server, _unpack_server),
+    _as_is("quarantine", lambda server: server.quarantine),
+    _as_is("injector", lambda server: server.fault_injector),
+    _Row(
+        "population",
+        lambda server: server.population,
+        _pack_population,
+        _unpack_population,
+    ),
+)
 
 
 def save_search_state(
@@ -142,111 +211,22 @@ def save_search_state(
     pipeline uses it to carry its own progress (completed round results,
     the experiment config).
     """
-    theta = server.supernet.state_dict()
-    velocity = {
-        f"velocity.{i}": v
-        for i, v in enumerate(server.theta_optimizer._velocity)
-        if v is not None
-    }
-
-    pools = server.pools
-    pool_arrays: Dict[str, np.ndarray] = {}
-    pool_masks = []
-    for round_t in pools.rounds():
-        pool_arrays[f"alpha/{round_t}"] = pools.alpha(round_t)
-        for name, value in pools.theta(round_t).items():
-            pool_arrays[f"theta/{round_t}/{name}"] = value
-        for participant, mask in sorted(pools.masks_for(round_t).items()):
-            pool_masks.append(
-                {
-                    "round": round_t,
-                    "participant": participant,
-                    "normal": list(mask.normal),
-                    "reduce": list(mask.reduce),
-                }
-            )
-
-    pending_meta = []
-    pending_arrays = []
-    for item in server._pending:
-        update = item.update
-        pending_meta.append(
-            {
-                "origin_round": item.origin_round,
-                "delivery_round": item.delivery_round,
-                "participant_id": update.participant_id,
-                "reward": float(update.reward),
-                "num_samples": int(update.num_samples),
-                "compute_time_s": float(update.compute_time_s),
-                "mask_normal": list(item.mask.normal),
-                "mask_reduce": list(item.mask.reduce),
-            }
-        )
-        arrays = {f"grad/{name}": g for name, g in update.gradients.items()}
-        arrays.update({f"buf/{name}": b for name, b in update.buffers.items()})
-        pending_arrays.append(arrays)
-
-    rng_meta = {
-        "server": _rng_state(server.rng),
-        "policy": _rng_state(server.policy.rng),
-        "participants": [_rng_state(p.rng) for p in server.participants],
-        "delay_model": _rng_state(getattr(server.delay_model, "rng", None)),
-    }
-
-    # Every auxiliary stateful component is snapshotted through the one
-    # repro.core.Stateful code path (lazy import: repro.core imports the
-    # pipeline, which imports this module).
+    # Lazy import: repro.core imports the pipeline, which imports this module.
     from repro.core.state import capture_states
 
-    stateful = capture_states(
-        {"quarantine": server.quarantine, "injector": server.fault_injector}
-    )
-
-    # Population subsystem: numpy record arrays go into their own zip
-    # member; the (JSON-safe) sampler/churn RNG states ride in the meta.
-    population = getattr(server, "population", None)
-    population_meta = None
-    population_arrays: Optional[Dict[str, np.ndarray]] = None
-    if population is not None:
-        pop_state = population.state_dict()
-        registry_state = pop_state["registry"]
-        population_arrays = {
-            name: np.asarray(registry_state[name])
-            for name in ("state", "draws", "dormant_until", "joined_round")
-        }
-        population_meta = {
-            "registered": int(registry_state["population"]),
-            "sampler": pop_state["sampler"],
-            "churn": pop_state["churn"],
-        }
-
-    meta = {
-        "format_version": _FORMAT_VERSION,
-        "round": server.round,
-        "clock_s": server.clock_s,
-        "baseline_value": server.baseline.value,
-        "baseline_decay": server.baseline.decay,
-        "recorder": server.recorder.series,
-        "rng": rng_meta,
-        "pools": {"rounds": pools.rounds(), "masks": pool_masks},
-        "pending": pending_meta,
-        "quarantine": stateful["quarantine"],
-        "injector": stateful["injector"],
-        "population": population_meta,
-        "extra": extra or {},
-    }
+    states = capture_states({row.name: row.owner(server) for row in _TABLE})
+    contents: Dict[str, object] = {"format_version": _FORMAT_VERSION}
+    for row in _TABLE:
+        contents.update(row.pack(states[row.name]))
+    contents["extra"] = extra or {}
 
     def write(archive: zipfile.ZipFile) -> None:
-        archive.writestr("theta.npz", _arrays_to_bytes(theta))
-        archive.writestr(
-            "alpha.npz", _arrays_to_bytes({"alpha": server.policy.alpha})
-        )
-        archive.writestr("velocity.npz", _arrays_to_bytes(velocity))
-        archive.writestr("pools.npz", _arrays_to_bytes(pool_arrays))
-        for i, arrays in enumerate(pending_arrays):
-            archive.writestr(f"pending_{i}.npz", _arrays_to_bytes(arrays))
-        if population_arrays is not None:
-            archive.writestr("population.npz", _arrays_to_bytes(population_arrays))
+        meta = {}
+        for key, value in contents.items():
+            if key.endswith(".npz"):
+                archive.writestr(key, _arrays_to_bytes(value))
+            else:
+                meta[key] = value
         archive.writestr("meta.json", json.dumps(meta))
 
     _atomic_write(path, write)
@@ -256,23 +236,38 @@ def save_search_state(
             "checkpoint.saved",
             path=str(path),
             round=server.round,
-            num_pending=len(pending_meta),
+            num_pending=len(contents["pending"]),
         )
+
+
+def _read(path: PathLike, members: bool) -> Dict[str, object]:
+    """The one checkpoint reader: the ``meta.json`` entries, plus every
+    decoded ``*.npz`` member when ``members`` is set.  Anything but a
+    readable format-2 zip is a ``ValueError`` naming ``path``."""
+    try:
+        with zipfile.ZipFile(str(path)) as archive:
+            contents = json.loads(archive.read("meta.json"))
+            for name in archive.namelist() if members else ():
+                if name.endswith(".npz"):
+                    contents[name] = _load_arrays(io.BytesIO(archive.read(name)))
+    except (
+        zipfile.BadZipFile, zlib.error, NotImplementedError, KeyError, ValueError
+    ) as error:
+        raise ValueError(f"{path} is not a readable checkpoint: {error}") from error
+    version = contents.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint version {version} (expected "
+            f"{_FORMAT_VERSION}); re-create the checkpoint with this release"
+        )
+    return contents
 
 
 def read_checkpoint_meta(path: PathLike) -> Dict[str, object]:
     """Read a checkpoint's metadata (incl. the ``extra`` payload) without
     touching any server — what the pipeline uses to rebuild its config
     before constructing the server to restore into."""
-    with zipfile.ZipFile(str(path)) as archive:
-        meta = json.loads(archive.read("meta.json"))
-    version = meta.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint version {version} (expected "
-            f"{_FORMAT_VERSION}); re-create the checkpoint with this release"
-        )
-    return meta
+    return _read(path, members=False)
 
 
 def restore_search_state(
@@ -280,196 +275,45 @@ def restore_search_state(
 ) -> Dict[str, object]:
     """Inverse of :func:`save_search_state` onto a freshly built server.
 
-    The server must have been constructed with the same supernet
-    configuration and participant count as the saved one.  Restores the
-    complete round-loop state — including every RNG stream — so the
-    resumed search is bit-identical to one that never stopped.
-
-    Pending straggler updates are restored verbatim with their original
-    delivery rounds: they are **not** re-dispatched (the participant's
-    work already happened) and will arrive exactly when they would have.
-    If the checkpoint carries fault-injector state but the server has no
-    injector attached (or vice versa), that part is skipped with a
-    ``checkpoint.injector_mismatch`` telemetry warning — the run
-    continues fault-free rather than failing.
+    The server must have been built with the same supernet configuration,
+    participants, delay model and population settings as the saved one (a
+    mismatch is a ``ValueError``); the resumed search is then bit-identical
+    to one that never stopped.  If only one of checkpoint and server has a
+    fault injector, that part is skipped with a
+    ``checkpoint.injector_mismatch`` telemetry warning — the run continues
+    fault-free rather than failing.
 
     Returns the ``extra`` dict given to :func:`save_search_state`.
     """
-    with zipfile.ZipFile(str(path)) as archive:
-        meta = json.loads(archive.read("meta.json"))
-        version = meta.get("format_version")
-        if version != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {version} (expected "
-                f"{_FORMAT_VERSION}); re-create the checkpoint with this "
-                "release"
-            )
-        theta = _bytes_to_arrays(archive.read("theta.npz"))
-        alpha = _bytes_to_arrays(archive.read("alpha.npz"))["alpha"]
-        velocity = _bytes_to_arrays(archive.read("velocity.npz"))
-        pool_arrays = _bytes_to_arrays(archive.read("pools.npz"))
-        pending_arrays = [
-            _bytes_to_arrays(archive.read(f"pending_{i}.npz"))
-            for i in range(len(meta["pending"]))
-        ]
-        population_arrays = (
-            _bytes_to_arrays(archive.read("population.npz"))
-            if meta.get("population") is not None
-            else None
-        )
-
-    # In-place application keeps the server's ParameterArena views bound.
-    server.supernet.apply_state(theta, strict=True)
-    server.policy.load(alpha)
-    for i in range(len(server.theta_optimizer._velocity)):
-        key = f"velocity.{i}"
-        if key in velocity:
-            server.theta_optimizer._velocity[i] = velocity[key]
-        else:
-            server.theta_optimizer._velocity[i] = None
-    server.round = int(meta["round"])
-    server.clock_s = float(meta["clock_s"])
-    server.baseline.value = float(meta["baseline_value"])
-    server.baseline.decay = float(meta["baseline_decay"])
-    server.recorder.series = {
-        name: [float(v) for v in values]
-        for name, values in meta["recorder"].items()
-    }
-
-    # --- RNG streams --------------------------------------------------
-    rng_meta = meta["rng"]
-    _load_rng_state(server.rng, rng_meta["server"])
-    _load_rng_state(server.policy.rng, rng_meta["policy"])
-    saved_participants = rng_meta["participants"]
-    if len(saved_participants) != len(server.participants):
-        raise ValueError(
-            f"checkpoint has {len(saved_participants)} participants, "
-            f"server has {len(server.participants)}"
-        )
-    for participant, state in zip(server.participants, saved_participants):
-        _load_rng_state(participant.rng, state)
-    delay_rng = getattr(server.delay_model, "rng", None)
-    if rng_meta["delay_model"] is not None:
-        if delay_rng is None:
-            raise ValueError(
-                "checkpoint carries delay-model RNG state but the server's "
-                "delay model has none; rebuild the server with the delay "
-                "model the checkpoint was saved with"
-            )
-        _load_rng_state(delay_rng, rng_meta["delay_model"])
-    elif delay_rng is not None:
-        raise ValueError(
-            "server's delay model has an RNG but the checkpoint carries no "
-            "state for it; rebuild the server with the delay model the "
-            "checkpoint was saved with"
-        )
-
-    # --- staleness memory pools ---------------------------------------
-    pools_meta = meta["pools"]
-    server.pools._theta.clear()
-    server.pools._alpha.clear()
-    server.pools._masks.clear()
-    for round_t in pools_meta["rounds"]:
-        round_theta = {}
-        prefix = f"theta/{round_t}/"
-        for key, value in pool_arrays.items():
-            if key.startswith(prefix):
-                round_theta[key[len(prefix):]] = value
-        server.pools.save_round(round_t, round_theta, pool_arrays[f"alpha/{round_t}"])
-    for entry in pools_meta["masks"]:
-        server.pools.save_mask(
-            entry["round"],
-            entry["participant"],
-            ArchitectureMask(tuple(entry["normal"]), tuple(entry["reduce"])),
-        )
-
-    # --- in-flight stragglers ----------------------------------------
-    server._pending.clear()
-    for entry, arrays in zip(meta["pending"], pending_arrays):
-        gradients = {
-            key[len("grad/"):]: value
-            for key, value in arrays.items()
-            if key.startswith("grad/")
-        }
-        buffers = {
-            key[len("buf/"):]: value
-            for key, value in arrays.items()
-            if key.startswith("buf/")
-        }
-        server._pending.append(
-            _PendingUpdate(
-                origin_round=int(entry["origin_round"]),
-                delivery_round=int(entry["delivery_round"]),
-                mask=ArchitectureMask(
-                    tuple(entry["mask_normal"]), tuple(entry["mask_reduce"])
-                ),
-                update=ParticipantUpdate(
-                    participant_id=int(entry["participant_id"]),
-                    gradients=gradients,
-                    reward=float(entry["reward"]),
-                    num_samples=int(entry["num_samples"]),
-                    compute_time_s=float(entry["compute_time_s"]),
-                    buffers=buffers,
-                ),
-            )
-        )
-
-    # --- quarantine + injector (one Stateful code path) ---------------
     from repro.core.state import restore_states
 
-    injector_state = meta.get("injector")
-    mismatched = restore_states(
-        {"quarantine": server.quarantine, "injector": server.fault_injector},
-        {"quarantine": meta.get("quarantine", {}), "injector": injector_state},
-    )
-    if "injector" in mismatched:
+    contents = _read(path, members=True)
+    owners = {row.name: row.owner(server) for row in _TABLE}
+    try:
+        states = {row.name: row.unpack(contents) for row in _TABLE}
+    except KeyError as missing:
+        raise ValueError(f"checkpoint {path} has no {missing} in it") from missing
+    for name in restore_states(owners, states):
+        if name != "injector":
+            # Cohort and churn streams decide which participants compute
+            # at all: a restore across the divide is not even well-defined.
+            raise ValueError(
+                f"checkpoint and server disagree on {name} mode (checkpoint "
+                f"has {name} state: {states[name] is not None}, server has a "
+                f"{name}: {owners[name] is not None}); rebuild the server with "
+                f"the {name} settings the checkpoint was saved with"
+            )
         server.telemetry.emit(
             "checkpoint.injector_mismatch",
-            checkpoint_has_injector=injector_state is not None,
-            server_has_injector=server.fault_injector is not None,
+            checkpoint_has_injector=states[name] is not None,
+            server_has_injector=owners[name] is not None,
         )
-
-    # --- population subsystem -----------------------------------------
-    # Unlike the injector, a population mismatch is a hard error: the
-    # cohort/churn RNG streams drive which participants compute at all,
-    # so restoring across the divide cannot be bit-identical (or even
-    # well-defined — the participant sets differ).
-    population_meta = meta.get("population")
-    population = getattr(server, "population", None)
-    if (population_meta is None) != (population is None):
-        raise ValueError(
-            "checkpoint and server disagree on population mode "
-            f"(checkpoint has population state: {population_meta is not None}, "
-            f"server has a population: {population is not None}); rebuild the "
-            "server with the population settings the checkpoint was saved with"
-        )
-    if population is not None:
-        registry_state = dict(population_arrays)
-        registry_state["population"] = int(population_meta["registered"])
-        population.load_state_dict(
-            {
-                "registry": registry_state,
-                "sampler": population_meta["sampler"],
-                "churn": population_meta["churn"],
-            }
-        )
-
-    # --- delta-dispatch invalidation ----------------------------------
-    # A restored server is a *new* timeline: any parameter version a
-    # worker cached against the pre-crash server must never satisfy a
-    # delta reference.  Bumping every version forces the first dispatch
-    # after resume to ship full state (correctness never depends on
-    # cache warmth).
-    versions = getattr(server, "versions", None)
-    if versions is not None:
-        versions.bump_all()
-
     if server.telemetry.enabled:
         server.telemetry.count("checkpoint.restores")
         server.telemetry.emit(
             "checkpoint.restored",
             path=str(path),
             round=server.round,
-            num_pending=len(server._pending),
+            num_pending=len(contents["pending"]),
         )
-    return meta.get("extra", {})
+    return contents.get("extra", {})

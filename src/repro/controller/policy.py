@@ -22,7 +22,7 @@ implement.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -138,6 +138,12 @@ class ArchitecturePolicy:
                 f"alpha shape {alpha.shape} does not match {self.alpha.shape}"
             )
         self.alpha = alpha.copy()
+
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        return {"alpha": self.snapshot()}
+
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        self.load(state["alpha"])
 
     def _check_mask(self, mask: ArchitectureMask) -> None:
         if len(mask.normal) != self.num_edges or len(mask.reduce) != self.num_edges:

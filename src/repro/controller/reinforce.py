@@ -9,7 +9,7 @@ the estimator.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +50,13 @@ class MovingAverageBaseline:
         round_mean = float(np.mean(finite))
         self.value = self.decay * round_mean + (1.0 - self.decay) * self.value
         return self.value
+
+    def state_dict(self) -> Dict[str, float]:
+        return {"value": self.value, "decay": self.decay}
+
+    def load_state_dict(self, state: Mapping[str, float]) -> None:
+        self.value = float(state["value"])
+        self.decay = float(state["decay"])
 
 
 class ReinforceEstimator:

@@ -292,7 +292,11 @@ class FederatedModelSearch:
             config_dict.update(config_overrides)
         config = ExperimentConfig.from_dict(config_dict)
         pipeline = cls(config, telemetry=telemetry)
-        restore_search_state(pipeline.server, path)
+        try:
+            restore_search_state(pipeline.server, path)
+        except BaseException:
+            pipeline.close()  # the backend's workers are already up
+            raise
         progress = extra.get("progress") or {}
         pipeline._completed = {
             phase: [RoundResult(**item) for item in progress.get(phase, [])]

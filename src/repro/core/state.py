@@ -1,12 +1,11 @@
 """One protocol for every stateful component the checkpoint serializes.
 
-Three historically incompatible ``state_dict``/``load_state_dict``
-shapes coexisted — :class:`repro.nn.Module` (arrays),
-:class:`repro.faults.FaultInjector` (RNG state + fired set), and
-:class:`repro.federated.QuarantineTracker` (nested int dicts).  The
-:class:`Stateful` protocol names the shared contract so checkpoint v2
-captures and restores them through a single code path instead of three
-hand-rolled ones, and so tests can round-trip every component uniformly.
+The :class:`Stateful` protocol names the contract every owner of
+round-loop state shares — from the parameter arena and the optimizer to
+the server's own RNG streams and pending queue — so checkpoint v2
+captures and restores all of them through a single code path and tests
+round-trip every component uniformly.  The owners are the rows of
+``repro.checkpoint._TABLE``.
 
 The contract is deliberately minimal:
 
@@ -71,7 +70,7 @@ def restore_states(
     silently dropping them.
     """
     mismatched: List[str] = []
-    for key in set(components) | set(states):
+    for key in dict.fromkeys([*components, *states]):  # in the caller's order
         component = components.get(key)
         state = states.get(key)
         if component is None and state is None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -67,3 +67,11 @@ class CurveRecorder:
     def last(self, name: str, default: Optional[float] = None) -> Optional[float]:
         values = self.get(name)
         return values[-1] if values else default
+
+    def state_dict(self) -> Dict[str, List[float]]:
+        return {name: list(values) for name, values in self.series.items()}
+
+    def load_state_dict(self, state: Mapping[str, Sequence[float]]) -> None:
+        self.series = {
+            name: [float(v) for v in values] for name, values in state.items()
+        }

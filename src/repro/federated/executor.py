@@ -284,47 +284,38 @@ def resolve_spec(
     return spec
 
 
-#: first element of a worker reply that could not resolve its delta refs
-_CACHE_MISS = "__delta_cache_miss__"
+def run_worker_task(
+    task: LocalStepTask,
+    param_cache: Dict[str, tuple],
+    specs: Dict[int, ParticipantSpec],
+    population: Optional[object],
+    supernet_config: SupernetConfig,
+    fault_hook: Optional[Callable[[LocalStepTask], None]] = None,
+):
+    """The worker-side task body of both distributed runtimes.
 
-
-def _run_task(task: LocalStepTask):
-    """Worker-side task execution.
-
-    Returns ``(update, compute_wall, pid)`` on success, or
-    ``(_CACHE_MISS, missing_names, pid)`` when the task referenced cached
-    parameters this worker does not hold — the coordinator then re-sends
-    the task in full (a full task can never miss).
+    Resolves the task's delta references against ``param_cache``
+    (raising :class:`DeltaCacheMiss` when this worker lacks one), finds
+    or derives the participant's spec and runs the local step; returns
+    ``(update, compute_wall_s)``.  Worker-side spans are recorded when
+    the task carries a trace context and ride back in ``update.spans``.
     """
-    pid = os.getpid()
     recorder = None
     if task.trace is not None:
         recorder = SpanRecorder(profile_ops=task.trace.profile_ops)
     span = recorder.span if recorder is not None else null_span
     try:
-        try:
-            with span("deserialize"):
-                task = resolve_task(
-                    task, _WORKER_STATE.setdefault("param_cache", {})
-                )
-        except DeltaCacheMiss as miss:
-            if recorder is not None:
-                recorder.abort()
-            return _CACHE_MISS, miss.missing, pid
-        hook = _WORKER_STATE.get("fault_hook")
-        if hook is not None:
-            hook(task)
-        spec = resolve_spec(
-            _WORKER_STATE["specs"],  # type: ignore[arg-type]
-            _WORKER_STATE.get("population"),
-            task.participant_id,
-        )
+        with span("deserialize"):
+            task = resolve_task(task, param_cache)
+        if fault_hook is not None:
+            fault_hook(task)
+        spec = resolve_spec(specs, population, task.participant_id)
         start = time.perf_counter()
         update = run_local_step(
             task,
             spec.dataset,
             spec.batch_size,
-            _WORKER_STATE["supernet_config"],  # type: ignore[arg-type]
+            supernet_config,
             transform=spec.transform,
             device=spec.device,
             recorder=recorder,
@@ -332,12 +323,33 @@ def _run_task(task: LocalStepTask):
         wall = time.perf_counter() - start
         if recorder is not None:
             update.spans = recorder.payload()
-        return update, wall, pid
+        return update, wall
     except BaseException:
         # The op hook is process-global in this worker — never leak it.
         if recorder is not None:
             recorder.abort()
         raise
+
+
+#: first element of a worker reply that could not resolve its delta refs
+_CACHE_MISS = "__delta_cache_miss__"
+
+
+def _run_task(task: LocalStepTask):
+    """Process-pool worker entry point.
+
+    Returns ``(update, compute_wall, pid)`` on success, or
+    ``(_CACHE_MISS, missing_names, pid)`` when the task referenced cached
+    parameters this worker does not hold — the coordinator then re-sends
+    the task in full (a full task can never miss).
+    """
+    pid = os.getpid()
+    try:
+        # _init_worker installed exactly run_worker_task's keyword arguments.
+        update, wall = run_worker_task(task, **_WORKER_STATE)  # type: ignore[arg-type]
+    except DeltaCacheMiss as miss:
+        return _CACHE_MISS, miss.missing, pid
+    return update, wall, pid
 
 
 class ProcessPoolBackend:

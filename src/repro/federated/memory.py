@@ -11,7 +11,7 @@ away anyway.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -91,13 +91,47 @@ class MemoryPools:
     def has_round(self, round_t: int) -> bool:
         return round_t in self._theta
 
-    def rounds(self) -> list:
-        """Rounds currently held, ascending (checkpoint serialization)."""
-        return sorted(self._theta)
+    # ------------------------------------------------------------------
+    # Stateful protocol (checkpoint capture/restore)
+    # ------------------------------------------------------------------
+    def state_dict(self) -> Dict[str, object]:
+        """``rounds`` held (ascending), their snapshots as flat
+        ``alpha/<t>`` and ``theta/<t>/<name>`` ``arrays``, and every saved
+        mask as a ``{round, participant, normal, reduce}`` entry."""
+        rounds = sorted(self._theta)
+        arrays: Dict[str, np.ndarray] = {}
+        masks = []
+        for t in rounds:
+            arrays[f"alpha/{t}"] = self._alpha[t]
+            for name, value in self._theta[t].items():
+                arrays[f"theta/{t}/{name}"] = value
+            for participant, mask in sorted(self._masks.get(t, {}).items()):
+                masks.append(
+                    {
+                        "round": t,
+                        "participant": participant,
+                        "normal": list(mask.normal),
+                        "reduce": list(mask.reduce),
+                    }
+                )
+        return {"rounds": rounds, "masks": masks, "arrays": arrays}
 
-    def masks_for(self, round_t: int) -> Dict[int, ArchitectureMask]:
-        """Participant → mask map for ``round_t`` (may be empty)."""
-        return dict(self._masks.get(round_t, {}))
+    def load_state_dict(self, state: Mapping[str, object]) -> None:
+        arrays = state["arrays"]
+        self._theta.clear()
+        self._alpha.clear()
+        self._masks.clear()
+        for t in state["rounds"]:
+            prefix = f"theta/{t}/"
+            theta = {
+                key[len(prefix):]: value
+                for key, value in arrays.items()
+                if key.startswith(prefix)
+            }
+            self.save_round(t, theta, arrays[f"alpha/{t}"])
+        for entry in state["masks"]:
+            mask = ArchitectureMask.from_arrays(entry["normal"], entry["reduce"])
+            self.save_mask(entry["round"], entry["participant"], mask)
 
     # ------------------------------------------------------------------
     # Eviction (Alg. 1 lines 34-35)

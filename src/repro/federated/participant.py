@@ -128,50 +128,6 @@ class ParticipantUpdate:
     spans: Optional[Dict] = None
 
 
-def _train_on_batch(
-    submodel: Supernet,
-    x: np.ndarray,
-    y: np.ndarray,
-    participant_id: int,
-    device: DeviceProfile,
-    recorder: Optional[SpanRecorder] = None,
-) -> ParticipantUpdate:
-    """One forward/backward pass on ``(x, y)`` (Alg. 1 lines 40-42).
-
-    ``recorder`` (tracing) only brackets the phases with span timers —
-    the numerics are untouched, so traced and untraced steps produce
-    bit-identical updates.
-    """
-    span = recorder.span if recorder is not None else null_span
-    submodel.train()
-    submodel.zero_grad()
-    with span("forward"):
-        logits = submodel(x)
-        loss = nn.functional.cross_entropy(logits, y)
-    with span("backward"):
-        loss.backward()
-    with span("pack"):
-        gradients = {
-            name: param.grad.copy()
-            for name, param in submodel.named_parameters()
-            if param.grad is not None
-        }
-        buffers = {
-            name: np.array(value, copy=True)
-            for name, value in submodel.named_buffers()
-        }
-        reward = batch_accuracy(logits, y)
-    compute_time = device.train_time(submodel.num_parameters(), len(y))
-    return ParticipantUpdate(
-        participant_id=participant_id,
-        gradients=gradients,
-        reward=reward,
-        num_samples=len(y),
-        compute_time_s=compute_time,
-        buffers=buffers,
-    )
-
-
 def run_local_step(
     task: LocalStepTask,
     dataset: ArrayDataset,
@@ -213,8 +169,14 @@ def _run_eager_step(
     recorder: Optional[SpanRecorder] = None,
 ) -> ParticipantUpdate:
     """The reference local step: rebuild the pruned sub-model from
-    ``task.mask`` + ``task.state`` and run it with no tape.  The
-    ``TapeUnsupported`` fallback and the tests' oracle."""
+    ``task.mask`` + ``task.state`` and run one forward/backward pass on
+    the task's batch with no tape (Alg. 1 lines 40-42).  The
+    ``TapeUnsupported`` fallback and the tests' oracle.
+
+    ``recorder`` (tracing) only brackets the phases with span timers —
+    the numerics are untouched, so traced and untraced steps produce
+    bit-identical updates.
+    """
     span = recorder.span if recorder is not None else null_span
     with span("build"):
         submodel = Supernet(
@@ -228,8 +190,31 @@ def _run_eager_step(
             rng=np.random.default_rng(task.batch_seed),
         )
         x, y = loader.sample_batch()
-    return _train_on_batch(
-        submodel, x, y, task.participant_id, device, recorder=recorder
+    submodel.train()
+    submodel.zero_grad()
+    with span("forward"):
+        logits = submodel(x)
+        loss = nn.functional.cross_entropy(logits, y)
+    with span("backward"):
+        loss.backward()
+    with span("pack"):
+        gradients = {
+            name: param.grad.copy()
+            for name, param in submodel.named_parameters()
+            if param.grad is not None
+        }
+        buffers = {
+            name: np.array(value, copy=True)
+            for name, value in submodel.named_buffers()
+        }
+        reward = batch_accuracy(logits, y)
+    return ParticipantUpdate(
+        participant_id=task.participant_id,
+        gradients=gradients,
+        reward=reward,
+        num_samples=len(y),
+        compute_time_s=device.train_time(submodel.num_parameters(), len(y)),
+        buffers=buffers,
     )
 
 
@@ -309,28 +294,6 @@ class Participant:
                 transform=self.loader.transform,
                 device=self.device,
                 recorder=recorder,
-            )
-
-    def local_update(self, submodel: Supernet) -> ParticipantUpdate:
-        """Train the received sub-model on one local batch (Alg. 1 37-42).
-
-        Both the weight gradients and the reward (training accuracy, the
-        ``ACC`` of Eq. 8) come from the same forward/backward pass.
-
-        .. deprecated:: direct live-object dispatch
-            The server no longer calls this; rounds go through
-            :class:`LocalStepTask` + :func:`run_local_step` (see
-            :mod:`repro.federated.executor`).  ``local_update`` remains
-            for callers holding an extracted sub-model; note it draws the
-            batch from the participant's *stateful* loader RNG rather
-            than a task seed.
-        """
-        with self.telemetry.span(
-            "participant.local_step", participant=self.participant_id
-        ):
-            x, y = self.loader.sample_batch()
-            return _train_on_batch(
-                submodel, x, y, self.participant_id, self.device
             )
 
     def num_samples(self) -> int:

@@ -1,18 +1,31 @@
 """The federated model-search server (Alg. 1, server side).
 
-Each round the server:
+:meth:`FederatedSearchServer.run_round` is Alg. 1 as a list of stages,
+each a server method over one :class:`RoundState`:
 
-1. snapshots ``θ`` and ``α`` into the staleness memory pools,
-2. samples one architecture mask per participant from the policy (Eq. 4-5),
-3. prunes the supernet into per-participant :class:`LocalStepTask`
-   messages (sub-model state + mask + batch seed) and dispatches them
-   through the pluggable execution backend, matching sub-model sizes to
-   participant bandwidths (adaptive transmission),
-4. collects the updates that arrive this round — fresh ones directly,
-   stale ones repaired by delay compensation (Eq. 13, 15) or handled by
-   the configured fallback ("use" / "throw"),
-5. averages the weight gradients (unsampled operations get zeros), steps
-   the supernet optimizer, and applies the REINFORCE step to ``α``.
+1. ``_begin_round`` snapshots ``θ`` and ``α`` into the staleness memory
+   pools;
+2. ``_sample`` decides which participants are reachable this round (the
+   availability draws, or the population's sampled cohort);
+3. ``_dispatch`` samples one architecture mask per participant from the
+   policy (Eq. 4-5), prunes the supernet into per-participant
+   :class:`LocalStepTask` messages (sub-model state + mask + batch
+   seed), matches sub-model sizes to participant bandwidths (adaptive
+   transmission) and runs the tasks through the pluggable execution
+   backend;
+4. ``_collect`` turns the replies into arrivals: a failed task leaves
+   its participant offline, the fault injector damages replies, and the
+   delay model decides the round each one is delivered in;
+5. ``_ingest`` folds what arrives this round — stragglers first, then
+   fresh updates: each is validated, a stale one is repaired by delay
+   compensation (Eq. 13, 15) or handled by the configured fallback
+   ("use" / "throw"), and its gradients, reward and BN statistics join
+   the round's sums;
+6. ``_step`` averages the weight gradients (unsampled operations get
+   zeros), steps the supernet optimizer, folds the BN statistics back,
+   applies the REINFORCE step to ``α`` and updates baseline and curves;
+7. ``_end_round`` evicts old snapshots, advances round and clock and
+   reports the :class:`RoundResult`.
 
 Hard synchronisation, explicit staleness mixes, and latency-driven soft
 synchronisation are all expressed through the pluggable delay model.
@@ -21,7 +34,7 @@ synchronisation are all expressed through the pluggable delay model.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +46,7 @@ from repro.controller import (
     ReinforceEstimator,
 )
 from repro.controller.policy import softmax_rows
-from repro.evaluation import CurveRecorder
+from repro.evaluation import CurveRecorder, evaluate_accuracy
 from repro.network import BandwidthTrace, round_transmission
 from repro.nn import payload_size_bytes, state_size_bytes
 from repro.search_space import ArchitectureMask, Genotype, Supernet, derive_genotype
@@ -41,7 +54,7 @@ from repro.telemetry import Telemetry
 from repro.telemetry.tracing import TraceContext
 
 from .compensation import compensate_alpha_gradient, compensate_weight_gradients
-from .executor import ExecutionBackend, SerialBackend
+from .executor import ExecutionBackend, SerialBackend, TaskResult
 from .memory import MemoryPools
 from .participant import LocalStepTask, Participant, ParticipantUpdate
 from .synchronization import HardSync
@@ -152,29 +165,57 @@ class _PendingUpdate:
     update: ParticipantUpdate
 
 
-class _RoundAccumulator:
-    """Streaming fold of one round's usable arrivals.
+@dataclasses.dataclass
+class RoundState:
+    """Everything one round of Alg. 1 carries from stage to stage.
 
-    Holds everything the end-of-round θ/α/BN steps need — the REINFORCE
-    estimator, the sparse gradient sum, incrementally folded BN buffer
-    sums, rewards, and outcome counters — so updates can be ingested one
-    at a time (see :meth:`FederatedSearchServer._ingest_arrival`):
-    first the stragglers that matured this round, in queue order, then
-    each fresh update as its delay becomes known.
+    The second half is the streaming fold of the round's usable
+    arrivals — REINFORCE terms, the sparse gradient sum, incrementally
+    folded BN buffer sums, rewards and outcome counters — so updates are
+    ingested one at a time and the end-of-round steps only divide and
+    apply.
     """
 
-    def __init__(self, policy: ArchitecturePolicy):
-        self.estimator = ReinforceEstimator(policy)
-        self.grad_sum: Dict[str, np.ndarray] = {}
-        self.buffer_sums: Dict[str, np.ndarray] = {}
-        self.buffer_counts: Dict[str, int] = {}
-        self.rewards: List[float] = []
-        self.num_arrivals = 0
-        self.num_fresh = 0
-        self.num_stale = 0
-        self.num_dropped = 0
-        self.num_rejected = 0
-        self.used = 0
+    t: int
+    estimator: ReinforceEstimator
+    #: participants the round set out to reach, and those it could
+    expected: int = 0
+    online: List[int] = dataclasses.field(default_factory=list)
+    #: per online slot: the dispatched task, its sub-model's size and the
+    #: backend's reply
+    tasks: List[LocalStepTask] = dataclasses.field(default_factory=list)
+    task_bytes: List[float] = dataclasses.field(default_factory=list)
+    results: List[TaskResult] = dataclasses.field(default_factory=list)
+    #: this round's replies, each with the round it is delivered in
+    arrivals: List[_PendingUpdate] = dataclasses.field(default_factory=list)
+    num_failed: int = 0
+    max_latency: float = 0.0
+    mean_size: float = 0.0
+    duration: float = 0.0
+
+    grad_sum: Dict[str, np.ndarray] = dataclasses.field(default_factory=dict)
+    buffer_sums: Dict[str, np.ndarray] = dataclasses.field(default_factory=dict)
+    buffer_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
+    rewards: List[float] = dataclasses.field(default_factory=list)
+    num_arrivals: int = 0
+    num_fresh: int = 0
+    num_stale: int = 0
+    num_dropped: int = 0
+    num_rejected: int = 0
+    used: int = 0
+
+    @property
+    def num_offline(self) -> int:
+        return self.expected - len(self.online) + self.num_failed
+
+    @property
+    def mean_reward(self) -> float:
+        return float(np.mean(self.rewards)) if self.rewards else float("nan")
+
+    @property
+    def reward_std(self) -> float:
+        """Dispersion of the round's rewards (the Fig. 12 error bars)."""
+        return float(np.std(self.rewards)) if self.rewards else float("nan")
 
 
 class FederatedSearchServer:
@@ -212,7 +253,6 @@ class FederatedSearchServer:
         #: replaced wholesale every round, so server memory stays
         #: O(cohort), never O(registered population).
         self._cohort: Dict[int, Participant] = {}
-        self._cohort_target = 0
         self.config = config or SearchServerConfig()
         self.delay_model = delay_model or HardSync()
         self.rng = rng or np.random.default_rng()
@@ -271,7 +311,6 @@ class FederatedSearchServer:
         #: so telemetry events can be grouped per phase.
         self.phase_label = "search"
         self._pending: List[_PendingUpdate] = []
-        self._param_names = [name for name, _ in supernet.named_parameters()]
         #: per-parameter version counters, bumped on every mutation of
         #: the live arrays (optimizer steps, BN aggregation).  They drive
         #: the copy-on-write memory pools and the backends' delta-encoded
@@ -300,155 +339,253 @@ class FederatedSearchServer:
     # ------------------------------------------------------------------
     def run_round(self) -> RoundResult:
         with self.telemetry.span("search.round", round=self.round):
-            return self._run_round_inner()
+            state = self._begin_round()
+            self._sample(state)
+            self._dispatch(state)
+            self._collect(state)
+            self._ingest(state)
+            self._step(state)
+            return self._end_round(state)
 
-    def _run_round_inner(self) -> RoundResult:
+    def _begin_round(self) -> RoundState:
         t = self.round
         # Injected crashes fire before any round-t state or RNG draw, so
         # a checkpoint taken at the end of round t-1 resumes this round
         # bit-identically.
         if self.fault_injector is not None:
             self.fault_injector.maybe_crash(t)
-        telemetry = self.telemetry
-        telemetry.emit("round_start", round=t, phase=self.phase_label)
+        self.telemetry.emit("round_start", round=t, phase=self.phase_label)
         self.pools.save_round(
             t, self.arena, self.policy.alpha, versions=self.versions
         )
+        return RoundState(t, ReinforceEstimator(self.policy))
 
-        if self.population is not None:
-            online = self._sample_cohort(t)
+    def _sample(self, state: RoundState) -> None:
+        """Which participants are reachable this round.
+
+        Models the paper's motivating failure ("a participant loses
+        connection with the server"): each participant is online with its
+        configured availability.  With soft synchronisation the search
+        proceeds regardless; a blocking implementation would hang here.
+        Quarantined participants and injected availability flaps are
+        treated exactly like natural disconnects: the participant simply
+        isn't dispatched to and counts toward ``num_offline``.
+
+        In population mode the candidates are the cohort the population
+        manager draws (churn and sampling run on its private RNG
+        streams) and there are no per-participant availability draws:
+        churn dropout flaps *are* the availability model at population
+        scale, which keeps server RNG consumption O(cohort) instead of
+        O(population).  The survivors are materialised for the round.
+        """
+        t = state.t
+        population = self.population
+        if population is None:
+            members = range(len(self.participants))
         else:
-            online = self._sample_online()
-        accumulator = _RoundAccumulator(self.policy)
-        max_latency = 0.0
-        mean_size = 0.0
-        round_duration = 0.0
-        num_failed = 0
-        new_items: List[_PendingUpdate] = []
-        if online:
-            masks, states, sizes, wire_sizes = self._sample_submodels(len(online))
-            assignment, max_latency, latencies = self._assign(
-                sizes, online, wire_sizes
-            )
+            members = [int(k) for k in population.begin_round(t)]
+        state.expected = len(members)
+        for k in members:
+            if self.quarantine.is_quarantined(k, t):
+                continue
+            if self.fault_injector is not None and self.fault_injector.force_offline(
+                t, k
+            ):
+                continue
+            if population is None:
+                availability = self.participants[k].availability
+                if not (availability >= 1.0 or self.rng.random() < availability):
+                    continue
+            state.online.append(k)
+        if population is not None:
+            self._cohort = population.materialize_cohort(state.online)
+            provision = getattr(self.backend, "provision", None)
+            if provision is not None:
+                # Serial backend: reuse the server-materialised participants
+                # (distributed backends derive specs worker-side instead).
+                provision(list(self._cohort.values()))
 
-            tasks: List[LocalStepTask] = []
-            tracing = telemetry.enabled and telemetry.tracing
-            for slot, k in enumerate(online):
-                mask = masks[assignment[slot]]
-                state = states[assignment[slot]]
-                self.pools.save_mask(t, k, mask)
-                trace = None
-                if tracing:
-                    trace = TraceContext(
-                        trace_id=telemetry.trace_id,
-                        parent_span_id=telemetry.current_span_id,
-                        dispatch_ts=telemetry.now(),
-                        profile_ops=telemetry.trace_ops,
-                    )
-                tasks.append(
-                    LocalStepTask(
-                        participant_id=k,
-                        round_index=t,
-                        mask=mask,
-                        state=state,
-                        batch_seed=self._participant(k).draw_batch_seed(),
-                        state_versions=self.versions.subset(state),
-                        trace=trace,
-                    )
+    def _dispatch(self, state: RoundState) -> None:
+        """Sample sub-models, assign them to the online participants by
+        bandwidth, and run one :class:`LocalStepTask` each on the backend."""
+        online = state.online
+        if not online:
+            return
+        t = state.t
+        telemetry = self.telemetry
+        masks = [self.policy.sample_mask() for _ in online]
+        # Built exactly once and reused by the tasks: the states hold *live*
+        # references into the supernet (see Supernet.submodel_state), so
+        # nothing is copied on the dispatch path; every consumer copies
+        # before mutating.
+        states = [self.supernet.submodel_state(mask) for mask in masks]
+        sizes = [float(state_size_bytes(submodel)) for submodel in states]
+        assignment, state.max_latency, latencies = self._assign(states, sizes, online)
+        state.mean_size = float(np.mean(sizes))
+        tracing = telemetry.enabled and telemetry.tracing
+        for slot, k in enumerate(online):
+            mask = masks[assignment[slot]]
+            submodel = states[assignment[slot]]
+            size = sizes[assignment[slot]]
+            self.pools.save_mask(t, k, mask)
+            trace = None
+            if tracing:
+                trace = TraceContext(
+                    trace_id=telemetry.trace_id,
+                    parent_span_id=telemetry.current_span_id,
+                    dispatch_ts=telemetry.now(),
+                    profile_ops=telemetry.trace_ops,
                 )
+            state.tasks.append(
+                LocalStepTask(
+                    participant_id=k,
+                    round_index=t,
+                    mask=mask,
+                    state=submodel,
+                    batch_seed=self._participant(k).draw_batch_seed(),
+                    state_versions=self.versions.subset(submodel),
+                    trace=trace,
+                )
+            )
+            state.task_bytes.append(size)
+            if telemetry.enabled:
+                telemetry.emit(
+                    "dispatch",
+                    round=t,
+                    participant=k,
+                    bytes=size,
+                    latency_s=float(latencies[slot]) if latencies is not None else 0.0,
+                )
+                telemetry.observe("submodel.bytes", size)
+        state.results = self.backend.run_tasks(state.tasks)
+
+    def _collect(self, state: RoundState) -> None:
+        """Turn the backend's replies into arrivals with a delivery round."""
+        t = state.t
+        telemetry = self.telemetry
+        sizes: List[float] = []
+        indices: List[int] = []
+        compute_times: List[float] = []
+        for slot, result in enumerate(state.results):
+            k = state.online[slot]
+            if not result.ok:
+                # Worker crash / timeout: the participant is offline
+                # this round; soft synchronisation absorbs the gap.
+                state.num_failed += 1
                 if telemetry.enabled:
+                    telemetry.count("updates.task_failures")
                     telemetry.emit(
-                        "dispatch",
+                        "participant_failed",
                         round=t,
                         participant=k,
-                        bytes=sizes[assignment[slot]],
-                        latency_s=float(latencies[slot]) if latencies is not None else 0.0,
+                        attempts=result.attempts,
+                        error=result.error,
                     )
-                    telemetry.observe("submodel.bytes", sizes[assignment[slot]])
-
-            task_results = self.backend.run_tasks(tasks)
-
-            delivered_sizes: List[float] = []
-            delivered_indices: List[int] = []
-            compute_times: List[float] = []
-            for slot, result in enumerate(task_results):
-                if not result.ok:
-                    # Worker crash / timeout: the participant is offline
-                    # this round; soft synchronisation absorbs the gap.
-                    num_failed += 1
-                    if telemetry.enabled:
-                        telemetry.count("updates.task_failures")
-                        telemetry.emit(
-                            "participant_failed",
-                            round=t,
-                            participant=online[slot],
-                            attempts=result.attempts,
-                            error=result.error,
-                        )
-                    continue
-                # The injector damages replies here — after the backend
-                # returned them (backend-agnostic, deterministic) and
-                # before they enter the pending queue.
-                updates = [result.update]
-                if self.fault_injector is not None:
-                    updates = self.fault_injector.transform_update(
-                        t, online[slot], result.update
-                    )
-                for update in updates:
-                    new_items.append(
-                        _PendingUpdate(
-                            origin_round=t,
-                            delivery_round=-1,
-                            mask=tasks[slot].mask,
-                            update=update,
-                        )
-                    )
-                    delivered_sizes.append(sizes[assignment[slot]])
-                    delivered_indices.append(online[slot])
-                    compute_times.append(update.compute_time_s)
-
-            if delivered_indices:
-                delays = self.delay_model.delays(
-                    delivered_sizes,
-                    np.asarray(compute_times),
-                    start_time_s=self.clock_s,
-                    participant_indices=delivered_indices,
+                continue
+            # The injector damages replies here — after the backend
+            # returned them (backend-agnostic, deterministic) and
+            # before they enter the pending queue.
+            updates = [result.update]
+            if self.fault_injector is not None:
+                updates = self.fault_injector.transform_update(t, k, result.update)
+            for update in updates:
+                state.arrivals.append(
+                    _PendingUpdate(t, -1, state.tasks[slot].mask, update)
                 )
-                for item, tau in zip(new_items, delays.taus):
-                    item.delivery_round = t + int(tau)
-                round_duration = delays.round_duration_s
-            mean_size = float(np.mean(sizes))
+                sizes.append(state.task_bytes[slot])
+                indices.append(k)
+                compute_times.append(update.compute_time_s)
+        if indices:
+            delays = self.delay_model.delays(
+                sizes,
+                np.asarray(compute_times),
+                start_time_s=self.clock_s,
+                participant_indices=indices,
+            )
+            for item, tau in zip(state.arrivals, delays.taus):
+                item.delivery_round = t + int(tau)
+            state.duration = delays.round_duration_s
 
-        # Streaming aggregation, one order in every mode: stragglers
-        # that matured this round first (queue order), then each fresh
-        # (τ=0) update.  Fresh updates never pile up in the pending
-        # queue, so per-round transients stay O(cohort) however large
-        # the population grows; only genuinely delayed ones are staged.
+    def _ingest(self, state: RoundState) -> None:
+        """Streaming aggregation, one order in every mode: stragglers
+        that matured this round first (queue order), then each fresh
+        (τ=0) update.  Fresh updates never pile up in the pending queue,
+        so per-round transients stay O(cohort) however large the
+        population grows; only genuinely delayed ones are staged."""
+        t = state.t
         matured = [p for p in self._pending if p.delivery_round == t]
         self._pending = [p for p in self._pending if p.delivery_round > t]
-        for item in matured + new_items:
+        for item in matured + state.arrivals:
             if item.delivery_round == t:
-                self._ingest_arrival(t, accumulator, item)
+                self._ingest_arrival(state, item)
             else:
                 self._pending.append(item)
 
-        expected = (
-            self._cohort_target
-            if self.population is not None
-            else len(self.participants)
-        )
-        num_offline = expected - len(online) + num_failed
-        result = self._close_round(
-            t, accumulator, max_latency, mean_size, round_duration, num_offline
+    def _step(self, state: RoundState) -> None:
+        """Apply the folded round: θ step, BN fold, α step, records."""
+        t = state.t
+        telemetry = self.telemetry
+        if state.num_arrivals and state.used == 0:
+            # Every arrival this round was rejected or dropped: skip the
+            # θ/α steps entirely (an all-garbage round must not move the
+            # model) and flag the round as degraded.
+            if telemetry.enabled:
+                telemetry.count("rounds.degraded")
+            telemetry.emit(
+                "round.degraded",
+                round=t,
+                num_arrivals=state.num_arrivals,
+                num_rejected=state.num_rejected,
+                num_dropped=state.num_dropped,
+            )
+        if state.used and self.config.update_theta:
+            self._step_theta(state.grad_sum, state.used)
+        if state.used and self.config.aggregate_bn_stats:
+            self._apply_buffer_sums(state.buffer_sums, state.buffer_counts)
+        if state.used and self.config.update_alpha:
+            alpha_grad = state.estimator.gradient()
+            if telemetry.enabled:
+                norm = float(np.linalg.norm(alpha_grad))
+                telemetry.observe("alpha.grad_norm", norm)
+                telemetry.emit(
+                    "alpha_step", round=t, grad_norm=norm, num_updates=state.used
+                )
+            self.alpha_optimizer.step(alpha_grad)
+        rewards = state.rewards
+        if rewards:
+            self.baseline.update(rewards)
+        self.recorder.record("train_accuracy", state.mean_reward if rewards else 0.0)
+        self.recorder.record("train_accuracy_std", state.reward_std if rewards else 0.0)
+        self.recorder.record("round_duration_s", state.duration)
+        self.recorder.record("max_transmission_latency_s", state.max_latency)
+        self.recorder.record("policy_entropy", self.policy.entropy())
+        self._record_operation_preferences()
+
+    def _end_round(self, state: RoundState) -> RoundResult:
+        t = state.t
+        result = RoundResult(
+            round_index=t,
+            mean_reward=state.mean_reward,
+            num_fresh=state.num_fresh,
+            num_stale_used=state.num_stale,
+            num_dropped=state.num_dropped,
+            round_duration_s=state.duration,
+            max_transmission_latency_s=state.max_latency,
+            mean_submodel_bytes=state.mean_size,
+            policy_entropy=self.policy.entropy(),
+            reward_std=state.reward_std,
+            num_offline=state.num_offline,
+            num_rejected=state.num_rejected,
         )
         self.pools.evict_older_than(t)
-        self.clock_s += round_duration
+        self.clock_s += state.duration
         self.round += 1
+        telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.count("rounds.total")
-            telemetry.count("updates.offline_slots", num_offline)
-            telemetry.observe("round.duration_s", round_duration)
-            telemetry.observe("transmission.max_latency_s", max_latency)
+            telemetry.count("updates.offline_slots", result.num_offline)
+            telemetry.observe("round.duration_s", state.duration)
+            telemetry.observe("transmission.max_latency_s", state.max_latency)
             telemetry.observe("policy.entropy", result.policy_entropy)
             if np.isfinite(result.mean_reward):
                 telemetry.observe("reward", result.mean_reward)
@@ -463,68 +600,11 @@ class FederatedSearchServer:
                 num_stale_used=result.num_stale_used,
                 num_dropped=result.num_dropped,
                 num_rejected=result.num_rejected,
-                num_offline=num_offline,
-                duration_s=round_duration,
-                max_latency_s=max_latency,
+                num_offline=result.num_offline,
+                duration_s=state.duration,
+                max_latency_s=state.max_latency,
             )
         return result
-
-    def _sample_online(self) -> List[int]:
-        """Which participants are reachable this round.
-
-        Models the paper's motivating failure ("a participant loses
-        connection with the server"): each participant is online with its
-        configured availability.  With soft synchronisation the search
-        proceeds regardless; a blocking implementation would hang here.
-
-        Quarantined participants and injected availability flaps are
-        treated exactly like natural disconnects: the participant simply
-        isn't dispatched to and counts toward ``num_offline``.
-        """
-        online = []
-        t = self.round
-        for k, participant in enumerate(self.participants):
-            if self.quarantine.is_quarantined(k, t):
-                continue
-            if self.fault_injector is not None and self.fault_injector.force_offline(
-                t, k
-            ):
-                continue
-            if participant.availability >= 1.0 or self.rng.random() < participant.availability:
-                online.append(k)
-        return online
-
-    def _sample_cohort(self, t: int) -> List[int]:
-        """Population mode's counterpart of :meth:`_sample_online`.
-
-        Advances churn, draws the cohort (both inside the population
-        manager's private RNG streams — the server RNG is untouched, so
-        population-off runs are bit-identical to before), filters
-        quarantined / fault-flapped members, and materialises the
-        survivors.  There are no per-participant availability draws:
-        churn dropout flaps *are* the availability model at population
-        scale, which keeps server RNG consumption O(cohort) instead of
-        O(population).
-        """
-        cohort = self.population.begin_round(t)
-        self._cohort_target = int(len(cohort))
-        online: List[int] = []
-        for member in cohort:
-            k = int(member)
-            if self.quarantine.is_quarantined(k, t):
-                continue
-            if self.fault_injector is not None and self.fault_injector.force_offline(
-                t, k
-            ):
-                continue
-            online.append(k)
-        self._cohort = self.population.materialize_cohort(online)
-        provision = getattr(self.backend, "provision", None)
-        if provision is not None:
-            # Serial backend: reuse the server-materialised participants
-            # (distributed backends derive specs worker-side instead).
-            provision(list(self._cohort.values()))
-        return online
 
     def _participant(self, k: int) -> Participant:
         """This round's live object for participant ``k`` (cohort-aware)."""
@@ -543,24 +623,14 @@ class FederatedSearchServer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _sample_submodels(
-        self, count: int
-    ) -> Tuple[
-        List[ArchitectureMask],
-        List[Dict[str, np.ndarray]],
-        List[float],
-        Optional[List[float]],
-    ]:
-        """Sample ``count`` masks and materialise their sub-model states.
-
-        The states are built exactly once here and reused by the task
-        builder (they hold *live* references into the supernet — see
-        :meth:`Supernet.submodel_state` — so no copying happens on the
-        dispatch path; every consumer copies before mutating).
-        """
-        masks = [self.policy.sample_mask() for _ in range(count)]
-        states = [self.supernet.submodel_state(mask) for mask in masks]
-        sizes = [float(state_size_bytes(state)) for state in states]
+    def _assign(
+        self,
+        states: Sequence[Dict[str, np.ndarray]],
+        sizes: Sequence[float],
+        online: Sequence[int],
+    ) -> Tuple[np.ndarray, float, Optional[np.ndarray]]:
+        """Match sub-models to the online participants' bandwidths (Fig. 7):
+        ``(assignment, max latency, per-slot latencies)``."""
         wire_sizes = None
         if self.config.measure_wire_bytes:
             wire_sizes = [
@@ -576,14 +646,6 @@ class FederatedSearchServer:
             if self.telemetry.enabled:
                 for wire_size in wire_sizes:
                     self.telemetry.observe("transmission.wire_bytes", wire_size)
-        return masks, states, sizes, wire_sizes
-
-    def _assign(
-        self,
-        sizes: Sequence[float],
-        online: Sequence[int],
-        wire_sizes: Optional[Sequence[float]] = None,
-    ) -> Tuple[np.ndarray, float, Optional[np.ndarray]]:
         traces = [self._participant(k).trace for k in online]
         if any(trace is None for trace in traces):
             return np.arange(len(online)), 0.0, None
@@ -610,102 +672,27 @@ class FederatedSearchServer:
             )
         return report.assignment, report.max_latency_s, report.latencies_s
 
-    def _theta_state(self) -> Dict[str, np.ndarray]:
-        return {name: p.data for name, p in self.supernet.named_parameters()}
+    def _ingest_arrival(self, state: RoundState, item: _PendingUpdate) -> None:
+        """Fold one arrived update into the round.
 
-    def _close_round(
-        self,
-        t: int,
-        accumulator: _RoundAccumulator,
-        max_latency: float,
-        mean_size: float,
-        round_duration: float,
-        num_offline: int = 0,
-    ) -> RoundResult:
-        """Apply the accumulated round: θ step, BN fold, α step, records."""
-        acc = accumulator
-        telemetry = self.telemetry
-        if acc.num_arrivals and acc.used == 0:
-            # Every arrival this round was rejected or dropped: skip the
-            # θ/α steps entirely (an all-garbage round must not move the
-            # model) and flag the round as degraded.
-            if telemetry.enabled:
-                telemetry.count("rounds.degraded")
-            telemetry.emit(
-                "round.degraded",
-                round=t,
-                num_arrivals=acc.num_arrivals,
-                num_rejected=acc.num_rejected,
-                num_dropped=acc.num_dropped,
-            )
-        if acc.used and self.config.update_theta:
-            self._step_theta(acc.grad_sum, acc.used)
-        if acc.used and self.config.aggregate_bn_stats:
-            self._apply_buffer_sums(acc.buffer_sums, acc.buffer_counts)
-        if acc.used and self.config.update_alpha:
-            alpha_grad = acc.estimator.gradient()
-            if telemetry.enabled:
-                norm = float(np.linalg.norm(alpha_grad))
-                telemetry.observe("alpha.grad_norm", norm)
-                telemetry.emit(
-                    "alpha_step", round=t, grad_norm=norm, num_updates=acc.used
-                )
-            self.alpha_optimizer.step(alpha_grad)
-        rewards = acc.rewards
-        if rewards:
-            self.baseline.update(rewards)
-
-        num_fresh = acc.num_fresh
-        num_stale = acc.num_stale
-        num_dropped = acc.num_dropped
-        num_rejected = acc.num_rejected
-        mean_reward = float(np.mean(rewards)) if rewards else float("nan")
-        reward_std = float(np.std(rewards)) if rewards else float("nan")
-        self.recorder.record("train_accuracy", mean_reward if rewards else 0.0)
-        self.recorder.record("train_accuracy_std", reward_std if rewards else 0.0)
-        self.recorder.record("round_duration_s", round_duration)
-        self.recorder.record("max_transmission_latency_s", max_latency)
-        self.recorder.record("policy_entropy", self.policy.entropy())
-        self._record_operation_preferences()
-        return RoundResult(
-            round_index=t,
-            mean_reward=mean_reward,
-            num_fresh=num_fresh,
-            num_stale_used=num_stale,
-            num_dropped=num_dropped,
-            round_duration_s=round_duration,
-            max_transmission_latency_s=max_latency,
-            mean_submodel_bytes=mean_size,
-            policy_entropy=self.policy.entropy(),
-            reward_std=reward_std,
-            num_offline=num_offline,
-            num_rejected=num_rejected,
-        )
-
-    def _ingest_arrival(
-        self, t: int, acc: _RoundAccumulator, item: _PendingUpdate
-    ) -> None:
-        """Fold one arrived update into the round accumulator.
-
-        This is the per-arrival body of the historical aggregation loop:
-        validation first (the trust boundary — garbage earns a strike
+        Validation first (the trust boundary — garbage earns a strike
         even when it arrived stale), then the fresh / stale-compensated
         / dropped outcome.  Calling it per arrival is what makes the
         aggregation *streaming*: gradients land in the (arena) gradient
         buffer and BN sums fold incrementally, in arrival order, so the
         end-of-round steps only divide and apply.
         """
-        acc.num_arrivals += 1
+        state.num_arrivals += 1
+        t = state.t
         tau = t - item.origin_round
+        update = item.update
         telemetry = self.telemetry
         reason = (
-            self.validator.validate(item.update)
-            if self.validator is not None
-            else None
+            self.validator.validate(update) if self.validator is not None else None
         )
         if reason is not None:
-            acc.num_rejected += 1
-            self.quarantine.record_rejection(item.update.participant_id, t)
+            state.num_rejected += 1
+            self.quarantine.record_rejection(update.participant_id, t)
             if telemetry.enabled:
                 telemetry.count("updates.rejected")
                 telemetry.count(f"updates.rejected.{reason}")
@@ -713,39 +700,31 @@ class FederatedSearchServer:
                     "update.rejected",
                     round=t,
                     origin_round=item.origin_round,
-                    participant=item.update.participant_id,
+                    participant=update.participant_id,
                     staleness=tau,
                     reason=reason,
                 )
             return
-        if tau == 0:
-            self._accumulate_fresh(item, acc.estimator, acc.grad_sum)
-            acc.rewards.append(item.update.reward)
-            self._fold_buffers(acc, item.update)
-            acc.num_fresh += 1
-            acc.used += 1
-            outcome = "fresh"
-        elif tau > self.config.staleness_threshold or (
-            self.config.staleness_policy == "throw"
+        if tau and (
+            tau > self.config.staleness_threshold
+            or self.config.staleness_policy == "throw"
+            or not self.pools.has_round(item.origin_round)
         ):
-            acc.num_dropped += 1
-            outcome = "dropped"
-        elif not self.pools.has_round(item.origin_round):
-            acc.num_dropped += 1
+            state.num_dropped += 1
             outcome = "dropped"
         else:
-            self._accumulate_stale(item, tau, acc.estimator, acc.grad_sum)
-            acc.rewards.append(item.update.reward)
-            self._fold_buffers(acc, item.update)
-            acc.num_stale += 1
-            acc.used += 1
-            outcome = (
-                "stale_used"
-                if self.config.staleness_policy == "use"
-                else "stale_compensated"
-            )
-        if outcome != "dropped":
-            self.quarantine.record_accepted(item.update.participant_id)
+            self._accumulate(state, item, tau)
+            self.quarantine.record_accepted(update.participant_id)
+            if tau == 0:
+                state.num_fresh += 1
+                outcome = "fresh"
+            else:
+                state.num_stale += 1
+                outcome = (
+                    "stale_used"
+                    if self.config.staleness_policy == "use"
+                    else "stale_compensated"
+                )
         if telemetry.enabled:
             telemetry.count(
                 f"updates.{'stale_used' if outcome.startswith('stale') else outcome}"
@@ -755,77 +734,55 @@ class FederatedSearchServer:
                 "arrival",
                 round=t,
                 origin_round=item.origin_round,
-                participant=item.update.participant_id,
+                participant=update.participant_id,
                 staleness=tau,
                 outcome=outcome,
-                reward=item.update.reward,
+                reward=update.reward,
             )
 
-    def _fold_buffers(self, acc: _RoundAccumulator, update: ParticipantUpdate) -> None:
-        """Accumulate one used update's BN running stats into the round sums.
+    def _accumulate(self, state: RoundState, item: _PendingUpdate, tau: int) -> None:
+        """Add one accepted arrival's ``advantage · ∇ log p`` term,
+        gradients, reward and BN statistics to the round's sums.
 
-        Same first-copy-then-add arithmetic (and the same order — used
-        updates, as they are accepted) as the former per-round
-        ``_aggregate_buffers`` loop, so results are bit-identical.
+        A stale arrival's ``∇ log p`` is taken under the stale ``α`` the
+        straggler sampled from; with the "compensate" policy it and the
+        weight gradients are first repaired (Alg. 1 lines 25-28).
         """
-        if not self.config.aggregate_bn_stats:
-            return
-        sums = acc.buffer_sums
-        counts = acc.buffer_counts
-        for name, value in update.buffers.items():
-            if name in sums:
-                sums[name] = sums[name] + value
-                counts[name] += 1
-            else:
-                sums[name] = np.array(value, copy=True)
-                counts[name] = 1
-
-    def _accumulate_fresh(
-        self,
-        item: _PendingUpdate,
-        estimator: ReinforceEstimator,
-        grad_sum: Dict[str, np.ndarray],
-    ) -> None:
-        self._add_gradients(grad_sum, item.update.gradients)
-        advantage = self.baseline.advantage(item.update.reward)
-        estimator.add(item.mask, advantage)
-
-    def _accumulate_stale(
-        self,
-        item: _PendingUpdate,
-        tau: int,
-        estimator: ReinforceEstimator,
-        grad_sum: Dict[str, np.ndarray],
-    ) -> None:
-        stale_round = item.origin_round
-        stale_alpha = self.pools.alpha(stale_round)
-        advantage = self.baseline.advantage(item.update.reward)
-        # ∇ log p(g^{t'}) under the stale α (what the straggler sampled).
-        onehot = item.mask.as_onehot()
-        stale_grad_logp = onehot - softmax_rows(stale_alpha)
-
-        if self.config.staleness_policy == "use":
-            estimator.add_gradient_term(advantage * stale_grad_logp)
-            self._add_gradients(grad_sum, item.update.gradients)
-            return
-
-        # Delay-compensated path (Alg. 1 lines 25-28).
-        lam = self.config.compensation_lambda
-        repaired_logp = compensate_alpha_gradient(
-            stale_grad_logp, self.policy.alpha, stale_alpha, lam
-        )
-        estimator.add_gradient_term(advantage * repaired_logp)
-
-        stale_theta = self.pools.theta(stale_round)
-        fresh_theta = self._theta_state()
-        names = list(item.update.gradients)
-        repaired = compensate_weight_gradients(
-            item.update.gradients,
-            {name: fresh_theta[name] for name in names},
-            {name: stale_theta[name] for name in names},
-            lam,
-        )
-        self._add_gradients(grad_sum, repaired)
+        update = item.update
+        gradients = update.gradients
+        if tau == 0:
+            grad_logp = self.policy.grad_log_prob(item.mask)
+        else:
+            stale_alpha = self.pools.alpha(item.origin_round)
+            grad_logp = item.mask.as_onehot() - softmax_rows(stale_alpha)
+            if self.config.staleness_policy != "use":
+                lam = self.config.compensation_lambda
+                grad_logp = compensate_alpha_gradient(
+                    grad_logp, self.policy.alpha, stale_alpha, lam
+                )
+                stale_theta = self.pools.theta(item.origin_round)
+                fresh_theta = dict(self.supernet.named_parameters())
+                gradients = compensate_weight_gradients(
+                    gradients,
+                    {name: fresh_theta[name].data for name in gradients},
+                    {name: stale_theta[name] for name in gradients},
+                    lam,
+                )
+        advantage = self.baseline.advantage(update.reward)
+        state.estimator.add_gradient_term(advantage * grad_logp)
+        self._add_gradients(state.grad_sum, gradients)
+        state.rewards.append(update.reward)
+        if self.config.aggregate_bn_stats:
+            # First-copy-then-add, in acceptance order.
+            sums, counts = state.buffer_sums, state.buffer_counts
+            for name, value in update.buffers.items():
+                if name in sums:
+                    sums[name] = sums[name] + value
+                    counts[name] += 1
+                else:
+                    sums[name] = np.array(value, copy=True)
+                    counts[name] = 1
+        state.used += 1
 
     def _add_gradients(
         self, grad_sum: Dict[str, np.ndarray], gradients: Dict[str, np.ndarray]
@@ -882,7 +839,7 @@ class FederatedSearchServer:
     ) -> None:
         """Average the round's accumulated BN stats back into the supernet.
 
-        The sums arrive pre-folded (see :meth:`_fold_buffers`); only
+        The sums arrive pre-folded (see :meth:`_accumulate`); only
         buffers present in at least one used update move — buffers of
         never-sampled operations keep their previous values.
         """
@@ -912,8 +869,6 @@ class FederatedSearchServer:
         default); with it off, buffers stay at initialisation and this
         returns near-chance accuracy.
         """
-        from repro.evaluation import evaluate_accuracy
-
         mask = mask or self.policy.mode_mask()
         submodel = self.supernet.extract_submodel(mask, rng=self.rng)
         return evaluate_accuracy(submodel, dataset, batch_size=batch_size)
@@ -949,3 +904,104 @@ class FederatedSearchServer:
         # The optimizer mutates exactly the parameters that received
         # gradient this round (SGD skips grad-less parameters entirely).
         self.versions.bump(grad_sum)
+
+    # ------------------------------------------------------------------
+    # Stateful protocol (checkpoint capture/restore)
+    # ------------------------------------------------------------------
+    def state_dict(self) -> Dict[str, object]:
+        """Round counter, virtual clock, every RNG stream the round loop
+        consumes, and the in-flight stragglers in full: one ``pending``
+        entry of scalars each, next to its gradients and buffers as flat
+        ``grad/<name>`` / ``buf/<name>`` arrays in ``pending_arrays``."""
+        pending, pending_arrays = [], []
+        for item in self._pending:
+            update = item.update
+            pending.append(
+                {
+                    "origin_round": item.origin_round,
+                    "delivery_round": item.delivery_round,
+                    "participant_id": update.participant_id,
+                    "reward": float(update.reward),
+                    "num_samples": int(update.num_samples),
+                    "compute_time_s": float(update.compute_time_s),
+                    "mask_normal": list(item.mask.normal),
+                    "mask_reduce": list(item.mask.reduce),
+                }
+            )
+            arrays = {f"grad/{name}": g for name, g in update.gradients.items()}
+            arrays.update({f"buf/{name}": b for name, b in update.buffers.items()})
+            pending_arrays.append(arrays)
+        delay_rng = getattr(self.delay_model, "rng", None)
+        return {
+            "round": self.round,
+            "clock_s": self.clock_s,
+            "rng": {
+                "server": self.rng.bit_generator.state,
+                "policy": self.policy.rng.bit_generator.state,
+                "participants": [p.rng.bit_generator.state for p in self.participants],
+                "delay_model": (
+                    None if delay_rng is None else delay_rng.bit_generator.state
+                ),
+            },
+            "pending": pending,
+            "pending_arrays": pending_arrays,
+        }
+
+    def load_state_dict(self, state: Mapping[str, object]) -> None:
+        """Inverse of :meth:`state_dict` onto a server built with the same
+        participants and delay model.  Stragglers are re-queued verbatim
+        for their original delivery rounds — nothing is re-dispatched."""
+        rng = state["rng"]
+        if len(rng["participants"]) != len(self.participants):
+            raise ValueError(
+                f"checkpoint has {len(rng['participants'])} participants, "
+                f"server has {len(self.participants)}"
+            )
+        delay_rng = getattr(self.delay_model, "rng", None)
+        if (delay_rng is None) != (rng["delay_model"] is None):
+            raise ValueError(
+                "checkpoint and server disagree on the delay model's RNG stream "
+                f"(checkpoint has one: {rng['delay_model'] is not None}, server "
+                f"has one: {delay_rng is not None}); rebuild the server with the "
+                "delay model the checkpoint was saved with"
+            )
+        self.rng.bit_generator.state = rng["server"]
+        self.policy.rng.bit_generator.state = rng["policy"]
+        for participant, saved in zip(self.participants, rng["participants"]):
+            participant.rng.bit_generator.state = saved
+        if delay_rng is not None:
+            delay_rng.bit_generator.state = rng["delay_model"]
+        self.round = int(state["round"])
+        self.clock_s = float(state["clock_s"])
+
+        def strip(arrays: Mapping[str, np.ndarray], prefix: str) -> Dict[str, np.ndarray]:
+            return {
+                key[len(prefix):]: value
+                for key, value in arrays.items()
+                if key.startswith(prefix)
+            }
+
+        self._pending = [
+            _PendingUpdate(
+                origin_round=int(entry["origin_round"]),
+                delivery_round=int(entry["delivery_round"]),
+                mask=ArchitectureMask.from_arrays(
+                    entry["mask_normal"], entry["mask_reduce"]
+                ),
+                update=ParticipantUpdate(
+                    participant_id=int(entry["participant_id"]),
+                    gradients=strip(arrays, "grad/"),
+                    reward=float(entry["reward"]),
+                    num_samples=int(entry["num_samples"]),
+                    compute_time_s=float(entry["compute_time_s"]),
+                    buffers=strip(arrays, "buf/"),
+                ),
+            )
+            for entry, arrays in zip(state["pending"], state["pending_arrays"])
+        ]
+        # A restored server is a *new* timeline: any parameter version a
+        # worker cached against the pre-crash server must never satisfy a
+        # delta reference.  Bumping every version forces the first dispatch
+        # after resume to ship full state (correctness never depends on
+        # cache warmth).
+        self.versions.bump_all()

@@ -254,6 +254,13 @@ class ParameterArena:
         """In-place write of one entry (keeps module attributes bound)."""
         self._views[name][...] = value
 
+    def state_dict(self) -> ArenaStateView:
+        return self.state_view()
+
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        """Strict in-place restore: every entry written through its view."""
+        self.module.apply_state(state, strict=True)
+
     # ------------------------------------------------------------------
     # Whole-buffer movement
     # ------------------------------------------------------------------

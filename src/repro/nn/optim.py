@@ -9,7 +9,7 @@ Adam (the DARTS choice for architecture parameters) and cosine annealing.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +71,15 @@ class SGD(Optimizer):
                 self._velocity[i] = self.momentum * self._velocity[i] + grad
                 grad = self._velocity[i]
             p.data -= self.lr * grad
+
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        """Momentum buffers as ``velocity.<i>`` (untouched slots omitted)."""
+        return {
+            f"velocity.{i}": v for i, v in enumerate(self._velocity) if v is not None
+        }
+
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        self._velocity = [state.get(f"velocity.{i}") for i in range(len(self.params))]
 
 
 class Adam(Optimizer):

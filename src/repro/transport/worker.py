@@ -27,12 +27,10 @@ import sys
 import traceback
 from typing import Dict, List, Optional
 
-from repro.federated.executor import ParticipantSpec, resolve_spec
-from repro.federated.participant import run_local_step
-from repro.federated.versioning import DeltaCacheMiss, resolve_task
+from repro.federated.executor import ParticipantSpec, run_worker_task
+from repro.federated.versioning import DeltaCacheMiss
 from repro.nn import tape
 from repro.search_space import SupernetConfig
-from repro.telemetry.tracing import SpanRecorder, null_span
 
 from . import codec
 from .protocol import (
@@ -233,44 +231,19 @@ class WorkerServer:
 
     def _handle_task(self, conn: FrameConnection, payload: bytes) -> None:
         seq = -1
-        recorder: Optional[SpanRecorder] = None
+
+        def fail(message: str, **fields) -> None:
+            conn.send_frame(MSG_ERROR, codec.encode_error(seq, message, **fields))
+
         try:
             task, seq = codec.decode_task(payload)
-            if task.trace is not None:
-                recorder = SpanRecorder(profile_ops=task.trace.profile_ops)
-            span = recorder.span if recorder is not None else null_span
-            try:
-                with span("deserialize"):
-                    task = resolve_task(task, self._param_cache)
-            except DeltaCacheMiss as miss:
-                if recorder is not None:
-                    recorder.abort()
-                    recorder = None
-                conn.send_frame(
-                    MSG_ERROR,
-                    codec.encode_error(
-                        seq,
-                        f"delta cache miss: {miss}",
-                        code="cache_miss",
-                        missing=len(miss.missing),
-                    ),
-                )
-                return
-            spec = resolve_spec(
-                self._specs, self._population, task.participant_id
-            )
-            update = run_local_step(
+            update, _ = run_worker_task(
                 task,
-                spec.dataset,
-                spec.batch_size,
-                self._supernet_config,
-                transform=spec.transform,
-                device=spec.device,
-                recorder=recorder,
+                param_cache=self._param_cache,
+                specs=self._specs,
+                population=self._population,
+                supernet_config=self._supernet_config,
             )
-            if recorder is not None:
-                update.spans = recorder.payload()
-                recorder = None
             self.tasks_completed += 1
             conn.send_frame(
                 MSG_UPDATE,
@@ -281,21 +254,12 @@ class WorkerServer:
                     wire_dtype=self._wire_dtype,
                 ),
             )
+        except DeltaCacheMiss as miss:
+            fail(f"delta cache miss: {miss}", code="cache_miss", missing=len(miss.missing))
         except ProtocolError as exc:
-            if recorder is not None:
-                recorder.abort()
-            conn.send_frame(MSG_ERROR, codec.encode_error(seq, f"bad task: {exc}"))
+            fail(f"bad task: {exc}")
         except Exception:
-            # The op-profiling hook is process-global: abort on every
-            # failure path so a crashed step cannot leak it.
-            if recorder is not None:
-                recorder.abort()
-            conn.send_frame(
-                MSG_ERROR,
-                codec.encode_error(
-                    seq, f"local step failed:\n{traceback.format_exc()}"
-                ),
-            )
+            fail(f"local step failed:\n{traceback.format_exc()}")
 
 
 def serve(

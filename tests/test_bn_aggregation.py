@@ -5,7 +5,12 @@ import pytest
 
 from repro.controller import ArchitecturePolicy
 from repro.data import iid_partition, synth_cifar10
-from repro.federated import FederatedSearchServer, Participant, SearchServerConfig
+from repro.federated import (
+    FederatedSearchServer,
+    LocalStepTask,
+    Participant,
+    SearchServerConfig,
+)
 from repro.search_space import Supernet, SupernetConfig
 
 TINY = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1)
@@ -32,6 +37,18 @@ def make_server(aggregate=True, seed=0):
     return server, test
 
 
+def run_step(server, mask):
+    """One hand-built task for participant 0, run in-process."""
+    task = LocalStepTask(
+        participant_id=0,
+        round_index=0,
+        mask=mask,
+        state=server.supernet.submodel_state(mask),
+        batch_seed=0,
+    )
+    return server.participants[0].execute_task(task, TINY)
+
+
 def buffer_snapshot(supernet):
     return {name: np.array(value, copy=True) for name, value in supernet.named_buffers()}
 
@@ -41,18 +58,18 @@ class TestParticipantBuffers:
         server, _ = make_server()
         mask = server.policy.sample_mask()
         sub = server.supernet.extract_submodel(mask)
-        update = server.participants[0].local_update(sub)
+        update = run_step(server, mask)
         assert update.buffers
         assert set(update.buffers) == {name for name, _ in sub.named_buffers()}
 
     def test_buffers_are_copies(self):
         server, _ = make_server()
         mask = server.policy.sample_mask()
-        sub = server.supernet.extract_submodel(mask)
-        update = server.participants[0].local_update(sub)
+        update = run_step(server, mask)
         name = next(iter(update.buffers))
         update.buffers[name][...] = 777.0
-        assert not np.allclose(dict(sub.named_buffers())[name], 777.0)
+        assert not np.allclose(dict(server.supernet.named_buffers())[name], 777.0)
+        assert not np.allclose(run_step(server, mask).buffers[name], 777.0)
 
 
 class TestServerAggregation:

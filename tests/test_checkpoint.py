@@ -1,9 +1,15 @@
 """Tests for checkpointing (repro.checkpoint)."""
 
+import io
+import json
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
+import repro.checkpoint as checkpoint_module
 import repro.nn as nn
+from repro import ExperimentConfig, FederatedModelSearch
 from repro.checkpoint import (
     load_genotype,
     load_model,
@@ -259,3 +265,74 @@ class TestSearchStateCheckpoint:
                 archive.writestr(name, payload)
         with pytest.raises(ValueError):
             restore_search_state(make_server(), path)
+
+
+# ----------------------------------------------------------------------
+# The checkpoint table: every row round-trips through its owner
+# ----------------------------------------------------------------------
+def assert_state_equal(got, want, where="state"):
+    if isinstance(want, Mapping):
+        assert isinstance(got, Mapping) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_state_equal(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_state_equal(g, w, f"{where}[{i}]")
+    elif isinstance(want, np.ndarray):
+        np.testing.assert_array_equal(got, want, err_msg=where)
+    else:
+        assert got == want, where
+
+
+def through_file(entries):
+    """What the file would hand back: arrays via npz, the rest via JSON."""
+    return {
+        key: checkpoint_module._load_arrays(
+            io.BytesIO(checkpoint_module._arrays_to_bytes(value))
+        )
+        if key.endswith(".npz")
+        else json.loads(json.dumps(value))
+        for key, value in entries.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def table_servers(tmp_path_factory):
+    """A server that ran and a differently seeded fresh one, built so that
+    every row has an owner: population mode, stragglers, fault injector."""
+    plan = tmp_path_factory.mktemp("table") / "faults.json"
+    plan.write_text(
+        json.dumps({"seed": 0, "faults": [{"kind": "drop_update", "probability": 0.2}]})
+    )
+    pipelines = [
+        FederatedModelSearch(
+            ExperimentConfig.small(
+                seed=seed,
+                warmup_rounds=1,
+                search_rounds=4,
+                population=200,
+                cohort_size=6,
+                staleness_mix=(0.3, 0.4, 0.2, 0.1),
+                fault_plan_path=str(plan),
+            )
+        )
+        for seed in (5, 6)
+    ]
+    try:
+        pipelines[0].server.run(3)
+        assert pipelines[0].server._pending
+        yield pipelines[0].server, pipelines[1].server
+    finally:
+        for pipeline in pipelines:
+            pipeline.close()
+
+
+@pytest.mark.parametrize("row", checkpoint_module._TABLE, ids=lambda row: row.name)
+def test_table_row_round_trips(row, table_servers):
+    ran, fresh = table_servers
+    state = row.owner(ran).state_dict()
+    assert state
+    row.owner(fresh).load_state_dict(row.unpack(through_file(row.pack(state))))
+    assert_state_equal(row.owner(fresh).state_dict(), state, row.name)
+

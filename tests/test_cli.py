@@ -1,6 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import pathlib
+import zipfile
 
 import numpy as np
 import pytest
@@ -372,3 +374,24 @@ class TestEndToEnd:
         code = main(["run", "--resume", str(tmp_path / "nope.ckpt")])
         assert code == 2
         assert "cannot resume" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "no-theta"])
+    def test_resume_from_corrupt_checkpoint_exits_2(self, tmp_path, capsys, damage):
+        """A checkpoint that is not a zip, is cut short, or lacks a member
+        is an ``error:`` line and exit 2 — never a traceback."""
+        golden = pathlib.Path(__file__).with_name("golden_checkpoint.ckpt")
+        ckpt = tmp_path / "bad.ckpt"
+        if damage == "garbage":
+            ckpt.write_text("garbage\n")
+        elif damage == "truncated":
+            ckpt.write_bytes(golden.read_bytes()[:2000])
+        else:
+            with zipfile.ZipFile(golden) as source, zipfile.ZipFile(ckpt, "w") as out:
+                for name in source.namelist():
+                    if name != "theta.npz":
+                        out.writestr(name, source.read(name))
+        code = main(["run", "--resume", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: cannot resume from {ckpt}" in err
+        assert "Traceback" not in err

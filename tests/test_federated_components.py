@@ -18,6 +18,7 @@ from repro.federated import (
     FedAvgTrainer,
     HardSync,
     LatencyDrivenDelay,
+    LocalStepTask,
     MemoryPools,
     Participant,
     compensate_alpha_gradient,
@@ -170,13 +171,23 @@ class TestDeviceProfiles:
 
 
 class TestParticipant:
+    @staticmethod
+    def task_for(supernet, mask):
+        return LocalStepTask(
+            participant_id=0,
+            round_index=0,
+            mask=mask,
+            state=supernet.submodel_state(mask),
+            batch_seed=7,
+        )
+
     def test_local_update_contents(self):
         supernet = Supernet(TINY, rng=np.random.default_rng(0))
         sub = supernet.extract_submodel(tiny_mask(1))
         participant = Participant(
             0, tiny_dataset(), batch_size=8, rng=np.random.default_rng(1)
         )
-        update = participant.local_update(sub)
+        update = participant.execute_task(self.task_for(supernet, tiny_mask(1)), TINY)
         assert update.participant_id == 0
         assert 0.0 <= update.reward <= 1.0
         assert update.num_samples == 8
@@ -186,13 +197,17 @@ class TestParticipant:
 
     def test_gradients_are_detached_copies(self):
         supernet = Supernet(TINY, rng=np.random.default_rng(0))
-        sub = supernet.extract_submodel(tiny_mask(1))
+        task = self.task_for(supernet, tiny_mask(1))
         participant = Participant(0, tiny_dataset(), batch_size=4)
-        update = participant.local_update(sub)
-        name = next(iter(update.gradients))
-        update.gradients[name][...] = 123.0
-        params = dict(sub.named_parameters())
-        assert not np.allclose(params[name].grad, 123.0)
+        update = participant.execute_task(task, TINY)
+        pristine = {name: g.copy() for name, g in update.gradients.items()}
+        for gradient in update.gradients.values():
+            gradient[...] = 123.0
+        # Neither the engine's buffers nor the task's state alias them.
+        again = participant.execute_task(task, TINY)
+        for name, gradient in pristine.items():
+            np.testing.assert_array_equal(again.gradients[name], gradient)
+            assert not np.allclose(task.state[name], 123.0)
 
 
 class TestSynchronization:

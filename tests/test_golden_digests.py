@@ -24,11 +24,13 @@ Re-record (only ever on purpose):
 """
 
 import hashlib
+import io
 import json
 import pathlib
 import platform
 import struct
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -125,12 +127,41 @@ def test_parent_checkpoint_resumes_bit_identically():
     assert finish_and_digest(resumed) == expected
 
 
-def record_checkpoint() -> str:
+def pipeline_at_checkpoint() -> FederatedModelSearch:
     pipeline = FederatedModelSearch(build_config("classic-soft", 3, "serial"))
     pipeline.warm_up()
     for _ in range(3):
         pipeline._round_hook("search")(pipeline.server.run_round())
     assert pipeline.server._pending, "checkpoint should carry in-flight stragglers"
+    return pipeline
+
+
+def checkpoint_layout(path) -> dict:
+    """Zip member → sorted array keys (``meta.json``: sorted top-level keys)."""
+    layout = {}
+    with zipfile.ZipFile(path) as archive:
+        for name in archive.namelist():
+            if name == "meta.json":
+                layout[name] = sorted(json.loads(archive.read(name)))
+            else:
+                with np.load(io.BytesIO(archive.read(name))) as arrays:
+                    layout[name] = sorted(arrays.files)
+    return layout
+
+
+def test_checkpoint_layout_is_still_format_2(tmp_path):
+    """Same member names, array keys and meta keys as the parent wrote."""
+    load_golden()  # skips on a foreign fingerprint
+    pipeline = pipeline_at_checkpoint()
+    try:
+        pipeline.save_checkpoint(str(tmp_path / "now.ckpt"))
+    finally:
+        pipeline.close()
+    assert checkpoint_layout(tmp_path / "now.ckpt") == checkpoint_layout(CHECKPOINT_PATH)
+
+
+def record_checkpoint() -> str:
+    pipeline = pipeline_at_checkpoint()
     pipeline.save_checkpoint(str(CHECKPOINT_PATH))
     return finish_and_digest(pipeline)
 

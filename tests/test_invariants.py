@@ -116,3 +116,23 @@ class TestCompensationExactness:
             {"w": g_stale}, {"w": w_fresh}, {"w": w}, lam=1.0
         )["w"]
         np.testing.assert_allclose(repaired, g_fresh, atol=1e-9)
+
+
+@pytest.mark.parametrize("module", ["federated/server.py", "checkpoint.py"])
+def test_round_loop_and_checkpoint_functions_stay_short(module):
+    """The round reads as Alg. 1 and the checkpoint as a table only while
+    no function there grows past a screen and a half."""
+    import ast
+    import pathlib
+
+    import repro
+
+    source = (pathlib.Path(repro.__file__).parent / module).read_text()
+    too_long = {
+        node.name: node.end_lineno - node.lineno + 1
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name != "__init__"
+        and node.end_lineno - node.lineno + 1 > 80
+    }
+    assert not too_long, f"{module}: functions over 80 lines: {too_long}"
