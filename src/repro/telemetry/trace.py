@@ -8,6 +8,13 @@ stale were the updates (Fig. 8), which participants were the slow links
 with ``--backend socket`` additionally get a wire-traffic section built
 from the ``transport.round`` events the socket backend emits (bytes on
 the wire per round, live worker counts, retries/losses).
+
+The report is :data:`_SECTIONS`, one tuple in render order.  A section
+names the events it consumes, reduces them to the summary value(s) under
+its key(s), and renders its ``##`` block from the summary.
+:func:`summarize_trace` is one pass that hands each event to every
+section that named it; :func:`render_trace` is the header plus one loop
+over the sections.
 """
 
 from __future__ import annotations
@@ -15,14 +22,9 @@ from __future__ import annotations
 import collections
 import json
 import warnings
-from typing import Dict, Iterable, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = [
-    "load_events",
-    "summarize_trace",
-    "render_trace",
-    "export_chrome_trace",
-]
+__all__ = ["load_events", "summarize_trace", "render_trace", "export_chrome_trace"]
 
 
 class _EventList(List[Dict]):
@@ -76,332 +78,50 @@ def load_events(path: str, strict: bool = False) -> List[Dict]:
     return events
 
 
-def summarize_trace(events: Sequence[Dict]) -> Dict:
-    """Reduce an event stream to the trace report's raw numbers."""
-    phases: List[Dict] = []
-    staleness: Dict[int, int] = collections.Counter()
-    outcomes: Dict[str, int] = collections.Counter()
-    participants: Dict[int, Dict] = {}
-    rounds: List[Dict] = []
-    event_counts: Dict[str, int] = collections.Counter()
-    timestamps: List[float] = []
-    transport_rounds: List[Dict] = []
-    dispatch_rounds: List[Dict] = []
-    open_round: Dict = {}
-    traced_rounds: List[Dict] = []
-    op_totals: Dict[tuple, List] = {}
-    health_latest: Dict[str, Dict] = {}
-    fault_kinds: Dict[str, int] = collections.Counter()
-    breaker_transitions: Dict[str, int] = collections.Counter()
-    hedge_totals = {"hedges": 0, "wins": 0, "duplicates": 0}
-    population_rounds: List[Dict] = []
-    churn_totals = {"joined": 0, "departed": 0, "dropped_out": 0, "reactivated": 0}
-    #: per-task outcome counts, evictions, peak of what was retained
-    tape_totals = collections.Counter()
+#: One typed field copied out of an event: (key, cast, default); a cast
+#: of None keeps the raw value.
+_Field = Tuple[str, Optional[Callable[[Any], Any]], Any]
 
-    for event in events:
-        name = event.get("event", "?")
-        event_counts[name] += 1
-        ts = event.get("ts")
-        if isinstance(ts, (int, float)):
-            timestamps.append(float(ts))
 
-        if name == "phase_end":
-            phases.append(
-                {
-                    "phase": event.get("phase", "?"),
-                    "wall_s": float(event.get("duration_s", 0.0)),
-                }
-            )
-        elif name == "arrival":
-            staleness[int(event.get("staleness", 0))] += 1
-            outcomes[event.get("outcome", "?")] += 1
-        elif name == "dispatch":
-            k = int(event.get("participant", -1))
-            entry = participants.setdefault(
-                k,
-                {
-                    "participant": k,
-                    "dispatches": 0,
-                    "bytes_total": 0.0,
-                    "latency_total_s": 0.0,
-                    "latency_max_s": 0.0,
-                },
-            )
-            entry["dispatches"] += 1
-            entry["bytes_total"] += float(event.get("bytes", 0.0))
-            latency = float(event.get("latency_s", 0.0))
-            entry["latency_total_s"] += latency
-            entry["latency_max_s"] = max(entry["latency_max_s"], latency)
-        elif name == "round_start":
-            if isinstance(ts, (int, float)):
-                open_round = {
-                    "round": int(event.get("round", -1)),
-                    "phase": event.get("phase", "?"),
-                    "start_ts": float(ts),
-                    "tasks": [],
-                }
-        elif name == "trace.task":
-            if open_round and open_round["round"] == int(event.get("round", -1)):
-                open_round["tasks"].append(event)
-            for op, shape, count, total in event.get("ops", []):
-                entry = op_totals.setdefault((str(op), str(shape)), [0, 0.0])
-                entry[0] += int(count)
-                entry[1] += float(total)
-            tape_meta = event.get("tape")
-            if isinstance(tape_meta, dict):
-                tape_totals[tape_meta.get("outcome")] += 1
-                tape_totals["evicted"] += int(tape_meta.get("evicted", 0))
-                for peak in ("retained_graphs", "retained_mb"):
-                    tape_totals[peak] = max(
-                        tape_totals[peak], tape_meta.get(peak, 0)
-                    )
-        elif name == "round_end":
-            if (
-                open_round
-                and open_round["round"] == int(event.get("round", -1))
-                and open_round["tasks"]
-                and isinstance(ts, (int, float))
-            ):
-                open_round["end_ts"] = float(ts)
-                traced_rounds.append(open_round)
-            open_round = {}
-            rounds.append(
-                {
-                    "round": int(event.get("round", -1)),
-                    "phase": event.get("phase", "?"),
-                    "mean_reward": event.get("mean_reward"),
-                    "num_fresh": int(event.get("num_fresh", 0)),
-                    "num_stale_used": int(event.get("num_stale_used", 0)),
-                    "num_dropped": int(event.get("num_dropped", 0)),
-                    "num_offline": int(event.get("num_offline", 0)),
-                    "duration_s": float(event.get("duration_s", 0.0)),
-                    "max_latency_s": float(event.get("max_latency_s", 0.0)),
-                }
-            )
-        elif name == "transport.round":
-            transport_rounds.append(
-                {
-                    "round": int(event.get("round", -1)),
-                    "workers_live": int(event.get("workers_live", 0)),
-                    "tasks": int(event.get("tasks", 0)),
-                    "failed": int(event.get("failed", 0)),
-                    "bytes_sent": float(event.get("bytes_sent", 0.0)),
-                    "bytes_received": float(event.get("bytes_received", 0.0)),
-                }
-            )
-        elif name == "transport.health":
-            # Per-round snapshot; the report shows the latest state of
-            # each worker plus hedge totals accumulated across rounds.
-            hedge_totals["hedges"] += int(event.get("hedges", 0))
-            hedge_totals["wins"] += int(event.get("hedge_wins", 0))
-            hedge_totals["duplicates"] += int(event.get("hedge_duplicates", 0))
-            for worker in event.get("workers", []):
-                if isinstance(worker, dict):
-                    health_latest[str(worker.get("worker", "?"))] = dict(worker)
-        elif name == "fault.network":
-            fault_kinds[str(event.get("kind", "?"))] += 1
-        elif name == "transport.breaker":
-            breaker_transitions[str(event.get("worker", "?"))] += 1
-        elif name == "dispatch.round":
-            dispatch_rounds.append(
-                {
-                    "round": int(event.get("round", -1)),
-                    "backend": event.get("backend", "?"),
-                    "tasks": int(event.get("tasks", 0)),
-                    "params_sent": int(event.get("params_sent", 0)),
-                    "params_cached": int(event.get("params_cached", 0)),
-                    "full_syncs": int(event.get("full_syncs", 0)),
-                    "cache_misses": int(event.get("cache_misses", 0)),
-                    "cache_hit": float(event.get("cache_hit", 0.0)),
-                }
-            )
-        elif name == "population.round":
-            population_rounds.append(
-                {
-                    "round": int(event.get("round", -1)),
-                    "cohort": int(event.get("cohort", 0)),
-                    "strategy": event.get("strategy", "?"),
-                    "registered": int(event.get("registered", 0)),
-                    "active": int(event.get("active", 0)),
-                    "dormant": int(event.get("dormant", 0)),
-                    "departed": int(event.get("departed", 0)),
-                }
-            )
-        elif name == "population.churn":
-            for key in churn_totals:
-                churn_totals[key] += int(event.get(key, 0))
+def _cast(cast, default, *keys: str) -> Tuple[_Field, ...]:
+    return tuple((key, cast, default) for key in keys)
 
-    total_phase_wall = sum(p["wall_s"] for p in phases) or 1.0
-    for p in phases:
-        p["share"] = p["wall_s"] / total_phase_wall
-    participant_rows = sorted(
-        participants.values(),
-        key=lambda e: e["latency_total_s"] / max(e["dispatches"], 1),
-        reverse=True,
-    )
-    for entry in participant_rows:
-        entry["latency_mean_s"] = entry["latency_total_s"] / max(entry["dispatches"], 1)
 
-    transport = None
-    if transport_rounds:
-        transport = {
-            "rounds": transport_rounds,
-            "bytes_sent_total": sum(r["bytes_sent"] for r in transport_rounds),
-            "bytes_received_total": sum(
-                r["bytes_received"] for r in transport_rounds
-            ),
-            "tasks_total": sum(r["tasks"] for r in transport_rounds),
-            "failed_total": sum(r["failed"] for r in transport_rounds),
-            "min_workers_live": min(r["workers_live"] for r in transport_rounds),
-            "retries": event_counts.get("executor.task_retry", 0),
-            "workers_lost": event_counts.get("transport.worker_lost", 0),
-            "workers_respawned": event_counts.get(
-                "transport.worker_respawned", 0
-            ),
-        }
+_ROUND: _Field = ("round", int, -1)
 
-    dispatch = None
-    if dispatch_rounds:
-        sent_total = sum(r["params_sent"] for r in dispatch_rounds)
-        cached_total = sum(r["params_cached"] for r in dispatch_rounds)
-        total = sent_total + cached_total
-        dispatch = {
-            "rounds": dispatch_rounds,
-            "backend": dispatch_rounds[0]["backend"],
-            "params_sent_total": sent_total,
-            "params_cached_total": cached_total,
-            "full_syncs_total": sum(r["full_syncs"] for r in dispatch_rounds),
-            "cache_misses_total": sum(
-                r["cache_misses"] for r in dispatch_rounds
-            ),
-            "cache_hit": (cached_total / total) if total else 0.0,
-        }
 
-    critical_path = None
-    if traced_rounds:
-        crit_rows = []
-        for occ in traced_rounds:
-            # The round's makespan ends with the last update to land; the
-            # longest dispatch→compute→wire→aggregate chain runs through
-            # that task.  Blame decomposes the wall exactly (up to clock
-            # jitter where a worker reports busier than its bracket):
-            # wall = wait-before-dispatch + compute + wire + aggregate.
-            crit = max(occ["tasks"], key=lambda e: float(e.get("receive_ts", 0.0)))
-            wall = occ["end_ts"] - occ["start_ts"]
-            wait = float(crit.get("dispatch_ts", occ["start_ts"])) - occ["start_ts"]
-            compute = float(crit.get("busy_s", 0.0))
-            wire = float(crit.get("wire_s", 0.0))
-            aggregate = occ["end_ts"] - float(crit.get("receive_ts", occ["end_ts"]))
-            crit_rows.append(
-                {
-                    "round": occ["round"],
-                    "phase": occ["phase"],
-                    "wall_s": wall,
-                    "wait_s": max(0.0, wait),
-                    "compute_s": compute,
-                    "wire_s": wire,
-                    "aggregate_s": max(0.0, aggregate),
-                    "participant": int(crit.get("participant", -1)),
-                    "worker": str(crit.get("worker", "?")),
-                    "tasks": len(occ["tasks"]),
-                }
-            )
-        totals = {
-            key: sum(r[key] for r in crit_rows)
-            for key in ("wall_s", "wait_s", "compute_s", "wire_s", "aggregate_s")
-        }
-        # Normalize blame over the decomposed total rather than the raw
-        # wall: clamping and wire-precision rounding can leave the
-        # components a few microseconds off the bracketed wall, and the
-        # fractions should always sum to exactly 1.
-        blame_wall = (
-            totals["wait_s"] + totals["compute_s"]
-            + totals["wire_s"] + totals["aggregate_s"]
-        ) or totals["wall_s"] or 1.0
-        critical_path = {
-            "rounds": crit_rows,
-            "totals": totals,
-            "blame": {
-                "wait": totals["wait_s"] / blame_wall,
-                "compute": totals["compute_s"] / blame_wall,
-                "wire": totals["wire_s"] / blame_wall,
-                "aggregate": totals["aggregate_s"] / blame_wall,
-            },
-        }
-
-    health = None
-    if health_latest or fault_kinds or breaker_transitions:
-        health = {
-            "workers": [health_latest[k] for k in sorted(health_latest)],
-            "faults": dict(sorted(fault_kinds.items())),
-            "breaker_transitions": dict(sorted(breaker_transitions.items())),
-            "breaker_transitions_total": sum(breaker_transitions.values()),
-            "hedges": hedge_totals["hedges"],
-            "hedge_wins": hedge_totals["wins"],
-            "hedge_duplicates": hedge_totals["duplicates"],
-            "heartbeat_failures": event_counts.get(
-                "transport.heartbeat_failed", 0
-            ),
-        }
-
-    population = None
-    if population_rounds:
-        first, last = population_rounds[0], population_rounds[-1]
-        cohorts = [r["cohort"] for r in population_rounds]
-        population = {
-            "rounds": population_rounds,
-            "strategy": last["strategy"],
-            "registered_first": first["registered"],
-            "registered_last": last["registered"],
-            "active_last": last["active"],
-            "dormant_last": last["dormant"],
-            "departed_last": last["departed"],
-            "cohort_mean": sum(cohorts) / len(cohorts),
-            "cohort_min": min(cohorts),
-            "cohort_max": max(cohorts),
-            "churn": dict(churn_totals),
-        }
-
-    tape = None
-    step_kinds = ("first_sighting", "admitted", "replayed", "fallback")
-    tape_tasks = sum(tape_totals[k] for k in step_kinds)
-    if tape_tasks:
-        tape = {
-            k: tape_totals[k]
-            for k in step_kinds + ("evicted", "retained_graphs", "retained_mb")
-        }
-        tape["tasks"] = tape_tasks
-        tape["hit_rate"] = tape_totals["replayed"] / tape_tasks
-
-    ops = None
-    if op_totals:
-        ops = [
-            {"op": op, "shape": shape, "count": count, "total_s": total}
-            for (op, shape), (count, total) in sorted(
-                op_totals.items(), key=lambda item: item[1][1], reverse=True
-            )
-        ]
-
+def _typed(event: Dict, fields: Sequence[_Field]) -> Dict:
+    """Copy ``fields`` out of ``event``, cast, with defaults for gaps."""
     return {
-        "num_events": len(events),
-        "malformed_lines": int(getattr(events, "malformed_lines", 0)),
-        "wall_s": (max(timestamps) - min(timestamps)) if timestamps else 0.0,
-        "simulated_s": sum(r["duration_s"] for r in rounds),
-        "phases": phases,
-        "staleness": dict(sorted(staleness.items())),
-        "outcomes": dict(sorted(outcomes.items())),
-        "participants": participant_rows,
-        "rounds": rounds,
-        "transport": transport,
-        "health": health,
-        "dispatch": dispatch,
-        "population": population,
-        "critical_path": critical_path,
-        "ops": ops,
-        "tape": tape,
-        "event_counts": dict(sorted(event_counts.items())),
+        key: event.get(key, default) if cast is None else cast(event.get(key, default))
+        for key, cast, default in fields
     }
+
+
+def _table(headers: Sequence[str], rows: List[List], precision: int) -> str:
+    # Imported here: repro.reporting pulls in the evaluation stack, which
+    # the telemetry package must not load at import time.
+    from repro.reporting import markdown_table
+
+    return markdown_table(headers, rows, precision=precision)
+
+
+def _round_table(
+    rows: List[Dict], headers: Sequence[str], cells: Callable[[Dict], List],
+    precision: int, max_round_rows: int,
+) -> List[str]:
+    """A per-round table: the first ``max_round_rows`` rows, then a
+    ``... (k more rounds)`` line for the rest."""
+    shown = rows[:max_round_rows]
+    lines = [_table(headers, [cells(r) for r in shown], precision)]
+    if len(rows) > len(shown):
+        lines.append(f"... ({len(rows) - len(shown)} more rounds)")
+    return lines
+
+
+def _totals(rows: List[Dict], *keys: str) -> Dict[str, Any]:
+    """``<key>_total`` → the column's sum over ``rows``, for each key."""
+    return {f"{key}_total": sum(r[key] for r in rows) for key in keys}
 
 
 def _bar(count: int, peak: int, width: int = 40) -> str:
@@ -409,197 +129,346 @@ def _bar(count: int, peak: int, width: int = 40) -> str:
     return "#" * max(filled, 1 if count else 0)
 
 
-def render_trace(summary: Dict, top: int = 5, max_round_rows: int = 20) -> str:
-    """Human-readable trace report (per-phase, staleness, per-round)."""
-    from repro.reporting import markdown_table
+class _Section:
+    """One block of the trace report.
 
-    lines: List[str] = []
-    lines.append(
-        f"events: {summary['num_events']}   "
-        f"wall time: {summary['wall_s']:.3f} s   "
-        f"simulated time: {summary['simulated_s']:.3f} s"
-    )
-    if summary.get("malformed_lines"):
-        lines.append(
-            f"warning: skipped {summary['malformed_lines']} malformed "
-            "JSONL line(s) (truncated log tail?)"
-        )
+    :func:`summarize_trace` builds a fresh instance per call, calls
+    ``add(name, event)`` for every event whose name is in :attr:`events`
+    (in log order), then merges ``result()`` — summary key(s) → value(s)
+    — into the summary.  The static ``render(summary, top,
+    max_round_rows)`` returns the section's lines, heading first, or an
+    empty list to leave the section out.
+    """
 
-    lines.append("")
-    lines.append("## Per-phase time breakdown")
-    if summary["phases"]:
-        lines.append(
-            markdown_table(
-                ["phase", "wall_s", "share_%"],
-                [
-                    [p["phase"], p["wall_s"], 100.0 * p["share"]]
-                    for p in summary["phases"]
-                ],
-                precision=3,
-            )
-        )
-    else:
-        lines.append("(no phase_end events)")
+    #: event names this section consumes
+    events: Tuple[str, ...] = ()
+    #: event name → the typed fields copied out of it (per-round tables)
+    fields: Dict[str, Tuple[_Field, ...]] = {}
 
-    lines.append("")
-    lines.append("## Staleness histogram (update arrivals)")
-    if summary["staleness"]:
+
+class _RoundTable(_Section):
+    """A section with one typed row per event named in :attr:`fields`;
+    any other event it consumes is only counted."""
+
+    def __init__(self):
+        self.rows: List[Dict] = []
+        self.counts: Dict[str, int] = collections.Counter()
+
+    def add(self, name: str, event: Dict) -> None:
+        if name in self.fields:
+            self.rows.append(_typed(event, self.fields[name]))
+        else:
+            self.counts[name] += 1
+
+
+class _Phases(_Section):
+    events = ("phase_end",)
+
+    def __init__(self):
+        self.phases: List[Dict] = []
+
+    def add(self, name, event):
+        wall = float(event.get("duration_s", 0.0))
+        self.phases.append({"phase": event.get("phase", "?"), "wall_s": wall})
+
+    def result(self):
+        total = sum(p["wall_s"] for p in self.phases) or 1.0
+        for p in self.phases:
+            p["share"] = p["wall_s"] / total
+        return {"phases": self.phases}
+
+    @staticmethod
+    def render(summary, top, max_round_rows):
+        lines, phases = ["## Per-phase time breakdown"], summary["phases"]
+        if not phases:
+            return lines + ["(no phase_end events)"]
+        rows = [[p["phase"], p["wall_s"], 100.0 * p["share"]] for p in phases]
+        return lines + [_table(["phase", "wall_s", "share_%"], rows, 3)]
+
+
+class _Staleness(_Section):
+    events = ("arrival",)
+
+    def __init__(self):
+        self.staleness: Dict[int, int] = collections.Counter()
+        self.outcomes: Dict[str, int] = collections.Counter()
+
+    def add(self, name, event):
+        self.staleness[int(event.get("staleness", 0))] += 1
+        self.outcomes[event.get("outcome", "?")] += 1
+
+    def result(self):
+        return {
+            "staleness": dict(sorted(self.staleness.items())),
+            "outcomes": dict(sorted(self.outcomes.items())),
+        }
+
+    @staticmethod
+    def render(summary, top, max_round_rows):
+        lines = ["## Staleness histogram (update arrivals)"]
+        if not summary["staleness"]:
+            return lines + ["(no arrival events)"]
         peak = max(summary["staleness"].values())
         for tau, count in summary["staleness"].items():
             lines.append(f"  tau={tau:<3d} {count:>6d} {_bar(count, peak)}")
-        outcome_text = ", ".join(
-            f"{name}={count}" for name, count in summary["outcomes"].items()
-        )
-        lines.append(f"  outcomes: {outcome_text}")
-    else:
-        lines.append("(no arrival events)")
+        outcomes = ", ".join(f"{k}={n}" for k, n in summary["outcomes"].items())
+        return lines + [f"  outcomes: {outcomes}"]
 
-    lines.append("")
-    lines.append(f"## Slowest participants (top {top} by mean dispatch latency)")
-    if summary["participants"]:
-        lines.append(
-            markdown_table(
-                ["participant", "dispatches", "mean_latency_s", "max_latency_s", "kB_sent"],
-                [
-                    [
-                        e["participant"],
-                        e["dispatches"],
-                        e["latency_mean_s"],
-                        e["latency_max_s"],
-                        e["bytes_total"] / 1e3,
-                    ]
-                    for e in summary["participants"][:top]
-                ],
-                precision=4,
-            )
-        )
-    else:
-        lines.append("(no dispatch events)")
 
-    lines.append("")
-    lines.append("## Per-round summary")
-    rounds = summary["rounds"]
-    if rounds:
-        shown = rounds[:max_round_rows]
-        lines.append(
-            markdown_table(
-                ["round", "phase", "reward", "fresh", "stale", "dropped", "offline", "sim_s"],
-                [
-                    [
-                        r["round"],
-                        r["phase"],
-                        float("nan") if r["mean_reward"] is None else r["mean_reward"],
-                        r["num_fresh"],
-                        r["num_stale_used"],
-                        r["num_dropped"],
-                        r["num_offline"],
-                        r["duration_s"],
-                    ]
-                    for r in shown
-                ],
-                precision=3,
-            )
-        )
-        if len(rounds) > len(shown):
-            lines.append(f"... ({len(rounds) - len(shown)} more rounds)")
-    else:
-        lines.append("(no round_end events)")
+class _Participants(_Section):
+    events = ("dispatch",)
+    EMPTY = {"dispatches": 0, "bytes_total": 0.0, "latency_total_s": 0.0,
+             "latency_max_s": 0.0}
 
-    population = summary.get("population")
-    if population:
-        lines.append("")
-        lines.append("## Population")
-        churn = population["churn"]
-        lines.append(
+    def __init__(self):
+        self.entries: Dict[int, Dict] = {}
+
+    def add(self, name, event):
+        k = int(event.get("participant", -1))
+        entry = self.entries.setdefault(k, {"participant": k, **self.EMPTY})
+        entry["dispatches"] += 1
+        entry["bytes_total"] += float(event.get("bytes", 0.0))
+        latency = float(event.get("latency_s", 0.0))
+        entry["latency_total_s"] += latency
+        entry["latency_max_s"] = max(entry["latency_max_s"], latency)
+
+    def result(self):
+        for e in self.entries.values():
+            e["latency_mean_s"] = e["latency_total_s"] / max(e["dispatches"], 1)
+        rows = list(self.entries.values())
+        rows.sort(key=lambda e: e["latency_mean_s"], reverse=True)
+        return {"participants": rows}
+
+    @staticmethod
+    def render(summary, top, max_round_rows):
+        lines = [f"## Slowest participants (top {top} by mean dispatch latency)"]
+        if not summary["participants"]:
+            return lines + ["(no dispatch events)"]
+        headers = [
+            "participant", "dispatches", "mean_latency_s", "max_latency_s", "kB_sent"
+        ]
+        rows = [
+            [e["participant"], e["dispatches"], e["latency_mean_s"],
+             e["latency_max_s"], e["bytes_total"] / 1e3]
+            for e in summary["participants"][:top]
+        ]
+        return lines + [_table(headers, rows, 4)]
+
+
+class _Rounds(_RoundTable):
+    events = ("round_end",)
+    fields = {
+        "round_end": (
+            _ROUND,
+            ("phase", None, "?"),
+            ("mean_reward", None, None),
+            *_cast(int, 0, "num_fresh", "num_stale_used", "num_dropped", "num_offline"),
+            *_cast(float, 0.0, "duration_s", "max_latency_s"),
+        )
+    }
+
+    def result(self):
+        return {"rounds": self.rows}
+
+    @staticmethod
+    def render(summary, top, max_round_rows):
+        lines = ["## Per-round summary"]
+        if not summary["rounds"]:
+            return lines + ["(no round_end events)"]
+        return lines + _round_table(
+            summary["rounds"],
+            ["round", "phase", "reward", "fresh", "stale", "dropped", "offline",
+             "sim_s"],
+            lambda r: [
+                r["round"], r["phase"],
+                float("nan") if r["mean_reward"] is None else r["mean_reward"],
+                r["num_fresh"], r["num_stale_used"], r["num_dropped"],
+                r["num_offline"], r["duration_s"],
+            ],
+            3, max_round_rows,
+        )
+
+
+class _Population(_RoundTable):
+    events = ("population.round", "population.churn")
+    fields = {
+        "population.round": (
+            _ROUND,
+            ("cohort", int, 0),
+            ("strategy", None, "?"),
+            *_cast(int, 0, "registered", "active", "dormant", "departed"),
+        )
+    }
+    CHURN = ("joined", "departed", "dropped_out", "reactivated")
+    COLUMNS = ("round", "cohort", "registered", "active", "dormant", "departed")
+
+    def __init__(self):
+        super().__init__()
+        self.churn = dict.fromkeys(self.CHURN, 0)
+
+    def add(self, name, event):
+        if name == "population.churn":
+            for key in self.churn:
+                self.churn[key] += int(event.get(key, 0))
+        else:
+            super().add(name, event)
+
+    def result(self):
+        if not self.rows:
+            return {"population": None}
+        first, last = self.rows[0], self.rows[-1]
+        cohorts = [r["cohort"] for r in self.rows]
+        return {
+            "population": {
+                "rounds": self.rows,
+                "strategy": last["strategy"],
+                "registered_first": first["registered"],
+                **{f"{k}_last": last[k] for k in self.COLUMNS[2:]},
+                "cohort_mean": sum(cohorts) / len(cohorts),
+                "cohort_min": min(cohorts),
+                "cohort_max": max(cohorts),
+                "churn": dict(self.churn),
+            }
+        }
+
+    @staticmethod
+    def render(summary, top, max_round_rows):
+        population = summary.get("population")
+        if not population:
+            return []
+        churn, columns = population["churn"], _Population.COLUMNS
+        return [
+            "## Population",
             f"  registered: {population['registered_first']} -> "
             f"{population['registered_last']}   "
             f"active: {population['active_last']}   "
             f"dormant: {population['dormant_last']}   "
-            f"departed: {population['departed_last']}"
-        )
-        lines.append(
+            f"departed: {population['departed_last']}",
             f"  cohorts ({population['strategy']}): "
             f"mean {population['cohort_mean']:.1f}, "
             f"min {population['cohort_min']}, max {population['cohort_max']} "
-            f"over {len(population['rounds'])} rounds"
-        )
-        lines.append(
-            f"  churn totals: joined={churn['joined']}   "
-            f"departed={churn['departed']}   "
-            f"dropped_out={churn['dropped_out']}   "
-            f"reactivated={churn['reactivated']}"
-        )
-        shown = population["rounds"][:max_round_rows]
-        lines.append(
-            markdown_table(
-                ["round", "cohort", "registered", "active", "dormant", "departed"],
-                [
-                    [
-                        r["round"],
-                        r["cohort"],
-                        r["registered"],
-                        r["active"],
-                        r["dormant"],
-                        r["departed"],
-                    ]
-                    for r in shown
-                ],
-                precision=0,
-            )
-        )
-        if len(population["rounds"]) > len(shown):
-            lines.append(
-                f"... ({len(population['rounds']) - len(shown)} more rounds)"
-            )
+            f"over {len(population['rounds'])} rounds",
+            "  churn totals: "
+            + "   ".join(f"{k}={churn[k]}" for k in _Population.CHURN),
+            *_round_table(
+                population["rounds"],
+                columns, lambda r: [r[key] for key in columns],
+                0, max_round_rows,
+            ),
+        ]
 
-    transport = summary.get("transport")
-    if transport:
-        lines.append("")
-        lines.append("## Wire traffic (socket backend)")
-        lines.append(
+
+class _Transport(_RoundTable):
+    events = (
+        "transport.round", "executor.task_retry",
+        "transport.worker_lost", "transport.worker_respawned",
+    )
+    fields = {
+        "transport.round": (
+            _ROUND,
+            *_cast(int, 0, "workers_live", "tasks", "failed"),
+            *_cast(float, 0.0, "bytes_sent", "bytes_received"),
+        )
+    }
+
+    def result(self):
+        rows = self.rows
+        if not rows:
+            return {"transport": None}
+        return {
+            "transport": {
+                "rounds": rows,
+                **_totals(rows, "bytes_sent", "bytes_received", "tasks", "failed"),
+                "min_workers_live": min(r["workers_live"] for r in rows),
+                "retries": self.counts["executor.task_retry"],
+                "workers_lost": self.counts["transport.worker_lost"],
+                "workers_respawned": self.counts["transport.worker_respawned"],
+            }
+        }
+
+    @staticmethod
+    def render(summary, top, max_round_rows):
+        transport = summary.get("transport")
+        if not transport:
+            return []
+        return [
+            "## Wire traffic (socket backend)",
             f"  sent: {transport['bytes_sent_total'] / 1e3:.1f} kB   "
             f"received: {transport['bytes_received_total'] / 1e3:.1f} kB   "
             f"tasks: {transport['tasks_total']}   "
-            f"failed: {transport['failed_total']}"
-        )
-        lines.append(
+            f"failed: {transport['failed_total']}",
             f"  retries: {transport['retries']}   "
             f"workers lost: {transport['workers_lost']}   "
             f"respawned: {transport['workers_respawned']}   "
-            f"min live workers: {transport['min_workers_live']}"
-        )
-        shown = transport["rounds"][:max_round_rows]
-        lines.append(
-            markdown_table(
+            f"min live workers: {transport['min_workers_live']}",
+            *_round_table(
+                transport["rounds"],
                 ["round", "workers", "tasks", "failed", "kB_sent", "kB_recv"],
-                [
-                    [
-                        r["round"],
-                        r["workers_live"],
-                        r["tasks"],
-                        r["failed"],
-                        r["bytes_sent"] / 1e3,
-                        r["bytes_received"] / 1e3,
-                    ]
-                    for r in shown
+                lambda r: [
+                    r["round"], r["workers_live"], r["tasks"], r["failed"],
+                    r["bytes_sent"] / 1e3, r["bytes_received"] / 1e3,
                 ],
-                precision=1,
-            )
-        )
-        if len(transport["rounds"]) > len(shown):
-            lines.append(
-                f"... ({len(transport['rounds']) - len(shown)} more rounds)"
-            )
+                1, max_round_rows,
+            ),
+        ]
 
-    health = summary.get("health")
-    if health:
-        lines.append("")
-        lines.append("## Worker health / chaos")
+
+class _Health(_Section):
+    events = (
+        "transport.health", "fault.network",
+        "transport.breaker", "transport.heartbeat_failed",
+    )
+    WORKER_COLUMNS = (
+        "worker", "state", "score", "ewma_rtt_ms", "deadline_s",
+        "ok", "failed", "hb_fail", "hedge_wins",
+    )
+
+    def __init__(self):
+        self.latest: Dict[str, Dict] = {}
+        self.faults: Dict[str, int] = collections.Counter()
+        self.breakers: Dict[str, int] = collections.Counter()
+        self.hedges = dict.fromkeys(("hedges", "hedge_wins", "hedge_duplicates"), 0)
+        self.heartbeat_failures = 0
+
+    def add(self, name, event):
+        if name == "transport.health":
+            # Per-round snapshot; the report shows the latest state of
+            # each worker plus hedge totals accumulated across rounds.
+            for key in self.hedges:
+                self.hedges[key] += int(event.get(key, 0))
+            for worker in event.get("workers", []):
+                if isinstance(worker, dict):
+                    self.latest[str(worker.get("worker", "?"))] = dict(worker)
+        elif name == "fault.network":
+            self.faults[str(event.get("kind", "?"))] += 1
+        elif name == "transport.breaker":
+            self.breakers[str(event.get("worker", "?"))] += 1
+        else:
+            self.heartbeat_failures += 1
+
+    def result(self):
+        if not (self.latest or self.faults or self.breakers):
+            return {"health": None}
+        return {
+            "health": {
+                "workers": [self.latest[k] for k in sorted(self.latest)],
+                "faults": dict(sorted(self.faults.items())),
+                "breaker_transitions": dict(sorted(self.breakers.items())),
+                "breaker_transitions_total": sum(self.breakers.values()),
+                **self.hedges,
+                "heartbeat_failures": self.heartbeat_failures,
+            }
+        }
+
+    @staticmethod
+    def render(summary, top, max_round_rows):
+        health = summary.get("health")
+        if not health:
+            return []
+        lines = ["## Worker health / chaos"]
         if health["faults"]:
-            fault_text = ", ".join(
-                f"{kind}={count}" for kind, count in health["faults"].items()
-            )
-            lines.append(f"  injected wire faults: {fault_text}")
+            faults = ", ".join(f"{k}={n}" for k, n in health["faults"].items())
+            lines.append(f"  injected wire faults: {faults}")
         lines.append(
             f"  breaker transitions: {health['breaker_transitions_total']}   "
             f"hedges: {health['hedges']}   "
@@ -608,180 +477,362 @@ def render_trace(summary: Dict, top: int = 5, max_round_rows: int = 20) -> str:
             f"heartbeat failures: {health['heartbeat_failures']}"
         )
         if health["workers"]:
-            lines.append(
-                markdown_table(
-                    [
-                        "worker",
-                        "state",
-                        "score",
-                        "ewma_rtt_ms",
-                        "deadline_s",
-                        "ok",
-                        "failed",
-                        "hb_fail",
-                        "hedge_wins",
-                    ],
-                    [
-                        [
-                            w.get("worker", "?"),
-                            w.get("state", "?"),
-                            float(w.get("score", 0.0)),
-                            (
-                                float("nan")
-                                if w.get("ewma_rtt_ms") is None
-                                else float(w["ewma_rtt_ms"])
-                            ),
-                            float(w.get("deadline_s", 0.0)),
-                            int(w.get("ok", 0)),
-                            int(w.get("failed", 0)),
-                            int(w.get("heartbeat_failures", 0)),
-                            int(w.get("hedge_wins", 0)),
-                        ]
-                        for w in health["workers"]
-                    ],
-                    precision=3,
-                )
-            )
+            rows = [_Health._worker_row(w) for w in health["workers"]]
+            lines.append(_table(_Health.WORKER_COLUMNS, rows, 3))
+        return lines
 
-    dispatch = summary.get("dispatch")
-    if dispatch:
-        lines.append("")
-        lines.append(f"## Delta dispatch ({dispatch['backend']} backend)")
-        lines.append(
+    @staticmethod
+    def _worker_row(w: Dict) -> List:
+        rtt = w.get("ewma_rtt_ms")
+        return [
+            w.get("worker", "?"),
+            w.get("state", "?"),
+            float(w.get("score", 0.0)),
+            float("nan") if rtt is None else float(rtt),
+            float(w.get("deadline_s", 0.0)),
+            *(int(w.get(k, 0)) for k in ("ok", "failed", "heartbeat_failures")),
+            int(w.get("hedge_wins", 0)),
+        ]
+
+
+class _Dispatch(_RoundTable):
+    events = ("dispatch.round",)
+    fields = {
+        "dispatch.round": (
+            _ROUND,
+            ("backend", None, "?"),
+            *_cast(int, 0, "tasks", "params_sent", "params_cached"),
+            *_cast(int, 0, "full_syncs", "cache_misses"),
+            ("cache_hit", float, 0.0),
+        )
+    }
+
+    def result(self):
+        rows = self.rows
+        if not rows:
+            return {"dispatch": None}
+        totals = _totals(
+            rows, "params_sent", "params_cached", "full_syncs", "cache_misses"
+        )
+        sent, cached = totals["params_sent_total"], totals["params_cached_total"]
+        return {
+            "dispatch": {
+                "rounds": rows,
+                "backend": rows[0]["backend"],
+                **totals,
+                "cache_hit": (cached / (sent + cached)) if sent + cached else 0.0,
+            }
+        }
+
+    @staticmethod
+    def render(summary, top, max_round_rows):
+        dispatch = summary.get("dispatch")
+        if not dispatch:
+            return []
+        return [
+            f"## Delta dispatch ({dispatch['backend']} backend)",
             f"  params sent: {dispatch['params_sent_total']}   "
             f"served from cache: {dispatch['params_cached_total']}   "
-            f"cache hit: {100.0 * dispatch['cache_hit']:.1f}%"
-        )
-        lines.append(
+            f"cache hit: {100.0 * dispatch['cache_hit']:.1f}%",
             f"  full syncs: {dispatch['full_syncs_total']}   "
-            f"cache misses (resyncs): {dispatch['cache_misses_total']}"
-        )
-        shown = dispatch["rounds"][:max_round_rows]
-        lines.append(
-            markdown_table(
+            f"cache misses (resyncs): {dispatch['cache_misses_total']}",
+            *_round_table(
+                dispatch["rounds"],
                 ["round", "tasks", "sent", "cached", "full_syncs", "misses", "hit_%"],
-                [
-                    [
-                        r["round"],
-                        r["tasks"],
-                        r["params_sent"],
-                        r["params_cached"],
-                        r["full_syncs"],
-                        r["cache_misses"],
-                        100.0 * r["cache_hit"],
-                    ]
-                    for r in shown
+                lambda r: [
+                    r["round"], r["tasks"], r["params_sent"], r["params_cached"],
+                    r["full_syncs"], r["cache_misses"], 100.0 * r["cache_hit"],
                 ],
-                precision=1,
-            )
-        )
-        if len(dispatch["rounds"]) > len(shown):
-            lines.append(
-                f"... ({len(dispatch['rounds']) - len(shown)} more rounds)"
-            )
+                1, max_round_rows,
+            ),
+        ]
 
-    critical = summary.get("critical_path")
-    if critical:
-        lines.append("")
-        lines.append("## Critical path (per round)")
+
+class _CriticalPath(_Section):
+    """Per traced round (a ``round_start``/``round_end`` bracket with
+    ``trace.task`` events inside), the task that landed last and how
+    the round's wall splits into wait / compute / wire / aggregate."""
+
+    events = ("round_start", "trace.task", "round_end")
+    fields = {
+        "round_start": (_ROUND, ("phase", None, "?")),
+        "trace.task": (
+            *_cast(float, 0.0, "busy_s", "wire_s"),
+            ("participant", int, -1),
+            ("worker", str, "?"),
+        ),
+    }
+    BLAME = ("wait", "compute", "wire", "aggregate")
+    PARTS = tuple(f"{part}_s" for part in BLAME)
+
+    def __init__(self):
+        self.open: Dict = {}
+        self.traced: List[Dict] = []
+
+    def add(self, name, event):
+        ts = event.get("ts")
+        if name == "round_start":
+            if isinstance(ts, (int, float)):
+                self.open = _typed(event, self.fields["round_start"])
+                self.open.update(start_ts=float(ts), tasks=[])
+            return
+        same_round = self.open and self.open["round"] == int(event.get("round", -1))
+        if name == "trace.task":
+            if same_round:
+                self.open["tasks"].append(event)
+            return
+        if same_round and self.open["tasks"] and isinstance(ts, (int, float)):
+            self.open["end_ts"] = float(ts)
+            self.traced.append(self.open)
+        self.open = {}
+
+    def _row(self, occ: Dict) -> Dict:
+        # The round's makespan ends with the last update to land; the
+        # longest dispatch→compute→wire→aggregate chain runs through
+        # that task.  Blame decomposes the wall exactly (up to clock
+        # jitter where a worker reports busier than its bracket):
+        # wall = wait-before-dispatch + compute + wire + aggregate.
+        crit = max(occ["tasks"], key=lambda e: float(e.get("receive_ts", 0.0)))
+        task = _typed(crit, self.fields["trace.task"])
+        wait = float(crit.get("dispatch_ts", occ["start_ts"])) - occ["start_ts"]
+        aggregate = occ["end_ts"] - float(crit.get("receive_ts", occ["end_ts"]))
+        return {
+            "round": occ["round"],
+            "phase": occ["phase"],
+            "wall_s": occ["end_ts"] - occ["start_ts"],
+            "wait_s": max(0.0, wait),
+            "compute_s": task["busy_s"],
+            "wire_s": task["wire_s"],
+            "aggregate_s": max(0.0, aggregate),
+            "participant": task["participant"],
+            "worker": task["worker"],
+            "tasks": len(occ["tasks"]),
+        }
+
+    def result(self):
+        if not self.traced:
+            return {"critical_path": None}
+        rows = [self._row(occ) for occ in self.traced]
+        totals = {key: sum(r[key] for r in rows) for key in ("wall_s",) + self.PARTS}
+        # Normalize blame over the decomposed total rather than the raw
+        # wall: clamping and wire-precision rounding can leave the
+        # components a few microseconds off the bracketed wall, and the
+        # fractions should always sum to exactly 1.
+        blame_wall = sum(totals[part] for part in self.PARTS) or totals["wall_s"] or 1.0
+        blame = {part: totals[f"{part}_s"] / blame_wall for part in self.BLAME}
+        return {"critical_path": {"rounds": rows, "totals": totals, "blame": blame}}
+
+    @staticmethod
+    def render(summary, top, max_round_rows):
+        critical = summary.get("critical_path")
+        if not critical:
+            return []
         blame = critical["blame"]
-        lines.append(
+        return [
+            "## Critical path (per round)",
             "  blame: "
-            f"wait {100.0 * blame['wait']:.1f}%   "
-            f"compute {100.0 * blame['compute']:.1f}%   "
-            f"wire {100.0 * blame['wire']:.1f}%   "
-            f"aggregate {100.0 * blame['aggregate']:.1f}%"
-        )
-        shown = critical["rounds"][:max_round_rows]
-        lines.append(
-            markdown_table(
-                [
-                    "round",
-                    "wall_s",
-                    "wait_s",
-                    "compute_s",
-                    "wire_s",
-                    "aggregate_s",
-                    "participant",
-                    "worker",
+            + "   ".join(f"{b} {100.0 * blame[b]:.1f}%" for b in _CriticalPath.BLAME),
+            *_round_table(
+                critical["rounds"],
+                ["round", "wall_s", *_CriticalPath.PARTS, "participant", "worker"],
+                lambda r: [
+                    r["round"], r["wall_s"], r["wait_s"], r["compute_s"],
+                    r["wire_s"], r["aggregate_s"], r["participant"], r["worker"],
                 ],
-                [
-                    [
-                        r["round"],
-                        r["wall_s"],
-                        r["wait_s"],
-                        r["compute_s"],
-                        r["wire_s"],
-                        r["aggregate_s"],
-                        r["participant"],
-                        r["worker"],
-                    ]
-                    for r in shown
-                ],
-                precision=4,
-            )
-        )
-        if len(critical["rounds"]) > len(shown):
-            lines.append(
-                f"... ({len(critical['rounds']) - len(shown)} more rounds)"
-            )
+                4, max_round_rows,
+            ),
+        ]
 
-    ops = summary.get("ops") or []
-    forward_ops = [o for o in ops if not str(o["op"]).startswith("tape:")]
-    if forward_ops:
-        lines.append("")
-        lines.append(f"## Per-op forward profile (top {top} by total time)")
-        lines.append(
-            markdown_table(
-                ["op", "shape", "count", "total_s"],
-                [
-                    [o["op"], o["shape"], o["count"], o["total_s"]]
-                    for o in forward_ops[:top]
-                ],
-                precision=4,
-            )
-        )
 
-    tape = summary.get("tape")
-    if tape:
-        lines.append("")
-        lines.append("## Tape (compiled compute engine)")
-        lines.append(
+def _is_replay_op(row: Dict) -> bool:
+    return str(row["op"]).startswith("tape:")
+
+
+class _Ops(_Section):
+    """Per-op profile rows (forward ops here; replayed tape ops, named
+    ``tape:<op>``, render under :class:`_Tape`)."""
+
+    events = ("trace.task",)
+
+    def __init__(self):
+        self.totals: Dict[tuple, List] = {}
+
+    def add(self, name, event):
+        for op, shape, count, total in event.get("ops", []):
+            entry = self.totals.setdefault((str(op), str(shape)), [0, 0.0])
+            entry[0] += int(count)
+            entry[1] += float(total)
+
+    def result(self):
+        if not self.totals:
+            return {"ops": None}
+        ranked = sorted(self.totals.items(), key=lambda item: item[1][1], reverse=True)
+        return {
+            "ops": [
+                {"op": op, "shape": shape, "count": count, "total_s": total}
+                for (op, shape), (count, total) in ranked
+            ]
+        }
+
+    @staticmethod
+    def render(summary, top, max_round_rows):
+        forward = [o for o in summary.get("ops") or [] if not _is_replay_op(o)]
+        if not forward:
+            return []
+        rows = [[o["op"], o["shape"], o["count"], o["total_s"]] for o in forward[:top]]
+        return [
+            f"## Per-op forward profile (top {top} by total time)",
+            _table(["op", "shape", "count", "total_s"], rows, 4),
+        ]
+
+
+class _Tape(_Section):
+    events = ("trace.task",)
+    #: per-task outcomes; evictions add up, retained sizes keep the peak
+    STEP_KINDS = ("first_sighting", "admitted", "replayed", "fallback")
+
+    def __init__(self):
+        self.totals: Dict[str, Any] = collections.Counter()
+
+    def add(self, name, event):
+        meta = event.get("tape")
+        if isinstance(meta, dict):
+            self.totals[meta.get("outcome")] += 1
+            self.totals["evicted"] += int(meta.get("evicted", 0))
+            for peak in ("retained_graphs", "retained_mb"):
+                self.totals[peak] = max(self.totals[peak], meta.get(peak, 0))
+
+    def result(self):
+        tasks = sum(self.totals[k] for k in self.STEP_KINDS)
+        if not tasks:
+            return {"tape": None}
+        keys = self.STEP_KINDS + ("evicted", "retained_graphs", "retained_mb")
+        tape = {k: self.totals[k] for k in keys}
+        tape["tasks"] = tasks
+        tape["hit_rate"] = self.totals["replayed"] / tasks
+        return {"tape": tape}
+
+    @staticmethod
+    def render(summary, top, max_round_rows):
+        tape = summary.get("tape")
+        if not tape:
+            return []
+        lines = [
+            "## Tape (compiled compute engine)",
             f"local steps: {tape['tasks']}  "
             f"first sightings (new key, graph dropped): {tape['first_sighting']}  "
             f"admitted (graph retained): {tape['admitted']}  "
             f"replays: {tape['replayed']}  "
-            f"eager fallbacks: {tape['fallback']}"
-        )
-        lines.append(
+            f"eager fallbacks: {tape['fallback']}",
             f"tape hit-rate: {tape['hit_rate']:.1%}  "
             f"retained graphs (max): {tape['retained_graphs']}  "
             f"retained MB (max): {tape['retained_mb']:.1f}  "
-            f"evictions: {tape['evicted']}"
-        )
-        replay_ops = [o for o in ops if str(o["op"]).startswith("tape:")]
-        if replay_ops:
-            lines.append("")
-            lines.append(
-                f"### Per-op replay profile (top {top} by total time)"
-            )
-            lines.append(
-                markdown_table(
-                    ["op", "count", "total_s", "mean_ms"],
-                    [
-                        [
-                            o["op"][len("tape:"):],
-                            o["count"],
-                            o["total_s"],
-                            1e3 * o["total_s"] / max(o["count"], 1),
-                        ]
-                        for o in replay_ops[:top]
-                    ],
-                    precision=4,
-                )
-            )
+            f"evictions: {tape['evicted']}",
+        ]
+        replay = [o for o in summary.get("ops") or [] if _is_replay_op(o)]
+        if replay:
+            rows = [
+                [o["op"][len("tape:"):], o["count"], o["total_s"],
+                 1e3 * o["total_s"] / max(o["count"], 1)]
+                for o in replay[:top]
+            ]
+            lines += [
+                "",
+                f"### Per-op replay profile (top {top} by total time)",
+                _table(["op", "count", "total_s", "mean_ms"], rows, 4),
+            ]
+        return lines
 
+
+#: The report, in render order.
+_SECTIONS: Tuple[type, ...] = (
+    _Phases, _Staleness, _Participants, _Rounds, _Population, _Transport,
+    _Health, _Dispatch, _CriticalPath, _Ops, _Tape,
+)
+
+
+def summarize_trace(events: Sequence[Dict]) -> Dict:
+    """Reduce an event stream to the trace report's raw numbers: the
+    header fields plus every section's summary value(s)."""
+    sections = [cls() for cls in _SECTIONS]
+    routes: Dict[str, List[_Section]] = collections.defaultdict(list)
+    for section in sections:
+        for name in section.events:
+            routes[name].append(section)
+    event_counts: Dict[str, int] = collections.Counter()
+    timestamps: List[float] = []
+    for event in events:
+        name = event.get("event", "?")
+        event_counts[name] += 1
+        ts = event.get("ts")
+        if isinstance(ts, (int, float)):
+            timestamps.append(float(ts))
+        for section in routes.get(name, ()):
+            section.add(name, event)
+
+    summary = {
+        "num_events": len(events),
+        "malformed_lines": int(getattr(events, "malformed_lines", 0)),
+        "wall_s": (max(timestamps) - min(timestamps)) if timestamps else 0.0,
+    }
+    for section in sections:
+        summary.update(section.result())
+    summary["simulated_s"] = sum(r["duration_s"] for r in summary["rounds"])
+    summary["event_counts"] = dict(sorted(event_counts.items()))
+    return summary
+
+
+def render_trace(summary: Dict, top: int = 5, max_round_rows: int = 20) -> str:
+    """Human-readable trace report: the header, then every section."""
+    lines = [
+        f"events: {summary['num_events']}   "
+        f"wall time: {summary['wall_s']:.3f} s   "
+        f"simulated time: {summary['simulated_s']:.3f} s"
+    ]
+    if summary.get("malformed_lines"):
+        lines.append(
+            f"warning: skipped {summary['malformed_lines']} malformed "
+            "JSONL line(s) (truncated log tail?)"
+        )
+    for section in _SECTIONS:
+        block = section.render(summary, top, max_round_rows)
+        if block:
+            lines += ["", *block]
     return "\n".join(lines)
+
+
+def _metadata(pid: int, tid: int, name: str, label: str) -> Dict:
+    return {"ph": "M", "name": name, "pid": pid, "tid": tid, "args": {"name": label}}
+
+
+def _slice(name: str, pid: int, tid: int, start_s: float, dur_s: float) -> Dict:
+    return {
+        "ph": "X",
+        "name": name,
+        "pid": pid,
+        "tid": tid,
+        "ts": round(start_s * 1e6, 3),
+        "dur": round(dur_s * 1e6, 3),
+    }
+
+
+def _task_slices(event: Dict, tid: int) -> List[Dict]:
+    """One traced task: its dispatch→receive slice, then its phase spans."""
+    dispatch_ts = float(event.get("dispatch_ts", 0.0))
+    receive_ts = float(event.get("receive_ts", dispatch_ts))
+    name = f"task r{event.get('round', '?')} p{event.get('participant', '?')}"
+    task = _slice(name, 1, tid, dispatch_ts, max(0.0, receive_ts - dispatch_ts))
+    task["args"] = {
+        "busy_s": event.get("busy_s", 0.0),
+        "wire_s": event.get("wire_s", 0.0),
+        "trace_id": event.get("trace_id"),
+        "parent_span_id": event.get("parent_span_id"),
+    }
+    spans = [
+        _slice(str(name), 1, tid, float(start), float(duration))
+        for name, start, duration in event.get("spans", [])
+    ]
+    return [task, *spans]
 
 
 def export_chrome_trace(events: Sequence[Dict]) -> Dict:
@@ -796,85 +847,26 @@ def export_chrome_trace(events: Sequence[Dict]) -> Dict:
     All timestamps are microseconds on the server timeline.
     """
     trace_events: List[Dict] = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": 0,
-            "tid": 0,
-            "args": {"name": "server"},
-        },
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": 1,
-            "tid": 0,
-            "args": {"name": "workers"},
-        },
+        _metadata(0, 0, "process_name", "server"),
+        _metadata(1, 0, "process_name", "workers"),
     ]
     worker_tids: Dict[str, int] = {}
-
     for event in events:
         name = event.get("event")
         if name == "span_end":
             duration = float(event.get("duration_s", 0.0))
             end_ts = float(event.get("ts", 0.0))
-            trace_events.append(
-                {
-                    "ph": "X",
-                    "name": str(event.get("span", "?")),
-                    "pid": 0,
-                    "tid": 0,
-                    "ts": round((end_ts - duration) * 1e6, 3),
-                    "dur": round(duration * 1e6, 3),
-                    "args": {"span_id": event.get("span_id", 0)},
-                }
+            span = _slice(
+                str(event.get("span", "?")), 0, 0, end_ts - duration, duration
             )
+            span["args"] = {"span_id": event.get("span_id", 0)}
+            trace_events.append(span)
         elif name == "trace.task":
             worker = str(event.get("worker", "?"))
-            tid = worker_tids.get(worker)
-            if tid is None:
-                tid = len(worker_tids) + 1
-                worker_tids[worker] = tid
+            if worker not in worker_tids:
+                worker_tids[worker] = len(worker_tids) + 1
                 trace_events.append(
-                    {
-                        "ph": "M",
-                        "name": "thread_name",
-                        "pid": 1,
-                        "tid": tid,
-                        "args": {"name": f"worker {worker}"},
-                    }
+                    _metadata(1, worker_tids[worker], "thread_name", f"worker {worker}")
                 )
-            dispatch_ts = float(event.get("dispatch_ts", 0.0))
-            receive_ts = float(event.get("receive_ts", dispatch_ts))
-            trace_events.append(
-                {
-                    "ph": "X",
-                    "name": (
-                        f"task r{event.get('round', '?')} "
-                        f"p{event.get('participant', '?')}"
-                    ),
-                    "pid": 1,
-                    "tid": tid,
-                    "ts": round(dispatch_ts * 1e6, 3),
-                    "dur": round(max(0.0, receive_ts - dispatch_ts) * 1e6, 3),
-                    "args": {
-                        "busy_s": event.get("busy_s", 0.0),
-                        "wire_s": event.get("wire_s", 0.0),
-                        "trace_id": event.get("trace_id"),
-                        "parent_span_id": event.get("parent_span_id"),
-                    },
-                }
-            )
-            for span_name, start, duration in event.get("spans", []):
-                trace_events.append(
-                    {
-                        "ph": "X",
-                        "name": str(span_name),
-                        "pid": 1,
-                        "tid": tid,
-                        "ts": round(float(start) * 1e6, 3),
-                        "dur": round(float(duration) * 1e6, 3),
-                    }
-                )
-
+            trace_events.extend(_task_slices(event, worker_tids[worker]))
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}

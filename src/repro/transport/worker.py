@@ -112,6 +112,8 @@ class WorkerServer:
         #: resumed from a checkpoint) always starts from a cold cache.
         self._param_cache: Dict[str, tuple] = {}
         self._running = False
+        #: the accepted socket being served, so stop() can wake its recv
+        self._active: Optional[socket.socket] = None
         self.tasks_completed = 0
         self.connections_served = 0
 
@@ -121,13 +123,13 @@ class WorkerServer:
         self._running = True
         try:
             while self._running:
-                self._listener.settimeout(self.idle_timeout_s)
                 try:
+                    self._listener.settimeout(self.idle_timeout_s)
                     sock, _addr = self._listener.accept()
                 except socket.timeout:
                     return 0  # idle guard expired
                 except OSError:
-                    return 0  # listener closed under us (stop())
+                    return 0  # listener shut down or closed under us (stop())
                 self.connections_served += 1
                 conn = FrameConnection(sock)
                 if self._chaos is not None:
@@ -136,18 +138,28 @@ class WorkerServer:
                         conn.close()
                         continue
                     conn = self._chaos.wrap(conn, peer)
+                self._active = sock
                 self._serve_connection(conn)
             return 0
         finally:
             self.close()
 
     def stop(self) -> None:
-        """Stop the accept loop from another thread (tests)."""
+        """Stop the accept loop from another thread (tests).
+
+        Closing a socket does not wake a thread blocked on it, so both
+        the listener (blocked in ``accept``) and the connection being
+        served (blocked in ``recv`` until its client hangs up) are shut
+        down first.
+        """
         self._running = False
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        for sock in (self._listener, self._active):
+            if sock is not None:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        self.close()
 
     def close(self) -> None:
         try:
@@ -158,7 +170,9 @@ class WorkerServer:
     # ------------------------------------------------------------------
     def _serve_connection(self, conn: FrameConnection) -> None:
         try:
-            while True:
+            # stop() sets _running before it reads _active, so a stop that
+            # raced with accept() and missed this socket is seen here.
+            while self._running:
                 try:
                     msg_type, payload = conn.recv_frame(timeout=None)
                 except ProtocolError:
@@ -170,6 +184,7 @@ class WorkerServer:
                 if not self._handle_frame(conn, msg_type, payload):
                     return
         finally:
+            self._active = None
             conn.close()
 
     def _handle_frame(

@@ -118,10 +118,12 @@ class TestCompensationExactness:
         np.testing.assert_allclose(repaired, g_fresh, atol=1e-9)
 
 
-@pytest.mark.parametrize("module", ["federated/server.py", "checkpoint.py"])
+@pytest.mark.parametrize(
+    "module", ["federated/server.py", "checkpoint.py", "telemetry/trace.py"]
+)
 def test_round_loop_and_checkpoint_functions_stay_short(module):
-    """The round reads as Alg. 1 and the checkpoint as a table only while
-    no function there grows past a screen and a half."""
+    """The round reads as Alg. 1, the checkpoint and the trace report as
+    tables, only while no function there grows past a screen and a half."""
     import ast
     import pathlib
 

@@ -126,6 +126,12 @@ class TestSpanRecorder:
             set_forward_hook(previous)
 
     def test_profiler_aggregates_by_op_and_shape(self, rig):
+        from repro.federated import compiled
+
+        # The compiled-step cache is process-global: if another test module
+        # already stepped this rig's (mask, shape) key, this step would be
+        # a replay and profile tape ops instead of modules.
+        compiled.reset_cache()
         supernet, policy, participants = rig
         task = make_task(supernet, policy)
         recorder = SpanRecorder(profile_ops=True)

@@ -413,6 +413,28 @@ class TestWorkerServer:
         assert server.serve_forever() == 0
         assert time.monotonic() - start < 5
 
+    @pytest.mark.parametrize("open_client", [False, True])
+    def test_stop_returns_promptly(self, open_client):
+        """stop() wakes a daemon blocked in accept, or in recv on a
+        connection whose client is still open."""
+        server = WorkerServer(port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = None
+        if open_client:
+            conn = dial(server)
+            msg, _ = conn.request(MSG_HELLO, codec.encode_hello(), timeout=10)
+            assert msg == MSG_HELLO_ACK
+        try:
+            start = time.monotonic()
+            server.stop()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert time.monotonic() - start < 1.0
+        finally:
+            if conn is not None:
+                conn.close()
+
 
 # ----------------------------------------------------------------------
 # SocketBackend end to end
