@@ -9,6 +9,10 @@ tuples, and must come out the same on the serial, process and socket
 backends.  ``population-soft`` is the one entry recorded *after* the
 server's fold order was unified (stale arrivals before fresh ones in
 population mode too) — it has no parent-commit counterpart.
+``population-converged`` was recorded before cohort members that share a
+mask began to run as one stacked step: α is loaded converged before
+round 0 (as the ledger's ``cohort-converged`` workload does), so every
+cohort draws one mask and the serial backend forms groups.
 
 The file carries the numpy version and machine it was recorded on; on a
 different fingerprint float results may legitimately differ in the last
@@ -53,7 +57,14 @@ MODES = {
     "classic-soft": dict(num_participants=4, **_SOFT),
     "population-hard": dict(population=200, cohort_size=6),
     "population-soft": dict(population=200, cohort_size=6, **_SOFT),
+    "population-converged": dict(population=200, cohort_size=12),
 }
+#: Modes whose policy starts converged (see :func:`converge`).
+CONVERGED_MODES = ("population-converged",)
+#: Operation per edge of a converged policy (indices into
+#: ``repro.search_space.PRIMITIVES``), cycled over the edges of both
+#: cell types — the ledger's ``cohort-converged`` choice.
+CONVERGED_OPS = (1, 3, 4, 6)
 
 
 def fingerprint():
@@ -69,6 +80,15 @@ def build_config(mode: str, seed: int, backend: str) -> ExperimentConfig:
         num_workers=2,
         **MODES[mode],
     )
+
+
+def converge(pipeline: FederatedModelSearch) -> None:
+    """Load an α that puts +25 on one operation per edge."""
+    alpha = np.zeros_like(pipeline.policy.alpha)
+    edges = alpha.shape[1]
+    for slot in range(alpha.shape[0] * edges):
+        alpha[slot // edges, slot % edges, CONVERGED_OPS[slot % len(CONVERGED_OPS)]] = 25.0
+    pipeline.policy.load(alpha)
 
 
 def finish_and_digest(pipeline: FederatedModelSearch) -> str:
@@ -99,7 +119,10 @@ def finish_and_digest(pipeline: FederatedModelSearch) -> str:
 
 
 def run_digest(mode: str, seed: int, backend: str) -> str:
-    return finish_and_digest(FederatedModelSearch(build_config(mode, seed, backend)))
+    pipeline = FederatedModelSearch(build_config(mode, seed, backend))
+    if mode in CONVERGED_MODES:
+        converge(pipeline)
+    return finish_and_digest(pipeline)
 
 
 def load_golden():
