@@ -22,7 +22,7 @@ uses to produce realistic round timings (Table V, Fig. 7).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,8 +40,10 @@ __all__ = [
     "JETSON_TX2",
     "LocalStepTask",
     "ParticipantUpdate",
+    "ParticipantSpec",
     "Participant",
     "run_local_step",
+    "run_local_group",
 ]
 
 
@@ -128,6 +130,32 @@ class ParticipantUpdate:
     spans: Optional[Dict] = None
 
 
+@dataclasses.dataclass(frozen=True)
+class ParticipantSpec:
+    """The immutable, picklable slice of a participant a local step needs.
+
+    Worker processes never see live :class:`Participant` objects (those
+    hold RNG state, traces, and telemetry handles that must stay in the
+    coordinator); they get the data shard and the static step physics.
+    """
+
+    participant_id: int
+    dataset: ArrayDataset
+    batch_size: int
+    transform: Optional[Compose] = None
+    device: DeviceProfile = GTX_1080TI
+
+    @staticmethod
+    def from_participant(participant: "Participant") -> "ParticipantSpec":
+        return ParticipantSpec(
+            participant_id=participant.participant_id,
+            dataset=participant.dataset,
+            batch_size=participant.loader.batch_size,
+            transform=participant.loader.transform,
+            device=participant.device,
+        )
+
+
 def run_local_step(
     task: LocalStepTask,
     dataset: ArrayDataset,
@@ -147,16 +175,45 @@ def run_local_step(
     are bracketed with worker-side spans ("build", "forward",
     "backward", "pack") — timing only, never numerics.
 
-    Served by :func:`repro.federated.compiled.run_compiled_step` —
-    bit-identical to :func:`_run_eager_step` in float64 — and by the
-    eager step itself for a key the tape cannot capture.
+    The one-member case of :func:`run_local_group`.
     """
-    from .compiled import _STEP_LOCK, run_compiled_step
+    spec = ParticipantSpec(task.participant_id, dataset, batch_size, transform, device)
+    return run_local_group([task], [spec], supernet_config, recorder)[0]
 
-    args = (task, dataset, batch_size, supernet_config, transform, device, recorder)
+
+def run_local_group(
+    tasks: Sequence[LocalStepTask],
+    specs: Sequence[ParticipantSpec],
+    supernet_config: SupernetConfig,
+    recorder: Optional[SpanRecorder] = None,
+) -> List[ParticipantUpdate]:
+    """Run tasks that share a mask, a batch shape and the *same* state
+    arrays as one step with their batches stacked; one update per task,
+    in order, each bit-identical to its own :func:`run_local_step`.
+
+    Served by :func:`repro.federated.compiled.run_compiled_group` —
+    bit-identical to :func:`_run_eager_step` per member in float64.  A
+    lone task the tape cannot capture runs the eager step; a group it
+    cannot stack runs one task at a time.
+    """
+    from .compiled import _STEP_LOCK, run_compiled_group
+
     with _STEP_LOCK:
-        update = run_compiled_step(*args)
-        return update if update is not None else _run_eager_step(*args)
+        updates = run_compiled_group(tasks, specs, supernet_config, recorder)
+        if updates is None and len(tasks) == 1:
+            spec = specs[0]
+            updates = [
+                _run_eager_step(
+                    tasks[0], spec.dataset, spec.batch_size, supernet_config,
+                    spec.transform, spec.device, recorder,
+                )
+            ]
+    if updates is None:
+        updates = [
+            run_local_group([task], [spec], supernet_config)[0]
+            for task, spec in zip(tasks, specs)
+        ]
+    return updates
 
 
 def _run_eager_step(

@@ -48,6 +48,19 @@ _GRAD_ENABLED = True
 #: it once per call, so the eager path pays a single global read.
 _TAPE: Optional[list] = None
 
+#: Members stacked along the batch axis of the graph being built (a
+#: grouped local step, :func:`repro.nn.tape.members`); 1 otherwise.  Ops
+#: that reduce over the batch — batch-norm statistics, parameter
+#: gradients, the loss scaling — read it when they build their node and
+#: bake it into their closures, so each member's slice of the batch
+#: reduces on its own and comes out as it would alone.
+_MEMBERS: int = 1
+
+#: While a grouped step runs: ``id(buffer) -> (members, *buffer.shape)``
+#: rows, where a buffer update (batch-norm running statistics) puts each
+#: member's new value instead of writing the shared buffer.
+_MEMBER_BUFFERS: Optional[dict] = None
+
 
 def _set_tape(tape: Optional[list]) -> Optional[list]:
     """Install (or clear) the active tape; returns the previous one."""
@@ -96,6 +109,19 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if stretched:
         grad = grad.sum(axis=stretched, keepdims=True)
     return grad.reshape(shape)
+
+
+def _member_sum(array: np.ndarray, members: int, axis: Tuple[int, ...]) -> np.ndarray:
+    """``array.sum(axis)`` of each member's slice of the batch axis,
+    stacked as ``(members, ...)`` — or just ``array.sum(axis)`` for one
+    member.  One reduction over the ``(members, rows, ...)`` view: numpy
+    sums each member's block in the order it sums that block alone, so
+    every row is bit for bit the member's own sum (the grouped-step
+    tests hold it to that)."""
+    if members == 1:
+        return array.sum(axis=axis)
+    stacked = array.reshape((members, array.shape[0] // members) + array.shape[1:])
+    return stacked.sum(axis=tuple(a + 1 for a in axis))
 
 
 def _topo_order(root: "Tensor") -> "list[Tensor]":
