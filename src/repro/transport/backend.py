@@ -198,6 +198,9 @@ class WorkerEndpoint:
         self.conn: Optional[FrameConnection] = None
         self.registered = False
         self.rounds_failed = 0
+        #: wire bytes (sent, received) of this endpoint's closed
+        #: connections, so its totals survive a reconnect
+        self.retired_traffic = (0, 0)
         #: failure history + RTT statistics (resilient dispatch)
         self.health = WorkerHealth()
         #: per-worker circuit breaker; the backend swaps in one built
@@ -212,9 +215,23 @@ class WorkerEndpoint:
     def alive(self) -> bool:
         return self.conn is not None and self.registered
 
+    def traffic(self) -> Tuple[int, int]:
+        """Cumulative wire bytes (sent, received) over every connection
+        this endpoint has had — never decreases."""
+        sent, received = self.retired_traffic
+        if self.conn is not None:
+            sent, received = sent + self.conn.bytes_sent, received + self.conn.bytes_received
+        return sent, received
+
+    def retire(self, conn) -> None:
+        """Close ``conn``, keeping its byte counts in the totals."""
+        sent, received = self.retired_traffic
+        self.retired_traffic = (sent + conn.bytes_sent, received + conn.bytes_received)
+        conn.close()
+
     def drop(self) -> None:
         if self.conn is not None:
-            self.conn.close()
+            self.retire(self.conn)
             self.conn = None
         self.registered = False
 
@@ -422,7 +439,7 @@ class SocketBackend:
                     f"expected init ack, got message type {msg_type:#x}"
                 )
         except (ProtocolError, OSError) as exc:
-            conn.close()
+            endpoint.retire(conn)
             endpoint.breaker.record_failure()
             if self.telemetry.enabled:
                 self.telemetry.emit(
@@ -811,12 +828,10 @@ class SocketBackend:
         return final
 
     def _traffic_snapshot(self) -> Tuple[int, int]:
-        sent = received = 0
-        for endpoint in self._endpoints:
-            if endpoint.conn is not None:
-                sent += endpoint.conn.bytes_sent
-                received += endpoint.conn.bytes_received
-        return sent, received
+        """Wire bytes (sent, received) so far over every endpoint,
+        replaced connections included, so per-round deltas are >= 0."""
+        totals = [endpoint.traffic() for endpoint in self._endpoints]
+        return sum(t[0] for t in totals), sum(t[1] for t in totals)
 
     def _run_pass(
         self,

@@ -475,6 +475,48 @@ class TestSocketBackend:
                     err_msg=name,
                 )
 
+    def test_round_byte_deltas_survive_a_replaced_connection(
+        self, worker_thread, monkeypatch
+    ):
+        """A connection dropped and re-dialled mid-round keeps its bytes
+        in the endpoint's totals, so ``transport.round`` deltas never go
+        negative (they once summed only the live connections)."""
+        telemetry = Telemetry()
+        backend = SocketBackend(
+            build_participants(),
+            TINY,
+            workers=[f"{worker_thread.host}:{worker_thread.port}"],
+            task_timeout_s=60.0,
+            telemetry=telemetry,
+        )
+        real_pass = backend._run_pass
+        replacements = []
+
+        def replace_then_pass(*args, **kwargs):
+            (endpoint,) = backend._endpoints
+            before = endpoint.traffic()
+            backend._mark_lost(endpoint, "replaced by the test")
+            assert backend._register(endpoint)
+            assert endpoint.traffic()[0] > before[0]
+            replacements.append(endpoint.conn)
+            return real_pass(*args, **kwargs)
+
+        try:
+            backend.run_tasks(self.run_round_tasks(None, seed=5))
+            monkeypatch.setattr(backend, "_run_pass", replace_then_pass)
+            results = backend.run_tasks(self.run_round_tasks(None, seed=6, round_index=1))
+        finally:
+            backend.close()
+        assert all(r.ok for r in results)
+        rounds = [e for e in telemetry.events() if e["event"] == "transport.round"]
+        assert len(rounds) == 2
+        for event in rounds:
+            assert event["bytes_sent"] > 0 and event["bytes_received"] > 0, event
+        # All of the new connection's traffic happened in the second round.
+        (conn,) = replacements
+        assert rounds[1]["bytes_sent"] >= conn.bytes_sent
+        assert rounds[1]["bytes_received"] >= conn.bytes_received
+
     def test_results_in_task_order_and_reusable_after_close(self):
         participants = build_participants()
         backend = SocketBackend(
