@@ -251,6 +251,12 @@ class SerialBackend:
 # Process-pool backend
 # ----------------------------------------------------------------------
 
+def default_start_method() -> str:
+    """``fork`` where available (cheap: the child inherits the parent's
+    loaded modules), else ``spawn`` — for every local worker process."""
+    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+
 #: Per-worker state installed by :func:`_init_worker` (one copy per
 #: worker process; immutable after initialisation).
 _WORKER_STATE: Dict[str, object] = {}
@@ -448,11 +454,7 @@ class ProcessPoolBackend:
         self.max_retries = int(max_retries)
         self.telemetry = telemetry or Telemetry.disabled()
         self._fault_hook = fault_hook
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(start_method or default_start_method())
         self._pool: Optional[mp.pool.Pool] = None
         #: worker pid → acknowledged parameter versions; pids silent
         #: for 3 rounds (replaced pool workers) are forgotten

@@ -242,6 +242,10 @@ class FederatedSearchServer:
                 f"{supernet.config.num_edges}"
             )
         self.supernet = supernet
+        #: name → Parameter in module order, walked once: parameters
+        #: are never rebound (the arena rebinds only their arrays), and
+        #: the θ step and stale repair run every round
+        self._params = dict(supernet.named_parameters())
         self.policy = policy
         self.participants = list(participants)
         #: population-scale mode (a :class:`repro.population.
@@ -276,7 +280,7 @@ class FederatedSearchServer:
         #: can touch ``θ``/``α``, and repeat offenders are quarantined.
         self.validator: Optional[UpdateValidator] = (
             UpdateValidator(
-                {name: p.data.shape for name, p in supernet.named_parameters()},
+                {name: p.data.shape for name, p in self._params.items()},
                 norm_limit=self.config.update_norm_limit,
             )
             if self.config.validate_updates
@@ -290,7 +294,7 @@ class FederatedSearchServer:
         )
 
         self.theta_optimizer = nn.SGD(
-            supernet.parameters(),
+            self._params.values(),
             lr=self.config.theta_lr,
             momentum=self.config.theta_momentum,
             weight_decay=self.config.theta_weight_decay,
@@ -317,7 +321,7 @@ class FederatedSearchServer:
         #: dispatch; both degrade to full copies / full sends without
         #: affecting results.
         self.versions = ParameterVersions(
-            [name for name, _ in supernet.named_parameters()]
+            list(self._params)
             + [name for name, _ in supernet.named_buffers()]
         )
         #: flat parameter arena: every supernet parameter/buffer is a
@@ -761,10 +765,9 @@ class FederatedSearchServer:
                     grad_logp, self.policy.alpha, stale_alpha, lam
                 )
                 stale_theta = self.pools.theta(item.origin_round)
-                fresh_theta = dict(self.supernet.named_parameters())
                 gradients = compensate_weight_gradients(
                     gradients,
-                    {name: fresh_theta[name].data for name in gradients},
+                    {name: self._params[name].data for name in gradients},
                     {name: stale_theta[name] for name in gradients},
                     lam,
                 )
@@ -888,13 +891,11 @@ class FederatedSearchServer:
         # ranges of the flat gradient buffer; the detached fallback
         # buffers of _add_gradients are divided into a copy.
         owned = self.arena.average_grads(grad_sum, count)
-        for name, param in self.supernet.named_parameters():
+        for name, param in self._params.items():
             if name in grad_sum:
                 grad = grad_sum[name]
                 param.grad = grad if name in owned else grad / count
-        norm = nn.clip_grad_norm(
-            self.supernet.parameters(), self.config.theta_grad_clip
-        )
+        norm = nn.clip_grad_norm(self._params.values(), self.config.theta_grad_clip)
         if self.telemetry.enabled:
             self.telemetry.observe("theta.grad_norm", norm)
             self.telemetry.emit(

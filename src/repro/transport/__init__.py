@@ -1,8 +1,9 @@
 """``repro.transport`` — the networked participant runtime.
 
 A pure-stdlib distributed execution layer: participant workers run as
-separate daemon processes (``python -m repro serve --host --port``) and
-speak a length-prefixed binary protocol over TCP to the search server.
+separate daemon processes (``python -m repro serve --host --port``, or
+forked from the server process by :func:`spawn_local_worker`) and speak a
+length-prefixed binary protocol over TCP to the search server.
 The server side is :class:`SocketBackend`, a drop-in
 :class:`repro.federated.executor.ExecutionBackend` — seeded runs are
 bit-identical across the ``serial``, ``process``, and ``socket``

@@ -7,10 +7,11 @@ ways to get workers:
 * **external** — pass ``workers=["host:port", ...]`` for daemons you
   started yourself (``python -m repro serve``); the backend dials,
   registers (hello + init), and leaves the daemons running on close;
-* **auto-spawn** — pass no addresses and the backend launches
-  ``num_workers`` local daemons as subprocesses (the zero-config path
-  behind ``--backend socket`` / ``REPRO_BACKEND=socket``), shutting
-  them down on close and **respawning** dead ones at round start.
+* **auto-spawn** — pass no addresses and the backend forks
+  ``num_workers`` local daemons from this process, which has already
+  imported numpy and ``repro`` (the zero-config path behind
+  ``--backend socket`` / ``REPRO_BACKEND=socket``), shutting them down
+  on close and **respawning** dead ones at round start.
 
 Failure semantics per round (mirrors :class:`ProcessPoolBackend`):
 
@@ -71,17 +72,16 @@ RTTs, worker lifecycle events, and one ``transport.round`` event per
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import socket
-import subprocess
-import sys
 import threading
 import time
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.faults.network import ChaosEngine, NetworkFaultPlan
-from repro.federated.executor import ParticipantSpec, TaskResult
+from repro.federated.executor import ParticipantSpec, TaskResult, default_start_method
 from repro.federated.participant import LocalStepTask
 from repro.federated.versioning import DeltaLedger
 from repro.nn import tape
@@ -112,9 +112,15 @@ from .resilience import (
     RetryBackoff,
     WorkerHealth,
 )
-from .worker import READY_PREFIX
+from .worker import serve_child
 
-__all__ = ["WorkerEndpoint", "SocketBackend", "spawn_local_worker", "parse_address"]
+__all__ = [
+    "LocalWorker",
+    "WorkerEndpoint",
+    "SocketBackend",
+    "spawn_local_worker",
+    "parse_address",
+]
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -132,53 +138,78 @@ def parse_address(address: str) -> Tuple[str, int]:
         ) from exc
 
 
-def spawn_local_worker(
-    host: str = "127.0.0.1",
-    idle_timeout_s: float = 300.0,
-    ready_timeout_s: float = 30.0,
-) -> Tuple[subprocess.Popen, str, int]:
-    """Launch ``python -m repro serve`` on an OS-assigned port.
+class LocalWorker:
+    """A worker daemon process started by :func:`spawn_local_worker`.
 
-    Returns ``(process, host, port)`` once the daemon announced
-    readiness on stdout.  The idle timeout is a leak guard: an orphaned
-    worker (its server crashed without a shutdown frame) exits by
-    itself.
+    Shaped like ``subprocess.Popen`` (``pid``, ``poll``, ``wait``,
+    ``terminate``, ``kill``), plus :meth:`address`, which waits for the
+    port the daemon bound.
     """
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--host",
-            host,
-            "--port",
-            "0",
-            "--idle-timeout",
-            str(idle_timeout_s),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        env=env,
-        text=True,
+
+    def __init__(self, process, ready):
+        self._process = process
+        self._ready = ready
+
+    @property
+    def pid(self) -> int:
+        return self._process.pid
+
+    def poll(self) -> Optional[int]:
+        """The exit code (reaping the process), or None while it runs."""
+        return self._process.exitcode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        self._process.join(timeout)
+        if self._process.exitcode is None:
+            raise TimeoutError(f"worker pid {self.pid} still running")
+        return self._process.exitcode
+
+    def terminate(self) -> None:
+        self._process.terminate()
+
+    def kill(self) -> None:
+        self._process.kill()
+
+    def address(self, timeout_s: float = 30.0) -> Tuple[str, int]:
+        """``(host, port)`` once the daemon listens; a daemon that dies
+        or stays silent for ``timeout_s`` is killed (RuntimeError)."""
+        try:
+            if self._ready.poll(timeout_s):
+                host, port = self._ready.recv()
+                return host, port
+        except (EOFError, OSError):
+            pass  # died before reporting
+        finally:
+            self._ready.close()
+        self.kill()
+        self.wait()
+        raise RuntimeError(f"spawned worker pid {self.pid} never reported its port")
+
+
+def spawn_local_worker(
+    host: str = "127.0.0.1", idle_timeout_s: float = 300.0
+) -> LocalWorker:
+    """Start a worker daemon in a child process; returns without waiting.
+
+    The child is forked where the platform allows (see
+    :func:`~repro.federated.executor.default_start_method`), so it
+    skips an interpreter start and the numpy/``repro`` imports; it binds
+    an OS-assigned port, which :meth:`LocalWorker.address` returns.  The
+    idle timeout is a leak guard: an orphaned worker (its server crashed
+    without a shutdown frame) exits by itself.
+    """
+    ctx = mp.get_context(default_start_method())
+    ready, child_end = ctx.Pipe(duplex=False)
+    process = ctx.Process(
+        target=serve_child,
+        args=(child_end, host, idle_timeout_s),
+        name="repro-worker",
+        daemon=True,
     )
-    deadline = time.monotonic() + ready_timeout_s
-    line = ""
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            break  # daemon died before announcing
-        if line.startswith(READY_PREFIX):
-            _, ready_host, ready_port = line.split()
-            return proc, ready_host, int(ready_port)
-    proc.kill()
-    raise RuntimeError(
-        f"spawned worker never announced readiness (last stdout: {line!r})"
-    )
+    process.start()
+    # The child holds the only write end, so its death reads as EOF.
+    child_end.close()
+    return LocalWorker(process, ready)
 
 
 class WorkerEndpoint:
@@ -188,11 +219,11 @@ class WorkerEndpoint:
         self,
         host: str,
         port: int,
-        proc: Optional[subprocess.Popen] = None,
+        proc: Optional[LocalWorker] = None,
     ):
         self.host = host
         self.port = port
-        #: the daemon subprocess when this backend spawned it (owned:
+        #: the daemon process when this backend spawned it (owned:
         #: shut down on close, respawned when found dead)
         self.proc = proc
         self.conn: Optional[FrameConnection] = None
@@ -356,7 +387,7 @@ class SocketBackend:
     # Connection management
     # ------------------------------------------------------------------
     def _make_endpoint(
-        self, host: str, port: int, proc: Optional[subprocess.Popen] = None
+        self, host: str, port: int, proc: Optional[LocalWorker] = None
     ) -> WorkerEndpoint:
         endpoint = WorkerEndpoint(host, port, proc=proc)
         endpoint.breaker = CircuitBreaker(
@@ -481,11 +512,20 @@ class SocketBackend:
         ordered by health score, best first.
         """
         if self._auto_spawn and not self._endpoints:
-            for _ in range(self.num_workers):
-                proc, host, port = spawn_local_worker(
-                    idle_timeout_s=self._spawn_idle_timeout_s
-                )
-                self._endpoints.append(self._make_endpoint(host, port, proc=proc))
+            # Start every daemon before waiting on any.
+            procs = [self._spawn() for _ in range(self.num_workers)]
+            try:
+                for proc in procs:
+                    self._endpoints.append(
+                        self._make_endpoint(*proc.address(), proc=proc)
+                    )
+            except RuntimeError:
+                for proc in procs:
+                    proc.kill()
+                    proc.wait()
+                self._endpoints = []
+                raise
+        skipped, respawns = set(), []
         for endpoint in self._endpoints:
             needs_respawn = (
                 self._auto_spawn
@@ -497,24 +537,28 @@ class SocketBackend:
                 # respawn/redial on it until the cooldown expires.
                 if self.telemetry.enabled:
                     self.telemetry.count("transport.respawn_gated")
-                continue
-            # An owned daemon that died (e.g. kill -9) gets a fresh
-            # process on its slot.
-            if needs_respawn:
+                skipped.add(endpoint)
+            elif needs_respawn:
                 endpoint.drop()
-                try:
-                    proc, host, port = spawn_local_worker(
-                        idle_timeout_s=self._spawn_idle_timeout_s
-                    )
-                except RuntimeError:
-                    endpoint.breaker.record_failure()
-                    continue
-                endpoint.proc, endpoint.host, endpoint.port = proc, host, port
-                if self.telemetry.enabled:
-                    self.telemetry.count("transport.worker_respawned")
-                    self.telemetry.emit(
-                        "transport.worker_respawned", worker=endpoint.address
-                    )
+                respawns.append((endpoint, self._spawn()))
+        # An owned daemon that died (e.g. kill -9) gets a fresh process
+        # on its slot; the replacements were all started above.
+        for endpoint, proc in respawns:
+            try:
+                endpoint.host, endpoint.port = proc.address()
+            except RuntimeError:
+                endpoint.breaker.record_failure()
+                skipped.add(endpoint)
+                continue
+            endpoint.proc = proc
+            if self.telemetry.enabled:
+                self.telemetry.count("transport.worker_respawned")
+                self.telemetry.emit(
+                    "transport.worker_respawned", worker=endpoint.address
+                )
+        for endpoint in self._endpoints:
+            if endpoint in skipped:
+                continue
             if not endpoint.alive:
                 self._register(endpoint)
             elif not self._heartbeat(endpoint):
@@ -524,6 +568,12 @@ class SocketBackend:
         live = [e for e in self._endpoints if e.alive]
         live.sort(key=lambda e: -e.health.score())
         return live
+
+    def _spawn(self) -> LocalWorker:
+        # Forking is safe here: _ensure_workers runs before a round's
+        # dispatch threads start and after the last round's were joined,
+        # so no other thread of this backend holds a lock.
+        return spawn_local_worker(idle_timeout_s=self._spawn_idle_timeout_s)
 
     def _heartbeat(self, endpoint: WorkerEndpoint) -> bool:
         start = time.perf_counter()
@@ -1012,7 +1062,7 @@ class SocketBackend:
                 try:
                     endpoint.proc.terminate()
                     endpoint.proc.wait(timeout=5.0)
-                except (OSError, subprocess.TimeoutExpired):
+                except (OSError, TimeoutError):
                     endpoint.proc.kill()
                     endpoint.proc.wait()
         if self._auto_spawn:

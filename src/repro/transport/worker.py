@@ -1,4 +1,5 @@
-"""The participant worker daemon behind ``python -m repro serve``.
+"""The participant worker daemon behind ``python -m repro serve`` and the
+socket backend's forked local workers (:func:`serve_child`).
 
 A worker is the on-device half of the paper's protocol: it holds the
 (immutable) participant shards it was registered with, accepts sub-model
@@ -21,12 +22,14 @@ Robustness contract of the read loop:
 
 from __future__ import annotations
 
+import gc
 import os
 import socket
 import sys
 import traceback
 from typing import Dict, List, Optional
 
+from repro.federated import compiled
 from repro.federated.executor import ParticipantSpec, run_worker_task
 from repro.federated.versioning import DeltaCacheMiss
 from repro.nn import tape
@@ -49,7 +52,7 @@ from .protocol import (
     ProtocolError,
 )
 
-__all__ = ["WorkerServer", "serve", "READY_PREFIX"]
+__all__ = ["WorkerServer", "serve", "serve_child", "READY_PREFIX"]
 
 #: Line a worker prints on stdout once its listening socket is bound;
 #: spawners parse it to learn the OS-assigned port (``--port 0``).
@@ -221,6 +224,10 @@ class WorkerServer:
                 conn.send_frame(MSG_ERROR, codec.encode_error(-1, str(exc)))
                 return False
             tape.configure(compute_dtype)  # the server's, not this daemon's
+            # A daemon forked from a server inherits its step cache and
+            # counters; a registration starts from none of them.
+            compiled.reset_cache()
+            tape.reset_stats()
             self._specs = {spec.participant_id: spec for spec in specs}
             self._supernet_config = supernet_config
             self._population = population
@@ -304,3 +311,30 @@ def serve(
             flush=True,
         )
     return server.serve_forever()
+
+
+def serve_child(ready, host: str, idle_timeout_s: Optional[float]) -> None:
+    """Body of a worker process started by ``spawn_local_worker``.
+
+    A forked child shares every descriptor its parent held.  It closes
+    the inherited sockets first — among them the parent's connections
+    to other workers, so a connection the parent drops still reaches its
+    peer as EOF — and points stdout/stderr at the null device, so the
+    daemon never writes into its parent's terminal or logs.  Then it
+    binds ``host`` on port 0 and sends the bound ``(host, port)`` over
+    the ``ready`` pipe instead of printing a READY line.
+    """
+    for obj in gc.get_objects():
+        if isinstance(obj, socket.socket):
+            obj.close()  # this process's descriptor only; no shutdown
+    # The inherited heap is the parent's: keep the collector off it, so
+    # collections stay small and never copy its shared pages.
+    gc.freeze()
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, 1)
+    os.dup2(null, 2)
+    os.close(null)
+    server = WorkerServer(host, 0, idle_timeout_s=idle_timeout_s)
+    ready.send((server.host, server.port))
+    ready.close()
+    server.serve_forever()

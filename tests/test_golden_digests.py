@@ -40,6 +40,8 @@ import numpy as np
 import pytest
 
 from repro import ExperimentConfig, FederatedModelSearch
+from repro.federated import compiled
+from repro.nn import functional as F
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_digests.json")
 CHECKPOINT_PATH = pathlib.Path(__file__).with_name("golden_checkpoint.ckpt")
@@ -141,6 +143,15 @@ def test_golden_digest_on_every_backend(mode, seed):
     expected = load_golden()[f"{mode}/seed{seed}"]
     for backend in BACKENDS:
         assert run_digest(mode, seed, backend) == expected, (mode, seed, backend)
+
+
+def test_workers_forked_after_serial_rounds_match_serial():
+    """Auto-spawned socket workers fork from this process after its
+    serial rounds filled the compiled cache and the conv workspaces;
+    what they inherit must not move a bit (MSG_INIT resets it)."""
+    serial = run_digest("population-converged", 0, "serial")
+    assert compiled._MODELS and vars(F._WORKSPACE)
+    assert run_digest("population-converged", 0, "socket") == serial
 
 
 def test_parent_checkpoint_resumes_bit_identically():

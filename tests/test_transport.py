@@ -14,6 +14,7 @@ Four layers under test:
   kill, and external-daemon mode.
 """
 
+import json
 import os
 import signal
 import socket
@@ -33,10 +34,11 @@ from repro.federated import (
     SerialBackend,
     run_local_step,
 )
-from repro.nn import payload_size_bytes, state_size_bytes
+from repro.federated import compiled
+from repro.nn import payload_size_bytes, state_size_bytes, tape
 from repro.nn.serialize import pack_state, unpack_state
 from repro.search_space import Supernet, SupernetConfig
-from repro.telemetry import Telemetry
+from repro.telemetry import JsonlFileSink, Telemetry
 from repro.transport import (
     HEADER_BYTES,
     MAGIC,
@@ -48,6 +50,7 @@ from repro.transport import (
     MSG_HELLO,
     MSG_HELLO_ACK,
     MSG_INIT,
+    MSG_SHUTDOWN,
     MSG_TASK,
     MSG_UPDATE,
     PROTOCOL_VERSION,
@@ -373,6 +376,22 @@ class TestWorkerServer:
                 )
         finally:
             conn.close()
+
+    def test_init_resets_the_step_cache(self, worker_thread):
+        """A daemon forked from a server inherits its compiled models and
+        tape counters; registering must clear both."""
+        rng = np.random.default_rng(0)
+        supernet = Supernet(TINY, rng=rng)
+        policy = ArchitecturePolicy(TINY.num_edges, rng=rng)
+        run_local_step(make_task(supernet, policy), build_participants()[0].dataset, 8, TINY)
+        assert compiled._MODELS and any(tape.stats().snapshot().values())
+        conn = dial(worker_thread)
+        try:
+            self.register(conn)
+        finally:
+            conn.close()
+        assert not compiled._MODELS
+        assert not any(tape.stats().snapshot().values())
 
     def test_garbage_connection_does_not_kill_daemon(self, worker_thread):
         # Connection 1: pure garbage → daemon drops it and survives.
@@ -700,6 +719,94 @@ class TestSocketBackend:
         ]
         assert failed and failed[0]["worker"] == address
         assert failed[0]["error"]
+
+
+# ----------------------------------------------------------------------
+# Auto-spawned workers are forked from the server process
+# ----------------------------------------------------------------------
+class TestForkedWorkers:
+    """What a worker forked from the server must not keep: its process
+    slot after close(), the server's other connections, or the server's
+    buffered file contents."""
+
+    run_round_tasks = TestSocketBackend.run_round_tasks
+
+    def kill_one(self, backend):
+        """kill -9 one owned daemon and return its endpoint."""
+        victim = backend._endpoints[0]
+        os.kill(victim.proc.pid, signal.SIGKILL)
+        victim.proc.wait(timeout=10)
+        return victim
+
+    def test_close_reaps_every_worker(self):
+        backend = SocketBackend(build_participants(), TINY, num_workers=2)
+        try:
+            backend.run_tasks(self.run_round_tasks(None, seed=1))
+            pids = [e.proc.pid for e in backend._endpoints]
+            self.kill_one(backend)
+            backend.run_tasks(self.run_round_tasks(None, seed=2, round_index=1))
+            pids += [e.proc.pid for e in backend._endpoints]
+        finally:
+            backend.close()
+        assert len(set(pids)) == 3  # two originals and the respawn
+        for pid in pids:
+            # Neither running nor a zombie: the pid is gone.
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_survivor_sees_eof_after_a_respawn(self):
+        """The respawned daemon was forked while the server held its
+        connection to the surviving daemon.  Unless the child closed its
+        copy, that connection outlives the server's close and the
+        survivor (one connection at a time) never serves again."""
+        backend = SocketBackend(build_participants(), TINY, num_workers=2)
+        try:
+            backend.run_tasks(self.run_round_tasks(None, seed=1))
+            victim = self.kill_one(backend)
+            results = backend.run_tasks(
+                self.run_round_tasks(None, seed=2, round_index=1)
+            )
+            assert all(r.ok for r in results)
+            (survivor,) = [e for e in backend._endpoints if e is not victim]
+            assert victim.alive and survivor.alive
+            # Close the server's descriptor without a TCP shutdown, as a
+            # crashed server would: only the last close sends the FIN.
+            survivor.conn._sock.close()
+            conn = FrameConnection(
+                socket.create_connection((survivor.host, survivor.port), timeout=10)
+            )
+            try:
+                msg, _ = conn.request(MSG_HELLO, codec.encode_hello(), timeout=10)
+            finally:
+                conn.close()
+            assert msg == MSG_HELLO_ACK
+        finally:
+            backend.close()
+
+    def test_jsonl_lines_are_written_once(self, tmp_path):
+        """Workers fork while the server's run log holds unflushed lines;
+        they exit without flushing that copy."""
+        path = tmp_path / "run.jsonl"
+        sink = JsonlFileSink(path, flush_every_events=10**6, flush_every_bytes=10**9)
+        telemetry = Telemetry(sink=sink)
+        telemetry.emit("marker")
+        backend = SocketBackend(
+            build_participants(), TINY, num_workers=2, telemetry=telemetry
+        )
+        try:
+            backend.run_tasks(self.run_round_tasks(None, seed=1))
+            self.kill_one(backend)
+            backend.run_tasks(self.run_round_tasks(None, seed=2, round_index=1))
+            # Let every daemon run its whole exit path (close() would
+            # SIGTERM it straight after the shutdown ack).
+            for endpoint in backend._endpoints:
+                endpoint.conn.request(MSG_SHUTDOWN, b"", timeout=10)
+                assert endpoint.proc.wait(timeout=10) == 0
+        finally:
+            backend.close()
+        sink.close()
+        seqs = [json.loads(line)["seq"] for line in path.read_text().splitlines()]
+        assert seqs == list(range(1, sink.total_emitted + 1))
 
 
 # ----------------------------------------------------------------------
