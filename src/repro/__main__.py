@@ -12,8 +12,8 @@ Three subcommands:
     accuracy.  ``--profile paper`` switches to the full Table I scale
     (for real hardware); the default ``small`` profile finishes in well
     under a minute on a laptop CPU.  ``--backend process --workers 4``
-    runs participant local steps on a worker pool (bit-identical results,
-    lower wall-clock).  ``--config experiment.json`` loads an
+    runs participant local steps on forked local workers (bit-identical
+    results, lower wall-clock).  ``--config experiment.json`` loads an
     :class:`~repro.core.ExperimentConfig` from a JSON file; explicit CLI
     flags override file values, which override the profile defaults.
     ``--faults plan.json`` injects deterministic faults (corruption,

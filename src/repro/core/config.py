@@ -225,9 +225,9 @@ class ExperimentConfig:
 
     # Execution engine (see :mod:`repro.federated.executor`): which
     # backend runs participant local steps.  ``serial`` is the in-process
-    # reference; ``process`` fans tasks out over a multiprocessing pool;
-    # ``socket`` dispatches over TCP to worker daemons
-    # (:mod:`repro.transport`).  Seeded results are bit-identical across
+    # reference; ``process`` forks local worker processes and ``socket``
+    # dispatches to worker daemons, both over the framed TCP protocol of
+    # :mod:`repro.transport`.  Seeded results are bit-identical across
     # backends (socket: at the default lossless wire precision).
     backend: str = dataclasses.field(
         default_factory=_default_backend,
@@ -239,14 +239,14 @@ class ExperimentConfig:
             "bit-identical across backends",
         ),
     )
-    #: 0 = auto (``min(num_participants, cpu_count)``)
+    #: 0 = auto (``min(num_participants, cpu_count, 4)``)
     num_workers: int = _option(
         0,
         ge=0,
         flag="--workers",
         metavar="N",
         help="worker processes/daemons for --backend process|socket "
-        "(default: min(participants, cpu count))",
+        "(default: min(participants, cpu count, 4))",
     )
     #: queueing + compute — shared policy for every distributed backend
     task_timeout_s: float = _option(

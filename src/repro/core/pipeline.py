@@ -410,7 +410,7 @@ class FederatedModelSearch:
                 warmup_results = self.warm_up()
                 search_results = self.search()
             finally:
-                # P3/P4 never dispatch tasks; return pool workers early.
+                # P3/P4 never dispatch tasks; release the workers early.
                 self.backend.close()
             genotype = self.derive()
             model, retrain_recorder = self.retrain(genotype, mode=retrain_mode)

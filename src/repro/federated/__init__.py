@@ -5,7 +5,6 @@ from .executor import (
     BACKENDS,
     ExecutionBackend,
     ParticipantSpec,
-    ProcessPoolBackend,
     SerialBackend,
     TaskResult,
     build_backend,
@@ -72,3 +71,13 @@ __all__ = [
     "LatencyDrivenDelay",
     "RoundDelays",
 ]
+
+
+def __getattr__(name: str):
+    # Resolved on first use, like executor.ProcessPoolBackend: the class
+    # lives in repro.transport, which this package must not import.
+    if name == "ProcessPoolBackend":
+        from .executor import ProcessPoolBackend
+
+        return ProcessPoolBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

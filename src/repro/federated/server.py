@@ -264,7 +264,7 @@ class FederatedSearchServer:
         #: execution engine for participant local steps; local steps are
         #: dispatched as :class:`LocalStepTask` messages and collected as
         #: :class:`ParticipantUpdate` replies, so the backend may run
-        #: them serially, on a process pool, or (eventually) on a wire.
+        #: them serially or on worker processes over the wire.
         self.backend: ExecutionBackend = backend or SerialBackend(
             self.participants,
             supernet.config,

@@ -17,8 +17,8 @@ protocol:
   raising :class:`DeltaCacheMiss` when a referenced version is absent —
   the signal for the server to fall back to a full re-send.
 * :class:`DeltaLedger` (server side) is the one record of which versions
-  each worker acknowledged; the process and socket backends both drive
-  it, and it emits the per-round ``dispatch.round`` statistics.
+  each worker acknowledged; the worker backends drive it, and it emits
+  the per-round ``dispatch.round`` statistics.
 
 Correctness never depends on cache warmth: a miss, a respawned worker, a
 reconnect, or a ``--resume`` all degrade to a full send (and, on resume,
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -164,77 +164,45 @@ def split_delta(
 class DeltaLedger:
     """Which parameter versions each worker holds, plus dispatch stats.
 
-    One ledger per distributed backend.  Workers are any hashable key
-    (pool pids, socket endpoints).  :meth:`record` after a successful
-    reply, :meth:`forget` when a worker's cache is known to be void
-    (cache miss, re-registration); :meth:`acked` is what one worker may
-    be sent as references, :meth:`acked_by_all` what *any* of ``n``
-    workers may be (a pool cannot target a worker).  Thread-safe: the
-    socket backend's per-worker threads share one ledger.
+    One ledger per worker backend, keyed by worker endpoint.
+    :meth:`record` after a successful reply, :meth:`forget` when a
+    worker's cache is known to be void (cache miss, re-registration);
+    :meth:`acked` is what that worker may be sent as references.
+    Thread-safe: the backend's per-worker threads share one ledger.
     """
 
-    def __init__(self, backend: str, prune_after: Optional[int] = None):
+    def __init__(self, backend: str):
         self.backend = backend
-        #: forget workers silent for this many rounds (replaced pool pids)
-        self.prune_after = prune_after
         self._acked: Dict[Hashable, Dict[str, int]] = {}
-        self._last_seen: Dict[Hashable, int] = {}
-        self._round = 0
         self._lock = threading.Lock()
         self.stats = dict.fromkeys(
             ("sent", "cached", "full_syncs", "cache_misses"), 0
         )
 
     def begin_round(self) -> None:
-        """Zero the round's statistics and prune long-silent workers."""
+        """Zero the round's statistics."""
         with self._lock:
-            self._round += 1
             self.stats = dict.fromkeys(self.stats, 0)
-            if self.prune_after is not None:
-                horizon = self._round - self.prune_after
-                for worker in [
-                    w for w, seen in self._last_seen.items() if seen <= horizon
-                ]:
-                    del self._acked[worker], self._last_seen[worker]
 
     def record(self, worker: Hashable, versions: Mapping[str, int]) -> None:
         """``worker`` replied: its cache now holds ``versions`` (shipped
         entries were cached, referenced entries were verified present)."""
         with self._lock:
             self._acked.setdefault(worker, {}).update(versions)
-            self._last_seen[worker] = self._round
 
     def forget(self, worker: Hashable, cache_miss: bool = False) -> None:
-        """Void everything ``worker`` acknowledged (it stays known)."""
+        """Void everything ``worker`` acknowledged."""
         with self._lock:
             self._acked[worker] = {}
-            self._last_seen[worker] = self._round
             self.stats["cache_misses"] += cache_miss
 
     def clear(self) -> None:
         with self._lock:
             self._acked.clear()
-            self._last_seen.clear()
 
     def acked(self, worker: Hashable) -> Dict[str, int]:
         with self._lock:
             return dict(self._acked.get(worker, ()))
-
-    def acked_by_all(self, n: int) -> Dict[str, int]:
-        """Name → version every known worker acknowledged; empty until
-        at least ``n`` workers are known."""
-        with self._lock:
-            maps = list(self._acked.values())
-            if len(maps) < n:
-                return {}
-            shared = dict(maps[0])
-            for other in maps[1:]:
-                shared = {
-                    name: version
-                    for name, version in shared.items()
-                    if other.get(name) == version
-                }
-            return shared
 
     def delta_task(
         self, task: LocalStepTask, acked: Mapping[str, int]

@@ -27,8 +27,8 @@ opt-in float32 mode (``compute_dtype="float32"``) replays the tape in
 single precision and is tolerance-verified instead.
 
 The replay dtype is process-global and set by ``configure()``; worker
-processes receive it as a pool-initializer arg or ``MSG_INIT`` field,
-never through the environment.  Compiled tapes are
+processes receive it as a ``MSG_INIT`` field, never through the
+environment.  Compiled tapes are
 *derived state*: never serialized, never checkpointed, rebuilt on first
 use after a resume.
 """

@@ -1,7 +1,7 @@
 """Distributed tracing: cross-process trace propagation for local steps.
 
 The server-side telemetry spans (:meth:`Telemetry.span`) only see the
-coordinating process; with the process-pool or socket backends the
+coordinating process; with the process or socket backends the
 interesting time — the participant's local step — happens in a worker
 that has no telemetry handle at all.  This module closes that gap:
 

@@ -10,10 +10,14 @@ ways to get workers:
 * **auto-spawn** — pass no addresses and the backend forks
   ``num_workers`` local daemons from this process, which has already
   imported numpy and ``repro`` (the zero-config path behind
-  ``--backend socket`` / ``REPRO_BACKEND=socket``), shutting them down
+  ``--backend socket`` and ``--backend process``), shutting them down
   on close and **respawning** dead ones at round start.
 
-Failure semantics per round (mirrors :class:`ProcessPoolBackend`):
+:class:`ProcessPoolBackend` (``backend="process"``) is this auto-spawn
+path under its own name; ``build_backend`` gives it no wire options, so
+it stays lossless and chaos-free.
+
+Failure semantics per round, the same for both names:
 
 * every task has a deadline (``task_timeout_s``, covering send +
   remote compute + reply);
@@ -81,7 +85,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.faults.network import ChaosEngine, NetworkFaultPlan
-from repro.federated.executor import ParticipantSpec, TaskResult, default_start_method
+from repro.federated.executor import ParticipantSpec, TaskResult
 from repro.federated.participant import LocalStepTask
 from repro.federated.versioning import DeltaLedger
 from repro.nn import tape
@@ -118,6 +122,7 @@ __all__ = [
     "LocalWorker",
     "WorkerEndpoint",
     "SocketBackend",
+    "ProcessPoolBackend",
     "spawn_local_worker",
     "parse_address",
 ]
@@ -191,14 +196,13 @@ def spawn_local_worker(
 ) -> LocalWorker:
     """Start a worker daemon in a child process; returns without waiting.
 
-    The child is forked where the platform allows (see
-    :func:`~repro.federated.executor.default_start_method`), so it
+    The child is forked where the platform allows (else spawned), so it
     skips an interpreter start and the numpy/``repro`` imports; it binds
     an OS-assigned port, which :meth:`LocalWorker.address` returns.  The
     idle timeout is a leak guard: an orphaned worker (its server crashed
     without a shutdown frame) exits by itself.
     """
-    ctx = mp.get_context(default_start_method())
+    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
     ready, child_end = ctx.Pipe(duplex=False)
     process = ctx.Process(
         target=serve_child,
@@ -1068,3 +1072,11 @@ class SocketBackend:
         if self._auto_spawn:
             self._endpoints = []
         self.ledger.clear()
+
+
+class ProcessPoolBackend(SocketBackend):
+    """``backend="process"``: local worker processes, forked from this
+    one and reached over loopback — :class:`SocketBackend`'s auto-spawn
+    path under the name reports and telemetry show."""
+
+    name = "process"

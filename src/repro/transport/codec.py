@@ -18,8 +18,7 @@ Frame payloads come in three shapes:
   exactly (CPython's ``repr`` contract), so scalar fields lose nothing.
 * **The init payload** (participant registration): a pickle of the
   immutable :class:`~repro.federated.executor.ParticipantSpec` list plus
-  the supernet geometry — the same objects the process-pool backend
-  ships to its workers.  Pickle is acceptable here because workers only
+  the supernet geometry.  Pickle is acceptable here because workers only
   accept connections from the operator's own hosts (see the package
   docstring's trust model); tasks and updates, the high-rate messages,
   stay on the restricted tensor codec.

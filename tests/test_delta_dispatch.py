@@ -5,7 +5,7 @@ optimisation.  Seeded results on the distributed backends (which always
 dispatch deltas) are bit-identical to the serial backend (which ships
 nothing), across a worker kill -9 (full re-sync), and across
 checkpoint/resume (cold caches) — correctness never depends on cache
-warmth.  Alongside: the one ``DeltaLedger`` both backends drive, the
+warmth.  Alongside: the one ``DeltaLedger`` the worker backends drive, the
 server's in-place sparse gradient aggregation equals a naive dense sum,
 and the copy-on-write memory pools share unchanged arrays between
 rounds.
@@ -275,7 +275,7 @@ class TestPackedState:
 
 
 # ----------------------------------------------------------------------
-# The delta ledger both distributed backends drive
+# The delta ledger the worker backends drive
 # ----------------------------------------------------------------------
 class TestDeltaLedger:
     def task(self, versions):
@@ -289,17 +289,19 @@ class TestDeltaLedger:
         )
 
     def test_per_worker_view_vs_all_workers_view(self):
+        """Each worker is sent references to what *it* acknowledged;
+        no worker's acks leak into another's view."""
         ledger = DeltaLedger("test")
         ledger.begin_round()
         ledger.record("w1", {"a": 1, "b": 2})
         assert ledger.acked("w1") == {"a": 1, "b": 2}
         assert ledger.acked("w2") == {}
-        # a pool of 2 may reference nothing until both pids are known...
-        assert ledger.acked_by_all(2) == {}
         ledger.record("w2", {"a": 1, "b": 1, "c": 4})
-        # ...and then only what every one of them holds at the same version
-        assert ledger.acked_by_all(2) == {"a": 1}
-        assert ledger.acked_by_all(3) == {}
+        assert ledger.acked("w1") == {"a": 1, "b": 2}
+        assert ledger.acked("w2") == {"a": 1, "b": 1, "c": 4}
+        # a later reply moves only the versions it carries
+        ledger.record("w1", {"b": 3})
+        assert ledger.acked("w1") == {"a": 1, "b": 3}
 
     def test_delta_task_references_only_acked_versions_and_counts(self):
         ledger = DeltaLedger("test")
@@ -324,24 +326,10 @@ class TestDeltaLedger:
         ledger.forget("w1", cache_miss=True)
         assert ledger.acked("w1") == {}
         assert ledger.stats["cache_misses"] == 1
-        # still one of the two known workers: the shared view is empty,
-        # not "unknown pool"
-        assert ledger.acked_by_all(2) == {}
+        # the other worker's cache is untouched
+        assert ledger.acked("w2") == {"a": 1}
         ledger.record("w1", {"a": 1})
-        assert ledger.acked_by_all(2) == {"a": 1}
-
-    def test_silent_pids_are_pruned(self):
-        ledger = DeltaLedger("test", prune_after=3)
-        ledger.begin_round()
-        ledger.record(101, {"a": 1})
-        ledger.record(102, {"a": 1})
-        for _ in range(3):
-            ledger.begin_round()
-            ledger.record(102, {"a": 1})  # 101 was replaced, never replies
-        assert ledger.acked(101) == {}
-        assert ledger.acked_by_all(2) == {}  # only one live pid is known
-        ledger.record(103, {"a": 1})
-        assert ledger.acked_by_all(2) == {"a": 1}
+        assert ledger.acked("w1") == {"a": 1}
 
     def test_concurrent_workers_lose_no_update(self):
         """The socket backend's per-worker threads share one ledger:
@@ -519,8 +507,8 @@ class TestDeltaBitIdentity:
 
     def test_small_profile_search_report_matches(self):
         """ISSUE 5 acceptance: seeded ``SearchReport`` bit-identical
-        between the delta-dispatching pool and the serial backend, which
-        hands every task its full state in-process."""
+        between the delta-dispatching process backend and the serial
+        backend, which hands every task its full state in-process."""
         reports = {}
         for backend_name in ("serial", "process"):
             config = ExperimentConfig.small(

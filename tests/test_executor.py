@@ -7,15 +7,13 @@ worker must degrade the participant to offline-for-the-round instead of
 killing the search.
 """
 
-import multiprocessing as mp
-import os
-
 import numpy as np
 import pytest
 
 from repro import ExperimentConfig, FederatedModelSearch
 from repro.controller import ArchitecturePolicy
 from repro.data import iid_partition, synth_cifar10
+from repro.faults import NetworkFaultPlan, NetworkFaultSpec
 from repro.federated import (
     FederatedSearchServer,
     LocalStepTask,
@@ -70,23 +68,14 @@ def make_task(supernet, policy, participant, seed=7):
     )
 
 
-# ----------------------------------------------------------------------
-# Fault hooks for the process backend (module-level: picklable / visible
-# after fork).
-# ----------------------------------------------------------------------
-def crash_participant_one(task):
-    if task.participant_id == 1:
-        os._exit(17)
-
-
-_FAILED_ONCE = set()
-
-
-def fail_first_attempt(task):
-    key = (task.participant_id, task.round_index)
-    if key not in _FAILED_ONCE:
-        _FAILED_ONCE.add(key)
-        raise RuntimeError("injected transient failure")
+#: One wire drop, seeded to land on the first task frame: the chaos
+#: stream of worker slot 0 stays quiet through hello and init (four
+#: rolls, as does slot 1's) and fires on the fifth.  ``max_events=1``
+#: keeps it to that one task.
+ONE_TASK_DROP = NetworkFaultPlan(
+    seed=170,
+    faults=(NetworkFaultSpec("drop", probability=0.25, max_events=1),),
+)
 
 
 class TestLocalStepPurity:
@@ -171,7 +160,7 @@ class TestBackendEquivalence:
     def test_small_profile_search_report_bit_identical(self):
         """The ISSUE 2/4 acceptance check: ``ExperimentConfig.small(seed=1)``
         produces a bit-identical ``SearchReport`` under all three backends
-        (serial, process-pool, and socket/TCP)."""
+        (serial, forked local workers, and socket/TCP)."""
         reports = {}
         for backend in ("serial", "process", "socket"):
             config = ExperimentConfig.small(
@@ -260,42 +249,38 @@ class TestBackendEquivalence:
                     assert all(e.get("ops") for e in traced), label
 
 
-@pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="in-test fault hooks need the fork start method",
-)
 class TestFailureDegradation:
     def test_worker_crash_degrades_to_offline(self):
-        """A killed worker costs the participant its round, not the search."""
+        """A task lost on the wire costs its participant the round, not
+        the search."""
         telemetry = Telemetry()
         participants = build_participants(seed=0)
         backend = ProcessPoolBackend(
             participants,
             TINY,
             num_workers=2,
-            task_timeout_s=3.0,
+            task_timeout_s=10.0,
             max_retries=0,
             telemetry=telemetry,
-            fault_hook=crash_participant_one,
+            network_fault_plan=ONE_TASK_DROP,
         )
         server = build_server(backend=backend, seed=0, telemetry=telemetry)
         try:
             results = server.run(2)
         finally:
             backend.close()
-        assert all(r.num_offline >= 1 for r in results)
+        assert [r.num_offline for r in results] == [1, 0]
         # The other participants' updates still land and train the model.
         assert all(r.num_fresh >= 1 for r in results)
-        crash_events = [
+        (crash,) = [
             e for e in telemetry.events() if e["event"] == "executor.worker_crash"
         ]
-        assert crash_events and all(
-            e["participant"] == 1 for e in crash_events
-        )
-        offline_events = [
-            e for e in telemetry.events() if e["event"] == "participant_failed"
+        offline = [
+            e["participant"]
+            for e in telemetry.events()
+            if e["event"] == "participant_failed"
         ]
-        assert offline_events
+        assert offline == [crash["participant"]]
 
     def test_transient_failure_retries_and_recovers(self):
         telemetry = Telemetry()
@@ -303,11 +288,11 @@ class TestFailureDegradation:
         backend = ProcessPoolBackend(
             participants,
             TINY,
-            num_workers=1,  # retry must land on the same (stateful) worker
+            num_workers=2,
             task_timeout_s=30.0,
             max_retries=1,
             telemetry=telemetry,
-            fault_hook=fail_first_attempt,
+            network_fault_plan=ONE_TASK_DROP,
         )
         server = build_server(backend=backend, seed=0, telemetry=telemetry)
         try:
@@ -318,7 +303,7 @@ class TestFailureDegradation:
         assert result.num_fresh == len(participants)
         snapshot = telemetry.metrics_snapshot()
         retries = snapshot.get("executor.task_retries", {}).get("value", 0)
-        assert retries >= len(participants)
+        assert retries >= 1
 
 
 class TestBackendPlumbing:
@@ -326,10 +311,14 @@ class TestBackendPlumbing:
         participants = build_participants()
         serial = build_backend("serial", participants, TINY)
         assert isinstance(serial, SerialBackend) and serial.name == "serial"
+        from repro.transport import SocketBackend
+
         process = build_backend("process", participants, TINY, num_workers=2)
         assert isinstance(process, ProcessPoolBackend) and process.name == "process"
+        # One worker runtime: the process backend is the socket backend's
+        # auto-spawn path.
+        assert isinstance(process, SocketBackend)
         process.close()
-        from repro.transport import SocketBackend
 
         sock = build_backend("socket", participants, TINY, num_workers=1)
         assert isinstance(sock, SocketBackend) and sock.name == "socket"

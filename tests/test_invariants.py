@@ -120,7 +120,13 @@ class TestCompensationExactness:
 
 @pytest.mark.parametrize(
     "module",
-    ["federated/server.py", "checkpoint.py", "telemetry/trace.py", "federated/compiled.py"],
+    [
+        "federated/server.py",
+        "checkpoint.py",
+        "telemetry/trace.py",
+        "federated/compiled.py",
+        "federated/executor.py",
+    ],
 )
 def test_round_loop_and_checkpoint_functions_stay_short(module):
     """The round reads as Alg. 1, the checkpoint and the trace report as

@@ -1077,15 +1077,6 @@ class TestWorkerInitSettings:
         with pytest.raises(codec.ProtocolError):
             codec.decode_init(codec.encode_init([], TINY, compute_dtype="float16"))
 
-    def test_process_worker_applies_initargs(self):
-        from repro.federated import executor
-
-        try:
-            executor._init_worker([], TINY, None, None, "float32")
-            assert tape.settings() == "float32"
-        finally:
-            executor._WORKER_STATE.clear()
-
     def test_env_free_socket_worker_computes_in_the_servers_dtype(self, tiny_dataset):
         from repro.transport import SocketBackend
 

@@ -32,6 +32,7 @@ from repro.federated import (
     Participant,
     ParticipantSpec,
     SerialBackend,
+    build_backend,
     run_local_step,
 )
 from repro.federated import compiled
@@ -738,8 +739,9 @@ class TestForkedWorkers:
         victim.proc.wait(timeout=10)
         return victim
 
-    def test_close_reaps_every_worker(self):
-        backend = SocketBackend(build_participants(), TINY, num_workers=2)
+    @pytest.mark.parametrize("name", ["process", "socket"])
+    def test_close_reaps_every_worker(self, name):
+        backend = build_backend(name, build_participants(), TINY, num_workers=2)
         try:
             backend.run_tasks(self.run_round_tasks(None, seed=1))
             pids = [e.proc.pid for e in backend._endpoints]
