@@ -38,17 +38,21 @@ a given (mask, input shape, dtype) is identical every time — so:
   counts one outcome per member.
 * **A graph is admitted on the second sighting of its key.**  The key is
   (mask, stacked input shape, member count).  A step whose key has no
-  retained graph runs on the shared model under
-  :func:`repro.nn.tape.capturing`.  The first
-  sighting keeps nothing but the key — a live policy almost never
-  repeats a mask, and one default-config graph is 55-75 MiB
-  (activations and each conv's padded input; im2col windows live in the
+  retained graph runs eagerly on the shared model.  The first sighting
+  keeps nothing but the key — a live policy almost never repeats a
+  mask, and one retained default-config graph is 35-60 MiB (its tape
+  keeps every forward value for replay; im2col windows live in the
   thread's workspace, one sub-batch at a time, never in a graph).  It
-  builds no :class:`~repro.nn.tape.CompiledStep`, drops its tape
-  entries before backward, and backward releases each node as it walks,
-  so its peak is 25-40 MiB, not the graph.  The second sighting retains
-  the graph as a ``CompiledStep``; later ones replay it with zero graph
-  construction.
+  runs without :func:`repro.nn.tape.capturing`, so nothing but the
+  graph's nodes holds the forward: each backward closure keeps only
+  the arrays it reads (a conv's padded input, a batch norm's centred
+  input and std, a relu's mask, a pool's winning taps), every other
+  value dies as the forward drops it, and backward releases each node
+  as it walks.  It builds no :class:`~repro.nn.tape.CompiledStep`; its
+  traced peak is 14-23 MiB.  The second sighting records the tape and
+  retains the graph as a ``CompiledStep``; later ones replay it with
+  zero graph construction.  So a key the tape cannot record is found
+  at its second sighting.
 * **The cache is bounded by bytes.**  Retained graphs are LRU within
   :data:`_MAX_RETAINED_BYTES` (the newest is always kept); an evicted
   key starts over at its first sighting.  Keys without a graph — seen
@@ -88,6 +92,7 @@ worker restart.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -106,8 +111,8 @@ from .participant import LocalStepTask, ParticipantSpec, ParticipantUpdate
 
 __all__ = ["run_compiled_group", "group_chunks", "reset_cache"]
 
-#: Bytes one model's retained graphs may hold (seven to nine at the
-#: default config, 55-75 MiB each).
+#: Bytes one model's retained graphs may hold (nine to fourteen at the
+#: default config, 35-60 MiB each).
 _MAX_RETAINED_BYTES = 512 * 2**20
 
 #: Most members one grouped step stacks; set by the sweep in the module
@@ -363,37 +368,38 @@ def _replay(step: CompiledStep, x_arr, y, members: int, recorder) -> Tuple[nn.Te
 
 
 def _capture(cm: _CompiledModel, key: Tuple, x_arr, y, mask, num_params: int, members: int, span):
-    """Run the step eagerly with recording on: a first sighting keeps
-    only the key, a second one admits the graph.  The capture step's own
-    update is already bit-identical to eager — the tape only observes.
-    Returns ``(logits, leaves, meta)``, or ``None`` if uncapturable."""
+    """Run the step eagerly: a first sighting records no tape and keeps
+    only the key, a second one records the tape and admits the graph.
+    The capture step's own update is already bit-identical to eager —
+    the tape only observes.  Returns ``(logits, leaves, meta)``, or
+    ``None`` if uncapturable."""
     stats = tape.stats()
     x_t = nn.Tensor(x_arr)
     entries: List = []
+    # A first sighting's graph is never replayed: without a tape, whose
+    # thunks would hold every value, its forward values die as the
+    # forward drops them and backward releases each node as it walks.
+    admit = cm.seen.get(key, False)
     with span("forward"):
         try:
-            with tape.capturing(entries):
+            with tape.capturing(entries) if admit else contextlib.nullcontext():
                 logits = cm.model(x_t, mask)
         except TapeUnsupported:
             cm.remember(key, False)
             return None
         loss = nn.functional.cross_entropy(logits, y, members)
-    if not cm.seen.pop(key, False):
-        # First sighting: nobody will replay this graph.  Its thunks
-        # (which hold every node) go now, and backward releases each
-        # node as it walks.
-        entries.clear()
+    if not admit:
         with span("backward"):
             loss.backward()
         cm.remember(key, True)
         stats.first_sightings += members
         return logits, cm.named, {"outcome": "first_sighting"}
-    named_ids = {id(param): (name, param) for name, param in cm.named}
+    del cm.seen[key]
     step = CompiledStep(
         x_t,
         logits,
         entries,
-        named_params=named_ids,
+        named_params=cm.named,
         grad_view=cm.arena.grad_view if cm.arena is not None else None,
         members=members,
     )

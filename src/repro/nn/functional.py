@@ -70,7 +70,7 @@ def _scratch(slot: str, shape: Tuple[int, ...], dtype, zeros: Optional[tuple] = 
     Contents are arbitrary unless ``zeros`` names the positions the
     caller is about to overwrite: every other position then reads zero,
     cleared only when the slot's last user differed in shape, dtype or
-    ``zeros``.  A view must never reach ``Tensor._accumulate``, which
+    ``zeros``.  A view must never reach ``_Node._accumulate``, which
     borrows by reference; per thread because in-process worker daemons
     run ops from several threads.
     """
@@ -299,7 +299,7 @@ def _conv_dx(
     GEMM has run and live in :func:`_scratch`.  ``bufs``, when given, is
     a per-call-site dict for the result (``gx``, 1x the activation):
     allocated on first use, fully rewritten on later calls (tape replays
-    invoke the same retained closure every step).  ``Tensor._accumulate``
+    invoke the same retained closure every step).  ``_Node._accumulate``
     may borrow the returned array; callers must consume it before the
     next call (the backward walk does).
     """
@@ -373,14 +373,19 @@ def conv2d(
         raise ValueError(f"out_channels {oc} not divisible by groups {groups}")
     oh = _conv_output_size(h, kh, stride[0], padding[0], dilation[0])
     ow = _conv_output_size(w, kw, stride[1], padding[1], dilation[1])
+    # Saved for backward: the padded input (dW re-extracts its windows
+    # from it) and the weights (dX); the output is not.
     x_pad = _conv_input(x.data, padding)
+    wd = weight.data
+    xn, wn = x._node, weight._node
+    bn = None if bias is None else bias._node
     members = _ag._MEMBERS
     # Forward output and dX result buffers, reused by tape replays.
     _rp: dict = {}
     _bw: dict = {}
 
     def forward() -> np.ndarray:
-        w_r = weight.data.reshape(groups, oc // groups, cg * kh * kw)
+        w_r = wd.reshape(groups, oc // groups, cg * kh * kw)
         o = _rp["o"] = _conv_forward(
             x_pad, w_r, (kh, kw), stride, dilation, (oh, ow), out=_rp.get("o")
         )
@@ -393,27 +398,23 @@ def conv2d(
         return o
 
     def backward(grad: np.ndarray) -> None:
-        if weight.requires_grad:
-            weight._accumulate(
-                _conv_dw(grad, x_pad, weight.shape, stride, dilation, groups, members)
-            )
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_ag._member_sum(grad, members, (0, 2, 3)))
-        if x.requires_grad:
-            x._accumulate(
-                _conv_dx(
-                    grad, weight.data, x.shape, stride, padding, dilation, groups,
-                    bufs=_bw,
-                )
+        if wn.requires_grad:
+            wn._accumulate(_conv_dw(grad, x_pad, wn.shape, stride, dilation, groups, members))
+        if bn is not None and bn.requires_grad:
+            bn._accumulate(_ag._member_sum(grad, members, (0, 2, 3)))
+        if xn.requires_grad:
+            xn._accumulate(
+                _conv_dx(grad, wd, xn.shape, stride, padding, dilation, groups, bufs=_bw)
             )
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    parents = (xn, wn) if bn is None else (xn, wn, bn)
     out_t = Tensor._make(forward(), parents, backward)
     if _ag._TAPE is not None:
 
         def replay() -> None:
-            nonlocal x_pad
+            nonlocal x_pad, wd
             x_pad = _conv_input(x.data, padding, x_pad)
+            wd = weight.data
             out_t.data = forward()
 
         _ag._TAPE.append(("conv2d", replay))
@@ -432,9 +433,13 @@ def max_pool2d(
     ow = _conv_output_size(w, kernel[1], stride[1], padding[1], 1)
 
     ph, pw = padding
+    pad_shape = (n, c, h + 2 * ph, w + 2 * pw)
     x_pad = _padded(x.data, padding, fill=-np.inf)
     taps = kernel[0] * kernel[1]
     sample_bytes = c * taps * oh * ow * x_pad.itemsize
+    xn = x._node
+    # Saved for backward: each window's winning tap.  The padded input
+    # is forward's alone and dies with it (a replay keeps its own).
     arg = None
 
     def forward() -> np.ndarray:
@@ -454,11 +459,11 @@ def max_pool2d(
     _bw: dict = {}
 
     def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
+        if not xn.requires_grad:
             return
         gx_pad = _bw.get("gx_pad")
         if gx_pad is None:
-            gx_pad = _bw["gx_pad"] = np.empty(x_pad.shape, dtype=grad.dtype)
+            gx_pad = _bw["gx_pad"] = np.empty(pad_shape, dtype=grad.dtype)
         for lo, hi in _sub_batches(n, sample_bytes):
             # Winning positions change between replays: reset the scatter.
             gflat = _scratch("gflat", (hi - lo, c, taps, oh, ow), grad.dtype)
@@ -467,9 +472,9 @@ def max_pool2d(
             gcols = gflat.reshape(hi - lo, c, kernel[0], kernel[1], oh, ow)
             dst = gx_pad[lo:hi]
             _scatter_windows(gcols, dst.shape, kernel, stride, (1, 1), out=dst)
-        x._accumulate(gx_pad[:, :, ph : ph + h, pw : pw + w])
+        xn._accumulate(gx_pad[:, :, ph : ph + h, pw : pw + w])
 
-    out_t = Tensor._make(out, (x,), backward)
+    out_t = Tensor._make(out, (xn,), backward)
     if _ag._TAPE is not None:
 
         def replay() -> None:
@@ -545,6 +550,7 @@ def avg_pool2d(
     ow = _conv_output_size(w, kernel[1], stride[1], padding[1], 1)
 
     ph, pw = padding
+    pad_shape = (n, c, h + 2 * ph, w + 2 * pw)
     x_pad = _padded(x.data, padding)
     if count_include_pad or (ph == 0 and pw == 0):
         divisor = np.full((oh, ow), kernel[0] * kernel[1], dtype=x.data.dtype)
@@ -552,11 +558,13 @@ def avg_pool2d(
         ones = _padded(np.ones((1, 1, h, w), dtype=x.data.dtype), padding)
         divisor = _box_sum(ones, kernel, stride, (oh, ow))[0, 0]
     out = _box_sum(x_pad, kernel, stride, (oh, ow)) / divisor
-
+    xn = x._node
+    # Saved for backward: the divisor.  The padded input is forward's
+    # alone and dies with it (a replay keeps its own).
     _bw: dict = {}
 
     def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
+        if not xn.requires_grad:
             return
         g = _bw.get("g")
         if g is None:
@@ -564,26 +572,23 @@ def avg_pool2d(
         np.divide(grad, divisor, out=g)
         gx_pad = _bw.get("gx_pad")
         if gx_pad is None:
-            gx_pad = _bw["gx_pad"] = np.zeros(x_pad.shape, dtype=grad.dtype)
+            gx_pad = _bw["gx_pad"] = np.zeros(pad_shape, dtype=grad.dtype)
         else:
             gx_pad[...] = 0.0
         # Every window position receives the same g, so scatter g
         # directly tap by tap — no KH*KW column buffer.
         for hs, ws in _pool_taps(kernel, stride, (oh, ow)):
             gx_pad[:, :, hs, ws] += g
-        x._accumulate(gx_pad[:, :, ph : ph + h, pw : pw + w])
+        xn._accumulate(gx_pad[:, :, ph : ph + h, pw : pw + w])
 
-    out_t = Tensor._make(out, (x,), backward)
+    out_t = Tensor._make(out, (xn,), backward)
     if _ag._TAPE is not None:
         # Zero border never changes: reuse the captured pad buffer.
-        _rp: dict = {"x_pad": x_pad}
+        _rp: dict = {}
 
         def replay() -> None:
-            nonlocal x_pad
-            x_pad = _rp["x_pad"]
             x_pad[:, :, ph : ph + h, pw : pw + w] = x.data
-            s = _box_sum(x_pad, kernel, stride, (oh, ow), out=_rp.get("s"))
-            _rp["s"] = s
+            s = _rp["s"] = _box_sum(x_pad, kernel, stride, (oh, ow), out=_rp.get("s"))
             o = _rp.get("o")
             if o is None:
                 o = _rp["o"] = np.empty(s.shape, dtype=s.dtype)
@@ -625,26 +630,32 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 def _linear_members(x: Tensor, weight: Tensor, bias: Optional[Tensor], members: int) -> Tensor:
     size = x.shape[0] // members
     rows = [slice(m * size, (m + 1) * size) for m in range(members)]
+    # Saved for backward: both operands' values.
+    xd, wd = x.data, weight.data
+    xn, wn = x._node, weight._node
+    bn = None if bias is None else bias._node
 
     def forward() -> np.ndarray:
-        out = np.concatenate([x.data[r] @ weight.data.T for r in rows])
+        out = np.concatenate([xd[r] @ wd.T for r in rows])
         return out if bias is None else out + bias.data
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(np.concatenate([grad[r] @ weight.data for r in rows]))
-        if weight.requires_grad:
-            weight._accumulate(
-                np.stack([(np.swapaxes(x.data[r], -1, -2) @ grad[r]).T for r in rows])
+        if xn.requires_grad:
+            xn._accumulate(np.concatenate([grad[r] @ wd for r in rows]))
+        if wn.requires_grad:
+            wn._accumulate(
+                np.stack([(np.swapaxes(xd[r], -1, -2) @ grad[r]).T for r in rows])
             )
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_ag._member_sum(grad, members, (0,)))
+        if bn is not None and bn.requires_grad:
+            bn._accumulate(_ag._member_sum(grad, members, (0,)))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    parents = (xn, wn) if bn is None else (xn, wn, bn)
     out_t = Tensor._make(forward(), parents, backward)
     if _ag._TAPE is not None:
 
         def replay() -> None:
+            nonlocal xd, wd
+            xd, wd = x.data, weight.data
             out_t.data = forward()
 
         _ag._TAPE.append(("linear", replay))
@@ -717,14 +728,16 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, members: int = 1) -> Tens
     picked = shifted[np.arange(n), targets] - np.log(exp.sum(axis=1))
     loss = -picked.mean() if members == 1 else -picked.reshape(members, rows).mean(axis=1).sum()
 
+    node = logits._node
+
     def backward(grad: np.ndarray) -> None:
-        if not logits.requires_grad:
+        if not node.requires_grad:
             return
         g = probs.copy()
         g[np.arange(n), targets] -= 1.0
-        logits._accumulate(g * (float(grad) / rows))
+        node._accumulate(g * (float(grad) / rows))
 
-    return Tensor._make(np.asarray(loss), (logits,), backward)
+    return Tensor._make(np.asarray(loss), (node,), backward)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:

@@ -525,8 +525,11 @@ def _batch_norm_train(x: Tensor, bn: BatchNorm2d) -> Tensor:
     # member axis.
     stretched = tuple(a + 1 for a, size in ((0, rows), (2, h), (3, w)) if size != 1)
     mu, sigma2, std, small = (np.empty(stat, dtype) for _ in range(4))
+    # Saved for backward: the centred input and the std.  The output is
+    # forward's alone.
     diff = np.empty(five, dtype)
     out = np.empty(five, dtype)
+    xn = x._node
     # Backward's full-size scratch, reused by every replay of this node.
     _bw: list = [None, None]
 
@@ -582,17 +585,17 @@ def _batch_norm_train(x: Tensor, bn: BatchNorm2d) -> Tensor:
         g_mean = reduce(g_diff)
         np.negative(g_mean, out=g_mean)
         np.multiply(g_mean, scale, out=g_mean)
-        if x._grad is None:
+        if xn._grad is None:
             # x's two accumulations in one pass: the same sums, one array.
             np.add(g_diff, g_mean, out=scratch)
-            x._accumulate(scratch.reshape(x.shape))
+            xn._accumulate(scratch.reshape(xn.shape))
         else:
-            x._accumulate(g_diff.reshape(x.shape))
+            xn._accumulate(g_diff.reshape(xn.shape))
             np.copyto(scratch, g_mean)
-            x._accumulate(scratch.reshape(x.shape))
+            xn._accumulate(scratch.reshape(xn.shape))
 
     forward()
-    node = Tensor._make(out.reshape(x.shape), (x,), backward)
+    node = Tensor._make(out.reshape(x.shape), (xn,), backward)
     if _ag._TAPE is not None:
 
         def replay() -> None:

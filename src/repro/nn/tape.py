@@ -10,14 +10,16 @@ retained graph, then replays it with zero graph construction:
 
 * **Forward replay** walks the tape; each thunk recomputes its op's
   output from the (refreshed) parent ``.data`` arrays, rebinding the
-  retained output tensor's ``.data`` and any saved backward state
-  (closure-cell rebinding — see :mod:`repro.nn.tensor`).
+  retained output tensor's ``.data`` and any array its backward saved
+  (closure-cell rebinding — see :mod:`repro.nn.tensor`).  The thunks
+  hold those tensors, so a retained graph keeps its values; a graph
+  built without a tape keeps only its backward's saved arrays.
 * **Backward replay** seeds the retained output and walks the stored
-  topological order in reverse, accumulating into **preallocated
-  gradient buffers** (``Tensor._grad_buf``) — one ``np.copyto`` instead
-  of one allocation per node.  Parameter buffers alias the flat
-  :class:`~repro.nn.arena.ParameterArena` gradient view when an arena is
-  attached.
+  topological order of graph nodes in reverse, accumulating into
+  **preallocated gradient buffers** (``_Node._grad_buf``) — one
+  ``np.copyto`` instead of one allocation per node.  Parameter buffers
+  alias the flat :class:`~repro.nn.arena.ParameterArena` gradient view
+  when an arena is attached.
 
 Equality contract: float64 replay is **bit-identical** to eager — the
 thunks run the same numpy expressions in the same order, the retained
@@ -37,12 +39,13 @@ from __future__ import annotations
 
 import contextlib
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+import types
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as _tensor
-from .tensor import Tensor, _topo_order
+from .tensor import Tensor, _Node, _topo_order
 
 __all__ = [
     "TapeUnsupported",
@@ -159,7 +162,12 @@ class CompiledStep:
     output:
         The retained network output (logits) tensor.
     entries:
-        ``(op_name, replay_fn)`` tape recorded during capture.
+        ``(op_name, replay_fn)`` tape recorded during capture.  Its
+        thunks hold the tensors they rewrite, so they — not the graph's
+        nodes — keep the captured values alive.
+    named_params:
+        ``(name, parameter)`` pairs in declaration order; the ones whose
+        node this graph reaches become :attr:`param_leaves`.
     grad_view:
         Optional ``name -> flat-buffer-window`` resolver (the arena's
         :meth:`~repro.nn.arena.ParameterArena.grad_view`); matching
@@ -186,14 +194,14 @@ class CompiledStep:
         x_in: Tensor,
         output: Tensor,
         entries: List[Tuple[str, Callable[[], None]]],
-        named_params: Optional[Dict[int, Tuple[str, Tensor]]] = None,
+        named_params: Sequence[Tuple[str, Tensor]] = (),
         grad_view: Optional[Callable[[str], Optional[np.ndarray]]] = None,
         members: int = 1,
     ):
         self.x_in = x_in
         self.output = output
         self.entries = entries
-        ordered = _topo_order(output)
+        ordered = _topo_order(output._node)
         self._nodes = ordered
         self._reversed = [
             n for n in reversed(ordered) if n._backward is not None
@@ -202,17 +210,16 @@ class CompiledStep:
         # accumulates via np.copyto into a retained array — aliasing the
         # arena's flat gradient window when one matches — so optimizer
         # state access never re-allocates.  They are installed on the
-        # (shared) parameters only for this graph's backward walk: graphs
-        # of other member counts need buffers of other shapes.
+        # (shared) parameters' nodes only for this graph's backward walk:
+        # graphs of other member counts need buffers of other shapes.
         # Intermediate nodes keep the eager zero-copy borrow path: an
         # extra memcpy per activation gradient costs more than the
         # allocation it would save.
         # Buffers must be C-contiguous — eager gradients always are
-        # (``Tensor._accumulate`` normalises layout), and numpy's
+        # (``_Node._accumulate`` normalises layout), and numpy's
         # pairwise-summation reductions are layout-sensitive, so a
         # buffer with a strided layout would change downstream ``sum``
         # bits.
-        named_params = named_params or {}
         in_graph = {
             id(node) for node in ordered if node.requires_grad
         }
@@ -223,48 +230,61 @@ class CompiledStep:
         #: walking the full model.
         self.param_leaves: List[Tuple[str, Tensor]] = [
             (name, param)
-            for pid, (name, param) in named_params.items()
-            if pid in in_graph
+            for name, param in named_params
+            if id(param._node) in in_graph
         ]
         lead = (members,) if members > 1 else ()
-        self._grad_bufs: List[Tuple[Tensor, np.ndarray]] = []
-        for name, node in self.param_leaves:
+        self._grad_bufs: List[Tuple[_Node, np.ndarray]] = []
+        for name, param in self.param_leaves:
+            node = param._node
             buf = None
             if grad_view is not None and not lead:
                 buf = grad_view(name)
                 if buf is not None and not buf.flags["C_CONTIGUOUS"]:
                     buf = None
-            if buf is None or buf.shape != lead + node.data.shape:
-                buf = np.empty(lead + node.data.shape, dtype=node.data.dtype)
+            if buf is None or buf.shape != lead + node.shape:
+                buf = np.empty(lead + node.shape, dtype=node.dtype)
             self._grad_bufs.append((node, buf))
 
     def retained_bytes(self) -> int:
         """Bytes this graph keeps alive: the distinct ndarray buffers
-        behind every node's ``.data``, the parameter gradient buffers,
-        and whatever each backward closure holds (saved activations, a conv's padded
-        input, dX result buffers).  im2col windows and backward's other
+        reachable from the tape entries (the values of every tensor they
+        rewrite, their reused output buffers) and from every node's
+        backward closure (its saved arrays, dX result buffers), plus the
+        parameter gradient buffers.  im2col windows and backward's other
         large scratch are the thread's workspace
         (:func:`repro.nn.functional._scratch`), not the graph's; only
         the 1x-activation result buffers are allocated by the first
         backward."""
         owners: Dict[int, int] = {}
+        seen: set = set()
 
         def visit(obj) -> None:
             if isinstance(obj, np.ndarray):
                 owner = obj.base if isinstance(obj.base, np.ndarray) else obj
                 owners[id(owner)] = owner.nbytes
+                return
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, Tensor):
+                visit(obj.data)
             elif isinstance(obj, (dict, list, tuple)):
                 for item in obj.values() if isinstance(obj, dict) else obj:
                     visit(item)
+            elif isinstance(obj, types.FunctionType):
+                for cell in obj.__closure__ or ():
+                    try:
+                        visit(cell.cell_contents)
+                    except ValueError:  # a nonlocal not bound yet
+                        pass
+                visit(obj.__defaults__ or ())
 
-        visit([buf for _, buf in self._grad_bufs])
-        for node in self._nodes:
-            visit(node.data)
-            for cell in getattr(node._backward, "__closure__", None) or ():
-                try:
-                    visit(cell.cell_contents)
-                except ValueError:  # a nonlocal not bound yet
-                    pass
+        visit((
+            [buf for _, buf in self._grad_bufs],
+            [fn for _, fn in self.entries],
+            [node._backward for node in self._nodes],
+        ))
         return sum(owners.values())
 
     def replay_forward(
@@ -308,17 +328,17 @@ class CompiledStep:
         for node, buf in self._grad_bufs:
             node._grad_buf = buf
         try:
-            seed = np.ones_like(loss.data)
-            loss._accumulate(seed)
-            if loss._backward is not None:
-                loss._backward(loss.grad)
-            loss.grad = None
+            root = loss._node
+            root._accumulate(np.ones_like(loss.data))
+            if root._backward is not None:
+                root._backward(root._grad)
+            root._grad = None
             for node in self._reversed:
-                g = node.grad
+                g = node._grad
                 if g is not None:
                     node._backward(g)
                     if node._parents:
-                        node.grad = None
+                        node._grad = None
         finally:
             for node, _ in self._grad_bufs:
                 node._grad_buf = None

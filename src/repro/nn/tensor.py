@@ -3,8 +3,17 @@
 This module is the foundation of the ``repro.nn`` substrate: a small,
 explicit autograd engine in the spirit of PyTorch's eager mode.  Every
 differentiable value is a :class:`Tensor` wrapping an ``np.ndarray``.
-Operations build a DAG of parent links and backward closures;
-:meth:`Tensor.backward` runs a topological sweep accumulating gradients.
+
+The graph is made of :class:`_Node` objects, not of tensors.  A tensor
+is its value (``.data``) plus a reference to its node; the node holds
+the gradient, the parent links and the backward closure.  A backward
+closure holds its parents' *nodes* and exactly the arrays it reads (a
+product's other operand, a conv's padded input, a relu's mask, ...) —
+PyTorch's "saved tensors".  Any other forward value dies when the
+forward code drops its tensor, so a graph waiting for ``backward`` holds
+gradients-to-be and saved arrays, not every activation.
+:meth:`Tensor.backward` runs a topological sweep over the nodes,
+accumulating gradients.
 
 The engine supports full numpy broadcasting.  Gradients flowing into a
 broadcast operand are reduced back to the operand's shape by
@@ -13,17 +22,18 @@ broadcast operand are reduced back to the operand's shape by
 Two hot-path mechanisms live here alongside the classic eager engine:
 
 * **Copy-on-write gradient accumulation** — the first gradient reaching a
-  tensor is *borrowed* by reference instead of deep-copied; a second
+  node is *borrowed* by reference instead of deep-copied; a second
   accumulation (or :meth:`Tensor.own_grad`) materialises a private array.
   Callers that mutate ``.grad`` in place must call :meth:`Tensor.own_grad`
   first (see :func:`repro.nn.optim.clip_grad_norm`).
 * **Tape capture** — while :mod:`repro.nn.tape` has a recording active
   (module global ``_TAPE``), every operation appends a replay thunk that
   recomputes its output *into the already-built graph* (rebinding
-  ``out.data`` and any saved backward state).  Replaying the tape reruns
-  the forward with zero Python graph construction; the retained backward
-  closures then see exactly the refreshed values, so replayed numerics
-  are bit-identical to eager execution.
+  ``out.data`` and any array its backward saved).  The thunks hold the
+  tensors they rewrite, so a captured graph keeps its values.  Replaying
+  the tape reruns the forward with zero Python graph construction; the
+  retained backward closures then see exactly the refreshed values, so
+  replayed numerics are bit-identical to eager execution.
 
 Only float arrays participate in differentiation.  Integer tensors (e.g.
 label arrays) may be wrapped for convenience but must have
@@ -124,13 +134,91 @@ def _member_sum(array: np.ndarray, members: int, axis: Tuple[int, ...]) -> np.nd
     return stacked.sum(axis=tuple(a + 1 for a in axis))
 
 
-def _topo_order(root: "Tensor") -> "list[Tensor]":
+class _Node:
+    """A tensor's place in the autograd graph.
+
+    Holds everything the backward walk touches — the gradient and its
+    copy-on-write state, the parent nodes and the backward closure —
+    plus the value's shape and dtype, which the borrow check of
+    :meth:`_accumulate` reads.  Never the value itself: that belongs to
+    the :class:`Tensor`, and a backward closure saves the arrays it
+    reads explicitly.
+    """
+
+    __slots__ = (
+        "_backward",
+        "_parents",
+        "_grad",
+        "_grad_owned",
+        "_grad_buf",
+        "requires_grad",
+        "shape",
+        "dtype",
+    )
+
+    def __init__(self, shape: Tuple[int, ...], dtype, requires_grad: bool):
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._parents: Tuple[_Node, ...] = ()
+        self._grad: Optional[np.ndarray] = None
+        #: whether ``_grad`` is a private array this node may mutate in
+        #: place (copy-on-write accumulation: the first gradient is
+        #: borrowed by reference and only materialised on demand).
+        self._grad_owned = False
+        #: optional preallocated gradient buffer (tape replay): when set,
+        #: the first accumulation copies into it instead of allocating.
+        self._grad_buf: Optional[np.ndarray] = None
+        self.requires_grad = requires_grad
+        self.shape = shape
+        self.dtype = dtype
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` into this node's gradient.
+
+        First arrival: copy into the preallocated ``_grad_buf`` when one
+        is set (tape replay), otherwise *borrow* ``grad`` by reference
+        (copy-on-write — materialised only if a second gradient arrives
+        or a caller asks via :meth:`Tensor.own_grad`).  Borrowing skips
+        one full array copy per single-consumer node; every in-place
+        mutation site must go through :meth:`Tensor.own_grad`.
+
+        Only C-contiguous arrays are borrowed: downstream reductions
+        (``np.sum`` pairwise summation) are sensitive to memory layout,
+        so normalising here keeps every gradient a node's backward ever
+        sees C-contiguous — which is what makes preallocated replay
+        buffers bit-identical to eager accumulation.
+        """
+        if self._grad is None:
+            buf = self._grad_buf
+            if buf is not None:
+                np.copyto(buf, grad, casting="unsafe")
+                self._grad = buf
+                self._grad_owned = True
+            elif (
+                isinstance(grad, np.ndarray)
+                and grad.dtype == self.dtype
+                and grad.shape == self.shape
+                and grad.flags["C_CONTIGUOUS"]
+            ):
+                self._grad = grad
+                self._grad_owned = False
+            else:
+                self._grad = np.array(grad, dtype=self.dtype, copy=True)
+                self._grad_owned = True
+        elif self._grad_owned:
+            self._grad += grad
+        else:
+            # Borrowed first gradient: leave the caller's array untouched.
+            self._grad = self._grad + grad
+            self._grad_owned = True
+
+
+def _topo_order(root: _Node) -> "list[_Node]":
     """Topological order of ``root``'s subgraph (parents before children).
     :meth:`Tensor.backward` and tape replay both walk it in reverse, so a
     replayed walk visits nodes in exactly the order eager backward does."""
-    ordered: list[Tensor] = []
+    ordered: list[_Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -174,94 +262,97 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = (
-        "data",
-        "_grad",
-        "requires_grad",
-        "_backward",
-        "_parents",
-        "_grad_owned",
-        "_grad_buf",
-    )
+    __slots__ = ("_data", "_node")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
         if isinstance(data, Tensor):
-            data = data.data
-        self.data = np.asarray(data)
-        if requires_grad and not np.issubdtype(self.data.dtype, np.floating):
+            data = data._data
+        data = np.asarray(data)
+        if requires_grad and not np.issubdtype(data.dtype, np.floating):
             raise TypeError(
-                f"only floating tensors can require grad, got {self.data.dtype}"
+                f"only floating tensors can require grad, got {data.dtype}"
             )
-        self._grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad)
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._parents: Tuple[Tensor, ...] = ()
-        #: whether ``.grad`` is a private array this tensor may mutate in
-        #: place (copy-on-write accumulation: the first gradient is
-        #: borrowed by reference and only materialised on demand).
-        self._grad_owned = False
-        #: optional preallocated gradient buffer (tape replay): when set,
-        #: the first accumulation copies into it instead of allocating.
-        self._grad_buf: Optional[np.ndarray] = None
+        self._data = data
+        self._node = _Node(data.shape, data.dtype, bool(requires_grad))
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        # The node keeps the shape and dtype the borrow check compares
+        # against (a float32 model casts its parameters after building).
+        self._data = value
+        node = self._node
+        node.shape, node.dtype = value.shape, value.dtype
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self._node.requires_grad = bool(value)
 
     @property
     def grad(self) -> Optional[np.ndarray]:
-        return self._grad
+        return self._node._grad
 
     @grad.setter
     def grad(self, value: Optional[np.ndarray]) -> None:
         # Direct assignment keeps the historical contract: the assigned
         # array belongs to this tensor and may be mutated in place.  Only
         # `_accumulate`'s borrow path sets `_grad_owned = False`.
-        self._grad = value
-        self._grad_owned = True
+        node = self._node
+        node._grad = value
+        node._grad_owned = True
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def shape(self) -> Tuple[int, ...]:
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def size(self) -> int:
-        return self.data.size
+        return self._data.size
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._data.dtype
 
     @property
     def is_leaf(self) -> bool:
         """True if this tensor was not produced by a recorded operation."""
-        return self._backward is None
+        return self._node._backward is None
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self._data)
 
     def __repr__(self) -> str:
         grad_note = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{grad_note})"
 
     def item(self) -> float:
-        return float(self.data)
+        return float(self._data)
 
     def numpy(self) -> np.ndarray:
         """Return the underlying array (no copy).  Alias for ``.data``."""
-        return self.data
+        return self._data
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
+        return Tensor(self._data, requires_grad=False)
 
     def copy(self) -> "Tensor":
         """Return a leaf tensor with copied data and the same flag."""
-        out = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        return out
+        return Tensor(self._data.copy(), requires_grad=self.requires_grad)
 
     # ------------------------------------------------------------------
     # Graph plumbing
@@ -269,57 +360,19 @@ class Tensor:
     @staticmethod
     def _make(
         data: np.ndarray,
-        parents: Iterable["Tensor"],
+        parents: Iterable[_Node],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        """Create a non-leaf tensor recording ``backward`` if grad is on."""
+        """Create a non-leaf tensor whose node records ``backward`` over
+        the ``parents`` nodes if grad is on."""
         parents = tuple(parents)
         needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=needs)
         if needs:
-            out._parents = parents
-            out._backward = backward
+            node = out._node
+            node._parents = parents
+            node._backward = backward
         return out
-
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's ``.grad`` buffer.
-
-        First arrival: copy into the preallocated ``_grad_buf`` when one
-        is set (tape replay), otherwise *borrow* ``grad`` by reference
-        (copy-on-write — materialised only if a second gradient arrives
-        or a caller asks via :meth:`own_grad`).  Borrowing skips one full
-        array copy per single-consumer node; every in-place mutation
-        site must go through :meth:`own_grad`.
-
-        Only C-contiguous arrays are borrowed: downstream reductions
-        (``np.sum`` pairwise summation) are sensitive to memory layout,
-        so normalising here keeps every ``.grad`` a node's backward ever
-        sees C-contiguous — which is what makes preallocated replay
-        buffers bit-identical to eager accumulation.
-        """
-        if self._grad is None:
-            buf = self._grad_buf
-            if buf is not None:
-                np.copyto(buf, grad, casting="unsafe")
-                self._grad = buf
-                self._grad_owned = True
-            elif (
-                isinstance(grad, np.ndarray)
-                and grad.dtype == self.data.dtype
-                and grad.shape == self.data.shape
-                and grad.flags["C_CONTIGUOUS"]
-            ):
-                self._grad = grad
-                self._grad_owned = False
-            else:
-                self._grad = np.array(grad, dtype=self.data.dtype, copy=True)
-                self._grad_owned = True
-        elif self._grad_owned:
-            self._grad += grad
-        else:
-            # Borrowed first gradient: leave the caller's array untouched.
-            self._grad = self._grad + grad
-            self._grad_owned = True
 
     def own_grad(self) -> Optional[np.ndarray]:
         """Materialise ``.grad`` as a private array and return it.
@@ -328,10 +381,11 @@ class Tensor:
         gradient may be shared with another tensor (e.g. both operands
         of a same-shape ``a + b`` receive the *same* upstream array).
         """
-        if self._grad is not None and not self._grad_owned:
-            self._grad = self._grad.copy()
-            self._grad_owned = True
-        return self._grad
+        node = self._node
+        if node._grad is not None and not node._grad_owned:
+            node._grad = node._grad.copy()
+            node._grad_owned = True
+        return node._grad
 
     def backward(
         self, grad: Optional[np.ndarray] = None, retain_graph: bool = False
@@ -346,39 +400,40 @@ class Tensor:
         retain_graph:
             By default the graph is released as the walk consumes it
             (PyTorch's semantics): each node's backward closure and
-            parent links are cleared once it has run, so activations and
+            parent links are cleared once it has run, so saved arrays and
             gradient buffers die node by node, and a second walk through
             any of those nodes raises.  Pass True to walk it again (tape
             admission keeps the graph for replay).
         """
-        if not self.requires_grad:
+        root = self._node
+        if not root.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
         if grad is None:
-            if self.data.size != 1:
+            if self._data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar backward()")
-            grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=self.data.dtype)
-        if grad.shape != self.data.shape:
+            grad = np.ones_like(self._data)
+        grad = np.asarray(grad, dtype=self._data.dtype)
+        if grad.shape != self._data.shape:
             raise ValueError(
-                f"gradient shape {grad.shape} does not match tensor shape {self.data.shape}"
+                f"gradient shape {grad.shape} does not match tensor shape {self._data.shape}"
             )
 
-        ordered = _topo_order(self)
-        self._accumulate(grad)
+        ordered = _topo_order(root)
+        root._accumulate(grad)
         while ordered:
             # Popped, so the walk itself keeps no node alive behind it.
             node = ordered.pop()
             if node._backward is None:
                 continue
-            if node.grad is not None:
-                node._backward(node.grad)
+            if node._grad is not None:
+                node._backward(node._grad)
                 # Free intermediate gradient buffers: only leaves keep grads.
                 if node._parents:
-                    node.grad = None
+                    node._grad = None
             if not retain_graph:
                 # Nothing walks this node again: its closure (saved
-                # activations, result buffers) and its hold on its parents
-                # go now, not when the whole graph dies.
+                # arrays, result buffers) and its hold on its parents go
+                # now, not when the whole graph dies.
                 node._backward = _released
                 node._parents = ()
 
@@ -389,20 +444,21 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = as_tensor(other, dtype=self.data.dtype)
-        out_data = self.data + other.data
+        other = as_tensor(other, dtype=self._data.dtype)
+        out_data = self._data + other._data
+        a, b = self._node, other._node
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(grad, other.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(grad, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(grad, b.shape))
 
-        out = Tensor._make(out_data, (self, other), backward)
+        out = Tensor._make(out_data, (a, b), backward)
         if _TAPE is not None:
             # Replays rewrite the captured output array in place.
-            def replay(a=self, b=other, o=out, buf=out_data):
-                np.add(a.data, b.data, out=buf)
+            def replay(s=self, t=other, o=out, buf=out_data):
+                np.add(s._data, t._data, out=buf)
                 o.data = buf
 
             _TAPE.append(("add", replay))
@@ -411,60 +467,68 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out_data = -self.data
+        out_data = -self._data
+        a = self._node
         _bw: list = [None]
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+            if a.requires_grad:
                 buf = _bw[0]
                 if buf is None:
                     buf = _bw[0] = np.empty(grad.shape, dtype=grad.dtype)
                 np.negative(grad, out=buf)
-                self._accumulate(buf)
+                a._accumulate(buf)
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
             # Replays rewrite the captured output array in place.
-            def replay(a=self, o=out, buf=out_data):
-                np.negative(a.data, out=buf)
+            def replay(s=self, o=out, buf=out_data):
+                np.negative(s._data, out=buf)
                 o.data = buf
 
             _TAPE.append(("neg", replay))
         return out
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        return self + (-as_tensor(other, dtype=self.data.dtype))
+        return self + (-as_tensor(other, dtype=self._data.dtype))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other, dtype=self.data.dtype) + (-self)
+        return as_tensor(other, dtype=self._data.dtype) + (-self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = as_tensor(other, dtype=self.data.dtype)
-        out_data = self.data * other.data
+        other = as_tensor(other, dtype=self._data.dtype)
+        out_data = self._data * other._data
+        a, b = self._node, other._node
+        # Saved: each operand's value, only if the other needs its gradient.
+        x = self._data if b.requires_grad else None
+        y = other._data if a.requires_grad else None
         # Product scratch reused across calls of the retained closure
         # (replays); eager closures run once, so no behaviour change.
         _bw: list = [None, None]
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+            if a.requires_grad:
                 buf = _bw[0]
                 if buf is None:
                     buf = _bw[0] = np.empty(grad.shape, dtype=grad.dtype)
-                np.multiply(grad, other.data, out=buf)
-                self._accumulate(_unbroadcast(buf, self.shape))
-            if other.requires_grad:
+                np.multiply(grad, y, out=buf)
+                a._accumulate(_unbroadcast(buf, a.shape))
+            if b.requires_grad:
                 buf = _bw[1]
                 if buf is None:
                     buf = _bw[1] = np.empty(grad.shape, dtype=grad.dtype)
-                np.multiply(grad, self.data, out=buf)
-                other._accumulate(_unbroadcast(buf, other.shape))
+                np.multiply(grad, x, out=buf)
+                b._accumulate(_unbroadcast(buf, b.shape))
 
-        out = Tensor._make(out_data, (self, other), backward)
+        out = Tensor._make(out_data, (a, b), backward)
         if _TAPE is not None:
             # Replays rewrite the captured output array in place.
-            def replay(a=self, b=other, o=out, buf=out_data):
-                np.multiply(a.data, b.data, out=buf)
+            def replay(s=self, t=other, o=out, buf=out_data):
+                nonlocal x, y
+                np.multiply(s._data, t._data, out=buf)
                 o.data = buf
+                x = s._data if x is not None else None
+                y = t._data if y is not None else None
 
             _TAPE.append(("mul", replay))
         return out
@@ -472,20 +536,24 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = as_tensor(other, dtype=self.data.dtype)
-        out_data = self.data / other.data
+        other = as_tensor(other, dtype=self._data.dtype)
+        out_data = self._data / other._data
+        a, b = self._node, other._node
+        # Saved: the divisor for either gradient, the dividend for b's.
+        x = self._data if b.requires_grad else None
+        y = other._data if a.requires_grad or b.requires_grad else None
         # Quotient scratch reused across calls of the retained closure
         # (replays); eager closures run once, so no behaviour change.
         _bw: list = [None, None, None]
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+            if a.requires_grad:
                 buf = _bw[0]
                 if buf is None:
                     buf = _bw[0] = np.empty(grad.shape, dtype=grad.dtype)
-                np.divide(grad, other.data, out=buf)
-                self._accumulate(_unbroadcast(buf, self.shape))
-            if other.requires_grad:
+                np.divide(grad, y, out=buf)
+                a._accumulate(_unbroadcast(buf, a.shape))
+            if b.requires_grad:
                 buf = _bw[1]
                 if buf is None:
                     buf = _bw[1] = np.empty(grad.shape, dtype=grad.dtype)
@@ -493,44 +561,49 @@ class Tensor:
                 # IEEE multiplication is sign-symmetric and numpy lowers
                 # the integer power 2 to a multiply, so the bytes match
                 # the single-expression form.
-                np.multiply(grad, self.data, out=buf)
+                np.multiply(grad, x, out=buf)
                 np.negative(buf, out=buf)
                 sq = _bw[2]
                 if sq is None:
-                    sq = _bw[2] = np.empty(
-                        other.data.shape, dtype=other.data.dtype
-                    )
-                np.multiply(other.data, other.data, out=sq)
+                    sq = _bw[2] = np.empty(y.shape, dtype=y.dtype)
+                np.multiply(y, y, out=sq)
                 np.divide(buf, sq, out=buf)
-                other._accumulate(_unbroadcast(buf, other.shape))
+                b._accumulate(_unbroadcast(buf, b.shape))
 
-        out = Tensor._make(out_data, (self, other), backward)
+        out = Tensor._make(out_data, (a, b), backward)
         if _TAPE is not None:
             # Replays rewrite the captured output array in place.
-            def replay(a=self, b=other, o=out, buf=out_data):
-                np.divide(a.data, b.data, out=buf)
+            def replay(s=self, t=other, o=out, buf=out_data):
+                nonlocal x, y
+                np.divide(s._data, t._data, out=buf)
                 o.data = buf
+                x = s._data if x is not None else None
+                y = t._data if y is not None else None
 
             _TAPE.append(("div", replay))
         return out
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other, dtype=self.data.dtype) / self
+        return as_tensor(other, dtype=self._data.dtype) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data ** exponent
+        x = self._data
+        out_data = x ** exponent
+        a = self._node
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            if a.requires_grad:
+                a._accumulate(grad * exponent * x ** (exponent - 1))
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
 
-            def replay(a=self, o=out):
-                o.data = a.data ** exponent
+            def replay(s=self, o=out):
+                nonlocal x
+                x = s._data
+                o.data = x ** exponent
 
             _TAPE.append(("pow", replay))
         return out
@@ -539,142 +612,152 @@ class Tensor:
     # Elementwise functions
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
+        out_data = np.exp(self._data)
+        a = self._node
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data)
+            if a.requires_grad:
+                a._accumulate(grad * out_data)
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
             # ``nonlocal`` rebinds the cell shared with ``backward`` so
             # the retained closure sees the refreshed saved value.
-            def replay() -> None:
+            def replay(s=self, o=out) -> None:
                 nonlocal out_data
-                out_data = np.exp(self.data)
-                out.data = out_data
+                out_data = np.exp(s._data)
+                o.data = out_data
 
             _TAPE.append(("exp", replay))
         return out
 
     def log(self) -> "Tensor":
-        out_data = np.log(self.data)
+        x = self._data
+        out_data = np.log(x)
+        a = self._node
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
+            if a.requires_grad:
+                a._accumulate(grad / x)
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
 
-            def replay(a=self, o=out):
-                o.data = np.log(a.data)
+            def replay(s=self, o=out):
+                nonlocal x
+                x = s._data
+                o.data = np.log(x)
 
             _TAPE.append(("log", replay))
         return out
 
     def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
+        out_data = np.sqrt(self._data)
+        a = self._node
         _bw: list = [None]
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+            if a.requires_grad:
                 buf = _bw[0]
                 if buf is None:
                     buf = _bw[0] = np.empty(grad.shape, dtype=grad.dtype)
                 np.multiply(grad, 0.5, out=buf)
                 np.divide(buf, out_data, out=buf)
-                self._accumulate(buf)
+                a._accumulate(buf)
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
             # Replays rewrite the captured output array in place.
-            def replay(buf=out_data) -> None:
+            def replay(s=self, o=out, buf=out_data) -> None:
                 nonlocal out_data
-                np.sqrt(self.data, out=buf)
+                np.sqrt(s._data, out=buf)
                 out_data = buf
-                out.data = buf
+                o.data = buf
 
             _TAPE.append(("sqrt", replay))
         return out
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
+        out_data = np.tanh(self._data)
+        a = self._node
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data ** 2))
+            if a.requires_grad:
+                a._accumulate(grad * (1.0 - out_data ** 2))
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
 
-            def replay() -> None:
+            def replay(s=self, o=out) -> None:
                 nonlocal out_data
-                out_data = np.tanh(self.data)
-                out.data = out_data
+                out_data = np.tanh(s._data)
+                o.data = out_data
 
             _TAPE.append(("tanh", replay))
         return out
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        out_data = 1.0 / (1.0 + np.exp(-self._data))
+        a = self._node
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
+            if a.requires_grad:
+                a._accumulate(grad * out_data * (1.0 - out_data))
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
 
-            def replay() -> None:
+            def replay(s=self, o=out) -> None:
                 nonlocal out_data
-                out_data = 1.0 / (1.0 + np.exp(-self.data))
-                out.data = out_data
+                out_data = 1.0 / (1.0 + np.exp(-s._data))
+                o.data = out_data
 
             _TAPE.append(("sigmoid", replay))
         return out
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = np.where(mask, self.data, 0.0)
+        mask = self._data > 0
+        out_data = np.where(mask, self._data, 0.0)
+        a = self._node
         _bw: list = [None]
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+            if a.requires_grad:
                 buf = _bw[0]
                 if buf is None:
                     buf = _bw[0] = np.empty(grad.shape, dtype=grad.dtype)
                 np.multiply(grad, mask, out=buf)
-                self._accumulate(buf)
+                a._accumulate(buf)
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
             # Replays reuse the captured mask array (np.where's single
             # pass beats a fill + masked copy, so the output is fresh).
-            def replay(a=self, o=out, m=mask) -> None:
+            def replay(s=self, o=out, m=mask) -> None:
                 nonlocal mask
-                np.greater(a.data, 0, out=m)
+                np.greater(s._data, 0, out=m)
                 mask = m
-                o.data = np.where(m, a.data, 0.0)
+                o.data = np.where(m, s._data, 0.0)
 
             _TAPE.append(("relu", replay))
         return out
 
     def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out_data = np.abs(self.data)
+        sign = np.sign(self._data)
+        out_data = np.abs(self._data)
+        a = self._node
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * sign)
+            if a.requires_grad:
+                a._accumulate(grad * sign)
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
 
-            def replay() -> None:
+            def replay(s=self, o=out) -> None:
                 nonlocal sign
-                sign = np.sign(self.data)
-                out.data = np.abs(self.data)
+                sign = np.sign(s._data)
+                o.data = np.abs(s._data)
 
             _TAPE.append(("abs", replay))
         return out
@@ -683,68 +766,72 @@ class Tensor:
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        out_data = self._data.sum(axis=axis, keepdims=keepdims)
+        a = self._node
         # Scratch reused across calls of the retained closure (replays);
         # the eager closure runs once, so this is a no-op for it.
         _bw: list = [None]
 
         def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
+            if not a.requires_grad:
                 return
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
             buf = _bw[0]
             if buf is None:
-                buf = _bw[0] = np.empty(self.shape, dtype=self.data.dtype)
+                buf = _bw[0] = np.empty(a.shape, dtype=a.dtype)
             np.copyto(buf, g)
-            self._accumulate(buf)
+            a._accumulate(buf)
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
             if isinstance(out_data, np.ndarray) and out_data.ndim:
                 # Replays rewrite the captured output array in place.
-                def replay(a=self, o=out, buf=out_data):
-                    a.data.sum(axis=axis, keepdims=keepdims, out=buf)
+                def replay(s=self, o=out, buf=out_data):
+                    s._data.sum(axis=axis, keepdims=keepdims, out=buf)
                     o.data = buf
 
             else:
                 # Full reduction yields a scalar; no buffer to reuse.
-                def replay(a=self, o=out):
-                    o.data = a.data.sum(axis=axis, keepdims=keepdims)
+                def replay(s=self, o=out):
+                    o.data = s._data.sum(axis=axis, keepdims=keepdims)
 
             _TAPE.append(("sum", replay))
         return out
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else np.prod(
+        count = self._data.size if axis is None else np.prod(
             [self.shape[a] for a in np.atleast_1d(axis)]
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
+        x = self._data
+        out_data = x.max(axis=axis, keepdims=keepdims)
+        a = self._node
 
         def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
+            if not a.requires_grad:
                 return
             g = grad
             o = out_data
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
                 o = np.expand_dims(o, axis=axis)
-            mask = self.data == o
+            mask = x == o
             # Split gradient evenly among ties, matching subgradient choice.
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(np.where(mask, g / counts, 0.0))
+            a._accumulate(np.where(mask, g / counts, 0.0))
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
 
-            def replay() -> None:
-                nonlocal out_data
-                out_data = self.data.max(axis=axis, keepdims=keepdims)
-                out.data = out_data
+            def replay(s=self, o=out) -> None:
+                nonlocal x, out_data
+                x = s._data
+                out_data = x.max(axis=axis, keepdims=keepdims)
+                o.data = out_data
 
             _TAPE.append(("max", replay))
         return out
@@ -761,18 +848,19 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
+        out_data = self._data.reshape(shape)
         original = self.shape
+        a = self._node
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.reshape(original))
+            if a.requires_grad:
+                a._accumulate(grad.reshape(original))
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
 
-            def replay(a=self, o=out):
-                o.data = a.data.reshape(shape)
+            def replay(s=self, o=out):
+                o.data = s._data.reshape(shape)
 
             _TAPE.append(("reshape", replay))
         return out
@@ -782,18 +870,19 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        out_data = self.data.transpose(axes)
+        out_data = self._data.transpose(axes)
         inverse = np.argsort(axes)
+        a = self._node
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.transpose(inverse))
+            if a.requires_grad:
+                a._accumulate(grad.transpose(inverse))
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
 
-            def replay(a=self, o=out):
-                o.data = a.data.transpose(axes)
+            def replay(s=self, o=out):
+                o.data = s._data.transpose(axes)
 
             _TAPE.append(("transpose", replay))
         return out
@@ -803,7 +892,8 @@ class Tensor:
         return self.transpose()
 
     def __getitem__(self, key) -> "Tensor":
-        out_data = self.data[key]
+        out_data = self._data[key]
+        a = self._node
 
         keys = key if isinstance(key, tuple) else (key,)
         basic = all(
@@ -812,21 +902,21 @@ class Tensor:
         )
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
+            if a.requires_grad:
+                full = np.zeros(a.shape, dtype=a.dtype)
                 if basic:
                     # No index repeats: one strided add, not add.at's
                     # element-wise scatter (the same 0.0 + g per cell).
                     full[key] += grad
                 else:
                     np.add.at(full, key, grad)
-                self._accumulate(full)
+                a._accumulate(full)
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
 
-            def replay(a=self, o=out):
-                o.data = a.data[key]
+            def replay(s=self, o=out):
+                o.data = s._data[key]
 
             _TAPE.append(("getitem", replay))
         return out
@@ -843,21 +933,22 @@ class Tensor:
         out_data = np.zeros(
             self.shape[:-2]
             + (top + self.shape[-2] + bottom, left + self.shape[-1] + right),
-            dtype=self.data.dtype,
+            dtype=self._data.dtype,
         )
-        out_data[interior] = self.data
+        out_data[interior] = self._data
+        a = self._node
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad[interior])
+            if a.requires_grad:
+                a._accumulate(grad[interior])
 
-        out = Tensor._make(out_data, (self,), backward)
+        out = Tensor._make(out_data, (a,), backward)
         if _TAPE is not None:
             # Replays reuse the captured output array: the zero border
             # never changes, so rewriting the interior reproduces the
             # same bytes without allocating or re-zeroing.
-            def replay(a=self, o=out, buf=out_data, sl=interior):
-                buf[sl] = a.data
+            def replay(s=self, o=out, buf=out_data, sl=interior):
+                buf[sl] = s._data
                 o.data = buf
 
             _TAPE.append(("pad2d", replay))
@@ -867,28 +958,35 @@ class Tensor:
     # Linear algebra
     # ------------------------------------------------------------------
     def matmul(self, other: ArrayLike) -> "Tensor":
-        other = as_tensor(other, dtype=self.data.dtype)
-        out_data = self.data @ other.data
+        other = as_tensor(other, dtype=self._data.dtype)
+        out_data = self._data @ other._data
+        a, b = self._node, other._node
+        # Saved: each operand's value, only if the other needs its gradient.
+        x = self._data if b.requires_grad else None
+        y = other._data if a.requires_grad else None
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                if other.data.ndim == 1:
-                    self._accumulate(np.outer(grad, other.data).reshape(self.shape))
+            if a.requires_grad:
+                if y.ndim == 1:
+                    a._accumulate(np.outer(grad, y).reshape(a.shape))
                 else:
-                    g = grad @ np.swapaxes(other.data, -1, -2)
-                    self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                if self.data.ndim == 1:
-                    other._accumulate(np.outer(self.data, grad).reshape(other.shape))
+                    g = grad @ np.swapaxes(y, -1, -2)
+                    a._accumulate(_unbroadcast(g, a.shape))
+            if b.requires_grad:
+                if x.ndim == 1:
+                    b._accumulate(np.outer(x, grad).reshape(b.shape))
                 else:
-                    g = np.swapaxes(self.data, -1, -2) @ grad
-                    other._accumulate(_unbroadcast(g, other.shape))
+                    g = np.swapaxes(x, -1, -2) @ grad
+                    b._accumulate(_unbroadcast(g, b.shape))
 
-        out = Tensor._make(out_data, (self, other), backward)
+        out = Tensor._make(out_data, (a, b), backward)
         if _TAPE is not None:
 
-            def replay(a=self, b=other, o=out):
-                o.data = a.data @ b.data
+            def replay(s=self, t=other, o=out):
+                nonlocal x, y
+                o.data = s._data @ t._data
+                x = s._data if x is not None else None
+                y = t._data if y is not None else None
 
             _TAPE.append(("matmul", replay))
         return out
@@ -899,7 +997,7 @@ class Tensor:
     # Comparisons (non-differentiable, return numpy arrays)
     # ------------------------------------------------------------------
     def argmax(self, axis=None) -> np.ndarray:
-        return self.data.argmax(axis=axis)
+        return self._data.argmax(axis=axis)
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -908,15 +1006,16 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    nodes = [t._node for t in tensors]
 
     def backward(grad: np.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for node, start, stop in zip(nodes, offsets[:-1], offsets[1:]):
+            if node.requires_grad:
                 sl = [slice(None)] * grad.ndim
                 sl[axis] = slice(start, stop)
-                t._accumulate(grad[tuple(sl)])
+                node._accumulate(grad[tuple(sl)])
 
-    out = Tensor._make(out_data, tensors, backward)
+    out = Tensor._make(out_data, nodes, backward)
     if _TAPE is not None:
 
         def replay(ts=tuple(tensors), o=out):
@@ -930,14 +1029,15 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable stack along a new ``axis``."""
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
+    nodes = [t._node for t in tensors]
 
     def backward(grad: np.ndarray) -> None:
         slices = np.moveaxis(grad, axis, 0)
-        for t, g in zip(tensors, slices):
-            if t.requires_grad:
-                t._accumulate(g)
+        for node, g in zip(nodes, slices):
+            if node.requires_grad:
+                node._accumulate(g)
 
-    out = Tensor._make(out_data, tensors, backward)
+    out = Tensor._make(out_data, nodes, backward)
     if _TAPE is not None:
 
         def replay(ts=tuple(tensors), o=out):

@@ -2,7 +2,7 @@
 
 The contract under test, in order of appearance:
 
-* ``Tensor._accumulate`` copy-on-write gradient borrowing — single-
+* ``_Node._accumulate`` copy-on-write gradient borrowing — single-
   consumer nodes borrow the incoming array without a copy, and every
   mutation path materialises first (the aliasing regression);
 * the conv2d backward contractions — the interior-only ``_conv_dx``
@@ -14,9 +14,11 @@ The contract under test, in order of appearance:
   geometries never see each other's stale values, threads never see
   each other's buffers, no view of it reaches ``Tensor._accumulate``,
   and no retained closure holds more than its own padded input;
-* a first sighting builds no graph record and its backward releases
-  the graph as it walks, which bounds a default-config step's peak
-  memory;
+* a first sighting records no tape and builds no graph record, its
+  graph keeps only the arrays each backward reads (every other forward
+  value is dead when the forward ends; no pool keeps a padded copy),
+  and its backward releases the graph as it walks, which bounds a
+  default-config step's peak memory;
 * every float64 step of the engine — first sighting, admission, replay
   — is **bit-identical** to the eager oracle for a sweep of sampled
   controller masks (gradients, buffers, reward, simulated compute
@@ -33,11 +35,13 @@ The contract under test, in order of appearance:
 
 import contextlib
 import gc
+import math
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -54,6 +58,7 @@ from repro.federated.participant import (
     run_local_step,
 )
 from repro.nn import Tensor, tape
+from repro.nn.tensor import _Node
 from repro.nn.functional import (
     _conv_dx,
     _extract_windows,
@@ -75,7 +80,7 @@ def _tape_defaults_between_tests():
 
 
 # ----------------------------------------------------------------------
-# Satellite 1: Tensor._accumulate copy-on-write
+# Satellite 1: _Node._accumulate copy-on-write
 # ----------------------------------------------------------------------
 
 
@@ -83,24 +88,24 @@ class TestAccumulateCopyOnWrite:
     def test_first_arrival_borrows_without_copy(self):
         t = Tensor(np.zeros(4), requires_grad=True)
         g = np.arange(4.0)
-        t._accumulate(g)
-        assert t._grad is g  # borrowed, not copied
-        assert not t._grad_owned
+        t._node._accumulate(g)
+        assert t.grad is g  # borrowed, not copied
+        assert not t._node._grad_owned
 
     def test_second_arrival_leaves_borrowed_array_untouched(self):
         t = Tensor(np.zeros(4), requires_grad=True)
         g1 = np.arange(4.0)
         g1_snapshot = g1.copy()
-        t._accumulate(g1)
-        t._accumulate(np.ones(4))
+        t._node._accumulate(g1)
+        t._node._accumulate(np.ones(4))
         np.testing.assert_array_equal(g1, g1_snapshot)
         np.testing.assert_array_equal(t.grad, g1_snapshot + 1.0)
-        assert t._grad_owned
+        assert t._node._grad_owned
 
     def test_own_grad_materialises_private_copy(self):
         t = Tensor(np.zeros(4), requires_grad=True)
         g = np.arange(4.0)
-        t._accumulate(g)
+        t._node._accumulate(g)
         owned = t.own_grad()
         assert owned is not g
         owned += 10.0
@@ -109,14 +114,14 @@ class TestAccumulateCopyOnWrite:
     def test_non_contiguous_or_wrong_dtype_is_copied(self):
         t = Tensor(np.zeros((2, 2)), requires_grad=True)
         strided = np.arange(8.0).reshape(2, 4)[:, ::2]
-        t._accumulate(strided)
-        assert t._grad is not strided
-        assert t._grad.flags["C_CONTIGUOUS"]
+        t._node._accumulate(strided)
+        assert t.grad is not strided
+        assert t.grad.flags["C_CONTIGUOUS"]
         t2 = Tensor(np.zeros(3), requires_grad=True)
         f32 = np.ones(3, dtype=np.float32)
-        t2._accumulate(f32)
-        assert t2._grad is not f32
-        assert t2._grad.dtype == np.float64
+        t2._node._accumulate(f32)
+        assert t2.grad is not f32
+        assert t2.grad.dtype == np.float64
 
     def test_shared_upstream_aliasing_regression(self):
         # a + b hands the SAME upstream array to both operands'
@@ -133,11 +138,11 @@ class TestAccumulateCopyOnWrite:
     def test_preallocated_buffer_takes_priority(self):
         t = Tensor(np.zeros(4), requires_grad=True)
         buf = np.empty(4)
-        t._grad_buf = buf
+        t._node._grad_buf = buf
         g = np.arange(4.0)
-        t._accumulate(g)
-        assert t._grad is buf  # copied into the replay buffer
-        assert t._grad_owned
+        t._node._accumulate(g)
+        assert t.grad is buf  # copied into the replay buffer
+        assert t._node._grad_owned
         np.testing.assert_array_equal(buf, g)
 
 
@@ -507,23 +512,40 @@ def _closure_arrays(fn):
             for item in obj.values() if isinstance(obj, dict) else obj:
                 visit(name, item)
 
-    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
-        try:
-            visit(name, cell.cell_contents)
-        except ValueError:  # a nonlocal not bound yet
-            pass
+    for name, value in _closure_cells(fn).items():
+        visit(name, value)
     return found
 
 
+def _closure_cells(fn):
+    """name -> value of each bound free variable of ``fn``."""
+    cells = {}
+    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+        try:
+            cells[name] = cell.cell_contents
+        except ValueError:  # a nonlocal not bound yet
+            pass
+    return cells
+
+
+def _owner(array):
+    """The array whose memory ``array`` views (itself if it owns it)."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
 def _owner_nbytes(array):
-    return (array.base if isinstance(array.base, np.ndarray) else array).nbytes
+    return _owner(array).nbytes
 
 
 class TestDefaultConfigStepMemory:
     def test_first_sighting_peak_and_retained_estimate(self, default_step):
-        """Fails at the parent of PR 19 (traced peak 132 MiB on this
-        step): the graph lived to the end of backward, every conv kept
-        its forward windows, and dX was computed for the padding too."""
+        """Traced peak 20.0 MiB on this step (bound: that plus 20 %).
+        It was 132 MiB before the graph was released as backward walks
+        it, every conv stopped keeping its forward windows and dX stopped
+        covering the padding, and 32.8 MiB while the graph's nodes still
+        held every forward value."""
         compiled.reset_cache()
         vars(nn.functional._WORKSPACE).clear()  # cold workspace: worst case
         gc.collect()
@@ -543,7 +565,7 @@ class TestDefaultConfigStepMemory:
         assert tape.stats().snapshot() == {
             "first_sightings": 1, "captures": 1, "replays": 0, "fallbacks": 0,
         }
-        assert peak <= 56 * 2**20, f"first-sighting peak {peak / 2**20:.1f} MiB"
+        assert peak <= 24 * 2**20, f"first-sighting peak {peak / 2**20:.1f} MiB"
         estimate = _only_model().retained_bytes
         assert retained / 2 <= estimate <= retained * 2
 
@@ -576,9 +598,10 @@ class TestDefaultConfigStepMemory:
         """No conv/pool backward closure of a retained graph holds an
         array larger than its own padded input or its output: no
         windows, forward's or backward's.
-        Nothing a closure holds, or ``_accumulate`` is handed, is a view
-        of the workspace, whose window slots stay a few blocks small."""
-        accumulate = Tensor._accumulate
+        Nothing a closure holds, or a node's ``_accumulate`` is handed,
+        is a view of the workspace, whose window slots stay a few blocks
+        small."""
+        accumulate = _Node._accumulate
         workspace = vars(nn.functional._WORKSPACE)
 
         def in_workspace(array):
@@ -588,10 +611,11 @@ class TestDefaultConfigStepMemory:
             assert not in_workspace(grad)
             accumulate(self, grad)
 
-        monkeypatch.setattr(Tensor, "_accumulate", checked)
+        monkeypatch.setattr(_Node, "_accumulate", checked)
         default_step()
         default_step()
-        ((step, _, _),) = _only_model().steps.values()
+        cm = _only_model()
+        ((step, _, _),) = cm.steps.values()
         assert set(workspace) == {"stuffed", "cols", "gflat"}
         for slot in ("cols", "gflat"):
             assert workspace[slot][0].nbytes <= 4 * nn.functional._BLOCK_BYTES
@@ -601,15 +625,96 @@ class TestDefaultConfigStepMemory:
             if op not in ("conv2d", "max_pool2d", "avg_pool2d"):
                 continue
             seen.add(op)
+            cells = _closure_cells(node._backward)
             held = _closure_arrays(node._backward)
+            itemsize = node.dtype.itemsize
+            # A pool's padded input is the size of its dX result buffer.
+            padded = math.prod(cells.get("pad_shape", ())) * itemsize
             limit = max(
-                [node.data.nbytes] + [_owner_nbytes(a) for a in held["x_pad"]]
+                [math.prod(node.shape) * itemsize, padded]
+                + [_owner_nbytes(a) for a in held.get("x_pad", [])]
             )
             for name, arrays in held.items():
                 for array in arrays:
                     assert not in_workspace(array), (op, name)
-                    assert _owner_nbytes(array) <= limit, (op, name, array.shape)
+                    if _owner(array) is not cm.arena.data:  # the weights
+                        assert _owner_nbytes(array) <= limit, (op, name, array.shape)
         assert seen == {"conv2d", "max_pool2d", "avg_pool2d"}
+
+    def test_forward_leaves_alive_only_what_backward_reads(
+        self, default_step, monkeypatch
+    ):
+        """At the end of a first sighting's forward, an op's output is
+        alive only if it is the logits or some backward closure saved it
+        (a padding-free conv's input, the classifier's input).  Every
+        other forward value died when the forward dropped its tensor.  No
+        backward closure holds a tensor (only parent nodes), and the
+        saved arrays are each op's own: conv inputs, batch-norm centred
+        inputs and stds, relu masks, pool winning taps."""
+        outputs, closures, saved_by = [], [], {}
+        make = Tensor._make
+
+        def recording(data, parents, backward):
+            out = make(data, parents, backward)
+            outputs.append((weakref.ref(out.data), backward.__qualname__))
+            closures.append(backward)
+            return out
+
+        loss_fn = nn.functional.cross_entropy
+
+        def end_of_forward(logits, targets, members=1):
+            gc.collect()
+            saved = {
+                id(_owner(array))
+                for fn in closures
+                for arrays in _closure_arrays(fn).values()
+                for array in arrays
+            }
+            alive = [(ref(), op) for ref, op in outputs if ref() is not None]
+            assert any(array is logits.data for array, _ in alive)
+            leaked = [
+                op.split(".")[0] for array, op in alive
+                if array is not logits.data and id(_owner(array)) not in saved
+            ]
+            assert not leaked, f"forward values alive but never read: {leaked[:8]}"
+            holding = {
+                fn.__qualname__ for fn in closures
+                if any(isinstance(v, Tensor) for v in _closure_cells(fn).values())
+            }
+            assert not holding, f"backward closures holding tensors: {holding}"
+            for fn in closures:
+                op = fn.__qualname__.split(".<locals>")[0]
+                saved_by.setdefault(op, set()).update(_closure_arrays(fn))
+            return loss_fn(logits, targets, members)
+
+        compiled.reset_cache()
+        tape.reset_stats()
+        monkeypatch.setattr(Tensor, "_make", staticmethod(recording))
+        monkeypatch.setattr(nn.functional, "cross_entropy", end_of_forward)
+        default_step()
+        assert tape.stats().first_sightings == 1
+        assert saved_by and len(outputs) > 100
+        assert saved_by["conv2d"] <= {"x_pad", "wd"}
+        assert saved_by["_batch_norm_train"] <= {"diff", "std", "small", "scale"}
+        assert saved_by["Tensor.relu"] == {"mask"}
+        assert saved_by["max_pool2d"] == {"arg"}
+        assert saved_by["avg_pool2d"] == {"divisor"}
+
+
+@pytest.mark.parametrize("pool", ["max_pool2d", "avg_pool2d"])
+def test_pool_closure_holds_no_padded_copy(pool):
+    """A pool's backward reads its winning taps (max) or its divisor
+    (avg) and the input's *shape*; the padded input is forward's alone."""
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
+    out = getattr(nn.functional, pool)(x, 3, stride=1, padding=1)
+    padded = 2 * 3 * 8 * 8 * x.data.itemsize
+    for name, arrays in _closure_arrays(out._node._backward).items():
+        for array in arrays:
+            assert _owner_nbytes(array) < padded, (name, array.shape)
+            assert not np.isneginf(array).any(), name
+    out.backward(np.ones(out.shape))
+    assert x.grad.shape == x.shape
 
 
 # ----------------------------------------------------------------------
@@ -865,12 +970,18 @@ class TestAdmission:
     def test_uncapturable_key_is_remembered_and_runs_eagerly(
         self, tiny_dataset, monkeypatch
     ):
+        """A first sighting records no tape, so the second sighting is
+        the one that finds the key uncapturable; the third runs eagerly
+        from memory without trying again."""
+        refused = []
+
         @contextlib.contextmanager
         def refuse(entries):
+            refused.append(1)
             raise tape.TapeUnsupported("refused")
             yield
 
-        tasks = _make_tasks(num_masks=1, repeats=2)
+        tasks = _make_tasks(num_masks=1, repeats=3)
         eager = _run_all(tasks, tiny_dataset, step=_run_eager_step)
         compiled.reset_cache()
         tape.reset_stats()
@@ -879,8 +990,9 @@ class TestAdmission:
             _assert_bit_equal(ref, run_local_step(task, tiny_dataset, 8, TINY))
         cm = _only_model()
         assert list(cm.seen.values()) == [False] and not cm.steps
+        assert len(refused) == 1
         assert tape.stats().snapshot() == {
-            "first_sightings": 0,
+            "first_sightings": 1,
             "captures": 0,
             "replays": 0,
             "fallbacks": 2,
@@ -914,8 +1026,9 @@ class TestAdmission:
         """The capture tape is process-global: an uncapturable key's eager
         step on one thread must not run while another thread captures, or
         its ops land on that tape and its own loss raises
-        ``TapeUnsupported``.  One thread of first sightings (every step
-        under capture), one of fallbacks, 1e-5 s switch interval."""
+        ``TapeUnsupported``.  One thread of second sightings (every step
+        under capture: a first sighting records no tape), one of
+        fallbacks, 1e-5 s switch interval."""
         @contextlib.contextmanager
         def refuse(entries):
             raise tape.TapeUnsupported("refused")
@@ -927,7 +1040,10 @@ class TestAdmission:
         tape.reset_stats()
         with monkeypatch.context() as patch:
             patch.setattr(tape, "capturing", refuse)
-            run_local_step(fallback, tiny_dataset, 8, TINY)  # remembered
+            for _ in range(2):  # first sighting, then remembered
+                run_local_step(fallback, tiny_dataset, 8, TINY)
+        for task in captured:  # first sightings: the next one captures
+            run_local_step(task, tiny_dataset, 8, TINY)
         jobs = [[fallback] * len(captured), captured]
         got = [[], []]
 
@@ -938,7 +1054,7 @@ class TestAdmission:
         threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
         _race(threads)
         assert tape.stats().snapshot() == {
-            "first_sightings": 12, "captures": 0, "replays": 0, "fallbacks": 13,
+            "first_sightings": 13, "captures": 12, "replays": 0, "fallbacks": 13,
         }
         assert len(got[0]) == len(got[1]) == 12
         for update in got[0]:
