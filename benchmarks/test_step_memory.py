@@ -3,8 +3,8 @@
 Alg. 1's local step (build the sub-model, one forward/backward, return
 ``(reward, grad)``) is what a participant's device runs, and its peak
 memory is what federated NAS is priced by on device.  This bench takes
-the traced peak (``tracemalloc``) of one *first sighting* — the step a
-live policy runs for almost every task — on ``ExperimentConfig.paper()``'s
+the traced peak (``tracemalloc``) of one local step on
+``ExperimentConfig.paper()``'s
 supernet (Table I: 32x32 inputs, 16 initial channels, 8 cells of 4
 steps) at batch 4, for a few seeded masks, and reports it per sample.
 
@@ -45,8 +45,8 @@ MASK_SEEDS = (0, 1, 2)
 TARGET_MIB_PER_SAMPLE = 40.0
 
 
-def _traced_first_sighting(task, dataset, config):
-    """Traced peak bytes of one first sighting of ``task``'s key."""
+def _traced_step(task, dataset, config):
+    """Traced peak bytes and wall time of one local step of ``task``."""
     compiled.reset_cache()
     tape.reset_stats()
     compiled._model_for(config, tape.settings())  # built outside the trace
@@ -62,7 +62,7 @@ def _traced_first_sighting(task, dataset, config):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert tape.stats().first_sightings == 1
+    assert tape.stats().steps == 1
     return peak, elapsed
 
 
@@ -86,7 +86,7 @@ def test_step_memory():
                 state={k: np.array(v) for k, v in net.submodel_state(mask).items()},
                 batch_seed=seed,
             )
-            peak, elapsed = _traced_first_sighting(task, dataset, config)
+            peak, elapsed = _traced_step(task, dataset, config)
             rows.append((seed, peak / 2**20, elapsed))
     finally:
         compiled.reset_cache()
@@ -95,7 +95,7 @@ def test_step_memory():
 
     worst = max(mib for _, mib, _ in rows) / BATCH
     lines = [
-        f"Local-step memory: one first sighting on ExperimentConfig.paper()'s "
+        f"Local-step memory: one step on ExperimentConfig.paper()'s "
         f"supernet (init_channels={config.init_channels}, "
         f"num_cells={config.num_cells}, steps={config.steps}, "
         f"{experiment.image_size}x{experiment.image_size} inputs), batch {BATCH}, "

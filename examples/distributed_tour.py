@@ -176,104 +176,67 @@ def main() -> None:
         proc.wait(timeout=10)
     print("daemons stopped.")
 
-    tape_demo()
+    grouping_demo()
 
 
-def tape_demo() -> None:
-    """Compiled compute engine: tape replay, with per-op timings.
+def grouping_demo() -> None:
+    """Compiled compute engine: same-mask tasks run as one stacked step.
 
-    The tape pays off when masks repeat — the late-search steady state —
-    so this demo sharpens the controller onto one operation first: the
-    mask's second sighting retains its graph and every later step
-    replays it.  The run
-    is traced, so afterwards the trace summary carries the tape counters
-    and a per-op replay profile (the same numbers ``python -m repro
-    trace run.jsonl`` renders).
+    Every local step runs eagerly on one shared model per process.  On
+    the serial backend, untraced tasks of a round that share a mask (and
+    so the same weights) run as one step with their batches stacked, in
+    chunks of at most four; each member's update is bit for bit its lone
+    step's.  Masks repeat in the late-search steady state, when the
+    controller has converged: this demo times rounds of a converged
+    policy against rounds of a fresh one on the same participants.
     """
-    import types
-
     import numpy as np
 
     from repro.controller import ArchitecturePolicy
     from repro.data import iid_partition, synth_cifar10
     from repro.federated import FederatedSearchServer, Participant, SerialBackend
-    from repro.federated import compiled
+    from repro.nn import tape
     from repro.search_space import Supernet, SupernetConfig
-    from repro.telemetry import build_telemetry
 
-    print("\ncompiled compute engine (tape replay) demo:")
+    print("\ncompiled compute engine (grouped steps) demo:")
     net = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1)
-    log_path = Path(tempfile.mkdtemp(prefix="repro-tape-")) / "tape.jsonl"
-    telemetry = build_telemetry(types.SimpleNamespace(
-        telemetry_enabled=True,
-        telemetry_log_path=str(log_path),
-        tracing_enabled=True,
-        trace_ops=True,
-    ))
 
-    def converged_server():
+    def server(converged):
         rng = np.random.default_rng(0)
         train, _ = synth_cifar10(
             seed=1, train_per_class=20, test_per_class=2, image_size=8
         )
-        shards = iid_partition(train, 4, rng=np.random.default_rng(0))
+        shards = iid_partition(train, 8, rng=np.random.default_rng(0))
         parts = [
-            Participant(k, s, batch_size=16, rng=np.random.default_rng(100 + k))
+            Participant(k, s, batch_size=8, rng=np.random.default_rng(100 + k))
             for k, s in enumerate(shards)
         ]
-        backend = SerialBackend(parts, net, telemetry=telemetry)
-        server = FederatedSearchServer(
+        srv = FederatedSearchServer(
             Supernet(net, rng=rng),
             ArchitecturePolicy(net.num_edges, rng=rng),
             parts,
             rng=rng,
-            backend=backend,
-            telemetry=telemetry,
+            backend=SerialBackend(parts, net),
         )
-        # Late-search stand-in: one op dominates, so masks repeat.
-        server.policy.alpha[:] = 0.0
-        server.policy.alpha[..., 2] = 25.0
-        return server
+        if converged:
+            # Late-search stand-in: one op dominates, so masks repeat.
+            srv.policy.alpha[:] = 0.0
+            srv.policy.alpha[..., 2] = 25.0
+        return srv
 
     rounds = 3
-    compiled.reset_cache()
-    try:
-        server = converged_server()
-        start = time.perf_counter()
-        server.run(1)  # first sighting, admission, then replays
-        first_s = time.perf_counter() - start
-        start = time.perf_counter()
-        server.run(rounds)
-        replay_s = (time.perf_counter() - start) / rounds
-        server.backend.close()
-    finally:
-        telemetry.close()
-
-    print(f"  capture round: {first_s * 1e3:8.1f} ms")
-    print(f"  replay rounds: {replay_s * 1e3:8.1f} ms/round "
-          f"({first_s / replay_s:.2f}x)")
-
-    summary = summarize_trace(load_events(log_path))
-    tape_stats = summary.get("tape") or {}
-    if tape_stats:
-        print(
-            f"  first sightings: {tape_stats['first_sighting']}  admitted: "
-            f"{tape_stats['admitted']}  replays: {tape_stats['replayed']}"
-            f"  hit-rate: {tape_stats['hit_rate']:.1%}  retained: "
-            f"{tape_stats['retained_graphs']} graph(s), "
-            f"{tape_stats['retained_mb']:.1f} MB"
-        )
-    replay_ops = [
-        o for o in summary.get("ops") or [] if str(o["op"]).startswith("tape:")
-    ]
-    if replay_ops:
-        print("  per-op replay time (top 5):")
-        for op in replay_ops[:5]:
-            mean_us = 1e6 * op["total_s"] / max(op["count"], 1)
-            print(
-                f"    {op['op'][len('tape:'):]:<22} {op['count']:>5} calls  "
-                f"{op['total_s'] * 1e3:7.1f} ms total  {mean_us:7.1f} us/call"
-            )
+    for label, converged in (("fresh policy", False), ("converged policy", True)):
+        srv = server(converged)
+        try:
+            srv.run(1)  # builds the per-process model
+            tape.reset_stats()
+            start = time.perf_counter()
+            srv.run(rounds)
+            per_round = (time.perf_counter() - start) / rounds
+        finally:
+            srv.backend.close()
+        print(f"  {label:<17} {per_round * 1e3:8.1f} ms/round  "
+              f"({tape.stats().steps // rounds} local steps per round)")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
-"""Compiled local steps: per-mask tape capture & replay, stacked by group.
+"""Compiled local steps: one shared model per process, stacked by group.
 
 Every :func:`~repro.federated.participant.run_local_step` and
 :func:`~repro.federated.participant.run_local_group` runs here.
-Rebuilding a sub-model (module tree + parameter copies) and re-deriving
-the autograd graph node by node are pure overhead — the computation for
-a given (mask, input shape, dtype) is identical every time — so:
+Rebuilding a sub-model (module tree + parameter copies) for every step
+is pure overhead, and so is running one step per task when several
+tasks train the same sub-model, so:
 
 * **One model per process.**  A single full :class:`Supernet` is built
   once per (supernet config, compute dtype) and reused for every task;
@@ -25,7 +25,7 @@ a given (mask, input shape, dtype) is identical every time — so:
   and the worker backends send one task per message, so they run groups
   of one.  A single task is the one-member case, not a second engine.
 * **Only batch reductions change, and they reduce per member.**  The
-  member count is fixed when the graph is captured
+  member count is fixed when the graph is built
   (:func:`repro.nn.tape.members`) and baked into the closures of the ops
   that reduce over the batch: the one-node train-mode batch norm (its
   statistics, and its running-statistic updates, which land in one row
@@ -35,31 +35,19 @@ a given (mask, input shape, dtype) is identical every time — so:
   (sample, group)).  Parameter gradients get a leading member axis and
   :func:`_pack` slices it, so every member's :class:`ParticipantUpdate`
   is bit for bit the one its lone step returns.  ``tape.stats()``
-  counts one outcome per member.
-* **A graph is admitted on the second sighting of its key.**  The key is
-  (mask, stacked input shape, member count).  A step whose key has no
-  retained graph runs eagerly on the shared model.  The first sighting
-  keeps nothing but the key — a live policy almost never repeats a
-  mask, and one retained default-config graph is 35-60 MiB (its tape
-  keeps every forward value for replay; im2col windows live in the
-  thread's workspace, one sub-batch at a time, never in a graph).  It
-  runs without :func:`repro.nn.tape.capturing`, so nothing but the
-  graph's nodes holds the forward: each backward closure keeps only
-  the arrays it reads (a conv's padded input, a batch norm's centred
-  input and std, a relu's mask, a pool's winning taps), every other
-  value dies as the forward drops it, and backward releases each node
-  as it walks.  It builds no :class:`~repro.nn.tape.CompiledStep`; its
-  traced peak is 14-23 MiB.  The second sighting records the tape and
-  retains the graph as a ``CompiledStep``; later ones replay it with
-  zero graph construction.  So a key the tape cannot record is found
-  at its second sighting.
-* **The cache is bounded by bytes.**  Retained graphs are LRU within
-  :data:`_MAX_RETAINED_BYTES` (the newest is always kept); an evicted
-  key starts over at its first sighting.  Keys without a graph — seen
-  once, or uncapturable (:class:`~repro.nn.tape.TapeUnsupported`, e.g.
-  active dropout; those run the eager step) — are FIFO within
-  :data:`_MAX_KEYS`.  A group the tape cannot stack (affine batch norm)
-  runs its members one at a time.
+  counts one step per member.  A group that cannot stack (affine batch
+  norm raises :class:`~repro.nn.tape.TapeUnsupported`) runs its members
+  one at a time.
+* **Every step is eager and keeps nothing.**  Each step builds its
+  autograd graph, walks it once and drops it: each backward closure
+  keeps only the arrays it reads (a conv's padded input, a batch norm's
+  centred input and std, a relu's mask, a pool's winning taps), every
+  other value dies as the forward drops it, and backward releases each
+  node as it walks.  A default-config step peaks at 14-23 MiB traced.
+  Under a live policy a mask almost never repeats, so a graph retained
+  for replay would rarely be used again; the capture/replay engine this
+  replaced cost 22-38 % more per admitted step than an eager one, saved
+  4-9 % per replay, and held every activation of each retained graph.
 
 **The cap.**  :data:`_MAX_GROUP` = 4 comes from a sweep on the ledger's
 ``cohort-converged`` workload (contract mode, 10 s windows, seeds 211
@@ -78,12 +66,14 @@ before  0.701, 0.653 s   141, 159               68.4, 68.7
 ======  ===============  =====================  ===============
 
 Cap 1 is the batch-norm node alone.  Past 4 the time per member barely
-moves while the retained graph grows with the group; at 8 a cohort of
-100 splits into chunks of 8 and 7, two keys, two retained graphs.
+moved while the retained graph grew with the group; at 8 a cohort of
+100 split into chunks of 8 and 7, two keys, two retained graphs.  The
+sweep predates the removal of retained graphs, so its memory column no
+longer describes this engine.
 
-Equality contract: in float64 (the default) every step — first
-sighting, admission or replay, alone or grouped — returns, per member,
-a :class:`ParticipantUpdate` **bit-identical** to the eager oracle's.
+Equality contract: in float64 (the default) every step, alone or
+grouped, returns, per member, a :class:`ParticipantUpdate`
+**bit-identical** to the eager oracle's.
 Float32 mode (opt-in) trades that for speed and is tolerance-verified.
 Everything here is *derived state*: per worker process, never
 serialized or checkpointed, rebuilt on first use after a resume or a
@@ -92,9 +82,7 @@ worker restart.
 
 from __future__ import annotations
 
-import contextlib
 import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,7 +91,7 @@ import repro.nn as nn
 from repro.data import DataLoader
 from repro.evaluation import batch_accuracy
 from repro.nn import tape
-from repro.nn.tape import CompiledStep, TapeUnsupported
+from repro.nn.tape import TapeUnsupported
 from repro.search_space import Supernet, SupernetConfig
 from repro.telemetry.tracing import SpanRecorder, null_span
 
@@ -111,31 +99,15 @@ from .participant import LocalStepTask, ParticipantSpec, ParticipantUpdate
 
 __all__ = ["run_compiled_group", "group_chunks", "reset_cache"]
 
-#: Bytes one model's retained graphs may hold (nine to fourteen at the
-#: default config, 35-60 MiB each).
-_MAX_RETAINED_BYTES = 512 * 2**20
-
 #: Most members one grouped step stacks; set by the sweep in the module
 #: docstring.
 _MAX_GROUP = 4
 
-#: Keys remembered per model without a graph; a live policy adds one a task.
-_MAX_KEYS = 4096
-
 
 class _CompiledModel:
-    """Per-process reusable supernet plus its tape caches."""
+    """Per-process reusable supernet."""
 
-    __slots__ = (
-        "model",
-        "arena",
-        "named",
-        "named_buffers",
-        "targets",
-        "steps",
-        "retained_bytes",
-        "seen",
-    )
+    __slots__ = ("model", "arena", "named", "named_buffers", "targets")
 
     def __init__(self, config: SupernetConfig, dtype: np.dtype):
         model = Supernet(config, rng=np.random.default_rng(0))
@@ -172,45 +144,20 @@ class _CompiledModel:
         # the only consumers, and flipping the flag per step would walk
         # the module tree.
         model.train()
-        #: key -> (retained graph, its byte estimate, the sub-model's
-        #: trainable parameter count), least recently used first.
-        self.steps: "OrderedDict[Tuple, Tuple[CompiledStep, int, int]]" = OrderedDict()
-        self.retained_bytes = 0
-        #: key -> capturable?  True: seen once, the next sighting is
-        #: admitted.  False: raised ``TapeUnsupported``, runs eagerly.
-        self.seen: "OrderedDict[Tuple, bool]" = OrderedDict()
-
-    def remember(self, key: Tuple, capturable: bool) -> None:
-        self.seen[key] = capturable
-        while len(self.seen) > _MAX_KEYS:
-            self.seen.popitem(last=False)
-
-    def admit(self, key: Tuple, step: CompiledStep, num_params: int) -> int:
-        """Retain ``step``; returns how many older graphs that evicted."""
-        nbytes = step.retained_bytes()
-        self.steps[key] = (step, nbytes, num_params)
-        self.retained_bytes += nbytes
-        evicted = 0
-        while self.retained_bytes > _MAX_RETAINED_BYTES and len(self.steps) > 1:
-            _, (_, freed, _) = self.steps.popitem(last=False)
-            self.retained_bytes -= freed
-            evicted += 1
-        return evicted
 
 
 _MODELS: Dict[Tuple, _CompiledModel] = {}
 
-#: One step at a time per process: the shared model and the capture tape
-#: (``repro.nn.tensor._TAPE``) are process-global, and in-process worker
-#: daemons (tests, examples) serve tasks from threads.  Held by
-#: :func:`~repro.federated.participant.run_local_group` across the compiled
-#: step *and* its eager fallback — an eager op run while another thread
-#: captures would append its thunks to that thread's tape.
+#: One step at a time per process: the shared model and the member
+#: stacking state (``repro.nn.tensor._MEMBERS``) are process-global, and
+#: in-process worker daemons (tests, examples) serve tasks from threads.
+#: Held by :func:`~repro.federated.participant.run_local_group` around
+#: the compiled step.
 _STEP_LOCK = threading.Lock()
 
 
 def reset_cache() -> None:
-    """Drop every per-process compiled model and tape (tests)."""
+    """Drop every per-process compiled model (tests)."""
     _MODELS.clear()
 
 
@@ -255,10 +202,11 @@ def run_compiled_group(
     """Run tasks that share a mask, a batch shape and the same ``state``
     arrays as one step, their batches stacked; one update per task.
 
-    Returns ``None`` when the group's key is uncapturable — the caller
+    Returns ``None`` when the group cannot run as one step (its batch
+    shapes differ, or its model cannot stack members) — the caller
     (:func:`~repro.federated.participant.run_local_group`, which holds
-    :data:`_STEP_LOCK` around this call) then runs a lone task's eager
-    step, or a group's tasks one at a time.
+    :data:`_STEP_LOCK` around this call) then runs the tasks one at a
+    time.  A lone task always runs.
     """
     span = recorder.span if recorder is not None else null_span
     dtype = tape.settings()
@@ -273,51 +221,37 @@ def run_compiled_group(
     if stacked is None:
         return None
     x_arr, y = stacked
-    key = ((tasks[0].mask.normal, tasks[0].mask.reduce), x_arr.shape, members)
-    retained = cm.steps.get(key)
-    if retained is None and cm.seen.get(key) is False:
-        return _uncapturable(recorder, members)
-    # The parameters this step may leave a gradient on: a retained graph
-    # knows its own; a first sighting builds no graph record, so every
-    # named parameter is a candidate.
-    leaves = cm.named
-    if retained is not None:
-        num_params = retained[2]
-    else:
-        num_params = sum(p.data.size for name, p in cm.named if name in state)
     try:
         with tape.members(members) as buffer_rows:
-            if retained is not None:
-                step = retained[0]
-                leaves = step.param_leaves
-                cm.steps.move_to_end(key)
-                logits, meta = _replay(step, x_arr, y, members, recorder)
-            else:
-                captured = _capture(cm, key, x_arr, y, tasks[0].mask, num_params, members, span)
-                if captured is None:
-                    return _uncapturable(recorder, members)
-                logits, leaves, meta = captured
+            with span("forward"):
+                try:
+                    logits = cm.model(nn.Tensor(x_arr), tasks[0].mask)
+                except TapeUnsupported:
+                    return None
+                loss = nn.functional.cross_entropy(logits, y, members)
+            with span("backward"):
+                loss.backward()
         with span("pack"):
-            updates = _pack(cm, leaves, tasks, specs, buffer_rows, logits, y, num_params)
+            updates = _pack(cm, tasks, specs, buffer_rows, logits, y)
     finally:
-        for _, param in leaves:
+        for _, param in cm.named:
             param.grad = None
-    if recorder is not None:
-        meta["retained_graphs"] = len(cm.steps)
-        meta["retained_mb"] = round(cm.retained_bytes / 2**20, 1)
-        recorder.meta["tape"] = meta
+    tape.stats().steps += members
     return updates
 
 
-def _pack(cm, leaves, tasks, specs, buffer_rows, logits, y, num_params: int):
+def _pack(cm, tasks, specs, buffer_rows, logits, y):
     """One update per member: float64 copies of its row of the step's
     gradients and buffer updates, and the reward of its rows of logits."""
     members, state = len(tasks), tasks[0].state
     rows = len(y) // members
+    # Drives the simulated compute time; must match
+    # ``submodel.num_parameters()``.
+    num_params = sum(p.data.size for name, p in cm.named if name in state)
     updates = []
     for member, (task, spec) in enumerate(zip(tasks, specs)):
         gradients: Dict[str, np.ndarray] = {}
-        for name, param in leaves:
+        for name, param in cm.named:
             if name in state and param.grad is not None:
                 grad = param.grad if members == 1 else param.grad[member]
                 gradients[name] = np.array(grad, dtype=np.float64)
@@ -334,77 +268,8 @@ def _pack(cm, leaves, tasks, specs, buffer_rows, logits, y, num_params: int):
                 gradients=gradients,
                 reward=batch_accuracy(nn.Tensor(logits.data[sl]), y[sl]),
                 num_samples=rows,
-                # Drives the simulated compute time; ``num_params`` must
-                # match ``submodel.num_parameters()``.
                 compute_time_s=spec.device.train_time(num_params, rows),
                 buffers=buffers,
             )
         )
     return updates
-
-
-def _uncapturable(recorder: Optional[SpanRecorder], members: int) -> None:
-    """A lone task falls back to eager (counted here); a group's members
-    run one at a time and count themselves."""
-    if members == 1:
-        tape.stats().fallbacks += 1
-        if recorder is not None:
-            recorder.meta["tape"] = {"outcome": "fallback"}
-    return None
-
-
-def _replay(step: CompiledStep, x_arr, y, members: int, recorder) -> Tuple[nn.Tensor, Dict]:
-    span = recorder.span if recorder is not None else null_span
-    profile = None
-    if recorder is not None and recorder.profiler is not None:
-        profile = recorder.profiler.stats
-    with span("forward"):
-        logits = step.replay_forward(x_arr, profile=profile)
-        loss = nn.functional.cross_entropy(logits, y, members)
-    with span("backward"):
-        step.replay_backward(loss)
-    tape.stats().replays += members
-    return logits, {"outcome": "replayed"}
-
-
-def _capture(cm: _CompiledModel, key: Tuple, x_arr, y, mask, num_params: int, members: int, span):
-    """Run the step eagerly: a first sighting records no tape and keeps
-    only the key, a second one records the tape and admits the graph.
-    The capture step's own update is already bit-identical to eager —
-    the tape only observes.  Returns ``(logits, leaves, meta)``, or
-    ``None`` if uncapturable."""
-    stats = tape.stats()
-    x_t = nn.Tensor(x_arr)
-    entries: List = []
-    # A first sighting's graph is never replayed: without a tape, whose
-    # thunks would hold every value, its forward values die as the
-    # forward drops them and backward releases each node as it walks.
-    admit = cm.seen.get(key, False)
-    with span("forward"):
-        try:
-            with tape.capturing(entries) if admit else contextlib.nullcontext():
-                logits = cm.model(x_t, mask)
-        except TapeUnsupported:
-            cm.remember(key, False)
-            return None
-        loss = nn.functional.cross_entropy(logits, y, members)
-    if not admit:
-        with span("backward"):
-            loss.backward()
-        cm.remember(key, True)
-        stats.first_sightings += members
-        return logits, cm.named, {"outcome": "first_sighting"}
-    del cm.seen[key]
-    step = CompiledStep(
-        x_t,
-        logits,
-        entries,
-        named_params=cm.named,
-        grad_view=cm.arena.grad_view if cm.arena is not None else None,
-        members=members,
-    )
-    with span("backward"):
-        loss.backward(retain_graph=True)
-    evicted = cm.admit(key, step, num_params)
-    stats.captures += members
-    return logits, step.param_leaves, {"outcome": "admitted", "evicted": evicted}

@@ -193,21 +193,12 @@ def run_local_group(
 
     Served by :func:`repro.federated.compiled.run_compiled_group` —
     bit-identical to :func:`_run_eager_step` per member in float64.  A
-    lone task the tape cannot capture runs the eager step; a group it
-    cannot stack runs one task at a time.
+    group it cannot stack runs one task at a time.
     """
     from .compiled import _STEP_LOCK, run_compiled_group
 
     with _STEP_LOCK:
         updates = run_compiled_group(tasks, specs, supernet_config, recorder)
-        if updates is None and len(tasks) == 1:
-            spec = specs[0]
-            updates = [
-                _run_eager_step(
-                    tasks[0], spec.dataset, spec.batch_size, supernet_config,
-                    spec.transform, spec.device, recorder,
-                )
-            ]
     if updates is None:
         updates = [
             run_local_group([task], [spec], supernet_config)[0]
@@ -227,8 +218,8 @@ def _run_eager_step(
 ) -> ParticipantUpdate:
     """The reference local step: rebuild the pruned sub-model from
     ``task.mask`` + ``task.state`` and run one forward/backward pass on
-    the task's batch with no tape (Alg. 1 lines 40-42).  The
-    ``TapeUnsupported`` fallback and the tests' oracle.
+    the task's batch (Alg. 1 lines 40-42).  The tests' oracle for the
+    compiled engine, which must match it bit for bit.
 
     ``recorder`` (tracing) only brackets the phases with span timers —
     the numerics are untouched, so traced and untraced steps produce

@@ -18,7 +18,6 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from . import tensor as _ag
-from .tape import TapeUnsupported
 from .tensor import Tensor, _unbroadcast, as_tensor, is_grad_enabled
 
 __all__ = [
@@ -203,22 +202,6 @@ def _padded(x: np.ndarray, padding: Tuple[int, int], fill: float = 0.0) -> np.nd
     return out
 
 
-def _conv_input(
-    x: np.ndarray, padding: Tuple[int, int], x_pad: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """All a conv keeps of its input for backward (dW re-extracts its
-    windows from it): ``x`` zero-padded, or ``x`` itself when there is no
-    padding.  ``x_pad`` is a previous result to rewrite in place (tape
-    replays: the zero border never changes)."""
-    ph, pw = padding
-    if ph == 0 and pw == 0:
-        return x
-    if x_pad is None:
-        return _padded(x, padding)
-    x_pad[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]] = x
-    return x_pad
-
-
 def _conv_forward(
     x_pad: np.ndarray,
     w_r: np.ndarray,
@@ -226,18 +209,15 @@ def _conv_forward(
     stride: Tuple[int, int],
     dilation: Tuple[int, int],
     out_hw: Tuple[int, int],
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """``w_r (G, OC/G, K) @ im2col(x_pad) (N, G, K, P)`` as ``(N, G, OC/G,
-    P)``, into ``out`` when given.  The windows exist one sub-batch at a
-    time, in the ``cols`` slot.  ``matmul`` runs one GEMM per (sample,
-    group) whatever the batch, so neither the block size nor who calls
-    (eager or replayed, any process) changes a bit."""
+    P)``.  The windows exist one sub-batch at a time, in the ``cols``
+    slot.  ``matmul`` runs one GEMM per (sample, group) whatever the
+    batch, so neither the block size nor the process changes a bit."""
     n, c = x_pad.shape[:2]
     groups, ocg, k = w_r.shape
     p = out_hw[0] * out_hw[1]
-    if out is None:
-        out = np.empty((n, groups, ocg, p), dtype=np.result_type(x_pad, w_r))
+    out = np.empty((n, groups, ocg, p), dtype=np.result_type(x_pad, w_r))
     for lo, hi in _sub_batches(n, c * kernel[0] * kernel[1] * p * x_pad.itemsize):
         cols = _extract_windows(x_pad[lo:hi], kernel, stride, dilation, out_hw)
         np.matmul(w_r, cols.reshape(hi - lo, groups, k, p), out=out[lo:hi])
@@ -281,7 +261,6 @@ def _conv_dx(
     padding: Tuple[int, int],
     dilation: Tuple[int, int],
     groups: int,
-    bufs: Optional[dict] = None,
 ) -> np.ndarray:
     """Input gradient of conv2d as a transposed convolution: zero-stuff
     ``grad`` by the stride, pad by the dilated kernel extent, and
@@ -296,12 +275,8 @@ def _conv_dx(
     equivalence testing) up to floating-point reduction order.
 
     The stuffed gradient and each sub-batch's windows are dead once the
-    GEMM has run and live in :func:`_scratch`.  ``bufs``, when given, is
-    a per-call-site dict for the result (``gx``, 1x the activation):
-    allocated on first use, fully rewritten on later calls (tape replays
-    invoke the same retained closure every step).  ``_Node._accumulate``
-    may borrow the returned array; callers must consume it before the
-    next call (the backward walk does).
+    GEMM has run and live in :func:`_scratch`; the result is a new array,
+    which ``_Node._accumulate`` may borrow.
     """
     n, oc, oh, ow = grad.shape
     _, c, h, w = x_shape
@@ -311,8 +286,6 @@ def _conv_dx(
     dh, dw = dilation
     eh = dh * (kh - 1) + 1
     ew = dw * (kw - 1) + 1
-    if bufs is None:
-        bufs = {}
     # Zero-stuffed gradient, padded by the dilated kernel extent — and
     # out to x's last row/column where the stride left a tail no window
     # covers (those origins read zeros only).  The zeros between strided
@@ -336,9 +309,7 @@ def _conv_dx(
     w_t = np.ascontiguousarray(w_flip.transpose(0, 2, 1, 3, 4)).reshape(
         groups, cg, ocg * kh * kw
     )
-    gx = bufs.get("gx")
-    if gx is None:
-        gx = bufs["gx"] = np.empty((n, c, h, w), dtype=grad.dtype)
+    gx = np.empty((n, c, h, w), dtype=grad.dtype)
     gx_r = gx.reshape(n, groups, cg, h * w)
     for lo, hi in _sub_batches(n, oc * kh * kw * h * w * grad.itemsize):
         cols = _extract_windows(interior[lo:hi], (kh, kw), (1, 1), dilation, (h, w))
@@ -375,27 +346,16 @@ def conv2d(
     ow = _conv_output_size(w, kw, stride[1], padding[1], dilation[1])
     # Saved for backward: the padded input (dW re-extracts its windows
     # from it) and the weights (dX); the output is not.
-    x_pad = _conv_input(x.data, padding)
+    x_pad = x.data if padding == (0, 0) else _padded(x.data, padding)
     wd = weight.data
     xn, wn = x._node, weight._node
     bn = None if bias is None else bias._node
     members = _ag._MEMBERS
-    # Forward output and dX result buffers, reused by tape replays.
-    _rp: dict = {}
-    _bw: dict = {}
-
-    def forward() -> np.ndarray:
-        w_r = wd.reshape(groups, oc // groups, cg * kh * kw)
-        o = _rp["o"] = _conv_forward(
-            x_pad, w_r, (kh, kw), stride, dilation, (oh, ow), out=_rp.get("o")
-        )
-        o = o.reshape(n, oc, oh, ow)
-        if bias is not None:
-            bb = _rp.get("b")
-            if bb is None:
-                bb = _rp["b"] = np.empty(o.shape, dtype=o.dtype)
-            o = np.add(o, bias.data.reshape(1, oc, 1, 1), out=bb)
-        return o
+    w_r = wd.reshape(groups, oc // groups, cg * kh * kw)
+    out = _conv_forward(x_pad, w_r, (kh, kw), stride, dilation, (oh, ow))
+    out = out.reshape(n, oc, oh, ow)
+    if bias is not None:
+        out = np.add(out, bias.data.reshape(1, oc, 1, 1))
 
     def backward(grad: np.ndarray) -> None:
         if wn.requires_grad:
@@ -403,22 +363,10 @@ def conv2d(
         if bn is not None and bn.requires_grad:
             bn._accumulate(_ag._member_sum(grad, members, (0, 2, 3)))
         if xn.requires_grad:
-            xn._accumulate(
-                _conv_dx(grad, wd, xn.shape, stride, padding, dilation, groups, bufs=_bw)
-            )
+            xn._accumulate(_conv_dx(grad, wd, xn.shape, stride, padding, dilation, groups))
 
     parents = (xn, wn) if bn is None else (xn, wn, bn)
-    out_t = Tensor._make(forward(), parents, backward)
-    if _ag._TAPE is not None:
-
-        def replay() -> None:
-            nonlocal x_pad, wd
-            x_pad = _conv_input(x.data, padding, x_pad)
-            wd = weight.data
-            out_t.data = forward()
-
-        _ag._TAPE.append(("conv2d", replay))
-    return out_t
+    return Tensor._make(out, parents, backward)
 
 
 def max_pool2d(
@@ -439,33 +387,22 @@ def max_pool2d(
     sample_bytes = c * taps * oh * ow * x_pad.itemsize
     xn = x._node
     # Saved for backward: each window's winning tap.  The padded input
-    # is forward's alone and dies with it (a replay keeps its own).
-    arg = None
-
-    def forward() -> np.ndarray:
-        # Backward reads only each window's winning tap: windows are
-        # scratch, one sub-batch at a time.
-        nonlocal arg
-        arg = np.empty((n, c, oh, ow), dtype=np.intp)
-        out = np.empty((n, c, oh, ow), dtype=x_pad.dtype)
-        for lo, hi in _sub_batches(n, sample_bytes):
-            cols = _extract_windows(x_pad[lo:hi], kernel, stride, (1, 1), (oh, ow))
-            flat = cols.reshape(hi - lo, c, taps, oh, ow)
-            flat.argmax(axis=2, out=arg[lo:hi])
-            out[lo:hi] = np.take_along_axis(flat, arg[lo:hi, :, None], axis=2)[:, :, 0]
-        return out
-
-    out = forward()
-    _bw: dict = {}
+    # is forward's alone and dies with it; windows are scratch, one
+    # sub-batch at a time.
+    arg = np.empty((n, c, oh, ow), dtype=np.intp)
+    out = np.empty((n, c, oh, ow), dtype=x_pad.dtype)
+    for lo, hi in _sub_batches(n, sample_bytes):
+        cols = _extract_windows(x_pad[lo:hi], kernel, stride, (1, 1), (oh, ow))
+        flat = cols.reshape(hi - lo, c, taps, oh, ow)
+        flat.argmax(axis=2, out=arg[lo:hi])
+        out[lo:hi] = np.take_along_axis(flat, arg[lo:hi, :, None], axis=2)[:, :, 0]
 
     def backward(grad: np.ndarray) -> None:
         if not xn.requires_grad:
             return
-        gx_pad = _bw.get("gx_pad")
-        if gx_pad is None:
-            gx_pad = _bw["gx_pad"] = np.empty(pad_shape, dtype=grad.dtype)
+        gx_pad = np.empty(pad_shape, dtype=grad.dtype)
         for lo, hi in _sub_batches(n, sample_bytes):
-            # Winning positions change between replays: reset the scatter.
+            # The scratch slot holds another call's scatter: reset it.
             gflat = _scratch("gflat", (hi - lo, c, taps, oh, ow), grad.dtype)
             gflat[...] = 0.0
             np.put_along_axis(gflat, arg[lo:hi, :, None], grad[lo:hi, :, None], axis=2)
@@ -474,16 +411,7 @@ def max_pool2d(
             _scatter_windows(gcols, dst.shape, kernel, stride, (1, 1), out=dst)
         xn._accumulate(gx_pad[:, :, ph : ph + h, pw : pw + w])
 
-    out_t = Tensor._make(out, (xn,), backward)
-    if _ag._TAPE is not None:
-
-        def replay() -> None:
-            # The -inf border of the captured pad buffer never changes.
-            x_pad[:, :, ph : ph + h, pw : pw + w] = x.data
-            out_t.data = forward()
-
-        _ag._TAPE.append(("max_pool2d", replay))
-    return out_t
+    return Tensor._make(out, (xn,), backward)
 
 
 def _pool_taps(
@@ -512,7 +440,6 @@ def _box_sum(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     out_hw: Tuple[int, int],
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-window sum via KH*KW strided adds — no window materialisation.
 
@@ -522,8 +449,7 @@ def _box_sum(
     """
     taps = _pool_taps(kernel, stride, out_hw)
     hs, ws = next(taps)
-    if out is None:
-        out = np.empty(x_pad.shape[:2] + out_hw, dtype=x_pad.dtype)
+    out = np.empty(x_pad.shape[:2] + out_hw, dtype=x_pad.dtype)
     np.copyto(out, x_pad[:, :, hs, ws])
     for hs, ws in taps:
         out += x_pad[:, :, hs, ws]
@@ -560,43 +486,20 @@ def avg_pool2d(
     out = _box_sum(x_pad, kernel, stride, (oh, ow)) / divisor
     xn = x._node
     # Saved for backward: the divisor.  The padded input is forward's
-    # alone and dies with it (a replay keeps its own).
-    _bw: dict = {}
+    # alone and dies with it.
 
     def backward(grad: np.ndarray) -> None:
         if not xn.requires_grad:
             return
-        g = _bw.get("g")
-        if g is None:
-            g = _bw["g"] = np.empty(grad.shape, dtype=grad.dtype)
-        np.divide(grad, divisor, out=g)
-        gx_pad = _bw.get("gx_pad")
-        if gx_pad is None:
-            gx_pad = _bw["gx_pad"] = np.zeros(pad_shape, dtype=grad.dtype)
-        else:
-            gx_pad[...] = 0.0
+        g = np.divide(grad, divisor, out=np.empty(grad.shape, grad.dtype))
+        gx_pad = np.zeros(pad_shape, dtype=grad.dtype)
         # Every window position receives the same g, so scatter g
         # directly tap by tap — no KH*KW column buffer.
         for hs, ws in _pool_taps(kernel, stride, (oh, ow)):
             gx_pad[:, :, hs, ws] += g
         xn._accumulate(gx_pad[:, :, ph : ph + h, pw : pw + w])
 
-    out_t = Tensor._make(out, (xn,), backward)
-    if _ag._TAPE is not None:
-        # Zero border never changes: reuse the captured pad buffer.
-        _rp: dict = {}
-
-        def replay() -> None:
-            x_pad[:, :, ph : ph + h, pw : pw + w] = x.data
-            s = _rp["s"] = _box_sum(x_pad, kernel, stride, (oh, ow), out=_rp.get("s"))
-            o = _rp.get("o")
-            if o is None:
-                o = _rp["o"] = np.empty(s.shape, dtype=s.dtype)
-            np.divide(s, divisor, out=o)
-            out_t.data = o
-
-        _ag._TAPE.append(("avg_pool2d", replay))
-    return out_t
+    return Tensor._make(out, (xn,), backward)
 
 
 def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
@@ -634,10 +537,9 @@ def _linear_members(x: Tensor, weight: Tensor, bias: Optional[Tensor], members: 
     xd, wd = x.data, weight.data
     xn, wn = x._node, weight._node
     bn = None if bias is None else bias._node
-
-    def forward() -> np.ndarray:
-        out = np.concatenate([xd[r] @ wd.T for r in rows])
-        return out if bias is None else out + bias.data
+    out = np.concatenate([xd[r] @ wd.T for r in rows])
+    if bias is not None:
+        out = out + bias.data
 
     def backward(grad: np.ndarray) -> None:
         if xn.requires_grad:
@@ -650,54 +552,27 @@ def _linear_members(x: Tensor, weight: Tensor, bias: Optional[Tensor], members: 
             bn._accumulate(_ag._member_sum(grad, members, (0,)))
 
     parents = (xn, wn) if bn is None else (xn, wn, bn)
-    out_t = Tensor._make(forward(), parents, backward)
-    if _ag._TAPE is not None:
-
-        def replay() -> None:
-            nonlocal xd, wd
-            xd, wd = x.data, weight.data
-            out_t.data = forward()
-
-        _ag._TAPE.append(("linear", replay))
-    return out_t
+    return Tensor._make(out, parents, backward)
 
 
 def relu(x: Tensor) -> Tensor:
     return x.relu()
 
 
-def _shift_const(x: Tensor, axis: int) -> Tensor:
-    """Max-shift constant for numerically stable softmax.
-
-    The shift is a *constant* tensor (no gradient flows through it); when
-    a tape capture is active, a refresh thunk is recorded so replays see
-    the max of the current input rather than the captured one.
-    """
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    if _ag._TAPE is not None:
-
-        def replay(xt=x, s=shift):
-            s.data = xt.data.max(axis=axis, keepdims=True)
-
-        _ag._TAPE.append(("softmax_shift", replay))
-    return shift
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - _shift_const(x, axis)
+    # The max shift is a constant: no gradient flows through it.
+    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     e = shifted.exp()
     return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - _shift_const(x, axis)
+    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     """Negative log-likelihood of integer ``targets`` under ``log_probs``."""
-    if _ag._TAPE is not None:
-        raise TapeUnsupported("nll_loss cannot be tape-captured")
     targets = np.asarray(targets)
     n = log_probs.shape[0]
     picked = log_probs[np.arange(n), targets]
@@ -712,13 +587,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, members: int = 1) -> Tens
     With ``members`` > 1 the rows are that many equal stacked batches and
     the loss is the sum of their mean losses, so each member's logits
     gradient carries its own 1/B scaling.
-
-    Not capturable: the integer targets are not part of the tensor graph,
-    so a replayed tape could never refresh them.  The compiled step runs
-    the loss eagerly on the replayed logits instead.
     """
-    if _ag._TAPE is not None:
-        raise TapeUnsupported("cross_entropy cannot be tape-captured")
     targets = np.asarray(targets)
     n, k = logits.shape
     rows = n // members
@@ -746,10 +615,6 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if _ag._TAPE is not None:
-        # A replayed mask would freeze the RNG draw made at capture time;
-        # callers fall back to eager execution for this key.
-        raise TapeUnsupported("active dropout cannot be tape-captured")
     rng = rng or np.random.default_rng()
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
     return x * Tensor(mask.astype(x.data.dtype))

@@ -30,6 +30,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from . import tensor as _ag
+from .tape import TapeUnsupported
 from .tensor import Tensor, as_tensor
 
 __all__ = [
@@ -474,18 +475,7 @@ class BatchNorm2d(Module):
         else:
             mu = self.running_mean.reshape(1, -1, 1, 1)
             sigma = np.sqrt(self.running_var.reshape(1, -1, 1, 1) + self.eps)
-            mu_t, sigma_t = Tensor(mu), Tensor(sigma)
-            if _ag._TAPE is not None:
-                # Constants derived from buffers: refresh on replay so a
-                # captured eval-mode graph tracks applied state.
-                def _bn_consts(bn=self, m=mu_t, s=sigma_t) -> None:
-                    m.data = bn.running_mean.reshape(1, -1, 1, 1)
-                    s.data = np.sqrt(
-                        bn.running_var.reshape(1, -1, 1, 1) + bn.eps
-                    )
-
-                _ag._TAPE.append(("bn_consts", _bn_consts))
-            xhat = (x - mu_t) / sigma_t
+            xhat = (x - Tensor(mu)) / Tensor(sigma)
         if self.affine:
             gamma = self.weight.reshape(1, self.num_features, 1, 1)
             beta = self.bias.reshape(1, self.num_features, 1, 1)
@@ -511,7 +501,7 @@ def _batch_norm_train(x: Tensor, bn: BatchNorm2d) -> Tensor:
     """
     if bn.affine and _ag._MEMBERS > 1:
         # The affine parameters' gradients would sum over all members.
-        raise F.TapeUnsupported("affine batch norm cannot stack members")
+        raise TapeUnsupported("affine batch norm cannot stack members")
     members = _ag._MEMBERS
     n, c, h, w = x.shape
     rows = n // members
@@ -530,40 +520,34 @@ def _batch_norm_train(x: Tensor, bn: BatchNorm2d) -> Tensor:
     diff = np.empty(five, dtype)
     out = np.empty(five, dtype)
     xn = x._node
-    # Backward's full-size scratch, reused by every replay of this node.
-    _bw: list = [None, None]
-
-    def forward() -> None:
-        # One reduction over the (members, rows, ...) view sums each
-        # member's block in the order numpy sums that block alone.
-        x5 = np.ascontiguousarray(x.data).reshape(five)
-        x5.sum(axis=(1, 3, 4), keepdims=True, out=small)
-        np.multiply(small, scale, out=mu)
-        np.negative(mu, out=small)
-        np.add(x5, small, out=diff)
-        # The squares go where the output will: nothing reads it before.
-        np.multiply(diff, diff, out=out)
-        out.sum(axis=(1, 3, 4), keepdims=True, out=small)
-        np.multiply(small, scale, out=sigma2)
-        momentum = bn.momentum
-        for name, stats in (("running_mean", mu), ("running_var", sigma2)):
-            buffer = bn._buffers[name]
-            value = (1 - momentum) * buffer + momentum * stats.reshape(members, c)
-            if members == 1:
-                buffer[...] = value[0]
-            else:
-                _ag._MEMBER_BUFFERS[id(buffer)] = value
-        np.add(sigma2, eps, out=std)
-        np.sqrt(std, out=std)
-        np.divide(diff, std, out=out)
+    # One reduction over the (members, rows, ...) view sums each member's
+    # block in the order numpy sums that block alone.
+    x5 = np.ascontiguousarray(x.data).reshape(five)
+    x5.sum(axis=(1, 3, 4), keepdims=True, out=small)
+    np.multiply(small, scale, out=mu)
+    np.negative(mu, out=small)
+    np.add(x5, small, out=diff)
+    # The squares go where the output will: nothing reads it before.
+    np.multiply(diff, diff, out=out)
+    out.sum(axis=(1, 3, 4), keepdims=True, out=small)
+    np.multiply(small, scale, out=sigma2)
+    momentum = bn.momentum
+    for name, stats in (("running_mean", mu), ("running_var", sigma2)):
+        buffer = bn._buffers[name]
+        value = (1 - momentum) * buffer + momentum * stats.reshape(members, c)
+        if members == 1:
+            buffer[...] = value[0]
+        else:
+            _ag._MEMBER_BUFFERS[id(buffer)] = value
+    np.add(sigma2, eps, out=std)
+    np.sqrt(std, out=std)
+    np.divide(diff, std, out=out)
 
     def reduce(a: np.ndarray) -> np.ndarray:
         return a.sum(axis=stretched, keepdims=True) if stretched else a.copy()
 
     def backward(grad: np.ndarray) -> None:
-        if _bw[0] is None:
-            _bw[0], _bw[1] = np.empty(five, dtype), np.empty(five, dtype)
-        g_diff, scratch = _bw
+        g_diff, scratch = np.empty(five, dtype), np.empty(five, dtype)
         g = grad.reshape(five)
         # div: d/d diff, then d/d std.
         np.divide(g, std, out=g_diff)
@@ -594,16 +578,7 @@ def _batch_norm_train(x: Tensor, bn: BatchNorm2d) -> Tensor:
             np.copyto(scratch, g_mean)
             xn._accumulate(scratch.reshape(xn.shape))
 
-    forward()
-    node = Tensor._make(out.reshape(x.shape), (xn,), backward)
-    if _ag._TAPE is not None:
-
-        def replay() -> None:
-            forward()
-            node.data = out.reshape(x.shape)
-
-        _ag._TAPE.append(("batch_norm", replay))
-    return node
+    return Tensor._make(out.reshape(x.shape), (xn,), backward)
 
 
 class MaxPool2d(Module):

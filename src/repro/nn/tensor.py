@@ -19,21 +19,11 @@ The engine supports full numpy broadcasting.  Gradients flowing into a
 broadcast operand are reduced back to the operand's shape by
 :func:`_unbroadcast`.
 
-Two hot-path mechanisms live here alongside the classic eager engine:
-
-* **Copy-on-write gradient accumulation** — the first gradient reaching a
-  node is *borrowed* by reference instead of deep-copied; a second
-  accumulation (or :meth:`Tensor.own_grad`) materialises a private array.
-  Callers that mutate ``.grad`` in place must call :meth:`Tensor.own_grad`
-  first (see :func:`repro.nn.optim.clip_grad_norm`).
-* **Tape capture** — while :mod:`repro.nn.tape` has a recording active
-  (module global ``_TAPE``), every operation appends a replay thunk that
-  recomputes its output *into the already-built graph* (rebinding
-  ``out.data`` and any array its backward saved).  The thunks hold the
-  tensors they rewrite, so a captured graph keeps its values.  Replaying
-  the tape reruns the forward with zero Python graph construction; the
-  retained backward closures then see exactly the refreshed values, so
-  replayed numerics are bit-identical to eager execution.
+Gradient accumulation is copy-on-write: the first gradient reaching a
+node is *borrowed* by reference instead of deep-copied; a second
+accumulation (or :meth:`Tensor.own_grad`) materialises a private array.
+Callers that mutate ``.grad`` in place must call :meth:`Tensor.own_grad`
+first (see :func:`repro.nn.optim.clip_grad_norm`).
 
 Only float arrays participate in differentiation.  Integer tensors (e.g.
 label arrays) may be wrapped for convenience but must have
@@ -53,11 +43,6 @@ ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 
 _GRAD_ENABLED = True
 
-#: Active tape recording (a list of ``(op_name, replay_fn)`` entries) or
-#: ``None``.  Installed/cleared by :mod:`repro.nn.tape`; operations check
-#: it once per call, so the eager path pays a single global read.
-_TAPE: Optional[list] = None
-
 #: Members stacked along the batch axis of the graph being built (a
 #: grouped local step, :func:`repro.nn.tape.members`); 1 otherwise.  Ops
 #: that reduce over the batch — batch-norm statistics, parameter
@@ -70,14 +55,6 @@ _MEMBERS: int = 1
 #: rows, where a buffer update (batch-norm running statistics) puts each
 #: member's new value instead of writing the shared buffer.
 _MEMBER_BUFFERS: Optional[dict] = None
-
-
-def _set_tape(tape: Optional[list]) -> Optional[list]:
-    """Install (or clear) the active tape; returns the previous one."""
-    global _TAPE
-    previous = _TAPE
-    _TAPE = tape
-    return previous
 
 
 @contextlib.contextmanager
@@ -150,7 +127,6 @@ class _Node:
         "_parents",
         "_grad",
         "_grad_owned",
-        "_grad_buf",
         "requires_grad",
         "shape",
         "dtype",
@@ -164,9 +140,6 @@ class _Node:
         #: place (copy-on-write accumulation: the first gradient is
         #: borrowed by reference and only materialised on demand).
         self._grad_owned = False
-        #: optional preallocated gradient buffer (tape replay): when set,
-        #: the first accumulation copies into it instead of allocating.
-        self._grad_buf: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self.shape = shape
         self.dtype = dtype
@@ -174,26 +147,19 @@ class _Node:
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into this node's gradient.
 
-        First arrival: copy into the preallocated ``_grad_buf`` when one
-        is set (tape replay), otherwise *borrow* ``grad`` by reference
-        (copy-on-write — materialised only if a second gradient arrives
-        or a caller asks via :meth:`Tensor.own_grad`).  Borrowing skips
-        one full array copy per single-consumer node; every in-place
-        mutation site must go through :meth:`Tensor.own_grad`.
+        First arrival: *borrow* ``grad`` by reference (copy-on-write —
+        materialised only if a second gradient arrives or a caller asks
+        via :meth:`Tensor.own_grad`).  Borrowing skips one full array
+        copy per single-consumer node; every in-place mutation site must
+        go through :meth:`Tensor.own_grad`.
 
         Only C-contiguous arrays are borrowed: downstream reductions
         (``np.sum`` pairwise summation) are sensitive to memory layout,
         so normalising here keeps every gradient a node's backward ever
-        sees C-contiguous — which is what makes preallocated replay
-        buffers bit-identical to eager accumulation.
+        sees C-contiguous, whoever produced it.
         """
         if self._grad is None:
-            buf = self._grad_buf
-            if buf is not None:
-                np.copyto(buf, grad, casting="unsafe")
-                self._grad = buf
-                self._grad_owned = True
-            elif (
+            if (
                 isinstance(grad, np.ndarray)
                 and grad.dtype == self.dtype
                 and grad.shape == self.shape
@@ -213,9 +179,8 @@ class _Node:
 
 
 def _topo_order(root: _Node) -> "list[_Node]":
-    """Topological order of ``root``'s subgraph (parents before children).
-    :meth:`Tensor.backward` and tape replay both walk it in reverse, so a
-    replayed walk visits nodes in exactly the order eager backward does."""
+    """Topological order of ``root``'s subgraph (parents before children);
+    :meth:`Tensor.backward` walks it in reverse."""
     ordered: list[_Node] = []
     visited: set[int] = set()
     stack: list[tuple[_Node, bool]] = [(root, False)]
@@ -238,8 +203,7 @@ def _released(grad: np.ndarray) -> None:
     """Stands in for the backward closure of a node whose graph a
     ``backward()`` released."""
     raise RuntimeError(
-        "backward through a graph that an earlier backward() already "
-        "released; pass retain_graph=True to the first walk"
+        "backward through a graph that an earlier backward() already released"
     )
 
 
@@ -387,23 +351,15 @@ class Tensor:
             node._grad_owned = True
         return node._grad
 
-    def backward(
-        self, grad: Optional[np.ndarray] = None, retain_graph: bool = False
-    ) -> None:
+    def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
-        Parameters
-        ----------
-        grad:
-            Gradient of the final objective w.r.t. this tensor.  Defaults
-            to 1 for scalar tensors.
-        retain_graph:
-            By default the graph is released as the walk consumes it
-            (PyTorch's semantics): each node's backward closure and
-            parent links are cleared once it has run, so saved arrays and
-            gradient buffers die node by node, and a second walk through
-            any of those nodes raises.  Pass True to walk it again (tape
-            admission keeps the graph for replay).
+        ``grad`` is the gradient of the final objective w.r.t. this
+        tensor; it defaults to 1 for scalar tensors.  The graph is
+        released as the walk consumes it: each node's backward closure
+        and parent links are cleared once it has run, so saved arrays and
+        gradient buffers die node by node, and a second walk through any
+        of those nodes raises.
         """
         root = self._node
         if not root.requires_grad:
@@ -430,12 +386,11 @@ class Tensor:
                 # Free intermediate gradient buffers: only leaves keep grads.
                 if node._parents:
                     node._grad = None
-            if not retain_graph:
-                # Nothing walks this node again: its closure (saved
-                # arrays, result buffers) and its hold on its parents go
-                # now, not when the whole graph dies.
-                node._backward = _released
-                node._parents = ()
+            # Nothing walks this node again: its closure (saved arrays,
+            # result buffers) and its hold on its parents go now, not
+            # when the whole graph dies.
+            node._backward = _released
+            node._parents = ()
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -454,40 +409,19 @@ class Tensor:
             if b.requires_grad:
                 b._accumulate(_unbroadcast(grad, b.shape))
 
-        out = Tensor._make(out_data, (a, b), backward)
-        if _TAPE is not None:
-            # Replays rewrite the captured output array in place.
-            def replay(s=self, t=other, o=out, buf=out_data):
-                np.add(s._data, t._data, out=buf)
-                o.data = buf
-
-            _TAPE.append(("add", replay))
-        return out
+        return Tensor._make(out_data, (a, b), backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
         out_data = -self._data
         a = self._node
-        _bw: list = [None]
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                buf = _bw[0]
-                if buf is None:
-                    buf = _bw[0] = np.empty(grad.shape, dtype=grad.dtype)
-                np.negative(grad, out=buf)
-                a._accumulate(buf)
+                a._accumulate(np.negative(grad, out=np.empty(grad.shape, grad.dtype)))
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-            # Replays rewrite the captured output array in place.
-            def replay(s=self, o=out, buf=out_data):
-                np.negative(s._data, out=buf)
-                o.data = buf
-
-            _TAPE.append(("neg", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-as_tensor(other, dtype=self._data.dtype))
@@ -502,36 +436,18 @@ class Tensor:
         # Saved: each operand's value, only if the other needs its gradient.
         x = self._data if b.requires_grad else None
         y = other._data if a.requires_grad else None
-        # Product scratch reused across calls of the retained closure
-        # (replays); eager closures run once, so no behaviour change.
-        _bw: list = [None, None]
 
         def backward(grad: np.ndarray) -> None:
+            # Products go to C-ordered arrays of the gradient's dtype,
+            # whatever the operands' layout: ``_unbroadcast`` sums them.
             if a.requires_grad:
-                buf = _bw[0]
-                if buf is None:
-                    buf = _bw[0] = np.empty(grad.shape, dtype=grad.dtype)
-                np.multiply(grad, y, out=buf)
+                buf = np.multiply(grad, y, out=np.empty(grad.shape, grad.dtype))
                 a._accumulate(_unbroadcast(buf, a.shape))
             if b.requires_grad:
-                buf = _bw[1]
-                if buf is None:
-                    buf = _bw[1] = np.empty(grad.shape, dtype=grad.dtype)
-                np.multiply(grad, x, out=buf)
+                buf = np.multiply(grad, x, out=np.empty(grad.shape, grad.dtype))
                 b._accumulate(_unbroadcast(buf, b.shape))
 
-        out = Tensor._make(out_data, (a, b), backward)
-        if _TAPE is not None:
-            # Replays rewrite the captured output array in place.
-            def replay(s=self, t=other, o=out, buf=out_data):
-                nonlocal x, y
-                np.multiply(s._data, t._data, out=buf)
-                o.data = buf
-                x = s._data if x is not None else None
-                y = t._data if y is not None else None
-
-            _TAPE.append(("mul", replay))
-        return out
+        return Tensor._make(out_data, (a, b), backward)
 
     __rmul__ = __mul__
 
@@ -542,46 +458,22 @@ class Tensor:
         # Saved: the divisor for either gradient, the dividend for b's.
         x = self._data if b.requires_grad else None
         y = other._data if a.requires_grad or b.requires_grad else None
-        # Quotient scratch reused across calls of the retained closure
-        # (replays); eager closures run once, so no behaviour change.
-        _bw: list = [None, None, None]
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                buf = _bw[0]
-                if buf is None:
-                    buf = _bw[0] = np.empty(grad.shape, dtype=grad.dtype)
-                np.divide(grad, y, out=buf)
+                buf = np.divide(grad, y, out=np.empty(grad.shape, grad.dtype))
                 a._accumulate(_unbroadcast(buf, a.shape))
             if b.requires_grad:
-                buf = _bw[1]
-                if buf is None:
-                    buf = _bw[1] = np.empty(grad.shape, dtype=grad.dtype)
                 # ((-grad) * a) / b**2 computed as -(grad * a) / (b*b):
                 # IEEE multiplication is sign-symmetric and numpy lowers
                 # the integer power 2 to a multiply, so the bytes match
                 # the single-expression form.
-                np.multiply(grad, x, out=buf)
+                buf = np.multiply(grad, x, out=np.empty(grad.shape, grad.dtype))
                 np.negative(buf, out=buf)
-                sq = _bw[2]
-                if sq is None:
-                    sq = _bw[2] = np.empty(y.shape, dtype=y.dtype)
-                np.multiply(y, y, out=sq)
-                np.divide(buf, sq, out=buf)
+                np.divide(buf, np.multiply(y, y, out=np.empty(y.shape, y.dtype)), out=buf)
                 b._accumulate(_unbroadcast(buf, b.shape))
 
-        out = Tensor._make(out_data, (a, b), backward)
-        if _TAPE is not None:
-            # Replays rewrite the captured output array in place.
-            def replay(s=self, t=other, o=out, buf=out_data):
-                nonlocal x, y
-                np.divide(s._data, t._data, out=buf)
-                o.data = buf
-                x = s._data if x is not None else None
-                y = t._data if y is not None else None
-
-            _TAPE.append(("div", replay))
-        return out
+        return Tensor._make(out_data, (a, b), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other, dtype=self._data.dtype) / self
@@ -597,16 +489,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(grad * exponent * x ** (exponent - 1))
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-
-            def replay(s=self, o=out):
-                nonlocal x
-                x = s._data
-                o.data = x ** exponent
-
-            _TAPE.append(("pow", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     # ------------------------------------------------------------------
     # Elementwise functions
@@ -619,17 +502,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(grad * out_data)
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-            # ``nonlocal`` rebinds the cell shared with ``backward`` so
-            # the retained closure sees the refreshed saved value.
-            def replay(s=self, o=out) -> None:
-                nonlocal out_data
-                out_data = np.exp(s._data)
-                o.data = out_data
-
-            _TAPE.append(("exp", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def log(self) -> "Tensor":
         x = self._data
@@ -640,42 +513,18 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(grad / x)
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-
-            def replay(s=self, o=out):
-                nonlocal x
-                x = s._data
-                o.data = np.log(x)
-
-            _TAPE.append(("log", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self._data)
         a = self._node
-        _bw: list = [None]
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                buf = _bw[0]
-                if buf is None:
-                    buf = _bw[0] = np.empty(grad.shape, dtype=grad.dtype)
-                np.multiply(grad, 0.5, out=buf)
-                np.divide(buf, out_data, out=buf)
-                a._accumulate(buf)
+                buf = np.multiply(grad, 0.5, out=np.empty(grad.shape, grad.dtype))
+                a._accumulate(np.divide(buf, out_data, out=buf))
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-            # Replays rewrite the captured output array in place.
-            def replay(s=self, o=out, buf=out_data) -> None:
-                nonlocal out_data
-                np.sqrt(s._data, out=buf)
-                out_data = buf
-                o.data = buf
-
-            _TAPE.append(("sqrt", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self._data)
@@ -685,16 +534,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(grad * (1.0 - out_data ** 2))
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-
-            def replay(s=self, o=out) -> None:
-                nonlocal out_data
-                out_data = np.tanh(s._data)
-                o.data = out_data
-
-            _TAPE.append(("tanh", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self._data))
@@ -704,43 +544,25 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(grad * out_data * (1.0 - out_data))
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-
-            def replay(s=self, o=out) -> None:
-                nonlocal out_data
-                out_data = 1.0 / (1.0 + np.exp(-s._data))
-                o.data = out_data
-
-            _TAPE.append(("sigmoid", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def relu(self) -> "Tensor":
         mask = self._data > 0
-        out_data = np.where(mask, self._data, 0.0)
+        # ``np.where(mask, x, 0.0)``'s bytes on numpy's fast loops: fmax
+        # maps NaN and every negative to 0.0, and adding +0.0 turns the
+        # -0.0 it keeps into +0.0.
+        out_data = np.fmax(self._data, 0.0)
+        out_data += 0.0
         a = self._node
-        _bw: list = [None]
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                buf = _bw[0]
-                if buf is None:
-                    buf = _bw[0] = np.empty(grad.shape, dtype=grad.dtype)
-                np.multiply(grad, mask, out=buf)
-                a._accumulate(buf)
+                # ``grad * mask`` without the bool-to-float casting loop.
+                buf = np.empty(grad.shape, grad.dtype)
+                np.copyto(buf, mask)
+                a._accumulate(np.multiply(grad, buf, out=buf))
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-            # Replays reuse the captured mask array (np.where's single
-            # pass beats a fill + masked copy, so the output is fresh).
-            def replay(s=self, o=out, m=mask) -> None:
-                nonlocal mask
-                np.greater(s._data, 0, out=m)
-                mask = m
-                o.data = np.where(m, s._data, 0.0)
-
-            _TAPE.append(("relu", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def abs(self) -> "Tensor":
         sign = np.sign(self._data)
@@ -751,16 +573,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(grad * sign)
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-
-            def replay(s=self, o=out) -> None:
-                nonlocal sign
-                sign = np.sign(s._data)
-                o.data = np.abs(s._data)
-
-            _TAPE.append(("abs", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     # ------------------------------------------------------------------
     # Reductions
@@ -768,9 +581,6 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self._data.sum(axis=axis, keepdims=keepdims)
         a = self._node
-        # Scratch reused across calls of the retained closure (replays);
-        # the eager closure runs once, so this is a no-op for it.
-        _bw: list = [None]
 
         def backward(grad: np.ndarray) -> None:
             if not a.requires_grad:
@@ -778,27 +588,11 @@ class Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            buf = _bw[0]
-            if buf is None:
-                buf = _bw[0] = np.empty(a.shape, dtype=a.dtype)
+            buf = np.empty(a.shape, dtype=a.dtype)
             np.copyto(buf, g)
             a._accumulate(buf)
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-            if isinstance(out_data, np.ndarray) and out_data.ndim:
-                # Replays rewrite the captured output array in place.
-                def replay(s=self, o=out, buf=out_data):
-                    s._data.sum(axis=axis, keepdims=keepdims, out=buf)
-                    o.data = buf
-
-            else:
-                # Full reduction yields a scalar; no buffer to reuse.
-                def replay(s=self, o=out):
-                    o.data = s._data.sum(axis=axis, keepdims=keepdims)
-
-            _TAPE.append(("sum", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self._data.size if axis is None else np.prod(
@@ -824,17 +618,7 @@ class Tensor:
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             a._accumulate(np.where(mask, g / counts, 0.0))
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-
-            def replay(s=self, o=out) -> None:
-                nonlocal x, out_data
-                x = s._data
-                out_data = x.max(axis=axis, keepdims=keepdims)
-                o.data = out_data
-
-            _TAPE.append(("max", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def var(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Population variance (ddof=0), differentiable."""
@@ -856,14 +640,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(grad.reshape(original))
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-
-            def replay(s=self, o=out):
-                o.data = s._data.reshape(shape)
-
-            _TAPE.append(("reshape", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -878,14 +655,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(grad.transpose(inverse))
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-
-            def replay(s=self, o=out):
-                o.data = s._data.transpose(axes)
-
-            _TAPE.append(("transpose", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     @property
     def T(self) -> "Tensor":
@@ -912,14 +682,7 @@ class Tensor:
                     np.add.at(full, key, grad)
                 a._accumulate(full)
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-
-            def replay(s=self, o=out):
-                o.data = s._data[key]
-
-            _TAPE.append(("getitem", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def pad2d_asymmetric(self, top: int, bottom: int, left: int, right: int) -> "Tensor":
         """Zero-pad the last two axes with independent per-side amounts."""
@@ -942,17 +705,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(grad[interior])
 
-        out = Tensor._make(out_data, (a,), backward)
-        if _TAPE is not None:
-            # Replays reuse the captured output array: the zero border
-            # never changes, so rewriting the interior reproduces the
-            # same bytes without allocating or re-zeroing.
-            def replay(s=self, o=out, buf=out_data, sl=interior):
-                buf[sl] = s._data
-                o.data = buf
-
-            _TAPE.append(("pad2d", replay))
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     # ------------------------------------------------------------------
     # Linear algebra
@@ -979,17 +732,7 @@ class Tensor:
                     g = np.swapaxes(x, -1, -2) @ grad
                     b._accumulate(_unbroadcast(g, b.shape))
 
-        out = Tensor._make(out_data, (a, b), backward)
-        if _TAPE is not None:
-
-            def replay(s=self, t=other, o=out):
-                nonlocal x, y
-                o.data = s._data @ t._data
-                x = s._data if x is not None else None
-                y = t._data if y is not None else None
-
-            _TAPE.append(("matmul", replay))
-        return out
+        return Tensor._make(out_data, (a, b), backward)
 
     __matmul__ = matmul
 
@@ -1015,14 +758,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 sl[axis] = slice(start, stop)
                 node._accumulate(grad[tuple(sl)])
 
-    out = Tensor._make(out_data, nodes, backward)
-    if _TAPE is not None:
-
-        def replay(ts=tuple(tensors), o=out):
-            o.data = np.concatenate([t.data for t in ts], axis=axis)
-
-        _TAPE.append(("concatenate", replay))
-    return out
+    return Tensor._make(out_data, nodes, backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -1037,11 +773,4 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if node.requires_grad:
                 node._accumulate(g)
 
-    out = Tensor._make(out_data, nodes, backward)
-    if _TAPE is not None:
-
-        def replay(ts=tuple(tensors), o=out):
-            o.data = np.stack([t.data for t in ts], axis=axis)
-
-        _TAPE.append(("stack", replay))
-    return out
+    return Tensor._make(out_data, nodes, backward)

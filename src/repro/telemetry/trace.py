@@ -644,13 +644,8 @@ class _CriticalPath(_Section):
         ]
 
 
-def _is_replay_op(row: Dict) -> bool:
-    return str(row["op"]).startswith("tape:")
-
-
 class _Ops(_Section):
-    """Per-op profile rows (forward ops here; replayed tape ops, named
-    ``tape:<op>``, render under :class:`_Tape`)."""
+    """Per-op forward profile rows."""
 
     events = ("trace.task",)
 
@@ -676,78 +671,20 @@ class _Ops(_Section):
 
     @staticmethod
     def render(summary, top, max_round_rows):
-        forward = [o for o in summary.get("ops") or [] if not _is_replay_op(o)]
-        if not forward:
+        ops = summary.get("ops")
+        if not ops:
             return []
-        rows = [[o["op"], o["shape"], o["count"], o["total_s"]] for o in forward[:top]]
+        rows = [[o["op"], o["shape"], o["count"], o["total_s"]] for o in ops[:top]]
         return [
             f"## Per-op forward profile (top {top} by total time)",
             _table(["op", "shape", "count", "total_s"], rows, 4),
         ]
 
 
-class _Tape(_Section):
-    events = ("trace.task",)
-    #: per-task outcomes; evictions add up, retained sizes keep the peak
-    STEP_KINDS = ("first_sighting", "admitted", "replayed", "fallback")
-
-    def __init__(self):
-        self.totals: Dict[str, Any] = collections.Counter()
-
-    def add(self, name, event):
-        meta = event.get("tape")
-        if isinstance(meta, dict):
-            self.totals[meta.get("outcome")] += 1
-            self.totals["evicted"] += int(meta.get("evicted", 0))
-            for peak in ("retained_graphs", "retained_mb"):
-                self.totals[peak] = max(self.totals[peak], meta.get(peak, 0))
-
-    def result(self):
-        tasks = sum(self.totals[k] for k in self.STEP_KINDS)
-        if not tasks:
-            return {"tape": None}
-        keys = self.STEP_KINDS + ("evicted", "retained_graphs", "retained_mb")
-        tape = {k: self.totals[k] for k in keys}
-        tape["tasks"] = tasks
-        tape["hit_rate"] = self.totals["replayed"] / tasks
-        return {"tape": tape}
-
-    @staticmethod
-    def render(summary, top, max_round_rows):
-        tape = summary.get("tape")
-        if not tape:
-            return []
-        lines = [
-            "## Tape (compiled compute engine)",
-            f"local steps: {tape['tasks']}  "
-            f"first sightings (new key, graph dropped): {tape['first_sighting']}  "
-            f"admitted (graph retained): {tape['admitted']}  "
-            f"replays: {tape['replayed']}  "
-            f"eager fallbacks: {tape['fallback']}",
-            f"tape hit-rate: {tape['hit_rate']:.1%}  "
-            f"retained graphs (max): {tape['retained_graphs']}  "
-            f"retained MB (max): {tape['retained_mb']:.1f}  "
-            f"evictions: {tape['evicted']}",
-        ]
-        replay = [o for o in summary.get("ops") or [] if _is_replay_op(o)]
-        if replay:
-            rows = [
-                [o["op"][len("tape:"):], o["count"], o["total_s"],
-                 1e3 * o["total_s"] / max(o["count"], 1)]
-                for o in replay[:top]
-            ]
-            lines += [
-                "",
-                f"### Per-op replay profile (top {top} by total time)",
-                _table(["op", "count", "total_s", "mean_ms"], rows, 4),
-            ]
-        return lines
-
-
 #: The report, in render order.
 _SECTIONS: Tuple[type, ...] = (
     _Phases, _Staleness, _Participants, _Rounds, _Population, _Transport,
-    _Health, _Dispatch, _CriticalPath, _Ops, _Tape,
+    _Health, _Dispatch, _CriticalPath, _Ops,
 )
 
 

@@ -161,9 +161,6 @@ class SpanRecorder:
     def __init__(self, profile_ops: bool = False):
         self._t0 = time.perf_counter()
         self.spans: List[List] = []
-        #: Extra JSON-able annotations merged into :meth:`payload` (e.g.
-        #: the compiled engine's per-task ``"tape"`` counters).
-        self.meta: Dict = {}
         self.profiler: Optional[OpProfiler] = None
         if profile_ops:
             self.profiler = OpProfiler()
@@ -186,8 +183,6 @@ class SpanRecorder:
         payload: Dict = {"total_s": round(total, 6), "spans": self.spans}
         if self.profiler is not None:
             payload["ops"] = self.profiler.rows()
-        if self.meta:
-            payload.update(self.meta)
         return payload
 
     def abort(self) -> None:
@@ -262,7 +257,4 @@ def emit_task_trace(
     ops = payload.get("ops")
     if ops:
         fields["ops"] = ops
-    tape = payload.get("tape")
-    if tape:
-        fields["tape"] = tape
     telemetry.emit("trace.task", **fields)

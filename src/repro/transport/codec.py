@@ -153,7 +153,7 @@ def encode_init(
     population: object = None,
     compute_dtype: str = "float64",
 ) -> bytes:
-    """Registration payload: specs + geometry + the server's replay
+    """Registration payload: specs + geometry + the server's compute
     dtype (``repro.nn.tape.settings()``), plus (population mode) the
     :class:`~repro.population.PopulationContext` workers derive
     on-demand specs from."""

@@ -224,7 +224,7 @@ class WorkerServer:
                 conn.send_frame(MSG_ERROR, codec.encode_error(-1, str(exc)))
                 return False
             tape.configure(compute_dtype)  # the server's, not this daemon's
-            # A daemon forked from a server inherits its step cache and
+            # A daemon forked from a server inherits its compiled model and
             # counters; a registration starts from none of them.
             compiled.reset_cache()
             tape.reset_stats()

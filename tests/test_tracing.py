@@ -387,58 +387,6 @@ class TestCriticalPath:
         assert "Critical path" not in render_trace(summary)
 
 
-class TestTapeSection:
-    """``repro trace`` tells a cold cache from a policy that does not
-    repeat masks: first sightings, admissions, replays and evictions are
-    separate counts beside the hit rate."""
-
-    def _traced_events(self, rig, same_mask):
-        from repro.federated import compiled
-
-        supernet, policy, participants = rig
-        compiled.reset_cache()
-        telemetry = Telemetry()
-        telemetry.tracing = True
-        backend = SerialBackend(participants, TINY, telemetry=telemetry)
-        ctx = TraceContext(telemetry.trace_id, 0, telemetry.now(), profile_ops=False)
-        tasks = [make_task(supernet, policy, seed=k, trace=ctx) for k in range(4)]
-        if same_mask:
-            tasks = [
-                LocalStepTask(0, 0, tasks[0].mask, tasks[0].state, k, trace=ctx)
-                for k in range(4)
-            ]
-        backend.run_tasks(tasks)
-        return [e for e in telemetry.events() if e["event"] == "trace.task"]
-
-    def test_repeated_mask_is_admitted_then_replayed(self, rig):
-        events = self._traced_events(rig, same_mask=True)
-        assert [e["tape"]["outcome"] for e in events] == [
-            "first_sighting", "admitted", "replayed", "replayed",
-        ]
-        assert events[0]["tape"]["retained_graphs"] == 0
-        assert events[1]["tape"]["evicted"] == 0
-        assert events[3]["tape"]["retained_graphs"] == 1
-        assert events[3]["tape"]["retained_mb"] > 0
-        tape = summarize_trace(events)["tape"]
-        assert (
-            tape["tasks"], tape["first_sighting"], tape["admitted"],
-            tape["replayed"], tape["fallback"], tape["evicted"],
-        ) == (4, 1, 1, 2, 0, 0)
-        assert tape["hit_rate"] == 0.5 and tape["retained_graphs"] == 1
-        text = render_trace(summarize_trace(events))
-        assert "tape hit-rate: 50.0%" in text
-        assert "retained graphs (max): 1" in text and "evictions: 0" in text
-
-    def test_live_policy_reads_as_keys_do_not_repeat(self, rig):
-        events = self._traced_events(rig, same_mask=False)
-        tape = summarize_trace(events)["tape"]
-        assert tape["first_sighting"] == tape["tasks"] == 4
-        assert tape["hit_rate"] == 0.0 and tape["retained_mb"] == 0
-        text = render_trace(summarize_trace(events))
-        assert "first sightings (new key, graph dropped): 4" in text
-        assert "tape hit-rate: 0.0%" in text and "retained graphs (max): 0" in text
-
-
 class TestChromeExport:
     def test_structure(self):
         doc = export_chrome_trace(synthetic_round_events())
