@@ -5,7 +5,10 @@ that every section of the trace report has rows:
 
 * serial search with a severe staleness mix and bus/car mobility traces;
 * socket search with ``--tracing --trace-ops``, then a converged-policy
-  server on socket workers whose repeated masks admit and replay tapes;
+  server on socket workers whose masks repeat (the recorded log still
+  carries the ``tape`` fields and ``tape:<op>`` profile rows of the
+  replay engine it ran on; the report ignores the former and lists the
+  latter as ops);
 * population mode with a churn plan;
 * socket search under a seeded wire-fault (chaos) plan;
 
@@ -97,7 +100,7 @@ def _cli_run(args, log_path, scratch):
 
 
 def _converged_socket_run(log_path):
-    """A converged policy on socket workers: masks repeat, tapes replay."""
+    """A converged policy on socket workers: masks repeat."""
     import numpy as np
 
     from repro.controller import ArchitecturePolicy

@@ -71,11 +71,9 @@ def test_fixture_covers_every_section(events):
     for key in (
         "phases", "staleness", "outcomes", "participants", "rounds",
         "population", "transport", "health", "dispatch", "critical_path",
-        "ops", "tape",
+        "ops",
     ):
         assert summary[key], key
-    text = expected("render_default.txt")
-    assert "### Per-op replay profile" in text
     assert "more rounds)" in expected("render_small.txt")
 
 
