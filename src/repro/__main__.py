@@ -256,9 +256,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def run_main(args: argparse.Namespace) -> int:
     resume_from = getattr(args, "resume", None)
     if resume_from:
-        # The compiled engine's replay dtype may change on resume (tape
-        # caches are derived state — never checkpointed, rebuilt on
-        # first use); all other flags are ignored on resume.
+        # The compute dtype may change on resume (no checkpointed state
+        # depends on it); all other flags are ignored on resume.
         overrides = None
         if getattr(args, "compute_dtype", None) is not None:
             overrides = {"compute_dtype": args.compute_dtype}

@@ -266,15 +266,14 @@ class ExperimentConfig:
         help="retries per failed task, each on a different worker "
         "when possible (default: 1)",
     )
-    #: see :mod:`repro.nn.tape`; float64 is bit-identical to the eager
-    #: step, float32 is ~2x
+    #: see :mod:`repro.nn.tape`; float32 runs a lone step ~1.10x and a
+    #: member of a group of 4 ~1.32x faster (BENCH_compute.json)
     compute_dtype: str = _option(
         "float64",
         choices=("float64", "float32"),
         flag="--compute-dtype",
-        help="replay dtype of the compiled compute engine: float64 "
-        "(reference) or float32 (opt-in, tolerance-verified; "
-        "default: float64)",
+        help="dtype every local step computes in: float64 (reference) "
+        "or float32 (opt-in, tolerance-verified; default: float64)",
     )
 
     # Socket-backend wire options (ignored by other backends).

@@ -96,7 +96,7 @@ class FederatedModelSearch:
     ):
         self.config = config
         self.telemetry = telemetry or build_telemetry(config)
-        # Backends hand this process's replay dtype to their workers at
+        # Backends hand this process's compute dtype to their workers at
         # (re-)initialisation.
         nn.tape.configure(config.compute_dtype)
         self.rng = np.random.default_rng(config.seed)

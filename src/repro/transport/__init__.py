@@ -25,12 +25,12 @@ Layers, bottom up:
 * :mod:`repro.transport.resilience` — circuit breakers, worker health
   scores, adaptive deadlines, and full-jitter retry backoff (pure
   bookkeeping the backend composes around dispatch).
-* :mod:`repro.transport.backend` — :class:`SocketBackend`: dispatches
-  ``LocalStepTask``s to connected workers through a work-pulling pass
-  with per-worker circuit breakers, adaptive deadlines, and hedged
-  dispatch; retries ride backoff passes onto different replicas under a
-  total per-task budget; exhausted tasks degrade to
-  offline-for-the-round; workers that come back re-register.  Wire
+* :mod:`repro.transport.backend` — :class:`SocketBackend`: every live
+  worker pulls ``LocalStepTask``s from the round's one queue, with
+  per-worker circuit breakers, adaptive deadlines, and hedged dispatch;
+  a failed task re-enters the queue after backoff, steered to a
+  different replica, under a total per-task budget; exhausted tasks
+  degrade to offline-for-the-round; workers that come back re-register.  Wire
   telemetry (``transport.bytes_sent/received``, RTT histograms,
   per-round byte counts, breaker transitions, per-round worker health)
   flows through the regular telemetry registry and ``repro trace``.

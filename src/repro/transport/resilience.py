@@ -1,7 +1,8 @@
 """Resilient-dispatch machinery: breakers, health scores, backoff.
 
-Pure bookkeeping, no sockets: the :class:`SocketBackend` composes these
-pieces around its dispatch loop.
+Pure bookkeeping, no sockets: the :class:`SocketBackend`'s one dispatch
+loop consults these pieces when it claims a task and when it settles an
+attempt's outcome.
 
 * :class:`CircuitBreaker` — the classic three-state machine per worker.
   ``closed`` dispatches freely; ``failure_threshold`` *consecutive*
@@ -14,9 +15,9 @@ pieces around its dispatch loop.
   orders dispatch, plus the adaptive per-task ``deadline()`` and
   ``hedge_threshold()`` derived from those RTTs.
 * :class:`RetryBackoff` — exponential backoff with *full jitter*
-  (AWS-style: ``U(0, min(cap, base·2^(attempt−1)))``) between retry
-  passes, drawn from a dedicated ``numpy`` RNG stream so resilience
-  never perturbs model or search randomness.
+  (AWS-style: ``U(0, min(cap, base·2^(attempt−1)))``) before a failed
+  task re-enters the round's queue, drawn from a dedicated ``numpy`` RNG
+  stream so resilience never perturbs model or search randomness.
 * :class:`ResilienceConfig` — the knob bundle the executor threads from
   :class:`repro.core.config.ExperimentConfig` into the backend.
 """
@@ -63,7 +64,7 @@ class ResilienceConfig:
     hedge_dispatch: bool = True
     #: 0 = adaptive (from the worker's RTT p95)
     hedge_threshold_s: float = 0.0
-    #: total per-task wall budget across every retry pass;
+    #: total per-task wall budget across every attempt and hedge;
     #: 0 = auto: ``(task_retries + 1) × task_timeout_s``
     task_budget_s: float = 0.0
 
@@ -275,14 +276,14 @@ class RetryBackoff:
         self._rng = np.random.default_rng((seed & 0xFFFFFFFF, 0xB0FF))
 
     def delay(self, attempt: int) -> float:
-        """Backoff before retry pass ``attempt`` (1-based): U(0, min(cap, base·2^(a−1)))."""
+        """Backoff before retry ``attempt`` (1-based): U(0, min(cap, base·2^(a−1)))."""
         if attempt < 1 or self.base_s == 0:
             return 0.0
         ceiling = min(self.cap_s, self.base_s * (2.0 ** (attempt - 1)))
         return float(self._rng.uniform(0.0, ceiling))
 
     def max_total_delay(self, max_retries: int) -> float:
-        """Worst-case summed backoff across every retry pass (the bound
+        """Worst-case summed backoff across a task's retries (the bound
         documented in docs/API.md)."""
         return sum(
             min(self.cap_s, self.base_s * (2.0 ** (a - 1)))

@@ -7,6 +7,8 @@ worker must degrade the participant to offline-for-the-round instead of
 killing the search.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,42 @@ class TestBackendPlumbing:
         sock.close()  # no daemons spawned yet: close is a no-op
         with pytest.raises(ValueError):
             build_backend("quantum", participants, TINY)
+
+    def test_process_and_socket_from_a_default_config_differ_only_in_name(self):
+        """``process`` is ``socket``'s auto-spawn path with the
+        config-default wire options: built from one default config, the
+        two backends hold the same settings, so a test run under either
+        covers the other."""
+        from repro.transport import SocketBackend
+
+        built = {}
+        for name in ("process", "socket"):
+            pipeline = FederatedModelSearch(ExperimentConfig(backend=name))
+            pipeline.close()
+            built[name] = pipeline.backend
+        process, sock = built["process"], built["socket"]
+        assert type(sock) is SocketBackend and type(process).__mro__[1] is SocketBackend
+        assert [k for k in vars(type(process)) if not k.startswith("__")] == ["name"]
+        assert (process.name, process.ledger.backend) == ("process", "process")
+        assert (sock.name, sock.ledger.backend) == ("socket", "socket")
+        a, b = vars(process), vars(sock)
+        assert a.keys() == b.keys()
+        # Each pipeline's own telemetry, locks and parameter arena.
+        handles = {"telemetry", "_lock", "_cond", "_arena"}
+        for key in a.keys() - handles - {"_specs", "ledger", "_backoff"}:
+            assert a[key] == b[key], key
+        assert pickle.dumps(process._specs) == pickle.dumps(sock._specs)
+        assert process.ledger.stats == sock.ledger.stats
+        for backoff in (process._backoff, sock._backoff):
+            assert vars(backoff).keys() == {"base_s", "cap_s", "_rng"}
+        assert (process._backoff.base_s, process._backoff.cap_s) == (
+            sock._backoff.base_s,
+            sock._backoff.cap_s,
+        )
+        assert (
+            process._backoff._rng.bit_generator.state
+            == sock._backoff._rng.bit_generator.state
+        )
 
     def test_participant_spec_strips_mutable_state(self):
         participant = build_participants()[0]

@@ -126,6 +126,7 @@ class TestCompensationExactness:
         "telemetry/trace.py",
         "federated/compiled.py",
         "federated/executor.py",
+        "transport/backend.py",
     ],
 )
 def test_round_loop_and_checkpoint_functions_stay_short(module):

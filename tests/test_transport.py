@@ -509,21 +509,22 @@ class TestSocketBackend:
             task_timeout_s=60.0,
             telemetry=telemetry,
         )
-        real_pass = backend._run_pass
+        real_drive = backend._drive
         replacements = []
 
-        def replace_then_pass(*args, **kwargs):
-            (endpoint,) = backend._endpoints
+        def replace_then_drive(state, endpoint):
+            # The round's byte snapshot is taken; its one worker's
+            # dispatch thread has not sent anything yet.
             before = endpoint.traffic()
             backend._mark_lost(endpoint, "replaced by the test")
             assert backend._register(endpoint)
             assert endpoint.traffic()[0] > before[0]
             replacements.append(endpoint.conn)
-            return real_pass(*args, **kwargs)
+            return real_drive(state, endpoint)
 
         try:
             backend.run_tasks(self.run_round_tasks(None, seed=5))
-            monkeypatch.setattr(backend, "_run_pass", replace_then_pass)
+            monkeypatch.setattr(backend, "_drive", replace_then_drive)
             results = backend.run_tasks(self.run_round_tasks(None, seed=6, round_index=1))
         finally:
             backend.close()
