@@ -13,8 +13,8 @@ critical-path blame per round and exports a Chrome/Perfetto trace —
 the equivalent of ``python -m repro trace run.jsonl --chrome out.json``.
 
 Everything here also works with zero configuration: drop the
-``socket_workers`` line (or set ``REPRO_BACKEND=socket``) and the
-backend spawns and manages local daemons by itself.
+``socket_workers`` line and the backend spawns and manages local
+daemons by itself.
 """
 
 import json

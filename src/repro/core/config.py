@@ -11,7 +11,6 @@ ratios that matter (learning rates, decay, clipping, baseline decay).
 from __future__ import annotations
 
 import dataclasses
-import os
 import warnings
 from typing import Dict, Optional, Tuple
 
@@ -60,16 +59,6 @@ def _option(default, **metadata):
     """A field declared once: its default plus the ``metadata`` (range
     and CLI surface) described on :class:`ExperimentConfig`."""
     return dataclasses.field(default=default, metadata=metadata)
-
-
-def _default_backend() -> str:
-    """Backend default: ``$REPRO_BACKEND`` when set, else ``serial``.
-
-    The environment hook lets a whole test/CI run flip to the process
-    backend without touching any call site; an explicit ``backend=``
-    argument always wins.
-    """
-    return os.environ.get("REPRO_BACKEND", "serial")
 
 
 #: Verbatim Table I values (name -> value), kept as a reference artefact
@@ -229,15 +218,13 @@ class ExperimentConfig:
     # dispatches to worker daemons, both over the framed TCP protocol of
     # :mod:`repro.transport`.  Seeded results are bit-identical across
     # backends (socket: at the default lossless wire precision).
-    backend: str = dataclasses.field(
-        default_factory=_default_backend,
-        metadata=dict(
-            choices=BACKENDS,
-            flag="--backend",
-            help="execution engine for participant local steps "
-            "(default: $REPRO_BACKEND or serial); seeded results are "
-            "bit-identical across backends",
-        ),
+    backend: str = _option(
+        "serial",
+        choices=BACKENDS,
+        flag="--backend",
+        help="execution engine for participant local steps "
+        "(default: serial); seeded results are bit-identical across "
+        "backends",
     )
     #: 0 = auto (``min(num_participants, cpu_count, 4)``)
     num_workers: int = _option(

@@ -91,7 +91,6 @@ def _cli_run(args, log_path, scratch):
         pathlib.Path(files[name]).write_text(json.dumps(body))
     argv = [a.format(**files) for a in args]
     env = dict(os.environ, PYTHONPATH=str(HERE.parents[1] / "src"))
-    env.pop("REPRO_BACKEND", None)
     subprocess.run(
         [sys.executable, "-m", "repro", "run", "--config", files["config"],
          *COMMON, *argv, "--telemetry-log", str(log_path)],

@@ -90,8 +90,7 @@ class TestArgumentParsing:
         assert config.socket_wire_dtype == "float32"
         assert config.measure_wire_bytes is True
 
-    def test_socket_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_socket_defaults(self):
         config = self.parse([])
         assert config.socket_workers is None
         assert config.task_retries == 1
@@ -99,8 +98,7 @@ class TestArgumentParsing:
         assert config.socket_wire_dtype == "float64"
         assert config.measure_wire_bytes is False
 
-    def test_backend_defaults_unchanged(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_backend_defaults_unchanged(self):
         config = self.parse([])
         assert config.backend == "serial"
         assert config.num_workers == 0

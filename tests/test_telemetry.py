@@ -428,8 +428,9 @@ class TestEndToEnd:
         """``transport.round`` events (socket backend) get a wire-traffic
         section; runs without them render none."""
         _, events = run
-        # Without transport.round events (serial/process backends) there
-        # is no section; the $REPRO_BACKEND=socket CI leg produces them.
+        # Without transport.round events there is no section; the
+        # recorded socket run in tests/golden_trace/ renders a real one
+        # ("Wire traffic" in render_default.txt).
         plain = [e for e in events if e.get("event") != "transport.round"]
         assert "Wire traffic" not in render_trace(summarize_trace(plain))
 
