@@ -3,8 +3,8 @@
 The round loop is compute-bound (see the round ledger's
 ``nn.forward_s`` / ``nn.backward_s`` under ``benchmarks/ledger/``):
 nearly all of the serial s/round is one forward/backward per
-participant.  Every production step runs eagerly on one shared model per
-process (:mod:`repro.federated.compiled`), alone or stacked with the
+participant.  Every production step runs eagerly on one reusable model per
+thread (:mod:`repro.federated.compiled`), alone or stacked with the
 other members of its mask group; this bench measures s per member step
 of each mode on the same seeded tasks.
 
@@ -25,6 +25,7 @@ readable (including each mode's per-module forward profile),
 ``BENCH_compute.json`` at the repo root.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -42,7 +43,6 @@ from repro.federated.participant import (
     _run_eager_step,
     run_local_group,
 )
-from repro.nn import tape
 from repro.search_space import Supernet
 from repro.telemetry.tracing import SpanRecorder
 
@@ -90,6 +90,7 @@ def run_mode(tasks, train, group, compute_dtype):
     step, the updates of the timed steps, and the per-op profile rows of
     one extra profiled call."""
     spec = ParticipantSpec(0, train, BATCH)
+    net = dataclasses.replace(BENCH_NET, compute_dtype=compute_dtype)
 
     def call(chunk, recorder=None):
         if group == 0:
@@ -97,10 +98,9 @@ def run_mode(tasks, train, group, compute_dtype):
                 _run_eager_step(t, train, BATCH, BENCH_NET, recorder=recorder)
                 for t in chunk
             ]
-        return run_local_group(chunk, [spec] * len(chunk), BENCH_NET, recorder)
+        return run_local_group(chunk, [spec] * len(chunk), net, recorder)
 
     size = group or 1
-    tape.configure(compute_dtype)
     compiled.reset_cache()
     try:
         for lo in range(0, WARMUP_STEPS, size):
@@ -121,7 +121,6 @@ def run_mode(tasks, train, group, compute_dtype):
         ops = recorder.payload().get("ops", [])
         return best / TIMED_STEPS, updates, ops
     finally:
-        tape.configure("float64")
         compiled.reset_cache()
 
 

@@ -49,7 +49,7 @@ def _traced_step(task, dataset, config):
     """Traced peak bytes and wall time of one local step of ``task``."""
     compiled.reset_cache()
     tape.reset_stats()
-    compiled._model_for(config, tape.settings())  # built outside the trace
+    compiled._model_for(config)  # built outside the trace
     vars(nn.functional._WORKSPACE).clear()  # cold workspace: worst case
     gc.collect()
     tracemalloc.start()

@@ -182,7 +182,7 @@ def main() -> None:
 def grouping_demo() -> None:
     """Compiled compute engine: same-mask tasks run as one stacked step.
 
-    Every local step runs eagerly on one shared model per process.  On
+    Every local step runs eagerly on its thread's reusable model.  On
     the serial backend, untraced tasks of a round that share a mask (and
     so the same weights) run as one step with their batches stacked, in
     chunks of at most four; each member's update is bit for bit its lone

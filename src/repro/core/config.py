@@ -253,8 +253,9 @@ class ExperimentConfig:
         help="retries per failed task, each on a different worker "
         "when possible (default: 1)",
     )
-    #: see :mod:`repro.nn.tape`; float32 runs a lone step ~1.10x and a
-    #: member of a group of 4 ~1.32x faster (BENCH_compute.json)
+    #: read by :mod:`repro.federated.compiled` (via ``supernet_config()``);
+    #: float32 cuts a ``search-serial`` round p50 by 29 %, ahead in 6 of
+    #: 6 pairs (EXPERIMENTS.md "Sizing: float32 on ``search-serial``")
     compute_dtype: str = _option(
         "float64",
         choices=("float64", "float32"),
@@ -547,6 +548,7 @@ class ExperimentConfig:
             init_channels=self.init_channels,
             num_cells=self.num_cells,
             steps=self.steps,
+            compute_dtype=self.compute_dtype,
         )
 
     def server_config(self) -> SearchServerConfig:

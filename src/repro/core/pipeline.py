@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-import repro.nn as nn
 from repro.checkpoint import (
     read_checkpoint_meta,
     restore_search_state,
@@ -96,9 +95,6 @@ class FederatedModelSearch:
     ):
         self.config = config
         self.telemetry = telemetry or build_telemetry(config)
-        # Backends hand this process's compute dtype to their workers at
-        # (re-)initialisation.
-        nn.tape.configure(config.compute_dtype)
         self.rng = np.random.default_rng(config.seed)
         self.train_set, self.test_set = self._build_dataset()
         #: population-scale mode (``config.population > 0``): no eager

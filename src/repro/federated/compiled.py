@@ -1,4 +1,4 @@
-"""Compiled local steps: one shared model per process, stacked by group.
+"""Compiled local steps: one reusable model per thread, stacked by group.
 
 Every :func:`~repro.federated.participant.run_local_step` and
 :func:`~repro.federated.participant.run_local_group` runs here.
@@ -6,11 +6,14 @@ Rebuilding a sub-model (module tree + parameter copies) for every step
 is pure overhead, and so is running one step per task when several
 tasks train the same sub-model, so:
 
-* **One model per process.**  A single full :class:`Supernet` is built
-  once per (supernet config, compute dtype) and reused for every task;
-  ``apply_state(task.state)`` writes the shipped weights in place.
-  Masked full-supernet execution runs exactly the chosen operation per
-  edge (:meth:`MixedEdge.forward` dispatches by global op index), so it
+* **One model per thread.**  A single full :class:`Supernet` is built
+  once per supernet config (which carries the compute dtype) in each
+  thread that steps, and reused for every task there;
+  ``apply_state(task.state)`` writes the shipped weights in place.  A
+  worker serves on one thread, so it holds one model, and steps on two
+  threads share nothing, so no lock serialises them.  Masked
+  full-supernet execution runs exactly the chosen operation per edge
+  (:meth:`MixedEdge.forward` dispatches by global op index), so it
   computes the same floats as the pruned sub-model would.  In float64
   mode the model is backed by a flat :class:`~repro.nn.ParameterArena`,
   so parameter gradient buffers alias contiguous windows of one array.
@@ -25,19 +28,20 @@ tasks train the same sub-model, so:
   and the worker backends send one task per message, so they run groups
   of one.  A single task is the one-member case, not a second engine.
 * **Only batch reductions change, and they reduce per member.**  The
-  member count is fixed when the graph is built
-  (:func:`repro.nn.tape.members`) and baked into the closures of the ops
-  that reduce over the batch: the one-node train-mode batch norm (its
-  statistics, and its running-statistic updates, which land in one row
-  per member instead of the shared buffer), conv dW and db, the
-  classifier's matmul, dW and db, and the cross-entropy's 1/B.  Every
-  other op is per sample already (``_conv_forward`` runs one GEMM per
-  (sample, group)).  Parameter gradients get a leading member axis and
+  stacked input carries the member count
+  (:class:`~repro.nn.tensor.MemberGroup`), every op's output inherits
+  it, and the ops that reduce over the batch bake it into their
+  closures: the one-node train-mode batch norm (its statistics, and its
+  running-statistic updates, which land in one row per member in the
+  group's ``buffer_rows`` instead of the shared buffer), conv dW and
+  db, the classifier's matmul, dW and db, and the cross-entropy's 1/B.
+  Every other op is per sample already (``_conv_forward`` runs one GEMM
+  per (sample, group)).  Parameter gradients get a leading member axis and
   :func:`_pack` slices it, so every member's :class:`ParticipantUpdate`
   is bit for bit the one its lone step returns.  ``tape.stats()``
-  counts one step per member.  A group that cannot stack (affine batch
-  norm raises :class:`~repro.nn.tape.TapeUnsupported`) runs its members
-  one at a time.
+  counts one step per member.  A group of an affine supernet cannot
+  stack (its batch norms' γ/β gradients would sum over members), so it
+  runs its members one at a time.
 * **Every step is eager and keeps nothing.**  Each step builds its
   autograd graph, walks it once and drops it: each backward closure
   keeps only the arrays it reads (a conv's padded input, a batch norm's
@@ -73,11 +77,11 @@ longer describes this engine.
 
 Equality contract: in float64 (the default) every step, alone or
 grouped, returns, per member, a :class:`ParticipantUpdate`
-**bit-identical** to the eager oracle's.
-Float32 mode (opt-in) trades that for speed and is tolerance-verified.
-Everything here is *derived state*: per worker process, never
-serialized or checkpointed, rebuilt on first use after a resume or a
-worker restart.
+**bit-identical** to the eager oracle's.  Float32
+(``SupernetConfig.compute_dtype``, opt-in) trades that for speed and is
+tolerance-verified.  Everything here is *derived state*: per thread,
+never serialized or checkpointed, rebuilt on first use after a resume or
+a worker restart.
 """
 
 from __future__ import annotations
@@ -91,7 +95,6 @@ import repro.nn as nn
 from repro.data import DataLoader
 from repro.evaluation import batch_accuracy
 from repro.nn import tape
-from repro.nn.tape import TapeUnsupported
 from repro.search_space import Supernet, SupernetConfig
 from repro.telemetry.tracing import SpanRecorder, null_span
 
@@ -105,11 +108,12 @@ _MAX_GROUP = 4
 
 
 class _CompiledModel:
-    """Per-process reusable supernet."""
+    """Per-thread reusable supernet, computing in ``config.compute_dtype``."""
 
     __slots__ = ("model", "arena", "named", "named_buffers", "targets")
 
-    def __init__(self, config: SupernetConfig, dtype: np.dtype):
+    def __init__(self, config: SupernetConfig):
+        dtype = np.dtype(config.compute_dtype)
         model = Supernet(config, rng=np.random.default_rng(0))
         arena = None
         if dtype == np.float64:
@@ -146,25 +150,21 @@ class _CompiledModel:
         model.train()
 
 
-_MODELS: Dict[Tuple, _CompiledModel] = {}
-
-#: One step at a time per process: the shared model and the member
-#: stacking state (``repro.nn.tensor._MEMBERS``) are process-global, and
-#: in-process worker daemons (tests, examples) serve tasks from threads.
-#: Held by :func:`~repro.federated.participant.run_local_group` around
-#: the compiled step.
-_STEP_LOCK = threading.Lock()
+#: This thread's compiled models, ``vars(_MODELS)``: supernet config ->
+#: :class:`_CompiledModel`.
+_MODELS = threading.local()
 
 
 def reset_cache() -> None:
-    """Drop every per-process compiled model (tests)."""
-    _MODELS.clear()
+    """Drop this thread's compiled models (tests; a worker's MSG_INIT)."""
+    vars(_MODELS).clear()
 
 
-def _model_for(config: SupernetConfig, dtype: str) -> _CompiledModel:
-    cached = _MODELS.get((config, dtype))
+def _model_for(config: SupernetConfig) -> _CompiledModel:
+    models = vars(_MODELS)
+    cached = models.get(config)
     if cached is None:
-        cached = _MODELS[config, dtype] = _CompiledModel(config, np.dtype(dtype))
+        cached = models[config] = _CompiledModel(config)
     return cached
 
 
@@ -203,36 +203,33 @@ def run_compiled_group(
     arrays as one step, their batches stacked; one update per task.
 
     Returns ``None`` when the group cannot run as one step (its batch
-    shapes differ, or its model cannot stack members) — the caller
-    (:func:`~repro.federated.participant.run_local_group`, which holds
-    :data:`_STEP_LOCK` around this call) then runs the tasks one at a
-    time.  A lone task always runs.
+    shapes differ, or its supernet is affine) — the caller
+    (:func:`~repro.federated.participant.run_local_group`) then runs the
+    tasks one at a time.  A lone task always runs.
     """
-    span = recorder.span if recorder is not None else null_span
-    dtype = tape.settings()
-    cm = _model_for(supernet_config, dtype)
     members, state = len(tasks), tasks[0].state
+    if members > 1 and supernet_config.affine:
+        return None
+    span = recorder.span if recorder is not None else null_span
+    cm = _model_for(supernet_config)
     with span("build"):
         # ``cm.model.apply_state(state)`` without the per-step module-tree
         # walk: every target array is stable and written in place.
         for name, value in state.items():
             cm.targets[name][...] = value
-        stacked = _stacked_batches(tasks, specs, dtype)
+        stacked = _stacked_batches(tasks, specs, supernet_config.compute_dtype)
     if stacked is None:
         return None
     x_arr, y = stacked
+    group = nn.MemberGroup(members)
     try:
-        with tape.members(members) as buffer_rows:
-            with span("forward"):
-                try:
-                    logits = cm.model(nn.Tensor(x_arr), tasks[0].mask)
-                except TapeUnsupported:
-                    return None
-                loss = nn.functional.cross_entropy(logits, y, members)
-            with span("backward"):
-                loss.backward()
+        with span("forward"):
+            logits = cm.model(nn.Tensor(x_arr, group=group), tasks[0].mask)
+            loss = nn.functional.cross_entropy(logits, y)
+        with span("backward"):
+            loss.backward()
         with span("pack"):
-            updates = _pack(cm, tasks, specs, buffer_rows, logits, y)
+            updates = _pack(cm, tasks, specs, group.buffer_rows, logits, y)
     finally:
         for _, param in cm.named:
             param.grad = None

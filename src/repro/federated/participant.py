@@ -195,10 +195,9 @@ def run_local_group(
     bit-identical to :func:`_run_eager_step` per member in float64.  A
     group it cannot stack runs one task at a time.
     """
-    from .compiled import _STEP_LOCK, run_compiled_group
+    from .compiled import run_compiled_group
 
-    with _STEP_LOCK:
-        updates = run_compiled_group(tasks, specs, supernet_config, recorder)
+    updates = run_compiled_group(tasks, specs, supernet_config, recorder)
     if updates is None:
         updates = [
             run_local_group([task], [spec], supernet_config)[0]

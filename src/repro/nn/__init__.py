@@ -40,12 +40,13 @@ from .serialize import (
     state_size_bytes,
     unpack_state,
 )
-from .tensor import Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, stack
+from .tensor import MemberGroup, Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, stack
 
 __all__ = [
     "functional",
     "tape",
     "Tensor",
+    "MemberGroup",
     "as_tensor",
     "concatenate",
     "stack",

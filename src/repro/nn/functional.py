@@ -350,7 +350,7 @@ def conv2d(
     wd = weight.data
     xn, wn = x._node, weight._node
     bn = None if bias is None else bias._node
-    members = _ag._MEMBERS
+    members = x.members
     w_r = wd.reshape(groups, oc // groups, cg * kh * kw)
     out = _conv_forward(x_pad, w_r, (kh, kw), stride, dilation, (oh, ow))
     out = out.reshape(n, oc, oh, ow)
@@ -515,22 +515,14 @@ def flatten(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` with ``weight`` of shape (out, in).
+    """Affine map ``x @ weight.T + bias`` with ``weight`` of shape (out, in),
+    as one node.
 
-    With members stacked (:func:`repro.nn.tape.members`) it is one node
-    that runs each member's rows through the expressions of the
-    matmul / transpose / add chain below, so every member's products and
-    its dW / db rows are the ones it would get alone.
+    With members stacked in ``x`` (:class:`~repro.nn.tensor.MemberGroup`)
+    it runs each member's rows on their own, so every member's products
+    and its dW / db rows are the ones it would get alone.
     """
-    if _ag._MEMBERS > 1:
-        return _linear_members(x, weight, bias, _ag._MEMBERS)
-    out = x.matmul(weight.T)
-    if bias is not None:
-        out = out + bias
-    return out
-
-
-def _linear_members(x: Tensor, weight: Tensor, bias: Optional[Tensor], members: int) -> Tensor:
+    members = x.members
     size = x.shape[0] // members
     rows = [slice(m * size, (m + 1) * size) for m in range(members)]
     # Saved for backward: both operands' values.
@@ -545,9 +537,8 @@ def _linear_members(x: Tensor, weight: Tensor, bias: Optional[Tensor], members: 
         if xn.requires_grad:
             xn._accumulate(np.concatenate([grad[r] @ wd for r in rows]))
         if wn.requires_grad:
-            wn._accumulate(
-                np.stack([(np.swapaxes(xd[r], -1, -2) @ grad[r]).T for r in rows])
-            )
+            dw = [(np.swapaxes(xd[r], -1, -2) @ grad[r]).T for r in rows]
+            wn._accumulate(dw[0] if members == 1 else np.stack(dw))
         if bn is not None and bn.requires_grad:
             bn._accumulate(_ag._member_sum(grad, members, (0,)))
 
@@ -579,17 +570,18 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     return -picked.mean()
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, members: int = 1) -> Tensor:
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Softmax cross-entropy with an analytic fused backward.
 
     Equivalent to ``nll_loss(log_softmax(logits), targets)`` but records a
     single graph node, which keeps the backward pass cheap on the hot path.
-    With ``members`` > 1 the rows are that many equal stacked batches and
-    the loss is the sum of their mean losses, so each member's logits
-    gradient carries its own 1/B scaling.
+    With members stacked in ``logits`` the rows are that many equal
+    batches and the loss is the sum of their mean losses, so each
+    member's logits gradient carries its own 1/B scaling.
     """
     targets = np.asarray(targets)
     n, k = logits.shape
+    members = logits.members
     rows = n // members
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     exp = np.exp(shifted)

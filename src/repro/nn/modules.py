@@ -29,8 +29,6 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from . import tensor as _ag
-from .tape import TapeUnsupported
 from .tensor import Tensor, as_tensor
 
 __all__ = [
@@ -495,14 +493,14 @@ def _batch_norm_train(x: Tensor, bn: BatchNorm2d) -> Tensor:
     path's, added in the chain's order.  So it is bit-identical to it,
     not the closed-form backward.
 
-    With ``m`` members stacked (:func:`repro.nn.tape.members`) each
+    With ``m`` members stacked in ``x`` (its ``MemberGroup``) each
     member's slice of the batch takes its own statistics, and the
-    running-statistic updates go to the step's member-buffer rows.
+    running-statistic updates go to the group's ``buffer_rows``.
     """
-    if bn.affine and _ag._MEMBERS > 1:
+    members = x.members
+    if bn.affine and members > 1:
         # The affine parameters' gradients would sum over all members.
-        raise TapeUnsupported("affine batch norm cannot stack members")
-    members = _ag._MEMBERS
+        raise ValueError("affine batch norm cannot stack members")
     n, c, h, w = x.shape
     rows = n // members
     dtype = x.data.dtype
@@ -538,7 +536,7 @@ def _batch_norm_train(x: Tensor, bn: BatchNorm2d) -> Tensor:
         if members == 1:
             buffer[...] = value[0]
         else:
-            _ag._MEMBER_BUFFERS[id(buffer)] = value
+            x._node.group.buffer_rows[id(buffer)] = value
     np.add(sigma2, eps, out=std)
     np.sqrt(std, out=std)
     np.divide(diff, std, out=out)

@@ -37,24 +37,26 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor"]
+__all__ = ["Tensor", "MemberGroup", "no_grad", "is_grad_enabled", "as_tensor"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 
 _GRAD_ENABLED = True
 
-#: Members stacked along the batch axis of the graph being built (a
-#: grouped local step, :func:`repro.nn.tape.members`); 1 otherwise.  Ops
-#: that reduce over the batch — batch-norm statistics, parameter
-#: gradients, the loss scaling — read it when they build their node and
-#: bake it into their closures, so each member's slice of the batch
-#: reduces on its own and comes out as it would alone.
-_MEMBERS: int = 1
 
-#: While a grouped step runs: ``id(buffer) -> (members, *buffer.shape)``
-#: rows, where a buffer update (batch-norm running statistics) puts each
-#: member's new value instead of writing the shared buffer.
-_MEMBER_BUFFERS: Optional[dict] = None
+class MemberGroup:
+    """``count`` members stacked along the batch axis (a grouped local
+    step).  The stacked input carries it, every op's output inherits it,
+    and ops that reduce over the batch read it, so each member's slice
+    reduces as it would alone.  With ``count`` > 1 batch-norm running
+    statistics land in ``buffer_rows`` (``id(buffer) -> (count,
+    *buffer.shape)``), not in the shared buffer."""
+
+    __slots__ = ("count", "buffer_rows")
+
+    def __init__(self, count: int):
+        self.count = count
+        self.buffer_rows: dict = {}
 
 
 @contextlib.contextmanager
@@ -130,9 +132,10 @@ class _Node:
         "requires_grad",
         "shape",
         "dtype",
+        "group",
     )
 
-    def __init__(self, shape: Tuple[int, ...], dtype, requires_grad: bool):
+    def __init__(self, shape: Tuple[int, ...], dtype, requires_grad: bool, group=None):
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple[_Node, ...] = ()
         self._grad: Optional[np.ndarray] = None
@@ -143,6 +146,8 @@ class _Node:
         self.requires_grad = requires_grad
         self.shape = shape
         self.dtype = dtype
+        #: the :class:`MemberGroup` of the value's batch axis (None: one member)
+        self.group: Optional[MemberGroup] = group
 
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into this node's gradient.
@@ -224,11 +229,13 @@ class Tensor:
     requires_grad:
         If True, gradients are accumulated into :attr:`grad` during
         :meth:`backward`.
+    group:
+        The :class:`MemberGroup` stacked along ``data``'s batch axis, if any.
     """
 
     __slots__ = ("_data", "_node")
 
-    def __init__(self, data: ArrayLike, requires_grad: bool = False):
+    def __init__(self, data: ArrayLike, requires_grad: bool = False, group=None):
         if isinstance(data, Tensor):
             data = data._data
         data = np.asarray(data)
@@ -237,7 +244,7 @@ class Tensor:
                 f"only floating tensors can require grad, got {data.dtype}"
             )
         self._data = data
-        self._node = _Node(data.shape, data.dtype, bool(requires_grad))
+        self._node = _Node(data.shape, data.dtype, bool(requires_grad), group)
 
     @property
     def data(self) -> np.ndarray:
@@ -292,6 +299,12 @@ class Tensor:
         return self._data.dtype
 
     @property
+    def members(self) -> int:
+        """How many members are stacked along the batch axis."""
+        group = self._node.group
+        return 1 if group is None else group.count
+
+    @property
     def is_leaf(self) -> bool:
         """True if this tensor was not produced by a recorded operation."""
         return self._node._backward is None
@@ -328,10 +341,15 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         """Create a non-leaf tensor whose node records ``backward`` over
-        the ``parents`` nodes if grad is on."""
+        the ``parents`` nodes if grad is on, and inherits their
+        :class:`MemberGroup`."""
         parents = tuple(parents)
-        needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=needs)
+        needs, group = False, None
+        for parent in parents:
+            needs = needs or parent.requires_grad
+            group = group or parent.group
+        needs = needs and _GRAD_ENABLED
+        out = Tensor(data, requires_grad=needs, group=group)
         if needs:
             node = out._node
             node._parents = parents

@@ -45,12 +45,18 @@ class SupernetConfig:
     steps: int = 2
     stem_multiplier: int = 3
     affine: bool = False
+    #: dtype every local step computes in (:mod:`repro.federated.compiled`
+    #: reads it): float64, the reference, or float32.  A :class:`Supernet`
+    #: itself, such as the server's master copy, is always float64.
+    compute_dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.num_cells < 1:
             raise ValueError(f"num_cells must be >= 1, got {self.num_cells}")
         if self.init_channels < 1:
             raise ValueError(f"init_channels must be >= 1, got {self.init_channels}")
+        if self.compute_dtype not in ("float64", "float32"):
+            raise ValueError(f"compute_dtype must be float64 or float32, got {self.compute_dtype!r}")
 
     @property
     def topology(self) -> CellTopology:

@@ -78,7 +78,6 @@ from repro.faults.network import ChaosEngine, NetworkFaultPlan
 from repro.federated.executor import ParticipantSpec, TaskResult
 from repro.federated.participant import LocalStepTask, ParticipantUpdate
 from repro.federated.versioning import DeltaLedger
-from repro.nn import tape
 from repro.nn.serialize import WIRE_DTYPES
 from repro.search_space import SupernetConfig
 from repro.telemetry import Telemetry
@@ -488,9 +487,7 @@ class SocketBackend:
                 compression=self.compression, wire_dtype=self.wire_dtype
             )
             _request(conn, MSG_HELLO, hello, MSG_HELLO_ACK, self.connect_timeout_s)
-            init = codec.encode_init(
-                self._specs, self._supernet_config, self._population, tape.settings()
-            )
+            init = codec.encode_init(self._specs, self._supernet_config, self._population)
             timeout = max(self.connect_timeout_s, self.task_timeout_s)
             _request(conn, MSG_INIT, init, MSG_ACK, timeout)
         except (ProtocolError, OSError) as exc:

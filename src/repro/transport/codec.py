@@ -151,42 +151,33 @@ def encode_init(
     specs: Sequence[ParticipantSpec],
     supernet_config: SupernetConfig,
     population: object = None,
-    compute_dtype: str = "float64",
 ) -> bytes:
-    """Registration payload: specs + geometry + the server's compute
-    dtype (``repro.nn.tape.settings()``), plus (population mode) the
-    :class:`~repro.population.PopulationContext` workers derive
-    on-demand specs from."""
-    obj = {
-        "specs": list(specs),
-        "supernet_config": supernet_config,
-        "compute_dtype": compute_dtype,
-    }
+    """Registration payload: specs + geometry (which carries the compute
+    dtype), plus (population mode) the context workers derive on-demand
+    specs from (:class:`~repro.population.PopulationContext`)."""
+    obj = {"specs": list(specs), "supernet_config": supernet_config}
     if population is not None:
         obj["population"] = population
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def decode_init(
-    payload: bytes,
-) -> Tuple[List[ParticipantSpec], SupernetConfig, object, str]:
-    """Inverse of :func:`encode_init`; an absent optional key reads as
-    its default (population off, float64)."""
+def decode_init(payload: bytes) -> Tuple[List[ParticipantSpec], SupernetConfig, object]:
+    """Inverse of :func:`encode_init`; an absent population reads as
+    population off."""
     try:
         obj = pickle.loads(payload)
         specs = list(obj["specs"])
         config = obj["supernet_config"]
         population = obj.get("population")
-        compute_dtype = obj.get("compute_dtype", "float64")
     except Exception as exc:  # truncated/corrupt pickle, wrong shape
         raise ProtocolError(f"malformed init payload: {exc}") from exc
     if (
         not all(isinstance(s, ParticipantSpec) for s in specs)
         or not isinstance(config, SupernetConfig)
-        or compute_dtype not in ("float64", "float32")
+        or config.compute_dtype not in ("float64", "float32")
     ):
         raise ProtocolError("init payload carries unexpected object types")
-    return specs, config, population, compute_dtype
+    return specs, config, population
 
 
 # ----------------------------------------------------------------------

@@ -217,15 +217,13 @@ class WorkerServer:
             return True
         if msg_type == MSG_INIT:
             try:
-                specs, supernet_config, population, compute_dtype = (
-                    codec.decode_init(payload)
-                )
+                specs, supernet_config, population = codec.decode_init(payload)
             except ProtocolError as exc:
                 conn.send_frame(MSG_ERROR, codec.encode_error(-1, str(exc)))
                 return False
-            tape.configure(compute_dtype)  # the server's, not this daemon's
-            # A daemon forked from a server inherits its compiled model and
-            # counters; a registration starts from none of them.
+            # A daemon forked from a server serves on the forking thread and
+            # inherits its compiled models and the counters; a registration
+            # starts from none of them.
             compiled.reset_cache()
             tape.reset_stats()
             self._specs = {spec.participant_id: spec for spec in specs}

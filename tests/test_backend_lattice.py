@@ -16,14 +16,15 @@ Each example draws a whole run:
 * ± an interruption — a checkpoint cut, or an injected ``crash_server``
   — followed by a resume from the checkpoint;
 * telemetry on (the default), on with tracing, on with tracing and
-  per-op profiling, or off.
+  per-op profiling, or off;
+* the compute dtype — float64 or float32.
 
 It asserts that the run's digest (:func:`finish_and_digest`: α ‖ θ and
 buffers ‖ genotype ‖ per-round result tuples) equals the digest of the
 same run made uninterrupted on the serial backend with default
-telemetry and without wire faults.  In classic mode that reference also
-leaves the cohort knobs at their defaults, so ``population=0`` is
-checked to make them inert.  Hypothesis shrinks any divergence to a minimal run.
+telemetry and without wire faults, in the same compute dtype.  In
+classic mode that reference also leaves the cohort knobs at their
+defaults, so ``population=0`` is checked to make them inert.  Hypothesis shrinks any divergence to a minimal run.
 """
 
 import dataclasses
@@ -74,6 +75,7 @@ class Run:
     interrupt: Optional[Tuple[str, int]]
     #: ``"on"`` | ``"traced"`` | ``"ops"`` (traced + per-op) | ``"off"``
     telemetry: str
+    compute_dtype: str
 
     def reference(self) -> "Run":
         """The same run, uninterrupted on the serial backend with default
@@ -127,6 +129,7 @@ class Run:
             telemetry_enabled=self.telemetry != "off",
             tracing_enabled=self.telemetry in ("traced", "ops"),
             trace_ops=self.telemetry == "ops",
+            compute_dtype=self.compute_dtype,
             # one checkpoint, written as the round before the crash ends
             checkpoint_every=self.interrupt[1] if crash else 0,
             checkpoint_path=str(scratch / "run.ckpt") if crash else None,
@@ -247,6 +250,7 @@ def runs(draw) -> Run:
         wire=tuple(draw(st.lists(wire_faults, max_size=2))),
         interrupt=interrupt,
         telemetry=draw(st.sampled_from(("on", "traced", "ops", "off"))),
+        compute_dtype=draw(st.sampled_from(("float64", "float32"))),
     )
 
 

@@ -10,10 +10,14 @@ The contract under test:
   shorter than the batch, still return every update in task order and
   bit-equal to the oracle;
 * ``tape.stats()`` counts one step per member;
+* two threads stepping at once get the updates they get in turn;
 * chunks are balanced and never exceed the cap;
 * the one-node train-mode batch norm is gradchecked at one and three
   stacked members, and each member's slice normalises as it would alone.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -104,6 +108,44 @@ def test_every_group_size_matches_the_eager_oracle(size, shards, supernet):
     assert tape.stats().snapshot() == {"steps": 3 * size, "replays": 0}
 
 
+def test_two_threads_step_concurrently_as_they_would_in_turn(shards, supernet):
+    """Two threads run stacked groups of different masks at once, 20
+    iterations each, under a 1e-5 s switch interval: each thread steps on
+    its own model, so every update is bit for bit the sequential run's."""
+    masks = _masks(2, seed=5)
+    states = [supernet.submodel_state(mask) for mask in masks]
+    specs = [ParticipantSpec(k, shards[k], BATCH) for k in range(3)]
+    plans = [
+        [
+            [_task(k, masks[t], states[t], 1000 * t + 10 * i + k) for k in range(3)]
+            for i in range(20)
+        ]
+        for t in range(2)
+    ]
+    sequential = [[run_local_group(tasks, specs, TINY) for tasks in plan] for plan in plans]
+    concurrent = [None, None]
+
+    def work(t):
+        concurrent[t] = [run_local_group(tasks, specs, TINY) for tasks in plans[t]]
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for ref_plan, got_plan in zip(sequential, concurrent):
+        assert got_plan is not None, "a stepping thread raised"
+        for refs, updates in zip(ref_plan, got_plan):
+            for ref, got in zip(refs, updates):
+                _assert_bit_equal(ref, got)
+
+
 def test_members_with_different_batch_shapes_run_one_at_a_time(shards, supernet):
     (mask,) = _masks(1)
     state = supernet.submodel_state(mask)
@@ -173,10 +215,13 @@ def test_chunks_are_balanced_and_capped(count):
 def test_batch_norm_node_gradcheck(members):
     rng = np.random.default_rng(members)
     bn = nn.BatchNorm2d(3, affine=False)
-    x = Tensor(rng.standard_normal((2 * members, 3, 3, 3)), requires_grad=True)
+    x = Tensor(
+        rng.standard_normal((2 * members, 3, 3, 3)),
+        requires_grad=True,
+        group=nn.MemberGroup(members),
+    )
     weights = rng.standard_normal(x.shape)
-    with tape.members(members):
-        assert_gradients_close(lambda: (bn(x) * Tensor(weights)).sum(), [x], atol=1e-6)
+    assert_gradients_close(lambda: (bn(x) * Tensor(weights)).sum(), [x], atol=1e-6)
 
 
 def test_batch_norm_members_normalise_alone():
@@ -184,8 +229,9 @@ def test_batch_norm_members_normalise_alone():
     members = 3
     x = rng.standard_normal((2 * members, 4, 3, 3))
     stacked = nn.BatchNorm2d(4, affine=False)
-    with tape.members(members) as buffer_rows:
-        out = stacked(Tensor(x)).data
+    group = nn.MemberGroup(members)
+    out = stacked(Tensor(x, group=group)).data
+    buffer_rows = group.buffer_rows
     assert np.array_equal(stacked.running_mean, np.zeros(4))  # untouched
     for m in range(members):
         alone = nn.BatchNorm2d(4, affine=False)
@@ -197,7 +243,9 @@ def test_batch_norm_members_normalise_alone():
 
 def test_a_group_the_tape_cannot_stack_runs_one_member_at_a_time(shards):
     """Affine batch norm would sum γ/β gradients over all members: the
-    group runs alone per member, each still bit-equal to the oracle."""
+    group of an affine supernet runs alone per member, each still
+    bit-equal to the oracle, and the batch norm refuses a stacked
+    input."""
     affine = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1, affine=True)
     net = Supernet(affine, rng=np.random.default_rng(0))
     (mask,) = _masks(1)
@@ -210,3 +258,6 @@ def test_a_group_the_tape_cannot_stack_runs_one_member_at_a_time(shards):
         _assert_bit_equal(ref, got)
     # The stacked attempt counts nothing; the two lone steps count one each.
     assert tape.stats().snapshot() == {"steps": 2, "replays": 0}
+    x = Tensor(np.zeros((4, 3, 2, 2)), group=nn.MemberGroup(2))
+    with pytest.raises(ValueError, match="affine"):
+        nn.BatchNorm2d(3, affine=True)(x)

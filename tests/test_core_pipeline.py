@@ -188,3 +188,32 @@ class TestEndToEnd:
         )
         model, _ = retrain_centralized(genotype, target_config, train, test)
         assert model.config.num_classes == 20
+
+
+class TestComputeDtypeIsPerPipeline:
+    @pytest.mark.parametrize(
+        "backend,workers", [("serial", 0), ("socket", 2)], ids=["serial", "socket"]
+    )
+    def test_pipelines_built_together_keep_their_own_dtype(self, backend, workers):
+        """A float32 and a float64 pipeline, both constructed before
+        either runs, each give the digest they give alone: building one
+        pipeline never changes how another computes."""
+        from .test_golden_digests import finish_and_digest
+
+        def build(dtype):
+            return FederatedModelSearch(
+                tiny_config(
+                    seed=0,
+                    num_participants=4,
+                    backend=backend,
+                    num_workers=workers,
+                    compute_dtype=dtype,
+                )
+            )
+
+        dtypes = ("float32", "float64")
+        alone = {dtype: finish_and_digest(build(dtype)) for dtype in dtypes}
+        assert alone["float32"] != alone["float64"]
+        together = {dtype: build(dtype) for dtype in dtypes}
+        for dtype in dtypes:
+            assert finish_and_digest(together[dtype]) == alone[dtype], dtype

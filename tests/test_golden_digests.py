@@ -150,7 +150,7 @@ def test_workers_forked_after_serial_rounds_match_serial():
     serial rounds filled the compiled cache and the conv workspaces;
     what they inherit must not move a bit (MSG_INIT resets it)."""
     serial = run_digest("population-converged", 0, "serial")
-    assert compiled._MODELS and vars(F._WORKSPACE)
+    assert vars(compiled._MODELS) and vars(F._WORKSPACE)
     assert run_digest("population-converged", 0, "socket") == serial
 
 

@@ -146,3 +146,46 @@ def test_round_loop_and_checkpoint_functions_stay_short(module):
         and node.end_lineno - node.lineno + 1 > 80
     }
     assert not too_long, f"{module}: functions over 80 lines: {too_long}"
+
+
+def test_the_step_path_keeps_no_process_global_state():
+    """A local step depends only on its arguments: nothing in ``nn/``,
+    ``federated/compiled.py`` or ``federated/participant.py`` rebinds a
+    module global or takes a lock, apart from ``no_grad``'s grad switch
+    and ``set_forward_hook``'s per-op profiling hook."""
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    paths = sorted((root / "nn").glob("*.py"))
+    paths += [root / "federated" / "compiled.py", root / "federated" / "participant.py"]
+    allowed = {("no_grad", "_GRAD_ENABLED"), ("set_forward_hook", "_FORWARD_HOOK")}
+    found = []
+
+    class Finder(ast.NodeVisitor):
+        function = None
+
+        def visit_FunctionDef(self, node):
+            outer, self.function = self.function, node.name
+            self.generic_visit(node)
+            self.function = outer
+
+        def visit_Global(self, node):
+            for name in node.names:
+                if (self.function, name) not in allowed:
+                    found.append(f"{path.name}:{node.lineno}: global {name}")
+
+        def visit_Attribute(self, node):
+            if node.attr in ("Lock", "RLock"):
+                found.append(f"{path.name}:{node.lineno}: {node.attr}")
+            self.generic_visit(node)
+
+        def visit_Name(self, node):
+            if node.id in ("Lock", "RLock"):
+                found.append(f"{path.name}:{node.lineno}: {node.id}")
+
+    for path in paths:
+        Finder().visit(ast.parse(path.read_text()))
+    assert not found, found

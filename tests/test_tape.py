@@ -21,12 +21,13 @@ The contract under test, in order of appearance:
 * every float64 step of the engine is **bit-identical** to the eager
   oracle for a sweep of sampled controller masks (gradients, buffers,
   reward, simulated compute time), float32 is tolerance-equal;
-* threads share the one model safely, and a checkpoint→resume rebuilds
+* each thread steps on its own model, and a checkpoint→resume rebuilds
   it from scratch — it is derived state and never serialized;
-* a worker applies the numeric options its server sent at init, not
-  its own environment.
+* a worker computes in the dtype of the supernet config its server sent
+  at init, not in its own environment.
 """
 
+import dataclasses
 import gc
 import math
 import os
@@ -62,12 +63,12 @@ from repro.nn.functional import (
 from repro.search_space import Supernet, SupernetConfig
 
 TINY = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1)
+TINY_F32 = dataclasses.replace(TINY, compute_dtype="float32")
 
 
 @pytest.fixture(autouse=True)
 def _tape_defaults_between_tests():
     yield
-    tape.configure("float64")
     compiled.reset_cache()
     tape.reset_stats()
 
@@ -623,7 +624,7 @@ class TestDefaultConfigStepMemory:
 
         loss_fn = nn.functional.cross_entropy
 
-        def end_of_forward(logits, targets, members=1):
+        def end_of_forward(logits, targets):
             gc.collect()
             saved = {
                 id(_owner(array))
@@ -646,7 +647,7 @@ class TestDefaultConfigStepMemory:
             for fn in closures:
                 op = fn.__qualname__.split(".<locals>")[0]
                 saved_by.setdefault(op, set()).update(_closure_arrays(fn))
-            return loss_fn(logits, targets, members)
+            return loss_fn(logits, targets)
 
         compiled.reset_cache()
         tape.reset_stats()
@@ -702,10 +703,10 @@ def _make_tasks(num_masks=5, repeats=3, batch_seed0=500):
 
 
 def _run_all(tasks, dataset, step=run_local_step, compute_dtype="float64"):
-    tape.configure(compute_dtype)
     compiled.reset_cache()
     tape.reset_stats()
-    return [step(t, dataset, 8, TINY) for t in tasks]
+    config = dataclasses.replace(TINY, compute_dtype=compute_dtype)
+    return [step(t, dataset, 8, config) for t in tasks]
 
 
 def _assert_bit_equal(ref, got):
@@ -725,7 +726,7 @@ def _assert_bit_equal(ref, got):
 
 
 def _only_model():
-    (cm,) = compiled._MODELS.values()
+    (cm,) = vars(compiled._MODELS).values()
     return cm
 
 
@@ -785,11 +786,13 @@ class TestTapeParity:
     def test_always_on_with_float64_default(self):
         """The shared-model engine is the one local-step path: nothing
         switches it off.  ``enabled()`` names the retired replay engine
-        and reads False."""
+        and reads False; the dtype is the supernet config's, float64
+        unless it says otherwise, and no process setting overrides it."""
         assert not tape.enabled()
-        assert tape.settings() == "float64"
-        with pytest.raises(TypeError):
-            tape.configure(enabled=False)
+        assert SupernetConfig().compute_dtype == "float64"
+        assert not hasattr(tape, "configure") and not hasattr(tape, "settings")
+        with pytest.raises(ValueError):
+            SupernetConfig(compute_dtype="float16")
 
 
 # ----------------------------------------------------------------------
@@ -832,10 +835,11 @@ class TestAdmission:
         assert tape.stats().snapshot() == {"steps": 3, "replays": 0}
 
     def test_concurrent_threads_share_one_engine_safely(self, tiny_dataset):
-        """In-process worker daemons serve tasks from threads; the shared
-        model and the member count are process-global, so steps must not
-        interleave.  Four threads on two cores, 1e-5 s switch interval:
-        unguarded, updates lose gradient names within a few steps."""
+        """In-process worker daemons serve tasks from threads; each thread
+        steps on its own model and its own member count, so steps may
+        interleave freely.  Four threads on two cores, 1e-5 s switch
+        interval (a shared model loses gradient names within a few
+        steps)."""
         tasks = _make_tasks(num_masks=3, repeats=12)
         eager = _run_all(tasks, tiny_dataset, step=_run_eager_step)
         compiled.reset_cache()
@@ -929,7 +933,7 @@ class TestTapeCheckpointResume:
 
         # The resumed half rebuilt the model (it was never serialized),
         # yet the trajectory is bit-identical.
-        assert len(compiled._MODELS) == 1 and tape.stats().steps > 0
+        assert len(vars(compiled._MODELS)) == 1 and tape.stats().steps > 0
         np.testing.assert_array_equal(
             second.policy.alpha, uninterrupted.policy.alpha
         )
@@ -980,13 +984,17 @@ class TestWorkerInitSettings:
 
         from repro.transport import codec
 
-        payload = codec.encode_init([], TINY, compute_dtype="float32")
-        assert codec.decode_init(payload)[3] == "float32"
-        # a server from before the key existed
-        old = pickle.dumps({"specs": [], "supernet_config": TINY})
-        assert codec.decode_init(old)[3] == "float64"
+        payload = codec.encode_init([], TINY_F32)
+        assert codec.decode_init(payload)[1].compute_dtype == "float32"
+        # a server from before the config carried the dtype pickled none
+        legacy = dataclasses.replace(TINY)
+        object.__delattr__(legacy, "compute_dtype")
+        old = pickle.dumps({"specs": [], "supernet_config": legacy})
+        assert codec.decode_init(old)[1].compute_dtype == "float64"
+        bogus = dataclasses.replace(TINY)
+        object.__setattr__(bogus, "compute_dtype", "float16")
         with pytest.raises(codec.ProtocolError):
-            codec.decode_init(codec.encode_init([], TINY, compute_dtype="float16"))
+            codec.decode_init(codec.encode_init([], bogus))
 
     def test_env_free_socket_worker_computes_in_the_servers_dtype(self, tiny_dataset):
         from repro.transport import SocketBackend
@@ -1006,8 +1014,7 @@ class TestWorkerInitSettings:
                 Participant(1, tiny_dataset, batch_size=8, rng=np.random.default_rng(1)),
             ]
             tasks = _make_tasks(num_masks=1, repeats=2)
-            tape.configure("float32")
-            backend = SocketBackend(participants, TINY, workers=[f"{host}:{port}"])
+            backend = SocketBackend(participants, TINY_F32, workers=[f"{host}:{port}"])
             try:
                 remote = [r.update for r in backend.run_tasks(tasks)]
             finally:

@@ -277,13 +277,13 @@ class TestMessageCodecs:
         specs = [
             ParticipantSpec.from_participant(p) for p in build_participants()
         ]
-        decoded_specs, config, population, compute_dtype = codec.decode_init(
+        decoded_specs, config, population = codec.decode_init(
             codec.encode_init(specs, TINY)
         )
         assert [s.participant_id for s in decoded_specs] == [0, 1, 2]
         assert config == TINY
         assert population is None
-        assert compute_dtype == "float64"
+        assert config.compute_dtype == "float64"
         with pytest.raises(ProtocolError):
             codec.decode_init(b"not a pickle")
         import pickle
@@ -378,20 +378,36 @@ class TestWorkerServer:
         finally:
             conn.close()
 
-    def test_init_resets_the_step_cache(self, worker_thread):
-        """A daemon forked from a server inherits its compiled models and
-        tape counters; registering must clear both."""
+    def test_init_resets_the_step_cache(self):
+        """A daemon forked from a server serves on the forking thread and
+        inherits that thread's compiled models and the tape counters;
+        registering must clear both.  The daemon serves on this thread,
+        which stepped first, while a client thread registers."""
         rng = np.random.default_rng(0)
         supernet = Supernet(TINY, rng=rng)
         policy = ArchitecturePolicy(TINY.num_edges, rng=rng)
         run_local_step(make_task(supernet, policy), build_participants()[0].dataset, 8, TINY)
-        assert compiled._MODELS and any(tape.stats().snapshot().values())
-        conn = dial(worker_thread)
-        try:
-            self.register(conn)
-        finally:
-            conn.close()
-        assert not compiled._MODELS
+        assert vars(compiled._MODELS) and any(tape.stats().snapshot().values())
+        server = WorkerServer(port=0, idle_timeout_s=10)
+        errors = []
+
+        def client():
+            try:
+                conn = dial(server)
+                try:
+                    self.register(conn)
+                    conn.request(MSG_SHUTDOWN, b"", timeout=10)
+                finally:
+                    conn.close()
+            except BaseException as exc:  # re-raised on the test thread
+                errors.append(exc)
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        server.serve_forever()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and not errors, errors
+        assert not vars(compiled._MODELS)
         assert not any(tape.stats().snapshot().values())
 
     def test_garbage_connection_does_not_kill_daemon(self, worker_thread):
