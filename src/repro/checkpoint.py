@@ -9,7 +9,7 @@ This module serialises
 * the full search-server state via :func:`save_search_state` /
   :func:`restore_search_state`.
 
-Search checkpoints (format version 2) are **crash-consistent and
+Search checkpoints (format version 3) are **crash-consistent and
 complete**: the write goes to a temporary file that is fsynced and then
 atomically renamed over the target, so a crash mid-save can never leave
 a truncated zip at the checkpoint path — the previous checkpoint (if
@@ -30,24 +30,29 @@ are everything a bit-identical resume needs:
   when one is attached, and in population mode the registry record
   arrays and the cohort-sampler and churn RNG states.
 
-Formats: ``.npz`` for arrays, ``.json`` for metadata; no pickling, so
-checkpoints are portable and safe to load.
+A search checkpoint is a zip: ``meta.json`` plus one ``*.bin`` member
+per array row, holding the row in the wire's packed layout
+(:func:`repro.nn.serialize.encode_entries`, dtype kept).  The zip stores
+members as they are (its CRC32 still catches bit flips); only the
+population row, whose registry columns shrink ~160x, is deflated.
+Earlier formats are refused, not converted.  No pickling, so checkpoints
+are portable and safe to load; :func:`save_model` files are plain npz.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Set, Union
 
 import numpy as np
 
 from repro.federated import FederatedSearchServer
 from repro.nn import Module
+from repro.nn.serialize import decode_entries, encode_entries
 from repro.search_space import Genotype
 
 __all__ = [
@@ -62,7 +67,9 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
+#: suffix of a zip member that holds one row's arrays
+_ARRAYS = ".bin"
 
 
 def save_model(model: Module, path: PathLike) -> None:
@@ -73,7 +80,8 @@ def save_model(model: Module, path: PathLike) -> None:
 
 def load_model(model: Module, path: PathLike) -> None:
     """Load a state dict saved by :func:`save_model` into ``model``."""
-    model.apply_state(_load_arrays(str(path)), strict=True)
+    with np.load(str(path)) as archive:
+        model.apply_state({name: archive[name] for name in archive.files}, strict=True)
 
 
 def save_genotype(genotype: Genotype, path: PathLike) -> None:
@@ -84,45 +92,17 @@ def load_genotype(path: PathLike) -> Genotype:
     return Genotype.from_json(Path(path).read_text())
 
 
-def _arrays_to_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
-
-
-def _load_arrays(source) -> Dict[str, np.ndarray]:
-    """Every array of an ``.npz`` (a path or an open binary file)."""
-    with np.load(source) as archive:
-        return {name: archive[name] for name in archive.files}
-
-
-def _atomic_write(path: PathLike, writer: Callable[[zipfile.ZipFile], None]) -> None:
-    """Write a zip via tmp file + fsync + rename — all or nothing."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            with zipfile.ZipFile(
-                handle, "w", compression=zipfile.ZIP_DEFLATED
-            ) as archive:
-                writer(archive)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
 class _Row(NamedTuple):
     """One owner of checkpointed state.  ``pack`` maps its ``state_dict()``
-    to file entries (a ``*.npz`` key is a zip member of arrays, any other
-    a ``meta.json`` entry); ``unpack`` maps the file's entries back."""
+    to file entries (a ``*.bin`` key is a zip member of arrays, any other
+    a ``meta.json`` entry); ``unpack`` maps the file's entries back.
+    ``deflate`` marks a row whose members zlib (level 1) shrinks a lot."""
 
     name: str
     owner: Callable[[FederatedSearchServer], object]
     pack: Callable[[Optional[Mapping]], Dict[str, object]]
     unpack: Callable[[Mapping], Optional[Mapping]]
+    deflate: bool = False
 
 
 def _as_is(key: str, owner: Callable[[FederatedSearchServer], object]) -> _Row:
@@ -136,14 +116,14 @@ _SERVER_META = ("round", "clock_s", "rng", "pending")
 def _pack_server(state: Mapping) -> Dict[str, object]:
     packed = {key: state[key] for key in _SERVER_META}
     for i, arrays in enumerate(state["pending_arrays"]):
-        packed[f"pending_{i}.npz"] = arrays
+        packed[f"pending_{i}.bin"] = arrays
     return packed
 
 
 def _unpack_server(saved: Mapping) -> Dict[str, object]:
     state = {key: saved[key] for key in _SERVER_META}
     state["pending_arrays"] = [
-        saved[f"pending_{i}.npz"] for i in range(len(saved["pending"]))
+        saved[f"pending_{i}.bin"] for i in range(len(saved["pending"]))
     ]
     return state
 
@@ -154,23 +134,23 @@ def _pack_population(state: Optional[Mapping]) -> Dict[str, object]:
     registry = dict(state["registry"])
     meta = {"registered": int(registry.pop("population"))}
     meta.update(sampler=state["sampler"], churn=state["churn"])
-    return {"population.npz": registry, "population": meta}
+    return {"population.bin": registry, "population": meta}
 
 
 def _unpack_population(saved: Mapping) -> Optional[Dict[str, object]]:
     meta = saved.get("population")  # absent before population mode existed
     if meta is None:
         return None
-    registry = {**saved["population.npz"], "population": int(meta["registered"])}
+    registry = {**saved["population.bin"], "population": int(meta["registered"])}
     return {"registry": registry, "sampler": meta["sampler"], "churn": meta["churn"]}
 
 
 #: Save and restore both walk this table and nothing else; row order is
 #: the order of the zip members and of the restore.
 _TABLE = (
-    _as_is("theta.npz", lambda server: server.arena),
-    _as_is("alpha.npz", lambda server: server.policy),
-    _as_is("velocity.npz", lambda server: server.theta_optimizer),
+    _as_is("theta.bin", lambda server: server.arena),
+    _as_is("alpha.bin", lambda server: server.policy),
+    _as_is("velocity.bin", lambda server: server.theta_optimizer),
     _Row(
         "baseline",
         lambda server: server.baseline,
@@ -182,10 +162,10 @@ _TABLE = (
         "pools",
         lambda server: server.pools,
         lambda state: {
-            "pools.npz": state["arrays"],
+            "pools.bin": state["arrays"],
             "pools": {"rounds": state["rounds"], "masks": state["masks"]},
         },
-        lambda saved: {**saved["pools"], "arrays": saved["pools.npz"]},
+        lambda saved: {**saved["pools"], "arrays": saved["pools.bin"]},
     ),
     _Row("server", lambda server: server, _pack_server, _unpack_server),
     _as_is("quarantine", lambda server: server.quarantine),
@@ -195,6 +175,7 @@ _TABLE = (
         lambda server: server.population,
         _pack_population,
         _unpack_population,
+        deflate=True,
     ),
 )
 
@@ -216,20 +197,14 @@ def save_search_state(
 
     states = capture_states({row.name: row.owner(server) for row in _TABLE})
     contents: Dict[str, object] = {"format_version": _FORMAT_VERSION}
+    deflated = set()
     for row in _TABLE:
-        contents.update(row.pack(states[row.name]))
+        packed = row.pack(states[row.name])
+        contents.update(packed)
+        if row.deflate:
+            deflated.update(packed)
     contents["extra"] = extra or {}
-
-    def write(archive: zipfile.ZipFile) -> None:
-        meta = {}
-        for key, value in contents.items():
-            if key.endswith(".npz"):
-                archive.writestr(key, _arrays_to_bytes(value))
-            else:
-                meta[key] = value
-        archive.writestr("meta.json", json.dumps(meta))
-
-    _atomic_write(path, write)
+    _write(path, contents, deflated)
     if server.telemetry.enabled:
         server.telemetry.count("checkpoint.saves")
         server.telemetry.emit(
@@ -240,21 +215,57 @@ def save_search_state(
         )
 
 
+def _write(
+    path: PathLike, contents: Mapping[str, object], deflated: Set[str]
+) -> None:
+    """Write ``contents`` as a zip via tmp file + fsync + rename — all or
+    nothing.  Each ``*.bin`` entry is streamed into its own member
+    (deflated if its key is in ``deflated``), the rest is ``meta.json``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    meta = {key: value for key, value in contents.items() if not key.endswith(_ARRAYS)}
+    try:
+        with open(tmp, "wb") as handle:
+            with zipfile.ZipFile(handle, "w") as archive:
+                for key, arrays in contents.items():
+                    if not key.endswith(_ARRAYS):
+                        continue
+                    info = zipfile.ZipInfo(key)
+                    if key in deflated:
+                        info.compress_type = zipfile.ZIP_DEFLATED
+                        info._compresslevel = 1
+                    with archive.open(info, "w") as member:
+                        for chunk in encode_entries(arrays):
+                            member.write(chunk)
+                archive.writestr("meta.json", json.dumps(meta))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
 def _read(path: PathLike, members: bool) -> Dict[str, object]:
     """The one checkpoint reader: the ``meta.json`` entries, plus every
-    decoded ``*.npz`` member when ``members`` is set.  Anything but a
-    readable format-2 zip is a ``ValueError`` naming ``path``."""
+    decoded ``*.bin`` member when ``members`` is set.  Anything but a
+    readable format-3 zip is a ``ValueError`` naming ``path``."""
     try:
         with zipfile.ZipFile(str(path)) as archive:
             contents = json.loads(archive.read("meta.json"))
+            version = contents.get("format_version")
             for name in archive.namelist() if members else ():
-                if name.endswith(".npz"):
-                    contents[name] = _load_arrays(io.BytesIO(archive.read(name)))
+                if name.endswith(_ARRAYS) and version == _FORMAT_VERSION:
+                    contents[name] = decode_entries(archive.read(name))
     except (
-        zipfile.BadZipFile, zlib.error, NotImplementedError, KeyError, ValueError
+        zipfile.BadZipFile,
+        zlib.error,
+        NotImplementedError,
+        KeyError,
+        ValueError,
+        AttributeError,
     ) as error:
         raise ValueError(f"{path} is not a readable checkpoint: {error}") from error
-    version = contents.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {version} (expected "

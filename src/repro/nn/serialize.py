@@ -18,8 +18,9 @@ Two size accountings coexist deliberately:
 
 from __future__ import annotations
 
+import math
 import zlib
-from typing import Dict, Optional
+from typing import Dict, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .modules import Module
 
 __all__ = [
     "WIRE_DTYPES",
+    "encode_entries",
+    "decode_entries",
     "pack_state",
     "unpack_state",
     "state_num_parameters",
@@ -51,6 +54,96 @@ WIRE_DTYPES = {
 }
 
 
+#: dtype kinds the packed layout carries: bool, int, unsigned, float, complex.
+_NUMERIC_KINDS = frozenset("biufc")
+
+
+def _entry_header(name: str, array: np.ndarray) -> bytes:
+    """Everything of one packed entry but its raw bytes."""
+    if array.dtype.kind not in _NUMERIC_KINDS:
+        raise ValueError(
+            f"state entry {name!r} has non-numeric dtype {array.dtype.str!r}"
+        )
+    name_bytes = name.encode("utf-8")
+    dtype_bytes = array.dtype.str.encode("ascii")
+    if (
+        len(name_bytes) > 0xFFFF
+        or len(dtype_bytes) > 0xFF
+        or array.ndim > 0xFF
+        or any(dim > 0xFFFFFFFF for dim in array.shape)
+    ):
+        raise ValueError(f"state entry {name!r} does not fit the packed format")
+    return (
+        len(name_bytes).to_bytes(2, "big")
+        + name_bytes
+        + bytes([len(dtype_bytes)])
+        + dtype_bytes
+        + bytes([array.ndim])
+        + b"".join(dim.to_bytes(4, "big") for dim in array.shape)
+    )
+
+
+def encode_entries(state: Mapping[str, np.ndarray]) -> Iterator[object]:
+    """The packed layout of ``state`` with every array's dtype kept.
+
+    Yields, per entry, its header and then its raw C-order bytes (a
+    ``uint8`` view, no copy when the array is already contiguous), so a
+    caller can stream the entries into a file or ``b"".join`` them::
+
+        name_len (u16 BE) | name utf-8 | dtype_len (u8) | dtype.str |
+        ndim (u8) | dims (u32 BE each) | raw C-order bytes
+
+    Entries keep dict order; the stored ``dtype.str`` carries the byte
+    order, so the layout is self-describing and platform-portable.  A
+    non-numeric dtype or a field that overflows is a ``ValueError``.
+    """
+    for name, value in state.items():
+        array = np.asarray(value)
+        yield _entry_header(name, array)
+        yield np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+
+
+def decode_entries(payload) -> Dict[str, np.ndarray]:
+    """Inverse of :func:`encode_entries`: fresh arrays, dtype kept.
+
+    Any malformation (truncation, a bad name or dtype, a non-numeric
+    dtype, trailing bytes that do not form an entry) is a ``ValueError``.
+    """
+    view = memoryview(payload).cast("B")
+    state: Dict[str, np.ndarray] = {}
+    offset = 0
+    total = len(view)
+
+    def take(count: int) -> memoryview:
+        nonlocal offset
+        if offset + count > total:
+            raise ValueError(
+                f"truncated packed state blob at byte {offset} "
+                f"(wanted {count} more of {total})"
+            )
+        chunk = view[offset : offset + count]
+        offset += count
+        return chunk
+
+    while offset < total:
+        name_len = int.from_bytes(take(2), "big")
+        name = bytes(take(name_len)).decode("utf-8")
+        dtype_len = take(1)[0]
+        try:
+            dt = np.dtype(bytes(take(dtype_len)).decode("ascii"))
+        except (TypeError, ValueError, SyntaxError) as exc:
+            raise ValueError(f"packed state entry {name!r} has a bad dtype") from exc
+        if dt.kind not in _NUMERIC_KINDS:
+            raise ValueError(
+                f"packed state entry {name!r} has non-numeric dtype {dt.str!r}"
+            )
+        ndim = take(1)[0]
+        shape = tuple(int.from_bytes(take(4), "big") for _ in range(ndim))
+        data = take(math.prod(shape) * dt.itemsize)
+        state[name] = np.frombuffer(data, dtype=dt).reshape(shape).copy()
+    return state
+
+
 def pack_state(
     state: Dict[str, np.ndarray],
     *,
@@ -61,58 +154,32 @@ def pack_state(
     """Serialize a state dict to the packed binary blob.
 
     The one state encoding on the wire (tasks and updates, both
-    directions); ~40 bytes of overhead per entry::
-
-        name_len (u16 BE) | name utf-8 | dtype_len (u8) | dtype.str |
-        ndim (u8) | dims (u32 BE each) | raw C-order bytes
-
-    Entries keep dict order; the stored ``dtype.str`` carries the byte
-    order, so the blob is self-describing and platform-portable.
-    ``dtype`` selects the wire precision (see :data:`WIRE_DTYPES`),
-    ``compress=True`` zlib-compresses the whole blob.  The output is
-    deterministic: the same state always produces the same bytes.
+    directions): :func:`encode_entries`' layout, ~40 bytes of overhead
+    per entry, with every array cast to the wire precision ``dtype``
+    (see :data:`WIRE_DTYPES`).  ``compress=True`` zlib-compresses the
+    whole blob.  The output is deterministic: the same state always
+    produces the same bytes.
 
     ``arena`` is a fast path, never a different format: an entry that
-    *is* one of the arena's live float64 views, shipped at float64, has
-    its data bytes sliced straight out of the arena's contiguous buffer
-    (a zero-copy memoryview range) instead of going through
-    ``ascontiguousarray``/``tobytes``.  Any other entry — not an arena
-    view, or a narrowing wire dtype that needs a real conversion — is
-    packed the ordinary way, so the bytes are identical with or without
-    the arena (asserted in tests).
+    *is* one of the arena's live float64 views, shipped at float64, is
+    packed as that view — its bytes come straight out of the arena's
+    contiguous buffer — instead of going through ``ascontiguousarray``.
+    The bytes are identical with or without the arena (asserted in
+    tests).
     """
     if dtype not in WIRE_DTYPES:
         raise ValueError(
             f"dtype must be one of {sorted(WIRE_DTYPES)}, got {dtype!r}"
         )
     wire = WIRE_DTYPES[dtype]
-    raw = None
-    if arena is not None and wire == arena.data.dtype:
-        raw = memoryview(arena.data).cast("B")
-        itemsize = arena.data.itemsize
-    parts = []
+    live = arena is not None and wire == arena.data.dtype
+    cast: Dict[str, np.ndarray] = {}
     for name, value in state.items():
-        entry = arena.index.get(name) if raw is not None else None
-        if entry is not None and arena.view(name) is value:
-            array = value
-            data = raw[entry.offset * itemsize : (entry.offset + entry.size) * itemsize]
+        if live and name in arena.index and arena.view(name) is value:
+            cast[name] = value
         else:
-            array = np.ascontiguousarray(np.asarray(value, dtype=wire))
-            data = array.tobytes()
-        name_bytes = name.encode("utf-8")
-        dtype_bytes = array.dtype.str.encode("ascii")
-        if len(name_bytes) > 0xFFFF or len(dtype_bytes) > 0xFF or array.ndim > 0xFF:
-            raise ValueError(f"state entry {name!r} does not fit the packed format")
-        parts.append(
-            len(name_bytes).to_bytes(2, "big")
-            + name_bytes
-            + bytes([len(dtype_bytes)])
-            + dtype_bytes
-            + bytes([array.ndim])
-            + b"".join(dim.to_bytes(4, "big") for dim in array.shape)
-        )
-        parts.append(data)
-    payload = b"".join(parts)
+            cast[name] = np.ascontiguousarray(np.asarray(value, dtype=wire))
+    payload = b"".join(encode_entries(cast))
     if compress:
         payload = zlib.compress(payload)
     return payload
@@ -125,37 +192,10 @@ def unpack_state(payload: bytes, *, compressed: bool = False) -> Dict[str, np.nd
             payload = zlib.decompress(payload)
         except zlib.error as exc:
             raise ValueError(f"corrupt compressed state payload: {exc}") from exc
-    state: Dict[str, np.ndarray] = {}
-    offset = 0
-    total = len(payload)
-
-    def take(count: int) -> bytes:
-        nonlocal offset
-        if offset + count > total:
-            raise ValueError(
-                f"truncated packed state blob at byte {offset} "
-                f"(wanted {count} more of {total})"
-            )
-        chunk = payload[offset : offset + count]
-        offset += count
-        return chunk
-
-    while offset < total:
-        name_len = int.from_bytes(take(2), "big")
-        name = take(name_len).decode("utf-8")
-        dtype_len = take(1)[0]
-        try:
-            dt = np.dtype(take(dtype_len).decode("ascii"))
-        except (TypeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"packed state entry {name!r} has a bad dtype") from exc
-        ndim = take(1)[0]
-        shape = tuple(int.from_bytes(take(4), "big") for _ in range(ndim))
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        data = take(size * dt.itemsize)
-        state[name] = (
-            np.frombuffer(data, dtype=dt).reshape(shape).astype(np.float64)
-        )
-    return state
+    return {
+        name: array.astype(np.float64, copy=False)
+        for name, array in decode_entries(payload).items()
+    }
 
 
 def state_num_parameters(state: Dict[str, np.ndarray]) -> int:

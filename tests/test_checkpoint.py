@@ -1,6 +1,5 @@
 """Tests for checkpointing (repro.checkpoint)."""
 
-import io
 import json
 from collections.abc import Mapping
 
@@ -21,6 +20,7 @@ from repro.checkpoint import (
 from repro.controller import ArchitecturePolicy
 from repro.data import iid_partition, synth_cifar10
 from repro.federated import FederatedSearchServer, Participant
+from repro.nn.serialize import decode_entries, encode_entries
 from repro.search_space import Genotype, Supernet, SupernetConfig
 
 TINY = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1)
@@ -231,15 +231,16 @@ class TestSearchStateCheckpoint:
         good = path.read_bytes()
 
         server.run(1)
-        original = checkpoint_module._arrays_to_bytes
+        original = checkpoint_module.encode_entries
 
         def explode(arrays):
+            yield from original(arrays)
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(checkpoint_module, "_arrays_to_bytes", explode)
+        monkeypatch.setattr(checkpoint_module, "encode_entries", explode)
         with pytest.raises(RuntimeError, match="disk full"):
             save_search_state(server, path)
-        monkeypatch.setattr(checkpoint_module, "_arrays_to_bytes", original)
+        monkeypatch.setattr(checkpoint_module, "encode_entries", original)
 
         assert path.read_bytes() == good  # previous checkpoint intact
         assert list(tmp_path.glob("*.tmp")) == []
@@ -286,12 +287,11 @@ def assert_state_equal(got, want, where="state"):
 
 
 def through_file(entries):
-    """What the file would hand back: arrays via npz, the rest via JSON."""
+    """What the file would hand back: arrays via the packed layout, the
+    rest via JSON."""
     return {
-        key: checkpoint_module._load_arrays(
-            io.BytesIO(checkpoint_module._arrays_to_bytes(value))
-        )
-        if key.endswith(".npz")
+        key: decode_entries(b"".join(encode_entries(value)))
+        if key.endswith(".bin")
         else json.loads(json.dumps(value))
         for key, value in entries.items()
     }
