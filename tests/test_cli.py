@@ -386,7 +386,7 @@ class TestEndToEnd:
         else:
             with zipfile.ZipFile(golden) as source, zipfile.ZipFile(ckpt, "w") as out:
                 for name in source.namelist():
-                    if name != "theta.npz":
+                    if name != "theta.bin":
                         out.writestr(name, source.read(name))
         code = main(["run", "--resume", str(ckpt)])
         err = capsys.readouterr().err

@@ -21,14 +21,15 @@ bit, so the test skips instead of failing.
 ``golden_checkpoint.ckpt`` is a checkpoint that same parent commit
 wrote three rounds into a soft-sync search (pending stragglers on board,
 both retired config keys in its embedded config); resuming it must land
-on the digest the parent's uninterrupted run produced.
+on the digest the parent's uninterrupted run produced.  It was written
+as format 2 (npz members) and converted to format 3 (packed members)
+array for array, with its ``meta.json`` kept as it was.
 
 Re-record (only ever on purpose):
 ``PYTHONPATH=src python -m tests.test_golden_digests [mode ... | checkpoint]``
 """
 
 import hashlib
-import io
 import json
 import pathlib
 import platform
@@ -42,6 +43,7 @@ import pytest
 from repro import ExperimentConfig, FederatedModelSearch
 from repro.federated import compiled
 from repro.nn import functional as F
+from repro.nn.serialize import decode_entries
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_digests.json")
 CHECKPOINT_PATH = pathlib.Path(__file__).with_name("golden_checkpoint.ckpt")
@@ -171,20 +173,21 @@ def pipeline_at_checkpoint() -> FederatedModelSearch:
 
 
 def checkpoint_layout(path) -> dict:
-    """Zip member → sorted array keys (``meta.json``: sorted top-level keys)."""
+    """Zip member → sorted ``(array key, dtype)`` pairs (``meta.json``:
+    sorted top-level keys)."""
     layout = {}
     with zipfile.ZipFile(path) as archive:
         for name in archive.namelist():
             if name == "meta.json":
                 layout[name] = sorted(json.loads(archive.read(name)))
             else:
-                with np.load(io.BytesIO(archive.read(name))) as arrays:
-                    layout[name] = sorted(arrays.files)
+                arrays = decode_entries(archive.read(name))
+                layout[name] = sorted((key, a.dtype.str) for key, a in arrays.items())
     return layout
 
 
-def test_checkpoint_layout_is_still_format_2(tmp_path):
-    """Same member names, array keys and meta keys as the parent wrote."""
+def test_checkpoint_layout_matches_the_fixture(tmp_path):
+    """Same member names, array keys, dtypes and meta keys as the fixture."""
     load_golden()  # skips on a foreign fingerprint
     pipeline = pipeline_at_checkpoint()
     try:
