@@ -33,6 +33,7 @@ label arrays) may be wrapped for convenience but must have
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -41,7 +42,13 @@ __all__ = ["Tensor", "MemberGroup", "no_grad", "is_grad_enabled", "as_tensor"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 
-_GRAD_ENABLED = True
+#: ``no_grad`` state, per thread: a thread evaluating under ``no_grad``
+#: must not stop a local step on another thread from building its graph.
+class _GradMode(threading.local):
+    enabled = True
+
+
+_GRAD = _GradMode()
 
 
 class MemberGroup:
@@ -66,19 +73,19 @@ def no_grad():
     Inside the block, all operations behave as pure numpy computations:
     results have ``requires_grad=False`` and no backward closures are
     recorded.  Used for evaluation and for optimizer parameter updates.
+    The switch is per thread.
     """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    previous = is_grad_enabled()
+    _GRAD.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
+    """Return whether operations on this thread record the autograd graph."""
+    return _GRAD.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -348,7 +355,7 @@ class Tensor:
         for parent in parents:
             needs = needs or parent.requires_grad
             group = group or parent.group
-        needs = needs and _GRAD_ENABLED
+        needs = needs and _GRAD.enabled
         out = Tensor(data, requires_grad=needs, group=group)
         if needs:
             node = out._node

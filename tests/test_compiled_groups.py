@@ -10,7 +10,8 @@ The contract under test:
   shorter than the batch, still return every update in task order and
   bit-equal to the oracle;
 * ``tape.stats()`` counts one step per member;
-* two threads stepping at once get the updates they get in turn;
+* two threads stepping at once get the updates they get in turn, and a
+  thread inside ``no_grad`` leaves another thread's step its graph;
 * chunks are balanced and never exceed the cap;
 * the one-node train-mode batch norm is gradchecked at one and three
   stacked members, and each member's slice normalises as it would alone.
@@ -31,6 +32,7 @@ from repro.federated.participant import (
     ParticipantSpec,
     _run_eager_step,
     run_local_group,
+    run_local_step,
 )
 from repro.nn import Tensor, tape
 from repro.search_space import Supernet, SupernetConfig
@@ -144,6 +146,37 @@ def test_two_threads_step_concurrently_as_they_would_in_turn(shards, supernet):
         for refs, updates in zip(ref_plan, got_plan):
             for ref, got in zip(refs, updates):
                 _assert_bit_equal(ref, got)
+
+
+def test_no_grad_on_another_thread_leaves_a_step_its_graph(shards, supernet):
+    """``no_grad`` is per thread: while another thread evaluates under it
+    in a loop (1e-5 s switch interval), 100 local steps here still build
+    their graph and each gives the update it gives alone."""
+    (mask,) = _masks(1)
+    spec = ParticipantSpec(0, shards[0], BATCH)
+    task = _task(0, mask, supernet.submodel_state(mask), 3)
+    ref = run_local_step(task, spec.dataset, BATCH, TINY)
+    stop = threading.Event()
+
+    def evaluate():
+        x = Tensor(np.ones(4), requires_grad=True)
+        while not stop.is_set():
+            with nn.no_grad():
+                (x * 2.0).sum()
+
+    evaluator = threading.Thread(target=evaluate)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    evaluator.start()
+    try:
+        updates = [run_local_step(task, spec.dataset, BATCH, TINY) for _ in range(100)]
+    finally:
+        stop.set()
+        evaluator.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not evaluator.is_alive()
+    for got in updates:
+        _assert_bit_equal(ref, got)
 
 
 def test_members_with_different_batch_shapes_run_one_at_a_time(shards, supernet):

@@ -151,8 +151,8 @@ def test_round_loop_and_checkpoint_functions_stay_short(module):
 def test_the_step_path_keeps_no_process_global_state():
     """A local step depends only on its arguments: nothing in ``nn/``,
     ``federated/compiled.py`` or ``federated/participant.py`` rebinds a
-    module global or takes a lock, apart from ``no_grad``'s grad switch
-    and ``set_forward_hook``'s per-op profiling hook."""
+    module global or takes a lock, apart from ``set_forward_hook``'s
+    per-op profiling hook."""
     import ast
     import pathlib
 
@@ -161,7 +161,7 @@ def test_the_step_path_keeps_no_process_global_state():
     root = pathlib.Path(repro.__file__).parent
     paths = sorted((root / "nn").glob("*.py"))
     paths += [root / "federated" / "compiled.py", root / "federated" / "participant.py"]
-    allowed = {("no_grad", "_GRAD_ENABLED"), ("set_forward_hook", "_FORWARD_HOOK")}
+    allowed = {("set_forward_hook", "_FORWARD_HOOK")}
     found = []
 
     class Finder(ast.NodeVisitor):
