@@ -248,24 +248,29 @@ def _write(
 
 def _read(path: PathLike, members: bool) -> Dict[str, object]:
     """The one checkpoint reader: the ``meta.json`` entries, plus every
-    decoded ``*.bin`` member when ``members`` is set.  Anything but a
-    readable format-3 zip is a ``ValueError`` naming ``path``."""
-    try:
-        with zipfile.ZipFile(str(path)) as archive:
-            contents = json.loads(archive.read("meta.json"))
-            version = contents.get("format_version")
-            for name in archive.namelist() if members else ():
-                if name.endswith(_ARRAYS) and version == _FORMAT_VERSION:
-                    contents[name] = decode_entries(archive.read(name))
-    except (
-        zipfile.BadZipFile,
-        zlib.error,
-        NotImplementedError,
-        KeyError,
-        ValueError,
-        AttributeError,
-    ) as error:
-        raise ValueError(f"{path} is not a readable checkpoint: {error}") from error
+    decoded ``*.bin`` member when ``members`` is set.  A file that opens
+    but is anything but a readable format-3 zip is a ``ValueError``
+    naming ``path``."""
+    with open(path, "rb") as handle:
+        try:
+            with zipfile.ZipFile(handle) as archive:
+                contents = json.loads(archive.read("meta.json"))
+                version = contents.get("format_version")
+                for name in archive.namelist() if members else ():
+                    if name.endswith(_ARRAYS) and version == _FORMAT_VERSION:
+                        contents[name] = decode_entries(archive.read(name))
+        except (
+            zipfile.BadZipFile,  # also a CRC mismatch
+            zlib.error,
+            NotImplementedError,  # unknown compression method
+            RuntimeError,  # an encrypted member
+            EOFError,
+            OSError,  # a seek to a damaged offset
+            KeyError,
+            ValueError,
+            AttributeError,  # meta.json is not an object
+        ) as error:
+            raise ValueError(f"{path} is not a readable checkpoint: {error}") from error
     if version != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {version} (expected "

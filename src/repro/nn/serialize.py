@@ -54,8 +54,8 @@ WIRE_DTYPES = {
 }
 
 
-#: dtype kinds the packed layout carries: bool, int, unsigned, float, complex.
-_NUMERIC_KINDS = frozenset("biufc")
+#: dtype kinds the packed layout carries: bool, int, unsigned int, float.
+_NUMERIC_KINDS = frozenset("biuf")
 
 
 def _entry_header(name: str, array: np.ndarray) -> bytes:

@@ -227,7 +227,7 @@ def _unpack_tensor_payload(payload: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]
         arrays = unpack_state(
             payload[blob_start:], compressed=bool(flags & _FLAG_ZLIB)
         )
-    except Exception as exc:  # corrupt zlib stream or packed blob
+    except ValueError as exc:  # corrupt zlib stream or packed blob
         raise ProtocolError(f"corrupt tensor blob: {exc}") from exc
     return meta, arrays
 

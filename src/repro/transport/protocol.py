@@ -90,7 +90,7 @@ MESSAGE_TYPES = {
 }
 
 
-class ProtocolError(Exception):
+class ProtocolError(ValueError):
     """The byte stream violates the wire protocol (malformed frame,
     CRC mismatch, oversized payload, truncation, version skew)."""
 
