@@ -19,6 +19,7 @@ Two size accountings coexist deliberately:
 from __future__ import annotations
 
 import math
+import struct
 import zlib
 from typing import Dict, Iterator, Mapping, Optional
 
@@ -66,29 +67,23 @@ def _entry_header(name: str, array: np.ndarray) -> bytes:
         )
     name_bytes = name.encode("utf-8")
     dtype_bytes = array.dtype.str.encode("ascii")
-    if (
-        len(name_bytes) > 0xFFFF
-        or len(dtype_bytes) > 0xFF
-        or array.ndim > 0xFF
-        or any(dim > 0xFFFFFFFF for dim in array.shape)
-    ):
-        raise ValueError(f"state entry {name!r} does not fit the packed format")
-    return (
-        len(name_bytes).to_bytes(2, "big")
-        + name_bytes
-        + bytes([len(dtype_bytes)])
-        + dtype_bytes
-        + bytes([array.ndim])
-        + b"".join(dim.to_bytes(4, "big") for dim in array.shape)
-    )
+    shape = array.shape
+    try:
+        return struct.pack(
+            f">H{len(name_bytes)}sB{len(dtype_bytes)}sB{len(shape)}I",
+            len(name_bytes), name_bytes, len(dtype_bytes), dtype_bytes,
+            len(shape), *shape,
+        )
+    except struct.error as exc:
+        raise ValueError(f"state entry {name!r} does not fit the packed format") from exc
 
 
 def encode_entries(state: Mapping[str, np.ndarray]) -> Iterator[object]:
     """The packed layout of ``state`` with every array's dtype kept.
 
     Yields, per entry, its header and then its raw C-order bytes (a
-    ``uint8`` view, no copy when the array is already contiguous), so a
-    caller can stream the entries into a file or ``b"".join`` them::
+    buffer, no copy when the array is already contiguous), so a caller
+    can stream the entries into a file or ``b"".join`` them::
 
         name_len (u16 BE) | name utf-8 | dtype_len (u8) | dtype.str |
         ndim (u8) | dims (u32 BE each) | raw C-order bytes
@@ -100,7 +95,7 @@ def encode_entries(state: Mapping[str, np.ndarray]) -> Iterator[object]:
     for name, value in state.items():
         array = np.asarray(value)
         yield _entry_header(name, array)
-        yield np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+        yield memoryview(np.ascontiguousarray(array))
 
 
 def decode_entries(payload) -> Dict[str, np.ndarray]:
@@ -126,11 +121,11 @@ def decode_entries(payload) -> Dict[str, np.ndarray]:
         return chunk
 
     while offset < total:
-        name_len = int.from_bytes(take(2), "big")
-        name = bytes(take(name_len)).decode("utf-8")
+        (name_len,) = struct.unpack(">H", take(2))
+        name = str(take(name_len), "utf-8")
         dtype_len = take(1)[0]
         try:
-            dt = np.dtype(bytes(take(dtype_len)).decode("ascii"))
+            dt = np.dtype(str(take(dtype_len), "ascii"))
         except (TypeError, ValueError, SyntaxError) as exc:
             raise ValueError(f"packed state entry {name!r} has a bad dtype") from exc
         if dt.kind not in _NUMERIC_KINDS:
@@ -138,7 +133,7 @@ def decode_entries(payload) -> Dict[str, np.ndarray]:
                 f"packed state entry {name!r} has non-numeric dtype {dt.str!r}"
             )
         ndim = take(1)[0]
-        shape = tuple(int.from_bytes(take(4), "big") for _ in range(ndim))
+        shape = struct.unpack(f">{ndim}I", take(4 * ndim))
         data = take(math.prod(shape) * dt.itemsize)
         state[name] = np.frombuffer(data, dtype=dt).reshape(shape).copy()
     return state
