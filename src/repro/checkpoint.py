@@ -30,13 +30,11 @@ are everything a bit-identical resume needs:
   when one is attached, and in population mode the registry record
   arrays and the cohort-sampler and churn RNG states.
 
-A search checkpoint is a zip: ``meta.json`` plus one ``*.bin`` member
-per array row, holding the row in the wire's packed layout
-(:func:`repro.nn.serialize.encode_entries`, dtype kept).  The zip stores
-members as they are (its CRC32 still catches bit flips); only the
-population row, whose registry columns shrink ~160x, is deflated.
-Earlier formats are refused, not converted.  No pickling, so checkpoints
-are portable and safe to load; :func:`save_model` files are plain npz.
+A search checkpoint is a stored zip (its CRC32 still catches bit flips)
+of ``meta.json`` plus one ``*.bin`` member per array row in the wire's
+packed layout (:func:`repro.nn.serialize.encode_entries`, dtype kept);
+only the population row is deflated.  Earlier formats are refused.  No
+pickling, so checkpoints are safe to load; model files are plain npz.
 """
 
 from __future__ import annotations
@@ -202,8 +200,7 @@ def save_search_state(
     for row in _TABLE:
         packed = row.pack(states[row.name])
         contents.update(packed)
-        if row.deflate:
-            deflated.update(packed)
+        deflated.update(packed if row.deflate else ())
     contents["extra"] = extra or {}
     _write(path, contents, deflated)
     if server.telemetry.enabled:
@@ -216,9 +213,7 @@ def save_search_state(
         )
 
 
-def _write(
-    path: PathLike, contents: Mapping[str, object], deflated: Set[str]
-) -> None:
+def _write(path: PathLike, contents: Mapping[str, object], deflated: Set[str]) -> None:
     """Write ``contents`` as a zip via tmp file + fsync + rename — all or
     nothing.  Each ``*.bin`` entry is streamed into its own member
     (deflated if its key is in ``deflated``), the rest is ``meta.json``."""
@@ -228,16 +223,14 @@ def _write(
     try:
         with open(tmp, "wb") as handle:
             with zipfile.ZipFile(handle, "w") as archive:
-                for key, arrays in contents.items():
-                    if not key.endswith(_ARRAYS):
-                        continue
+                for key in [key for key in contents if key not in meta]:
                     info = zipfile.ZipInfo(key)
                     if key in deflated:
                         info.compress_type = zipfile.ZIP_DEFLATED
                         info._compresslevel = 1
                     # Buffered: one zip write per 64 KiB, not two per entry.
                     with io.BufferedWriter(archive.open(info, "w"), 1 << 16) as member:
-                        for chunk in encode_entries(arrays):
+                        for chunk in encode_entries(contents[key]):
                             member.write(chunk)
                 archive.writestr("meta.json", json.dumps(meta))
             handle.flush()
@@ -250,9 +243,8 @@ def _write(
 
 def _read(path: PathLike, members: bool) -> Dict[str, object]:
     """The one checkpoint reader: the ``meta.json`` entries, plus every
-    decoded ``*.bin`` member when ``members`` is set.  A file that opens
-    but is anything but a readable format-3 zip is a ``ValueError``
-    naming ``path``."""
+    decoded ``*.bin`` member when ``members`` is set.  A file that opens but
+    is not a readable format-3 zip is a ``ValueError`` naming ``path``."""
     with open(path, "rb") as handle:
         try:
             with zipfile.ZipFile(handle) as archive:
@@ -261,17 +253,12 @@ def _read(path: PathLike, members: bool) -> Dict[str, object]:
                 for name in archive.namelist() if members else ():
                     if name.endswith(_ARRAYS) and version == _FORMAT_VERSION:
                         contents[name] = decode_entries(archive.read(name))
-        except (
-            zipfile.BadZipFile,  # also a CRC mismatch
-            zlib.error,
-            NotImplementedError,  # unknown compression method
-            RuntimeError,  # an encrypted member
-            EOFError,
-            OSError,  # a seek to a damaged offset
-            KeyError,
-            ValueError,
-            AttributeError,  # meta.json is not an object
-        ) as error:
+        # Damage shows as a bad zip or CRC, an unknown compression method
+        # (NotImplementedError), an "encrypted" member (RuntimeError), a
+        # seek or read past the file (OSError, EOFError), a missing member
+        # or a meta.json that is not an object (AttributeError).
+        except (zipfile.BadZipFile, zlib.error, NotImplementedError, RuntimeError,
+                EOFError, OSError, KeyError, ValueError, AttributeError) as error:
             raise ValueError(f"{path} is not a readable checkpoint: {error}") from error
     if version != _FORMAT_VERSION:
         raise ValueError(

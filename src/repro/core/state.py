@@ -2,7 +2,7 @@
 
 The :class:`Stateful` protocol names the contract every owner of
 round-loop state shares — from the parameter arena and the optimizer to
-the server's own RNG streams and pending queue — so checkpoint v2
+the server's own RNG streams and pending queue — so the checkpoint
 captures and restores all of them through a single code path and tests
 round-trip every component uniformly.  The owners are the rows of
 ``repro.checkpoint._TABLE``.

@@ -59,25 +59,6 @@ WIRE_DTYPES = {
 _NUMERIC_KINDS = frozenset("biuf")
 
 
-def _entry_header(name: str, array: np.ndarray) -> bytes:
-    """Everything of one packed entry but its raw bytes."""
-    if array.dtype.kind not in _NUMERIC_KINDS:
-        raise ValueError(
-            f"state entry {name!r} has non-numeric dtype {array.dtype.str!r}"
-        )
-    name_bytes = name.encode("utf-8")
-    dtype_bytes = array.dtype.str.encode("ascii")
-    shape = array.shape
-    try:
-        return struct.pack(
-            f">H{len(name_bytes)}sB{len(dtype_bytes)}sB{len(shape)}I",
-            len(name_bytes), name_bytes, len(dtype_bytes), dtype_bytes,
-            len(shape), *shape,
-        )
-    except struct.error as exc:
-        raise ValueError(f"state entry {name!r} does not fit the packed format") from exc
-
-
 def encode_entries(state: Mapping[str, np.ndarray]) -> Iterator[object]:
     """The packed layout of ``state`` with every array's dtype kept.
 
@@ -94,7 +75,17 @@ def encode_entries(state: Mapping[str, np.ndarray]) -> Iterator[object]:
     """
     for name, value in state.items():
         array = np.asarray(value)
-        yield _entry_header(name, array)
+        if array.dtype.kind not in _NUMERIC_KINDS:
+            raise ValueError(f"state entry {name!r} has non-numeric dtype {array.dtype.str!r}")
+        name_bytes, dtype_bytes = name.encode("utf-8"), array.dtype.str.encode("ascii")
+        try:
+            yield struct.pack(
+                f">H{len(name_bytes)}sB{len(dtype_bytes)}sB{array.ndim}I",
+                len(name_bytes), name_bytes, len(dtype_bytes), dtype_bytes,
+                array.ndim, *array.shape,
+            )
+        except struct.error as exc:
+            raise ValueError(f"state entry {name!r} does not fit the packed format") from exc
         yield memoryview(np.ascontiguousarray(array))
 
 
@@ -107,20 +98,16 @@ def decode_entries(payload) -> Dict[str, np.ndarray]:
     view = memoryview(payload).cast("B")
     state: Dict[str, np.ndarray] = {}
     offset = 0
-    total = len(view)
 
     def take(count: int) -> memoryview:
         nonlocal offset
-        if offset + count > total:
-            raise ValueError(
-                f"truncated packed state blob at byte {offset} "
-                f"(wanted {count} more of {total})"
-            )
         chunk = view[offset : offset + count]
+        if len(chunk) < count:
+            raise ValueError(f"truncated packed state blob at byte {offset} of {len(view)}")
         offset += count
         return chunk
 
-    while offset < total:
+    while offset < len(view):
         (name_len,) = struct.unpack(">H", take(2))
         name = str(take(name_len), "utf-8")
         dtype_len = take(1)[0]
@@ -157,10 +144,8 @@ def pack_state(
 
     ``arena`` is a fast path, never a different format: an entry that
     *is* one of the arena's live float64 views, shipped at float64, is
-    packed as that view — its bytes come straight out of the arena's
-    contiguous buffer — instead of going through ``ascontiguousarray``.
-    The bytes are identical with or without the arena (asserted in
-    tests).
+    packed as that view, straight out of the arena's buffer; the bytes
+    are identical with or without the arena (asserted in tests).
     """
     if dtype not in WIRE_DTYPES:
         raise ValueError(
@@ -168,12 +153,11 @@ def pack_state(
         )
     wire = WIRE_DTYPES[dtype]
     live = arena is not None and wire == arena.data.dtype
-    cast: Dict[str, np.ndarray] = {}
-    for name, value in state.items():
-        if live and name in arena.index and arena.view(name) is value:
-            cast[name] = value
-        else:
-            cast[name] = np.ascontiguousarray(np.asarray(value, dtype=wire))
+    cast = {
+        name: value if live and name in arena.index and arena.view(name) is value
+        else np.ascontiguousarray(np.asarray(value, dtype=wire))
+        for name, value in state.items()
+    }
     payload = b"".join(encode_entries(cast))
     if compress:
         payload = zlib.compress(payload)
@@ -187,10 +171,8 @@ def unpack_state(payload: bytes, *, compressed: bool = False) -> Dict[str, np.nd
             payload = zlib.decompress(payload)
         except zlib.error as exc:
             raise ValueError(f"corrupt compressed state payload: {exc}") from exc
-    return {
-        name: array.astype(np.float64, copy=False)
-        for name, array in decode_entries(payload).items()
-    }
+    state = decode_entries(payload)
+    return {name: array.astype(np.float64, copy=False) for name, array in state.items()}
 
 
 def state_num_parameters(state: Dict[str, np.ndarray]) -> int:

@@ -42,9 +42,9 @@ __all__ = ["Tensor", "MemberGroup", "no_grad", "is_grad_enabled", "as_tensor"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 
-#: ``no_grad`` state, per thread: a thread evaluating under ``no_grad``
-#: must not stop a local step on another thread from building its graph.
 class _GradMode(threading.local):
+    """``no_grad``'s switch, per thread: a thread evaluating under it must
+    not stop a local step on another thread from building its graph."""
     enabled = True
 
 

@@ -177,7 +177,7 @@ class ParticipantRegistry:
     Construction is O(population) ints and touches **no shard data** —
     shards exist only for materialised cohort members.  Implements the
     :class:`repro.core.Stateful` protocol; the arrays land in the
-    checkpoint's ``population.npz`` member.
+    checkpoint's ``population.bin`` member.
     """
 
     def __init__(
