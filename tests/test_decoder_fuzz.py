@@ -173,7 +173,11 @@ def test_entries_round_trip_with_dtype_shape_and_bytes_kept(state):
 
 
 @settings(max_examples=20, deadline=None)
-@given(state=st.dictionaries(names, hnp.arrays("<f8", hnp.array_shapes(min_dims=1, min_side=0)), max_size=4))
+@given(
+    state=st.dictionaries(
+        names, hnp.arrays("<f8", hnp.array_shapes(min_dims=1, min_side=0)), max_size=4
+    )
+)
 def test_float64_state_round_trips_through_the_wire_codec(state):
     assert_same(unpack_state(pack_state(state, dtype="float64")), state)
 
@@ -276,7 +280,8 @@ def test_a_seeded_sweep_of_damaged_checkpoint_files_is_read_or_refused(ckpt_dir)
 def test_crafted_entries_are_refused_by_every_decoder(ckpt_dir, bad):
     assert outcome(decode_entries, bad) == "refused"
     assert outcome(unpack_state, bad) == "refused"
-    assert outcome(lambda data: unpack_state(data, compressed=True), zlib.compress(bad)) == "refused"
+    unpack_zlib = lambda data: unpack_state(data, compressed=True)  # noqa: E731
+    assert outcome(unpack_zlib, zlib.compress(bad)) == "refused"
     for name in ("decode_update", "decode_task"):
         _, data, start = decoders(ckpt_dir)[name]
         assert outcome(getattr(codec, name), data[:start] + bad) == "refused"
