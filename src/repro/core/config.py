@@ -52,6 +52,7 @@ _RETIRED_KEYS = {
     "telemetry_buffer_size": (65536, "it is the repro.telemetry.MemorySink default"),
     "population_shard_size": (0, "repro.population.build_population sizes shards"),
     "tape_fusion": (False, "the fused primitive it selected is deleted"),
+    "validate_updates": (True, "every update is validated, always"),
 }
 
 
@@ -326,16 +327,10 @@ class ExperimentConfig:
     #: (``--trace-ops`` turns both on)
     trace_ops: bool = False
 
-    # Robustness (see :mod:`repro.federated.validation` and
-    # :mod:`repro.faults`): the server-side update trust boundary (its
-    # thresholds are ``SearchServerConfig`` defaults) and deterministic
-    # fault injection.
-    validate_updates: bool = _option(
-        True,
-        flag="--no-validation",
-        help="disable the server-side update validation/quarantine "
-        "boundary",
-    )
+    # Robustness (see :mod:`repro.faults`): deterministic fault
+    # injection.  The server-side update trust boundary
+    # (:mod:`repro.federated.validation`) is always on; its thresholds
+    # are ``SearchServerConfig`` defaults.
     #: injected during the warm-up/search rounds; None = fault-free run
     fault_plan_path: Optional[str] = _option(
         None,

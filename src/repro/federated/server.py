@@ -95,13 +95,6 @@ class SearchServerConfig:
     wire_compression: str = "none"
     update_theta: bool = True
     update_alpha: bool = True
-    #: fold participants' batch-norm running statistics back into the
-    #: supernet (keeps eval-mode evaluation of sampled architectures
-    #: meaningful during the search)
-    aggregate_bn_stats: bool = True
-    #: validate every arriving update (finiteness, shapes, norm) before
-    #: it can touch ``θ``/``α``; see :mod:`repro.federated.validation`
-    validate_updates: bool = True
     #: reject updates whose global gradient L2 norm exceeds this (0 = off)
     update_norm_limit: float = 1e4
     #: rejections before a participant is quarantined
@@ -278,13 +271,12 @@ class FederatedSearchServer:
         self.fault_injector = fault_injector
         #: the trust boundary: arriving updates are validated before they
         #: can touch ``θ``/``α``, and repeat offenders are quarantined.
-        self.validator: Optional[UpdateValidator] = (
-            UpdateValidator(
-                {name: p.data.shape for name, p in self._params.items()},
-                norm_limit=self.config.update_norm_limit,
-            )
-            if self.config.validate_updates
-            else None
+        #: Only updates it passes are folded, so the fold never meets a
+        #: name or shape the arena does not hold.
+        self.validator = UpdateValidator(
+            {name: p.data.shape for name, p in self._params.items()},
+            {name: value.shape for name, value in supernet.named_buffers()},
+            norm_limit=self.config.update_norm_limit,
         )
         self.quarantine = QuarantineTracker(
             strike_limit=self.config.strike_limit,
@@ -330,13 +322,6 @@ class FederatedSearchServer:
         #: per-name dicts.  Values are copied in unchanged and all
         #: arithmetic stays element-wise in per-array order.
         self.arena = nn.ParameterArena.from_module(supernet)
-        if hasattr(self.backend, "bind_arena"):
-            # Backends that pack wire blobs slice them straight from the
-            # arena's contiguous buffer (byte-identical payloads).
-            self.backend.bind_arena(self.arena)
-        #: detached per-name accumulation buffers for gradients the
-        #: arena cannot hold (see _add_gradients)
-        self._grad_buffers: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # The round loop (Alg. 1 lines 3-36)
@@ -544,7 +529,7 @@ class FederatedSearchServer:
             )
         if state.used and self.config.update_theta:
             self._step_theta(state.grad_sum, state.used)
-        if state.used and self.config.aggregate_bn_stats:
+        if state.used:
             self._apply_buffer_sums(state.buffer_sums, state.buffer_counts)
         if state.used and self.config.update_alpha:
             alpha_grad = state.estimator.gradient()
@@ -691,9 +676,7 @@ class FederatedSearchServer:
         tau = t - item.origin_round
         update = item.update
         telemetry = self.telemetry
-        reason = (
-            self.validator.validate(update) if self.validator is not None else None
-        )
+        reason = self.validator.validate(update)
         if reason is not None:
             state.num_rejected += 1
             self.quarantine.record_rejection(update.participant_id, t)
@@ -775,16 +758,15 @@ class FederatedSearchServer:
         state.estimator.add_gradient_term(advantage * grad_logp)
         self._add_gradients(state.grad_sum, gradients)
         state.rewards.append(update.reward)
-        if self.config.aggregate_bn_stats:
-            # First-copy-then-add, in acceptance order.
-            sums, counts = state.buffer_sums, state.buffer_counts
-            for name, value in update.buffers.items():
-                if name in sums:
-                    sums[name] = sums[name] + value
-                    counts[name] += 1
-                else:
-                    sums[name] = np.array(value, copy=True)
-                    counts[name] = 1
+        # First-copy-then-add, in acceptance order.
+        sums, counts = state.buffer_sums, state.buffer_counts
+        for name, value in update.buffers.items():
+            if name in sums:
+                sums[name] = sums[name] + value
+                counts[name] += 1
+            else:
+                sums[name] = np.array(value, copy=True)
+                counts[name] = 1
         state.used += 1
 
     def _add_gradients(
@@ -798,26 +780,15 @@ class FederatedSearchServer:
         arena's contiguous gradient window for that name; later arrivals
         add in place, in arrival order, so the round's accumulated
         gradient materialises directly in the flat buffer (averaged
-        later with merged-range vector ops in _step_theta).  Names the
-        arena doesn't own — or whose shape disagrees, e.g. a corrupt
-        update with validation off — land in detached per-name buffers
-        (reused across rounds) instead.
+        later with merged-range vector ops in _step_theta).  The
+        validator has already matched every name and shape against the
+        supernet, so every gradient has its window.
         """
-        buffers = self._grad_buffers
         for name, grad in gradients.items():
             if name in grad_sum:
                 grad_sum[name] += grad
             else:
                 buf = self.arena.grad_view(name)
-                if buf is not None and (
-                    buf.shape != grad.shape or buf.dtype != grad.dtype
-                ):
-                    buf = None
-                if buf is None:
-                    buf = buffers.get(name)
-                    if buf is None or buf.shape != grad.shape or buf.dtype != grad.dtype:
-                        buf = np.empty_like(grad)
-                        buffers[name] = buf
                 np.copyto(buf, grad)
                 grad_sum[name] = buf
 
@@ -844,33 +815,23 @@ class FederatedSearchServer:
 
         The sums arrive pre-folded (see :meth:`_accumulate`); only
         buffers present in at least one used update move — buffers of
-        never-sampled operations keep their previous values.
+        never-sampled operations keep their previous values.  The
+        validator has matched every name and shape, so each average is
+        written in place into its arena entry and the supernet's buffer
+        stays the arena's view.
         """
-        owners = self.supernet._named_buffer_owners()
-        arena = self.arena
-        touched = []
         for name, total in sums.items():
-            if name in owners:
-                value = total / counts[name]
-                if arena.view(name).shape == value.shape:
-                    # In-place write keeps the buffer bound to the arena
-                    # (replacing the array would detach the view).
-                    arena.write(name, value)
-                else:
-                    module, local = owners[name]
-                    module._set_buffer(local, value)
-                touched.append(name)
-        self.versions.bump(touched)
+            self.arena.write(name, total / counts[name])
+        self.versions.bump(sums)
 
     def evaluate_architecture(
         self, dataset, mask: Optional[ArchitectureMask] = None, batch_size: int = 64
     ) -> float:
         """Eval-mode accuracy of an architecture under the current supernet.
 
-        Defaults to the policy's most likely architecture.  Meaningful
-        batch-norm statistics require ``aggregate_bn_stats`` (on by
-        default); with it off, buffers stay at initialisation and this
-        returns near-chance accuracy.
+        Defaults to the policy's most likely architecture.  Its
+        batch-norm statistics are the participants' running statistics,
+        which every round folds back into the supernet.
         """
         mask = mask or self.policy.mode_mask()
         submodel = self.supernet.extract_submodel(mask, rng=self.rng)
@@ -887,14 +848,12 @@ class FederatedSearchServer:
         if count == 0:
             return
         self.theta_optimizer.zero_grad()
-        # Arena-owned sums are averaged in place over merged contiguous
-        # ranges of the flat gradient buffer; the detached fallback
-        # buffers of _add_gradients are divided into a copy.
-        owned = self.arena.average_grads(grad_sum, count)
+        # Every sum is an arena gradient window (see _add_gradients):
+        # averaged in place over merged contiguous ranges.
+        self.arena.average_grads(grad_sum, count)
         for name, param in self._params.items():
             if name in grad_sum:
-                grad = grad_sum[name]
-                param.grad = grad if name in owned else grad / count
+                param.grad = grad_sum[name]
         norm = nn.clip_grad_norm(self._params.values(), self.config.theta_grad_clip)
         if self.telemetry.enabled:
             self.telemetry.observe("theta.grad_norm", norm)

@@ -8,8 +8,13 @@ therefore validates every arriving update *before* it touches ``θ`` or
 ``α``:
 
 * :class:`UpdateValidator` — stateless checks against the supernet's
-  parameter table: finite reward, known parameter names, exact shape
-  match, finite gradients and buffers, and a global gradient-norm limit.
+  parameter and buffer tables: finite reward, known parameter names,
+  exact shape match, finite gradients, a global gradient-norm limit,
+  then known buffer names (``unknown_buffer``), exact buffer shapes
+  (``buffer_shape_mismatch``) and finite buffers.  An update that
+  passes can be folded into the server's arena as it is: every
+  gradient fits its parameter's gradient window and every buffer its
+  arena entry.
 * :class:`QuarantineTracker` — per-participant strike counting.  A
   rejection is a strike; ``strike_limit`` strikes quarantine the
   participant for ``quarantine_rounds`` rounds, doubling (``backoff``)
@@ -47,17 +52,26 @@ class UpdateValidator:
         Name → shape table of every supernet parameter; an update may
         cover any subset (sub-models prune), but never an unknown name
         or a wrong shape.
+    buffer_shapes:
+        The same table for every supernet buffer (batch-norm running
+        statistics), held to the same rule.
     norm_limit:
         Reject when the global L2 norm over all gradient arrays exceeds
         this; ``0`` disables the check.
     """
 
     def __init__(
-        self, param_shapes: Dict[str, Tuple[int, ...]], norm_limit: float = 1e4
+        self,
+        param_shapes: Dict[str, Tuple[int, ...]],
+        buffer_shapes: Dict[str, Tuple[int, ...]],
+        norm_limit: float = 1e4,
     ):
         if norm_limit < 0:
             raise ValueError(f"norm_limit must be >= 0, got {norm_limit}")
         self._shapes = {name: tuple(shape) for name, shape in param_shapes.items()}
+        self._buffer_shapes = {
+            name: tuple(shape) for name, shape in buffer_shapes.items()
+        }
         self.norm_limit = float(norm_limit)
 
     def validate(self, update) -> Optional[str]:
@@ -77,7 +91,12 @@ class UpdateValidator:
                 total_sq += float(np.sum(np.square(grad, dtype=np.float64)))
         if self.norm_limit and math.sqrt(total_sq) > self.norm_limit:
             return "norm_outlier"
-        for value in update.buffers.values():
+        for name, value in update.buffers.items():
+            expected = self._buffer_shapes.get(name)
+            if expected is None:
+                return "unknown_buffer"
+            if tuple(value.shape) != expected:
+                return "buffer_shape_mismatch"
             if not np.all(np.isfinite(value)):
                 return "non_finite_buffer"
         return None

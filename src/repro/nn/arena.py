@@ -8,7 +8,7 @@ buffer *is* a reshaped view into the arena, so
 
 * whole-model movement (snapshot, restore) is O(1) slice arithmetic
   over one array instead of O(params) dict traffic, and
-  :func:`repro.nn.pack_state` slices wire blobs straight out of it,
+  :func:`repro.nn.pack_state` packs its views without a copy,
 * server-side gradient aggregation lands in one contiguous gradient
   buffer and is averaged with a handful of merged-range vector ops,
 * copy-on-write Θ snapshots copy contiguous *ranges* of changed entries
@@ -233,9 +233,9 @@ class ParameterArena:
         """Writable reshaped window over ``data`` for one entry."""
         return self._views[name]
 
-    def grad_view(self, name: str) -> Optional[np.ndarray]:
-        """Window over the gradient buffer (None for unknown names)."""
-        return self._grad_views.get(name)
+    def grad_view(self, name: str) -> np.ndarray:
+        """Writable reshaped window over ``grad`` for one entry."""
+        return self._grad_views[name]
 
     def readonly_view(self, name: str) -> np.ndarray:
         cached = self._ro_views.get(name)
@@ -304,26 +304,16 @@ class ParameterArena:
     # ------------------------------------------------------------------
     # Server aggregation support
     # ------------------------------------------------------------------
-    def average_grads(
-        self, grad_sum: Mapping[str, np.ndarray], count: int
-    ) -> set:
-        """Divide accumulated gradient ranges by ``count`` in place.
+    def average_grads(self, names: Iterable[str], count: int) -> None:
+        """Divide the gradient windows of ``names`` by ``count`` in place.
 
-        Only names whose ``grad_sum`` entry *is* this arena's gradient
-        view are touched (anything that fell back to a detached buffer —
-        e.g. a shape-mismatched update with validation off — keeps the
-        legacy per-name path).  Division runs over merged contiguous
-        ranges; element-wise, so bit-identical to per-name division.
-        Returns the set of names averaged in place.
+        The server accumulates every validated gradient in its window
+        (:meth:`grad_view`), so a round's sums all live here.  Division
+        runs over merged contiguous ranges; element-wise, so
+        bit-identical to per-name division.
         """
-        owned = [
-            name
-            for name, value in grad_sum.items()
-            if self._grad_views.get(name) is value
-        ]
-        for start, stop in self.merged_runs(owned):
+        for start, stop in self.merged_runs(names):
             self.grad[start:stop] /= count
-        return set(owned)
 
     # ------------------------------------------------------------------
     # Copy-on-write snapshots (staleness memory pools)

@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterator, Mapping
 
 import numpy as np
 
-from .arena import ParameterArena
 from .modules import Module
 
 __all__ = [
@@ -131,7 +130,6 @@ def pack_state(
     *,
     dtype: str = "float32",
     compress: bool = False,
-    arena: Optional[ParameterArena] = None,
 ) -> bytes:
     """Serialize a state dict to the packed binary blob.
 
@@ -142,20 +140,17 @@ def pack_state(
     whole blob.  The output is deterministic: the same state always
     produces the same bytes.
 
-    ``arena`` is a fast path, never a different format: an entry that
-    *is* one of the arena's live float64 views, shipped at float64, is
-    packed as that view, straight out of the arena's buffer; the bytes
-    are identical with or without the arena (asserted in tests).
+    An array already contiguous at the wire precision is packed as it
+    is, without a copy: a parameter arena's views shipped at float64
+    are read straight out of the arena's buffer.
     """
     if dtype not in WIRE_DTYPES:
         raise ValueError(
             f"dtype must be one of {sorted(WIRE_DTYPES)}, got {dtype!r}"
         )
     wire = WIRE_DTYPES[dtype]
-    live = arena is not None and wire == arena.data.dtype
     cast = {
-        name: value if live and name in arena.index and arena.view(name) is value
-        else np.ascontiguousarray(np.asarray(value, dtype=wire))
+        name: np.ascontiguousarray(np.asarray(value, dtype=wire))
         for name, value in state.items()
     }
     payload = b"".join(encode_entries(cast))

@@ -361,9 +361,6 @@ class SocketBackend:
         #: derive any participant's spec on demand from it, so the init
         #: payload stays O(dataset + recipe) instead of O(population)
         self._population = population
-        #: server parameter arena (see bind_arena): packed blobs are
-        #: gathered from its contiguous buffer instead of per-name arrays
-        self._arena = None
         if not self._specs and population is None:
             raise ValueError("at least one participant required")
         self._supernet_config = supernet_config
@@ -421,16 +418,6 @@ class SocketBackend:
                 )
             #: spawned lazily on first run_tasks
             self._endpoints = []
-
-    def bind_arena(self, arena) -> None:
-        """Let dispatch slice task blobs straight from ``arena``.
-
-        The server calls this once after construction with its
-        :class:`~repro.nn.arena.ParameterArena`; :func:`codec.encode_task`
-        then assembles byte-identical blobs from contiguous arena ranges
-        instead of per-name array packing.
-        """
-        self._arena = arena
 
     # ------------------------------------------------------------------
     # Connection management
@@ -888,7 +875,6 @@ class SocketBackend:
                 seq,
                 compression=self.compression,
                 wire_dtype=self.wire_dtype,
-                arena=self._arena,
             )
             start = time.perf_counter()
             dispatch_ts = self.telemetry.now()
@@ -910,7 +896,7 @@ class SocketBackend:
                         worker=endpoint.address,
                         round=task.round_index,
                         participant=task.participant_id,
-                        missing=int(info.get("missing", 0)),
+                        missing=info.get("missing", 0),
                     )
             wire_task = task
         if msg_type != MSG_UPDATE:

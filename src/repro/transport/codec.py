@@ -58,7 +58,6 @@ __all__ = [
     "encode_update",
     "decode_update",
     "encode_error",
-    "decode_error",
     "decode_error_info",
 ]
 
@@ -79,7 +78,7 @@ def encode_json(obj: Dict) -> bytes:
 def decode_json(payload: bytes) -> Dict:
     try:
         obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
         raise ProtocolError(f"malformed JSON payload: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(
@@ -118,7 +117,8 @@ def decode_hello(payload: bytes) -> Dict:
         raise ProtocolError(
             f"hello requests unknown compression {hello.get('compression')!r}"
         )
-    if hello.get("wire_dtype") not in WIRE_DTYPES:
+    # A tuple compares by equality, so an unhashable value is refused too.
+    if hello.get("wire_dtype") not in tuple(WIRE_DTYPES):
         raise ProtocolError(
             f"hello requests unknown wire dtype {hello.get('wire_dtype')!r}"
         )
@@ -131,16 +131,25 @@ def encode_error(seq: int, error: str, **extra) -> bytes:
     return encode_json({"seq": seq, "error": error, **extra})
 
 
-def decode_error(payload: bytes) -> Tuple[int, str]:
-    obj = decode_json(payload)
-    return int(obj.get("seq", -1)), str(obj.get("error", "unknown remote error"))
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def decode_error_info(payload: bytes) -> Dict:
-    """The full error object (seq, error, plus any extra fields)."""
+    """The full error object: ``seq`` (an int) and ``error`` (a str),
+    plus the optional ``code`` (a str) and ``missing`` (a non-negative
+    int, the count of a ``cache_miss``).  A field of another type is a
+    :class:`ProtocolError`, like any other malformed frame."""
     obj = decode_json(payload)
-    obj.setdefault("seq", -1)
-    obj.setdefault("error", "unknown remote error")
+    if not _is_int(obj.get("seq")):
+        raise ProtocolError(f"error frame has a bad seq {obj.get('seq')!r}")
+    if not isinstance(obj.get("error"), str):
+        raise ProtocolError(f"error frame has a bad message {obj.get('error')!r}")
+    if not isinstance(obj.get("code", ""), str):
+        raise ProtocolError(f"error frame has a bad code {obj['code']!r}")
+    missing = obj.get("missing", 0)
+    if not (_is_int(missing) and missing >= 0):
+        raise ProtocolError(f"error frame has a bad missing count {missing!r}")
     return obj
 
 
@@ -189,7 +198,6 @@ def _pack_tensor_payload(
     *,
     compression: str,
     wire_dtype: str,
-    arena=None,
 ) -> bytes:
     if compression not in COMPRESSIONS:
         raise ValueError(
@@ -199,7 +207,7 @@ def _pack_tensor_payload(
     meta["wire_dtype"] = wire_dtype
     meta_bytes = encode_json(meta)
     compress = compression == "zlib"
-    blob = pack_state(arrays, dtype=wire_dtype, compress=compress, arena=arena)
+    blob = pack_state(arrays, dtype=wire_dtype, compress=compress)
     flags = _FLAG_ZLIB if compress else 0
     return (
         bytes([flags]) + _META_LEN.pack(len(meta_bytes)) + meta_bytes + blob
@@ -246,14 +254,9 @@ def encode_task(
     *,
     compression: str = "none",
     wire_dtype: str = "float64",
-    arena=None,
 ) -> bytes:
     """A :class:`LocalStepTask` as a tensor payload (``seq`` matches the
-    reply to the request on a pipelined connection).
-
-    ``arena`` (optional) lets the blob be sliced straight from the
-    server's :class:`~repro.nn.arena.ParameterArena` buffer — identical
-    bytes, without per-name array packing."""
+    reply to the request on a pipelined connection)."""
     meta = {
         "seq": seq,
         "participant_id": task.participant_id,
@@ -275,11 +278,7 @@ def encode_task(
     if task.trace is not None:
         meta["trace"] = task.trace.to_wire()
     return _pack_tensor_payload(
-        meta,
-        task.state,
-        compression=compression,
-        wire_dtype=wire_dtype,
-        arena=arena,
+        meta, task.state, compression=compression, wire_dtype=wire_dtype
     )
 
 
@@ -322,9 +321,10 @@ def decode_task(payload: bytes) -> Tuple[LocalStepTask, int]:
                 None if trace_wire is None else TraceContext.from_wire(trace_wire)
             ),
         )
-    except (TypeError, ValueError, AttributeError) as exc:
+        seq = int(meta["seq"])
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ProtocolError(f"malformed task meta: {exc}") from exc
-    return task, int(meta["seq"])
+    return task, seq
 
 
 def encode_update(
@@ -384,6 +384,7 @@ def decode_update(payload: bytes) -> Tuple[ParticipantUpdate, int]:
             buffers=buffers,
             spans=meta.get("spans"),
         )
-    except (TypeError, ValueError) as exc:
+        seq = int(meta["seq"])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed update meta: {exc}") from exc
-    return update, int(meta["seq"])
+    return update, seq

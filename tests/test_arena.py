@@ -383,7 +383,7 @@ class TestArenaBlob:
         model = make_model(seed=5)
         arena = nn.ParameterArena.from_module(model)
         live = {name: arena.view(name) for name in arena.index}
-        blob = nn.pack_state(live, dtype="float64", arena=arena)
+        blob = nn.pack_state(live, dtype="float64")
         assert blob == nn.pack_state(dict(model.state_dict()), dtype="float64")
         assert_states_equal(nn.unpack_state(blob), dict(model.state_dict()))
 
@@ -391,7 +391,7 @@ class TestArenaBlob:
         arena = nn.ParameterArena.from_module(make_model(seed=5))
         names = ["4.weight", "0.weight"]  # out of layout order on purpose
         live = {name: arena.view(name) for name in names}
-        blob = nn.pack_state(live, dtype="float64", compress=True, arena=arena)
+        blob = nn.pack_state(live, dtype="float64", compress=True)
         restored = nn.unpack_state(blob, compressed=True)
         assert list(restored) == names
         for name in names:
@@ -400,19 +400,19 @@ class TestArenaBlob:
     def test_restored_arrays_are_writable(self):
         arena = nn.ParameterArena.from_module(make_model())
         live = {name: arena.view(name) for name in arena.index}
-        restored = nn.unpack_state(nn.pack_state(live, dtype="float64", arena=arena))
+        restored = nn.unpack_state(nn.pack_state(live, dtype="float64"))
         restored["0.weight"][...] = 1.0  # must not raise
         assert not np.shares_memory(restored["0.weight"], arena.data)
 
     def test_corrupt_blobs_rejected(self):
         arena = nn.ParameterArena.from_module(make_model())
         live = {name: arena.view(name) for name in arena.index}
-        blob = nn.pack_state(live, dtype="float64", arena=arena)
+        blob = nn.pack_state(live, dtype="float64")
         with pytest.raises(ValueError, match="truncated"):
             nn.unpack_state(blob[:-16])  # truncated body
         with pytest.raises(ValueError, match="dtype"):
             nn.unpack_state(blob.replace(b"<f8", b"\xff\xfe8", 1))
-        bad = nn.pack_state(live, dtype="float64", compress=True, arena=arena)
+        bad = nn.pack_state(live, dtype="float64", compress=True)
         with pytest.raises(ValueError, match="corrupt"):
             nn.unpack_state(bad[:-5], compressed=True)
 
@@ -546,7 +546,7 @@ class TestBitIdentity:
 
         class DictFoldServer(FederatedSearchServer):
             """Dict oracle: detached per-name sums, never the arena's
-            gradient buffer (so _step_theta divides into copies too)."""
+            gradient buffer, each divided into a copy for the step."""
 
             def _add_gradients(self, grad_sum, gradients):
                 for name, grad in gradients.items():
@@ -554,6 +554,15 @@ class TestBitIdentity:
                         grad_sum[name] = grad_sum[name] + grad
                     else:
                         grad_sum[name] = np.array(grad, copy=True)
+
+            def _step_theta(self, grad_sum, count):
+                self.theta_optimizer.zero_grad()
+                for name, param in self._params.items():
+                    if name in grad_sum:
+                        param.grad = grad_sum[name] / count
+                nn.clip_grad_norm(self._params.values(), self.config.theta_grad_clip)
+                self.theta_optimizer.step()
+                self.versions.bump(grad_sum)
 
         results = {}
         for server_cls in (DictFoldServer, FederatedSearchServer):

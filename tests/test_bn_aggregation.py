@@ -16,7 +16,7 @@ from repro.search_space import Supernet, SupernetConfig
 TINY = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1)
 
 
-def make_server(aggregate=True, seed=0):
+def make_server(seed=0):
     train, test = synth_cifar10(
         seed=1, train_per_class=10, test_per_class=4, image_size=8
     )
@@ -31,7 +31,6 @@ def make_server(aggregate=True, seed=0):
         supernet,
         policy,
         participants,
-        config=SearchServerConfig(aggregate_bn_stats=aggregate),
         rng=np.random.default_rng(seed + 4),
     )
     return server, test
@@ -74,7 +73,7 @@ class TestParticipantBuffers:
 
 class TestServerAggregation:
     def test_enabled_moves_stem_buffers(self):
-        server, _ = make_server(aggregate=True)
+        server, _ = make_server()
         before = buffer_snapshot(server.supernet)
         server.run_round()
         after = buffer_snapshot(server.supernet)
@@ -83,16 +82,8 @@ class TestServerAggregation:
         assert stem_keys
         assert any(not np.allclose(before[k], after[k]) for k in stem_keys)
 
-    def test_disabled_keeps_all_buffers(self):
-        server, _ = make_server(aggregate=False)
-        before = buffer_snapshot(server.supernet)
-        server.run_round()
-        after = buffer_snapshot(server.supernet)
-        for k in before:
-            np.testing.assert_array_equal(before[k], after[k])
-
     def test_unsampled_op_buffers_untouched(self):
-        server, _ = make_server(aggregate=True)
+        server, _ = make_server()
         # Force the policy to always sample op 4 so op-5 buffers never move.
         server.policy.alpha[:, :, :] = -20.0
         server.policy.alpha[:, :, 4] = 20.0
@@ -105,15 +96,39 @@ class TestServerAggregation:
             np.testing.assert_array_equal(before[k], after[k])
 
 
+class TestBufferBoundary:
+    def test_mis_shaped_buffers_are_rejected_and_stay_arena_views(self):
+        """A finite but mis-shaped running mean must not reach the
+        supernet: the round rejects every update, and every supernet
+        buffer is still a view into the arena checkpoints read."""
+        server, _ = make_server()
+        run_tasks = server.backend.run_tasks
+
+        def run_corrupted(tasks):
+            results = run_tasks(tasks)
+            for result in results:
+                result.update.buffers["stem.1.running_mean"] = np.zeros(1)
+            return results
+
+        server.backend.run_tasks = run_corrupted
+        before = buffer_snapshot(server.supernet)
+        result = server.run_round()
+        assert result.num_rejected == len(server.participants)
+        assert result.num_fresh == 0
+        for name, value in server.supernet.named_buffers():
+            assert np.shares_memory(value, server.arena.data), name
+            np.testing.assert_array_equal(value, before[name])
+
+
 class TestEvaluateArchitecture:
     def test_returns_valid_accuracy(self):
-        server, test = make_server(aggregate=True)
+        server, test = make_server()
         server.run(3)
         accuracy = server.evaluate_architecture(test)
         assert 0.0 <= accuracy <= 1.0
 
     def test_explicit_mask(self):
-        server, test = make_server(aggregate=True)
+        server, test = make_server()
         server.run(2)
         mask = server.policy.sample_mask()
         accuracy = server.evaluate_architecture(test, mask=mask)

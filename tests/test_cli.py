@@ -109,13 +109,11 @@ class TestArgumentParsing:
                 "--faults", "plan.json",
                 "--checkpoint", "run.ckpt",
                 "--checkpoint-every", "5",
-                "--no-validation",
             ]
         )
         assert config.fault_plan_path == "plan.json"
         assert config.checkpoint_path == "run.ckpt"
         assert config.checkpoint_every == 5
-        assert not config.validate_updates
 
     def test_checkpoint_every_requires_path(self):
         with pytest.raises(ValueError, match="checkpoint_path"):
@@ -123,14 +121,14 @@ class TestArgumentParsing:
 
     def test_robustness_defaults(self):
         config = self.parse([])
-        assert config.validate_updates
         assert config.fault_plan_path is None
         assert config.checkpoint_every == 0
 
 
 #: ``repro run``'s options, frozen: option -> (type, choices, default,
 #: nargs).  Generated from the config fields' metadata since PR 20; the
-#: list is PR 19's hand-written one minus ``--tape-fusion``.
+#: list is PR 19's hand-written one minus ``--tape-fusion`` and
+#: ``--no-validation``.
 RUN_OPTIONS = {
     "--backend": (None, ("serial", "process", "socket"), None, None),
     "--checkpoint": (None, None, None, None),
@@ -147,7 +145,6 @@ RUN_OPTIONS = {
     "--mobility": (None, None, None, "*"),
     "--network-faults": (None, None, None, None),
     "--no-telemetry": (None, None, False, 0),
-    "--no-validation": (None, None, False, 0),
     "--non-iid": (None, None, False, 0),
     "--participants": (int, None, None, None),
     "--population": (int, None, None, None),

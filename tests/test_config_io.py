@@ -19,7 +19,7 @@ RETIRED_FIELDS = {
     "hedge_threshold_s": 0.0, "task_budget_s": 0.0,
     "update_norm_limit": 1e4, "strike_limit": 3, "quarantine_rounds": 4,
     "quarantine_backoff": 2.0, "telemetry_buffer_size": 65536,
-    "population_shard_size": 0, "tape_fusion": False,
+    "population_shard_size": 0, "tape_fusion": False, "validate_updates": True,
 }
 
 
@@ -140,7 +140,7 @@ class TestRetiredKeys:
     def test_parent_commit_checkpoint_carries_both(self):
         """The fixture test_golden_digests resumes bit-identically is a
         real pre-removal checkpoint: its embedded config has the three
-        switches and all 17 retired fields, at their defaults, and loads
+        switches and all 18 retired fields, at their defaults, and loads
         with one warning naming every one of them."""
         from repro.checkpoint import read_checkpoint_meta
 
@@ -159,6 +159,7 @@ class TestRetiredKeys:
             ("breaker_cooldown_s", 0.5, "ResilienceConfig"),
             ("strike_limit", 1, "SearchServerConfig"),
             ("tape_fusion", True, "deleted"),
+            ("validate_updates", False, "always"),
         ],
     )
     def test_retired_field_off_its_default_is_refused(self, key, value, home):
@@ -171,9 +172,9 @@ class TestRetiredKeys:
 
 
 class TestOptionBudget:
-    def test_at_most_55_fields(self):
+    def test_at_most_54_fields(self):
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert len(names) <= 55
+        assert len(names) <= 54
         assert not names & set(RETIRED_FIELDS)
 
     def test_src_reads_no_environment_variable(self):

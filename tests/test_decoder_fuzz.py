@@ -1,4 +1,5 @@
-"""Decoder fuzz for the packed state layout, on the wire and on disk.
+"""Decoder fuzz for the packed state layout, on the wire and on disk,
+and for the wire's JSON control payloads.
 
 The one per-entry codec (:func:`repro.nn.serialize.encode_entries` /
 :func:`decode_entries`) carries task and update blobs and every array
@@ -12,6 +13,10 @@ row of a checkpoint.  The contract under test:
   ``codec.decode_update`` / ``decode_task`` and ``checkpoint._read``
   either decode or raise ``ValueError`` — never another exception, never
   a hang;
+* the same holds for ``codec.decode_json``, ``decode_hello`` and
+  ``decode_error_info`` under truncation and bit flips, and each refuses
+  JSON that is not an object, nested too deep, or carries a field of the
+  wrong type (a ``seq`` of ``null``, a ``missing`` of ``-1``, …);
 * a checkpoint that says ``format_version: 2`` is refused with the
   "re-create" message.
 """
@@ -136,6 +141,13 @@ def decoders(ckpt_dir):
         "decode_entries": (decode_entries, blob(SAMPLE), 0),
         "decode_update": (codec.decode_update, update, update_at),
         "decode_task": (codec.decode_task, task, task_at),
+        "decode_json": (codec.decode_json, codec.encode_json({"a": [1, 2.5]}), 0),
+        "decode_hello": (codec.decode_hello, codec.encode_hello("zlib", "float32"), 0),
+        "decode_error_info": (
+            codec.decode_error_info,
+            codec.encode_error(7, "boom", code="cache_miss", missing=3),
+            0,
+        ),
         "checkpoint._read": (
             lambda data: read_file(ckpt_dir, data),
             checkpoint_bytes(ckpt_dir, members),
@@ -150,6 +162,9 @@ DECODERS = (
     "decode_entries",
     "decode_update",
     "decode_task",
+    "decode_json",
+    "decode_hello",
+    "decode_error_info",
     "checkpoint._read",
 )
 
@@ -291,6 +306,90 @@ def test_crafted_entries_are_refused_by_every_decoder(ckpt_dir, bad):
         archive.writestr("meta.json", json.dumps({"format_version": 3}))
     with pytest.raises(ValueError, match="not a readable checkpoint"):
         checkpoint._read(path, members=True)
+
+
+JSON_DECODERS = (codec.decode_json, codec.decode_hello, codec.decode_error_info)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"[]", b"null", b"7", b'"text"', b"[" * 100_000, b'{"seq": ' + b"1" * 5000 + b"}"],
+    ids=["array", "null", "number", "string", "nested-too-deep", "huge-int"],
+)
+def test_json_that_is_not_a_small_object_is_refused(payload):
+    for decode in JSON_DECODERS:
+        assert outcome(decode, payload) == "refused", decode.__name__
+
+
+HELLO = {"version": codec.PROTOCOL_VERSION, "compression": "none", "wire_dtype": "float64"}
+ERROR = {"seq": 3, "error": "boom", "code": "cache_miss", "missing": 2}
+
+
+def wrong_fields():
+    """(decoder, valid object, field, a value that field must refuse)."""
+    not_str, not_int = (None, True, 1.5, 5, [], {}), (None, True, 1.5, "1", [], {})
+    hello_fields = {
+        "version": not_int + (1,),
+        "compression": not_str + ("gzip",),
+        "wire_dtype": not_str + ("float8",),
+    }
+    error_fields = {
+        "seq": not_int, "error": not_str, "code": not_str, "missing": not_int + (-1,)
+    }
+    cases = {
+        codec.decode_hello: (HELLO, hello_fields),
+        codec.decode_error_info: (ERROR, error_fields),
+    }
+    return [
+        pytest.param(decode, valid, field, value, id=f"{decode.__name__}-{field}-{value!r}")
+        for decode, (valid, fields) in cases.items()
+        for field, values in fields.items()
+        for value in values
+    ]
+
+
+@pytest.mark.parametrize("decode,valid,field,value", wrong_fields())
+def test_a_field_of_the_wrong_type_is_refused(decode, valid, field, value):
+    assert outcome(decode, codec.encode_json(valid)) == "decoded"
+    assert outcome(decode, codec.encode_json({**valid, field: value})) == "refused"
+
+
+def with_meta(payload: bytes, **changes) -> bytes:
+    """A tensor payload with fields of its JSON meta replaced."""
+    (meta_len,) = struct.unpack_from(">I", payload, 1)
+    meta = codec.encode_json({**json.loads(payload[5 : 5 + meta_len]), **changes})
+    return payload[:1] + struct.pack(">I", len(meta)) + meta + payload[5 + meta_len :]
+
+
+@pytest.mark.parametrize(
+    "encode,decode,message",
+    [
+        (codec.encode_update, codec.decode_update, UPDATE),
+        (codec.encode_task, codec.decode_task, TASK),
+    ],
+    ids=["decode_update", "decode_task"],
+)
+@pytest.mark.parametrize(
+    "changes",
+    [{"seq": None}, {"seq": [7]}, {"participant_id": float("inf")}],
+    ids=repr,
+)
+def test_tensor_meta_with_a_field_of_the_wrong_type_is_refused(
+    encode, decode, message, changes
+):
+    payload = encode(message, 7)
+    assert outcome(decode, payload) == "decoded"
+    assert outcome(decode, with_meta(payload, **changes)) == "refused"
+
+
+def test_error_frame_fields_are_required_or_typed_when_present():
+    assert codec.decode_error_info(codec.encode_error(-1, "no spec")) == {
+        "seq": -1,
+        "error": "no spec",
+    }
+    for field in ("seq", "error"):
+        partial = {k: v for k, v in ERROR.items() if k != field}
+        assert outcome(codec.decode_error_info, codec.encode_json(partial)) == "refused"
 
 
 def test_a_format_2_checkpoint_is_refused_with_the_re_create_message(ckpt_dir):

@@ -40,7 +40,7 @@ from repro.federated import (
 from repro.federated.memory import MemoryPools
 from repro.search_space import Supernet, SupernetConfig
 from repro.telemetry import Telemetry
-from repro.transport import SocketBackend, WorkerServer
+from repro.transport import MSG_ERROR, SocketBackend, WorkerServer, codec
 
 TINY = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1)
 
@@ -393,9 +393,18 @@ class TestSparseAggregation:
     def test_in_place_sum_equals_dense(self):
         server = make_server("serial", seed=3)
         rng = np.random.default_rng(0)
-        names = ["w1", "w2", "w3"]
+        # Three real parameters: the fold accepts only what the validator
+        # passes, names and shapes the supernet has.
+        shapes = {
+            name: param.data.shape
+            for name, param in list(server.supernet.named_parameters())[:3]
+        }
         updates = [
-            {name: rng.normal(size=(4, 3)) for name in names if rng.random() < 0.8}
+            {
+                name: rng.normal(size=shape)
+                for name, shape in shapes.items()
+                if rng.random() < 0.8
+            }
             for _ in range(6)
         ]
         dense = {}
@@ -408,17 +417,19 @@ class TestSparseAggregation:
         assert set(sparse) == set(dense)
         for name in dense:
             np.testing.assert_array_equal(sparse[name], dense[name], err_msg=name)
+            assert sparse[name] is server.arena.grad_view(name)
 
     def test_buffers_reused_across_rounds(self):
         server = make_server("serial", seed=3)
-        grads = {"w": np.ones((2, 2))}
+        name, param = next(iter(server.supernet.named_parameters()))
+        shape = param.data.shape
         first = {}
-        server._add_gradients(first, grads)
-        buffer = first["w"]
+        server._add_gradients(first, {name: np.ones(shape)})
+        buffer = first[name]
         second = {}
-        server._add_gradients(second, {"w": np.full((2, 2), 5.0)})
-        assert second["w"] is buffer  # preallocated buffer, no fresh zeros dict
-        np.testing.assert_array_equal(second["w"], np.full((2, 2), 5.0))
+        server._add_gradients(second, {name: np.full(shape, 5.0)})
+        assert second[name] is buffer  # preallocated buffer, no fresh zeros dict
+        np.testing.assert_array_equal(second[name], np.full(shape, 5.0))
 
     def test_seeded_run_unchanged_by_aggregation_path(self):
         # The sparse path is the only path now; pin its end-to-end result
@@ -699,3 +710,70 @@ class TestDeltaWire:
             e for e in telemetry.events() if e["event"] == "dispatch.round"
         ]
         assert dispatch[1]["cache_misses"] >= 1
+
+    def test_malformed_cache_miss_frame_drops_the_connection(self):
+        """A ``cache_miss`` error frame whose ``missing`` is null is a
+        protocol violation: that connection drops and the task is retried
+        on the other worker, instead of a dispatch thread dying on the
+        bad field and leaving the round unsettled."""
+
+        class Malformed(WorkerServer):
+            """Answers its first armed task with a malformed cache miss."""
+
+            armed = False
+
+            def _handle_task(self, conn, payload):
+                if not self.armed:
+                    return super()._handle_task(conn, payload)
+                self.armed = False
+                _, seq = codec.decode_task(payload)
+                frame = {"seq": seq, "error": "miss", "code": "cache_miss", "missing": None}
+                conn.send_frame(MSG_ERROR, codec.encode_json(frame))
+
+        daemons = [Malformed(port=0), WorkerServer(port=0)]
+        threads = [
+            threading.Thread(target=d.serve_forever, daemon=True) for d in daemons
+        ]
+        for thread in threads:
+            thread.start()
+        train, _ = synth_cifar10(
+            seed=1, train_per_class=10, test_per_class=2, image_size=8
+        )
+        shards = iid_partition(train, 3, rng=np.random.default_rng(0))
+        telemetry = Telemetry()
+        backend = SocketBackend(
+            [Participant(k, s, batch_size=8) for k, s in enumerate(shards)],
+            TINY,
+            workers=[f"{d.host}:{d.port}" for d in daemons],
+            task_timeout_s=60.0,
+            telemetry=telemetry,
+        )
+        try:
+            supernet = Supernet(TINY, rng=np.random.default_rng(0))
+            versions = ParameterVersions(list(supernet.state_dict()))
+            first = backend.run_tasks(self.make_round_tasks(versions))
+            daemons[0].armed = True
+            # A dead dispatch thread would leave the round unsettled
+            # forever: wait for it on a thread of our own.
+            settled = []
+            runner = threading.Thread(
+                target=lambda: settled.extend(
+                    backend.run_tasks(self.make_round_tasks(versions, round_index=1))
+                ),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=60)
+            assert settled, "the round never settled"
+            second = settled
+        finally:
+            backend.close()
+            for daemon, thread in zip(daemons, threads):
+                daemon.stop()
+                thread.join(timeout=5)
+        assert all(r.ok for r in first + second)
+        assert sorted(r.attempts for r in second) == [1, 1, 2]
+        (retry,) = [
+            e for e in telemetry.events() if e["event"] == "executor.task_retry"
+        ]
+        assert retry["error"].startswith("ProtocolError") and "missing" in retry["error"]

@@ -19,6 +19,7 @@ from repro.federated import (
     ParticipantUpdate,
     SearchServerConfig,
 )
+from repro.federated.validation import UpdateValidator
 from repro.search_space import Supernet, SupernetConfig
 
 TINY = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1)
@@ -232,6 +233,50 @@ class TestFaultInjector:
             ) == (second.transform_update(t, 0, make_update()) == [])
 
 
+class TestUpdateValidator:
+    """Each rule of the trust boundary, one damaged field at a time."""
+
+    VALIDATOR = UpdateValidator(
+        {"a.weight": (2, 3), "b.weight": (4,)},
+        {"bn.running_mean": (3,)},
+        norm_limit=100.0,
+    )
+
+    def update(self, **fields):
+        update = make_update()
+        update.buffers = {"bn.running_mean": np.zeros(3)}
+        for name, value in fields.items():
+            setattr(update, name, value)
+        return update
+
+    def test_a_clean_update_passes(self):
+        assert self.VALIDATOR.validate(self.update()) is None
+
+    @pytest.mark.parametrize(
+        "fields,reason",
+        [
+            ({"reward": float("nan")}, "non_finite_reward"),
+            ({"gradients": {"c.weight": np.ones(2)}}, "unknown_parameter"),
+            ({"gradients": {"a.weight": np.ones((3, 2))}}, "shape_mismatch"),
+            ({"gradients": {"b.weight": np.full(4, np.inf)}}, "non_finite_gradient"),
+            ({"gradients": {"b.weight": np.full(4, 1e3)}}, "norm_outlier"),
+            ({"buffers": {"bn.running_var": np.ones(3)}}, "unknown_buffer"),
+            ({"buffers": {"bn.running_mean": np.ones(1)}}, "buffer_shape_mismatch"),
+            ({"buffers": {"bn.running_mean": np.full(3, np.nan)}}, "non_finite_buffer"),
+        ],
+    )
+    def test_each_rule_names_its_reason(self, fields, reason):
+        assert self.VALIDATOR.validate(self.update(**fields)) == reason
+
+    def test_buffer_name_and_shape_are_checked_before_finiteness(self):
+        """A mis-shaped buffer is refused for its shape even when it is
+        also non-finite."""
+        bad = {"bn.running_mean": np.full((3, 1), np.nan)}
+        assert self.VALIDATOR.validate(self.update(buffers=bad)) == (
+            "buffer_shape_mismatch"
+        )
+
+
 class TestFaultyRounds:
     """Server-level integration: the ISSUE's acceptance scenario."""
 
@@ -303,11 +348,3 @@ class TestFaultyRounds:
         # round 0's corrupt update earns the only strike -> quarantined
         assert server.quarantine.num_quarantined == 1
         assert any(r.num_offline >= 1 for r in results[1:])
-
-    def test_validation_can_be_disabled(self):
-        config = SearchServerConfig(validate_updates=False)
-        plan = FaultPlan(faults=(FaultSpec(kind="corrupt_nan", participant=0),))
-        server = make_server(seed=2, plan=plan, config=config)
-        results = server.run(2)
-        assert all(r.num_rejected == 0 for r in results)
-        assert server.validator is None

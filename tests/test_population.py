@@ -14,8 +14,6 @@ Covers the contracts the population subsystem makes:
   are captured);
 * churn plans — JSON round-trip, validation errors, deterministic
   execution;
-* the arena wire path — ``pack_state(..., arena=)`` is byte-identical to
-  plain ``pack_state`` and falls back safely;
 * population checkpointing — resumed runs are bit-identical, and a
   population/legacy checkpoint mismatch is a hard error.
 """
@@ -23,7 +21,6 @@ Covers the contracts the population subsystem makes:
 import numpy as np
 import pytest
 
-import repro.nn as nn
 from repro.checkpoint import restore_search_state, save_search_state
 from repro.controller import ArchitecturePolicy
 from repro.core import ExperimentConfig
@@ -35,7 +32,6 @@ from repro.data import (
     synth_cifar10,
 )
 from repro.federated import FederatedSearchServer, Participant, build_backend
-from repro.nn.serialize import pack_state, unpack_state
 from repro.population import (
     ChurnModel,
     ChurnPlan,
@@ -415,63 +411,6 @@ class TestChurnPlan:
             model.advance(registry, t)
         assert registry.counts()["dormant"] == 0
         assert registry.counts()["active"] == 100
-
-
-# ----------------------------------------------------------------------
-# Arena wire path (satellite: slice gathers for packed payloads)
-# ----------------------------------------------------------------------
-def make_model(seed=0):
-    rng = np.random.default_rng(seed)
-    return nn.Sequential(
-        nn.Conv2d(3, 4, 3, padding=1, rng=rng),
-        nn.BatchNorm2d(4),
-        nn.ReLU(),
-        nn.GlobalAvgPool(),
-        nn.Linear(4, 10, rng=rng),
-    )
-
-
-class TestArenaPackByteCompat:
-    def test_byte_identical_to_pack_state(self):
-        model = make_model()
-        arena = nn.ParameterArena.from_module(model)
-        state = {name: arena.view(name) for name in arena.index}
-        assert pack_state(state, dtype="float64", arena=arena) == pack_state(
-            state, dtype="float64"
-        )
-
-    def test_byte_identical_compressed(self):
-        model = make_model()
-        arena = nn.ParameterArena.from_module(model)
-        state = {name: arena.view(name) for name in arena.index}
-        assert pack_state(
-            state, dtype="float64", compress=True, arena=arena
-        ) == pack_state(state, dtype="float64", compress=True)
-
-    def test_round_trips_through_unpack(self):
-        model = make_model()
-        arena = nn.ParameterArena.from_module(model)
-        state = {name: arena.view(name) for name in arena.index}
-        unpacked = unpack_state(pack_state(state, dtype="float64", arena=arena))
-        assert list(unpacked) == list(state)
-        for name in state:
-            np.testing.assert_array_equal(unpacked[name], state[name])
-
-    def test_falls_back_for_non_arena_views(self):
-        model = make_model()
-        arena = nn.ParameterArena.from_module(model)
-        state = {name: np.array(arena.view(name), copy=True) for name in arena.index}
-        assert pack_state(state, dtype="float64", arena=arena) == pack_state(
-            state, dtype="float64"
-        )
-
-    def test_falls_back_for_lossy_dtypes(self):
-        model = make_model()
-        arena = nn.ParameterArena.from_module(model)
-        state = {name: arena.view(name) for name in arena.index}
-        assert pack_state(state, dtype="float32", arena=arena) == pack_state(
-            state, dtype="float32"
-        )
 
 
 # ----------------------------------------------------------------------

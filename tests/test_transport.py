@@ -438,8 +438,8 @@ class TestWorkerServer:
                 MSG_TASK, codec.encode_task(task, 1), timeout=10
             )
             assert msg == MSG_ERROR
-            seq, error = codec.decode_error(payload)
-            assert seq == 1 and "no spec" in error
+            info = codec.decode_error_info(payload)
+            assert info["seq"] == 1 and "no spec" in info["error"]
         finally:
             conn.close()
 
