@@ -262,3 +262,64 @@ def test_property_grad_log_prob_rows_sum_to_zero(seed):
     mask = policy.sample_mask()
     grad = policy.grad_log_prob(mask)
     np.testing.assert_allclose(grad.sum(axis=-1), np.zeros((2, 4)), atol=1e-12)
+
+
+def _reference_sample(policy):
+    """Eq. 5 as ``Generator.choice`` draws it: one call per edge, normal
+    cell first, on the policy's own stream."""
+    probs = policy.probabilities()
+    rows = [
+        [int(policy.rng.choice(policy.num_ops, p=probs[cell, e])) for e in range(policy.num_edges)]
+        for cell in range(2)
+    ]
+    return ArchitectureMask(tuple(rows[0]), tuple(rows[1]))
+
+
+def _row(kind, op, value):
+    """One edge's logits: uniform, converged at ±25 on ``op``, a near-tie
+    around ``value``, or a -inf logit on ``op``."""
+    row = np.zeros(NUM_OPERATIONS)
+    if kind == "converged":
+        row[op] = 25.0 if value >= 0 else -25.0
+    elif kind == "near_tie":
+        row[:] = value
+        row[op] = np.nextafter(value, np.inf)
+        row[(op + 1) % NUM_OPERATIONS] = value + 1e-12
+    elif kind == "neg_inf":
+        row[:] = np.linspace(-1.0, 1.0, NUM_OPERATIONS) * value
+        row[op] = -np.inf
+    return row
+
+
+rows = st.tuples(
+    st.sampled_from(["uniform", "converged", "near_tie", "neg_inf"]),
+    st.integers(0, NUM_OPERATIONS - 1),
+    st.floats(-3.0, 3.0, allow_nan=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edge_rows=st.lists(rows, min_size=2 * E, max_size=2 * E),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_mask_draws_what_choice_draws_per_edge(edge_rows, seed):
+    """Same masks as a per-edge ``rng.choice(N, p=…)`` over several
+    draws, and the stream left where that reference leaves it."""
+    alpha = np.array([_row(*spec) for spec in edge_rows]).reshape(2, E, NUM_OPERATIONS)
+    policy, reference = make_policy(seed=seed), make_policy(seed=seed)
+    policy.load(alpha)
+    reference.load(alpha)
+    for _ in range(3):
+        assert policy.sample_mask() == _reference_sample(reference)
+    assert policy.rng.random() == reference.rng.random()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_mask_refuses_a_row_without_a_distribution(bad):
+    """A NaN logit, or +inf (inf - inf is NaN), leaves the row's
+    probabilities NaN: sampling raises rather than picking an op."""
+    policy = make_policy()
+    policy.alpha[1, 2, 3] = bad
+    with pytest.raises(ValueError):
+        policy.sample_mask()
