@@ -277,6 +277,96 @@ class TestUpdateValidator:
         )
 
 
+def _reason_cases():
+    """(id, reward, gradients, buffers, norm_limit, reason) rows."""
+    nan, inf = np.nan, np.inf
+    clean = {"a.weight": np.ones((2, 3)), "b.weight": np.full(4, 2.0), "s": np.array(0.5)}
+    buffers = {"bn.running_mean": np.zeros(3), "bn.count": np.array(1.0)}
+    f32 = {k: v.astype(np.float32) for k, v in clean.items()}
+
+    def grads(**changes):
+        return {**clean, **changes}
+
+    def bufs(**changes):
+        return {**buffers, **changes}
+
+    rows = [("clean", 0.5, clean, buffers, 100.0, None)]
+    for bad in (nan, inf, -inf):
+        rows += [
+            (f"reward={bad}", bad, clean, buffers, 100.0, "non_finite_reward"),
+            (f"a.weight={bad}", 0.5, grads(**{"a.weight": np.full((2, 3), bad)}), buffers,
+             100.0, "non_finite_gradient"),
+            (f"b.weight[3]={bad}", 0.5, grads(**{"b.weight": np.array([1.0, 2.0, 3.0, bad])}),
+             buffers, 100.0, "non_finite_gradient"),
+            (f"0-d s={bad}", 0.5, grads(s=np.array(bad)), buffers, 100.0, "non_finite_gradient"),
+            (f"float32 a.weight={bad}", 0.5, {**f32, "a.weight": np.full((2, 3), bad, np.float32)},
+             buffers, 100.0, "non_finite_gradient"),
+            (f"no limit, a.weight={bad}", 0.5, grads(**{"a.weight": np.full((2, 3), bad)}),
+             buffers, 0.0, "non_finite_gradient"),
+            (f"mean[0]={bad}", 0.5, clean, bufs(**{"bn.running_mean": np.array([bad, 0.0, 0.0])}),
+             100.0, "non_finite_buffer"),
+            (f"0-d count={bad}", 0.5, clean, bufs(**{"bn.count": np.array(bad)}), 100.0,
+             "non_finite_buffer"),
+        ]
+    rows += [
+        ("float32 clean", 0.5, f32, buffers, 100.0, None),
+        # Finite, but their squares overflow float64: an outlier, not NaN.
+        ("squares overflow", 0.5, grads(**{"b.weight": np.full(4, 1e200)}), buffers, 100.0,
+         "norm_outlier"),
+        ("squares overflow, no limit", 0.5, grads(**{"b.weight": np.full(4, 1e200)}), buffers,
+         0.0, None),
+        ("0-d squares overflow", 0.5, grads(s=np.array(-1e300)), buffers, 100.0, "norm_outlier"),
+        ("buffer squares overflow", 0.5, clean, bufs(**{"bn.running_mean": np.full(3, 1e300)}),
+         100.0, None),
+        # Squares overflow float32 but not the float64 norm.
+        ("float32 squares overflow float32 only", 0.5,
+         {**f32, "b.weight": np.full(4, 1e20, np.float32)}, buffers, 1e30, None),
+        ("float32 outlier", 0.5, {**f32, "b.weight": np.full(4, 3e38, np.float32)}, buffers,
+         100.0, "norm_outlier"),
+        # The first fault wins when an update carries several.
+        ("reward before gradient", nan, grads(**{"a.weight": np.full((2, 3), nan)}), buffers,
+         100.0, "non_finite_reward"),
+        ("gradient order: NaN then unknown", 0.5,
+         {"a.weight": np.full((2, 3), nan), "c.weight": np.ones(2)}, buffers, 100.0,
+         "non_finite_gradient"),
+        ("gradient order: unknown then NaN", 0.5,
+         {"c.weight": np.ones(2), "a.weight": np.full((2, 3), nan)}, buffers, 100.0,
+         "unknown_parameter"),
+        ("shape before finiteness", 0.5, grads(**{"a.weight": np.full((3, 2), nan)}), buffers,
+         100.0, "shape_mismatch"),
+        ("overflow then NaN: the NaN wins", 0.5,
+         {"b.weight": np.full(4, 1e200), "a.weight": np.full((2, 3), nan)}, buffers, 100.0,
+         "non_finite_gradient"),
+        ("outlier before a bad buffer", 0.5, grads(**{"b.weight": np.full(4, 1e3)}),
+         bufs(**{"bn.running_mean": np.full(3, nan)}), 100.0, "norm_outlier"),
+        ("gradient before buffer", 0.5, grads(s=np.array(inf)),
+         bufs(**{"bn.running_var": np.ones(3)}), 100.0, "non_finite_gradient"),
+        ("unknown buffer before NaN buffer", 0.5, clean,
+         {"bn.running_var": np.ones(3), "bn.running_mean": np.full(3, nan)}, 100.0,
+         "unknown_buffer"),
+        ("NaN buffer before unknown buffer", 0.5, clean,
+         {"bn.running_mean": np.full(3, nan), "bn.running_var": np.ones(3)}, 100.0,
+         "non_finite_buffer"),
+    ]
+    return [pytest.param(*row[1:], id=row[0]) for row in rows]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("reward,gradients,buffers,norm_limit,reason", _reason_cases())
+def test_validator_reason_table(reward, gradients, buffers, norm_limit, reason):
+    """NaN or inf in every slot, 0-d and float32 arrays, finite values
+    whose squares overflow, and several faults in one update: the
+    validator names the first fault in check order."""
+    validator = UpdateValidator(
+        {"a.weight": (2, 3), "b.weight": (4,), "s": ()},
+        {"bn.running_mean": (3,), "bn.count": ()},
+        norm_limit=norm_limit,
+    )
+    update = make_update()
+    update.reward, update.gradients, update.buffers = reward, gradients, buffers
+    assert validator.validate(update) == reason
+
+
 class TestFaultyRounds:
     """Server-level integration: the ISSUE's acceptance scenario."""
 
