@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro.nn as nn
+from repro import ExperimentConfig
 from repro.controller import ArchitecturePolicy
 from repro.data import ArrayDataset, iid_partition, synth_cifar10
 from repro.federated import Participant, SerialBackend, compiled
@@ -108,6 +109,31 @@ def test_every_group_size_matches_the_eager_oracle(size, shards, supernet):
         for task, spec, got in zip(tasks, specs, updates):
             _assert_bit_equal(_eager(task, spec), got)
     assert tape.stats().snapshot() == {"steps": 3 * size, "replays": 0}
+
+
+#: (supernet config, image size, batch) of the ledger's cohort workload
+#: and of ``ExperimentConfig()``, with the largest group each stacks.
+GEOMETRIES = {
+    "cohort": (TINY, 8, BATCH, 8),
+    "default": (ExperimentConfig().supernet_config(), 16, 16, 1),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_the_largest_group_matches_the_eager_oracle(geometry):
+    config, image_size, batch, size = GEOMETRIES[geometry]
+    train, _ = synth_cifar10(seed=2, train_per_class=2 * size, test_per_class=1, image_size=image_size)
+    parts = iid_partition(train, size, rng=np.random.default_rng(0))
+    net = Supernet(config, rng=np.random.default_rng(1))
+    mask = ArchitecturePolicy(config.num_edges, rng=np.random.default_rng(3)).sample_mask()
+    state = net.submodel_state(mask)
+    specs = [ParticipantSpec(k, parts[k], batch) for k in range(size)]
+    tasks = [_task(k, mask, state, 50 + k) for k in range(size)]
+    updates = run_local_group(tasks, specs, config)
+    for task, spec, got in zip(tasks, specs, updates):
+        ref = _run_eager_step(task, spec.dataset, spec.batch_size, config)
+        _assert_bit_equal(ref, got)
+    assert tape.stats().snapshot() == {"steps": size, "replays": 0}
 
 
 def test_two_threads_step_concurrently_as_they_would_in_turn(shards, supernet):
