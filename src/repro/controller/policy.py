@@ -78,15 +78,27 @@ class ArchitecturePolicy:
         return softmax_rows(self.alpha)
 
     def sample_mask(self) -> ArchitectureMask:
-        """Binarize: draw a one-hot operation per edge (Eq. 5)."""
-        probs = self.probabilities()
-        normal = [
-            self.rng.choice(self.num_ops, p=probs[0, e]) for e in range(self.num_edges)
-        ]
-        reduce = [
-            self.rng.choice(self.num_ops, p=probs[1, e]) for e in range(self.num_edges)
-        ]
-        return ArchitectureMask(tuple(int(i) for i in normal), tuple(int(i) for i in reduce))
+        """Binarize: draw a one-hot operation per edge (Eq. 5).
+
+        Every edge in one ``rng.random(2E)`` draw, normal cell first;
+        each edge's op is the count of its row-normalised cumulative
+        probabilities at or below its uniform.  That is what
+        ``Generator.choice(N, p=row)`` computes edge by edge (the
+        cumsum over its last entry, then ``searchsorted(u,
+        side="right")``), so the masks and the stream position match a
+        per-edge ``choice`` loop.  Like ``choice``, NaN or negative
+        probabilities raise ``ValueError``.
+        """
+        probs = self.probabilities().reshape(2 * self.num_edges, self.num_ops)
+        if np.isnan(probs).any():
+            raise ValueError("probabilities contain NaN")
+        if (probs < 0).any():
+            raise ValueError("probabilities are not non-negative")
+        cdf = probs.cumsum(axis=-1)
+        cdf /= cdf[:, -1:]
+        draws = self.rng.random(len(cdf))
+        ops = (cdf <= draws[:, None]).sum(axis=-1).reshape(2, self.num_edges)
+        return ArchitectureMask(tuple(ops[0].tolist()), tuple(ops[1].tolist()))
 
     def log_prob(self, mask: ArchitectureMask) -> float:
         """Log-probability of sampling ``mask`` under the current ``α``."""

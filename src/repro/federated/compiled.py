@@ -23,7 +23,8 @@ tasks train the same sub-model, so:
   :meth:`Supernet.submodel_state`) run as one step: the state is applied
   once and the members' batches are stacked along the batch axis.  The
   serial backend forms the groups (:meth:`SerialBackend._groups`) in
-  balanced chunks of at most :data:`_MAX_GROUP` (:func:`group_chunks`);
+  balanced chunks whose stacked input fits :data:`_GROUP_INPUT_BYTES`
+  (:func:`group_chunks`);
   a task that carries a trace context or meets a fault hook runs alone,
   and the worker backends send one task per message, so they run groups
   of one.  A single task is the one-member case, not a second engine.
@@ -53,27 +54,33 @@ tasks train the same sub-model, so:
   replaced cost 22-38 % more per admitted step than an eager one, saved
   4-9 % per replay, and held every activation of each retained graph.
 
-**The cap.**  :data:`_MAX_GROUP` = 4 comes from a sweep on the ledger's
-``cohort-converged`` workload (contract mode, 10 s windows, seeds 211
-and 212, one run per cap and seed, a 2-core x86-64 host), against the
-commit before grouping:
+**The budget.**  A group stacks as many members as fit
+:data:`_GROUP_INPUT_BYTES` = 96 KiB of stacked input, members × batch ×
+C × H × W × itemsize (:func:`group_capacity`); a member larger than the
+budget runs alone.  The budget reads only what a task carries, so it
+sizes groups by geometry, where a count cap was wrong both ways.  It
+comes from a sweep of ms per task inside ``SerialBackend.run_tasks`` and
+the process's max RSS, one process per cell, one converged mask, two
+runs each (1 BLAS thread, 2-core x86-64 host):
 
-======  ===============  =====================  ===============
-cap     ``round_s_p50``  ``local_steps_per_s``  ``peak_rss_mb``
-======  ===============  =====================  ===============
-before  0.701, 0.653 s   141, 159               68.4, 68.7
-1       0.653, 0.556 s   149, 174               67.2, 68.0
-2       0.451, 0.492 s   220, 202               70.1, 69.8
-**4**   0.450, 0.486 s   229, 198               74.9, 74.2
-5       0.455, 0.458 s   217, 217               77.1, 77.1
-8       0.351, 0.412 s   284, 231               99.5, 98.4
-======  ===============  =====================  ===============
+=======  ==================  ===========  ==================  ===========
+members  8x8 cohort ms/task  8x8 max RSS  16x16 default ms    16x16 RSS
+=======  ==================  ===========  ==================  ===========
+1        4.26, 4.24          42.9 MB      35.1, 36.6          67.1 MB
+2        3.28, 3.06          44.2 MB      70.8, 44.3          82.7 MB
+4        2.59, 2.40          46.5 MB      39.1, 42.4          114.1 MB
+**8**    2.16, 2.30          50.4 MB      41.7, 40.4          176.9 MB
+16       1.88, 1.76          57.3 MB
+=======  ==================  ===========  ==================  ===========
 
-Cap 1 is the batch-norm node alone.  Past 4 the time per member barely
-moved while the retained graph grew with the group; at 8 a cohort of
-100 split into chunks of 8 and 7, two keys, two retained graphs.  The
-sweep predates the removal of retained graphs, so its memory column no
-longer describes this engine.
+The 8x8 cohort geometry is the ledger's ``cohort-converged`` (batch 8,
+4 initial channels, 2 cells of 1 step, 32 tasks a round; 12 KiB of
+input per member); the default geometry is ``ExperimentConfig()``
+(16x16, 6 initial channels, 3 cells of 2 steps, batch 16, 16 tasks;
+96 KiB per member).  At 8x8 the time per member falls to 8 and little
+past it, while RSS keeps growing; at 16x16 no group beats a lone step
+and every member adds 15 MB.  96 KiB gives 8 members at the first and 1
+at the second.
 
 Equality contract: in float64 (the default) every step, alone or
 grouped, returns, per member, a :class:`ParticipantUpdate`
@@ -100,11 +107,11 @@ from repro.telemetry.tracing import SpanRecorder, null_span
 
 from .participant import LocalStepTask, ParticipantSpec, ParticipantUpdate
 
-__all__ = ["run_compiled_group", "group_chunks", "reset_cache"]
+__all__ = ["run_compiled_group", "group_capacity", "group_chunks", "reset_cache"]
 
-#: Most members one grouped step stacks; set by the sweep in the module
-#: docstring.
-_MAX_GROUP = 4
+#: Most bytes of stacked input one grouped step holds; set by the sweep
+#: in the module docstring.
+_GROUP_INPUT_BYTES = 96 * 1024
 
 
 class _CompiledModel:
@@ -168,10 +175,18 @@ def _model_for(config: SupernetConfig) -> _CompiledModel:
     return cached
 
 
-def group_chunks(indices: Sequence[int]) -> List[List[int]]:
+def group_capacity(member_bytes: int) -> int:
+    """Most members of ``member_bytes`` of input each (batch × C × H × W
+    × itemsize) one step stacks: as many as fit
+    :data:`_GROUP_INPUT_BYTES`, and at least one."""
+    return max(1, _GROUP_INPUT_BYTES // max(member_bytes, 1))
+
+
+def group_chunks(indices: Sequence[int], member_bytes: int) -> List[List[int]]:
     """One group's task indices as the fewest chunks of at most
-    :data:`_MAX_GROUP`, in order, whose sizes differ by at most one."""
-    count = -(-len(indices) // _MAX_GROUP)
+    :func:`group_capacity` members, in order, whose sizes differ by at
+    most one."""
+    count = -(-len(indices) // group_capacity(member_bytes))
     return [chunk.tolist() for chunk in np.array_split(np.asarray(indices), count)]
 
 

@@ -38,8 +38,11 @@ coordinating process.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+
+import numpy as np
 
 from repro.search_space import SupernetConfig
 from repro.telemetry import Telemetry
@@ -191,25 +194,29 @@ class SerialBackend:
     def _groups(self, tasks: Sequence[LocalStepTask]) -> List[List[int]]:
         """Task indices per step, in the order the steps run.
 
-        Tasks stack when their mask and batch size match and their
-        ``state`` arrays are the same objects (within a round, same-mask
-        tasks share the supernet's live views), in balanced chunks of at
-        most :data:`~repro.federated.compiled._MAX_GROUP`.  A task that
+        Tasks stack when their mask, batch size and image shape match and
+        their ``state`` arrays are the same objects (within a round,
+        same-mask tasks share the supernet's live views), in balanced
+        chunks whose stacked input fits the byte budget of
+        :func:`~repro.federated.compiled.group_chunks`.  A task that
         carries a trace context, or meets a fault hook, runs alone.
         """
-        buckets: Dict[object, List[int]] = {}
+        itemsize = np.dtype(self._supernet_config.compute_dtype).itemsize
+        buckets: Dict[object, Tuple[int, List[int]]] = {}
         for index, task in enumerate(tasks):
             key: object = index
+            member_bytes = 0
             if self._fault_hook is None and task.trace is None:
                 participant = self._participants[task.participant_id]
-                key = (
-                    task.mask,
-                    min(participant.loader.batch_size, len(participant.dataset)),
-                    tuple(map(id, task.state.values())),
-                )
-            buckets.setdefault(key, []).append(index)
+                rows = min(participant.loader.batch_size, len(participant.dataset))
+                shape = participant.dataset.image_shape
+                key = (task.mask, rows, shape, tuple(map(id, task.state.values())))
+                member_bytes = rows * math.prod(shape) * itemsize
+            buckets.setdefault(key, (member_bytes, []))[1].append(index)
         return [
-            chunk for group in buckets.values() for chunk in compiled.group_chunks(group)
+            chunk
+            for member_bytes, group in buckets.values()
+            for chunk in compiled.group_chunks(group, member_bytes)
         ]
 
     def _run_one(self, task: LocalStepTask) -> ParticipantUpdate:

@@ -190,6 +190,8 @@ class RoundState:
     buffer_sums: Dict[str, np.ndarray] = dataclasses.field(default_factory=dict)
     buffer_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
     rewards: List[float] = dataclasses.field(default_factory=list)
+    #: ``∇ log p`` under this round's ``α``, per mask of a fresh arrival
+    grad_logps: Dict[ArchitectureMask, np.ndarray] = dataclasses.field(default_factory=dict)
     num_arrivals: int = 0
     num_fresh: int = 0
     num_stale: int = 0
@@ -403,19 +405,27 @@ class FederatedSearchServer:
         t = state.t
         telemetry = self.telemetry
         masks = [self.policy.sample_mask() for _ in online]
-        # Built exactly once and reused by the tasks: the states hold *live*
-        # references into the supernet (see Supernet.submodel_state), so
-        # nothing is copied on the dispatch path; every consumer copies
-        # before mutating.
-        states = [self.supernet.submodel_state(mask) for mask in masks]
-        sizes = [float(state_size_bytes(submodel)) for submodel in states]
+        # Built once per distinct mask and shared by its tasks: the states
+        # hold *live* references into the supernet (see
+        # Supernet.submodel_state), so nothing is copied on the dispatch
+        # path; every consumer copies before mutating.
+        built: Dict[ArchitectureMask, Tuple[Dict[str, np.ndarray], float, Dict[str, int]]] = {}
+        for mask in masks:
+            if mask not in built:
+                submodel = self.supernet.submodel_state(mask)
+                built[mask] = (
+                    submodel,
+                    float(state_size_bytes(submodel)),
+                    self.versions.subset(submodel),
+                )
+        states = [built[mask][0] for mask in masks]
+        sizes = [built[mask][1] for mask in masks]
         assignment, state.max_latency, latencies = self._assign(states, sizes, online)
         state.mean_size = float(np.mean(sizes))
         tracing = telemetry.enabled and telemetry.tracing
         for slot, k in enumerate(online):
             mask = masks[assignment[slot]]
-            submodel = states[assignment[slot]]
-            size = sizes[assignment[slot]]
+            submodel, size, versions = built[mask]
             self.pools.save_mask(t, k, mask)
             trace = None
             if tracing:
@@ -432,7 +442,7 @@ class FederatedSearchServer:
                     mask=mask,
                     state=submodel,
                     batch_seed=self._participant(k).draw_batch_seed(),
-                    state_versions=self.versions.subset(submodel),
+                    state_versions=versions,
                     trace=trace,
                 )
             )
@@ -738,7 +748,12 @@ class FederatedSearchServer:
         update = item.update
         gradients = update.gradients
         if tau == 0:
-            grad_logp = self.policy.grad_log_prob(item.mask)
+            # α moves only in _step, so one ∇ log p per mask serves the round.
+            grad_logp = state.grad_logps.get(item.mask)
+            if grad_logp is None:
+                grad_logp = state.grad_logps[item.mask] = self.policy.grad_log_prob(
+                    item.mask
+                )
         else:
             stale_alpha = self.pools.alpha(item.origin_round)
             grad_logp = item.mask.as_onehot() - softmax_rows(stale_alpha)

@@ -11,7 +11,8 @@ therefore validates every arriving update *before* it touches ``θ`` or
   parameter and buffer tables: finite reward, known parameter names,
   exact shape match, finite gradients, a global gradient-norm limit,
   then known buffer names (``unknown_buffer``), exact buffer shapes
-  (``buffer_shape_mismatch``) and finite buffers.  An update that
+  (``buffer_shape_mismatch``) and finite buffers.  Each array costs one
+  float64 dot product, which proves it finite and feeds the norm.  An update that
   passes can be folded into the server's arena as it is: every
   gradient fits its parameter's gradient window and every buffer its
   arena entry.
@@ -85,10 +86,10 @@ class UpdateValidator:
                 return "unknown_parameter"
             if tuple(grad.shape) != expected:
                 return "shape_mismatch"
-            if not np.all(np.isfinite(grad)):
+            square = _sum_of_squares(grad)
+            if square is None:
                 return "non_finite_gradient"
-            if self.norm_limit:
-                total_sq += float(np.sum(np.square(grad, dtype=np.float64)))
+            total_sq += square
         if self.norm_limit and math.sqrt(total_sq) > self.norm_limit:
             return "norm_outlier"
         for name, value in update.buffers.items():
@@ -97,9 +98,27 @@ class UpdateValidator:
                 return "unknown_buffer"
             if tuple(value.shape) != expected:
                 return "buffer_shape_mismatch"
-            if not np.all(np.isfinite(value)):
+            if _sum_of_squares(value) is None:
                 return "non_finite_buffer"
         return None
+
+
+def _sum_of_squares(array: np.ndarray) -> Optional[float]:
+    """``Σ x²`` of ``array`` in float64, or ``None`` if it holds a NaN or
+    an inf.
+
+    One reduction per array: a finite sum of squares proves every
+    element finite, and the same sum feeds the gradient norm.  Only a
+    non-finite sum pays a second pass, to tell a NaN or inf element
+    from finite elements whose squares overflow; the latter sum to inf,
+    which every norm limit refuses.  ``np.dot`` may round the sum
+    differently in the last ulp than an elementwise square-and-sum.
+    """
+    flat = np.ravel(array).astype(np.float64, copy=False)
+    square = float(np.dot(flat, flat))
+    if math.isfinite(square):
+        return square
+    return math.inf if np.isfinite(flat).all() else None
 
 
 class QuarantineTracker:

@@ -3,7 +3,8 @@
 The contract under test:
 
 * every :class:`ParticipantUpdate` a grouped step returns — any group
-  size up to the cap, the same key again and again — equals the eager
+  size up to the byte budget's largest, at the cohort and the default
+  geometry, the same key again and again — equals the eager
   oracle's (:func:`_run_eager_step`) bit for bit: gradients, buffers,
   reward, ``num_samples`` and ``compute_time_s``;
 * a serial round that mixes two masks, and a member whose shard is
@@ -12,7 +13,7 @@ The contract under test:
 * ``tape.stats()`` counts one step per member;
 * two threads stepping at once get the updates they get in turn, and a
   thread inside ``no_grad`` leaves another thread's step its graph;
-* chunks are balanced and never exceed the cap;
+* chunks are balanced and their stacked input fits the byte budget;
 * the one-node train-mode batch norm is gradchecked at one and three
   stacked members, and each member's slice normalises as it would alone.
 """
@@ -44,6 +45,15 @@ TINY = SupernetConfig(num_classes=10, init_channels=4, num_cells=2, steps=1)
 BATCH = 8
 
 
+def _member_bytes(batch, image_size):
+    """A member's stacked input: batch × 3 × H × W float64."""
+    return batch * 3 * image_size * image_size * 8
+
+
+#: Largest group the budget stacks at the 8x8, batch-8 geometry.
+CAP = compiled.group_capacity(_member_bytes(BATCH, 8))
+
+
 @pytest.fixture(autouse=True)
 def _fresh_engine():
     compiled.reset_cache()
@@ -56,7 +66,7 @@ def _fresh_engine():
 @pytest.fixture(scope="module")
 def shards():
     train, _ = synth_cifar10(seed=1, train_per_class=12, test_per_class=2, image_size=8)
-    parts = iid_partition(train, compiled._MAX_GROUP + 1, rng=np.random.default_rng(0))
+    parts = iid_partition(train, CAP + 1, rng=np.random.default_rng(0))
     # The last participant's shard is shorter than the batch.
     short = parts[-1]
     parts[-1] = ArrayDataset(short.images[: BATCH - 3], short.labels[: BATCH - 3], short.num_classes)
@@ -96,7 +106,7 @@ def _assert_bit_equal(ref, got):
     assert ref.compute_time_s == got.compute_time_s
 
 
-@pytest.mark.parametrize("size", range(1, compiled._MAX_GROUP + 1))
+@pytest.mark.parametrize("size", range(1, CAP + 1))
 def test_every_group_size_matches_the_eager_oracle(size, shards, supernet):
     """Three groups of one key, one after another."""
     (mask,) = _masks(1)
@@ -112,16 +122,24 @@ def test_every_group_size_matches_the_eager_oracle(size, shards, supernet):
 
 
 #: (supernet config, image size, batch) of the ledger's cohort workload
-#: and of ``ExperimentConfig()``, with the largest group each stacks.
+#: and of ``ExperimentConfig()``.
 GEOMETRIES = {
-    "cohort": (TINY, 8, BATCH, 8),
-    "default": (ExperimentConfig().supernet_config(), 16, 16, 1),
+    "cohort": (TINY, 8, BATCH),
+    "default": (ExperimentConfig().supernet_config(), 16, 16),
 }
+
+
+def test_the_budget_stacks_eight_cohort_members_and_one_default_member():
+    assert CAP == compiled.group_capacity(_member_bytes(8, 8)) == 8
+    assert compiled.group_capacity(_member_bytes(16, 16)) == 1
 
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 def test_the_largest_group_matches_the_eager_oracle(geometry):
-    config, image_size, batch, size = GEOMETRIES[geometry]
+    """The budget's largest group at each geometry, every member bit for
+    bit its lone step."""
+    config, image_size, batch = GEOMETRIES[geometry]
+    size = compiled.group_capacity(_member_bytes(batch, image_size))
     train, _ = synth_cifar10(seed=2, train_per_class=2 * size, test_per_class=1, image_size=image_size)
     parts = iid_partition(train, size, rng=np.random.default_rng(0))
     net = Supernet(config, rng=np.random.default_rng(1))
@@ -234,8 +252,7 @@ def test_serial_round_mixing_two_masks_and_a_short_shard(shards, supernet):
             for k in range(2 * len(participants))
         ]
         # Per mask: the full-batch members stack, the short shard runs alone.
-        cap = compiled._MAX_GROUP
-        assert sorted(map(len, backend._groups(tasks))) == [1, 1, cap, cap]
+        assert sorted(map(len, backend._groups(tasks))) == [1, 1, CAP, CAP]
         results = backend.run_tasks(tasks)
         assert [r.participant_id for r in results] == [t.participant_id for t in tasks]
         for task, result in zip(tasks, results):
@@ -262,12 +279,19 @@ def test_a_traced_or_hooked_task_runs_alone(shards, supernet):
 
 @pytest.mark.parametrize("count", [1, 4, 5, 9, 12, 100])
 def test_chunks_are_balanced_and_capped(count):
-    chunks = compiled.group_chunks(list(range(count)))
-    assert [i for chunk in chunks for i in chunk] == list(range(count))
-    sizes = [len(chunk) for chunk in chunks]
-    assert max(sizes) <= compiled._MAX_GROUP
-    assert max(sizes) - min(sizes) <= 1
-    assert len(chunks) == -(-count // compiled._MAX_GROUP)
+    """Per member size — the cohort and default geometries, a member
+    over the budget, a tiny one — the fewest chunks whose stacked input
+    fits the budget (one member always runs), sizes within one."""
+    budget = compiled._GROUP_INPUT_BYTES
+    for member_bytes in (_member_bytes(8, 8), _member_bytes(16, 16), 2 * budget, 100):
+        chunks = compiled.group_chunks(list(range(count)), member_bytes)
+        assert [i for chunk in chunks for i in chunk] == list(range(count))
+        sizes = [len(chunk) for chunk in chunks]
+        assert max(sizes) == 1 or max(sizes) * member_bytes <= budget
+        assert max(sizes) - min(sizes) <= 1
+        cap = compiled.group_capacity(member_bytes)
+        assert cap == max(1, budget // member_bytes)
+        assert len(chunks) == -(-count // cap)
 
 
 @pytest.mark.parametrize("members", [1, 3])
