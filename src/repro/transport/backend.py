@@ -681,9 +681,15 @@ class SocketBackend:
                 job, is_hedge = pick
                 budget_left = self.task_budget_s - job.spent_s
                 begin = time.monotonic()
-                update, reason = self._attempt(
-                    endpoint, job.task, min(self._deadline(endpoint), budget_left)
-                )
+                try:
+                    update, reason = self._attempt(
+                        endpoint, job.task, min(self._deadline(endpoint), budget_left)
+                    )
+                except Exception as exc:
+                    # Whatever an attempt raises settles as its failure:
+                    # a job this thread holds must not be left owned by a
+                    # thread that is gone, or the round never ends.
+                    update, reason = None, f"{type(exc).__name__}: {exc}"
                 with self._cond:
                     job.spent_s += time.monotonic() - begin
                     self._settle(state, endpoint, job, is_hedge, update, reason)

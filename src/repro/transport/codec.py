@@ -31,6 +31,7 @@ framing failures uniformly.
 from __future__ import annotations
 
 import json
+import math
 import pickle
 import struct
 from typing import Dict, List, Sequence, Tuple
@@ -360,9 +361,53 @@ def encode_update(
     )
 
 
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _check_spans(spans) -> None:
+    """A worker span payload (:meth:`SpanRecorder.payload`) is an object
+    with a numeric ``total_s``, ``spans`` rows of ``[name, start,
+    duration]`` and optional ``ops`` rows of ``[op, shape, count,
+    total_s]``; anything else is a :class:`ProtocolError`, so it never
+    reaches the server's span merge."""
+    if not (
+        isinstance(spans, dict)
+        and _is_number(spans.get("total_s"))
+        and isinstance(spans.get("spans"), list)
+        and isinstance(spans.get("ops", []), list)
+    ):
+        raise ProtocolError(f"update carries a malformed span payload {spans!r:.80}")
+    for row in spans["spans"]:
+        if not (
+            isinstance(row, list)
+            and len(row) == 3
+            and isinstance(row[0], str)
+            and _is_number(row[1])
+            and _is_number(row[2])
+        ):
+            raise ProtocolError(f"update carries a malformed span {row!r:.80}")
+    for row in spans.get("ops", []):
+        if not (
+            isinstance(row, list)
+            and len(row) == 4
+            and isinstance(row[0], str)
+            and isinstance(row[1], str)
+            and _is_int(row[2])
+            and _is_number(row[3])
+        ):
+            raise ProtocolError(f"update carries a malformed op profile row {row!r:.80}")
+
+
 def decode_update(payload: bytes) -> Tuple[ParticipantUpdate, int]:
     meta, arrays = _unpack_tensor_payload(payload)
     _require(meta, "seq", "participant_id", "reward", "num_samples", "compute_time_s")
+    if meta.get("spans") is not None:
+        _check_spans(meta["spans"])
     gradients: Dict[str, np.ndarray] = {}
     buffers: Dict[str, np.ndarray] = {}
     for name, value in arrays.items():

@@ -17,6 +17,9 @@ row of a checkpoint.  The contract under test:
   ``decode_error_info`` under truncation and bit flips, and each refuses
   JSON that is not an object, nested too deep, or carries a field of the
   wrong type (a ``seq`` of ``null``, a ``missing`` of ``-1``, …);
+* an update's worker ``spans`` round-trip, and a span payload of the
+  wrong shape (not an object, a non-numeric ``total_s``, a row that is
+  not ``[name, start, duration]``, a bad op row) is refused;
 * a checkpoint that says ``format_version: 2`` is refused with the
   "re-create" message.
 """
@@ -98,6 +101,19 @@ UPDATE = ParticipantUpdate(
     compute_time_s=0.25,
     buffers={"bn.mean": np.ones(3)},
 )
+SPANS = {
+    "total_s": 0.012,
+    "spans": [["build", 0.0, 0.004], ["forward", 0.004, 0.005]],
+    "ops": [["Conv2d", "8x4x8x8", 3, 0.002]],
+}
+TRACED_UPDATE = ParticipantUpdate(
+    participant_id=3,
+    gradients={"conv.w": SAMPLE["w"]},
+    reward=0.25,
+    num_samples=8,
+    compute_time_s=0.5,
+    spans=SPANS,
+)
 TASK = LocalStepTask(
     participant_id=2,
     round_index=4,
@@ -140,6 +156,7 @@ def decoders(ckpt_dir):
         ),
         "decode_entries": (decode_entries, blob(SAMPLE), 0),
         "decode_update": (codec.decode_update, update, update_at),
+        "decode_update/spans": (codec.decode_update, *_wire_payload(codec.encode_update, TRACED_UPDATE)),
         "decode_task": (codec.decode_task, task, task_at),
         "decode_json": (codec.decode_json, codec.encode_json({"a": [1, 2.5]}), 0),
         "decode_hello": (codec.decode_hello, codec.encode_hello("zlib", "float32"), 0),
@@ -161,6 +178,7 @@ DECODERS = (
     "unpack_state/zlib",
     "decode_entries",
     "decode_update",
+    "decode_update/spans",
     "decode_task",
     "decode_json",
     "decode_hello",
@@ -380,6 +398,47 @@ def test_tensor_meta_with_a_field_of_the_wrong_type_is_refused(
     payload = encode(message, 7)
     assert outcome(decode, payload) == "decoded"
     assert outcome(decode, with_meta(payload, **changes)) == "refused"
+
+
+def test_a_traced_update_round_trips_its_spans():
+    update, seq = codec.decode_update(codec.encode_update(TRACED_UPDATE, 7))
+    assert seq == 7 and update.spans == SPANS
+
+
+@pytest.mark.parametrize(
+    "spans",
+    [
+        "spans",
+        [SPANS],
+        {},
+        {"spans": []},
+        {"total_s": "0.1", "spans": []},
+        {"total_s": True, "spans": []},
+        {"total_s": float("nan"), "spans": []},
+        {"total_s": 0.1},
+        {"total_s": 0.1, "spans": {"build": 0.1}},
+        {"total_s": 0.1, "spans": ["build"]},
+        {"total_s": 0.1, "spans": [["build", 0.0]]},
+        {"total_s": 0.1, "spans": [["build", 0.0, 0.1, 0.2]]},
+        {"total_s": 0.1, "spans": [[7, 0.0, 0.1]]},
+        {"total_s": 0.1, "spans": [["build", "0", 0.1]]},
+        {"total_s": 0.1, "spans": [["build", 0.0, None]]},
+        {"total_s": 0.1, "spans": [["build", 0.0, float("inf")]]},
+        {"total_s": 0.1, "spans": [], "ops": {"Conv2d": 1}},
+        {"total_s": 0.1, "spans": [], "ops": [["Conv2d", "8x4", 3]]},
+        {"total_s": 0.1, "spans": [], "ops": [["Conv2d", "8x4", 1.5, 0.1]]},
+        {"total_s": 0.1, "spans": [], "ops": [["Conv2d", [8, 4], 3, 0.1]]},
+    ],
+    ids=repr,
+)
+def test_a_span_payload_of_the_wrong_shape_is_refused(spans):
+    """``spans`` must be an object with a numeric ``total_s``, a list of
+    ``[str, number, number]`` rows and, if present, a list of ``[str,
+    str, int, number]`` op rows: the server's span merge reads it as
+    such."""
+    payload = codec.encode_update(TRACED_UPDATE, 7)
+    assert outcome(codec.decode_update, payload) == "decoded"
+    assert outcome(codec.decode_update, with_meta(payload, spans=spans)) == "refused"
 
 
 def test_error_frame_fields_are_required_or_typed_when_present():

@@ -14,6 +14,7 @@ Four layers under test:
   kill, and external-daemon mode.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -40,6 +41,7 @@ from repro.nn import payload_size_bytes, state_size_bytes, tape
 from repro.nn.serialize import pack_state, unpack_state
 from repro.search_space import Supernet, SupernetConfig
 from repro.telemetry import JsonlFileSink, Telemetry
+from repro.telemetry.tracing import TraceContext
 from repro.transport import (
     HEADER_BYTES,
     MAGIC,
@@ -99,6 +101,20 @@ def worker_thread():
     yield server
     server.stop()
     thread.join(timeout=5)
+
+
+def run_tasks_within(backend, tasks, timeout=60.0):
+    """``backend.run_tasks(tasks)`` on a daemon thread, failing the test
+    instead of hanging it when the round does not end in ``timeout``."""
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(backend.run_tasks(tasks)), daemon=True
+    )
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"run_tasks did not return in {timeout:g}s"
+    assert results, "run_tasks raised"
+    return results[0]
 
 
 def dial(server, timeout=10.0):
@@ -572,6 +588,67 @@ class TestSocketBackend:
             first[0].update.gradients[next(iter(first[0].update.gradients))],
             second[0].update.gradients[next(iter(second[0].update.gradients))],
         )
+
+    def test_malformed_worker_spans_fail_the_attempt_and_the_round_ends(
+        self, monkeypatch
+    ):
+        """A worker that answers one traced task with a span payload of
+        the wrong shape: the decoder refuses it as a protocol error, so
+        that attempt fails.  It used to reach the span merge, raise there
+        and kill its dispatch thread while the thread held the job, and
+        the other thread waited for that job forever."""
+        import repro.transport.worker as worker_module
+
+        real = worker_module.run_worker_task
+
+        def corrupting(task, *args, **kwargs):
+            update, wall = real(task, *args, **kwargs)
+            if task.participant_id == 0:
+                update.spans = {"total_s": "soon", "spans": 3}
+            return update, wall
+
+        # Set before the workers fork, so they inherit it.
+        monkeypatch.setattr(worker_module, "run_worker_task", corrupting)
+        backend = SocketBackend(
+            build_participants(), TINY, num_workers=2, telemetry=Telemetry()
+        )
+        trace = TraceContext(trace_id="t", parent_span_id=0, dispatch_ts=0.0)
+        tasks = [
+            dataclasses.replace(task, trace=trace)
+            for task in self.run_round_tasks(None, seed=3)
+        ]
+        try:
+            results = run_tasks_within(backend, tasks)
+        finally:
+            backend.close()
+        assert not results[0].ok
+        assert "malformed span payload" in results[0].error
+        for result in results[1:]:
+            if result.ok:
+                assert result.update.spans["spans"]
+
+    def test_an_attempt_that_raises_settles_as_its_failure(self, monkeypatch):
+        """Any exception out of an attempt fails that attempt and the job
+        is retried; the dispatch thread lives on and the round ends."""
+        import repro.transport.backend as backend_module
+
+        calls = []
+
+        def raise_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("merge failed")
+
+        monkeypatch.setattr(backend_module, "emit_task_trace", raise_once)
+        backend = SocketBackend(
+            build_participants(), TINY, num_workers=2, telemetry=Telemetry()
+        )
+        try:
+            results = run_tasks_within(backend, self.run_round_tasks(None, seed=3))
+        finally:
+            backend.close()
+        assert all(r.ok for r in results)
+        assert sorted(r.attempts for r in results) == [1, 1, 2]
 
     def test_killed_worker_degrades_not_deadlocks(self):
         """ISSUE 4 acceptance: kill -9 one worker mid-round → the round
