@@ -23,6 +23,7 @@ from __future__ import annotations
 import socket
 import struct
 import time
+import weakref
 import zlib
 from typing import Callable, Optional, Tuple
 
@@ -159,6 +160,26 @@ def decode_frame(data: bytes) -> Tuple[int, bytes, int]:
     return msg_type, payload, end
 
 
+#: Every socket this process opened for the protocol — each one a
+#: :class:`FrameConnection` wraps, and each worker's listener — so a
+#: forked worker can close its copies (:func:`close_registered_sockets`)
+#: without walking the inherited heap.
+_SOCKETS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+
+
+def register_socket(sock: socket.socket) -> socket.socket:
+    """Add ``sock`` to the sockets a forked child closes; returns it."""
+    _SOCKETS.add(sock)
+    return sock
+
+
+def close_registered_sockets() -> None:
+    """Close this process's descriptor of every registered socket (no
+    shutdown, so the parent's copy stays open)."""
+    for sock in list(_SOCKETS):
+        sock.close()
+
+
 class FrameConnection:
     """A socket speaking frames, with deadlines and byte accounting.
 
@@ -177,7 +198,7 @@ class FrameConnection:
         on_traffic: Optional[Callable[[int, int], None]] = None,
     ):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
+        self._sock = register_socket(sock)
         self._on_traffic = on_traffic
         self.bytes_sent = 0
         self.bytes_received = 0

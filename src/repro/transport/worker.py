@@ -50,6 +50,8 @@ from .protocol import (
     PROTOCOL_VERSION,
     FrameConnection,
     ProtocolError,
+    close_registered_sockets,
+    register_socket,
 )
 
 __all__ = ["WorkerServer", "serve", "serve_child", "READY_PREFIX"]
@@ -96,7 +98,7 @@ class WorkerServer:
             from repro.faults.network import ChaosEngine
 
             self._chaos = ChaosEngine(network_fault_plan, side="worker")
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener = register_socket(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(4)
@@ -315,16 +317,16 @@ def serve_child(ready, host: str, idle_timeout_s: Optional[float]) -> None:
     """Body of a worker process started by ``spawn_local_worker``.
 
     A forked child shares every descriptor its parent held.  It closes
-    the inherited sockets first — among them the parent's connections
-    to other workers, so a connection the parent drops still reaches its
-    peer as EOF — and points stdout/stderr at the null device, so the
-    daemon never writes into its parent's terminal or logs.  Then it
-    binds ``host`` on port 0 and sends the bound ``(host, port)`` over
-    the ``ready`` pipe instead of printing a READY line.
+    the inherited protocol sockets first (the ones
+    :func:`~repro.transport.protocol.register_socket` recorded) — among
+    them the parent's connections to other workers, so a connection the
+    parent drops still reaches its peer as EOF — and points
+    stdout/stderr at the null device, so the daemon never writes into
+    its parent's terminal or logs.  Then it binds ``host`` on port 0 and
+    sends the bound ``(host, port)`` over the ``ready`` pipe instead of
+    printing a READY line.
     """
-    for obj in gc.get_objects():
-        if isinstance(obj, socket.socket):
-            obj.close()  # this process's descriptor only; no shutdown
+    close_registered_sockets()
     # The inherited heap is the parent's: keep the collector off it, so
     # collections stay small and never copy its shared pages.
     gc.freeze()
