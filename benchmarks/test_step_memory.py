@@ -18,6 +18,12 @@ The per-process model is built before tracing starts and the conv/pool
 workspace is emptied, so the peak is the step's own, from a cold
 workspace.  Results go to ``benchmarks/results/step_memory.txt``.
 
+A second check guards the serial backend's group byte budget
+(:func:`repro.federated.compiled.group_chunks`): at
+``ExperimentConfig()``'s geometry the first group ``SerialBackend``
+forms from four same-mask tasks peaks at most 1.25x one lone step
+(``benchmarks/results/group_memory.txt``).
+
 Run: ``PYTHONPATH=src python -m pytest benchmarks/test_step_memory.py``
 (about 10 s on a 2-core host; it uses no pytest-benchmark fixture).
 """
@@ -33,9 +39,14 @@ from conftest import save_result
 import repro.nn as nn
 from repro import ExperimentConfig
 from repro.controller import ArchitecturePolicy
-from repro.data import synth_cifar10
-from repro.federated import compiled
-from repro.federated.participant import LocalStepTask, run_local_step
+from repro.data import iid_partition, synth_cifar10
+from repro.federated import Participant, SerialBackend, compiled
+from repro.federated.participant import (
+    LocalStepTask,
+    ParticipantSpec,
+    run_local_group,
+    run_local_step,
+)
 from repro.nn import tape
 from repro.search_space import Supernet
 
@@ -43,10 +54,14 @@ BATCH = 4
 MASK_SEEDS = (0, 1, 2)
 #: ROADMAP item 12: on-device training memory per sample.
 TARGET_MIB_PER_SAMPLE = 40.0
+#: A stacked group at the default geometry may hold at most this many
+#: times one lone step's traced peak.
+GROUP_PEAK_RATIO = 1.25
 
 
-def _traced_step(task, dataset, config):
-    """Traced peak bytes and wall time of one local step of ``task``."""
+def _traced(config, step):
+    """Traced peak bytes and wall time of ``step()``, which runs local
+    steps on ``config``'s per-thread model."""
     compiled.reset_cache()
     tape.reset_stats()
     compiled._model_for(config)  # built outside the trace
@@ -57,11 +72,17 @@ def _traced_step(task, dataset, config):
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         start = time.perf_counter()
-        run_local_step(task, dataset, BATCH, config)
+        step()
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return peak, elapsed
+
+
+def _traced_step(task, dataset, config):
+    """Traced peak bytes and wall time of one local step of ``task``."""
+    peak, elapsed = _traced(config, lambda: run_local_step(task, dataset, BATCH, config))
     assert tape.stats().steps == 1
     return peak, elapsed
 
@@ -115,4 +136,60 @@ def test_step_memory():
     assert worst <= TARGET_MIB_PER_SAMPLE, (
         f"local step holds {worst:.1f} MiB/sample at Table I geometry, "
         f"target {TARGET_MIB_PER_SAMPLE:.0f}"
+    )
+
+
+def test_a_default_geometry_group_holds_about_one_step():
+    """The serial backend's byte budget keeps a default-geometry group
+    (16x16 inputs, batch 16) near one lone step's memory: four same-mask
+    tasks that share their state form a first group whose traced peak is
+    at most 1.25x a lone step's."""
+    experiment = ExperimentConfig()
+    config = experiment.supernet_config()
+    train, _ = synth_cifar10(
+        seed=0, train_per_class=8, test_per_class=1, image_size=experiment.image_size
+    )
+    shards = iid_partition(train, 4, rng=np.random.default_rng(0))
+    participants = [
+        Participant(k, shard, batch_size=experiment.batch_size, rng=np.random.default_rng(k))
+        for k, shard in enumerate(shards)
+    ]
+    specs = [ParticipantSpec.from_participant(p) for p in participants]
+    net = Supernet(config, rng=np.random.default_rng(0))
+    mask = ArchitecturePolicy(config.num_edges, rng=np.random.default_rng(0)).sample_mask()
+    state = net.submodel_state(mask)
+    tasks = [LocalStepTask(k, 0, mask, state, batch_seed=k) for k in range(4)]
+    group = SerialBackend(participants, config)._groups(tasks)[0]
+    try:
+        lone, lone_s = _traced(config, lambda: run_local_group(tasks[:1], specs[:1], config))
+        grouped, grouped_s = _traced(
+            config,
+            lambda: run_local_group(
+                [tasks[i] for i in group], [specs[i] for i in group], config
+            ),
+        )
+        assert tape.stats().steps == len(group)
+    finally:
+        compiled.reset_cache()
+        tape.reset_stats()
+        vars(nn.functional._WORKSPACE).clear()
+    save_result(
+        "group_memory",
+        [
+            f"Grouped-step memory at ExperimentConfig()'s geometry "
+            f"({experiment.image_size}x{experiment.image_size}, batch "
+            f"{experiment.batch_size}, init_channels={config.init_channels}), "
+            f"float64, tracemalloc peak",
+            f"(host cpu_count={os.cpu_count()})",
+            "",
+            f"{'step':>12} {'members':>8} {'peak MiB':>9} {'step s':>7}",
+            f"{'lone':>12} {1:>8} {lone / 2**20:>9.1f} {lone_s:>7.2f}",
+            f"{'first group':>12} {len(group):>8} {grouped / 2**20:>9.1f} {grouped_s:>7.2f}",
+            "",
+            f"ratio {grouped / lone:.2f} (bound <= {GROUP_PEAK_RATIO})",
+        ],
+    )
+    assert grouped <= GROUP_PEAK_RATIO * lone, (
+        f"a {len(group)}-member group peaks at {grouped / 2**20:.1f} MiB, "
+        f"{grouped / lone:.2f}x a lone step's {lone / 2**20:.1f} MiB"
     )
