@@ -191,7 +191,9 @@ class RoundState:
     buffer_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
     rewards: List[float] = dataclasses.field(default_factory=list)
     #: ``∇ log p`` under this round's ``α``, per mask of a fresh arrival
-    grad_logps: Dict[ArchitectureMask, np.ndarray] = dataclasses.field(default_factory=dict)
+    grad_logps: Dict[ArchitectureMask, np.ndarray] = dataclasses.field(
+        default_factory=dict
+    )
     num_arrivals: int = 0
     num_fresh: int = 0
     num_stale: int = 0
@@ -409,15 +411,14 @@ class FederatedSearchServer:
         # hold *live* references into the supernet (see
         # Supernet.submodel_state), so nothing is copied on the dispatch
         # path; every consumer copies before mutating.
-        built: Dict[ArchitectureMask, Tuple[Dict[str, np.ndarray], float, Dict[str, int]]] = {}
-        for mask in masks:
-            if mask not in built:
-                submodel = self.supernet.submodel_state(mask)
-                built[mask] = (
-                    submodel,
-                    float(state_size_bytes(submodel)),
-                    self.versions.subset(submodel),
-                )
+        built = {}
+        for mask in dict.fromkeys(masks):
+            submodel = self.supernet.submodel_state(mask)
+            built[mask] = (
+                submodel,
+                float(state_size_bytes(submodel)),
+                self.versions.subset(submodel),
+            )
         states = [built[mask][0] for mask in masks]
         sizes = [built[mask][1] for mask in masks]
         assignment, state.max_latency, latencies = self._assign(states, sizes, online)
@@ -751,9 +752,8 @@ class FederatedSearchServer:
             # α moves only in _step, so one ∇ log p per mask serves the round.
             grad_logp = state.grad_logps.get(item.mask)
             if grad_logp is None:
-                grad_logp = state.grad_logps[item.mask] = self.policy.grad_log_prob(
-                    item.mask
-                )
+                grad_logp = self.policy.grad_log_prob(item.mask)
+                state.grad_logps[item.mask] = grad_logp
         else:
             stale_alpha = self.pools.alpha(item.origin_round)
             grad_logp = item.mask.as_onehot() - softmax_rows(stale_alpha)

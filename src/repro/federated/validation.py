@@ -12,10 +12,10 @@ therefore validates every arriving update *before* it touches ``θ`` or
   exact shape match, finite gradients, a global gradient-norm limit,
   then known buffer names (``unknown_buffer``), exact buffer shapes
   (``buffer_shape_mismatch``) and finite buffers.  Each array costs one
-  float64 dot product, which proves it finite and feeds the norm.  An update that
-  passes can be folded into the server's arena as it is: every
-  gradient fits its parameter's gradient window and every buffer its
-  arena entry.
+  float64 dot product, which proves it finite and feeds the norm.  An
+  update that passes can be folded into the server's arena as it is:
+  every gradient fits its parameter's gradient window and every buffer
+  its arena entry.
 * :class:`QuarantineTracker` — per-participant strike counting.  A
   rejection is a strike; ``strike_limit`` strikes quarantine the
   participant for ``quarantine_rounds`` rounds, doubling (``backoff``)

@@ -369,38 +369,37 @@ def _is_number(value) -> bool:
     )
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+#: Column checks of a worker span row ``[name, start, duration]`` and of
+#: an op profile row ``[op, shape, count, total_s]``.
+_SPAN_ROW = (_is_str, _is_number, _is_number)
+_OP_ROW = (_is_str, _is_str, _is_int, _is_number)
+
+
+def _rows_of(rows, columns) -> bool:
+    return isinstance(rows, list) and all(
+        isinstance(row, list)
+        and len(row) == len(columns)
+        and all(check(value) for check, value in zip(columns, row))
+        for row in rows
+    )
+
+
 def _check_spans(spans) -> None:
     """A worker span payload (:meth:`SpanRecorder.payload`) is an object
-    with a numeric ``total_s``, ``spans`` rows of ``[name, start,
-    duration]`` and optional ``ops`` rows of ``[op, shape, count,
-    total_s]``; anything else is a :class:`ProtocolError`, so it never
-    reaches the server's span merge."""
+    with a numeric ``total_s``, a list of span rows and, optionally, a
+    list of op rows; anything else is a :class:`ProtocolError`, so it
+    never reaches the server's span merge."""
     if not (
         isinstance(spans, dict)
         and _is_number(spans.get("total_s"))
-        and isinstance(spans.get("spans"), list)
-        and isinstance(spans.get("ops", []), list)
+        and _rows_of(spans.get("spans"), _SPAN_ROW)
+        and _rows_of(spans.get("ops", []), _OP_ROW)
     ):
         raise ProtocolError(f"update carries a malformed span payload {spans!r:.80}")
-    for row in spans["spans"]:
-        if not (
-            isinstance(row, list)
-            and len(row) == 3
-            and isinstance(row[0], str)
-            and _is_number(row[1])
-            and _is_number(row[2])
-        ):
-            raise ProtocolError(f"update carries a malformed span {row!r:.80}")
-    for row in spans.get("ops", []):
-        if not (
-            isinstance(row, list)
-            and len(row) == 4
-            and isinstance(row[0], str)
-            and isinstance(row[1], str)
-            and _is_int(row[2])
-            and _is_number(row[3])
-        ):
-            raise ProtocolError(f"update carries a malformed op profile row {row!r:.80}")
 
 
 def decode_update(payload: bytes) -> Tuple[ParticipantUpdate, int]:

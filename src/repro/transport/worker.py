@@ -98,7 +98,9 @@ class WorkerServer:
             from repro.faults.network import ChaosEngine
 
             self._chaos = ChaosEngine(network_fault_plan, side="worker")
-        self._listener = register_socket(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+        self._listener = register_socket(
+            socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        )
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(4)
