@@ -220,26 +220,7 @@ class WorkerServer:
             )
             return True
         if msg_type == MSG_INIT:
-            try:
-                specs, supernet_config, population = codec.decode_init(payload)
-            except ProtocolError as exc:
-                conn.send_frame(MSG_ERROR, codec.encode_error(-1, str(exc)))
-                return False
-            # A daemon forked from a server serves on the forking thread and
-            # inherits its compiled models and the counters; a registration
-            # starts from none of them.
-            compiled.reset_cache()
-            tape.reset_stats()
-            self._specs = {spec.participant_id: spec for spec in specs}
-            self._supernet_config = supernet_config
-            self._population = population
-            # A registration starts a new server timeline: versions from
-            # the previous one must never satisfy a delta reference.
-            self._param_cache.clear()
-            conn.send_frame(
-                MSG_ACK, codec.encode_json({"num_specs": len(self._specs)})
-            )
-            return True
+            return self._handle_init(conn, payload)
         if msg_type == MSG_TASK:
             self._handle_task(conn, payload)
             return True
@@ -251,6 +232,28 @@ class WorkerServer:
             self._running = False
             return False
         # Unexpected-but-valid type (e.g. a stray ack): ignore it.
+        return True
+
+    def _handle_init(self, conn: FrameConnection, payload: bytes) -> bool:
+        """Install a registration; a payload that does not decode is
+        answered with an error frame and ends the connection."""
+        try:
+            specs, supernet_config, population = codec.decode_init(payload)
+        except ProtocolError as exc:
+            conn.send_frame(MSG_ERROR, codec.encode_error(-1, str(exc)))
+            return False
+        # A daemon forked from a server serves on the forking thread and
+        # inherits its compiled models and the counters; a registration
+        # starts from none of them.
+        compiled.reset_cache()
+        tape.reset_stats()
+        self._specs = {spec.participant_id: spec for spec in specs}
+        self._supernet_config = supernet_config
+        self._population = population
+        # A registration starts a new server timeline: versions from
+        # the previous one must never satisfy a delta reference.
+        self._param_cache.clear()
+        conn.send_frame(MSG_ACK, codec.encode_json({"num_specs": len(self._specs)}))
         return True
 
     def _handle_task(self, conn: FrameConnection, payload: bytes) -> None:
