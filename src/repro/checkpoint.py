@@ -33,8 +33,9 @@ are everything a bit-identical resume needs:
 A search checkpoint is a stored zip (its CRC32 still catches bit flips)
 of ``meta.json`` plus one ``*.bin`` member per array row in the wire's
 packed layout (:func:`repro.nn.serialize.encode_entries`, dtype kept);
-only the population row is deflated.  Earlier formats are refused.  No
-pickling, so checkpoints are safe to load; model files are plain npz.
+only the population row is deflated.  Earlier formats are refused.
+Loading one runs no code (JSON and numeric arrays only); model files
+are plain npz.
 """
 
 from __future__ import annotations

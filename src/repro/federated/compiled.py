@@ -197,7 +197,6 @@ def _stacked_batches(tasks, specs, dtype: str):
         DataLoader(
             spec.dataset,
             batch_size=min(spec.batch_size, len(spec.dataset)),
-            transform=spec.transform,
             rng=np.random.default_rng(task.batch_seed),
         ).sample_batch()
         for task, spec in zip(tasks, specs)

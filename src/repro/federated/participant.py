@@ -8,7 +8,8 @@ both obtained from the same backward propagation.
 The server↔participant boundary is an explicit message API:
 :class:`LocalStepTask` (what the server sends) in,
 :class:`ParticipantUpdate` (what comes back) out.  Both are plain
-picklable dataclasses, and :func:`run_local_step` is a pure function of
+dataclasses that :mod:`repro.transport.codec` puts on the wire as JSON
+meta plus packed arrays, and :func:`run_local_step` is a pure function of
 the task plus the participant's static local state (shard, batch size,
 device profile) — no shared mutable objects cross the boundary, which is
 what lets :mod:`repro.federated.executor` run local steps in worker
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 import repro.nn as nn
-from repro.data import ArrayDataset, Compose, DataLoader
+from repro.data import ArrayDataset, DataLoader
 from repro.evaluation import batch_accuracy
 from repro.network import BandwidthTrace
 from repro.search_space import ArchitectureMask, Supernet, SupernetConfig
@@ -132,7 +133,7 @@ class ParticipantUpdate:
 
 @dataclasses.dataclass(frozen=True)
 class ParticipantSpec:
-    """The immutable, picklable slice of a participant a local step needs.
+    """The immutable slice of a participant a local step needs.
 
     Worker processes never see live :class:`Participant` objects (those
     hold RNG state, traces, and telemetry handles that must stay in the
@@ -142,7 +143,6 @@ class ParticipantSpec:
     participant_id: int
     dataset: ArrayDataset
     batch_size: int
-    transform: Optional[Compose] = None
     device: DeviceProfile = GTX_1080TI
 
     @staticmethod
@@ -151,7 +151,6 @@ class ParticipantSpec:
             participant_id=participant.participant_id,
             dataset=participant.dataset,
             batch_size=participant.loader.batch_size,
-            transform=participant.loader.transform,
             device=participant.device,
         )
 
@@ -161,7 +160,6 @@ def run_local_step(
     dataset: ArrayDataset,
     batch_size: int,
     supernet_config: SupernetConfig,
-    transform: Optional[Compose] = None,
     device: DeviceProfile = GTX_1080TI,
     recorder: Optional[SpanRecorder] = None,
 ) -> ParticipantUpdate:
@@ -177,7 +175,7 @@ def run_local_step(
 
     The one-member case of :func:`run_local_group`.
     """
-    spec = ParticipantSpec(task.participant_id, dataset, batch_size, transform, device)
+    spec = ParticipantSpec(task.participant_id, dataset, batch_size, device)
     return run_local_group([task], [spec], supernet_config, recorder)[0]
 
 
@@ -211,7 +209,6 @@ def _run_eager_step(
     dataset: ArrayDataset,
     batch_size: int,
     supernet_config: SupernetConfig,
-    transform: Optional[Compose] = None,
     device: DeviceProfile = GTX_1080TI,
     recorder: Optional[SpanRecorder] = None,
 ) -> ParticipantUpdate:
@@ -233,7 +230,6 @@ def _run_eager_step(
         loader = DataLoader(
             dataset,
             batch_size=min(batch_size, len(dataset)),
-            transform=transform,
             rng=np.random.default_rng(task.batch_seed),
         )
         x, y = loader.sample_batch()
@@ -276,8 +272,6 @@ class Participant:
         The local (typically non-i.i.d.) shard; never leaves the device.
     batch_size:
         Local mini-batch size (Table I: 256; scaled down in practice).
-    transform:
-        Optional augmentation applied when sampling batches.
     device:
         Compute-speed profile for timing simulation.
     trace:
@@ -290,7 +284,6 @@ class Participant:
         participant_id: int,
         dataset: ArrayDataset,
         batch_size: int,
-        transform: Optional[Compose] = None,
         device: DeviceProfile = GTX_1080TI,
         trace: Optional[BandwidthTrace] = None,
         availability: float = 1.0,
@@ -309,9 +302,7 @@ class Participant:
         #: connection with the server" — availability < 1 models that.
         self.availability = availability
         self.rng = rng or np.random.default_rng()
-        self.loader = DataLoader(
-            dataset, batch_size=batch_size, transform=transform, rng=self.rng
-        )
+        self.loader = DataLoader(dataset, batch_size=batch_size, rng=self.rng)
 
     def draw_batch_seed(self) -> int:
         """Next mini-batch seed from this participant's private RNG stream.
@@ -338,7 +329,6 @@ class Participant:
                 self.dataset,
                 self.loader.batch_size,
                 supernet_config,
-                transform=self.loader.transform,
                 device=self.device,
                 recorder=recorder,
             )

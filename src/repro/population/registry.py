@@ -27,7 +27,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.data import ArrayDataset, Compose, ShardDescriptor, derive_shard
+from repro.data import ArrayDataset, ShardDescriptor, derive_shard
 from repro.federated.executor import ParticipantSpec
 from repro.federated.participant import (
     GTX_1080TI,
@@ -76,11 +76,11 @@ def derive_batch_seed(base_seed: int, participant: int, draw: int) -> int:
 class PopulationContext:
     """Everything needed to rebuild any participant from its id.
 
-    Picklable and immutable: the distributed backends ship one copy to
-    each worker at initialisation (the base dataset is a few MB; the
-    population may be 100k+), after which a worker can serve a task for
-    *any* participant by deriving its spec locally — no per-round
-    provisioning, no O(population) spec lists on the wire.
+    Immutable scalars plus one dataset: the distributed backends ship
+    one copy to each worker in the registration frame (the base dataset
+    is a few MB; the population may be 100k+), after which a worker can
+    serve a task for *any* participant by deriving its spec locally — no
+    per-round provisioning, no O(population) spec lists on the wire.
     """
 
     train_set: ArrayDataset
@@ -89,7 +89,6 @@ class PopulationContext:
     shard_size: int
     alpha: float
     batch_size: int
-    transform: Optional[Compose] = None
     device_mix: Tuple[str, ...] = (GTX_1080TI.name, JETSON_TX2.name)
 
     def __post_init__(self) -> None:
@@ -131,7 +130,6 @@ class PopulationContext:
             participant_id=participant,
             dataset=shard,
             batch_size=min(self.batch_size, len(shard)),
-            transform=self.transform,
             device=self.device(participant),
         )
 
@@ -160,7 +158,6 @@ class _RegistryParticipant(Participant):
             spec.participant_id,
             spec.dataset,
             batch_size=spec.batch_size,
-            transform=spec.transform,
             device=spec.device,
             rng=np.random.default_rng(0),
             **kwargs,

@@ -19,7 +19,8 @@ Layers, bottom up:
 * :mod:`repro.transport.codec` — message payload codecs: tensor payloads
   (tasks/updates) ride the :func:`repro.nn.pack_state` blob with
   optional zlib compression and reduced wire precision, both negotiated
-  at hello.
+  at hello; the registration payload uses the same layout with every
+  dtype kept.
 * :mod:`repro.transport.worker` — the participant daemon: accept loop,
   hello/init registration, task execution, heartbeats, reconnects.
 * :mod:`repro.transport.resilience` — circuit breakers, worker health
@@ -39,9 +40,12 @@ Chaos testing: a :class:`repro.faults.network.NetworkFaultPlan` wraps
 connections on either side in a ``ChaosConnection`` that injects seeded
 latency, drops, partitions, throttling, and frame corruption.
 
-Trust model: the init message ships participant shards via pickle, so
-workers must only accept connections from hosts you control (the
-intended deployment is localhost / a private cluster network).
+Trust model: every payload, registration included, is JSON or JSON
+meta plus numeric arrays, and a malformed one is refused with
+:class:`ProtocolError`; decoding runs no code from the peer.  There is no
+authentication and no encryption, so run workers on hosts and networks
+you control (the intended deployment is localhost / a private cluster
+network).
 """
 
 from .backend import SocketBackend, WorkerEndpoint, spawn_local_worker

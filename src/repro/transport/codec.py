@@ -16,12 +16,15 @@ Frame payloads come in three shapes:
   the simulator's float64 arrays — the property that keeps seeded runs
   bit-identical across execution backends.  JSON floats round-trip
   exactly (CPython's ``repr`` contract), so scalar fields lose nothing.
-* **The init payload** (participant registration): a pickle of the
-  immutable :class:`~repro.federated.executor.ParticipantSpec` list plus
-  the supernet geometry.  Pickle is acceptable here because workers only
-  accept connections from the operator's own hosts (see the package
-  docstring's trust model); tasks and updates, the high-rate messages,
-  stay on the restricted tensor codec.
+* **The init payload** (participant registration): the same
+  ``flags | meta_len | meta_json | blob`` layout, never compressed.
+  The meta holds the :class:`~repro.search_space.SupernetConfig`
+  fields, each spec's scalars and (population mode) the
+  :class:`~repro.population.PopulationContext` scalars; the blob holds
+  the shards' and the train set's ``images`` / ``labels`` in the
+  :func:`repro.nn.serialize.encode_entries` layout, each dtype kept and
+  never cast to the wire precision.  The decoder rebuilds every object
+  through its constructor, so the constructors' checks run on it.
 
 Every decoder raises :class:`~repro.transport.protocol.ProtocolError`
 on malformed input so transport read loops can treat codec failures and
@@ -30,17 +33,29 @@ framing failures uniformly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-import pickle
 import struct
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.federated.executor import ParticipantSpec
-from repro.federated.participant import LocalStepTask, ParticipantUpdate
-from repro.nn.serialize import WIRE_DTYPES, pack_state, unpack_state
+from repro.data import ArrayDataset
+from repro.federated.participant import (
+    DeviceProfile,
+    LocalStepTask,
+    ParticipantSpec,
+    ParticipantUpdate,
+)
+from repro.nn.serialize import (
+    WIRE_DTYPES,
+    decode_entries,
+    encode_entries,
+    pack_state,
+    unpack_state,
+)
+from repro.population import PopulationContext
 from repro.search_space import ArchitectureMask, SupernetConfig
 from repro.telemetry.tracing import TraceContext
 
@@ -155,67 +170,19 @@ def decode_error_info(payload: bytes) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# Registration payload (specs + geometry; pickle, trusted peers only)
-# ----------------------------------------------------------------------
-def encode_init(
-    specs: Sequence[ParticipantSpec],
-    supernet_config: SupernetConfig,
-    population: object = None,
-) -> bytes:
-    """Registration payload: specs + geometry (which carries the compute
-    dtype), plus (population mode) the context workers derive on-demand
-    specs from (:class:`~repro.population.PopulationContext`)."""
-    obj = {"specs": list(specs), "supernet_config": supernet_config}
-    if population is not None:
-        obj["population"] = population
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def decode_init(payload: bytes) -> Tuple[List[ParticipantSpec], SupernetConfig, object]:
-    """Inverse of :func:`encode_init`; an absent population reads as
-    population off."""
-    try:
-        obj = pickle.loads(payload)
-        specs = list(obj["specs"])
-        config = obj["supernet_config"]
-        population = obj.get("population")
-    except Exception as exc:  # truncated/corrupt pickle, wrong shape
-        raise ProtocolError(f"malformed init payload: {exc}") from exc
-    if (
-        not all(isinstance(s, ParticipantSpec) for s in specs)
-        or not isinstance(config, SupernetConfig)
-        or config.compute_dtype not in ("float64", "float32")
-    ):
-        raise ProtocolError("init payload carries unexpected object types")
-    return specs, config, population
-
-
-# ----------------------------------------------------------------------
 # Tensor payloads (the codec the high-rate messages use)
 # ----------------------------------------------------------------------
-def _pack_tensor_payload(
-    meta: Dict,
-    arrays: Dict[str, np.ndarray],
-    *,
-    compression: str,
-    wire_dtype: str,
-) -> bytes:
-    if compression not in COMPRESSIONS:
-        raise ValueError(
-            f"compression must be one of {COMPRESSIONS}, got {compression!r}"
-        )
-    meta = dict(meta)
-    meta["wire_dtype"] = wire_dtype
+def _pack_payload(meta: Dict, *blob: bytes, flags: int = 0) -> bytes:
+    """``flags | meta_len | meta_json | blob``: every tensor and init
+    payload."""
     meta_bytes = encode_json(meta)
-    compress = compression == "zlib"
-    blob = pack_state(arrays, dtype=wire_dtype, compress=compress)
-    flags = _FLAG_ZLIB if compress else 0
-    return (
-        bytes([flags]) + _META_LEN.pack(len(meta_bytes)) + meta_bytes + blob
+    return b"".join(
+        (bytes([flags]), _META_LEN.pack(len(meta_bytes)), meta_bytes, *blob)
     )
 
 
-def _unpack_tensor_payload(payload: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]:
+def _unpack_payload(payload: bytes) -> Tuple[int, Dict, memoryview]:
+    """Inverse of :func:`_pack_payload`: ``(flags, meta, blob)``."""
     if len(payload) < 1 + _META_LEN.size:
         raise ProtocolError(
             f"tensor payload of {len(payload)} bytes is shorter than its "
@@ -232,10 +199,32 @@ def _unpack_tensor_payload(payload: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]
             f"only {len(payload) - 1 - _META_LEN.size} bytes follow"
         )
     meta = decode_json(payload[1 + _META_LEN.size : blob_start])
-    try:
-        arrays = unpack_state(
-            payload[blob_start:], compressed=bool(flags & _FLAG_ZLIB)
+    return flags, meta, memoryview(payload)[blob_start:]
+
+
+def _pack_tensor_payload(
+    meta: Dict,
+    arrays: Dict[str, np.ndarray],
+    *,
+    compression: str,
+    wire_dtype: str,
+) -> bytes:
+    if compression not in COMPRESSIONS:
+        raise ValueError(
+            f"compression must be one of {COMPRESSIONS}, got {compression!r}"
         )
+    compress = compression == "zlib"
+    return _pack_payload(
+        {**meta, "wire_dtype": wire_dtype},
+        pack_state(arrays, dtype=wire_dtype, compress=compress),
+        flags=_FLAG_ZLIB if compress else 0,
+    )
+
+
+def _unpack_tensor_payload(payload: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]:
+    flags, meta, blob = _unpack_payload(payload)
+    try:
+        arrays = unpack_state(blob, compressed=bool(flags & _FLAG_ZLIB))
     except ValueError as exc:  # corrupt zlib stream or packed blob
         raise ProtocolError(f"corrupt tensor blob: {exc}") from exc
     return meta, arrays
@@ -432,3 +421,159 @@ def decode_update(payload: bytes) -> Tuple[ParticipantUpdate, int]:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed update meta: {exc}") from exc
     return update, seq
+
+
+# ----------------------------------------------------------------------
+# Registration payload (specs + geometry + population context)
+# ----------------------------------------------------------------------
+def _is_object(value) -> bool:
+    return isinstance(value, dict)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, list)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_str, value))
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, bool)
+
+
+#: The checks of each init meta record, by key; a record carries exactly
+#: these keys.  ``SupernetConfig``'s follow its field annotations.
+_INIT_FIELDS = {"supernet_config": _is_object, "specs": _is_list}
+_CONFIG_FIELDS = {
+    field.name: {"int": _is_int, "bool": _is_bool, "str": _is_str}[field.type]
+    for field in dataclasses.fields(SupernetConfig)
+}
+_SPEC_FIELDS = {
+    "participant_id": _is_int,
+    "batch_size": _is_int,
+    "num_classes": _is_int,
+    "device": _is_str,
+    "seconds_per_param_sample": _is_number,
+}
+_POPULATION_FIELDS = {
+    "base_seed": _is_int,
+    "scheme": _is_str,
+    "shard_size": _is_int,
+    "alpha": _is_number,
+    "batch_size": _is_int,
+    "num_classes": _is_int,
+    "device_mix": _is_str_list,
+}
+
+
+def encode_init(
+    specs: Sequence[ParticipantSpec],
+    supernet_config: SupernetConfig,
+    population: Optional[PopulationContext] = None,
+) -> bytes:
+    """Registration payload: specs + geometry (which carries the compute
+    dtype), plus (population mode) the context workers derive on-demand
+    specs from.  Shard arrays travel as they are: uncompressed, every
+    dtype kept, whatever wire precision the hello negotiated."""
+    meta: Dict = {"supernet_config": dataclasses.asdict(supernet_config), "specs": []}
+    arrays: Dict[str, np.ndarray] = {}
+    for index, spec in enumerate(specs):
+        meta["specs"].append(
+            {
+                "participant_id": int(spec.participant_id),
+                "batch_size": int(spec.batch_size),
+                "num_classes": int(spec.dataset.num_classes),
+                "device": spec.device.name,
+                "seconds_per_param_sample": float(spec.device.seconds_per_param_sample),
+            }
+        )
+        arrays[f"specs/{index}/images"] = spec.dataset.images
+        arrays[f"specs/{index}/labels"] = spec.dataset.labels
+    if population is not None:
+        meta["population"] = {
+            "base_seed": int(population.base_seed),
+            "scheme": population.scheme,
+            "shard_size": int(population.shard_size),
+            "alpha": float(population.alpha),
+            "batch_size": int(population.batch_size),
+            "num_classes": int(population.train_set.num_classes),
+            "device_mix": list(population.device_mix),
+        }
+        arrays["population/images"] = population.train_set.images
+        arrays["population/labels"] = population.train_set.labels
+    return _pack_payload(meta, *encode_entries(arrays))
+
+
+def _record(obj, fields: Dict[str, Callable[[object], bool]], what: str) -> Dict:
+    """``obj`` as an init meta record: exactly ``fields``' keys, each
+    value passing its check."""
+    if not isinstance(obj, dict) or obj.keys() != fields.keys():
+        raise ProtocolError(f"init {what} must carry exactly {sorted(fields)}: {obj!r:.80}")
+    for key, check in fields.items():
+        if not check(obj[key]):
+            raise ProtocolError(f"init {what} has a bad {key} {obj[key]!r:.40}")
+    return obj
+
+
+def _build(cls, *args, **kwargs):
+    """``cls(*args, **kwargs)`` with its ``__post_init__`` checks; a
+    refusal is a :class:`ProtocolError`."""
+    try:
+        return cls(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"init payload has a bad {cls.__name__}: {exc}") from exc
+
+
+def _dataset(arrays: Dict[str, np.ndarray], prefix: str, num_classes: int) -> ArrayDataset:
+    """The dataset whose arrays sit under ``prefix`` (removed from
+    ``arrays``): 4-D float images, 1-D integer labels."""
+    images = arrays.pop(f"{prefix}/images", None)
+    labels = arrays.pop(f"{prefix}/labels", None)
+    if images is None or labels is None:
+        raise ProtocolError(f"init blob lacks the images or labels of {prefix}")
+    if images.ndim != 4 or images.dtype.kind != "f":
+        raise ProtocolError(
+            f"init {prefix} images are {images.dtype} {images.shape}, not 4-D float"
+        )
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise ProtocolError(
+            f"init {prefix} labels are {labels.dtype} {labels.shape}, not 1-D integer"
+        )
+    return _build(ArrayDataset, images, labels, num_classes)
+
+
+def decode_init(
+    payload: bytes,
+) -> Tuple[List[ParticipantSpec], SupernetConfig, Optional[PopulationContext]]:
+    """Inverse of :func:`encode_init`; an absent population reads as
+    population off.  Anything but a well-formed registration is a
+    :class:`ProtocolError`."""
+    flags, meta, blob = _unpack_payload(payload)
+    if flags:
+        raise ProtocolError(f"init payload sets flags {flags:#04x}; it is never compressed")
+    try:
+        arrays = decode_entries(blob)
+    except ValueError as exc:
+        raise ProtocolError(f"corrupt init blob: {exc}") from exc
+    top = dict(_INIT_FIELDS, population=_is_object) if "population" in meta else _INIT_FIELDS
+    _record(meta, top, "meta")
+    config = _build(
+        SupernetConfig, **_record(meta["supernet_config"], _CONFIG_FIELDS, "supernet config")
+    )
+    specs = []
+    for index, obj in enumerate(meta["specs"]):
+        record = _record(obj, _SPEC_FIELDS, "spec")
+        device = _build(DeviceProfile, record["device"], record["seconds_per_param_sample"])
+        dataset = _dataset(arrays, f"specs/{index}", record["num_classes"])
+        pid, batch_size = record["participant_id"], record["batch_size"]
+        specs.append(_build(ParticipantSpec, pid, dataset, batch_size, device))
+    population = None
+    if "population" in meta:
+        scalars = {**_record(meta["population"], _POPULATION_FIELDS, "population")}
+        train_set = _dataset(arrays, "population", scalars.pop("num_classes"))
+        scalars["device_mix"] = tuple(scalars["device_mix"])
+        population = _build(PopulationContext, train_set=train_set, **scalars)
+    if arrays:
+        raise ProtocolError(f"init blob carries unexpected arrays {sorted(arrays)!r:.80}")
+    return specs, config, population

@@ -53,7 +53,9 @@ MAGIC = b"FM"  # "federated model-search"
 #: 2: tensor payloads are always the packed blob (tasks *and* updates),
 #: every daemon resolves delta references and honours trace contexts —
 #: nothing is negotiated at hello beyond compression and wire dtype.
-PROTOCOL_VERSION = 2
+#: 3: the init payload is JSON meta plus a packed blob, like the task and
+#: update payloads; a v2 peer's frames are refused.
+PROTOCOL_VERSION = 3
 
 #: header layout: magic, version, msg_type, payload length, payload crc32
 _HEADER = struct.Struct(">2sBBII")

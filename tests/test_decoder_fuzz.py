@@ -17,6 +17,11 @@ row of a checkpoint.  The contract under test:
   ``decode_error_info`` under truncation and bit flips, and each refuses
   JSON that is not an object, nested too deep, or carries a field of the
   wrong type (a ``seq`` of ``null``, a ``missing`` of ``-1``, …);
+* ``codec.decode_init`` (a spec list, and a population context) refuses
+  with ``ProtocolError`` alone: every truncation, bit flips, crafted
+  entries, an unknown or missing meta key, a bool for an int, a value a
+  constructor refuses, arrays of the wrong kind or count, a spec with
+  no arrays;
 * an update's worker ``spans`` round-trip, and a span payload of the
   wrong shape (not an object, a non-numeric ``total_s``, a row that is
   not ``[name, start, duration]``, a bad op row) is refused;
@@ -24,6 +29,7 @@ row of a checkpoint.  The contract under test:
   "re-create" message.
 """
 
+import copy
 import json
 import random
 import struct
@@ -37,9 +43,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import checkpoint
-from repro.federated.participant import LocalStepTask, ParticipantUpdate
+from repro.data import ArrayDataset
+from repro.federated.participant import (
+    DeviceProfile,
+    LocalStepTask,
+    ParticipantSpec,
+    ParticipantUpdate,
+)
 from repro.nn.serialize import decode_entries, encode_entries, pack_state, unpack_state
-from repro.search_space import ArchitectureMask
+from repro.population import PopulationContext
+from repro.search_space import ArchitectureMask, SupernetConfig
 from repro.transport import codec
 
 DTYPES = ("<f8", "<f4", "<i8", "|i1")
@@ -123,6 +136,49 @@ TASK = LocalStepTask(
 )
 
 
+IMAGES = np.arange(3 * 1 * 2 * 2, dtype="<f8").reshape(3, 1, 2, 2)
+INIT_SPECS = [
+    ParticipantSpec(4, ArrayDataset(IMAGES, np.array([0, 1, 1]), 2), batch_size=2),
+    ParticipantSpec(
+        9,
+        ArrayDataset(IMAGES[:2].astype("<f4"), np.array([1, 0]), 2),
+        batch_size=1,
+        device=DeviceProfile("edge-npu", 1e-8),
+    ),
+]
+INIT_CONFIG = SupernetConfig(num_classes=2, input_channels=1, init_channels=2, num_cells=1)
+POPULATION = PopulationContext(
+    train_set=ArrayDataset(IMAGES, np.array([1, 0, 1]), 2),
+    base_seed=3,
+    scheme="iid",
+    shard_size=2,
+    alpha=0.5,
+    batch_size=2,
+)
+
+
+def _init_payload(population=None) -> tuple:
+    """An init payload and the offset where its array blob starts."""
+    payload = codec.encode_init(INIT_SPECS, INIT_CONFIG, population)
+    (meta_len,) = struct.unpack_from(">I", payload, 1)
+    return payload, 5 + meta_len
+
+
+def protocol_errors_only(decode):
+    """``decode``, failing the test on a refusal that is a ``ValueError``
+    but not a ``ProtocolError``."""
+
+    def strict(data):
+        try:
+            return decode(data)
+        except codec.ProtocolError:
+            raise
+        except ValueError as exc:
+            raise AssertionError(f"refused without a ProtocolError: {exc!r}") from exc
+
+    return strict
+
+
 @pytest.fixture(scope="module")
 def ckpt_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -158,6 +214,11 @@ def decoders(ckpt_dir):
         "decode_update": (codec.decode_update, update, update_at),
         "decode_update/spans": (codec.decode_update, *_wire_payload(codec.encode_update, TRACED_UPDATE)),
         "decode_task": (codec.decode_task, task, task_at),
+        "decode_init": (protocol_errors_only(codec.decode_init), *_init_payload()),
+        "decode_init/population": (
+            protocol_errors_only(codec.decode_init),
+            *_init_payload(POPULATION),
+        ),
         "decode_json": (codec.decode_json, codec.encode_json({"a": [1, 2.5]}), 0),
         "decode_hello": (codec.decode_hello, codec.encode_hello("zlib", "float32"), 0),
         "decode_error_info": (
@@ -180,6 +241,8 @@ DECODERS = (
     "decode_update",
     "decode_update/spans",
     "decode_task",
+    "decode_init",
+    "decode_init/population",
     "decode_json",
     "decode_hello",
     "decode_error_info",
@@ -315,9 +378,9 @@ def test_crafted_entries_are_refused_by_every_decoder(ckpt_dir, bad):
     assert outcome(unpack_state, bad) == "refused"
     unpack_zlib = lambda data: unpack_state(data, compressed=True)  # noqa: E731
     assert outcome(unpack_zlib, zlib.compress(bad)) == "refused"
-    for name in ("decode_update", "decode_task"):
-        _, data, start = decoders(ckpt_dir)[name]
-        assert outcome(getattr(codec, name), data[:start] + bad) == "refused"
+    for name in ("decode_update", "decode_task", "decode_init"):
+        decode, data, start = decoders(ckpt_dir)[name]
+        assert outcome(decode, data[:start] + bad) == "refused"
     path = ckpt_dir / "crafted.ckpt"
     with zipfile.ZipFile(path, "w") as archive:
         archive.writestr("theta.bin", bad)
@@ -343,8 +406,48 @@ HELLO = {"version": codec.PROTOCOL_VERSION, "compression": "none", "wire_dtype":
 ERROR = {"seq": 3, "error": "boom", "code": "cache_miss", "missing": 2}
 
 
+def split_init(payload: bytes) -> tuple:
+    """An init payload's JSON meta and its arrays."""
+    (meta_len,) = struct.unpack_from(">I", payload, 1)
+    return json.loads(payload[5 : 5 + meta_len]), decode_entries(payload[5 + meta_len :])
+
+
+def init_bytes(meta, arrays) -> bytes:
+    return codec._pack_payload(meta, *encode_entries(arrays))
+
+
+INIT_META, INIT_ARRAYS = split_init(_init_payload(POPULATION)[0])
+
+
+class _Delete:
+    def __repr__(self) -> str:
+        return "DELETE"
+
+
+#: A "value" that removes the field instead.
+DELETE = _Delete()
+
+
+def changed(obj, path: str, value):
+    """A copy of the JSON object ``obj`` with the item at the dotted
+    ``path`` set to ``value``, or removed when ``value`` is ``DELETE``."""
+    obj = copy.deepcopy(obj)
+    *parents, last = path.split(".")
+    owner = obj
+    for key in parents:
+        owner = owner[int(key) if isinstance(owner, list) else key]
+    if isinstance(owner, list):
+        last = int(last)
+    if value is DELETE:
+        del owner[last]
+    else:
+        owner[last] = value
+    return obj
+
+
 def wrong_fields():
-    """(decoder, valid object, field, a value that field must refuse)."""
+    """(decoder, encoder, valid object, field, a value that field must
+    refuse); a dotted field names a nested one."""
     not_str, not_int = (None, True, 1.5, 5, [], {}), (None, True, 1.5, "1", [], {})
     hello_fields = {
         "version": not_int + (1,),
@@ -354,22 +457,98 @@ def wrong_fields():
     error_fields = {
         "seq": not_int, "error": not_str, "code": not_str, "missing": not_int + (-1,)
     }
+    init_fields = {
+        "extra": (1,),
+        "specs": (DELETE, {}, None),
+        "population": (None, []),
+        "supernet_config": (DELETE, [], None),
+        "supernet_config.extra": (1,),
+        "supernet_config.num_cells": (DELETE, 0, True, 1.0),
+        "supernet_config.init_channels": (0, "2"),
+        "supernet_config.compute_dtype": ("float16", None),
+        "supernet_config.affine": (0, "no"),
+        "specs.1": (None, [], {}),
+        "specs.0.extra": (1,),
+        "specs.0.participant_id": (DELETE, False, 4.0),
+        "specs.0.batch_size": (True, "2"),
+        "specs.0.num_classes": (None, True),
+        "specs.0.device": (7, None),
+        "specs.0.seconds_per_param_sample": (0.0, -1e-8, float("inf"), True, "1e-8"),
+        "population.extra": (1,),
+        "population.base_seed": (True, DELETE),
+        "population.alpha": (None, float("nan")),
+        "population.scheme": (3,),
+        "population.device_mix": (["tpu"], [], "gtx-1080ti", [7]),
+    }
     cases = {
-        codec.decode_hello: (HELLO, hello_fields),
-        codec.decode_error_info: (ERROR, error_fields),
+        codec.decode_hello: (codec.encode_json, HELLO, hello_fields),
+        codec.decode_error_info: (codec.encode_json, ERROR, error_fields),
+        codec.decode_init: (
+            lambda meta: init_bytes(meta, INIT_ARRAYS), INIT_META, init_fields
+        ),
     }
     return [
-        pytest.param(decode, valid, field, value, id=f"{decode.__name__}-{field}-{value!r}")
-        for decode, (valid, fields) in cases.items()
+        pytest.param(
+            decode, encode, valid, field, value, id=f"{decode.__name__}-{field}-{value!r}"
+        )
+        for decode, (encode, valid, fields) in cases.items()
         for field, values in fields.items()
         for value in values
     ]
 
 
-@pytest.mark.parametrize("decode,valid,field,value", wrong_fields())
-def test_a_field_of_the_wrong_type_is_refused(decode, valid, field, value):
-    assert outcome(decode, codec.encode_json(valid)) == "decoded"
-    assert outcome(decode, codec.encode_json({**valid, field: value})) == "refused"
+@pytest.mark.parametrize("decode,encode,valid,field,value", wrong_fields())
+def test_a_field_of_the_wrong_type_is_refused(decode, encode, valid, field, value):
+    decode = protocol_errors_only(decode)
+    assert outcome(decode, encode(valid)) == "decoded"
+    assert outcome(decode, encode(changed(valid, field, value))) == "refused"
+
+
+def test_the_init_fixture_reencodes_to_its_own_bytes():
+    payload, _ = _init_payload(POPULATION)
+    assert init_bytes(INIT_META, INIT_ARRAYS) == payload
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"specs/0/images": IMAGES[0]},
+        {"specs/0/images": IMAGES.astype("<i8")},
+        {"population/images": IMAGES.reshape(3, 4)},
+        {"specs/0/labels": np.array([[0], [1], [1]])},
+        {"specs/0/labels": np.array([0.0, 1.0, 1.0])},
+        {"specs/0/labels": np.array([0, 1])},
+        {"population/labels": np.array([1, 0, 1, 0])},
+        {"specs/1/images": None, "specs/1/labels": None},
+        {"specs/0/labels": None},
+        {"population/images": None, "population/labels": None},
+        {"specs/2/images": IMAGES},
+    ],
+    ids=[
+        "images-3d",
+        "images-int",
+        "population-images-2d",
+        "labels-2d",
+        "labels-float",
+        "count-mismatch",
+        "population-count-mismatch",
+        "spec-arrays-missing",
+        "spec-labels-missing",
+        "population-arrays-missing",
+        "unexpected-array",
+    ],
+)
+def test_init_arrays_of_the_wrong_kind_or_count_are_refused(changes):
+    """Images are 4-D float and labels 1-D integer, as many of each, for
+    every spec and the population, and nothing else is in the blob."""
+    arrays = {
+        name: value
+        for name, value in {**INIT_ARRAYS, **changes}.items()
+        if value is not None
+    }
+    decode = protocol_errors_only(codec.decode_init)
+    assert outcome(decode, init_bytes(INIT_META, INIT_ARRAYS)) == "decoded"
+    assert outcome(decode, init_bytes(INIT_META, arrays)) == "refused"
 
 
 def with_meta(payload: bytes, **changes) -> bytes:

@@ -477,7 +477,7 @@ def default_step():
     def run():
         return run_local_step(
             task, member.dataset, member.loader.batch_size, config,
-            transform=member.loader.transform, device=member.device,
+            device=member.device,
         )
 
     return run
@@ -980,17 +980,10 @@ class TestTapeCheckpointResume:
 
 class TestWorkerInitSettings:
     def test_init_payload_carries_settings_and_tolerates_their_absence(self):
-        import pickle
-
         from repro.transport import codec
 
         payload = codec.encode_init([], TINY_F32)
         assert codec.decode_init(payload)[1].compute_dtype == "float32"
-        # a server from before the config carried the dtype pickled none
-        legacy = dataclasses.replace(TINY)
-        object.__delattr__(legacy, "compute_dtype")
-        old = pickle.dumps({"specs": [], "supernet_config": legacy})
-        assert codec.decode_init(old)[1].compute_dtype == "float64"
         bogus = dataclasses.replace(TINY)
         object.__setattr__(bogus, "compute_dtype", "float16")
         with pytest.raises(codec.ProtocolError):
