@@ -42,8 +42,8 @@ Three subcommands:
     without ``--socket-workers`` the backend spawns local daemons
     itself.
 
-Invoking ``python -m repro --dataset ...`` without a subcommand still
-works as an alias for ``repro run`` but is deprecated.
+Without a subcommand, ``python -m repro`` prints the usage line and
+exits with status 2.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentPa
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro run`` argument parser (also the deprecation-shim parser)."""
+    """The ``repro run`` argument parser on its own."""
     return _add_run_arguments(
         argparse.ArgumentParser(
             prog="repro run",
@@ -180,13 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_main_parser() -> argparse.ArgumentParser:
-    """Top-level parser with the ``run`` and ``trace`` subcommands."""
+    """Top-level parser with the ``run``, ``trace`` and ``serve``
+    subcommands; one of them is required."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Federated model search via reinforcement learning "
         "(ICDCS 2021 reproduction)",
     )
-    sub = parser.add_subparsers(dest="command", metavar="{run,trace,serve}")
+    sub = parser.add_subparsers(
+        dest="command", metavar="{run,trace,serve}", required=True
+    )
     _add_run_arguments(
         sub.add_parser(
             "run",
@@ -378,25 +381,12 @@ def serve_main(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] in ("run", "trace", "serve"):
-        args = build_main_parser().parse_args(argv)
-        if args.command == "trace":
-            return _trace_main(args)
-        if args.command == "serve":
-            return serve_main(args)
-        return run_main(args)
-    if argv and argv[0] in ("-h", "--help"):
-        build_main_parser().parse_args(argv)
-        return 0
-    # Deprecation shim: bare ``python -m repro [flags]`` means ``repro run``.
-    if argv:
-        print(
-            "warning: invoking 'python -m repro' without a subcommand is "
-            "deprecated; use 'python -m repro run ...'",
-            file=sys.stderr,
-        )
-    return run_main(build_parser().parse_args(argv))
+    args = build_main_parser().parse_args(argv)
+    if args.command == "trace":
+        return _trace_main(args)
+    if args.command == "serve":
+        return serve_main(args)
+    return run_main(args)
 
 
 if __name__ == "__main__":

@@ -218,21 +218,20 @@ class TestSubcommands:
         assert main(["trace", "/nonexistent/run.jsonl"]) == 1
         assert "cannot read run log" in capsys.readouterr().err
 
-    def test_bare_invocation_warns_deprecated(self, capsys):
-        with pytest.raises(SystemExit):  # --help exits after printing
-            main(["--bogus-flag"])
-        err = capsys.readouterr().err
-        assert "deprecated" in err
-
-    def test_empty_invocation_does_not_warn(self, capsys, monkeypatch):
-        # ``python -m repro`` with no args runs the default small profile;
-        # don't actually run it — just check the shim stays quiet until
-        # argv is non-empty. We intercept run_main to avoid the pipeline.
+    @pytest.mark.parametrize(
+        "argv", [[], ["--non-iid", "--participants", "4"]], ids=["empty", "run-flags"]
+    )
+    def test_a_missing_subcommand_is_a_usage_error(self, capsys, monkeypatch, argv):
+        """No subcommand, with or without ``run``'s flags: the usage line
+        and status 2; nothing runs."""
         import repro.__main__ as cli
 
-        monkeypatch.setattr(cli, "run_main", lambda args: 0)
-        assert cli.main([]) == 0
-        assert "deprecated" not in capsys.readouterr().err
+        monkeypatch.setattr(cli, "run_main", lambda args: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro") and "{run,trace,serve}" in err
 
 
 class TestConfigFile:
@@ -304,6 +303,7 @@ class TestEndToEnd:
     def test_main_runs_tiny_pipeline(self, capsys):
         code = main(
             [
+                "run",
                 "--participants", "2",
                 "--warmup-rounds", "2",
                 "--search-rounds", "3",
