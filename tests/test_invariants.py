@@ -189,3 +189,52 @@ def test_the_step_path_keeps_no_process_global_state():
     for path in paths:
         Finder().visit(ast.parse(path.read_text()))
     assert not found, found
+
+
+#: The functions in ``src/repro`` over 80 lines, at their current length.
+#: Each may shrink or leave this table; none may grow, and no other
+#: function may join it (ROADMAP item 16).
+LONG_FUNCTIONS = {
+    "federated/server.py:FederatedSearchServer.__init__": 108,
+    "transport/backend.py:SocketBackend.__init__": 99,
+    "nn/modules.py:_batch_norm_train": 96,
+}
+
+
+def test_no_function_in_src_grows_past_80_lines():
+    """Every function in every module, constructors included, fits a
+    screen and a half, apart from the ratchet in ``LONG_FUNCTIONS``."""
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    lengths = {}
+
+    class Lengths(ast.NodeVisitor):
+        scope = ()
+
+        def visit_ClassDef(self, node):
+            outer, self.scope = self.scope, self.scope + (node.name,)
+            self.generic_visit(node)
+            self.scope = outer
+
+        def visit_FunctionDef(self, node):
+            name = ".".join(self.scope + (node.name,))
+            lengths[f"{path.relative_to(root).as_posix()}:{name}"] = (
+                node.end_lineno - node.lineno + 1
+            )
+            self.visit_ClassDef(node)
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+    for path in sorted(root.rglob("*.py")):
+        Lengths().visit(ast.parse(path.read_text()))
+    assert "federated/server.py:FederatedSearchServer.run_round" in lengths
+    too_long = {
+        name: length
+        for name, length in lengths.items()
+        if length > max(80, LONG_FUNCTIONS.get(name, 0))
+    }
+    assert not too_long, f"functions over 80 lines: {too_long}"
