@@ -52,6 +52,8 @@ class ArrayDataset:
             )
         if self.images.ndim != 4:
             raise ValueError(f"images must be NCHW, got shape {self.images.shape}")
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
         self.labels = np.asarray(self.labels, dtype=np.int64)
 
     def __len__(self) -> int:

@@ -145,6 +145,10 @@ class ParticipantSpec:
     batch_size: int
     device: DeviceProfile = GTX_1080TI
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
     @staticmethod
     def from_participant(participant: "Participant") -> "ParticipantSpec":
         return ParticipantSpec(

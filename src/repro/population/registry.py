@@ -100,6 +100,10 @@ class PopulationContext:
                 )
         if not self.device_mix:
             raise ValueError("device_mix must name at least one profile")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        # the shard recipe's own checks: scheme, size >= 1, alpha > 0
+        self.descriptor(0)
 
     def descriptor(self, participant: int) -> ShardDescriptor:
         return ShardDescriptor(

@@ -470,14 +470,17 @@ def wrong_fields():
         "specs.1": (None, [], {}),
         "specs.0.extra": (1,),
         "specs.0.participant_id": (DELETE, False, 4.0),
-        "specs.0.batch_size": (True, "2"),
-        "specs.0.num_classes": (None, True),
+        "specs.0.batch_size": (True, "2", 0),
+        "specs.0.num_classes": (None, True, 0),
         "specs.0.device": (7, None),
         "specs.0.seconds_per_param_sample": (0.0, -1e-8, float("inf"), True, "1e-8"),
         "population.extra": (1,),
         "population.base_seed": (True, DELETE),
-        "population.alpha": (None, float("nan")),
-        "population.scheme": (3,),
+        "population.alpha": (None, float("nan"), 0.0),
+        "population.scheme": (3, "nope"),
+        "population.shard_size": (0,),
+        "population.batch_size": (0,),
+        "population.num_classes": (0,),
         "population.device_mix": (["tpu"], [], "gtx-1080ti", [7]),
     }
     cases = {
