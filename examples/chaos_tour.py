@@ -5,8 +5,8 @@ Builds a seeded :class:`NetworkFaultPlan` that injects latency, mid-frame
 drops, and a blackhole partition into the socket backend's wire traffic,
 runs a short federated search under it, and prints what the resilience
 machinery did about it: injected-fault counts, circuit-breaker
-transitions, hedged dispatches, and the per-worker health table — the
-same "Worker health / chaos" section ``repro trace`` renders.
+transitions, and the per-worker health table — the same "Worker health /
+chaos" section ``repro trace`` renders.
 
 Then it reruns with an *empty* plan and shows the chaos layer is inert:
 the report matches a plain serial run bit for bit.  The chaos RNG

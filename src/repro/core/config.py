@@ -29,7 +29,8 @@ __all__ = ["ExperimentConfig", "TABLE1_DEFAULTS"]
 #: behaviour.  The three path switches are dropped at ``_ANY`` value:
 #: the path they selected is the only one, and bit-identical.
 _ANY = object()
-_RESILIENCE = "it is a transport.ResilienceConfig field: build_backend(resilience=...)"
+_RESILIENCE = "it is a repro.transport.resilience module constant"
+_DISPATCH = "the dispatch mechanism it tuned is deleted"
 _SERVER = "it is a repro.federated.SearchServerConfig default"
 _RETIRED_KEYS = {
     "delta_dispatch": (_ANY, ""),
@@ -38,13 +39,13 @@ _RETIRED_KEYS = {
     "breaker_failure_threshold": (3, _RESILIENCE),
     "breaker_cooldown_s": (2.0, _RESILIENCE),
     "breaker_cooldown_max_s": (30.0, _RESILIENCE),
-    "retry_backoff_base_s": (0.05, _RESILIENCE),
-    "retry_backoff_cap_s": (2.0, _RESILIENCE),
-    "adaptive_deadlines": (True, _RESILIENCE),
-    "deadline_floor_s": (5.0, _RESILIENCE),
-    "hedge_dispatch": (True, _RESILIENCE),
-    "hedge_threshold_s": (0.0, _RESILIENCE),
-    "task_budget_s": (0.0, _RESILIENCE),
+    "retry_backoff_base_s": (0.05, _DISPATCH),
+    "retry_backoff_cap_s": (2.0, _DISPATCH),
+    "adaptive_deadlines": (True, _DISPATCH),
+    "deadline_floor_s": (5.0, _DISPATCH),
+    "hedge_dispatch": (True, _DISPATCH),
+    "hedge_threshold_s": (0.0, _DISPATCH),
+    "task_budget_s": (0.0, _DISPATCH),
     "update_norm_limit": (1e4, _SERVER),
     "strike_limit": (3, _SERVER),
     "quarantine_rounds": (4, _SERVER),
@@ -343,8 +344,8 @@ class ExperimentConfig:
     #: injected at the wire layer of the socket backend (see
     #: :mod:`repro.faults.network`); None (or an empty plan) leaves the
     #: transport untouched — seeded results are bit-identical to a run
-    #: without the knob.  The breaker/backoff/deadline/hedge knobs that
-    #: ride it out are :class:`repro.transport.ResilienceConfig` fields.
+    #: without the knob.  The circuit-breaker parameters that ride it
+    #: out are :mod:`repro.transport.resilience` constants.
     network_faults: Optional[str] = _option(
         None,
         flag="--network-faults",

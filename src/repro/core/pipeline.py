@@ -133,7 +133,6 @@ class FederatedModelSearch:
             socket_compression=config.socket_compression,
             socket_wire_dtype=config.socket_wire_dtype,
             network_fault_plan=self._network_fault_plan(),
-            rng_seed=config.seed,
         )
         self.fault_injector: Optional[FaultInjector] = None
         if config.fault_plan_path:

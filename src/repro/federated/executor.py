@@ -331,20 +331,16 @@ def build_backend(
     socket_workers: Optional[Sequence[str]] = None,
     socket_compression: str = "none",
     socket_wire_dtype: str = "float64",
-    resilience: Optional[object] = None,
     network_fault_plan: Optional[object] = None,
-    rng_seed: int = 0,
     population: Optional[object] = None,
 ) -> ExecutionBackend:
     """Construct the backend ``name`` ("serial", "process", or "socket").
 
     ``task_timeout_s`` and ``task_retries`` are shared failure-handling
     policy for both worker backends (they come straight from
-    ``ExperimentConfig``), and ``rng_seed`` seeds their backoff jitter's
-    dedicated RNG stream (never the model/search streams).  The
-    ``socket_*`` arguments, ``resilience`` (a
-    :class:`repro.transport.ResilienceConfig`) and ``network_fault_plan``
-    (a :class:`repro.faults.NetworkFaultPlan`) only apply to the socket
+    ``ExperimentConfig``).  The ``socket_*`` arguments and
+    ``network_fault_plan`` (a :class:`repro.faults.NetworkFaultPlan`)
+    only apply to the socket
     backend (``socket_workers=None`` auto-spawns local daemons), so
     ``process`` stays lossless and chaos-free.
 
@@ -368,7 +364,6 @@ def build_backend(
         task_timeout_s=task_timeout_s,
         max_retries=task_retries,
         telemetry=telemetry,
-        rng_seed=rng_seed,
         population=population,
     )
     if name == "process":
@@ -379,7 +374,6 @@ def build_backend(
         workers=socket_workers,
         compression=socket_compression,
         wire_dtype=socket_wire_dtype,
-        resilience=resilience,
         network_fault_plan=network_fault_plan,
         **common,
     )

@@ -418,24 +418,17 @@ class _Health(_Section):
         "transport.health", "fault.network",
         "transport.breaker", "transport.heartbeat_failed",
     )
-    WORKER_COLUMNS = (
-        "worker", "state", "score", "ewma_rtt_ms", "deadline_s",
-        "ok", "failed", "hb_fail", "hedge_wins",
-    )
+    WORKER_COLUMNS = ("worker", "state", "ok", "failed", "hb_fail")
 
     def __init__(self):
         self.latest: Dict[str, Dict] = {}
         self.faults: Dict[str, int] = collections.Counter()
         self.breakers: Dict[str, int] = collections.Counter()
-        self.hedges = dict.fromkeys(("hedges", "hedge_wins", "hedge_duplicates"), 0)
         self.heartbeat_failures = 0
 
     def add(self, name, event):
         if name == "transport.health":
-            # Per-round snapshot; the report shows the latest state of
-            # each worker plus hedge totals accumulated across rounds.
-            for key in self.hedges:
-                self.hedges[key] += int(event.get(key, 0))
+            # Per-round snapshot; the report shows each worker's latest.
             for worker in event.get("workers", []):
                 if isinstance(worker, dict):
                     self.latest[str(worker.get("worker", "?"))] = dict(worker)
@@ -455,7 +448,6 @@ class _Health(_Section):
                 "faults": dict(sorted(self.faults.items())),
                 "breaker_transitions": dict(sorted(self.breakers.items())),
                 "breaker_transitions_total": sum(self.breakers.values()),
-                **self.hedges,
                 "heartbeat_failures": self.heartbeat_failures,
             }
         }
@@ -471,9 +463,6 @@ class _Health(_Section):
             lines.append(f"  injected wire faults: {faults}")
         lines.append(
             f"  breaker transitions: {health['breaker_transitions_total']}   "
-            f"hedges: {health['hedges']}   "
-            f"hedge wins: {health['hedge_wins']}   "
-            f"duplicates discarded: {health['hedge_duplicates']}   "
             f"heartbeat failures: {health['heartbeat_failures']}"
         )
         if health["workers"]:
@@ -483,15 +472,10 @@ class _Health(_Section):
 
     @staticmethod
     def _worker_row(w: Dict) -> List:
-        rtt = w.get("ewma_rtt_ms")
         return [
             w.get("worker", "?"),
             w.get("state", "?"),
-            float(w.get("score", 0.0)),
-            float("nan") if rtt is None else float(rtt),
-            float(w.get("deadline_s", 0.0)),
             *(int(w.get(k, 0)) for k in ("ok", "failed", "heartbeat_failures")),
-            int(w.get("hedge_wins", 0)),
         ]
 
 

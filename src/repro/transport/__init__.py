@@ -23,15 +23,15 @@ Layers, bottom up:
   dtype kept.
 * :mod:`repro.transport.worker` — the participant daemon: accept loop,
   hello/init registration, task execution, heartbeats, reconnects.
-* :mod:`repro.transport.resilience` — circuit breakers, worker health
-  scores, adaptive deadlines, and full-jitter retry backoff (pure
-  bookkeeping the backend composes around dispatch).
+* :mod:`repro.transport.resilience` — the per-worker circuit breaker
+  (pure bookkeeping the backend composes around dispatch and redial).
 * :mod:`repro.transport.backend` — :class:`SocketBackend`: every live
-  worker pulls ``LocalStepTask``s from the round's one queue, with
-  per-worker circuit breakers, adaptive deadlines, and hedged dispatch;
-  a failed task re-enters the queue after backoff, steered to a
-  different replica, under a total per-task budget; exhausted tasks
-  degrade to offline-for-the-round; workers that come back re-register.  Wire
+  worker pulls ``LocalStepTask``s from the round's one queue under
+  ``task_timeout_s``, and its circuit breaker gates dispatch and redial;
+  a failed task re-enters the queue at once, steered to a different
+  replica; a task out of retries degrades to offline-for-the-round
+  (soft synchronisation absorbs it); workers that come back
+  re-register.  Wire
   telemetry (``transport.bytes_sent/received``, RTT histograms,
   per-round byte counts, breaker transitions, per-round worker health)
   flows through the regular telemetry registry and ``repro trace``.
@@ -48,7 +48,7 @@ you control (the intended deployment is localhost / a private cluster
 network).
 """
 
-from .backend import SocketBackend, WorkerEndpoint, spawn_local_worker
+from .backend import SocketBackend, WorkerEndpoint
 from .codec import (
     decode_hello,
     decode_task,
@@ -82,11 +82,8 @@ from .resilience import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     CircuitBreaker,
-    ResilienceConfig,
-    RetryBackoff,
-    WorkerHealth,
 )
-from .worker import READY_PREFIX, WorkerServer, serve
+from .worker import READY_PREFIX, WorkerServer, serve, spawn_local_worker
 
 __all__ = [
     "MAGIC",
@@ -123,7 +120,4 @@ __all__ = [
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
     "CircuitBreaker",
-    "WorkerHealth",
-    "RetryBackoff",
-    "ResilienceConfig",
 ]

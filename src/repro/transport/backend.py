@@ -19,27 +19,22 @@ it stays lossless and chaos-free.
 
 Dispatch is one pull loop per round.  Each live worker gets a thread,
 and every thread runs the same loop over the round's one queue of
-per-task records: claim a ready task, attempt it under the worker's
-deadline, settle the outcome.  The failure contract (docs/API.md
+per-task records: claim a queued task, attempt it under
+``task_timeout_s``, settle the outcome.  The failure contract (docs/API.md
 "Failure semantics", the same for both names) falls out of the settle
 step:
 
-* a timed-out or erroring task with retries and budget left re-enters
-  the queue after full-jitter backoff
-  (:class:`~repro.transport.resilience.RetryBackoff`), and the worker it
-  failed on skips it while another live replica exists;
-* a task out of retries, or out of its total wall budget
-  (``task_budget_s``), returns ``TaskResult(update=None)`` — the server
+* a timed-out or erroring task with retries left re-enters the queue at
+  once, and the worker it failed on skips it while another live replica
+  exists;
+* a task out of retries returns ``TaskResult(update=None)`` — the server
   records the participant offline and soft-sync absorbs the gap;
 * a worker whose connection failed is dead for the rest of the round and
   re-dialled at the next round's start; a remote error keeps it;
-* an idle worker hedges a task in flight elsewhere past its hedge
-  threshold — the first valid reply wins, the loser's still advances its
-  delta ledger entry;
-* every outcome feeds the worker's :class:`CircuitBreaker` and
-  :class:`WorkerHealth`, which gate dispatch and respawn, adapt its
-  deadline, and reach ``repro trace`` in the per-round
-  ``transport.health`` event.
+* every outcome feeds the worker's :class:`CircuitBreaker`, which gates
+  dispatch, redial and respawn; its state and the worker's outcome
+  counts reach ``repro trace`` in the per-round ``transport.health``
+  event.
 
 Network chaos: pass a :class:`repro.faults.network.NetworkFaultPlan`
 and every connection is wrapped in a :class:`ChaosConnection` that
@@ -66,13 +61,12 @@ RTTs, worker lifecycle events, and one ``transport.round`` event per
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing as mp
 import os
 import socket
 import threading
 import time
 from collections import deque
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.faults.network import ChaosEngine, NetworkFaultPlan
 from repro.federated.executor import ParticipantSpec, TaskResult
@@ -98,29 +92,15 @@ from .protocol import (
     FrameConnection,
     ProtocolError,
 )
-from .resilience import (
-    BREAKER_OPEN,
-    CircuitBreaker,
-    ResilienceConfig,
-    RetryBackoff,
-    WorkerHealth,
-)
-from .worker import serve_child
+from .resilience import BREAKER_OPEN, CircuitBreaker
+from .worker import LocalWorker, spawn_local_worker
 
 __all__ = [
-    "LocalWorker",
     "WorkerEndpoint",
     "SocketBackend",
     "ProcessPoolBackend",
-    "spawn_local_worker",
     "parse_address",
 ]
-
-#: a task with no more budget left than this is not sent again
-_BUDGET_FLOOR_S = 0.05
-#: how often an idle dispatch thread re-checks hedge thresholds
-_TICK_S = 0.05
-
 
 def parse_address(address: str) -> Tuple[str, int]:
     """``"host:port"`` → ``(host, port)`` with a helpful error."""
@@ -137,87 +117,15 @@ def parse_address(address: str) -> Tuple[str, int]:
         ) from exc
 
 
-class LocalWorker:
-    """A worker daemon process started by :func:`spawn_local_worker`.
-
-    Shaped like ``subprocess.Popen`` (``pid``, ``poll``, ``wait``,
-    ``terminate``, ``kill``), plus :meth:`address`, which waits for the
-    port the daemon bound.
-    """
-
-    def __init__(self, process, ready):
-        self._process = process
-        self._ready = ready
-
-    @property
-    def pid(self) -> int:
-        return self._process.pid
-
-    def poll(self) -> Optional[int]:
-        """The exit code (reaping the process), or None while it runs."""
-        return self._process.exitcode
-
-    def wait(self, timeout: Optional[float] = None) -> int:
-        self._process.join(timeout)
-        if self._process.exitcode is None:
-            raise TimeoutError(f"worker pid {self.pid} still running")
-        return self._process.exitcode
-
-    def terminate(self) -> None:
-        self._process.terminate()
-
-    def kill(self) -> None:
-        self._process.kill()
-
-    def address(self, timeout_s: float = 30.0) -> Tuple[str, int]:
-        """``(host, port)`` once the daemon listens; a daemon that dies
-        or stays silent for ``timeout_s`` is killed (RuntimeError)."""
-        try:
-            if self._ready.poll(timeout_s):
-                host, port = self._ready.recv()
-                return host, port
-        except (EOFError, OSError):
-            pass  # died before reporting
-        finally:
-            self._ready.close()
-        self.kill()
-        self.wait()
-        raise RuntimeError(f"spawned worker pid {self.pid} never reported its port")
-
-
-def spawn_local_worker(
-    host: str = "127.0.0.1", idle_timeout_s: float = 300.0
-) -> LocalWorker:
-    """Start a worker daemon in a child process; returns without waiting.
-
-    The child is forked where the platform allows (else spawned), so it
-    skips an interpreter start and the numpy/``repro`` imports; it binds
-    an OS-assigned port, which :meth:`LocalWorker.address` returns.  The
-    idle timeout is a leak guard: an orphaned worker (its server crashed
-    without a shutdown frame) exits by itself.
-    """
-    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-    ready, child_end = ctx.Pipe(duplex=False)
-    process = ctx.Process(
-        target=serve_child,
-        args=(child_end, host, idle_timeout_s),
-        name="repro-worker",
-        daemon=True,
-    )
-    process.start()
-    # The child holds the only write end, so its death reads as EOF.
-    child_end.close()
-    return LocalWorker(process, ready)
-
-
 class WorkerEndpoint:
-    """One worker the backend knows about: address, connection, health."""
+    """One worker the backend knows about: address, connection, breaker."""
 
     def __init__(
         self,
         host: str,
         port: int,
         proc: Optional[LocalWorker] = None,
+        on_breaker: Optional[Callable[["WorkerEndpoint", str, str], None]] = None,
     ):
         self.host = host
         self.port = port
@@ -226,15 +134,15 @@ class WorkerEndpoint:
         self.proc = proc
         self.conn: Optional[FrameConnection] = None
         self.registered = False
-        self.rounds_failed = 0
         #: wire bytes (sent, received) of this endpoint's closed
         #: connections, so its totals survive a reconnect
         self.retired_traffic = (0, 0)
-        #: failure history + RTT statistics (resilient dispatch)
-        self.health = WorkerHealth()
-        #: per-worker circuit breaker; the backend swaps in one built
-        #: from its configured thresholds with a telemetry callback
-        self.breaker = CircuitBreaker()
+        #: outcome counts, for the ``transport.health`` event
+        self.tasks_ok = self.tasks_failed = self.heartbeat_failures = 0
+        #: ``on_breaker(endpoint, old, new)`` hears every transition
+        self.breaker = CircuitBreaker(
+            None if on_breaker is None else lambda old, new: on_breaker(self, old, new)
+        )
 
     @property
     def address(self) -> str:
@@ -284,34 +192,23 @@ class _Job:
 
     task: LocalStepTask
     update: Optional[ParticipantUpdate] = None
-    #: sends claimed, hedges included
+    #: sends claimed
     attempts: int = 0
     error: str = "no live workers"
     #: the worker it last failed on, which a retry avoids
     failed_on: Optional[WorkerEndpoint] = None
-    #: wall seconds spent on it so far, hedges included (the budget)
-    spent_s: float = 0.0
-    #: workers it is in flight on
-    owners: Set[WorkerEndpoint] = dataclasses.field(default_factory=set)
-    #: when the current attempt was claimed (the hedge clock)
-    started: float = 0.0
-    #: at most one hedge per task per round
-    hedged: bool = False
-    hedge_won: bool = False
-    #: valid replies; any beyond the first are hedge duplicates
-    replies: int = 0
-    #: a retry waits in the queue until its backoff has passed
-    ready_at: float = 0.0
 
 
 @dataclasses.dataclass
 class _Round:
     """One ``run_tasks`` call: its records, its queue of tasks waiting
-    for a worker, and the workers whose threads still pull from it."""
+    for a worker, how many are in flight, and the workers whose threads
+    still pull from it."""
 
     jobs: List[_Job]
     queue: deque
     serving: Set[WorkerEndpoint]
+    in_flight: int = 0
 
 
 class SocketBackend:
@@ -332,25 +229,19 @@ class SocketBackend:
         wire_dtype: str = "float64",
         telemetry: Optional[Telemetry] = None,
         spawn_idle_timeout_s: float = 300.0,
-        resilience: Optional[ResilienceConfig] = None,
         network_fault_plan: Optional[NetworkFaultPlan] = None,
-        rng_seed: int = 0,
         population: Optional[object] = None,
     ):
         if task_timeout_s <= 0:
             raise ValueError(f"task_timeout_s must be positive, got {task_timeout_s}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if compression not in codec.COMPRESSIONS:
-            raise ValueError(
-                f"compression must be one of {codec.COMPRESSIONS}, "
-                f"got {compression!r}"
-            )
-        if wire_dtype not in WIRE_DTYPES:
-            raise ValueError(
-                f"wire_dtype must be one of {sorted(WIRE_DTYPES)}, "
-                f"got {wire_dtype!r}"
-            )
+        for name, value, allowed in (
+            ("compression", compression, codec.COMPRESSIONS),
+            ("wire_dtype", wire_dtype, sorted(WIRE_DTYPES)),
+        ):
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         self._specs = [
             spec
             if isinstance(spec, ParticipantSpec)
@@ -374,22 +265,9 @@ class SocketBackend:
         #: endpoint → acknowledged parameter versions, voided on every
         #: (re-)registration since MSG_INIT clears the daemon's cache
         self.ledger = DeltaLedger(self.name)
-        self.resilience = resilience or ResilienceConfig()
-        #: total per-task wall budget across every attempt and hedge;
-        #: 0 = auto = the historical worst case, now an explicit bound
-        self.task_budget_s = self.resilience.task_budget_s or (
-            (int(max_retries) + 1) * float(task_timeout_s)
-        )
-        self._backoff = RetryBackoff(
-            self.resilience.retry_backoff_base_s,
-            self.resilience.retry_backoff_cap_s,
-            seed=rng_seed,
-        )
         self._chaos: Optional[ChaosEngine] = None
         if network_fault_plan is not None and network_fault_plan.faults:
-            self._chaos = ChaosEngine(
-                network_fault_plan, telemetry=telemetry, side="server"
-            )
+            self._chaos = ChaosEngine(network_fault_plan, telemetry, side="server")
         self._seq = 0
         self._round_counter = 0
         #: guards telemetry from the dispatch threads; re-entrant because
@@ -402,16 +280,14 @@ class SocketBackend:
             self._auto_spawn = False
             self.num_workers = len(workers)
             self._endpoints = [
-                self._make_endpoint(*parse_address(address)) for address in workers
+                WorkerEndpoint(*parse_address(address), on_breaker=self._on_breaker)
+                for address in workers
             ]
         else:
             self._auto_spawn = True
-            if num_workers:
-                self.num_workers = int(num_workers)
-            elif self._specs:
-                self.num_workers = min(len(self._specs), os.cpu_count() or 2, 4)
-            else:  # population mode: no upfront specs to count
-                self.num_workers = min(os.cpu_count() or 2, 4)
+            # population mode has no upfront specs to count
+            default = min(len(self._specs) or 4, os.cpu_count() or 2, 4)
+            self.num_workers = int(num_workers or default)
             if self.num_workers < 1:
                 raise ValueError(
                     f"num_workers must be >= 1, got {self.num_workers}"
@@ -422,18 +298,6 @@ class SocketBackend:
     # ------------------------------------------------------------------
     # Connection management
     # ------------------------------------------------------------------
-    def _make_endpoint(
-        self, host: str, port: int, proc: Optional[LocalWorker] = None
-    ) -> WorkerEndpoint:
-        endpoint = WorkerEndpoint(host, port, proc=proc)
-        endpoint.breaker = CircuitBreaker(
-            failure_threshold=self.resilience.breaker_failure_threshold,
-            cooldown_s=self.resilience.breaker_cooldown_s,
-            cooldown_max_s=self.resilience.breaker_cooldown_max_s,
-            on_transition=lambda old, new: self._on_breaker(endpoint, old, new),
-        )
-        return endpoint
-
     def _on_breaker(self, endpoint: WorkerEndpoint, old: str, new: str) -> None:
         if not self.telemetry.enabled:
             return
@@ -517,15 +381,15 @@ class SocketBackend:
         worker that dropped in an earlier round re-enters the pool.
         A worker whose circuit breaker is open sits out: no respawn, no
         redial, until the cooldown admits a half-open probe (the probe
-        *is* the registration attempt).  Live endpoints come back
-        ordered by health score, best first.
+        *is* the registration attempt).
         """
         if self._auto_spawn and not self._endpoints:
             # Start every daemon before waiting on any.
             procs = [self._spawn() for _ in range(self.num_workers)]
             try:
                 self._endpoints = [
-                    self._make_endpoint(*proc.address(), proc=proc) for proc in procs
+                    WorkerEndpoint(*proc.address(), proc, self._on_breaker)
+                    for proc in procs
                 ]
             except RuntimeError:
                 for proc in procs:
@@ -570,9 +434,7 @@ class SocketBackend:
             # its heartbeat and gets one immediate re-registration.
             if not endpoint.alive or not self._heartbeat(endpoint):
                 self._register(endpoint)
-        live = [e for e in self._endpoints if e.alive]
-        live.sort(key=lambda e: -e.health.score())
-        return live
+        return [e for e in self._endpoints if e.alive]
 
     def _spawn(self) -> LocalWorker:
         # Forking is safe here: _ensure_workers runs before a round's
@@ -586,7 +448,7 @@ class SocketBackend:
             timeout = self.connect_timeout_s
             _request(endpoint.conn, MSG_HEARTBEAT, b"", MSG_HEARTBEAT_ACK, timeout)
         except (ProtocolError, OSError, socket.timeout) as exc:
-            endpoint.health.record_heartbeat(ok=False)
+            endpoint.heartbeat_failures += 1
             endpoint.breaker.record_failure()
             if self.telemetry.enabled:
                 self.telemetry.count("transport.heartbeat_failures")
@@ -597,22 +459,15 @@ class SocketBackend:
                 )
             self._mark_lost(endpoint, f"heartbeat failed: {exc}")
             return False
-        rtt = time.perf_counter() - start
-        endpoint.health.record_heartbeat(ok=True, rtt_s=rtt)
         endpoint.breaker.record_success()
         if self.telemetry.enabled:
+            rtt = time.perf_counter() - start
             self.telemetry.observe("transport.heartbeat_rtt_s", rtt)
         return True
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _deadline(self, endpoint: WorkerEndpoint) -> float:
-        config = self.resilience
-        return endpoint.health.deadline(
-            self.task_timeout_s, config.deadline_floor_s, config.adaptive_deadlines
-        )
-
     def run_tasks(self, tasks: Sequence[LocalStepTask]) -> List[TaskResult]:
         """Run one round's tasks, one :meth:`_drive` thread per live
         worker over one queue; results come back in task order."""
@@ -671,133 +526,67 @@ class SocketBackend:
         return final
 
     def _drive(self, state: _Round, endpoint: WorkerEndpoint) -> None:
-        """One worker's loop: claim a ready task, attempt it, settle it."""
+        """One worker's loop: claim a queued task, attempt it, settle it."""
         try:
             while True:
                 with self._cond:
-                    pick = self._wait_for_pick(state, endpoint)
-                if pick is None:
+                    job = self._wait_for_job(state, endpoint)
+                if job is None:
                     return
-                job, is_hedge = pick
-                budget_left = self.task_budget_s - job.spent_s
-                begin = time.monotonic()
                 try:
-                    update, reason = self._attempt(
-                        endpoint, job.task, min(self._deadline(endpoint), budget_left)
-                    )
+                    update, reason = self._attempt(endpoint, job.task)
                 except Exception as exc:
                     # Whatever an attempt raises settles as its failure:
-                    # a job this thread holds must not be left owned by a
-                    # thread that is gone, or the round never ends.
+                    # a job this thread holds must not be left in flight
+                    # on a thread that is gone, or the round never ends.
                     update, reason = None, f"{type(exc).__name__}: {exc}"
                 with self._cond:
-                    job.spent_s += time.monotonic() - begin
-                    self._settle(state, endpoint, job, is_hedge, update, reason)
+                    self._settle(state, endpoint, job, update, reason)
                     self._cond.notify_all()
         finally:
             with self._cond:
                 state.serving.discard(endpoint)
                 self._cond.notify_all()
 
-    def _wait_for_pick(self, state: _Round, endpoint: WorkerEndpoint):
-        """``(job, is_hedge)``, or None once this worker is done for the
-        round (condition held)."""
-        while state.queue or any(j.owners and j.update is None for j in state.jobs):
+    def _wait_for_job(self, state: _Round, endpoint: WorkerEndpoint):
+        """The next job this worker attempts, or None once it is done for
+        the round (condition held).  A worker waits while the only
+        queued tasks are retries it failed and another replica serves,
+        or while tasks in flight elsewhere may still come back."""
+        while state.queue or state.in_flight:
             if not endpoint.alive or endpoint.breaker.state == BREAKER_OPEN:
                 return None
-            pick = self._claim(state, endpoint)
-            if pick is not None:
-                return pick
-            # Wake when the next backoff ends, else on a short tick:
-            # hedge thresholds are time-based, not event-based.
-            now = time.monotonic()
-            waits = [j.ready_at - now for j in state.queue if j.ready_at > now]
-            self._cond.wait(min(waits + [_TICK_S]))
-        return None
-
-    def _claim(self, state: _Round, endpoint: WorkerEndpoint):
-        """Take a ready queued task; with none queued, hedge one that has
-        been in flight elsewhere past its threshold (condition held)."""
-        now = time.monotonic()
-        job = self._ready_job(state, endpoint, now)
-        is_hedge = job is None
-        if is_hedge:
-            if state.queue or not self.resilience.hedge_dispatch:
-                return None
-            hedgeable = (j for j in state.jobs if self._hedgeable(j, endpoint, now))
-            job = next(hedgeable, None)
-        if job is None or not endpoint.breaker.try_acquire():
-            return None
-        job.owners.add(endpoint)
-        job.attempts += 1
-        if not is_hedge:
-            state.queue.remove(job)
-            job.started = now
-        else:
-            job.hedged = True
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    "transport.hedge",
-                    worker=endpoint.address,
-                    round=job.task.round_index,
-                    participant=job.task.participant_id,
-                )
-        return job, is_hedge
-
-    def _ready_job(self, state: _Round, endpoint: WorkerEndpoint, now: float):
-        """The first queued task this worker may take now.  The budget
-        is checked before claiming: a spent task leaves the queue
-        without costing an attempt or a breaker probe."""
-        others = any(e is not endpoint for e in state.serving)
-        for job in list(state.queue):
-            if job.ready_at > now or (job.failed_on is endpoint and others):
-                continue  # retries go to a different replica when one exists
-            if self.task_budget_s - job.spent_s > _BUDGET_FLOOR_S:
+            others = any(e is not endpoint for e in state.serving)
+            job = next(
+                (j for j in state.queue if j.failed_on is not endpoint or not others),
+                None,
+            )
+            if job is not None:
+                if not endpoint.breaker.try_acquire():
+                    return None
+                state.queue.remove(job)
+                state.in_flight += 1
+                job.attempts += 1
                 return job
-            state.queue.remove(job)
-            job.error = f"task budget ({self.task_budget_s:g}s) exhausted"
+            self._cond.wait()
         return None
-
-    def _hedgeable(self, job: _Job, endpoint: WorkerEndpoint, now: float) -> bool:
-        if job.update is not None or not job.owners or job.hedged:
-            return False
-        if endpoint in job.owners or job.failed_on is endpoint:
-            return False
-        primary = next(iter(job.owners))
-        threshold = primary.health.hedge_threshold(self.resilience.hedge_threshold_s)
-        return threshold is not None and now - job.started >= threshold
 
     def _settle(
-        self, state: _Round, endpoint: WorkerEndpoint, job: _Job, is_hedge: bool,
+        self, state: _Round, endpoint: WorkerEndpoint, job: _Job,
         update: Optional[ParticipantUpdate], reason: str,
     ) -> None:
         """Record one attempt's outcome; a failure with retries left
-        re-enters the queue after its backoff (condition held)."""
-        job.owners.discard(endpoint)
-        task = job.task
+        re-enters the queue (condition held)."""
+        state.in_flight -= 1
         if update is not None:
-            job.replies += 1  # a second one is the hedge loser's duplicate
-            if job.update is None:
-                job.update = update
-                if is_hedge:
-                    endpoint.health.hedge_wins += 1
-                    job.hedge_won = True
-                    if self.telemetry.enabled:
-                        self.telemetry.emit(
-                            "transport.hedge_win",
-                            worker=endpoint.address,
-                            round=task.round_index,
-                            participant=task.participant_id,
-                        )
+            job.update = update
             return
         job.error, job.failed_on = reason, endpoint
-        retry = job.attempts - job.hedged  # a hedge is not a retry
-        if job.update is not None or job.owners or retry > self.max_retries:
+        if job.attempts > self.max_retries:
             return
-        delay = self._backoff.delay(retry)
-        job.ready_at = time.monotonic() + delay
         state.queue.append(job)
         if self.telemetry.enabled:
+            task = job.task
             self.telemetry.count("executor.task_retries")
             self.telemetry.emit(
                 "executor.task_retry",
@@ -807,21 +596,12 @@ class SocketBackend:
                 attempt=job.attempts + 1,
                 error=reason,
             )
-        if delay > 0 and self.telemetry.enabled:
-            self.telemetry.observe("executor.retry_backoff_s", delay)
-            self.telemetry.emit(
-                "executor.retry_backoff",
-                backend=self.name,
-                round=task.round_index,
-                attempt=retry,
-                delay_s=delay,
-            )
 
-    def _attempt(self, endpoint: WorkerEndpoint, task: LocalStepTask, timeout_s: float):
+    def _attempt(self, endpoint: WorkerEndpoint, task: LocalStepTask):
         """One attempt of one task on one worker: ``(update, "")`` or
-        ``(None, reason)``.  Every outcome feeds the worker's health and
+        ``(None, reason)``.  Every outcome feeds the worker's counts and
         breaker; every failure but a remote error drops the connection."""
-        lost = None
+        lost, timeout_s = None, self.task_timeout_s
         try:
             update, size, dispatch_ts, rtt = self._exchange(endpoint, task, timeout_s)
         except _RemoteError as exc:
@@ -832,7 +612,7 @@ class SocketBackend:
         except (ProtocolError, OSError) as exc:
             reason, lost = f"{type(exc).__name__}: {exc}", str(exc)
         else:
-            endpoint.health.record_task(ok=True, rtt_s=rtt)
+            endpoint.tasks_ok += 1
             endpoint.breaker.record_success()
             receive_ts = self.telemetry.now()
             if task.state_versions is not None:
@@ -854,7 +634,7 @@ class SocketBackend:
                     )
                     self.telemetry.observe("transport.payload_bytes", size)
             return update, ""
-        endpoint.health.record_task(ok=False)
+        endpoint.tasks_failed += 1
         endpoint.breaker.record_failure()
         if lost is not None:
             self._mark_lost(endpoint, lost)
@@ -870,7 +650,7 @@ class SocketBackend:
         task a worker receives in a round already references what the
         first one shipped (versions cannot change mid-round).  A delta
         cache miss is not a failure: the task is re-sent in full once on
-        the same connection, outside the retry budget.
+        the same connection, outside the retry count.
         """
         wire_task = self.ledger.delta_task(task, self.ledger.acked(endpoint))
         while True:
@@ -915,8 +695,7 @@ class SocketBackend:
         return update, len(payload), dispatch_ts, time.perf_counter() - start
 
     def _emit_round(self, round_index: int, jobs: List[_Job], bytes_before) -> None:
-        """The round's ``transport.round`` and ``transport.health``
-        events; hedge counts are read off the task records."""
+        """The round's ``transport.round`` and ``transport.health`` events."""
         telemetry = self.telemetry
         sent, received = self._traffic_snapshot()
         telemetry.gauge("executor.inflight", 0)
@@ -930,35 +709,17 @@ class SocketBackend:
             bytes_received=received - bytes_before[1],
         )
         self.ledger.end_round(telemetry, round_index, len(jobs))
-        hedges = sum(job.hedged for job in jobs)
-        wins = sum(job.hedge_won for job in jobs)
-        duplicates = sum(max(job.replies - 1, 0) for job in jobs)
-        if hedges:
-            telemetry.count("transport.hedges", hedges)
-            telemetry.count("transport.hedge_wins", wins)
-            telemetry.count("transport.hedge_duplicates", duplicates)
         telemetry.emit(
             "transport.health",
             round=round_index,
-            hedges=hedges,
-            hedge_wins=wins,
-            hedge_duplicates=duplicates,
             workers=[
                 {
                     "worker": e.address,
-                    "score": round(e.health.score(), 4),
                     "state": e.breaker.state,
                     "alive": e.alive,
-                    "ewma_rtt_ms": (
-                        None
-                        if e.health.ewma_rtt_s is None
-                        else round(e.health.ewma_rtt_s * 1000.0, 3)
-                    ),
-                    "deadline_s": round(self._deadline(e), 3),
-                    "ok": e.health.successes,
-                    "failed": e.health.failures,
-                    "heartbeat_failures": e.health.heartbeat_failures,
-                    "hedge_wins": e.health.hedge_wins,
+                    "ok": e.tasks_ok,
+                    "failed": e.tasks_failed,
+                    "heartbeat_failures": e.heartbeat_failures,
                 }
                 for e in self._endpoints
             ],

@@ -17,7 +17,10 @@ Each example draws a whole run:
   — followed by a resume from the checkpoint;
 * telemetry on (the default), on with tracing, on with tracing and
   per-op profiling, or off;
-* the compute dtype — float64 or float32.
+* the compute dtype — float64 or float32;
+* the circuit-breaker constants of :mod:`repro.transport.resilience` —
+  as shipped, or tight (a breaker that opens on one failure, with a
+  50 ms cooldown), which must not move an outcome when nothing fails.
 
 It asserts that the run's digest (:func:`finish_and_digest`: α ‖ θ and
 buffers ‖ genotype ‖ per-round result tuples) equals the digest of the
@@ -32,6 +35,7 @@ import multiprocessing
 import pathlib
 import tempfile
 from typing import Dict, Optional, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,6 +47,7 @@ from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec, InjectedServerCrash
 from repro.faults.network import NetworkFaultPlan, NetworkFaultSpec
 from repro.network import MOBILITY_MODES
 from repro.population import ChurnPlan
+from repro.transport import resilience
 
 from .test_golden_digests import finish_and_digest
 
@@ -52,6 +57,16 @@ PARTICIPANTS, POPULATION = 3, 12
 DEFAULTS = ExperimentConfig()
 #: model-layer fault kinds; ``crash_server`` is drawn as an interruption
 MODEL_FAULTS = tuple(kind for kind in FAULT_KINDS if kind != "crash_server")
+#: ``Run.resilience`` → the values of the resilience constants
+RESILIENCE = {
+    "shipped": {
+        name: getattr(resilience, name)
+        for name in ("BREAKER_FAILURES", "BREAKER_COOLDOWN_S", "BREAKER_COOLDOWN_MAX_S")
+    },
+    "tight": dict(
+        BREAKER_FAILURES=1, BREAKER_COOLDOWN_S=0.05, BREAKER_COOLDOWN_MAX_S=0.1
+    ),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,6 +91,8 @@ class Run:
     #: ``"on"`` | ``"traced"`` | ``"ops"`` (traced + per-op) | ``"off"``
     telemetry: str
     compute_dtype: str
+    #: a key of :data:`RESILIENCE`
+    resilience: str
 
     def reference(self) -> "Run":
         """The same run, uninterrupted on the serial backend with default
@@ -89,7 +106,7 @@ class Run:
             )
         return dataclasses.replace(
             self, backend="serial", workers=0, wire=(), interrupt=None,
-            telemetry="on", **knobs,
+            telemetry="on", resilience="shipped", **knobs,
         )
 
     def config(self, scratch: pathlib.Path) -> ExperimentConfig:
@@ -138,7 +155,13 @@ class Run:
 
 
 def digest(run: Run, scratch: pathlib.Path) -> str:
-    """Run ``run`` (through its interruption and resume, if any)."""
+    """Run ``run`` (through its interruption and resume, if any) under
+    its resilience constants."""
+    with mock.patch.multiple(resilience, **RESILIENCE[run.resilience]):
+        return _digest(run, scratch)
+
+
+def _digest(run: Run, scratch: pathlib.Path) -> str:
     pipeline = FederatedModelSearch(run.config(scratch))
     if run.interrupt is None:
         return finish_and_digest(pipeline)
@@ -251,6 +274,7 @@ def runs(draw) -> Run:
         interrupt=interrupt,
         telemetry=draw(st.sampled_from(("on", "traced", "ops", "off"))),
         compute_dtype=draw(st.sampled_from(("float64", "float32"))),
+        resilience=draw(st.sampled_from(sorted(RESILIENCE))),
     )
 
 

@@ -4,19 +4,15 @@ Four layers under test:
 
 * the fault-plan model — JSON round-trips, validation, peer matching,
   seeded per-connection decision determinism;
-* the resilience primitives — circuit breaker state machine (with a
-  fake clock), worker health scores / adaptive deadlines, full-jitter
-  retry backoff;
+* the circuit breaker state machine (with a fake clock);
 * :class:`ChaosConnection` over real sockets — every fault kind
   produces its documented failure mode and never a hang;
 * the soak matrix — a :class:`SocketBackend` round under every fault
   kind completes (degrading, not deadlocking), an *empty* plan is
-  bit-identical to no plan at all across backends × delta × arena, a
-  hedged task whose loser replica also replies aggregates exactly once,
-  and breaker/hedge/health activity is observable in ``repro trace``.
+  bit-identical to no plan at all across backends × delta × arena, and
+  breaker/health activity is observable in ``repro trace``.
 """
 
-import dataclasses
 import socket
 import sys
 import threading
@@ -37,6 +33,7 @@ from repro.federated import Participant, SerialBackend
 from repro.search_space import Supernet, SupernetConfig
 from repro.telemetry import Telemetry
 from repro.telemetry.trace import render_trace, summarize_trace
+from repro.transport import resilience
 from repro.transport import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -47,10 +44,7 @@ from repro.transport import (
     CircuitBreaker,
     FrameConnection,
     ProtocolError,
-    ResilienceConfig,
-    RetryBackoff,
     SocketBackend,
-    WorkerHealth,
     WorkerServer,
     codec,
 )
@@ -238,13 +232,13 @@ class TestNetworkFaultPlan:
 # Resilience primitives
 # ----------------------------------------------------------------------
 class TestCircuitBreaker:
-    def test_full_state_machine(self):
+    def test_full_state_machine(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BREAKER_FAILURES", 2)
+        monkeypatch.setattr(resilience, "BREAKER_COOLDOWN_S", 1.0)
+        monkeypatch.setattr(resilience, "BREAKER_COOLDOWN_MAX_S", 4.0)
         clock = [0.0]
         transitions = []
         breaker = CircuitBreaker(
-            failure_threshold=2,
-            cooldown_s=1.0,
-            cooldown_max_s=4.0,
             on_transition=lambda old, new: transitions.append((old, new)),
             clock=lambda: clock[0],
         )
@@ -279,12 +273,12 @@ class TestCircuitBreaker:
         ]
         assert breaker.transitions == len(transitions)
 
-    def test_cooldown_escalation_is_capped(self):
+    def test_cooldown_escalation_is_capped(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BREAKER_FAILURES", 1)
+        monkeypatch.setattr(resilience, "BREAKER_COOLDOWN_S", 1.0)
+        monkeypatch.setattr(resilience, "BREAKER_COOLDOWN_MAX_S", 3.0)
         clock = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_s=1.0, cooldown_max_s=3.0,
-            clock=lambda: clock[0],
-        )
+        breaker = CircuitBreaker(clock=lambda: clock[0])
         breaker.record_failure()
         for expected in (2.0, 3.0, 3.0):
             clock[0] += 10.0
@@ -292,81 +286,67 @@ class TestCircuitBreaker:
             breaker.record_failure()
             assert breaker.cooldown_s == expected
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown_s=0)
-
 
 class TestWorkerHealth:
-    def test_score_degrades_with_failures(self):
-        health = WorkerHealth()
-        assert health.score() == 1.0  # optimistic start
-        for _ in range(3):
-            health.record_task(ok=True, rtt_s=0.1)
-        health.record_task(ok=False)
-        assert 0.0 < health.score() < 1.0
-        assert health.successes == 3 and health.failures == 1
-
-    def test_deadline_adapts_only_with_enough_samples(self):
-        health = WorkerHealth()
-        static, floor = 60.0, 5.0
-        assert health.deadline(static, floor, adaptive=True) == static
-        for _ in range(5):
-            health.record_task(ok=True, rtt_s=0.1)
-        adapted = health.deadline(static, floor, adaptive=True)
-        assert adapted == floor  # 4·EWMA and 2.5·p95 both under the floor
-        assert health.deadline(static, floor, adaptive=False) == static
-
     def test_deadline_never_exceeds_static_timeout(self):
-        health = WorkerHealth()
-        for _ in range(6):
-            health.record_task(ok=True, rtt_s=100.0)
-        assert health.deadline(10.0, 5.0, adaptive=True) == 10.0
+        """A task whose reply never comes is cut at ``task_timeout_s``
+        and, out of retries, fails; the worker's counts and the health
+        event record it."""
 
-    def test_hedge_threshold(self):
-        health = WorkerHealth()
-        assert health.hedge_threshold(0.5) == 0.5  # configured wins
-        assert health.hedge_threshold(0.0) is None  # adaptive, no samples
-        for _ in range(5):
-            health.record_task(ok=True, rtt_s=0.5)
-        adaptive = health.hedge_threshold(0.0)
-        assert adaptive == pytest.approx(1.5)  # 3 × p95
+        class Silent(WorkerServer):
+            def _handle_task(self, conn, payload):
+                pass  # the reply a partition swallowed
+
+        server = Silent(port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        telemetry = Telemetry()
+        backend = SocketBackend(
+            build_participants(),
+            TINY,
+            workers=[f"{server.host}:{server.port}"],
+            task_timeout_s=0.5,
+            max_retries=0,
+            telemetry=telemetry,
+        )
+        try:
+            backend._ensure_workers()
+            start = time.monotonic()
+            (result,) = backend.run_tasks(make_tasks(num=1))
+            elapsed = time.monotonic() - start
+        finally:
+            backend.close()
+            server.stop()
+            thread.join(timeout=5)
+        assert not result.ok and "timed out after 0.5s" in result.error
+        assert 0.4 < elapsed < 5
+        (health,) = [
+            e for e in telemetry.events() if e["event"] == "transport.health"
+        ]
+        assert [(w["ok"], w["failed"]) for w in health["workers"]] == [(0, 1)]
 
     def test_heartbeat_failures_tracked(self):
-        health = WorkerHealth()
-        health.record_heartbeat(ok=False)
-        health.record_heartbeat(ok=True, rtt_s=0.01)
-        assert health.heartbeat_failures == 1
-        assert health.heartbeat_rtt_s == pytest.approx(0.01)
-
-
-class TestRetryBackoff:
-    def test_full_jitter_within_exponential_ceiling(self):
-        backoff = RetryBackoff(base_s=0.1, cap_s=1.0, seed=5)
-        for attempt in range(1, 8):
-            ceiling = min(1.0, 0.1 * 2.0 ** (attempt - 1))
-            for _ in range(16):
-                assert 0.0 <= backoff.delay(attempt) <= ceiling
-
-    def test_deterministic_per_seed_and_rng_private(self):
-        state_before = np.random.get_state()[1].copy()
-        a = [RetryBackoff(0.1, 1.0, seed=3).delay(k) for k in range(1, 5)]
-        b = [RetryBackoff(0.1, 1.0, seed=3).delay(k) for k in range(1, 5)]
-        c = [RetryBackoff(0.1, 1.0, seed=4).delay(k) for k in range(1, 5)]
-        assert a == b and a != c
-        np.testing.assert_array_equal(np.random.get_state()[1], state_before)
-
-    def test_zero_base_disables_backoff(self):
-        backoff = RetryBackoff(base_s=0.0, cap_s=1.0, seed=0)
-        assert backoff.delay(3) == 0.0
-        assert backoff.max_total_delay(5) == 0.0
-
-    def test_max_total_delay_is_the_documented_bound(self):
-        backoff = RetryBackoff(base_s=0.5, cap_s=2.0, seed=0)
-        # 0.5 + 1.0 + 2.0 (capped) + 2.0 (capped)
-        assert backoff.max_total_delay(4) == pytest.approx(5.5)
+        """A worker that went away fails its round-start heartbeat: the
+        failure is counted on its health record and in telemetry."""
+        server, thread = start_worker()
+        telemetry = Telemetry()
+        backend = SocketBackend(
+            build_participants(),
+            TINY,
+            workers=[f"{server.host}:{server.port}"],
+            task_timeout_s=5.0,
+            telemetry=telemetry,
+        )
+        try:
+            (endpoint,) = backend._ensure_workers()
+            server.stop()
+            thread.join(timeout=5)
+            assert backend._ensure_workers() == []
+            assert endpoint.heartbeat_failures == 1
+        finally:
+            backend.close()
+        snapshot = telemetry.metrics_snapshot()
+        assert snapshot["transport.heartbeat_failures"]["value"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -452,14 +432,12 @@ class TestChaosConnection:
 # ----------------------------------------------------------------------
 # SocketBackend under chaos (the soak matrix)
 # ----------------------------------------------------------------------
-FAST_RESILIENCE = ResilienceConfig(
-    breaker_failure_threshold=3,
-    breaker_cooldown_s=0.2,
-    breaker_cooldown_max_s=1.0,
-    retry_backoff_base_s=0.01,
-    retry_backoff_cap_s=0.05,
-    deadline_floor_s=2.0,
-)
+@pytest.fixture
+def fast_resilience(monkeypatch):
+    """Short breaker cooldowns, so a soak round that trips a breaker
+    recovers within the test."""
+    monkeypatch.setattr(resilience, "BREAKER_COOLDOWN_S", 0.2)
+    monkeypatch.setattr(resilience, "BREAKER_COOLDOWN_MAX_S", 1.0)
 
 
 def soak_spec(kind):
@@ -477,7 +455,7 @@ def soak_spec(kind):
 
 class TestChaosSoak:
     @pytest.mark.parametrize("kind", NETWORK_FAULT_KINDS)
-    def test_every_fault_kind_completes_without_deadlock(self, kind):
+    def test_every_fault_kind_completes_without_deadlock(self, kind, fast_resilience):
         """ISSUE 8 acceptance: two seeded rounds under each fault class
         finish within a wall cap; tasks may degrade to offline (not ok)
         but the round always returns."""
@@ -491,11 +469,9 @@ class TestChaosSoak:
             task_timeout_s=8.0,
             max_retries=2,
             telemetry=telemetry,
-            resilience=FAST_RESILIENCE,
             network_fault_plan=NetworkFaultPlan(
                 seed=13, faults=(soak_spec(kind),)
             ),
-            rng_seed=13,
         )
         start = time.monotonic()
         try:
@@ -520,9 +496,11 @@ class TestChaosSoak:
         }
         assert kind in kinds_fired
 
-    def test_breaker_opens_and_gates_redial_under_refusal(self):
+    def test_breaker_opens_and_gates_redial_under_refusal(self, monkeypatch):
         """A peer that refuses every dial trips its breaker; once open,
         further rounds skip the redial entirely (respawn gating)."""
+        monkeypatch.setattr(resilience, "BREAKER_FAILURES", 2)
+        monkeypatch.setattr(resilience, "BREAKER_COOLDOWN_S", 30.0)
         server, thread = start_worker()
         telemetry = Telemetry()
         backend = SocketBackend(
@@ -531,11 +509,6 @@ class TestChaosSoak:
             workers=[f"{server.host}:{server.port}"],
             task_timeout_s=5.0,
             telemetry=telemetry,
-            resilience=ResilienceConfig(
-                breaker_failure_threshold=2,
-                breaker_cooldown_s=30.0,
-                breaker_cooldown_max_s=30.0,
-            ),
             network_fault_plan=NetworkFaultPlan(
                 seed=0, faults=(NetworkFaultSpec(kind="refuse"),)
             ),
@@ -560,38 +533,6 @@ class TestChaosSoak:
             "faults.network.refuse", {}
         ).get("value", 0)
         assert refused == 2
-
-    def test_spent_budget_sends_nothing_and_costs_no_attempt(self):
-        """A task whose total budget is below the send floor fails at
-        once: no task frame, no retry, and one attempt on the books (a
-        phantom claim once counted two and took a breaker probe)."""
-        server, thread = start_worker()
-        telemetry = Telemetry()
-        backend = SocketBackend(
-            build_participants(),
-            TINY,
-            workers=[f"{server.host}:{server.port}"],
-            task_timeout_s=5.0,
-            max_retries=1,
-            telemetry=telemetry,
-            resilience=ResilienceConfig(task_budget_s=0.01),
-        )
-        try:
-            (result,) = backend.run_tasks(make_tasks(num=1))
-        finally:
-            backend.close()
-            server.stop()
-            thread.join(timeout=5)
-        assert not result.ok
-        assert result.attempts == 1
-        assert "budget" in result.error
-        (round_event,) = [
-            e for e in telemetry.events() if e["event"] == "transport.round"
-        ]
-        assert round_event["bytes_sent"] == 0
-        assert server.tasks_completed == 0
-        events = {e["event"] for e in telemetry.events()}
-        assert "executor.task_retry" not in events
 
     def test_retry_lands_on_the_other_replica(self):
         """A task frame dropped on its way to one worker is retried on
@@ -672,8 +613,6 @@ class TestChaosSoak:
             task_timeout_s=30.0,
             max_retries=1,
             telemetry=telemetry,
-            # No backoff: the retry is ready the moment it is settled.
-            resilience=ResilienceConfig(retry_backoff_base_s=0.0),
         )
         try:
             results = backend.run_tasks(make_tasks(num=2, seed=6))
@@ -693,10 +632,10 @@ class TestChaosSoak:
         assert sorted(failing.served + other.served) == [0, 1]
 
     def test_task_records_hold_under_thread_races(self):
-        """Four workers on a 1 ms hedge threshold race over twelve tasks
-        with a tiny thread switch interval: every claimed attempt was
-        served exactly once (a lost update to a record would break the
-        sums), every result is the serial one, and in task order."""
+        """Four workers race over twelve tasks with a tiny thread switch
+        interval: every task was claimed and served exactly once (a lost
+        update to a record or the queue would break the sums), every
+        result is the serial one, and in task order."""
         servers = [start_worker() for _ in range(4)]
         participants = build_participants(num=12)
         tasks = make_tasks(num=12, seed=8)
@@ -707,7 +646,6 @@ class TestChaosSoak:
             workers=[f"{s.host}:{s.port}" for s, _ in servers],
             task_timeout_s=30.0,
             telemetry=telemetry,
-            resilience=ResilienceConfig(hedge_threshold_s=0.001),
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -722,16 +660,12 @@ class TestChaosSoak:
                 assert not thread.is_alive()
         assert [r.participant_id for r in results] == list(range(12))
         assert all(r.ok for r in results)
-        attempts = sum(r.attempts for r in results)
-        assert sum(server.tasks_completed for server, _ in servers) == attempts
+        assert [r.attempts for r in results] == [1] * len(tasks)
+        assert sum(server.tasks_completed for server, _ in servers) == len(tasks)
         (health,) = [
             e for e in telemetry.events() if e["event"] == "transport.health"
         ]
-        hedge_events = [
-            e for e in telemetry.events() if e["event"] == "transport.hedge"
-        ]
-        assert health["hedges"] == len(hedge_events) == attempts - len(tasks)
-        assert health["hedge_duplicates"] == attempts - len(tasks)
+        assert sum(w["ok"] for w in health["workers"]) == len(tasks)
         expected = SerialBackend(participants, TINY).run_tasks(tasks)
         for a, b in zip(expected, results):
             assert a.update.reward == b.update.reward
@@ -739,88 +673,6 @@ class TestChaosSoak:
                 np.testing.assert_array_equal(
                     a.update.gradients[name], b.update.gradients[name], err_msg=name
                 )
-
-    def test_hedged_dispatch_dedups_the_loser(self):
-        """ISSUE 8 satellite: hedge a task stuck behind a slow replica;
-        when the loser eventually replies too, exactly one update is
-        aggregated, the result is bit-identical to serial, and both
-        replicas' delta ack maps advance."""
-        servers = [start_worker() for _ in range(2)]
-        slow_address = f"{servers[0][0].host}:{servers[0][0].port}"
-        telemetry = Telemetry()
-        participants = build_participants()
-        tasks = [  # give delta-ack bookkeeping versions to track
-            dataclasses.replace(
-                task, state_versions={name: 1 for name in task.state}
-            )
-            for task in make_tasks(num=2, seed=21)
-        ]
-        plan = NetworkFaultPlan(
-            seed=2,
-            faults=(
-                NetworkFaultSpec(
-                    kind="latency", latency_s=1.0, peer=slow_address
-                ),
-            ),
-        )
-        backend = SocketBackend(
-            participants,
-            TINY,
-            workers=[
-                f"{s.host}:{s.port}" for s, _ in servers
-            ],
-            task_timeout_s=30.0,
-            max_retries=1,
-            telemetry=telemetry,
-            resilience=ResilienceConfig(
-                hedge_dispatch=True,
-                hedge_threshold_s=0.1,
-                adaptive_deadlines=False,
-            ),
-            network_fault_plan=plan,
-        )
-        try:
-            results = backend.run_tasks(tasks)
-            acked = {
-                e.address: backend.ledger.acked(e) for e in backend._endpoints
-            }
-        finally:
-            backend.close()
-            for server, thread in servers:
-                server.stop()
-                thread.join(timeout=5)
-
-        assert len(results) == 2 and all(r.ok for r in results)
-        hedge_wins = [
-            e for e in telemetry.events() if e["event"] == "transport.hedge_win"
-        ]
-        assert hedge_wins, "the fast replica must win at least one hedge"
-        health_events = [
-            e for e in telemetry.events() if e["event"] == "transport.health"
-        ]
-        assert health_events and health_events[-1]["hedge_duplicates"] >= 1
-
-        # Exactly one update per task aggregated, bit-identical to serial.
-        serial = SerialBackend(participants, TINY)
-        expected = serial.run_tasks(make_tasks(num=2, seed=21))
-        for a, b in zip(expected, results):
-            assert a.participant_id == b.participant_id
-            assert a.update.reward == b.update.reward
-            for name in a.update.gradients:
-                np.testing.assert_array_equal(
-                    a.update.gradients[name],
-                    b.update.gradients[name],
-                    err_msg=name,
-                )
-
-        # Both the winner and the loser acknowledged the versions they
-        # executed — the ack maps stay consistent for delta dispatch.
-        hedged_ids = {e["participant"] for e in hedge_wins}
-        for address, versions in acked.items():
-            assert versions, f"{address} acked nothing"
-            for name, version in versions.items():
-                assert version == 1, (address, name, version)
-        assert hedged_ids  # at least one participant rode both replicas
 
 
 # ----------------------------------------------------------------------
@@ -900,33 +752,22 @@ class TestChaosObservability:
             {
                 "event": "transport.health",
                 "round": 0,
-                "hedges": 2,
-                "hedge_wins": 1,
-                "hedge_duplicates": 1,
                 "workers": [
                     {
                         "worker": "127.0.0.1:7000",
-                        "score": 0.5,
                         "state": "open",
                         "alive": False,
-                        "ewma_rtt_ms": 12.5,
-                        "deadline_s": 5.0,
                         "ok": 3,
                         "failed": 3,
                         "heartbeat_failures": 1,
-                        "hedge_wins": 0,
                     },
                     {
                         "worker": "127.0.0.1:7001",
-                        "score": 1.0,
                         "state": "closed",
                         "alive": True,
-                        "ewma_rtt_ms": None,
-                        "deadline_s": 60.0,
                         "ok": 6,
                         "failed": 0,
                         "heartbeat_failures": 0,
-                        "hedge_wins": 1,
                     },
                 ],
             },
@@ -935,7 +776,6 @@ class TestChaosObservability:
         health = summary["health"]
         assert health["breaker_transitions_total"] == 1
         assert health["faults"] == {"drop": 1, "latency": 1}
-        assert health["hedges"] == 2 and health["hedge_wins"] == 1
         assert health["heartbeat_failures"] == 1
         assert [w["worker"] for w in health["workers"]] == [
             "127.0.0.1:7000",
@@ -945,13 +785,12 @@ class TestChaosObservability:
         text = render_trace(summary)
         assert "Worker health / chaos" in text
         assert "injected wire faults: drop=1, latency=1" in text
-        assert "breaker transitions: 1" in text
-        assert "hedge wins: 1" in text
+        assert "breaker transitions: 1   heartbeat failures: 1" in text
         assert "| 127.0.0.1:7000 | open |" in text
 
-    def test_end_to_end_chaos_run_is_traceable(self):
+    def test_end_to_end_chaos_run_is_traceable(self, fast_resilience):
         """A real chaos round produces a trace whose report shows the
-        health section (breaker/hedge/fault activity observable)."""
+        health section (breaker/fault activity observable)."""
         servers = [start_worker() for _ in range(2)]
         telemetry = Telemetry()
         backend = SocketBackend(
@@ -961,7 +800,6 @@ class TestChaosObservability:
             task_timeout_s=8.0,
             max_retries=2,
             telemetry=telemetry,
-            resilience=FAST_RESILIENCE,
             network_fault_plan=NetworkFaultPlan(
                 seed=5,
                 faults=(

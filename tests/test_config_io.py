@@ -156,7 +156,8 @@ class TestRetiredKeys:
     @pytest.mark.parametrize(
         "key,value,home",
         [
-            ("breaker_cooldown_s", 0.5, "ResilienceConfig"),
+            ("breaker_cooldown_s", 0.5, "repro.transport.resilience"),
+            ("hedge_dispatch", False, "deleted"),
             ("strike_limit", 1, "SearchServerConfig"),
             ("tape_fusion", True, "deleted"),
             ("validate_updates", False, "always"),

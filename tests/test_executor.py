@@ -349,20 +349,10 @@ class TestBackendPlumbing:
         assert a.keys() == b.keys()
         # Each pipeline's own telemetry, locks and parameter arena.
         handles = {"telemetry", "_lock", "_cond", "_arena"}
-        for key in a.keys() - handles - {"_specs", "ledger", "_backoff"}:
+        for key in a.keys() - handles - {"_specs", "ledger"}:
             assert a[key] == b[key], key
         assert pickle.dumps(process._specs) == pickle.dumps(sock._specs)
         assert process.ledger.stats == sock.ledger.stats
-        for backoff in (process._backoff, sock._backoff):
-            assert vars(backoff).keys() == {"base_s", "cap_s", "_rng"}
-        assert (process._backoff.base_s, process._backoff.cap_s) == (
-            sock._backoff.base_s,
-            sock._backoff.cap_s,
-        )
-        assert (
-            process._backoff._rng.bit_generator.state
-            == sock._backoff._rng.bit_generator.state
-        )
 
     def test_participant_spec_strips_mutable_state(self):
         participant = build_participants()[0]

@@ -196,7 +196,6 @@ def test_the_step_path_keeps_no_process_global_state():
 #: function may join it (ROADMAP item 16).
 LONG_FUNCTIONS = {
     "federated/server.py:FederatedSearchServer.__init__": 108,
-    "transport/backend.py:SocketBackend.__init__": 99,
     "nn/modules.py:_batch_norm_train": 96,
 }
 

@@ -45,7 +45,6 @@ def measure_wire_bytes() -> dict:
         workers=[f"{worker.host}:{worker.port}"],
         task_timeout_s=60.0,
         telemetry=telemetry,
-        rng_seed=SEED,
     )
     timing_digits = []
     run_tasks = backend.run_tasks
